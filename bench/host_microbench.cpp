@@ -1,6 +1,6 @@
 // Wall-clock google-benchmark of the host-path implementations: the serial
 // walk, the Engine's OpenMP host backend (workspace reused across
-// iterations), the legacy one-shot shim for comparison, and (for context)
+// iterations), a fresh Engine per call for comparison, and (for context)
 // the host cost of the simulator itself. Run with --benchmark_filter=...
 // to narrow.
 #include <benchmark/benchmark.h>
@@ -10,7 +10,6 @@
 #include "apps/euler_tour.hpp"
 #include "baselines/serial.hpp"
 #include "core/engine.hpp"
-#include "core/parallel_host.hpp"
 #include "lists/generators.hpp"
 #include "lists/transform.hpp"
 #include "vm/segmented.hpp"
@@ -70,25 +69,24 @@ BENCHMARK(BM_EngineHostScan)
     ->Args({1 << 20, 2})
     ->Args({1 << 20, 4});
 
-// The deprecated shim is the subject under measurement here (its per-call
-// scratch cost vs the Engine's warm workspace), so keep calling it.
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-void BM_HostListScanShim(benchmark::State& state) {
-  // Legacy one-shot shim: allocates a fresh workspace every call.
+void BM_EngineHostScanColdWorkspace(benchmark::State& state) {
+  // A fresh Engine per call: every run re-grows its scratch workspace,
+  // the per-call cost the warm engine above amortizes away.
   const auto n = static_cast<std::size_t>(state.range(0));
   const LinkedList& l = cached_list(n);
-  HostOptions opt;
-  opt.threads = static_cast<unsigned>(state.range(1));
+  EngineOptions eo;
+  eo.threads = static_cast<unsigned>(state.range(1));
   for (auto _ : state) {
-    auto out = host_list_scan(l, OpPlus{}, opt);
-    benchmark::DoNotOptimize(out.data());
+    Engine engine(eo);
+    auto r = engine.scan(l);
+    benchmark::DoNotOptimize(r.scan.data());
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(n));
 }
-BENCHMARK(BM_HostListScanShim)->Args({1 << 20, 2})->Args({1 << 20, 4});
-#pragma GCC diagnostic pop
+BENCHMARK(BM_EngineHostScanColdWorkspace)
+    ->Args({1 << 20, 2})
+    ->Args({1 << 20, 4});
 
 void BM_EngineHostRank(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));

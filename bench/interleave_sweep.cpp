@@ -19,17 +19,11 @@
 //              single cursor per sublist, value gather + is_tail bitmap
 //              access per element, O(n) owner-table refill.
 //
-// Where the CPU can gather (simd_gather_available()), the sweep adds the
-// SIMD gather tier at W in {4, 8, 16, 32, 64} as "simd" rows: the
-// closest host analog yet of the paper's VL = 64 hardware gather.
-//
-// Gates (the PR acceptance bars): at n = 2^20 the packed W=8 kernel must
-// beat seed-1cur by >= 1.5x, and -- on gather-capable hardware only --
-// the best simd width must beat packed W=8 by >= 1.2x. When max_n < 2^20
-// (CI smoke runs) the gate degrades to "best width >= seed-1cur" --
-// still meaningful on shared runners, and INTERLEAVE_SWEEP_LENIENT=1
-// downgrades any miss to a
-// warning. Every row lands in BENCH_hotpath.json (LR90_BENCH_JSON_PATH
+// Gate: at n = 2^20 the packed W=8 kernel must beat seed-1cur by >= 1.5x.
+// When max_n < 2^20 (CI smoke runs) the gate degrades to "best width >=
+// seed-1cur" -- still meaningful on shared runners, and
+// INTERLEAVE_SWEEP_LENIENT=1 downgrades any miss to a warning. Every row
+// lands in BENCH_hotpath.json (LR90_BENCH_JSON_PATH
 // overrides the path); the committed perf trajectory lives in
 // bench/trajectory/ and tools/bench_compare.py diffs fresh runs
 // against it.
@@ -46,7 +40,6 @@
 #include "lists/generators.hpp"
 #include "lists/ops.hpp"
 #include "support/bench_json.hpp"
-#include "support/cpu_features.hpp"
 #include "support/table.hpp"
 
 namespace {
@@ -141,11 +134,7 @@ int main(int argc, char** argv) {
       3, argc > 2 ? std::strtoull(argv[2], nullptr, 10) : 5);
   const bool lenient = std::getenv("INTERLEAVE_SWEEP_LENIENT") != nullptr;
   constexpr unsigned kWidths[] = {1, 2, 4, 8, 16, 32};
-  // The vector-family widths mirror the tuner's grid: lane groups of 4,
-  // up to the paper's VL = 64.
-  constexpr unsigned kSimdWidths[] = {4, 8, 16, 32, 64};
   constexpr std::size_t kSublists = 64;
-  const bool simd = simd_gather_available();
 
   BenchJson json("interleave_sweep");
   stamp_provenance(json);
@@ -154,7 +143,6 @@ int main(int argc, char** argv) {
   json.meta("sublists", static_cast<double>(kSublists));
   json.meta("max_n", static_cast<double>(max_n));
   json.meta("reps", static_cast<double>(reps));
-  json.meta("simd_gather", simd ? 1.0 : 0.0);
 
   std::printf("interleave_sweep: n up to %zu, %zu reps, 1 thread, "
               "%zu sublists\n\n",
@@ -162,7 +150,6 @@ int main(int argc, char** argv) {
 
   double gate_seed_ms = 0.0;      // seed-1cur at the gate size
   double gate_packed8_ms = 0.0;   // packed W=8 at the gate size
-  double gate_simd_ms = 0.0;      // best simd width at the gate size
   double gate_best_ratio = 0.0;   // best packed speedup at the largest n
   std::size_t gate_n = 0;
 
@@ -230,34 +217,6 @@ int main(int argc, char** argv) {
         gate_packed8_ms = ms;
       }
     }
-    for (const unsigned w : kSimdWidths) {
-      if (!simd) break;  // no usable AVX2: the simd rows are meaningless
-      host_exec::HostPlan plan;
-      plan.threads = 1;
-      plan.sublists = kSublists;
-      plan.interleave = w;
-      plan.tier = KernelTier::kSimdGather;
-      const double ms = median_ms(reps, [&] {
-        ws.rng = Rng(0x5eed);
-        ws.invalidate_packed();
-        host_exec::scan_into(list, OpPlus{}, plan, ws,
-                             std::span<value_t>(out));
-      });
-      const double ratio = seed1 / ms;
-      best_ratio = std::max(best_ratio, ratio);
-      table.add_row({"simd", std::to_string(w), TextTable::num(ms, 2),
-                     TextTable::num(ms * 1e6 / nd, 2),
-                     TextTable::num(ratio, 2) + "x"});
-      json.row();
-      json.field("n", nd);
-      json.field("variant", "simd");
-      json.field("w", static_cast<double>(w));
-      json.field("median_ms", ms);
-      json.field("ns_per_elem", ms * 1e6 / nd);
-      json.field("speedup_vs_seed", ratio);
-      if (n == (1u << 20) && (gate_simd_ms == 0.0 || ms < gate_simd_ms))
-        gate_simd_ms = ms;
-    }
     gate_best_ratio = best_ratio;
     gate_n = n;
     std::printf("n = %zu\n", n);
@@ -279,18 +238,6 @@ int main(int argc, char** argv) {
                 "(need >= 1.50x)\n",
                 ratio);
     if (ratio < 1.5) ok = false;
-    // The SIMD gate only binds where the hardware can gather: the best
-    // vector width must beat the scalar-cursor packed kernel at W=8.
-    if (simd && gate_simd_ms > 0.0) {
-      const double sratio = gate_packed8_ms / gate_simd_ms;
-      std::printf("gate: simd best-W vs packed W=8 at n=2^20: %.2fx "
-                  "(need >= 1.20x)\n",
-                  sratio);
-      if (sratio < 1.2) ok = false;
-    } else if (!simd) {
-      std::printf("gate: no usable AVX2 gather on this CPU; simd gate "
-                  "skipped\n");
-    }
   } else {
     std::printf("gate (smoke, n=%zu): best packed width vs seed-1cur: "
                 "%.2fx (need >= 1.00x)\n",

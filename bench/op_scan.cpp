@@ -18,7 +18,10 @@
 // The gate: the dispatched and engine medians must stay within 5% of the
 // hard-coded median (OP_SCAN_LENIENT=1 downgrades a miss to a warning for
 // noisy shared runners). Also prints the ns/vertex of every registered
-// operator through the engine -- the new workloads the layer opens.
+// operator through the engine, and gates the two-lane operators (seg-sum,
+// affine, max-plus -- the list-array hop source) at 1.3x the plus scan:
+// one cursor driver serves every operator, so no operator may fall back
+// to a slow path.
 //
 // A fourth tier gates the fault-injection framework's disabled fast path
 // (support/faultpoint.hpp): the dispatched scan plus one disabled
@@ -89,9 +92,11 @@ int main(int argc, char** argv) {
   const Planner::Decision decision =
       engine.planner().decide(n, Method::kAuto, /*rank=*/false);
   host_exec::HostPlan plan;
-  plan.threads = decision.method == Method::kSerial ? 1 : decision.threads;
-  plan.sublists = static_cast<std::size_t>(decision.sublists);
-  plan.interleave = decision.interleave;
+  if (decision.method == Method::kReidMiller) {
+    plan.threads = decision.threads;
+    plan.sublists = static_cast<std::size_t>(decision.sublists);
+    plan.interleave = decision.interleave;
+  }
 
   // Every tier returns a fresh result vector (the API contract); the
   // volatile sink keeps the runs observable.
@@ -190,6 +195,8 @@ int main(int argc, char** argv) {
 
   // The new workloads: every registered operator through the same engine.
   std::printf("\nevery operator via OpRequest (median ms):\n");
+  double plus_ms = 0.0, worst_wide = 0.0;
+  const char* worst_op = "";
   for (const ScanOp op : kAllScanOps) {
     std::vector<double> ms;
     unsigned interleave = 0;
@@ -207,8 +214,13 @@ int main(int argc, char** argv) {
       }));
     }
     const double m = median(ms);
+    if (op == ScanOp::kPlus) plus_ms = m;
+    if (!scan_op_lane32(op) && m / plus_ms > worst_wide) {
+      worst_wide = m / plus_ms;
+      worst_op = scan_op_name(op);
+    }
     std::printf("  %-10s %8.2f ms  (%s, %u cursors)\n", scan_op_name(op), m,
-                packed ? "packed" : "unpacked", interleave);
+                packed ? "slab" : "list arrays", interleave);
     json.row();
     json.field("tier", "operator");
     json.field("op", scan_op_name(op));
@@ -235,6 +247,11 @@ int main(int argc, char** argv) {
                 (e / h - 1.0) * 100.0);
     ok = false;
   }
+  if (worst_wide > 1.3) {
+    std::printf("\nGATE MISS: %s scan %.2fx the plus scan (limit 1.3x)\n",
+                worst_op, worst_wide);
+    ok = false;
+  }
   bool fault_miss = false;
   if (f > d * 1.01) {
     std::printf("\nGATE MISS: disabled faultpoints cost %.2f%% over the "
@@ -245,7 +262,8 @@ int main(int argc, char** argv) {
   }
   if (ok) {
     std::printf("\ngate ok: generic paths within 5%% of the hard-coded "
-                "sum scan, disabled faultpoints within 1%% of dispatch\n");
+                "sum scan, two-lane operators within 1.3x of plus, "
+                "disabled faultpoints within 1%% of dispatch\n");
     return 0;
   }
   if (lenient && !(fault_miss && fault_strict)) {

@@ -148,26 +148,6 @@ double host_packed_ns_per_elem_mt(double n, unsigned threads, unsigned W,
   return 2.0 * per_phase + build;
 }
 
-double host_gather_ns_per_elem_mt(double n, unsigned threads, unsigned W,
-                                  const HostCostConstants& k,
-                                  double op_factor) {
-  assert(threads >= 1 && W >= 1);
-  const double lat = host_latency_ns(n * 12.0, k);
-  // Same shape as the scalar family, gather constants substituted: the
-  // vector kernels' per-element issue work replaces the scalar combine
-  // bound, and the per-cursor overhead shrinks to the register-resident
-  // group bookkeeping.
-  const double per_thread =
-      std::max(lat / static_cast<double>(W), k.gather_issue_ns * op_factor) +
-      k.gather_bookkeeping_ns * static_cast<double>(W - 1);
-  const double per_phase =
-      std::max(per_thread / static_cast<double>(threads),
-               lat / k.mem_parallelism);
-  const double build = std::max(k.build_ns / static_cast<double>(threads),
-                                k.build_min_ns);
-  return 2.0 * per_phase + build;
-}
-
 double host_serial_ns_per_elem(double n, const HostCostConstants& k,
                                double op_factor) {
   return host_latency_ns(n * 12.0, k) + k.serial_walk_ns * op_factor;

@@ -82,7 +82,7 @@ double phase2_serial_cycles(double m, const CostConstants& k);
 double expected_cycles_eq5(double n, double m, double s1, std::size_t l,
                            const CostConstants& k);
 
-// -- host packed hot path ---------------------------------------------------
+// -- host sublist kernel -----------------------------------------------------
 //
 // The host analog of the paper's vector model: with W cursors in flight
 // per worker, a traversal element costs roughly
@@ -94,26 +94,32 @@ double expected_cycles_eq5(double n, double m, double s1, std::size_t l,
 // round-robin bookkeeping grows mildly with W. latency() steps through
 // the cache hierarchy by the slab's footprint, exactly the role the
 // Hockney (startup, per-element) pairs play in the C90 CostTable.
-// Defaults are fitted from bench/interleave_sweep on the dev machine;
-// they need only rank the candidate Ws correctly, not predict wall time.
+// Defaults are fitted from bench/interleave_sweep and one-thread Engine
+// runs on a 4-core Xeon (2 MiB L2 per core); they need only rank the
+// candidate shapes -- and the serial walk -- correctly, not predict wall
+// time. One model serves both hop sources (core/host_exec.hpp).
 
-/// Per-element constants of the host packed traversal kernels, in
-/// nanoseconds. Value-semantic so benches can refit and re-plan. The
-/// per-thread terms (fork_join_ns, mem_parallelism, build_min_ns,
-/// serial_bandwidth_frac) extend the model to the joint (threads x W)
-/// grid: per-core work divides across workers, but the memory system
-/// caps the aggregate latency hiding -- the host analog of the paper's
-/// Section 5 shared-memory contention term.
+/// Per-element constants of the host sublist kernel, in nanoseconds.
+/// Value-semantic so benches can refit and re-plan. The per-thread terms
+/// (fork_join_ns, mem_parallelism, build_min_ns) extend the model to the
+/// joint (threads x W) grid: per-core work divides across workers, but
+/// the memory system caps the aggregate latency hiding -- the host
+/// analog of the paper's Section 5 shared-memory contention term.
 struct HostCostConstants {
   double l1_latency_ns = 5.0;     ///< random load, working set in L1/L2
   double l2_latency_ns = 16.0;    ///< random load, slab within L2/LLC
   double dram_latency_ns = 95.0;  ///< random load, slab misses to DRAM
   double combine_ns = 1.4;        ///< combine + cursor advance (plus-like)
   double bookkeeping_ns = 0.08;   ///< round-robin overhead per extra cursor
-  double build_ns = 1.1;          ///< slab build per element on one worker
+  /// Per-element work outside the two traversals on one worker: boundary
+  /// picks, the slab build and first touch of the run's scratch. It is
+  /// what lets the serial walk win on one thread while a list fits the
+  /// flat-latency region (n = 2^15 runs ~1.4x faster serial here).
+  double build_ns = 5.0;
   double serial_walk_ns = 1.1;    ///< serial walk non-memory work per elem
   double fixed_run_ns = 4000.0;   ///< boundary picks, phase 2, plan fixed
-  double l1_bytes = 48.0 * 1024;          ///< fast-cache region
+  /// Working sets up to here see the flat l1 latency: well inside L2.
+  double l1_bytes = 512.0 * 1024;
   double l2_bytes = 2.0 * 1024 * 1024;    ///< slab fits here: l2 latency
   double llc_bytes = 30.0 * 1024 * 1024;  ///< beyond here: dram latency
 
@@ -131,18 +137,6 @@ struct HostCostConstants {
   /// Parallel slab-build floor (streaming bandwidth bound): build time
   /// per element cannot drop below this no matter how many workers.
   double build_min_ns = 0.3;
-
-  // -- SIMD gather tier terms (core/host_exec.hpp kSimdGather) -----------
-  /// Per-element vector work of the gather kernels: one lane's share of
-  /// the vpgatherdq issue plus the vectorized combine/advance. Well
-  /// below combine_ns -- four cursors advance per instruction group,
-  /// which is the whole point of the tier.
-  double gather_issue_ns = 0.5;
-  /// Round-robin overhead per extra cursor on the gather path. Charged
-  /// per cursor like bookkeeping_ns but an order of magnitude smaller:
-  /// cursor state lives in vector registers, four to a group, so adding
-  /// cursors mostly adds registers, not branches.
-  double gather_bookkeeping_ns = 0.012;
 };
 
 /// Interpolated random-access latency for a working set of `bytes`.
@@ -162,18 +156,6 @@ double host_packed_ns_per_elem(double n, unsigned W,
 /// outstanding misses; the build scales to its bandwidth floor. Excludes
 /// the per-run fixed and fork/join terms (host_tune_at adds those).
 double host_packed_ns_per_elem_mt(double n, unsigned threads, unsigned W,
-                                  const HostCostConstants& k,
-                                  double op_factor = 1.0);
-
-/// The SIMD gather tier's counterpart of host_packed_ns_per_elem_mt:
-/// same latency-hiding shape -- W cursor chains amortize the memory
-/// round-trip until per-element issue work binds -- but with the gather
-/// constants (gather_issue_ns, gather_bookkeeping_ns): the vector
-/// kernels advance four cursors per instruction group, so both the
-/// combine bound and the per-cursor overhead sit well below the scalar
-/// family's. Excludes the per-run fixed and fork/join terms
-/// (host_tune_at adds those).
-double host_gather_ns_per_elem_mt(double n, unsigned threads, unsigned W,
                                   const HostCostConstants& k,
                                   double op_factor = 1.0);
 

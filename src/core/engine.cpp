@@ -1,6 +1,5 @@
 #include "core/engine.hpp"
 
-#include <atomic>
 #include <chrono>
 #include <cstdio>
 
@@ -13,7 +12,6 @@
 #include "lists/encode.hpp"
 #include "lists/validate.hpp"
 #include "shard/sharded.hpp"
-#include "support/cpu_features.hpp"
 
 namespace lr90 {
 
@@ -30,13 +28,6 @@ const char* method_name(Method m) {
     case Method::kReidMillerEncoded: return "reid-miller-encoded";
   }
   return "?";
-}
-
-Method resolve_auto(std::size_t n, Method requested) {
-  if (requested != Method::kAuto) return requested;
-  if (n <= kAutoSerialMax) return Method::kSerial;
-  if (n <= kAutoWyllieMax) return Method::kWyllie;
-  return Method::kReidMiller;
 }
 
 const char* backend_name(BackendKind k) {
@@ -107,7 +98,6 @@ Planner::Planner(const EngineOptions& opt)
       threads_(opt.threads),
       sublists_per_thread_(std::max(1u, opt.sublists_per_thread)),
       pinned_interleave_(opt.interleave),
-      tier_(opt.tier),
       shard_(opt.shard),
       pinned_m_(opt.reid_miller.m),
       pinned_s1_(opt.reid_miller.s1),
@@ -138,17 +128,14 @@ TuneResult Planner::tuned(double n, bool rank_kernels,
 }
 
 HostTuneResult Planner::host_tuned(double n, double op_factor,
-                                   unsigned max_threads,
-                                   TuneTier tier) const {
-  const std::tuple<double, double, unsigned, int> key{
-      n, op_factor, max_threads, static_cast<int>(tier)};
+                                   unsigned max_threads) const {
+  const std::tuple<double, double, unsigned> key{n, op_factor, max_threads};
   {
     std::lock_guard<std::mutex> lock(memo_->mu);
     auto it = memo_->host_cache.find(key);
     if (it != memo_->host_cache.end()) return it->second;
   }
-  const HostTuneResult r =
-      host_tune(n, op_factor, max_threads, 0, 0, {}, tier);
+  const HostTuneResult r = host_tune(n, op_factor, max_threads);
   std::lock_guard<std::mutex> lock(memo_->mu);
   memo_->host_cache.emplace(key, r);
   return r;
@@ -201,26 +188,13 @@ Planner::Decision Planner::decide(std::size_t n, Method requested, bool rank,
   if (rank) op = ScanOp::kPlus;  // ranking always combines by addition
 
   if (backend_ == BackendKind::kHost) {
-    if (pinned_interleave_ > 0 && tier_ == KernelTier::kAuto) {
-      // The deprecated alias in use: a pinned width with no tier request.
-      // Honoured for one more release as "prefer the packed family at
-      // this W" (exactly the old semantics); warn once per process.
-      static std::atomic<bool> warned{false};
-      if (!warned.exchange(true, std::memory_order_relaxed))
-        std::fprintf(stderr,
-                     "lr90: EngineOptions::interleave is deprecated; set "
-                     "EngineOptions::tier (interleave stays a width pin "
-                     "for one release)\n");
-    }
     // Sharding decision first: a pinned ShardOptions::shards, or
-    // auto-shard when n exceeds the packed path's 2^31 link-lane bound
+    // auto-shard when n exceeds the slab's 2^31 link-lane bound
     // (lists/encode.hpp kHotMaxVertices) or the resident byte budget.
-    // This is the TYPED fallback for "too big": the request routes to the
-    // two-level sharded path -- where each shard takes the packed kernels
-    // only when IT fits the lane (the per-shard bound check in
-    // shard/sharded.cpp) -- instead of ever packing 31-bit links that
-    // cannot hold them. Explicit kSerial/kWyllie requests are honoured
-    // unsharded as before.
+    // Each shard then runs the sublist kernel over its own slice, so the
+    // (threads x W) shape below is tuned on the shard width, not n.
+    // Explicit kSerial/kWyllie requests are honoured unsharded.
+    std::size_t width = n;
     if (requested == Method::kAuto || requested == Method::kReidMiller) {
       std::size_t shards = shard_.shards;
       if (shards == 0 && shard_.auto_shard) {
@@ -236,53 +210,7 @@ Planner::Decision Planner::decide(std::size_t n, Method requested, bool rank,
         d.shard_count = static_cast<unsigned>(std::min<std::size_t>(
             std::min<std::size_t>(shards, n), shard::kMaxShards));
         d.method = Method::kReidMiller;
-        // Tune the per-shard execution shape on the shard width, not n:
-        // each shard runs the ordinary (threads x W) hot path over its
-        // own slice.
-        const std::size_t width =
-            (n + d.shard_count - 1) / d.shard_count;
-        const unsigned eff = host_exec::effective_threads(threads_);
-        const double factor = op_cost_factor(op);
-        const auto breakeven =
-            static_cast<std::size_t>(std::max(1.0, 2048.0 / factor));
-        const auto useful = static_cast<unsigned>(std::min<std::size_t>(
-            eff, std::max<std::size_t>(1, width / breakeven)));
-        d.threads = useful;
-        d.legacy_threads = useful;
-        const bool lane =
-            (rank || scan_op_lane32(op)) && width <= kHotMaxVertices;
-        // Sharding IS the typed n > 2^31 fallback; inside a shard the
-        // scalar cursors run (no SIMD across the spill/restore path yet),
-        // so the shard plan tunes the cursor family only.
-        d.tier = lane && tier_ != KernelTier::kLegacy
-                     ? KernelTier::kPackedCursors
-                     : KernelTier::kLegacy;
-        if (d.tier == KernelTier::kLegacy) {
-          d.sublists = static_cast<double>(d.threads) *
-                       static_cast<double>(sublists_per_thread_);
-          return d;
-        }
-        if (lane) {
-          const unsigned wpin =
-              pinned_interleave_ > 0
-                  ? std::min(pinned_interleave_, host_exec::kMaxInterleave)
-                  : 0;
-          const double wd = static_cast<double>(width);
-          const HostTuneResult ht =
-              threads_ > 0 || wpin > 0
-                  ? host_tune(wd, factor, eff, threads_ > 0 ? useful : 0,
-                              wpin)
-                  : host_tuned(wd, factor, eff, TuneTier::kCursorsOnly);
-          if (threads_ == 0)
-            d.threads = std::max(1u, std::min(ht.threads, eff));
-          d.interleave =
-              d.threads == ht.threads
-                  ? ht.interleave
-                  : host_tune(wd, factor, eff, d.threads, wpin).interleave;
-        }
-        d.sublists = static_cast<double>(d.threads) *
-                     static_cast<double>(sublists_per_thread_);
-        return d;
+        width = (n + d.shard_count - 1) / d.shard_count;
       }
     }
     const unsigned eff = host_exec::effective_threads(threads_);
@@ -293,96 +221,46 @@ Planner::Decision Planner::decide(std::size_t n, Method requested, bool rank,
     // falling back to the serial walk.
     const auto breakeven =
         static_cast<std::size_t>(std::max(1.0, 2048.0 / factor));
-    const auto useful = static_cast<unsigned>(
-        std::min<std::size_t>(eff, std::max<std::size_t>(1, n / breakeven)));
-    d.threads = useful;
-    d.sublists = static_cast<double>(useful) *
-                 static_cast<double>(sublists_per_thread_);
-    // Can the packed single-gather path serve this request? Ranking packs
-    // the constant 1; lane-capable scans pack their values (subject to
-    // the per-run 32-bit fit check, which falls back in the kernel).
-    const bool lane =
-        (rank || scan_op_lane32(op)) && n <= kHotMaxVertices;
-    // Resolve the requested tier against the lane capability and CPUID:
-    // which kernel families may the tuner search? kLegacy pins the
-    // unpacked kernels; kSimdGather on a gather-incapable CPU (or under
-    // LR90_FORCE_SCALAR) downgrades here, at plan time, to the cursor
-    // family -- the same binary, a different branch.
-    const bool packed_ok = lane && tier_ != KernelTier::kLegacy;
-    // The deprecated width pin under kAuto keeps the OLD family contract
-    // (scalar cursors at exactly that W -- the interleave sweep and the
-    // pin tests depend on the literal width); only an explicit
-    // kSimdGather request combines a pin with the vector family.
-    const bool simd_ok =
-        packed_ok && simd_gather_available() &&
-        (tier_ == KernelTier::kSimdGather ||
-         (tier_ == KernelTier::kAuto && pinned_interleave_ == 0));
-    const TuneTier tt = !simd_ok ? TuneTier::kCursorsOnly
-                        : tier_ == KernelTier::kSimdGather
-                            ? TuneTier::kSimdOnly
-                            : TuneTier::kBoth;
+    const auto useful = static_cast<unsigned>(std::min<std::size_t>(
+        eff, std::max<std::size_t>(1, width / breakeven)));
     const unsigned wpin =
         pinned_interleave_ > 0
             ? std::min(pinned_interleave_, host_exec::kMaxInterleave)
             : 0;
-    const double nd = static_cast<double>(n);
-    // The packed-vs-serial choice model. A caller-pinned knob (threads
-    // or W) restricts its grid axis to what will actually run; with both
-    // on auto, the memoized joint (tier x threads x W) grid picks the
-    // full execution shape.
-    HostTuneResult ht;
-    if (packed_ok) {
-      ht = threads_ > 0 || wpin > 0
-               ? host_tune(nd, factor, eff, threads_ > 0 ? useful : 0, wpin,
-                           {}, tt)
-               : host_tuned(nd, factor, eff, tt);
+    const double wd = static_cast<double>(width);
+    // One (threads x W) tune for every operator. A caller-pinned knob
+    // restricts its grid axis to what will actually run; with both on
+    // auto, the memoized joint grid picks the full execution shape.
+    const HostTuneResult ht =
+        threads_ > 0 || wpin > 0
+            ? host_tune(wd, factor, eff, threads_ > 0 ? useful : 0, wpin)
+            : host_tuned(wd, factor, eff);
+    if (requested == Method::kAuto && d.shard_count == 0) {
+      // Threads alone justify the sublist kernel; so does the model
+      // whenever W cursors beat the serial walk -- including on ONE
+      // thread, where W independent load chains hide the memory latency
+      // the serial walk stalls on (the paper's vectorization argument,
+      // on a CPU).
+      d.method = (useful > 1 || ht.packed_ns < ht.serial_ns) && n / 2 >= 2
+                     ? Method::kReidMiller
+                     : Method::kSerial;
     }
-    if (requested == Method::kAuto) {
-      // Threads alone justify the sublist kernel; so does the packed
-      // multi-cursor path whenever the model beats the serial walk --
-      // including on ONE thread, where W independent load chains hide
-      // the memory latency the serial walk stalls on (the paper's
-      // vectorization argument, on a CPU).
-      if ((useful > 1 || (packed_ok && ht.packed_ns < ht.serial_ns)) &&
-          n / 2 >= 2) {
-        d.method = Method::kReidMiller;
-      } else {
-        d.method = Method::kSerial;
-      }
-    }
-    d.tier = KernelTier::kLegacy;  // serial / non-lane / pinned-legacy runs
-    if (d.method == Method::kReidMiller) {
-      if (requested != Method::kAuto) {
-        // An explicit reid-miller request keeps every available thread.
-        d.threads = eff;
-        d.legacy_threads = eff;
-      } else {
-        // The legacy kernels (planned, or reached by a runtime
-        // lane-overflow fallback) have no W-way latency hiding: they
-        // always want the full breakeven-shed count, even when the
-        // packed model saturates at fewer workers below.
-        d.legacy_threads = useful;
-        if (threads_ == 0 && packed_ok) {
-          // Auto threads: the joint grid picked the worker count.
-          d.threads = std::max(1u, std::min(ht.threads, eff));
-        }
-      }
-      d.sublists = static_cast<double>(d.threads) *
-                   static_cast<double>(sublists_per_thread_);
-      // W (and, under TuneTier::kBoth, the family) at the worker count
-      // that will actually run: the choice model already evaluated that
-      // count everywhere except the explicit request above, which
-      // overrode the thread count to eff.
-      if (packed_ok) {
-        const HostTuneResult hw =
-            d.threads == ht.threads
-                ? ht
-                : host_tune(nd, factor, eff, d.threads, wpin, {}, tt);
-        d.interleave = hw.interleave;
-        d.tier = hw.simd ? KernelTier::kSimdGather
-                         : KernelTier::kPackedCursors;
-      }
-    }
+    if (d.method != Method::kReidMiller) return d;
+    // The worker count: an explicit unsharded reid-miller request keeps
+    // every available thread; otherwise the joint grid's pick (auto) or
+    // the breakeven-shed cap (pinned). W is re-tuned when that count is
+    // not the one the grid evaluated.
+    if (requested == Method::kReidMiller && d.shard_count == 0)
+      d.threads = eff;
+    else
+      d.threads = threads_ == 0 ? std::max(1u, std::min(ht.threads, eff))
+                                : useful;
+    d.sublists = static_cast<double>(d.threads) *
+                 static_cast<double>(sublists_per_thread_);
+    d.interleave =
+        d.threads == ht.threads
+            ? ht.interleave
+            : host_tune(wd, factor, eff, d.threads, wpin).interleave;
     return d;
   }
 
@@ -484,40 +362,23 @@ class HostBackend final : public ExecutionBackend {
     }
     if (plan.shard_count > 0) return execute_sharded(req, plan, ws, out);
 
+    // A serial plan is a sublist count below 2: the kernel walks the
+    // list once.
     host_exec::HostPlan hp;
-    hp.threads = plan.method == Method::kSerial ? 1 : plan.threads;
-    hp.sublists = static_cast<std::size_t>(plan.sublists);
-    hp.interleave = plan.interleave;
-    hp.legacy_threads =
-        plan.method == Method::kSerial ? 1 : plan.legacy_threads;
-    hp.tier = plan.method == Method::kSerial ? KernelTier::kLegacy
-                                             : plan.tier;
+    if (plan.method == Method::kReidMiller) {
+      hp.threads = plan.threads;
+      hp.sublists = static_cast<std::size_t>(plan.sublists);
+      hp.interleave = plan.interleave;
+    }
     host_exec::ExecInfo info;
     if (req.rank) {
-      if (plan.method == Method::kSerial) {
-        serial_rank_into(*list, out.scan);
-        info.interleave = list->empty() ? 0 : 1;
-        info.threads = info.interleave;
-        if (!list->empty()) info.tier = KernelTier::kLegacy;
-      } else {
-        // Ranks as the all-ones scan without a ones copy: the packed
-        // slab's value lane is the constant 1 and the legacy kernels
-        // substitute it inline.
-        info = host_exec::rank_into(*list, hp, ws,
-                                    std::span<value_t>(out.scan));
-      }
+      // Ranks as the all-ones scan without a ones copy.
+      info = host_exec::rank_into(*list, hp, ws,
+                                  std::span<value_t>(out.scan));
     } else {
       with_scan_op(req.op, [&](auto op) {
-        if (plan.method == Method::kSerial) {
-          host_exec::serial_scan_into(*list, std::span<value_t>(out.scan),
-                                      op);
-          info.interleave = list->empty() ? 0 : 1;
-          info.threads = info.interleave;
-          if (!list->empty()) info.tier = KernelTier::kLegacy;
-        } else {
-          info = host_exec::scan_into(*list, op, hp, ws,
-                                      std::span<value_t>(out.scan));
-        }
+        info = host_exec::scan_into(*list, op, hp, ws,
+                                    std::span<value_t>(out.scan));
       });
     }
 
@@ -583,19 +444,15 @@ class HostBackend final : public ExecutionBackend {
     // slab resident at a time.
     out.stats.algo.extra_words =
         4 * ss.segments +
-        (exec.interleave > 0 && ss.shards > 0 ? (n + ss.shards - 1) /
-                                                    ss.shards
-                                              : 0);
+        (ss.packed && ss.shards > 0 ? (n + ss.shards - 1) / ss.shards : 0);
     out.stats.host_threads = exec.threads;
-    out.stats.host_interleave = exec.interleave;
-    out.stats.host_packed =
-        exec.interleave >= 1 && (req.rank || scan_op_lane32(req.op));
-    // Shards run the scalar cursor family (the Planner never plans SIMD
-    // across the spill/restore path); n == 0 never reaches the kernels.
-    out.stats.kernel_tier = n == 0 ? KernelTier::kAuto
-                            : out.stats.host_packed
-                                ? KernelTier::kPackedCursors
-                                : KernelTier::kLegacy;
+    out.stats.host_interleave = ss.interleave;
+    // What the shard passes ran, not what the operator could have run: a
+    // shard whose values miss the 32-bit lane walks its arrays.
+    out.stats.host_packed = ss.packed;
+    out.stats.kernel_tier = n == 0       ? KernelTier::kAuto
+                            : ss.packed ? KernelTier::kPackedCursors
+                                        : KernelTier::kListArrays;
     out.stats.shard_count = ss.shards;
     out.stats.shard_segments = ss.segments;
     out.stats.shard_loads = ss.store.loads;

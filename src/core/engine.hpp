@@ -1,10 +1,5 @@
-// lr90::Engine -- the unified entry point of the listrank90 library.
-//
-// The library grew two disjoint API families: the simulated-Cray-C90 path
-// (sim_list_rank / sim_list_scan, core/api.hpp) and the real-hardware
-// OpenMP path (host_list_rank / host_list_scan, core/parallel_host.hpp),
-// each with its own option struct, result shape, and auto-dispatch policy.
-// The Engine puts one facade in front of both:
+// lr90::Engine -- the entry point of the listrank90 library: one facade
+// over the simulated Cray C90 and real (OpenMP) hardware.
 //
 //   Engine engine({.backend = BackendKind::kHost});
 //   RunResult r = engine.rank(list);            // scan: engine.scan(list)
@@ -23,9 +18,6 @@
 //
 // Results carry one merged RunStats: wall-clock always, simulated
 // cycles/ns when the backend simulates, AlgoStats always.
-//
-// The legacy families remain as thin shims over the Engine (see
-// core/api.hpp and core/parallel_host.hpp).
 //
 // Thread-safety contract: an Engine (its Workspace and backend scratch
 // state) is confined to one thread at a time -- engines are cheap, use one
@@ -60,7 +52,7 @@
 /// (SPAA '94), on a simulated Cray C90 or real OpenMP hardware.
 namespace lr90 {
 
-// -- methods (moved here from core/api.hpp; api.hpp re-exposes them) -------
+// -- methods ----------------------------------------------------------------
 
 /// The list-ranking / list-scan algorithm families the backends can run.
 enum class Method {
@@ -75,14 +67,6 @@ enum class Method {
 
 /// Short stable name of `m` ("serial", "reid-miller", ...) for tables/CLIs.
 const char* method_name(Method m);
-
-/// Legacy fixed thresholds for Method::kAuto (empirical crossovers, Fig. 1)
-/// used by the sim_list_* shims. New code goes through the Planner, which
-/// derives the crossovers from the cost model instead.
-inline constexpr std::size_t kAutoSerialMax = 128;   ///< serial up to here
-inline constexpr std::size_t kAutoWyllieMax = 1024;  ///< then Wyllie to here
-/// Resolves `requested` == kAuto by the legacy fixed thresholds.
-Method resolve_auto(std::size_t n, Method requested);
 
 // -- backends ---------------------------------------------------------------
 
@@ -223,11 +207,11 @@ struct RunStats {
   unsigned host_threads = 0;      ///< worker threads the run actually used
   bool host_packed = false;       ///< the single-gather packed slab ran
   bool host_packed_cached = false;  ///< slab reused from the batch cache
-  /// The kernel tier that ACTUALLY executed the hot phases (host backend;
-  /// kAuto on the other backends and on runs that never reached the host
-  /// kernels). Reports runtime downgrades the plan could not see: a
-  /// value missing the 32-bit lane lands on kLegacy, a gather-incapable
-  /// CPU lands kSimdGather plans on kPackedCursors.
+  /// The hop source the hot phases actually walked (host backend; kAuto
+  /// on the other backends and on runs that never reached the host
+  /// kernels): kPackedCursors over the slab, kListArrays over the list
+  /// arrays -- including a lane-capable scan whose values missed the
+  /// 32-bit lane -- and on the serial walk.
   KernelTier kernel_tier = KernelTier::kAuto;
 
   // Per-phase wall clock of the host sublist kernel (zero on the serial
@@ -312,28 +296,21 @@ struct EngineOptions {
   /// Simulated processors (sim backend; overrides machine.processors).
   unsigned processors = 1;
   /// Host worker threads; 0 = auto: the Planner picks the count jointly
-  /// with the packed-path width W from the host cost model, capped at
-  /// the OpenMP (or hardware) thread count. > 0 pins the cap explicitly
+  /// with the cursor width W from the host cost model, capped at the
+  /// OpenMP (or hardware) thread count. > 0 pins the cap explicitly
   /// (small runs still shed threads before going serial).
   unsigned threads = 0;
   /// Sublists per thread the host planner targets (more = better balance,
   /// more overhead).
   unsigned sublists_per_thread = 64;
-  /// Which host kernel family serves the hot phases. kAuto lets the
-  /// Planner pick from the cost model and CPUID (the SIMD gather tier is
-  /// considered only where simd_gather_available()); pinning a tier
-  /// forces that family, subject to the typed runtime fallbacks
-  /// (non-lane-capable operators and n > 2^31 run kLegacy; kSimdGather
-  /// without usable AVX2 runs kPackedCursors). Replaces the implicit
-  /// "interleave == 0 means auto" contract.
+  /// Accepted for source compatibility and otherwise ignored: every
+  /// value plans alike, because the kernel picks its hop source per run
+  /// from the operator and the value fit (RunStats::kernel_tier reports
+  /// which one ran).
   KernelTier tier = KernelTier::kAuto;
-  /// DEPRECATED width alias (one release): cursors in flight per worker
-  /// on the packed hot path. 0 = let the Planner pick from the host cost
-  /// model (analysis/tuner host_tune); 1..64 pins the width (the
-  /// interleave sweep forces every candidate through this knob). It no
-  /// longer selects the kernel family -- use `tier` for that; a pinned
-  /// width with tier == kAuto is mapped (with a one-time stderr warning
-  /// in Planner::decide) to "prefer the packed family at this W".
+  /// Cursors in flight per worker in the host kernel's hot phases. 0 =
+  /// let the Planner pick from the host cost model (analysis/tuner
+  /// host_tune); 1..64 pins the width.
   unsigned interleave = 0;
   /// Seed of the per-run RNG reseeding (results are deterministic in it).
   std::uint64_t seed = kDefaultSeed;
@@ -358,18 +335,17 @@ struct EngineOptions {
 /// the paper's cost model -- the serial scalar line, a Wyllie estimate
 /// built from the machine's vector costs (2 gathers + 1 combine per round
 /// plus a barrier), and the tuner's Eq. 3 + Phase-2 minimum -- rather than
-/// the legacy hard-coded kAutoSerialMax/kAutoWyllieMax thresholds. Also
-/// reports the tuned m and S_1 so the algorithm skips re-tuning.
+/// fixed size thresholds. Also reports the tuned m and S_1 so the
+/// algorithm skips re-tuning.
 ///
-/// Host backend: serial below a small per-thread break-even, otherwise the
-/// sublist kernel with threads * sublists_per_thread sublists (the paper's
-/// oversubscription discipline; the tuner models C90 vector startups, which
-/// do not exist on the host). Packed-capable requests plan the full
-/// execution shape on the joint (threads x W) host cost model
-/// (analysis/tuner host_tune): with EngineOptions::threads == 0 the grid
-/// search picks both the worker count and the interleave width, the
-/// paper's Section 5 processor dimension joined to its Section 3 vector
-/// length.
+/// Host backend: one joint (threads x W) host cost model (analysis/tuner
+/// host_tune) plans every operator. The sublist kernel runs with
+/// threads * sublists_per_thread sublists (the paper's oversubscription
+/// discipline; the tuner models C90 vector startups, which do not exist
+/// on the host) when the model beats the serial walk or real threads
+/// are available; with EngineOptions::threads == 0 the grid search picks
+/// both the worker count and the cursor width, the paper's Section 5
+/// processor dimension joined to its Section 3 vector length.
 class Planner {
  public:
   /// Builds a planner for the given engine configuration.
@@ -381,21 +357,10 @@ class Planner {
     double sublists = 0.0;  ///< m (sim Reid-Miller) / total target (host)
     double s1 = 0.0;        ///< first balance interval (sim Reid-Miller)
     unsigned threads = 1;   ///< host worker threads (host backend only)
-    /// Host kernel tier planned for the hot phases (never kAuto on the
-    /// host backend; kAuto elsewhere). The kernels may still downgrade
-    /// at run time -- RunStats::kernel_tier reports what actually ran.
-    KernelTier tier = KernelTier::kAuto;
-    /// Host packed-path interleave width W (cursors in flight per
-    /// worker); 0 selects the legacy unpacked kernels. Set for
-    /// packed-capable host runs from the tune memo (or the pinned
-    /// EngineOptions::interleave).
+    /// Host cursor width W (cursors in flight per worker) of a
+    /// reid-miller plan, from the tune memo or the pinned
+    /// EngineOptions::interleave; 0 on serial plans.
     unsigned interleave = 0;
-    /// Host worker threads for a RUNTIME fallback from the packed path
-    /// to the legacy kernels (a value missing the 32-bit lane): the
-    /// packed-optimal `threads` can be lower than the unpacked kernels
-    /// want, so the planner carries the breakeven-shed count separately.
-    /// 0 = same as `threads`.
-    unsigned legacy_threads = 0;
     double predicted_cycles = 0.0;  ///< sim cost-model estimate; 0 if n/a
     /// Shards the run splits into (src/shard/ two-level path); 0 = the
     /// ordinary unsharded execution. Set from a pinned
@@ -427,15 +392,14 @@ class Planner {
 
  private:
   TuneResult tuned(double n, bool rank_kernels, double op_factor) const;
-  HostTuneResult host_tuned(double n, double op_factor, unsigned max_threads,
-                            TuneTier tier) const;
+  HostTuneResult host_tuned(double n, double op_factor,
+                            unsigned max_threads) const;
 
   BackendKind backend_;
   unsigned processors_;
   unsigned threads_;
   unsigned sublists_per_thread_;
   unsigned pinned_interleave_;  ///< caller-pinned interleave (0 = auto)
-  KernelTier tier_;             ///< caller-requested kernel tier
   ShardOptions shard_;          ///< sharding knobs (host backend only)
   double pinned_m_;   ///< caller-pinned reid_miller.m (<= 0 = auto)
   double pinned_s1_;  ///< caller-pinned reid_miller.s1 (<= 0 = auto)
@@ -452,11 +416,9 @@ class Planner {
     using Key = std::tuple<double, bool, double>;
     std::mutex mu;                        ///< guards both caches
     std::map<Key, TuneResult> cache;      ///< per (n, family, op factor)
-    /// Joint host_tune() results per (n, op factor, max threads, tier
-    /// search mode): the hot-path (tier, threads, W) triple and the
-    /// tiered-vs-serial-walk model totals. Keyed on the tier axis so a
-    /// forced-scalar run and a gather-capable run never share an entry.
-    std::map<std::tuple<double, double, unsigned, int>, HostTuneResult>
+    /// Joint host_tune() results per (n, op factor, max threads): the
+    /// (threads, W) pair and the sublist-vs-serial-walk model totals.
+    std::map<std::tuple<double, double, unsigned>, HostTuneResult>
         host_cache;
   };
   std::unique_ptr<TuneMemo> memo_;

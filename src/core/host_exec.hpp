@@ -1,47 +1,34 @@
 // The host execution kernel: Reid-Miller's three-phase sublist scan on real
 // hardware (OpenMP threads when available), generic over the operator and
-// allocation-free given a warmed-up Workspace.
-//
-// This is the single implementation behind both entry points:
-//   * lr90::Engine with BackendKind::kHost (workspace reused across calls);
-//   * the legacy host_list_scan/host_list_rank shims (one local workspace
-//     per call, core/parallel_host.hpp).
+// allocation-free given a warmed-up Workspace. lr90::Engine's HostBackend
+// runs it; the shard layer (shard/sharded.cpp) reuses its cursor driver.
 //
 // Same structure as the paper's algorithm, non-destructively: sublist
 // boundaries live in a bitmap instead of planted self-loops, so the input
 // list stays shared read-only across threads.
 //
-// Three traversal engines (core/kernel_tier.hpp KernelTier) implement
-// phases 1 and 3:
+// One traversal kernel serves phases 1 and 3 for every operator:
+// interleave_sublists, the modern-CPU analog of the paper's VL=64 vector
+// gathers. Each worker advances W independent sublist cursors round-robin
+// with a software prefetch on every next hop: instead of stalling a full
+// memory round-trip per element, the core overlaps W dependent-load
+// chains, as the C90 overlapped 64 lanes of a vector gather. Cursors that
+// finish their sublist refill from a shared claim counter; the last < W
+// sublists drain with shrinking parallelism.
 //
-//  * the LEGACY kernels (KernelTier::kLegacy; HostPlan::interleave == 0
-//    under kAuto) -- one cursor per sublist, one dependent load per
-//    element plus a second gather on the value array and a third random
-//    access into the boundary bitmap. This is the seed behaviour, kept
-//    for operators whose values need all 64 bits and as the differential
-//    baseline.
-//  * the PACKED multi-cursor kernels (KernelTier::kPackedCursors;
-//    interleave >= 1 under kAuto) -- the modern-CPU analog of the paper's
-//    VL=64 vector gathers. A single-gather slab (lists/encode.hpp
-//    hot_pack: link + value lane + sublist-tail flag in one 64-bit word)
-//    is built once per run -- and cached across same-list batch runs --
-//    then each worker advances W independent sublist cursors round-robin
-//    with software prefetch on every next hop. One random load per
-//    element, W dependent-load chains in flight per thread: instead of
-//    stalling a full memory round-trip per element, the core overlaps W
-//    of them, exactly as the C90 overlapped 64 lanes of a vector gather.
-//    Cursors that finish their sublist refill from a shared claim
-//    counter; the last < W sublists drain scalar.
-//  * the SIMD GATHER kernels (KernelTier::kSimdGather) -- the same W
-//    cursors, but four lanes at a time through _mm256_i32gather_epi64:
-//    the hot word already holds link + value + stop flag, so ONE vector
-//    gather fetches four elements' everything, tails fall out of a sign
-//    movemask, and the combine runs vertically in ymm registers. This is
-//    the literal analog of the C90's hardware gather (VL=64 there, 4 x W
-//    overlapping chains here). Compiled into every binary behind
-//    __attribute__((target("avx2"))) and selected at RUN TIME via CPUID
-//    (support/cpu_features.hpp); CPUs without usable AVX2 -- or runs with
-//    LR90_FORCE_SCALAR set -- take kPackedCursors instead, bit-exactly.
+// The driver is generic over a hop source that yields (tail flag, link,
+// value) per vertex. There are two, and the kernel picks one from the
+// operator and the value fit (KernelTier names what ran):
+//
+//  * SlabHops (KernelTier::kPackedCursors) -- the single-gather slab
+//    (lists/encode.hpp hot_pack: link + value lane + sublist-tail flag in
+//    one 64-bit word), built once per run and cached across same-list
+//    batch runs: ONE random load per element. Serves ranks and the
+//    plus/min/max/xor scans whose values fit the 32-bit lane.
+//  * ListHops (KernelTier::kListArrays) -- the list's own next/value
+//    arrays plus the per-run is_tail bitmap: three loads per element, all
+//    at the same index, and no slab to build. Serves seg-sum/affine/
+//    max-plus and any value that misses the lane.
 //
 // Every phase scales across worker threads (the paper's Section 5
 // multiprocessor dimension, Fig. 11): the slab build splits into
@@ -65,7 +52,6 @@
 #include "lists/encode.hpp"
 #include "lists/linked_list.hpp"
 #include "lists/ops.hpp"
-#include "support/cpu_features.hpp"
 #include "support/rng.hpp"
 
 #if defined(LISTRANK90_HAVE_OPENMP)
@@ -74,38 +60,22 @@
 
 namespace lr90::host_exec {
 
-/// Execution shape chosen by the Planner (or the legacy shims).
+/// Execution shape chosen by the Planner.
 struct HostPlan {
   /// Worker threads to use (already resolved; >= 1).
   unsigned threads = 1;
-  /// Total sublist count target; < 2 selects the serial fallback.
+  /// Total sublist count target; < 2 selects the serial walk.
   std::size_t sublists = 0;
-  /// Cursors in flight per worker on the packed hot path. 0 selects the
-  /// legacy unpacked single-cursor kernels (the seed behaviour); >= 1
-  /// selects the packed single-gather path -- when the operator's values
-  /// fit the 32-bit lane -- with `interleave` round-robin cursors.
-  unsigned interleave = 0;
-  /// Worker threads when a packed plan falls back to the legacy kernels
-  /// at run time (a value missing the 32-bit lane): the packed-optimal
-  /// thread count can be lower than what the unpacked kernels want --
-  /// they have no W-way latency hiding -- so the Planner supplies both.
-  /// 0 = use `threads`.
-  unsigned legacy_threads = 0;
-  /// Which kernel family serves phases 1 + 3. kAuto preserves the legacy
-  /// contract (interleave == 0 -> kLegacy, >= 1 -> kPackedCursors) for
-  /// direct callers of this layer; the Planner always resolves it.
-  /// kSimdGather downgrades at run time to kPackedCursors when the CPU
-  /// has no usable AVX2 (or LR90_FORCE_SCALAR is set), and any packed
-  /// tier downgrades to kLegacy when the operator's values miss the
-  /// 32-bit lane or n exceeds kHotMaxVertices -- never a wrong answer.
-  KernelTier tier = KernelTier::kAuto;
+  /// Cursors in flight per worker in phases 1 and 3 (clamped to
+  /// [1, kMaxInterleave]).
+  unsigned interleave = 1;
 };
 
 /// What one scan_into/rank_into call actually executed, for RunResult
 /// stats and benches (cursors-in-flight and thread-scaling reporting).
 struct ExecInfo {
-  /// Cursors in flight per worker: W on the packed path, 1 on the legacy
-  /// kernels and the serial walk, 0 when nothing ran (empty list).
+  /// Cursors in flight per worker: W on the sublist kernel, 1 on the
+  /// serial walk, 0 when nothing ran (empty list).
   unsigned interleave = 0;
   /// Worker threads the run used: the plan's count on the sublist path, 1
   /// on the serial walk, 0 when nothing ran (empty list).
@@ -114,10 +84,9 @@ struct ExecInfo {
   bool packed_cached = false; ///< ...and the slab came from the batch cache
   bool phase2_parallel = false;  ///< phase 2 ran the blocked parallel scan
   std::size_t sublists = 0;   ///< sublists used (0 = serial walk)
-  /// The kernel family that ACTUALLY ran (after every runtime downgrade):
-  /// kSimdGather / kPackedCursors for the packed phases, kLegacy for the
-  /// unpacked kernels and the serial walk, kAuto when nothing ran (empty
-  /// list).
+  /// The hop source that ran: kPackedCursors over the slab, kListArrays
+  /// over the list arrays and on the serial walk, kAuto when nothing ran
+  /// (empty list).
   KernelTier tier = KernelTier::kAuto;
 
   // Per-phase wall clock, for parallel-efficiency reporting (zero on the
@@ -218,7 +187,7 @@ void claim_blocks(unsigned threads, std::size_t count, Body&& body) {
 }
 
 /// Read-prefetch of the cache line holding `addr` (no-op when the
-/// compiler has no intrinsic). The packed kernels issue one per cursor
+/// compiler has no intrinsic). The cursor driver issues one per cursor
 /// per element, which is what keeps W load chains in flight.
 inline void prefetch_ro(const void* addr) {
 #if defined(__GNUC__) || defined(__clang__)
@@ -267,9 +236,9 @@ inline void choose_boundaries(const LinkedList& list, std::size_t count,
 /// value does not round-trip through the signed 32-bit lane.
 template <bool kOnes, ListOp Op>
 bool build_packed(const LinkedList& list, Op, unsigned threads,
-                  Workspace& ws, bool simd = false) {
+                  Workspace& ws) {
   static_assert(kOnes || kOpLane32<Op>,
-                "64-bit-value operators take the legacy kernels");
+                "64-bit-value operators walk the list arrays");
   const std::size_t n = list.size();
   ws.fit_uninit(ws.packed, n);
   const index_t* next = list.next.data();
@@ -280,33 +249,57 @@ bool build_packed(const LinkedList& list, Op, unsigned threads,
   std::atomic<bool> ok{true};
   claim_blocks(threads, blocks, [&](std::size_t b) {
     const auto [begin, end] = block_range(n, blocks, b);
-    bool fit;
-#if LR90_SIMD_GATHER_COMPILED
-    // Callers pass simd only when simd_gather_available(); the target
-    // function is called, never inlined here, so this stays legal on
-    // non-AVX2 CPUs that never take the branch.
-    if (simd)
-      fit = hot_pack_range_simd(next, val, tail, out, begin, end);
-    else
-#else
-    (void)simd;
-#endif
-      fit = hot_pack_range(next, val, tail, out, begin, end);
-    if (!fit) ok.store(false, std::memory_order_relaxed);
+    if (!hot_pack_range(next, val, tail, out, begin, end))
+      ok.store(false, std::memory_order_relaxed);
   });
   return ok.load(std::memory_order_relaxed);
 }
 
-/// The multi-cursor driver shared by the packed phases: walks all `k`
-/// sublists over `threads` workers, each keeping up to `W` cursors in
-/// flight. Per element: ONE gather from the slab, a prefetch of the next
-/// hop, then `step(vertex, word, acc)`; at a sublist tail,
+/// One step of a cursor: whether `v` ends its sublist, its successor, and
+/// its value.
+struct Hop {
+  bool tail;
+  index_t link;
+  value_t value;
+};
+
+/// Hop source over the single-gather slab: one 64-bit load per element.
+struct SlabHops {
+  const packed_t* words;
+  Hop operator()(index_t v) const {
+    const packed_t w = words[v];
+    return {hot_tail(w), hot_link(w), hot_value(w)};
+  }
+  void prefetch(index_t v) const { prefetch_ro(&words[v]); }
+};
+
+/// Hop source over the list's own arrays plus the per-run boundary bitmap;
+/// `kOnes` substitutes the constant 1 for every value (ranking).
+template <bool kOnes>
+struct ListHops {
+  const index_t* next;
+  const value_t* value;
+  const std::uint8_t* is_tail;
+  Hop operator()(index_t v) const {
+    return {is_tail[v] != 0, next[v], kOnes ? value_t{1} : value[v]};
+  }
+  void prefetch(index_t v) const {
+    prefetch_ro(&next[v]);
+    if constexpr (!kOnes) prefetch_ro(&value[v]);
+    prefetch_ro(&is_tail[v]);
+  }
+};
+
+/// The phase-1/3 traversal kernel: walks all `k` sublists over `threads`
+/// workers, each keeping up to `W` cursors in flight. Per element: one
+/// hop from `hops` (see SlabHops / ListHops), a prefetch of the next hop,
+/// then `step(vertex, value, acc)`; at a sublist tail,
 /// `finish(sublist, tail_vertex, acc)` runs and the cursor refills from
 /// the shared claim counter (perfect load balance; the final < W sublists
 /// drain with shrinking parallelism). `init(sublist)` seeds the
 /// accumulator.
-template <class AccInit, class Step, class Finish>
-void interleave_sublists(const packed_t* packed, const index_t* heads,
+template <class Hops, class AccInit, class Step, class Finish>
+void interleave_sublists(const Hops& hops, const index_t* heads,
                          std::size_t k, unsigned threads, unsigned W,
                          AccInit init, Step step, Finish finish) {
   W = std::clamp(W, 1u, kMaxInterleave);
@@ -324,7 +317,7 @@ void interleave_sublists(const packed_t* packed, const index_t* heads,
           next_claim.fetch_add(1, std::memory_order_relaxed);
       if (j >= k) return false;
       cur[active] = Cursor{heads[j], static_cast<index_t>(j), init(j)};
-      prefetch_ro(&packed[heads[j]]);
+      hops.prefetch(heads[j]);
       ++active;
       return true;
     };
@@ -333,11 +326,11 @@ void interleave_sublists(const packed_t* packed, const index_t* heads,
     while (active > 0) {
       for (std::size_t i = 0; i < active;) {
         Cursor& c = cur[i];
-        const packed_t w = packed[c.v];
-        prefetch_ro(&packed[hot_link(w)]);
-        step(c.v, w, c.acc);
-        if (!hot_tail(w)) {
-          c.v = hot_link(w);
+        const Hop h = hops(c.v);
+        if (!h.tail) hops.prefetch(h.link);
+        step(c.v, h.value, c.acc);
+        if (!h.tail) {
+          c.v = h.link;
           ++i;
           continue;
         }
@@ -346,7 +339,7 @@ void interleave_sublists(const packed_t* packed, const index_t* heads,
             next_claim.fetch_add(1, std::memory_order_relaxed);
         if (j < k) {
           c = Cursor{heads[j], static_cast<index_t>(j), init(j)};
-          prefetch_ro(&packed[heads[j]]);
+          hops.prefetch(heads[j]);
           ++i;
         } else {
           --active;  // drain: rerun index i with the swapped-in cursor
@@ -356,236 +349,6 @@ void interleave_sublists(const packed_t* packed, const index_t* heads,
     }
   };
   run_workers(threads, worker);
-}
-
-#if LR90_SIMD_GATHER_COMPILED
-
-/// Vertical (per-ymm-lane) combine for the SIMD gather kernels, one
-/// specialization per lane-capable operator. Correct on the hot word's
-/// sign-extended 32-bit value lanes because every vector op below is the
-/// full 64-bit signed operation -- identical to what the scalar kernels
-/// compute through Op::operator().
-template <ListOp Op>
-struct SimdCombine;
-
-template <>
-struct SimdCombine<OpPlus> {
-  LR90_TARGET_AVX2 static __m256i combine(__m256i a, __m256i b) {
-    return _mm256_add_epi64(a, b);
-  }
-};
-template <>
-struct SimdCombine<OpXor> {
-  LR90_TARGET_AVX2 static __m256i combine(__m256i a, __m256i b) {
-    return _mm256_xor_si256(a, b);
-  }
-};
-template <>
-struct SimdCombine<OpMin> {
-  LR90_TARGET_AVX2 static __m256i combine(__m256i a, __m256i b) {
-    // Signed 64-bit min (no _mm256_min_epi64 before AVX-512): where
-    // a > b, take b. blendv picks from b where the mask's sign bit is
-    // set, and cmpgt lanes are all-ones.
-    return _mm256_blendv_epi8(a, b, _mm256_cmpgt_epi64(a, b));
-  }
-};
-template <>
-struct SimdCombine<OpMax> {
-  LR90_TARGET_AVX2 static __m256i combine(__m256i a, __m256i b) {
-    return _mm256_blendv_epi8(a, b, _mm256_cmpgt_epi64(b, a));
-  }
-};
-
-/// One worker of the SIMD gather tier: phases 1 (kPhase3 == false, writes
-/// sums/tails) and 3 (kPhase3 == true, reads headscan, scatters out) over
-/// sublists claimed from the shared counter, W lanes in groups of 4.
-///
-/// Per group-iteration: ONE _mm256_i32gather_epi64 fetches four cursors'
-/// hot words; the tail movemask (bit 63 is the lane's sign bit) splits a
-/// branch-free all-advance fast path from the finish/refill slow path.
-/// Groups whose refill finds the claim counter dry drain their live lanes
-/// scalar and retire (the counter never refills, so the group can't come
-/// back) -- the vector loop only ever sees full groups, and the last
-/// < 4 x groups sublists drain with shrinking parallelism exactly like
-/// the scalar multi-cursor driver.
-///
-/// All intrinsics live in THIS function (and SimdCombine) on purpose:
-/// GCC lambdas do not inherit the target attribute, so the scalar-only
-/// lambdas below may be lambdas but vector code may not.
-template <ListOp Op, bool kPhase3>
-LR90_TARGET_AVX2 void simd_gather_worker(
-    const packed_t* packed, const index_t* heads, std::size_t k, unsigned W,
-    std::atomic<std::size_t>& next_claim, value_t* sums, index_t* tails,
-    const value_t* headscan, value_t* out, Op op) {
-  static_assert(kOpLane32<Op>,
-                "the SIMD gather tier serves lane-capable operators only");
-  // Per-lane cursor state; group g owns lanes [4g, 4g+4). 32-byte
-  // alignment lets the group loads/stores below be the aligned forms.
-  alignas(32) index_t v[kMaxInterleave];
-  alignas(32) value_t acc[kMaxInterleave];
-  index_t own[kMaxInterleave];
-
-  const auto lane_init = [&](std::size_t lane, std::size_t j) {
-    v[lane] = heads[j];
-    own[lane] = static_cast<index_t>(j);
-    acc[lane] = kPhase3 ? headscan[j] : Op::identity();
-    prefetch_ro(&packed[heads[j]]);
-  };
-  // Runs lane to the end of its sublist with the scalar hot-word loop
-  // (same step/finish semantics as the vector path).
-  const auto drain_lane = [&](std::size_t lane) {
-    index_t cv = v[lane];
-    value_t a = acc[lane];
-    while (true) {
-      const packed_t w = packed[cv];
-      prefetch_ro(&packed[hot_link(w)]);
-      if constexpr (kPhase3) out[cv] = a;
-      a = op(a, hot_value(w));
-      if (hot_tail(w)) {
-        if constexpr (!kPhase3) {
-          sums[own[lane]] = a;
-          tails[own[lane]] = cv;
-        }
-        return;
-      }
-      cv = hot_link(w);
-    }
-  };
-
-  std::size_t lanes = 0;
-  while (lanes < W) {
-    const std::size_t j = next_claim.fetch_add(1, std::memory_order_relaxed);
-    if (j >= k) break;
-    lane_init(lanes, j);
-    ++lanes;
-  }
-  // A partial trailing group (claims ran dry mid-fill) drains scalar now,
-  // so the vector loop only ever sees groups of 4 live lanes.
-  std::size_t groups = lanes / 4;
-  for (std::size_t l = groups * 4; l < lanes; ++l) drain_lane(l);
-
-  const auto* base = reinterpret_cast<const long long*>(packed);
-  const __m128i link_mask4 = _mm_set1_epi32(0x7fffffff);
-  // Picks the low 32 bits of each 64-bit lane into the low 128 bits.
-  const __m256i pick_even = _mm256_setr_epi32(0, 2, 4, 6, 1, 3, 5, 7);
-  alignas(16) index_t link_buf[4];
-  alignas(32) value_t spill[4];
-
-  while (groups > 0) {
-    for (std::size_t g = 0; g < groups;) {
-      index_t* gv = v + g * 4;
-      value_t* gacc = acc + g * 4;
-      const __m128i idx =
-          _mm_load_si128(reinterpret_cast<const __m128i*>(gv));
-      // THE gather: link + value lane + stop flag for four cursors in
-      // one instruction (indices are < 2^31 by the hot-path bound, so
-      // the signed-index interpretation is safe). The masked form with a
-      // zeroed destination matters: vpgatherdq MERGES into its
-      // destination register, so the plain intrinsic makes every gather
-      // depend on the previous iteration's result and serializes the
-      // groups (measured ~2x slower than the scalar cursors, getting
-      // WORSE with more groups). GCC sees through a constant all-ones
-      // mask and drops the dependency-breaking zero again, so both the
-      // source and the mask come from inline asm it cannot fold: the
-      // merge into a register written by a zero idiom outside the
-      // dependency chain lets one gather per live group stay in flight.
-      __m256i gsrc, gmask;
-      asm("vpxor %t0, %t0, %t0" : "=x"(gsrc));
-      asm("vpcmpeqd %t0, %t0, %t0" : "=x"(gmask));
-      const __m256i w =
-          _mm256_mask_i32gather_epi64(gsrc, base, idx, gmask, 8);
-      const __m256i lo = _mm256_permutevar8x32_epi32(w, pick_even);
-      const __m256i vals =
-          _mm256_cvtepi32_epi64(_mm256_castsi256_si128(lo));
-      const __m256i hi =
-          _mm256_permutevar8x32_epi32(_mm256_srli_epi64(w, 32), pick_even);
-      const __m128i links =
-          _mm_and_si128(_mm256_castsi256_si128(hi), link_mask4);
-      __m256i accv =
-          _mm256_load_si256(reinterpret_cast<const __m256i*>(gacc));
-      if constexpr (kPhase3) {
-        // Scatter out[v] = acc BEFORE the combine (exclusive scan). AVX2
-        // has no scatter, so four scalar stores from the spilled lanes.
-        _mm256_store_si256(reinterpret_cast<__m256i*>(spill), accv);
-        out[gv[0]] = spill[0];
-        out[gv[1]] = spill[1];
-        out[gv[2]] = spill[2];
-        out[gv[3]] = spill[3];
-      }
-      accv = SimdCombine<Op>::combine(accv, vals);
-      _mm256_store_si256(reinterpret_cast<__m256i*>(gacc), accv);
-      const int tmask = _mm256_movemask_pd(_mm256_castsi256_pd(w));
-      if (tmask == 0) {
-        // Fast path: no lane ended, all four advance.
-        _mm_store_si128(reinterpret_cast<__m128i*>(gv), links);
-        prefetch_ro(&packed[gv[0]]);
-        prefetch_ro(&packed[gv[1]]);
-        prefetch_ro(&packed[gv[2]]);
-        prefetch_ro(&packed[gv[3]]);
-        ++g;
-        continue;
-      }
-      // Slow path: finish ended lanes and refill them from the counter.
-      _mm_store_si128(reinterpret_cast<__m128i*>(link_buf), links);
-      bool dry = false;
-      for (int l = 0; l < 4; ++l) {
-        if (!(tmask & (1 << l))) {
-          gv[l] = link_buf[l];
-          prefetch_ro(&packed[gv[l]]);
-          continue;
-        }
-        if constexpr (!kPhase3) {
-          sums[own[g * 4 + l]] = gacc[l];
-          tails[own[g * 4 + l]] = gv[l];
-        }
-        const std::size_t j =
-            next_claim.fetch_add(1, std::memory_order_relaxed);
-        if (j < k) {
-          lane_init(g * 4 + l, j);
-        } else {
-          dry = true;
-          gv[l] = kNoVertex;  // no valid vertex: n <= 2^31 < kNoVertex
-        }
-      }
-      if (!dry) {
-        ++g;
-        continue;
-      }
-      // Claims exhausted: drain this group's live lanes scalar, retire
-      // the group by swapping in the last one.
-      for (int l = 0; l < 4; ++l)
-        if (gv[l] != kNoVertex) drain_lane(g * 4 + l);
-      --groups;
-      for (int l = 0; l < 4; ++l) {
-        v[g * 4 + l] = v[groups * 4 + l];
-        acc[g * 4 + l] = acc[groups * 4 + l];
-        own[g * 4 + l] = own[groups * 4 + l];
-      }
-    }
-  }
-}
-
-/// The SIMD counterpart of interleave_sublists: same claim discipline and
-/// worker fan-out, phases distinguished by kPhase3 (phase 1 writes
-/// sums/tails; phase 3 reads headscan and scatters out).
-template <ListOp Op, bool kPhase3>
-void simd_gather_sublists(const packed_t* packed, const index_t* heads,
-                          std::size_t k, unsigned threads, unsigned W,
-                          value_t* sums, index_t* tails,
-                          const value_t* headscan, value_t* out, Op op) {
-  std::atomic<std::size_t> next_claim{0};
-  run_workers(threads, [&] {
-    simd_gather_worker<Op, kPhase3>(packed, heads, k, W, next_claim, sums,
-                                    tails, headscan, out, op);
-  });
-}
-
-#endif  // LR90_SIMD_GATHER_COMPILED
-
-/// Rounds a cursor budget to the SIMD tier's group shape: multiples of 4
-/// lanes, at least one group, capped at kMaxInterleave.
-inline unsigned simd_lane_count(unsigned W) {
-  return std::min(kMaxInterleave, ((std::max(W, 4u) + 3u) / 4u) * 4u);
 }
 
 /// Exclusive list scan into `out` (sized n) per the plan, reusing `ws`.
@@ -600,13 +363,9 @@ ExecInfo scan_into(const LinkedList& list, Op op, const HostPlan& plan,
   if (n == 0) return info;
   info.interleave = 1;
   info.threads = 1;
-  info.tier = KernelTier::kLegacy;
-  if (n == 1) {
-    out[list.head] = Op::identity();
-    return info;
-  }
-
-  auto serial_fallback = [&] {
+  info.tier = KernelTier::kListArrays;
+  const std::size_t want = std::min(plan.sublists, n / 2);
+  if (want < 2) {
     if constexpr (kOnes) {
       for_each_in_order(list, [&](index_t v, std::size_t pos) {
         out[v] = static_cast<value_t>(pos);
@@ -615,54 +374,22 @@ ExecInfo scan_into(const LinkedList& list, Op op, const HostPlan& plan,
       serial_scan_into(list, out, op);
     }
     return info;
-  };
+  }
 
-  std::size_t want = std::min(plan.sublists, n / 2);
-  // Resolve the kernel tier. kAuto preserves the legacy contract
-  // (interleave >= 1 selects the packed cursors) for direct callers;
-  // then the runtime downgrades apply in order -- kSimdGather needs
-  // usable AVX2 (CPUID + LR90_FORCE_SCALAR, support/cpu_features.hpp),
-  // and any packed tier needs the 32-bit value lane and the 31-bit link
-  // bound. The packed path pays off even on one thread (W independent
-  // load chains hide latency where the serial walk stalls on every hop);
-  // the legacy kernels need real threads to beat the serial walk.
-  KernelTier tier = plan.tier != KernelTier::kAuto
-                        ? plan.tier
-                        : (plan.interleave >= 1 ? KernelTier::kPackedCursors
-                                                : KernelTier::kLegacy);
-  bool simd = false;
-#if LR90_SIMD_GATHER_COMPILED
-  if constexpr (kOnes || kOpLane32<Op>)
-    simd = tier == KernelTier::kSimdGather && simd_gather_available();
-#endif
-  if (tier == KernelTier::kSimdGather && !simd)
-    tier = KernelTier::kPackedCursors;
-  bool packed = tier != KernelTier::kLegacy && (kOnes || kOpLane32<Op>) &&
-                n <= kHotMaxVertices;
-  if (!packed) simd = false;
-  if (want < 2 || (!packed && plan.threads <= 1)) return serial_fallback();
-
-  const unsigned W = simd ? simd_lane_count(plan.interleave)
-                          : std::clamp(plan.interleave, 1u, kMaxInterleave);
-  // The vector tier retires a whole group of 4 lanes (draining the
-  // group's survivors scalar) the moment a refill finds the claim
-  // counter dry, so starvation is a cliff, not a taper: with k close to
-  // W most of the work would run in the one-chain scalar drain. Keep
-  // refills abundant -- at least 16 sublists per lane -- so the drain
-  // tail is bounded by ~1/16 of the elements; phase 2 stays O(k) serial
-  // and cheap at these counts.
-  if (simd)
-    want = std::min(
-        std::max(want, static_cast<std::size_t>(W) *
-                           std::max(1u, plan.threads) * 16),
-        n / 2);
+  // The hop source: the slab when the operator's values can live in the
+  // 32-bit lane and every link fits 31 bits (the build below re-checks
+  // each value), the list arrays otherwise.
+  constexpr bool kLane = kOnes || kOpLane32<Op>;
+  bool slab = kLane && n <= kHotMaxVertices;
+  const unsigned threads = std::max(1u, plan.threads);
+  const unsigned W = std::clamp(plan.interleave, 1u, kMaxInterleave);
   // A shared (cross-request) slab, installed by the serving layer for
   // immutable snapshot lists, replaces both boundary choice and the slab
   // build outright when its shape matches this run's plan. Like the
   // batch-cache hit below, the RNG is left undrawn -- answers are exact
   // under any sublist decomposition.
   const PackedSlab* ext = nullptr;
-  if (packed) {
+  if (slab) {
     const PackedSlab* s = ws.shared_slab();
     if (s && s->n == n && s->ones == kOnes && s->heads.size() == want &&
         !s->words.empty())
@@ -670,7 +397,7 @@ ExecInfo scan_into(const LinkedList& list, Op op, const HostPlan& plan,
   }
   Workspace::PackedKey key;
   bool cache_hit = false;
-  if (packed && !ext) {
+  if (slab && !ext) {
     key.next_data = list.next.data();
     key.value_data = kOnes ? nullptr : list.value.data();
     key.n = n;
@@ -685,8 +412,6 @@ ExecInfo scan_into(const LinkedList& list, Op op, const HostPlan& plan,
     return std::chrono::duration<double, std::nano>(Clock::now() - t0)
         .count();
   };
-  const unsigned legacy_threads =
-      plan.legacy_threads > 0 ? plan.legacy_threads : plan.threads;
   const auto t_build = Clock::now();
   if (!ext && !cache_hit) {
     choose_boundaries(list, want - 1, ws, list.find_tail());
@@ -697,91 +422,49 @@ ExecInfo scan_into(const LinkedList& list, Op op, const HostPlan& plan,
     ws.heads.clear();
     ws.heads.push_back(list.head);
     for (const index_t r : ws.picks) ws.heads.push_back(list.next[r]);
-    bool built = false;
-    if constexpr (kOnes || kOpLane32<Op>) {
-      if (packed)
-        built = build_packed<kOnes>(list, op, plan.threads, ws, simd);
+    if constexpr (kLane) {
+      if (slab) slab = build_packed<kOnes>(list, op, threads, ws);
     }
-    if (built) {
+    // A value that misses the lane leaves the list arrays to walk; either
+    // way a slab identity no longer matches ws.heads unless just built.
+    if (slab)
       ws.packed_cache_store(key);
-    } else {
-      // Either the legacy kernels were planned, or some value misses the
-      // 32-bit lane: the slab (if any) no longer matches ws.heads.
-      if (packed && legacy_threads <= 1) {
-        ws.invalidate_packed();
-        return serial_fallback();
-      }
-      packed = false;
-      simd = false;
+    else
       ws.invalidate_packed();
-    }
   }
-  // Slab pointers for the packed phases: the shared slab when installed,
-  // the workspace's own otherwise. Resolved after the build section --
-  // ws.heads/ws.packed may have reallocated during it.
+  // Resolved after the build section: ws.heads/ws.packed may have
+  // reallocated during it.
   const packed_t* words = ext ? ext->words.data() : ws.packed.data();
   const index_t* heads = ext ? ext->heads.data() : ws.heads.data();
   const std::size_t k = ext ? ext->heads.size() : ws.heads.size();
   info.build_ns = (ext || cache_hit) ? 0.0 : since_ns(t_build);
 
-  // From here on the worker count is path-dependent: the packed kernels
-  // run the (possibly lower) packed-optimal count, a runtime fallback to
-  // the legacy kernels takes the breakeven-shed count they want.
-  const unsigned threads = packed ? plan.threads : legacy_threads;
-
-  // The legacy kernels walk sublists claimed in chunks from a shared
-  // counter -- the unpacked counterpart of the multi-cursor refill, and
-  // the same dynamic balance the old OpenMP schedule(dynamic, 8) gave.
-  constexpr std::size_t kLegacyChunk = 8;
-  const auto legacy_sublists = [&](auto&& body) {
-    claim_blocks(threads, (k + kLegacyChunk - 1) / kLegacyChunk,
-                 [&](std::size_t c) {
-                   const std::size_t j0 = c * kLegacyChunk;
-                   const std::size_t j1 = std::min(k, j0 + kLegacyChunk);
-                   for (std::size_t j = j0; j < j1; ++j) body(j);
-                 });
+  // Phases 1 and 3 run the one cursor driver over whichever hop source
+  // this run has.
+  const auto traverse = [&](auto init, auto step, auto finish) {
+    if constexpr (kLane) {
+      if (slab) {
+        interleave_sublists(SlabHops{words}, heads, k, threads, W, init, step,
+                            finish);
+        return;
+      }
+    }
+    interleave_sublists(
+        ListHops<kOnes>{list.next.data(), list.value.data(),
+                        ws.is_tail.data()},
+        heads, k, threads, W, init, step, finish);
   };
 
   // Phase 1: per-sublist inclusive sums; record each sublist's tail.
   const auto t_phase1 = Clock::now();
   ws.fit(ws.sums, k, Op::identity());
   ws.fit(ws.tails, k, kNoVertex);
-  if (packed) {
-    bool vectored = false;
-#if LR90_SIMD_GATHER_COMPILED
-    if constexpr (kOnes || kOpLane32<Op>) {
-      if (simd) {
-        simd_gather_sublists<Op, /*kPhase3=*/false>(
-            words, heads, k, threads, W, ws.sums.data(), ws.tails.data(),
-            nullptr, nullptr, op);
-        vectored = true;
-      }
-    }
-#endif
-    if (!vectored)
-      interleave_sublists(
-          words, heads, k, threads, W,
-          [&](std::size_t) { return Op::identity(); },
-          [&](index_t, packed_t w, value_t& acc) {
-            acc = op(acc, hot_value(w));
-          },
-          [&](index_t j, index_t v, value_t acc) {
-            ws.sums[j] = acc;
-            ws.tails[j] = v;
-          });
-  } else {
-    legacy_sublists([&](std::size_t j) {
-      index_t v = ws.heads[j];
-      value_t acc = Op::identity();
-      while (true) {
-        acc = op(acc, kOnes ? value_t{1} : list.value[v]);
-        if (ws.is_tail[v]) break;
-        v = list.next[v];
-      }
-      ws.sums[j] = acc;
-      ws.tails[j] = v;
-    });
-  }
+  traverse([](std::size_t) { return Op::identity(); },
+           [&](index_t, value_t x, value_t& acc) { acc = op(acc, x); },
+           [&](index_t j, index_t v, value_t acc) {
+             ws.sums[j] = acc;
+             ws.tails[j] = v;
+           });
   info.phase1_ns = since_ns(t_phase1);
 
   // Phase 2: order the sublists by chaining tail -> successor head (a
@@ -792,8 +475,8 @@ ExecInfo scan_into(const LinkedList& list, Op op, const HostPlan& plan,
   // turns the block sums into block offsets, and the workers expand
   // their blocks -- combine order is preserved throughout, so
   // associativity alone (no commutativity) keeps the non-commutative
-  // operators bit-exact. On the packed path successor links come from
-  // the SLAB, never the live list: a cache-hit run then reads only the
+  // operators bit-exact. On the slab path successor links come from the
+  // SLAB, never the live list: a cache-hit run then reads only the
   // self-consistent snapshot taken at build time, so a caller mutating
   // the list between the runs of a batch (e.g. after an earlier future
   // resolved) gets the coherent as-of-build answer instead of a
@@ -809,7 +492,7 @@ ExecInfo scan_into(const LinkedList& list, Op op, const HostPlan& plan,
     for (std::size_t seen = 0; seen < k; ++seen) {
       ws.order.push_back(static_cast<index_t>(j));
       const index_t t = ws.tails[j];
-      const index_t nt = packed ? hot_link(words[t]) : list.next[t];
+      const index_t nt = slab ? hot_link(words[t]) : list.next[t];
       if (nt == t) break;  // the global tail ends the chain
       const index_t owner = ws.owner_get(nt);
       if (owner == kNoVertex) break;  // defensive: malformed snapshot
@@ -857,57 +540,28 @@ ExecInfo scan_into(const LinkedList& list, Op op, const HostPlan& plan,
 
   // Phase 3: expand each sublist from its head's scan value.
   const auto t_phase3 = Clock::now();
-  if (packed) {
-    value_t* o = out.data();
-    bool vectored = false;
-#if LR90_SIMD_GATHER_COMPILED
-    if constexpr (kOnes || kOpLane32<Op>) {
-      if (simd) {
-        simd_gather_sublists<Op, /*kPhase3=*/true>(
-            words, heads, k, threads, W, nullptr, nullptr,
-            ws.headscan.data(), o, op);
-        vectored = true;
-      }
-    }
-#endif
-    if (!vectored)
-      interleave_sublists(
-          words, heads, k, threads, W,
-          [&](std::size_t j) { return ws.headscan[j]; },
-          [&](index_t v, packed_t w, value_t& acc) {
-            o[v] = acc;
-            acc = op(acc, hot_value(w));
-          },
-          [](index_t, index_t, value_t) {});
-  } else {
-    legacy_sublists([&](std::size_t j) {
-      index_t v = ws.heads[j];
-      value_t acc = ws.headscan[j];
-      while (true) {
-        out[v] = acc;
-        acc = op(acc, kOnes ? value_t{1} : list.value[v]);
-        if (ws.is_tail[v]) break;
-        v = list.next[v];
-      }
-    });
-  }
+  value_t* o = out.data();
+  traverse([&](std::size_t j) { return ws.headscan[j]; },
+           [&](index_t v, value_t x, value_t& acc) {
+             o[v] = acc;
+             acc = op(acc, x);
+           },
+           [](index_t, index_t, value_t) {});
   info.phase3_ns = since_ns(t_phase3);
 
-  info.interleave = packed ? W : 1;
+  info.interleave = W;
   info.threads = threads;
-  info.packed = packed;
+  info.packed = slab;
   info.packed_cached = cache_hit || ext != nullptr;
   info.sublists = k;
-  info.tier = packed ? (simd ? KernelTier::kSimdGather
-                             : KernelTier::kPackedCursors)
-                     : KernelTier::kLegacy;
+  info.tier = slab ? KernelTier::kPackedCursors : KernelTier::kListArrays;
   return info;
 }
 
 /// Exclusive list rank into `out`: the all-ones scan without ever
-/// materializing a ones copy -- the packed slab's value lane is the
-/// constant 1, the legacy kernels substitute it inline, and the serial
-/// fallback writes positions directly. Correct for any plan.
+/// materializing a ones copy -- the slab's value lane is the constant 1,
+/// the list-array hops substitute it inline, and the serial walk writes
+/// positions directly. Correct for any plan.
 inline ExecInfo rank_into(const LinkedList& list, const HostPlan& plan,
                           Workspace& ws, std::span<value_t> out) {
   return scan_into<OpPlus, /*kOnes=*/true>(list, OpPlus{}, plan, ws, out);

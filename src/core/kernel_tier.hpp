@@ -1,4 +1,4 @@
-// lr90::KernelTier -- the host kernel-family axis of the public API.
+// lr90::KernelTier -- which hop source the host traversal kernel walked.
 //
 // Lives in its own header (included and re-exported by core/engine.hpp,
 // where the rest of the Engine API is declared) so the execution kernel
@@ -8,30 +8,23 @@
 
 namespace lr90 {
 
-/// Which host traversal kernel family serves the hot phases (1 + 3) --
-/// the first-class successor of the implicit "interleave == 0 means
-/// legacy, host_packed bool, lane-capability fallback" contract that used
-/// to be scattered across Engine/Planner/RunStats. The Planner resolves
-/// kAuto per run; Planner::Decision::tier and RunStats::kernel_tier
-/// report what was planned and what actually ran (a run can downgrade: a
-/// value missing the 32-bit lane drops kPackedCursors/kSimdGather to
-/// kLegacy, and kSimdGather drops to kPackedCursors on CPUs without
-/// usable AVX2 -- typed fallbacks, never a wrong answer).
+/// The hop source behind the host kernel's hot phases (1 + 3). One cursor
+/// driver serves every operator; the kernel picks the source per run from
+/// the operator and the value fit, and RunStats::kernel_tier reports what
+/// ran. The numeric values are stable (benches record them as codes).
 enum class KernelTier {
-  kAuto,           ///< Planner's pick from the cost model + CPUID
-  kLegacy,         ///< unpacked single-cursor kernels (the seed behaviour)
-  kPackedCursors,  ///< packed slab + W scalar prefetching cursors (PR 4/5)
-  kSimdGather,     ///< packed slab + AVX2 vector gather (VL=64's literal analog)
+  kAuto,           ///< nothing ran (empty list, non-host backend)
+  kListArrays,     ///< no slab: the serial walk or the list arrays
+  kPackedCursors,  ///< W cursors over the single-gather hot-word slab
 };
 
-/// Short stable name of `t` ("auto", "legacy", "packed-cursors",
-/// "simd-gather") for tables/CLIs/STATS text.
+/// Short stable name of `t` ("auto", "list-arrays", "packed-cursors") for
+/// tables/CLIs/STATS text.
 inline constexpr const char* kernel_tier_name(KernelTier t) {
   switch (t) {
     case KernelTier::kAuto: return "auto";
-    case KernelTier::kLegacy: return "legacy";
+    case KernelTier::kListArrays: return "list-arrays";
     case KernelTier::kPackedCursors: return "packed-cursors";
-    case KernelTier::kSimdGather: return "simd-gather";
   }
   return "?";
 }

@@ -14,15 +14,9 @@
 #pragma once
 
 #include <cstdint>
-#include <cstring>
 #include <vector>
 
 #include "lists/linked_list.hpp"
-#include "support/cpu_features.hpp"
-
-#if LR90_SIMD_GATHER_COMPILED
-#include <immintrin.h>
-#endif
 
 namespace lr90 {
 
@@ -107,65 +101,6 @@ inline bool hot_pack_range(const index_t* next, const value_t* value,
   }
   return ok;
 }
-
-#if LR90_SIMD_GATHER_COMPILED
-/// AVX2 flavour of hot_pack_range: packs four hot words per iteration --
-/// links widen/mask/shift, value lanes mask, tail flags turn into bit 63,
-/// all in vector registers -- with the same contract (false if any value
-/// misses the signed 32-bit lane; `value` == nullptr packs the constant
-/// 1). Compiled into every binary behind the target attribute; callers
-/// must gate on simd_gather_available() at run time. The < 4-element
-/// remainder reuses the scalar pass.
-LR90_TARGET_AVX2 inline bool hot_pack_range_simd(
-    const index_t* next, const value_t* value, const std::uint8_t* is_tail,
-    packed_t* out, std::size_t begin, std::size_t end) {
-  const __m256i link_mask = _mm256_set1_epi64x(
-      static_cast<long long>(kHotLinkMask));
-  const __m256i val_mask = _mm256_set1_epi64x(0xffffffffLL);
-  const __m256i tail_bit = _mm256_set1_epi64x(
-      static_cast<long long>(kHotTailBit));
-  const __m256i ones = _mm256_set1_epi64x(1);
-  const __m256i zero = _mm256_setzero_si256();
-  // Lane picker: the low 32 bits of each 64-bit lane, packed to the low
-  // 128 bits (indices 0,2,4,6 of the eight 32-bit lanes).
-  const __m256i pick_even = _mm256_setr_epi32(0, 2, 4, 6, 1, 3, 5, 7);
-  __m256i ok = _mm256_set1_epi64x(-1);
-  std::size_t i = begin;
-  for (; i + 4 <= end; i += 4) {
-    const __m128i nx =
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(next + i));
-    const __m256i link =
-        _mm256_and_si256(_mm256_cvtepu32_epi64(nx), link_mask);
-    __m256i v;
-    if (value == nullptr) {
-      v = ones;
-    } else {
-      v = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(value + i));
-      // The lane-fit check: v must equal the sign-extension of its low
-      // 32 bits (hot_value_fits, four at a time).
-      const __m256i lo = _mm256_permutevar8x32_epi32(v, pick_even);
-      const __m256i sext =
-          _mm256_cvtepi32_epi64(_mm256_castsi256_si128(lo));
-      ok = _mm256_and_si256(ok, _mm256_cmpeq_epi64(v, sext));
-    }
-    std::uint32_t t4;  // four boundary-bitmap bytes -> four bit-63 flags
-    std::memcpy(&t4, is_tail + i, sizeof t4);
-    const __m256i tails =
-        _mm256_cvtepu8_epi64(_mm_cvtsi32_si128(static_cast<int>(t4)));
-    const __m256i tail_mask =
-        _mm256_and_si256(_mm256_cmpgt_epi64(tails, zero), tail_bit);
-    const __m256i w = _mm256_or_si256(
-        tail_mask, _mm256_or_si256(_mm256_slli_epi64(link, 32),
-                                   _mm256_and_si256(v, val_mask)));
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(out + i), w);
-  }
-  bool all_fit =
-      value == nullptr ||
-      _mm256_movemask_epi8(ok) == -1;
-  if (i < end) all_fit = hot_pack_range(next, value, is_tail, out, i, end) && all_fit;
-  return all_fit;
-}
-#endif  // LR90_SIMD_GATHER_COMPILED
 
 /// True iff every value of `list` fits the 32-bit value lane and n itself
 /// cannot overflow a 32-bit partial rank (the paper's n <= 2^(w/2) bound).

@@ -247,7 +247,7 @@ struct OpMaxPlus {
 // 64 bits from exact inputs; min/max/xor of sign-extended inputs are
 // themselves sign-extended. The packed two-lane operators (seg-sum,
 // affine, max-plus) need all 64 value bits, so they are typed out of the
-// lane path entirely and take the unpacked fallback kernels.
+// lane path entirely: the same cursor driver walks the list arrays.
 
 /// Compile-time capability: may `Op` read its inputs from a sign-extended
 /// 32-bit value lane? Defaults to false; opt in per operator.

@@ -3,23 +3,16 @@
 #include <cassert>
 #include <utility>
 
-#include "core/engine.hpp"
 #include "lists/generators.hpp"
 
 namespace lr90 {
 
 namespace {
 
-/// Host-backend rank via the Engine (the legacy host_list_rank shim is
-/// deprecated); HostOptions carries the caller-facing knobs.
+/// Rank of `list` on an Engine configured by `opt`.
 std::vector<value_t> engine_rank(const LinkedList& list,
-                                 const HostOptions& opt) {
-  EngineOptions eo;
-  eo.backend = BackendKind::kHost;
-  eo.threads = opt.threads;
-  eo.sublists_per_thread = opt.sublists_per_thread;
-  eo.seed = opt.seed;
-  Engine engine(std::move(eo));
+                                 const EngineOptions& opt) {
+  Engine engine(opt);
   RunResult r = engine.run(RankRequest{&list});
   assert(r.ok());
   return std::move(r.scan);
@@ -31,7 +24,7 @@ std::vector<value_t> rank_or(const LinkedList& list,
     assert(rank.size() == list.size());
     return std::vector<value_t>(rank.begin(), rank.end());
   }
-  return engine_rank(list, HostOptions{});
+  return engine_rank(list, EngineOptions{});
 }
 
 }  // namespace
@@ -144,7 +137,7 @@ LinkedList concat_lists(std::span<const LinkedList> lists) {
 }
 
 std::vector<std::vector<value_t>> rank_many(std::span<const LinkedList> lists,
-                                            const HostOptions& opt) {
+                                            const EngineOptions& opt) {
   const LinkedList joined = concat_lists(lists);
   const std::vector<value_t> rank = engine_rank(joined, opt);
   std::vector<std::vector<value_t>> out;

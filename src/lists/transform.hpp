@@ -5,13 +5,13 @@
 // of a linked list into an array in one parallel step". These helpers
 // package that and its relatives; all accept a precomputed rank so callers
 // can amortize one ranking across several transforms (pass an empty span
-// to let the helper rank internally via the host path).
+// to let the helper rank internally on a host-backend Engine).
 #pragma once
 
 #include <span>
 #include <vector>
 
-#include "core/parallel_host.hpp"
+#include "core/engine.hpp"
 #include "lists/linked_list.hpp"
 
 namespace lr90 {
@@ -48,8 +48,9 @@ LinkedList list_of_permutation(std::span<const index_t> perm);
 /// concatenates them, ranks once, and rebases each part. Downstream tree
 /// and graph algorithms routinely carry many short lists (e.g. per-level
 /// adjacency chains); batching keeps the parallel machine saturated where
-/// per-list calls would be overhead-bound.
+/// per-list calls would be overhead-bound. `opt` configures the Engine
+/// that ranks the concatenation.
 std::vector<std::vector<value_t>> rank_many(std::span<const LinkedList> lists,
-                                            const HostOptions& opt = {});
+                                            const EngineOptions& opt = {});
 
 }  // namespace lr90

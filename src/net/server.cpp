@@ -171,9 +171,8 @@ std::string NetServer::stats_text() const {
       << "rank_requests " << s.rank_requests << '\n'
       << "scan_requests " << s.scan_requests << '\n'
       << "intra_threads_peak " << s.intra_threads_peak << '\n'
-      << "tier_legacy_runs " << s.tier_legacy_runs << '\n'
+      << "tier_list_arrays_runs " << s.tier_list_arrays_runs << '\n'
       << "tier_packed_runs " << s.tier_packed_runs << '\n'
-      << "tier_simd_runs " << s.tier_simd_runs << '\n'
       << "packed_builds " << s.pool.packed_builds << '\n'
       << "snapshots_live " << s.snapshots_live << '\n'
       << "snapshot_updates " << s.snapshot_updates << '\n'

@@ -353,18 +353,15 @@ void EngineServer::worker_loop() {
                        peak, r.stats.host_threads,
                        std::memory_order_relaxed)) {
             }
-            // Which kernel family actually ran (kAuto = the host kernels
-            // never ran: empty lists, non-host backends) -- the serving
-            // proof the SIMD dispatcher engaged or correctly fell back.
+            // Which hop source actually ran (kAuto = the host kernels
+            // never ran: empty lists, non-host backends).
             switch (r.stats.kernel_tier) {
-              case KernelTier::kLegacy:
-                tier_legacy_runs_.fetch_add(1, std::memory_order_relaxed);
+              case KernelTier::kListArrays:
+                tier_list_arrays_runs_.fetch_add(1,
+                                                 std::memory_order_relaxed);
                 break;
               case KernelTier::kPackedCursors:
                 tier_packed_runs_.fetch_add(1, std::memory_order_relaxed);
-                break;
-              case KernelTier::kSimdGather:
-                tier_simd_runs_.fetch_add(1, std::memory_order_relaxed);
                 break;
               case KernelTier::kAuto:
                 break;
@@ -464,9 +461,8 @@ void EngineServer::reset_stats() {
   collapsed_.store(0, std::memory_order_relaxed);
   peak_batch_.store(0, std::memory_order_relaxed);
   intra_threads_peak_.store(0, std::memory_order_relaxed);
-  tier_legacy_runs_.store(0, std::memory_order_relaxed);
+  tier_list_arrays_runs_.store(0, std::memory_order_relaxed);
   tier_packed_runs_.store(0, std::memory_order_relaxed);
-  tier_simd_runs_.store(0, std::memory_order_relaxed);
   rank_requests_.store(0, std::memory_order_relaxed);
   scan_requests_.store(0, std::memory_order_relaxed);
   snapshot_updates_.store(0, std::memory_order_relaxed);
@@ -498,9 +494,9 @@ ServerStats EngineServer::stats() const {
   s.peak_batch = peak_batch_.load(std::memory_order_relaxed);
   s.intra_threads_peak =
       intra_threads_peak_.load(std::memory_order_relaxed);
-  s.tier_legacy_runs = tier_legacy_runs_.load(std::memory_order_relaxed);
+  s.tier_list_arrays_runs =
+      tier_list_arrays_runs_.load(std::memory_order_relaxed);
   s.tier_packed_runs = tier_packed_runs_.load(std::memory_order_relaxed);
-  s.tier_simd_runs = tier_simd_runs_.load(std::memory_order_relaxed);
   s.queue_depth_hwm = queue_.size_hwm();
   s.rank_requests = rank_requests_.load(std::memory_order_relaxed);
   s.scan_requests = scan_requests_.load(std::memory_order_relaxed);

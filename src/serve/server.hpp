@@ -134,14 +134,12 @@ struct ServerStats {
   /// intra-request x inter-request parallelism the server actually ran
   /// (bench/serve_throughput reports the product).
   std::uint64_t intra_threads_peak = 0;
-  // Which host kernel family actually served each completed run
+  // Which hop source actually served each completed run
   // (RunStats::kernel_tier; runs that never reached the host kernels --
-  // empty lists, result-cache hits -- count nowhere): the serving-layer
-  // proof that the SIMD dispatcher engaged (or correctly fell back) in
-  // production, surfaced as tier_* rows in the wire STATS text.
-  std::uint64_t tier_legacy_runs = 0;  ///< unpacked kernels / serial walk
-  std::uint64_t tier_packed_runs = 0;  ///< scalar multi-cursor kernels
-  std::uint64_t tier_simd_runs = 0;    ///< AVX2 gather kernels
+  // empty lists, result-cache hits -- count nowhere), surfaced as tier_*
+  // rows in the wire STATS text.
+  std::uint64_t tier_list_arrays_runs = 0;  ///< list arrays / serial walk
+  std::uint64_t tier_packed_runs = 0;       ///< cursors over the slab
   PoolStats pool;                ///< aggregated workspace counters
 
   // Snapshot / cross-request-cache counters (snapshot-addressed requests
@@ -333,9 +331,8 @@ class EngineServer {
   std::atomic<std::uint64_t> collapsed_{0};   ///< duplicate jobs collapsed
   std::atomic<std::uint64_t> peak_batch_{0};  ///< largest batch seen
   std::atomic<std::uint64_t> intra_threads_peak_{0};  ///< max host_threads
-  std::atomic<std::uint64_t> tier_legacy_runs_{0};  ///< kLegacy results
-  std::atomic<std::uint64_t> tier_packed_runs_{0};  ///< kPackedCursors results
-  std::atomic<std::uint64_t> tier_simd_runs_{0};    ///< kSimdGather results
+  std::atomic<std::uint64_t> tier_list_arrays_runs_{0};  ///< kListArrays
+  std::atomic<std::uint64_t> tier_packed_runs_{0};  ///< kPackedCursors
   std::atomic<std::uint64_t> rank_requests_{0};  ///< accepted rank jobs
   std::atomic<std::uint64_t> scan_requests_{0};  ///< accepted scan jobs
   std::atomic<std::uint64_t> snapshot_updates_{0};  ///< update_snapshot()s

@@ -1,5 +1,6 @@
 #include "shard/sharded.hpp"
 
+#include <algorithm>
 #include <atomic>
 #include <filesystem>
 #include <vector>
@@ -48,7 +49,7 @@ std::string ephemeral_spill_dir() {
 /// tail), the LOCAL link (tails self-link), and the 32-bit value lane.
 /// Parallel over `threads` index blocks. Returns false -- slab contents
 /// unspecified -- when any value misses the signed 32-bit lane (the shard
-/// then takes the legacy scalar walks; per-shard fallback, never wrong).
+/// then walks its own arrays; per-shard fallback, never wrong).
 template <bool kOnes>
 bool build_shard_slab(const ShardView& view, unsigned threads,
                       std::vector<packed_t>& words) {
@@ -75,6 +76,26 @@ bool build_shard_slab(const ShardView& view, unsigned threads,
   return ok.load(std::memory_order_relaxed);
 }
 
+/// Hop source over a shard's own arrays (shard-local indices): the
+/// shard's range test is the tail flag -- the successor leaves the shard,
+/// or the vertex is the global tail -- exactly what the slab encodes.
+template <bool kOnes>
+struct ShardHops {
+  const index_t* next;   ///< global successor ids, by local index
+  const value_t* value;  ///< by local index
+  index_t begin;         ///< first global id of the shard
+  index_t end;           ///< one past its last global id
+  host_exec::Hop operator()(index_t i) const {
+    const index_t gn = next[i];
+    const bool tail = gn == begin + i || gn < begin || gn >= end;
+    return {tail, gn - begin, kOnes ? value_t{1} : value[i]};
+  }
+  void prefetch(index_t i) const {
+    host_exec::prefetch_ro(&next[i]);
+    if constexpr (!kOnes) host_exec::prefetch_ro(&value[i]);
+  }
+};
+
 /// Per-run scratch shared by passes A and C (sized to the widest shard
 /// once, reused across shards).
 struct ShardScratch {
@@ -82,96 +103,71 @@ struct ShardScratch {
   std::vector<index_t> lheads;   ///< shard-local segment head indices
 };
 
+/// Walks every segment headed in one shard with the cursor driver (see
+/// host_exec::interleave_sublists for init/step/finish; vertices are
+/// shard-local). Returns whether the shard's hot-word slab served it.
+template <ListOp Op, bool kOnes, class Init, class Step, class Finish>
+bool walk_shard(const ShardView& view, const std::vector<index_t>& heads,
+                const ShardExec& exec, ShardScratch& scratch, Init init,
+                Step step, Finish finish) {
+  const std::size_t k = heads.size();
+  scratch.lheads.resize(k);
+  for (std::size_t j = 0; j < k; ++j)
+    scratch.lheads[j] = heads[j] - static_cast<index_t>(view.begin);
+  bool slab = false;
+  if constexpr (kOnes || kOpLane32<Op>)
+    slab = view.size() <= kHotMaxVertices &&
+           build_shard_slab<kOnes>(view, exec.threads, scratch.words);
+  if (slab) {
+    host_exec::interleave_sublists(
+        host_exec::SlabHops{scratch.words.data()}, scratch.lheads.data(), k,
+        exec.threads, exec.interleave, init, step, finish);
+  } else {
+    host_exec::interleave_sublists(
+        ShardHops<kOnes>{view.next, view.value,
+                         static_cast<index_t>(view.begin),
+                         static_cast<index_t>(view.end)},
+        scratch.lheads.data(), k, exec.threads, exec.interleave, init, step,
+        finish);
+  }
+  return slab;
+}
+
 /// Pass A over one shard: every segment's operator total and exit vertex.
 template <ListOp Op, bool kOnes>
-void pass_totals(const ShardView& view, const std::vector<index_t>& heads,
+bool pass_totals(const ShardView& view, const std::vector<index_t>& heads,
                  std::size_t seg_base, const ShardExec& exec,
                  ShardScratch& scratch, Op op, std::vector<value_t>& totals,
                  std::vector<index_t>& exits) {
-  const std::size_t k = heads.size();
-  const bool packed =
-      exec.interleave >= 1 && (kOnes || kOpLane32<Op>) &&
-      view.size() <= kHotMaxVertices &&
-      build_shard_slab<kOnes>(view, exec.threads, scratch.words);
-  if (packed) {
-    scratch.lheads.resize(k);
-    for (std::size_t j = 0; j < k; ++j)
-      scratch.lheads[j] =
-          heads[j] - static_cast<index_t>(view.begin);
-    host_exec::interleave_sublists(
-        scratch.words.data(), scratch.lheads.data(), k, exec.threads,
-        exec.interleave, [](std::size_t) { return Op::identity(); },
-        [op](index_t, packed_t w, value_t& acc) {
-          acc = op(acc, hot_value(w));
-        },
-        [&](index_t j, index_t tv, value_t acc) {
-          const std::size_t g = seg_base + j;
-          totals[g] = acc;
-          const index_t gn = view.next[tv];
-          exits[g] =
-              gn == static_cast<index_t>(view.begin + tv) ? kNoVertex : gn;
-        });
-    return;
-  }
-  host_exec::claim_blocks(exec.threads, k, [&](std::size_t j) {
-    value_t acc = Op::identity();
-    index_t v = heads[j];
-    for (;;) {
-      const std::size_t i = v - view.begin;
-      acc = op(acc, kOnes ? value_t{1} : view.value[i]);
-      const index_t gn = view.next[i];
-      if (gn == v || gn < view.begin || gn >= view.end) {
-        totals[seg_base + j] = acc;
-        exits[seg_base + j] = gn == v ? kNoVertex : gn;
-        return;
-      }
-      v = gn;
-    }
-  });
+  return walk_shard<Op, kOnes>(
+      view, heads, exec, scratch, [](std::size_t) { return Op::identity(); },
+      [op](index_t, value_t x, value_t& acc) { acc = op(acc, x); },
+      [&](index_t j, index_t tv, value_t acc) {
+        const std::size_t g = seg_base + j;
+        totals[g] = acc;
+        const index_t gn = view.next[tv];
+        exits[g] =
+            gn == static_cast<index_t>(view.begin + tv) ? kNoVertex : gn;
+      });
 }
 
 /// Pass C over one shard: re-walk each segment with the accumulator seeded
 /// at its global prefix, writing the final exclusive scan.
 template <ListOp Op, bool kOnes>
-void pass_expand(const ShardView& view, const std::vector<index_t>& heads,
+bool pass_expand(const ShardView& view, const std::vector<index_t>& heads,
                  std::size_t seg_base, const ShardExec& exec,
                  ShardScratch& scratch, Op op,
                  const std::vector<value_t>& seg_pref,
                  std::span<value_t> out) {
-  const std::size_t k = heads.size();
-  const bool packed =
-      exec.interleave >= 1 && (kOnes || kOpLane32<Op>) &&
-      view.size() <= kHotMaxVertices &&
-      build_shard_slab<kOnes>(view, exec.threads, scratch.words);
-  if (packed) {
-    scratch.lheads.resize(k);
-    for (std::size_t j = 0; j < k; ++j)
-      scratch.lheads[j] =
-          heads[j] - static_cast<index_t>(view.begin);
-    value_t* o = out.data() + view.begin;
-    host_exec::interleave_sublists(
-        scratch.words.data(), scratch.lheads.data(), k, exec.threads,
-        exec.interleave,
-        [&](std::size_t j) { return seg_pref[seg_base + j]; },
-        [op, o](index_t v, packed_t w, value_t& acc) {
-          o[v] = acc;
-          acc = op(acc, hot_value(w));
-        },
-        [](index_t, index_t, value_t) {});
-    return;
-  }
-  host_exec::claim_blocks(exec.threads, k, [&](std::size_t j) {
-    value_t acc = seg_pref[seg_base + j];
-    index_t v = heads[j];
-    for (;;) {
-      const std::size_t i = v - view.begin;
-      out[v] = acc;
-      acc = op(acc, kOnes ? value_t{1} : view.value[i]);
-      const index_t gn = view.next[i];
-      if (gn == v || gn < view.begin || gn >= view.end) return;
-      v = gn;
-    }
-  });
+  value_t* o = out.data() + view.begin;
+  return walk_shard<Op, kOnes>(
+      view, heads, exec, scratch,
+      [&](std::size_t j) { return seg_pref[seg_base + j]; },
+      [op, o](index_t v, value_t x, value_t& acc) {
+        o[v] = acc;
+        acc = op(acc, x);
+      },
+      [](index_t, index_t, value_t) {});
 }
 
 template <ListOp Op, bool kOnes>
@@ -183,6 +179,7 @@ Status run_sharded(const LinkedList& list, const ShardedList& sharded,
   std::vector<value_t> totals(m);
   std::vector<index_t> exits(m);
   ShardScratch scratch;
+  bool packed = true;  // every shard pass walked its slab
 
   // Pass A: per-shard segment totals + exits, one resident shard at a time.
   for (unsigned p = 0; p < sharded.shards; ++p) {
@@ -194,8 +191,9 @@ Status run_sharded(const LinkedList& list, const ShardedList& sharded,
                        "sharded scan: unrecoverable slab (pass A)")
                  : Status::resource_exhausted(
                        "sharded scan: shard load failed (pass A)");
-    pass_totals<Op, kOnes>(view, sharded.heads_of[p], sharded.seg_base[p],
-                           exec, scratch, op, totals, exits);
+    packed &= pass_totals<Op, kOnes>(view, sharded.heads_of[p],
+                                     sharded.seg_base[p], exec, scratch, op,
+                                     totals, exits);
     store.release(p);
   }
 
@@ -226,7 +224,7 @@ Status run_sharded(const LinkedList& list, const ShardedList& sharded,
         exec.threads,
         std::min<std::size_t>(m / 2,
                               static_cast<std::size_t>(exec.threads) * 64),
-        exec.interleave, 0};
+        exec.interleave};
     host_exec::scan_into<Op, false>(reduced, op, plan2, ws, seg_pref);
     // The second-level scan may have rebuilt ws.packed for the (local,
     // about-to-die) reduced list; its batch-cache identity must not
@@ -246,12 +244,16 @@ Status run_sharded(const LinkedList& list, const ShardedList& sharded,
                        "sharded scan: unrecoverable slab (pass C)")
                  : Status::resource_exhausted(
                        "sharded scan: shard load failed (pass C)");
-    pass_expand<Op, kOnes>(view, sharded.heads_of[p], sharded.seg_base[p],
-                           exec, scratch, op, seg_pref, out);
+    packed &= pass_expand<Op, kOnes>(view, sharded.heads_of[p],
+                                     sharded.seg_base[p], exec, scratch, op,
+                                     seg_pref, out);
     store.release(p);
   }
   stats.shards = sharded.shards;
   stats.segments = m;
+  stats.interleave =
+      std::clamp(exec.interleave, 1u, host_exec::kMaxInterleave);
+  stats.packed = packed;
   return Status::success();
 }
 

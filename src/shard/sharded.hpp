@@ -5,10 +5,11 @@
 // then makes three passes:
 //
 //   pass A  per shard, ascending: walk every segment headed in the shard
-//           (packed (threads x W) hot path when the shard fits the 32-bit
-//           lane, legacy scalar walks otherwise) producing the segment's
-//           operator total and its exit vertex. Only ONE shard need be
-//           resident at a time.
+//           with the (threads x W) cursor driver -- over a shard-local
+//           hot-word slab when the shard's values fit the 32-bit lane,
+//           over the shard's own arrays otherwise -- producing the
+//           segment's operator total and its exit vertex. Only ONE shard
+//           need be resident at a time.
 //   pass B  the second-level Reid-Miller pass: the segments form a reduced
 //           list (node s = segment s, value = its total, link = the
 //           segment its exit vertex heads); an exclusive scan of it yields
@@ -42,8 +43,8 @@ namespace lr90::shard {
 struct ShardExec {
   unsigned shards = 1;      ///< P (clamped to [1, min(n, kMaxShards)])
   unsigned threads = 1;     ///< worker threads inside each per-shard pass
-  /// Cursors in flight per worker on each shard's packed hot path; 0
-  /// forces the legacy scalar walks for every shard.
+  /// Cursors in flight per worker in each shard pass (clamped to
+  /// [1, host_exec::kMaxInterleave]).
   unsigned interleave = 8;
   /// Resident shard-byte budget; 0 = all-in-RAM (no spill tier).
   std::size_t byte_budget = 0;
@@ -68,6 +69,10 @@ struct ShardExec {
 struct ShardRunStats {
   unsigned shards = 0;         ///< P the run actually used
   std::uint64_t segments = 0;  ///< reduced-list length (cross-shard cursors)
+  unsigned interleave = 0;     ///< cursors per worker the shard passes ran
+  /// Every shard pass walked a hot-word slab (false as soon as one shard
+  /// walked its arrays: a two-lane operator or a value past the lane).
+  bool packed = false;
   StoreStats store;            ///< residency / spill / prefetch counters
 };
 

@@ -16,8 +16,8 @@
 namespace lr90 {
 
 /// Library-wide default seed. Every options struct that carries a seed
-/// (SimOptions, HostOptions, EngineOptions) defaults to this one value so
-/// "same program, no seed given" is reproducible across entry points.
+/// (EngineOptions, the workspace RNG) defaults to this one value so "same
+/// program, no seed given" is reproducible across entry points.
 inline constexpr std::uint64_t kDefaultSeed = 0x5eed5eedULL;
 
 /// Splitmix64 step: used for seeding and as a cheap standalone mixer.

@@ -1,10 +1,10 @@
-#include "core/api.hpp"
+// The Engine's public contract on the simulated C90 (sim backend): every
+// paper method agrees with the reference, kAuto dispatches by list size,
+// simulated time follows the machine clock and processor count, and
+// unsupported requests come back typed instead of thrown.
+#include "core/engine.hpp"
 
 #include <gtest/gtest.h>
-
-// These tests pin the legacy shims' contract for their final deprecation
-// release; calling them here is the point.
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
 
 #include "lists/generators.hpp"
 #include "lists/validate.hpp"
@@ -13,29 +13,51 @@
 namespace lr90 {
 namespace {
 
+/// A sim-backend Engine on `processors` simulated processors.
+Engine sim_engine(unsigned processors = 1, std::uint64_t seed = kDefaultSeed) {
+  EngineOptions eo;
+  eo.backend = BackendKind::kSim;
+  eo.processors = processors;
+  eo.seed = seed;
+  return Engine(std::move(eo));
+}
+
 TEST(Api, AutoDispatchBySize) {
-  EXPECT_EQ(resolve_auto(10, Method::kAuto), Method::kSerial);
-  EXPECT_EQ(resolve_auto(kAutoSerialMax, Method::kAuto), Method::kSerial);
-  EXPECT_EQ(resolve_auto(kAutoSerialMax + 1, Method::kAuto), Method::kWyllie);
-  EXPECT_EQ(resolve_auto(kAutoWyllieMax + 1, Method::kAuto),
-            Method::kReidMiller);
-  EXPECT_EQ(resolve_auto(5, Method::kWyllie), Method::kWyllie);
+  // The model's Fig. 1 crossovers: the serial walk for tiny lists, Wyllie
+  // in between, Reid-Miller from ~1k vertices on. An explicit method is
+  // honoured at any size.
+  Rng rng(8);
+  Engine engine = sim_engine();
+  for (const auto& [n, want] :
+       {std::pair{std::size_t{10}, Method::kSerial},
+        std::pair{std::size_t{512}, Method::kWyllie},
+        std::pair{std::size_t{4096}, Method::kReidMiller}}) {
+    const LinkedList l = random_list(n, rng);
+    const RunResult r = engine.rank(l);
+    ASSERT_TRUE(r.ok()) << "n=" << n << ": " << r.status.message;
+    EXPECT_EQ(r.method_used, want) << "n=" << n;
+    testutil::expect_scan_eq(r.scan, reference_rank(l));
+  }
+  const LinkedList five = random_list(5, rng);
+  const RunResult pinned = engine.rank(five, Method::kWyllie);
+  ASSERT_TRUE(pinned.ok());
+  EXPECT_EQ(pinned.method_used, Method::kWyllie);
 }
 
 TEST(Api, AllMethodsAgreeOnRank) {
   Rng rng(1);
   const LinkedList l = random_list(3000, rng);
   const auto want = reference_rank(l);
+  Engine engine = sim_engine();
   for (const Method method :
        {Method::kSerial, Method::kWyllie, Method::kMillerReif,
         Method::kAndersonMiller, Method::kReidMiller,
         Method::kReidMillerEncoded}) {
-    SimOptions opt;
-    opt.method = method;
-    const SimResult r = sim_list_rank(l, opt);
+    const RunResult r = engine.rank(l, method);
+    ASSERT_TRUE(r.ok()) << method_name(method) << ": " << r.status.message;
     EXPECT_EQ(r.method_used, method);
     testutil::expect_scan_eq(r.scan, want);
-    EXPECT_GT(r.cycles, 0.0) << method_name(method);
+    EXPECT_GT(r.stats.sim_cycles, 0.0) << method_name(method);
   }
 }
 
@@ -43,12 +65,12 @@ TEST(Api, AllMethodsAgreeOnScan) {
   Rng rng(2);
   const LinkedList l = random_list(2000, rng, ValueInit::kUniformSmall);
   const auto want = testutil::expected_scan(l, OpPlus{});
+  Engine engine = sim_engine();
   for (const Method method :
        {Method::kSerial, Method::kWyllie, Method::kMillerReif,
         Method::kAndersonMiller, Method::kReidMiller}) {
-    SimOptions opt;
-    opt.method = method;
-    const SimResult r = sim_list_scan(l, opt);
+    const RunResult r = engine.scan(l, ScanOp::kPlus, method);
+    ASSERT_TRUE(r.ok()) << method_name(method) << ": " << r.status.message;
     testutil::expect_scan_eq(r.scan, want);
   }
 }
@@ -56,39 +78,44 @@ TEST(Api, AllMethodsAgreeOnScan) {
 TEST(Api, EncodedRejectsScan) {
   Rng rng(3);
   const LinkedList l = random_list(100, rng);
-  SimOptions opt;
-  opt.method = Method::kReidMillerEncoded;
-  EXPECT_THROW(sim_list_scan(l, opt), std::invalid_argument);
+  Engine engine = sim_engine();
+  const RunResult r =
+      engine.scan(l, ScanOp::kPlus, Method::kReidMillerEncoded);
+  EXPECT_EQ(r.status.code, StatusCode::kUnsupported);
 }
 
 TEST(Api, InputListIsNotModified) {
   Rng rng(4);
   const LinkedList l = random_list(5000, rng, ValueInit::kUniformSmall);
   const LinkedList copy = l;
-  SimOptions opt;
-  opt.method = Method::kReidMiller;
-  sim_list_scan(l, opt);
+  Engine engine = sim_engine();
+  ASSERT_TRUE(engine.scan(l, ScanOp::kPlus, Method::kReidMiller).ok());
   EXPECT_TRUE(lists_equal(l, copy));
 }
 
 TEST(Api, NsConsistentWithCycles) {
   Rng rng(5);
   const LinkedList l = random_list(4000, rng);
-  const SimResult r = sim_list_rank(l);
-  EXPECT_NEAR(r.ns, r.cycles * 4.2, 1e-6);
-  EXPECT_NEAR(r.ns_per_vertex, r.ns / 4000.0, 1e-9);
+  Engine engine = sim_engine();
+  const RunResult r = engine.rank(l);
+  ASSERT_TRUE(r.ok());
+  EXPECT_NEAR(r.stats.sim_ns, r.stats.sim_cycles * 4.2, 1e-6);
+  EXPECT_NEAR(r.stats.sim_ns_per_vertex, r.stats.sim_ns / 4000.0, 1e-9);
 }
 
 TEST(Api, EmptyAndSingletonLists) {
-  LinkedList empty;
-  const SimResult r0 = sim_list_rank(empty);
+  Engine engine = sim_engine();
+  const LinkedList empty;
+  const RunResult r0 = engine.rank(empty);
+  ASSERT_TRUE(r0.ok());
   EXPECT_TRUE(r0.scan.empty());
 
   LinkedList one;
   one.next = {0};
   one.value = {7};
   one.head = 0;
-  const SimResult r1 = sim_list_scan(one);
+  const RunResult r1 = engine.scan(one, ScanOp::kPlus);
+  ASSERT_TRUE(r1.ok());
   ASSERT_EQ(r1.scan.size(), 1u);
   EXPECT_EQ(r1.scan[0], 0);
 }
@@ -96,14 +123,13 @@ TEST(Api, EmptyAndSingletonLists) {
 TEST(Api, ProcessorsReduceSimulatedTime) {
   Rng rng(6);
   const LinkedList l = random_list(200000, rng);
-  SimOptions o1;
-  o1.method = Method::kReidMiller;
-  o1.processors = 1;
-  SimOptions o8 = o1;
-  o8.processors = 8;
-  const double t1 = sim_list_rank(l, o1).ns;
-  const double t8 = sim_list_rank(l, o8).ns;
-  EXPECT_LT(t8, t1 / 4.0);
+  Engine one = sim_engine(1);
+  Engine eight = sim_engine(8);
+  const RunResult r1 = one.rank(l, Method::kReidMiller);
+  const RunResult r8 = eight.rank(l, Method::kReidMiller);
+  ASSERT_TRUE(r1.ok());
+  ASSERT_TRUE(r8.ok());
+  EXPECT_LT(r8.stats.sim_ns, r1.stats.sim_ns / 4.0);
 }
 
 TEST(Api, MethodNamesAreStable) {
@@ -113,15 +139,15 @@ TEST(Api, MethodNamesAreStable) {
 }
 
 TEST(Api, SeedChangesNothingButCost) {
+  // The seed picks the sublist boundaries; the answer never depends on it.
   Rng rng(7);
   const LinkedList l = random_list(10000, rng);
-  SimOptions a;
-  a.method = Method::kReidMiller;
-  a.seed = 1;
-  SimOptions b = a;
-  b.seed = 999;
-  const SimResult ra = sim_list_rank(l, a);
-  const SimResult rb = sim_list_rank(l, b);
+  Engine a = sim_engine(1, 1);
+  Engine b = sim_engine(1, 999);
+  const RunResult ra = a.rank(l, Method::kReidMiller);
+  const RunResult rb = b.rank(l, Method::kReidMiller);
+  ASSERT_TRUE(ra.ok());
+  ASSERT_TRUE(rb.ok());
   testutil::expect_scan_eq(ra.scan, rb.scan);
 }
 

@@ -5,11 +5,9 @@
 #include <limits>
 
 #include "analysis/tuner.hpp"
-#include "core/api.hpp"
 #include "core/host_exec.hpp"
 #include "lists/generators.hpp"
 #include "lists/validate.hpp"
-#include "support/cpu_features.hpp"
 #include "test_util.hpp"
 
 namespace lr90 {
@@ -292,6 +290,10 @@ TEST(Engine, RepeatedRunsAreDeterministic) {
 // -- planner ----------------------------------------------------------------
 
 TEST(Planner, SimCrossoversAtLegacyBoundaries) {
+  // The fixed Fig. 1 crossovers the library once hard-coded: serial up to
+  // 128 vertices, Wyllie up to 1024, Reid-Miller beyond.
+  constexpr std::size_t kAutoSerialMax = 128;
+  constexpr std::size_t kAutoWyllieMax = 1024;
   const Planner planner(backend_options(BackendKind::kSim));
   for (const bool rank : {false, true}) {
     // At the legacy serial/Wyllie boundary the model still prefers serial
@@ -420,14 +422,14 @@ TEST(Planner, PicksPackedInterleavedForLargeN) {
     const auto d = planner.decide(1u << 20, Method::kAuto, /*rank=*/true);
     EXPECT_EQ(d.method, Method::kReidMiller) << threads << " threads";
     EXPECT_GT(d.interleave, 1u) << threads << " threads";
-    // Lane-capable scans interleave too; 64-bit-value operators get the
-    // legacy kernels (interleave 0).
+    // Scans interleave too, the 64-bit-value operators over the list
+    // arrays.
     const auto scan =
         planner.decide(1u << 20, Method::kAuto, false, ScanOp::kMin);
     EXPECT_GT(scan.interleave, 1u);
     const auto wide =
         planner.decide(1u << 20, Method::kAuto, false, ScanOp::kAffine);
-    EXPECT_EQ(wide.interleave, 0u);
+    EXPECT_GT(wide.interleave, 1u);
   }
   // Tiny lists still take the serial walk.
   EngineOptions one = backend_options(BackendKind::kHost);
@@ -444,6 +446,28 @@ TEST(Planner, PicksPackedInterleavedForLargeN) {
   const Planner p1(pinned1);
   EXPECT_EQ(p1.decide(1u << 20, Method::kAuto, true).method,
             Method::kSerial);
+}
+
+TEST(Planner, OneThreadCrossesFromSerialToSublistsBetween2To15And2To18) {
+  // The served shape: one worker per request. At n = 2^15 the whole list
+  // sits in L2 and the serial walk beats W cursors plus the sublist
+  // phases; by 2^18 the cursors win -- for ranks, lane scans and the
+  // list-array operators alike.
+  EngineOptions one = backend_options(BackendKind::kHost);
+  one.threads = 1;
+  const Planner planner(one);
+  const auto check = [&](bool rank, ScanOp op) {
+    SCOPED_TRACE(rank ? "rank" : scan_op_name(op));
+    EXPECT_EQ(planner.decide(1u << 15, Method::kAuto, rank, op).method,
+              Method::kSerial);
+    const auto big = planner.decide(1u << 18, Method::kAuto, rank, op);
+    EXPECT_EQ(big.method, Method::kReidMiller);
+    EXPECT_EQ(big.threads, 1u);
+    EXPECT_GT(big.interleave, 1u);
+  };
+  check(true, ScanOp::kPlus);
+  check(false, ScanOp::kPlus);
+  check(false, ScanOp::kAffine);
 }
 
 TEST(Engine, LargeRankRunsPackedAndReportsCursors) {
@@ -474,9 +498,9 @@ TEST(Engine, PinnedInterleaveIsHonoured) {
   }
 }
 
-TEST(Engine, WideValuesFallBackToLegacyKernelsNeverWrong) {
+TEST(Engine, WideValuesWalkTheListArraysNeverWrong) {
   // Values outside the signed 32-bit lane fail the pack-time fit check;
-  // the run must fall back to the unpacked kernels and stay bit-exact.
+  // the run must walk the list arrays instead and stay bit-exact.
   Rng rng(23);
   LinkedList l = random_list(30000, rng, ValueInit::kSigned);
   l.value[12345] = (value_t{1} << 40) + 7;
@@ -486,6 +510,7 @@ TEST(Engine, WideValuesFallBackToLegacyKernelsNeverWrong) {
   ASSERT_TRUE(r.ok()) << r.status.message;
   EXPECT_EQ(r.method_used, Method::kReidMiller);
   EXPECT_FALSE(r.stats.host_packed);
+  EXPECT_EQ(r.stats.kernel_tier, KernelTier::kListArrays);
   testutil::expect_scan_eq(r.scan,
                            testutil::expected_scan(l, OpPlus{}));
   // The same engine still packs the next lane-clean request.
@@ -582,52 +607,68 @@ TEST(Engine, PinnedS1SurvivesAutoM) {
   EXPECT_NE(tuned.stats.sim_cycles, pinned.stats.sim_cycles);
 }
 
-// -- shims ------------------------------------------------------------------
+TEST(KernelTier, NamesAndCodesAreStable) {
+  // Benches record the tier as its numeric code, so the list-array value
+  // keeps the code the one-cursor tier had before it.
+  EXPECT_EQ(static_cast<int>(KernelTier::kAuto), 0);
+  EXPECT_EQ(static_cast<int>(KernelTier::kListArrays), 1);
+  EXPECT_EQ(static_cast<int>(KernelTier::kPackedCursors), 2);
+  EXPECT_STREQ(kernel_tier_name(KernelTier::kAuto), "auto");
+  EXPECT_STREQ(kernel_tier_name(KernelTier::kListArrays), "list-arrays");
+  EXPECT_STREQ(kernel_tier_name(KernelTier::kPackedCursors),
+               "packed-cursors");
+}
 
-TEST(Engine, SimShimMatchesEngine) {
-  Rng rng(11);
-  const LinkedList l = random_list(3000, rng);
-
-  SimOptions so;
-  so.method = Method::kReidMiller;
-  so.seed = 99;
-  // The deprecated shim's equivalence to the Engine is what this test pins.
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-  const SimResult shim = sim_list_rank(l, so);
-#pragma GCC diagnostic pop
-
-  EngineOptions eo;
-  eo.backend = BackendKind::kSim;
-  eo.seed = 99;
-  Engine engine(std::move(eo));
-  const RunResult direct = engine.rank(l, Method::kReidMiller);
-  ASSERT_TRUE(direct.ok());
-
-  EXPECT_EQ(shim.scan, direct.scan);
-  EXPECT_DOUBLE_EQ(shim.cycles, direct.stats.sim_cycles);
-  EXPECT_EQ(shim.method_used, direct.method_used);
+TEST(Engine, TierOptionPlansAndAnswersAlike) {
+  // EngineOptions::tier is accepted for source compatibility only: every
+  // value plans the same shape, and the hop source that runs follows the
+  // operator (ranks walk the slab, affine the list arrays).
+  Rng rng(27);
+  const LinkedList l = random_list(1u << 16, rng, ValueInit::kUniformSmall);
+  const auto shape = [&](KernelTier tier, bool rank) {
+    EngineOptions eo = backend_options(BackendKind::kHost);
+    eo.tier = tier;
+    Engine engine(std::move(eo));
+    RunResult r = rank ? engine.rank(l) : engine.scan(l, ScanOp::kAffine);
+    EXPECT_TRUE(r.ok()) << kernel_tier_name(tier) << ": "
+                        << r.status.message;
+    return r;
+  };
+  for (const bool rank : {true, false}) {
+    SCOPED_TRACE(rank ? "rank" : "affine");
+    const RunResult base = shape(KernelTier::kAuto, rank);
+    ASSERT_EQ(base.method_used, Method::kReidMiller);
+    EXPECT_EQ(base.stats.kernel_tier,
+              rank ? KernelTier::kPackedCursors : KernelTier::kListArrays);
+    testutil::expect_scan_eq(
+        base.scan, rank ? reference_rank(l)
+                        : testutil::expected_scan(l, OpAffine{}));
+    for (const KernelTier tier :
+         {KernelTier::kListArrays, KernelTier::kPackedCursors}) {
+      const RunResult r = shape(tier, rank);
+      EXPECT_EQ(r.method_used, base.method_used) << kernel_tier_name(tier);
+      EXPECT_EQ(r.stats.host_threads, base.stats.host_threads);
+      EXPECT_EQ(r.stats.host_interleave, base.stats.host_interleave);
+      EXPECT_EQ(r.stats.kernel_tier, base.stats.kernel_tier);
+      EXPECT_EQ(r.scan, base.scan);
+    }
+  }
 }
 
 TEST(Planner, AutoThreadsComeFromTheJointGrid) {
   // threads = 0: the planner resolves the worker count from the joint
-  // (tier x threads x W) grid, capped at the machine. The pick must agree
-  // with the model evaluated at the same cap and the same tier families
-  // this CPU can run, whatever this machine is.
+  // (threads x W) grid, capped at the machine. The pick must agree with
+  // the model evaluated at the same cap, whatever this machine is.
   EngineOptions eo;
   eo.backend = BackendKind::kHost;
   eo.threads = 0;
   const Planner planner(eo);
   const unsigned eff = host_exec::effective_threads(0);
-  const TuneTier tt = simd_gather_available() ? TuneTier::kBoth
-                                              : TuneTier::kCursorsOnly;
   const auto d = planner.decide(1u << 22, Method::kAuto, /*rank=*/true);
   ASSERT_EQ(d.method, Method::kReidMiller);
-  const HostTuneResult ht = host_tune(1u << 22, 1.0, eff, 0, 0, {}, tt);
+  const HostTuneResult ht = host_tune(1u << 22, 1.0, eff);
   EXPECT_EQ(d.threads, std::max(1u, std::min(ht.threads, eff)));
   EXPECT_EQ(d.interleave, ht.interleave);
-  EXPECT_EQ(d.tier, ht.simd ? KernelTier::kSimdGather
-                            : KernelTier::kPackedCursors);
 
   // On an (emulated) 8-thread machine the joint grid wants real thread
   // parallelism for a DRAM-resident list, and W re-tuned at that count.
@@ -637,7 +678,7 @@ TEST(Planner, AutoThreadsComeFromTheJointGrid) {
   const auto d8 = p8.decide(1u << 22, Method::kAuto, /*rank=*/true);
   ASSERT_EQ(d8.method, Method::kReidMiller);
   EXPECT_EQ(d8.threads, 8u);
-  EXPECT_EQ(d8.interleave, host_tune(1u << 22, 1.0, 8, 8, 0, {}, tt).interleave);
+  EXPECT_EQ(d8.interleave, host_tune(1u << 22, 1.0, 8, 8).interleave);
 }
 
 TEST(Engine, ReportsThreadsAndPerPhaseTimings) {

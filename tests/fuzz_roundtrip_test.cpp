@@ -189,6 +189,9 @@ TEST(ValidateFuzz, ValidListsStayValidThroughEveryEngineRun) {
       ASSERT_TRUE(sim.scan(l, ScanOp::kPlus, m).ok()) << method_name(m);
       ASSERT_TRUE(lists_equal(l, before)) << method_name(m);
     }
+    Engine host({.backend = BackendKind::kHost, .threads = 4});
+    ASSERT_TRUE(host.scan(l, ScanOp::kPlus, Method::kReidMiller).ok());
+    ASSERT_TRUE(lists_equal(l, before)) << "host";
   }
 }
 

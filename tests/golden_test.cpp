@@ -7,15 +7,27 @@
 
 #include "baselines/serial.hpp"
 #include "baselines/wyllie.hpp"
-#include "core/api.hpp"
+#include "core/engine.hpp"
 #include "lists/generators.hpp"
-
-// The golden pins predate the Engine facade and intentionally go through
-// the deprecated sim shims (same cycle accounting either way).
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
 
 namespace lr90 {
 namespace {
+
+/// One run on a fresh sim-backend Engine with an explicit method.
+RunResult sim_run(const LinkedList& l, bool rank, Method method,
+                  std::uint64_t seed = kDefaultSeed,
+                  bool validate_input = false) {
+  EngineOptions eo;
+  eo.backend = BackendKind::kSim;
+  eo.seed = seed;
+  eo.validate_input = validate_input;
+  Engine engine(std::move(eo));
+  Request req;
+  req.list = &l;
+  req.rank = rank;
+  req.method = method;
+  return engine.run(req);
+}
 
 TEST(Golden, SerialRankCyclesExact) {
   Rng rng(1);
@@ -76,13 +88,13 @@ TEST(Golden, SimRunsAreDeterministic) {
   for (const Method method :
        {Method::kWyllie, Method::kMillerReif, Method::kAndersonMiller,
         Method::kReidMiller}) {
-    SimOptions opt;
-    opt.method = method;
-    opt.seed = 99;
-    const SimResult a = sim_list_scan(l, opt);
-    const SimResult b = sim_list_scan(l, opt);
-    EXPECT_DOUBLE_EQ(a.cycles, b.cycles) << method_name(method);
-    EXPECT_EQ(a.stats.rounds, b.stats.rounds) << method_name(method);
+    const RunResult a = sim_run(l, /*rank=*/false, method, 99);
+    const RunResult b = sim_run(l, /*rank=*/false, method, 99);
+    ASSERT_TRUE(a.ok() && b.ok()) << method_name(method);
+    EXPECT_DOUBLE_EQ(a.stats.sim_cycles, b.stats.sim_cycles)
+        << method_name(method);
+    EXPECT_EQ(a.stats.algo.rounds, b.stats.algo.rounds)
+        << method_name(method);
   }
 }
 
@@ -94,9 +106,8 @@ TEST(Golden, AsymptoticEnvelopes) {
   const std::size_t n = 1 << 20;
   const LinkedList l = random_list(n, rng);
   auto cpv = [&](Method method) {
-    SimOptions opt;
-    opt.method = method;
-    return (sim_list_rank(l, opt).cycles) / static_cast<double>(n);
+    return sim_run(l, /*rank=*/true, method).stats.sim_cycles /
+           static_cast<double>(n);
   };
   const double serial = cpv(Method::kSerial);
   EXPECT_NEAR(serial, 42.1, 0.1);
@@ -126,24 +137,27 @@ TEST(Golden, ContentionFactorsPinned) {
   }
 }
 
-TEST(Golden, ValidateInputThrowsOnMalformedList) {
+TEST(Golden, ValidateInputRejectsMalformedList) {
   LinkedList bad;
   bad.next = {1, 0};  // two-cycle, no tail
   bad.value = {1, 1};
   bad.head = 0;
-  SimOptions opt;
-  opt.validate_input = true;
-  EXPECT_THROW(sim_list_rank(bad, opt), std::invalid_argument);
-  opt.method = Method::kSerial;
-  EXPECT_THROW(sim_list_scan(bad, opt), std::invalid_argument);
+  EXPECT_EQ(sim_run(bad, /*rank=*/true, Method::kReidMiller, kDefaultSeed,
+                    /*validate_input=*/true)
+                .status.code,
+            StatusCode::kInvalidInput);
+  EXPECT_EQ(sim_run(bad, /*rank=*/false, Method::kSerial, kDefaultSeed,
+                    /*validate_input=*/true)
+                .status.code,
+            StatusCode::kInvalidInput);
 }
 
 TEST(Golden, ValidateInputAcceptsGoodList) {
   Rng rng(6);
   const LinkedList l = random_list(100, rng);
-  SimOptions opt;
-  opt.validate_input = true;
-  EXPECT_NO_THROW(sim_list_rank(l, opt));
+  EXPECT_TRUE(sim_run(l, /*rank=*/true, Method::kReidMiller, kDefaultSeed,
+                      /*validate_input=*/true)
+                  .ok());
 }
 
 }  // namespace

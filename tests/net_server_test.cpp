@@ -344,7 +344,7 @@ TEST(NetServer, HttpGetStatsAdapterAnswersCurlShapedRequests) {
     ASSERT_EQ(resp.status, WireStatus::kOk) << resp.text;
   }
   const serve::ServerStats ss = server.serve_stats();
-  EXPECT_GE(ss.tier_legacy_runs + ss.tier_packed_runs + ss.tier_simd_runs, 1u);
+  EXPECT_GE(ss.tier_list_arrays_runs + ss.tier_packed_runs, 1u);
 
   {
     // A curl-shaped request: short request line, then headers that push
@@ -362,9 +362,9 @@ TEST(NetServer, HttpGetStatsAdapterAnswersCurlShapedRequests) {
     EXPECT_EQ(text.rfind("HTTP/1.0 200 OK\r\n", 0), 0u) << text;
     EXPECT_NE(text.find("Content-Type: text/plain"), std::string::npos) << text;
     EXPECT_NE(text.find("net_req_stats "), std::string::npos) << text;
-    EXPECT_NE(text.find("tier_legacy_runs "), std::string::npos) << text;
+    EXPECT_NE(text.find("tier_list_arrays_runs "), std::string::npos)
+        << text;
     EXPECT_NE(text.find("tier_packed_runs "), std::string::npos) << text;
-    EXPECT_NE(text.find("tier_simd_runs "), std::string::npos) << text;
   }
   {
     NetClient client = connect_client(server);

@@ -1,10 +1,12 @@
-#include "core/parallel_host.hpp"
+// The host backend's parallel sublist kernel, driven through the Engine:
+// explicit thread counts, the lane operators, seeds, sublist
+// oversubscription and the tiny-list sublist clamp all stay bit-exact
+// against the reference walk, and the input list is never written.
+// Method::kReidMiller is requested where a test needs the sublist kernel
+// itself rather than the planner's pick.
+#include "core/engine.hpp"
 
 #include <gtest/gtest.h>
-
-// These tests pin the legacy shims' contract for their final deprecation
-// release; calling them here is the point.
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
 
 #include "lists/generators.hpp"
 #include "lists/validate.hpp"
@@ -13,21 +15,35 @@
 namespace lr90 {
 namespace {
 
+/// Host-backend options on `threads` workers (0 = the planner's pick).
+EngineOptions host_options(unsigned threads = 0) {
+  EngineOptions eo;
+  eo.backend = BackendKind::kHost;
+  eo.threads = threads;
+  return eo;
+}
+
 TEST(ParallelHost, RankMatchesReferenceAcrossSizes) {
   Rng rng(1);
+  Engine engine(host_options(4));
   for (const std::size_t n : testutil::sweep_sizes()) {
     const LinkedList l = random_list(n, rng);
-    const auto got = host_list_rank(l);
-    testutil::expect_scan_eq(got, reference_rank(l));
+    for (const Method method : {Method::kAuto, Method::kReidMiller}) {
+      const RunResult r = engine.rank(l, method);
+      ASSERT_TRUE(r.ok()) << "n=" << n << ": " << r.status.message;
+      testutil::expect_scan_eq(r.scan, reference_rank(l));
+    }
   }
 }
 
 TEST(ParallelHost, ScanMatchesReference) {
   Rng rng(2);
+  Engine engine(host_options());
   for (const std::size_t n : {3u, 100u, 10000u, 100000u}) {
     const LinkedList l = random_list(n, rng, ValueInit::kUniformSmall);
-    const auto got = host_list_scan(l);
-    testutil::expect_scan_eq(got, testutil::expected_scan(l, OpPlus{}));
+    const RunResult r = engine.scan(l, ScanOp::kPlus);
+    ASSERT_TRUE(r.ok()) << "n=" << n << ": " << r.status.message;
+    testutil::expect_scan_eq(r.scan, testutil::expected_scan(l, OpPlus{}));
   }
 }
 
@@ -36,42 +52,54 @@ TEST(ParallelHost, ExplicitThreadCounts) {
   const LinkedList l = random_list(20000, rng, ValueInit::kUniformSmall);
   const auto want = testutil::expected_scan(l, OpPlus{});
   for (const unsigned threads : {1u, 2u, 3u, 8u}) {
-    HostOptions opt;
-    opt.threads = threads;
-    testutil::expect_scan_eq(host_list_scan(l, OpPlus{}, opt), want);
+    Engine engine(host_options(threads));
+    const RunResult r = engine.scan(l, ScanOp::kPlus, Method::kReidMiller);
+    ASSERT_TRUE(r.ok()) << threads << " threads: " << r.status.message;
+    EXPECT_EQ(r.stats.host_threads, threads);
+    testutil::expect_scan_eq(r.scan, want);
   }
 }
 
 TEST(ParallelHost, MinMaxXorOperators) {
   Rng rng(4);
   const LinkedList l = random_list(5000, rng, ValueInit::kSigned);
-  HostOptions opt;
-  opt.threads = 4;
-  testutil::expect_scan_eq(host_list_scan(l, OpMin{}, opt),
+  Engine engine(host_options(4));
+  const auto scan = [&](ScanOp op) {
+    const RunResult r = engine.scan(l, op, Method::kReidMiller);
+    EXPECT_TRUE(r.ok()) << scan_op_name(op) << ": " << r.status.message;
+    return r.scan;
+  };
+  testutil::expect_scan_eq(scan(ScanOp::kMin),
                            testutil::expected_scan(l, OpMin{}));
-  testutil::expect_scan_eq(host_list_scan(l, OpMax{}, opt),
+  testutil::expect_scan_eq(scan(ScanOp::kMax),
                            testutil::expected_scan(l, OpMax{}));
-  testutil::expect_scan_eq(host_list_scan(l, OpXor{}, opt),
+  testutil::expect_scan_eq(scan(ScanOp::kXor),
                            testutil::expected_scan(l, OpXor{}));
 }
 
 TEST(ParallelHost, ManySublistsPerThread) {
   Rng rng(5);
   const LinkedList l = random_list(50000, rng);
-  HostOptions opt;
-  opt.threads = 2;
-  opt.sublists_per_thread = 500;
-  testutil::expect_scan_eq(host_list_rank(l, opt), reference_rank(l));
+  EngineOptions eo = host_options(2);
+  eo.sublists_per_thread = 500;
+  Engine engine(std::move(eo));
+  const RunResult r = engine.rank(l);
+  ASSERT_TRUE(r.ok());
+  EXPECT_EQ(r.stats.host_threads, 2u);
+  testutil::expect_scan_eq(r.scan, reference_rank(l));
 }
 
 TEST(ParallelHost, SublistCountClampedForTinyLists) {
+  // 8 threads x 1000 sublists asked of a 6-vertex list: the kernel clamps
+  // the sublist count to n/2.
   Rng rng(6);
   const LinkedList l = random_list(6, rng, ValueInit::kUniformSmall);
-  HostOptions opt;
-  opt.threads = 8;
-  opt.sublists_per_thread = 1000;
-  testutil::expect_scan_eq(host_list_scan(l, OpPlus{}, opt),
-                           testutil::expected_scan(l, OpPlus{}));
+  EngineOptions eo = host_options(8);
+  eo.sublists_per_thread = 1000;
+  Engine engine(std::move(eo));
+  const RunResult r = engine.scan(l, ScanOp::kPlus, Method::kReidMiller);
+  ASSERT_TRUE(r.ok()) << r.status.message;
+  testutil::expect_scan_eq(r.scan, testutil::expected_scan(l, OpPlus{}));
 }
 
 TEST(ParallelHost, SeedInvariance) {
@@ -79,10 +107,12 @@ TEST(ParallelHost, SeedInvariance) {
   const LinkedList l = random_list(30000, rng, ValueInit::kUniformSmall);
   const auto want = testutil::expected_scan(l, OpPlus{});
   for (const std::uint64_t seed : {1ULL, 42ULL, 777ULL}) {
-    HostOptions opt;
-    opt.seed = seed;
-    opt.threads = 3;
-    testutil::expect_scan_eq(host_list_scan(l, OpPlus{}, opt), want);
+    EngineOptions eo = host_options(3);
+    eo.seed = seed;
+    Engine engine(std::move(eo));
+    const RunResult r = engine.scan(l, ScanOp::kPlus, Method::kReidMiller);
+    ASSERT_TRUE(r.ok()) << "seed " << seed << ": " << r.status.message;
+    testutil::expect_scan_eq(r.scan, want);
   }
 }
 
@@ -90,17 +120,18 @@ TEST(ParallelHost, InputUntouched) {
   Rng rng(8);
   const LinkedList l = random_list(10000, rng, ValueInit::kUniformSmall);
   const LinkedList copy = l;
-  HostOptions opt;
-  opt.threads = 4;
-  host_list_scan(l, OpPlus{}, opt);
+  Engine engine(host_options(4));
+  ASSERT_TRUE(engine.scan(l, ScanOp::kPlus, Method::kReidMiller).ok());
+  ASSERT_TRUE(engine.rank(l, Method::kReidMiller).ok());
   EXPECT_TRUE(lists_equal(l, copy));
 }
 
 TEST(ParallelHost, SequentialLayout) {
   const LinkedList l = sequential_list(8192);
-  HostOptions opt;
-  opt.threads = 4;
-  testutil::expect_scan_eq(host_list_rank(l, opt), reference_rank(l));
+  Engine engine(host_options(4));
+  const RunResult r = engine.rank(l, Method::kReidMiller);
+  ASSERT_TRUE(r.ok());
+  testutil::expect_scan_eq(r.scan, reference_rank(l));
 }
 
 }  // namespace

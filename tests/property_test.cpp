@@ -26,7 +26,6 @@
 #include "lists/validate.hpp"
 #include "serve/server.hpp"
 #include "shard/sharded.hpp"
-#include "support/cpu_features.hpp"
 #include "test_util.hpp"
 
 namespace lr90 {
@@ -45,10 +44,8 @@ LinkedList make_shape(Shape shape, std::size_t n, ValueInit init, Rng& rng) {
   return {};
 }
 
-// Engine-based replacements for the deprecated sim_list_rank /
-// sim_list_scan / host_list_scan shims: a throwaway engine per call
-// keeps the property bodies one-liners while exercising the supported
-// entry point.
+// A throwaway engine per call keeps the property bodies one-liners while
+// exercising the library's entry point.
 std::vector<value_t> sim_rank(const LinkedList& l, Method method,
                               unsigned processors = 1,
                               std::uint64_t seed = kDefaultSeed) {
@@ -242,12 +239,11 @@ INSTANTIATE_TEST_SUITE_P(
                           Method::kReidMiller, Method::kReidMillerEncoded)));
 
 // ---------------------------------------------------------------------
-// The packed multi-cursor hot path: every forced interleave width
-// (including the degenerate W=1), every generator shape and size class,
-// every operator -- bit-exact against the serial oracle. Lane-capable
-// operators run the packed single-gather kernels; the 64-bit-value
-// operators must transparently take the legacy kernels under the same
-// forced plan, never a wrong answer.
+// The multi-cursor driver: every forced interleave width (including the
+// degenerate W=1), every generator shape and size class, every operator
+// -- bit-exact against the serial oracle. Lane-capable operators walk the
+// single-gather slab; the 64-bit-value operators walk the list arrays
+// with the same driver at the same forced width.
 // ---------------------------------------------------------------------
 
 class HostInterleaveHarness : public ::testing::TestWithParam<unsigned> {};
@@ -276,11 +272,10 @@ TEST_P(HostInterleaveHarness, AllWidthsMatchSerialOracle) {
         ASSERT_TRUE(r.ok()) << r.status.message;
         testutil::expect_scan_eq(r.scan, oracle_scan(l, op));
         if (r.method_used == Method::kReidMiller) {
-          // Lane-capable operators must actually take the packed path at
-          // the forced width; the two-lane operators must not.
+          // Every operator runs the cursor driver at the forced width;
+          // only the lane-capable ones walk the slab.
           EXPECT_EQ(r.stats.host_packed, scan_op_lane32(op));
-          if (r.stats.host_packed)
-            EXPECT_EQ(r.stats.host_interleave, width);
+          EXPECT_EQ(r.stats.host_interleave, width);
         }
 
         const RunResult rank = engine.rank(l);
@@ -289,110 +284,24 @@ TEST_P(HostInterleaveHarness, AllWidthsMatchSerialOracle) {
       }
     }
   }
+
+  // A plus scan with one value past the 32-bit lane: the slab's fit check
+  // fails and the same driver walks the list arrays at the forced width.
+  Rng rng(0x0f10);
+  LinkedList wide = random_list(8192, rng, ValueInit::kSigned);
+  wide.value[1234] = (value_t{1} << 31) + 5;
+  SCOPED_TRACE("repro: seed=3856 lane overflow W=" + std::to_string(width));
+  const RunResult r = engine.run(OpRequest{&wide, ScanOp::kPlus});
+  ASSERT_TRUE(r.ok()) << r.status.message;
+  testutil::expect_scan_eq(r.scan, oracle_scan(wide, ScanOp::kPlus));
+  ASSERT_EQ(r.method_used, Method::kReidMiller);
+  EXPECT_FALSE(r.stats.host_packed);
+  EXPECT_EQ(r.stats.kernel_tier, KernelTier::kListArrays);
+  EXPECT_EQ(r.stats.host_interleave, width);
 }
 
 INSTANTIATE_TEST_SUITE_P(Widths, HostInterleaveHarness,
                          ::testing::Values(1u, 2u, 4u, 8u, 16u, 32u));
-
-// ---------------------------------------------------------------------
-// The SIMD gather tier: KernelTier::kSimdGather forced through the
-// Engine, every generator shape and size class, every operator, scan AND
-// rank -- bit-exact against the serial oracle. Lane-capable operators
-// must report the tier that can actually run here (kSimdGather on a
-// gather-capable CPU, the kPackedCursors downgrade otherwise); the
-// two-lane operators must land on kLegacy under the same forced plan.
-// Method::kReidMiller is requested explicitly so the sublist kernels run
-// even at sizes the auto planner would hand to the serial walk.
-// ---------------------------------------------------------------------
-
-class SimdTierHarness : public ::testing::TestWithParam<unsigned> {};
-
-TEST_P(SimdTierHarness, ForcedSimdMatchesSerialOracle) {
-  const unsigned width = GetParam();  // 0 = let the tuner pick W
-  EngineOptions opt;
-  opt.backend = BackendKind::kHost;
-  opt.threads = 3;
-  opt.tier = KernelTier::kSimdGather;
-  opt.interleave = width;
-  Engine engine(std::move(opt));
-  const KernelTier packed_tier = simd_gather_available()
-                                     ? KernelTier::kSimdGather
-                                     : KernelTier::kPackedCursors;
-  for (const ScanOp op : kAllScanOps) {
-    for (const Shape shape : kAllShapes) {
-      for (const std::size_t n : kHarnessSizes) {
-        const std::uint64_t seed = case_seed(shape, n, op) ^ 0x51b3d;
-        Rng rng(seed);
-        LinkedList l = make_shape(shape, n, ValueInit::kSigned, rng);
-        for (value_t& v : l.value) v = harness_value(op, v);
-
-        std::ostringstream repro;
-        repro << "repro: seed=" << seed << " shape=" << static_cast<int>(shape)
-              << " n=" << n << " op=" << scan_op_name(op) << " W=" << width
-              << " tier=simd-gather";
-        SCOPED_TRACE(repro.str());
-
-        const RunResult r = engine.run(OpRequest{&l, op, Method::kReidMiller});
-        ASSERT_TRUE(r.ok()) << r.status.message;
-        testutil::expect_scan_eq(r.scan, oracle_scan(l, op));
-        if (n >= 4) {
-          // The sublist kernels ran (want = min(sublists, n/2) >= 2):
-          // lane-capable operators must report the gather tier (or its
-          // CPU downgrade), two-lane operators the typed kLegacy
-          // fallback.
-          EXPECT_EQ(r.stats.kernel_tier,
-                    scan_op_lane32(op) ? packed_tier : KernelTier::kLegacy);
-          if (r.stats.kernel_tier == KernelTier::kSimdGather)
-            EXPECT_EQ(r.stats.host_interleave % 4, 0u)
-                << "SIMD cursors run in whole groups of 4 lanes";
-        }
-
-        const RunResult rank = engine.rank(l, Method::kReidMiller);
-        ASSERT_TRUE(rank.ok()) << rank.status.message;
-        testutil::expect_scan_eq(rank.scan, reference_rank(l));
-        if (n >= 4) EXPECT_EQ(rank.stats.kernel_tier, packed_tier);
-      }
-    }
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(Widths, SimdTierHarness,
-                         ::testing::Values(0u, 1u, 4u, 8u, 64u));
-
-// The runtime dispatcher itself: LR90_FORCE_SCALAR must route the SAME
-// binary onto the scalar cursor kernels, bit-exactly, and say so in
-// RunStats::kernel_tier -- the fallback CI proves on gather-capable
-// machines.
-TEST(SimdTierDispatch, ForcedScalarFallsBackBitExact) {
-  Rng rng(0x00d1);
-  const LinkedList l = random_list(4096, rng);
-
-  EngineOptions opt;
-  opt.backend = BackendKind::kHost;
-  opt.threads = 3;
-  opt.tier = KernelTier::kSimdGather;
-  Engine simd_engine{EngineOptions(opt)};
-  const RunResult before = simd_engine.rank(l, Method::kReidMiller);
-  ASSERT_TRUE(before.ok()) << before.status.message;
-  if (simd_gather_available())
-    EXPECT_EQ(before.stats.kernel_tier, KernelTier::kSimdGather);
-
-  ::setenv("LR90_FORCE_SCALAR", "1", /*overwrite=*/1);
-  refresh_cpu_features();
-  ASSERT_FALSE(simd_gather_available());
-  EXPECT_TRUE(cpu_features().forced_scalar);
-  // A fresh engine: the planner consults CPUID at decide time, and the
-  // forced-off dispatcher must land the same request on the scalar
-  // cursor family with the identical answer.
-  Engine scalar_engine{EngineOptions(opt)};
-  const RunResult after = scalar_engine.rank(l, Method::kReidMiller);
-  ::unsetenv("LR90_FORCE_SCALAR");
-  refresh_cpu_features();
-  ASSERT_TRUE(after.ok()) << after.status.message;
-  EXPECT_EQ(after.stats.kernel_tier, KernelTier::kPackedCursors);
-  testutil::expect_scan_eq(after.scan, before.scan);
-  testutil::expect_scan_eq(after.scan, reference_rank(l));
-}
 
 // ---------------------------------------------------------------------
 // Thread scaling: every forced (T, W) execution shape, every generator
@@ -433,8 +342,8 @@ TEST_P(HostThreadsHarness, AllThreadCountsMatchSerialOracle) {
         SCOPED_TRACE(repro.str());
         const std::vector<value_t> want = oracle_scan(l, op);
 
-        // Direct kernel, exact worker count (packed when the operator's
-        // values fit the 32-bit lane, the legacy kernels otherwise).
+        // Direct kernel, exact worker count (the slab when the operator's
+        // values fit the 32-bit lane, the list arrays otherwise).
         {
           host_exec::HostPlan plan;
           plan.threads = threads;

@@ -156,7 +156,7 @@ TEST(RankMany, ManySmallListsThreaded) {
   Rng rng(12);
   std::vector<LinkedList> lists;
   for (int i = 0; i < 50; ++i) lists.push_back(random_list(64, rng));
-  HostOptions opt;
+  EngineOptions opt;
   opt.threads = 4;
   const auto ranks = rank_many(lists, opt);
   for (std::size_t i = 0; i < lists.size(); ++i) {

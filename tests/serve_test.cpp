@@ -444,6 +444,50 @@ TEST(EngineServer, QueueDepthHighWaterAndPerKindCounters) {
   EXPECT_EQ(s.scan_requests, 1u);
 }
 
+TEST(EngineServer, TierCountersFollowTheHopSourceThatRan) {
+  // tier_packed_runs / tier_list_arrays_runs count the hop source each
+  // run actually walked: lane operators whose values fit walk the slab;
+  // affine, a plus scan with one value past the lane, and the serial walk
+  // read the list arrays. reset_stats() re-bases both.
+  Rng rng(53);
+  const LinkedList list = random_list(20000, rng, ValueInit::kSigned);
+  LinkedList wide = list;
+  wide.value[17] = value_t{1} << 40;
+  ServerOptions opt;
+  opt.engine.backend = BackendKind::kHost;
+  opt.engine.threads = 2;
+  opt.workers = 1;
+  EngineServer server(opt);
+
+  const auto run = [&](const Request& req) {
+    const RunResult r = server.submit(req).get();
+    EXPECT_TRUE(r.ok()) << r.status.message;
+    return r.stats.kernel_tier;
+  };
+  EXPECT_EQ(run(RankRequest{&list}), KernelTier::kPackedCursors);
+  EXPECT_EQ(run(ScanRequest{&list, ScanOp::kMax}),
+            KernelTier::kPackedCursors);
+  EXPECT_EQ(run(ScanRequest{&list, ScanOp::kAffine}),
+            KernelTier::kListArrays);
+  EXPECT_EQ(run(ScanRequest{&wide, ScanOp::kPlus}), KernelTier::kListArrays);
+  EXPECT_EQ(run(RankRequest{&list, Method::kSerial}),
+            KernelTier::kListArrays);
+  ServerStats s = server.stats();
+  EXPECT_EQ(s.tier_packed_runs, 2u);
+  EXPECT_EQ(s.tier_list_arrays_runs, 3u);
+
+  server.reset_stats();
+  s = server.stats();
+  EXPECT_EQ(s.tier_packed_runs, 0u);
+  EXPECT_EQ(s.tier_list_arrays_runs, 0u);
+  EXPECT_EQ(run(ScanRequest{&list, ScanOp::kSegSum}),
+            KernelTier::kListArrays);
+  server.shutdown();
+  s = server.stats();
+  EXPECT_EQ(s.tier_packed_runs, 0u);
+  EXPECT_EQ(s.tier_list_arrays_runs, 1u);
+}
+
 TEST(EngineServer, CallbackSubmitMatchesFutureSubmit) {
   // The callback flavour of submit() -- the event loop's integration
   // point -- must deliver exactly the result the future flavour does,

@@ -224,7 +224,7 @@ TEST(ShardedScan, LaneOpsMatchOracleUnderShardedPackedKernels) {
 
 TEST(ShardedScan, LaneOverflowFallsBackPerShardAndStaysExact) {
   // Values missing the signed 32-bit lane poison the per-shard slab build;
-  // the shard must take the legacy walks and still be bit-exact.
+  // the shard must walk its own arrays and still be bit-exact.
   Rng rng(13);
   LinkedList list = random_list(500, rng, ValueInit::kSigned);
   list.value[123] = (value_t{1} << 40);
@@ -234,13 +234,42 @@ TEST(ShardedScan, LaneOverflowFallsBackPerShardAndStaysExact) {
   run_and_check(list, /*rank=*/false, ScanOp::kPlus, exec);
 }
 
-TEST(ShardedScan, LegacyLaneForcedByZeroInterleaveMatchesOracle) {
+TEST(ShardedScan, ZeroInterleaveRunsOneCursorAndMatchesOracle) {
   Rng rng(17);
   const LinkedList list = random_list(1500, rng, ValueInit::kSigned);
   shard::ShardExec exec;
   exec.shards = 3;
-  exec.interleave = 0;  // force the scalar walks on every shard
-  run_and_check(list, /*rank=*/true, ScanOp::kPlus, exec);
+  exec.interleave = 0;  // clamps to one cursor per worker
+  const shard::ShardRunStats stats =
+      run_and_check(list, /*rank=*/true, ScanOp::kPlus, exec);
+  EXPECT_EQ(stats.interleave, 1u);
+  EXPECT_TRUE(stats.packed);
+}
+
+TEST(ShardedScan, TwoLaneOperatorsWalkTheShardArraysAtThePinnedWidth) {
+  // The shard passes run the same cursor driver for every operator: the
+  // two-lane operators walk each shard's arrays (ShardHops) at the pinned
+  // width, while a rank of the same list walks the per-shard slabs.
+  Rng rng(19);
+  LinkedList list = random_list(3000, rng, ValueInit::kSigned);
+  for (value_t& v : list.value) v &= 0xffff;  // keep max-plus in-lane
+  shard::ShardExec exec;
+  exec.shards = 4;
+  exec.threads = 2;
+  exec.interleave = 8;
+  for (const ScanOp op :
+       {ScanOp::kSegSum, ScanOp::kAffine, ScanOp::kMaxPlus}) {
+    SCOPED_TRACE(scan_op_name(op));
+    const shard::ShardRunStats stats =
+        run_and_check(list, /*rank=*/false, op, exec);
+    EXPECT_EQ(stats.shards, 4u);
+    EXPECT_EQ(stats.interleave, 8u);
+    EXPECT_FALSE(stats.packed);
+  }
+  const shard::ShardRunStats rank =
+      run_and_check(list, /*rank=*/true, ScanOp::kPlus, exec);
+  EXPECT_EQ(rank.interleave, 8u);
+  EXPECT_TRUE(rank.packed);
 }
 
 TEST(ShardedScan, SpillTierIsBitExactAndCountsSpillsLoadsPrefetch) {
@@ -318,6 +347,8 @@ TEST(ShardPlanner, AutoShardsBeyondThePackedLinkLaneBound) {
 }
 
 TEST(ShardPlanner, AutoShardOffStillNeverPlansPackedPastTheBound) {
+  // With auto-shard off the run stays unsharded; the kernel itself walks
+  // the list arrays for links that cannot fit the slab's 31-bit lane.
   EngineOptions opt;
   opt.backend = BackendKind::kHost;
   opt.shard.auto_shard = false;
@@ -325,9 +356,6 @@ TEST(ShardPlanner, AutoShardOffStillNeverPlansPackedPastTheBound) {
   const auto d =
       planner.decide(kHotMaxVertices + 5, Method::kAuto, /*rank=*/true);
   EXPECT_EQ(d.shard_count, 0u);
-  // Whatever method it picks, the packed kernels (interleave >= 1) must
-  // not be planned for links that cannot fit the 31-bit lane.
-  EXPECT_EQ(d.interleave, 0u);
 }
 
 TEST(ShardPlanner, BelowTheBoundStaysUnsharded) {
@@ -398,7 +426,7 @@ TEST(ShardEngine, ExplicitSerialRequestIsHonouredUnsharded) {
   EXPECT_EQ(r.stats.shard_count, 0u);
 }
 
-TEST(ShardEngine, SixtyFourBitOperatorRunsShardedViaLegacyLanes) {
+TEST(ShardEngine, SixtyFourBitOperatorRunsShardedOverTheListArrays) {
   EngineOptions opt;
   opt.backend = BackendKind::kHost;
   opt.shard.shards = 3;
@@ -409,7 +437,35 @@ TEST(ShardEngine, SixtyFourBitOperatorRunsShardedViaLegacyLanes) {
   const RunResult r = engine.scan(list, ScanOp::kMaxPlus);
   ASSERT_TRUE(r.ok()) << r.status.message;
   EXPECT_EQ(r.stats.shard_count, 3u);
-  EXPECT_FALSE(r.stats.host_packed);  // 64-bit lanes: legacy walks
+  EXPECT_FALSE(r.stats.host_packed);  // 64-bit lanes: the list arrays
+  EXPECT_EQ(r.stats.kernel_tier, KernelTier::kListArrays);
+}
+
+TEST(ShardEngine, LaneOverflowReportsTheListArraysNotTheSlab) {
+  // Regression: a sharded run used to derive host_packed / kernel_tier
+  // from the operator, so a plus scan with one value past the 32-bit lane
+  // reported the slab while that shard walked its arrays.
+  EngineOptions opt;
+  opt.backend = BackendKind::kHost;
+  opt.shard.shards = 4;
+  Engine engine(opt);
+  Rng rng(47);
+  LinkedList list = random_list(1u << 16, rng, ValueInit::kSigned);
+  list.value[4321] = value_t{1} << 40;
+  const RunResult r = engine.scan(list, ScanOp::kPlus);
+  ASSERT_TRUE(r.ok()) << r.status.message;
+  testutil::expect_scan_eq(r.scan, oracle(list, false, ScanOp::kPlus));
+  EXPECT_EQ(r.stats.shard_count, 4u);
+  EXPECT_FALSE(r.stats.host_packed);
+  EXPECT_EQ(r.stats.kernel_tier, KernelTier::kListArrays);
+  EXPECT_GE(r.stats.host_interleave, 1u);
+
+  // The same shape without the wide value walks every shard's slab.
+  list.value[4321] = 7;
+  const RunResult clean = engine.scan(list, ScanOp::kPlus);
+  ASSERT_TRUE(clean.ok()) << clean.status.message;
+  EXPECT_TRUE(clean.stats.host_packed);
+  EXPECT_EQ(clean.stats.kernel_tier, KernelTier::kPackedCursors);
 }
 
 }  // namespace
