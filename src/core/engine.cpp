@@ -127,20 +127,6 @@ TuneResult Planner::tuned(double n, bool rank_kernels,
   return r;
 }
 
-HostTuneResult Planner::host_tuned(double n, double op_factor,
-                                   unsigned max_threads) const {
-  const std::tuple<double, double, unsigned> key{n, op_factor, max_threads};
-  {
-    std::lock_guard<std::mutex> lock(memo_->mu);
-    auto it = memo_->host_cache.find(key);
-    if (it != memo_->host_cache.end()) return it->second;
-  }
-  const HostTuneResult r = host_tune(n, op_factor, max_threads);
-  std::lock_guard<std::mutex> lock(memo_->mu);
-  memo_->host_cache.emplace(key, r);
-  return r;
-}
-
 double Planner::serial_cycles(std::size_t n, bool rank, ScanOp op) const {
   const double per_vertex =
       (rank ? table_.serial_rank_per_vertex : table_.serial_scan_per_vertex) *
@@ -230,11 +216,9 @@ Planner::Decision Planner::decide(std::size_t n, Method requested, bool rank,
     const double wd = static_cast<double>(width);
     // One (threads x W) tune for every operator. A caller-pinned knob
     // restricts its grid axis to what will actually run; with both on
-    // auto, the memoized joint grid picks the full execution shape.
+    // auto, the joint grid picks the full execution shape.
     const HostTuneResult ht =
-        threads_ > 0 || wpin > 0
-            ? host_tune(wd, factor, eff, threads_ > 0 ? useful : 0, wpin)
-            : host_tuned(wd, factor, eff);
+        host_tune(wd, factor, eff, threads_ > 0 ? useful : 0, wpin);
     if (requested == Method::kAuto && d.shard_count == 0) {
       // Threads alone justify the sublist kernel; so does the model
       // whenever W cursors beat the serial walk -- including on ONE
@@ -661,9 +645,6 @@ RunResult Engine::run(const Request& req) {
   // Per-run determinism: results depend on the options' seed, never on
   // what ran on this engine before.
   ws_.rng = Rng(opt_.seed);
-  // The packed-slab cache is only trusted between the runs of one batch,
-  // where the caller cannot mutate the list behind the key's pointers.
-  if (!in_batch_) ws_.invalidate_packed();
   // A snapshot-keyed shared slab (if the request carries one) serves this
   // run only; a null request slab clears any previous installation.
   ws_.install_shared_slab(req.slab);
@@ -682,9 +663,8 @@ RunResult Engine::run(const Request& req) {
 
 std::vector<RunResult> Engine::run_batch(std::span<const Request> requests) {
   std::vector<RunResult> results;
-  results.resize(requests.size());
-  run_batch_each(requests,
-                 [&](std::size_t i, RunResult&& r) { results[i] = std::move(r); });
+  results.reserve(requests.size());
+  for (const Request& req : requests) results.push_back(run(req));
   return results;
 }
 

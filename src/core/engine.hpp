@@ -206,7 +206,7 @@ struct RunStats {
   unsigned host_interleave = 0;   ///< cursors in flight per worker
   unsigned host_threads = 0;      ///< worker threads the run actually used
   bool host_packed = false;       ///< the single-gather packed slab ran
-  bool host_packed_cached = false;  ///< slab reused from the batch cache
+  bool host_packed_cached = false;  ///< rode the installed shared slab
   /// The hop source the hot phases actually walked (host backend; kAuto
   /// on the other backends and on runs that never reached the host
   /// kernels): kPackedCursors over the slab, kListArrays over the list
@@ -358,7 +358,7 @@ class Planner {
     double s1 = 0.0;        ///< first balance interval (sim Reid-Miller)
     unsigned threads = 1;   ///< host worker threads (host backend only)
     /// Host cursor width W (cursors in flight per worker) of a
-    /// reid-miller plan, from the tune memo or the pinned
+    /// reid-miller plan, from the host tune or the pinned
     /// EngineOptions::interleave; 0 on serial plans.
     unsigned interleave = 0;
     double predicted_cycles = 0.0;  ///< sim cost-model estimate; 0 if n/a
@@ -392,8 +392,6 @@ class Planner {
 
  private:
   TuneResult tuned(double n, bool rank_kernels, double op_factor) const;
-  HostTuneResult host_tuned(double n, double op_factor,
-                            unsigned max_threads) const;
 
   BackendKind backend_;
   unsigned processors_;
@@ -414,12 +412,8 @@ class Planner {
   struct TuneMemo {
     /// One memo key: (n, rank-kernel family, op_cost_factor).
     using Key = std::tuple<double, bool, double>;
-    std::mutex mu;                        ///< guards both caches
+    std::mutex mu;                        ///< guards the cache
     std::map<Key, TuneResult> cache;      ///< per (n, family, op factor)
-    /// Joint host_tune() results per (n, op factor, max threads): the
-    /// (threads, W) pair and the sublist-vs-serial-walk model totals.
-    std::map<std::tuple<double, double, unsigned>, HostTuneResult>
-        host_cache;
   };
   std::unique_ptr<TuneMemo> memo_;
 };
@@ -462,21 +456,10 @@ class Engine {
                  Method method = Method::kAuto);
   /// Runs one unified request.
   RunResult run(const Request& req);
-  /// Runs a batch front to back on this engine's workspace; one result per
-  /// request (failures are per-request, the batch never aborts).
+  /// Runs a batch front to back on this engine's workspace, one run() per
+  /// request; one result per request (failures are per-request, the batch
+  /// never aborts).
   std::vector<RunResult> run_batch(std::span<const Request> requests);
-  /// The coalescing hook behind run_batch: runs the batch front to back
-  /// and hands each result to `sink(index, RunResult&&)` as it completes,
-  /// so a serving layer can fulfil per-request futures without waiting for
-  /// (or storing) the whole batch. Within the batch the workspace's
-  /// packed-slab cache is live: consecutive requests over the same list
-  /// (the serving layer's collapsed hot-key traffic) build the
-  /// single-gather slab once.
-  template <class Sink>
-  void run_batch_each(std::span<const Request> requests, Sink&& sink) {
-    const BatchScope scope(*this);
-    for (std::size_t i = 0; i < requests.size(); ++i) sink(i, run(requests[i]));
-  }
 
   /// The options this engine was built with.
   const EngineOptions& options() const { return opt_; }
@@ -491,35 +474,10 @@ class Engine {
   const vm::Machine* sim_machine() const { return backend_->machine(); }
 
  private:
-  /// Marks a batch in flight. The packed-slab cache is trusted only
-  /// between runs of one batch: the keyed arrays are alive for the whole
-  /// batch (every request holds them), and a cache-hit run reads only
-  /// the slab's self-consistent snapshot (host_exec phase 2 chains by
-  /// slab links), so even a caller who mutates a list between two batch
-  /// runs -- e.g. a serving client whose earlier future already resolved
-  /// -- gets the coherent as-of-build answer, never a stale/live mix.
-  /// Outside a batch every run() invalidates the cache first.
-  struct BatchScope {
-    explicit BatchScope(Engine& e) : engine(e), prev(e.in_batch_) {
-      e.ws_.invalidate_packed();
-      e.ws_.set_packed_trusted(true);
-      e.in_batch_ = true;
-    }
-    ~BatchScope() {
-      engine.in_batch_ = prev;
-      engine.ws_.set_packed_trusted(prev);
-    }
-    BatchScope(const BatchScope&) = delete;
-    BatchScope& operator=(const BatchScope&) = delete;
-    Engine& engine;  ///< the engine whose batch flag is scoped
-    bool prev;       ///< nesting: restore the outer scope's flag
-  };
-
   EngineOptions opt_;
   Planner planner_;
   std::unique_ptr<ExecutionBackend> backend_;
   Workspace ws_;
-  bool in_batch_ = false;
 };
 
 }  // namespace lr90

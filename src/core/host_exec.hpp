@@ -22,9 +22,9 @@
 //
 //  * SlabHops (KernelTier::kPackedCursors) -- the single-gather slab
 //    (lists/encode.hpp hot_pack: link + value lane + sublist-tail flag in
-//    one 64-bit word), built once per run and cached across same-list
-//    batch runs: ONE random load per element. Serves ranks and the
-//    plus/min/max/xor scans whose values fit the 32-bit lane.
+//    one 64-bit word), built once per run unless the serving layer
+//    installed a shared one: ONE random load per element. Serves ranks
+//    and the plus/min/max/xor scans whose values fit the 32-bit lane.
 //  * ListHops (KernelTier::kListArrays) -- the list's own next/value
 //    arrays plus the per-run is_tail bitmap: three loads per element, all
 //    at the same index, and no slab to build. Serves seg-sum/affine/
@@ -81,7 +81,7 @@ struct ExecInfo {
   /// on the serial walk, 0 when nothing ran (empty list).
   unsigned threads = 0;
   bool packed = false;        ///< the single-gather slab path ran
-  bool packed_cached = false; ///< ...and the slab came from the batch cache
+  bool packed_cached = false; ///< ...on the installed shared slab
   bool phase2_parallel = false;  ///< phase 2 ran the blocked parallel scan
   std::size_t sublists = 0;   ///< sublists used (0 = serial walk)
   /// The hop source that ran: kPackedCursors over the slab, kListArrays
@@ -91,7 +91,7 @@ struct ExecInfo {
 
   // Per-phase wall clock, for parallel-efficiency reporting (zero on the
   // serial walk, which has no phases). build_ns covers boundary choice,
-  // head collection, and the slab build; it is zero on a batch cache hit.
+  // head collection, and the slab build; it is zero on a shared slab.
   double build_ns = 0.0;   ///< boundaries + heads + packed-slab build
   double phase1_ns = 0.0;  ///< per-sublist inclusive scans
   double phase2_ns = 0.0;  ///< reduced-list scan over sublist sums
@@ -233,7 +233,8 @@ inline void choose_boundaries(const LinkedList& list, std::size_t count,
 /// per-thread index ranges (hot_pack_range) claimed from an atomic
 /// counter. `kOnes` forces every value lane to 1 (ranking) and cannot
 /// fail; otherwise returns false -- slab contents unspecified -- if any
-/// value does not round-trip through the signed 32-bit lane.
+/// value does not round-trip through the signed 32-bit lane. Each
+/// successful build counts in Workspace::packed_builds.
 template <bool kOnes, ListOp Op>
 bool build_packed(const LinkedList& list, Op, unsigned threads,
                   Workspace& ws) {
@@ -252,7 +253,9 @@ bool build_packed(const LinkedList& list, Op, unsigned threads,
     if (!hot_pack_range(next, val, tail, out, begin, end))
       ok.store(false, std::memory_order_relaxed);
   });
-  return ok.load(std::memory_order_relaxed);
+  if (!ok.load(std::memory_order_relaxed)) return false;
+  ws.note_packed_build();
+  return true;
 }
 
 /// One step of a cursor: whether `v` ends its sublist, its successor, and
@@ -385,9 +388,9 @@ ExecInfo scan_into(const LinkedList& list, Op op, const HostPlan& plan,
   const unsigned W = std::clamp(plan.interleave, 1u, kMaxInterleave);
   // A shared (cross-request) slab, installed by the serving layer for
   // immutable snapshot lists, replaces both boundary choice and the slab
-  // build outright when its shape matches this run's plan. Like the
-  // batch-cache hit below, the RNG is left undrawn -- answers are exact
-  // under any sublist decomposition.
+  // build outright when its shape matches this run's plan. The RNG is
+  // then left undrawn -- answers are exact under any sublist
+  // decomposition.
   const PackedSlab* ext = nullptr;
   if (slab) {
     const PackedSlab* s = ws.shared_slab();
@@ -395,25 +398,13 @@ ExecInfo scan_into(const LinkedList& list, Op op, const HostPlan& plan,
         !s->words.empty())
       ext = s;
   }
-  Workspace::PackedKey key;
-  bool cache_hit = false;
-  if (slab && !ext) {
-    key.next_data = list.next.data();
-    key.value_data = kOnes ? nullptr : list.value.data();
-    key.n = n;
-    key.head = list.head;
-    key.sublists = want;
-    key.ones = kOnes;
-    key.rng_at_entry = ws.rng;  // before any draws: picks would repeat
-    cache_hit = ws.packed_cache_hit(key);
-  }
   using Clock = std::chrono::steady_clock;
   const auto since_ns = [](Clock::time_point t0) {
     return std::chrono::duration<double, std::nano>(Clock::now() - t0)
         .count();
   };
   const auto t_build = Clock::now();
-  if (!ext && !cache_hit) {
+  if (!ext) {
     choose_boundaries(list, want - 1, ws, list.find_tail());
     // Sublist heads: the whole-list head plus each pick's successor. A
     // pick whose successor is itself a tail yields a single-vertex
@@ -422,22 +413,17 @@ ExecInfo scan_into(const LinkedList& list, Op op, const HostPlan& plan,
     ws.heads.clear();
     ws.heads.push_back(list.head);
     for (const index_t r : ws.picks) ws.heads.push_back(list.next[r]);
+    // A value that misses the lane leaves the list arrays to walk.
     if constexpr (kLane) {
       if (slab) slab = build_packed<kOnes>(list, op, threads, ws);
     }
-    // A value that misses the lane leaves the list arrays to walk; either
-    // way a slab identity no longer matches ws.heads unless just built.
-    if (slab)
-      ws.packed_cache_store(key);
-    else
-      ws.invalidate_packed();
   }
   // Resolved after the build section: ws.heads/ws.packed may have
   // reallocated during it.
   const packed_t* words = ext ? ext->words.data() : ws.packed.data();
   const index_t* heads = ext ? ext->heads.data() : ws.heads.data();
   const std::size_t k = ext ? ext->heads.size() : ws.heads.size();
-  info.build_ns = (ext || cache_hit) ? 0.0 : since_ns(t_build);
+  info.build_ns = ext ? 0.0 : since_ns(t_build);
 
   // Phases 1 and 3 run the one cursor driver over whichever hop source
   // this run has.
@@ -475,12 +461,7 @@ ExecInfo scan_into(const LinkedList& list, Op op, const HostPlan& plan,
   // turns the block sums into block offsets, and the workers expand
   // their blocks -- combine order is preserved throughout, so
   // associativity alone (no commutativity) keeps the non-commutative
-  // operators bit-exact. On the slab path successor links come from the
-  // SLAB, never the live list: a cache-hit run then reads only the
-  // self-consistent snapshot taken at build time, so a caller mutating
-  // the list between the runs of a batch (e.g. after an earlier future
-  // resolved) gets the coherent as-of-build answer instead of a
-  // stale/live mix.
+  // operators bit-exact.
   const auto t_phase2 = Clock::now();
   ws.owner_begin(n);
   for (std::size_t j = 0; j < k; ++j)
@@ -492,7 +473,7 @@ ExecInfo scan_into(const LinkedList& list, Op op, const HostPlan& plan,
     for (std::size_t seen = 0; seen < k; ++seen) {
       ws.order.push_back(static_cast<index_t>(j));
       const index_t t = ws.tails[j];
-      const index_t nt = slab ? hot_link(words[t]) : list.next[t];
+      const index_t nt = list.next[t];
       if (nt == t) break;  // the global tail ends the chain
       const index_t owner = ws.owner_get(nt);
       if (owner == kNoVertex) break;  // defensive: malformed snapshot
@@ -552,7 +533,7 @@ ExecInfo scan_into(const LinkedList& list, Op op, const HostPlan& plan,
   info.interleave = W;
   info.threads = threads;
   info.packed = slab;
-  info.packed_cached = cache_hit || ext != nullptr;
+  info.packed_cached = ext != nullptr;
   info.sublists = k;
   info.tier = slab ? KernelTier::kPackedCursors : KernelTier::kListArrays;
   return info;

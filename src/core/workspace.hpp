@@ -11,12 +11,9 @@
 //
 //  * the packed slab -- the host kernels' single-gather representation
 //    (lists/encode.hpp hot_pack): one 64-bit word per vertex fusing link,
-//    value lane, and sublist-tail flag. Building it is one sequential O(n)
-//    pass; the slab is cached under a content key so a batch of runs over
-//    the same list (the serving layer's collapsed hot-key traffic) builds
-//    it once. The cache is only trusted inside an Engine batch, where the
-//    caller's thread is blocked inside run_batch and cannot mutate the
-//    list behind the key's pointers.
+//    value lane, and sublist-tail flag. Every packing run builds its own,
+//    one O(n) pass; only an installed shared slab (the serving layer's
+//    per-snapshot cache, see PackedSlab) skips the build.
 //  * the epoch-stamped head-ownership table -- phase 2 needs owner_of_head
 //    only at the k sublist heads, so refilling an O(n) array per run was
 //    pure waste; a per-run epoch stamp makes stale entries invisible and
@@ -24,9 +21,9 @@
 //
 // The counters make reuse observable: `allocations()` increments whenever a
 // fit must grow a buffer, `reuse_hits()` whenever existing capacity was
-// enough, `packed_builds()` whenever the packed slab is (re)built rather
-// than served from cache. Tests assert that a batch of same-shaped requests
-// stops allocating after the first one.
+// enough, `packed_builds()` whenever a run builds the packed slab. Tests
+// assert that a batch of same-shaped requests stops allocating after the
+// first one.
 #pragma once
 
 #include <algorithm>
@@ -104,9 +101,6 @@ class Workspace {
         shared_slab_(std::move(other.shared_slab_)),
         owner_stamp_(std::move(other.owner_stamp_)),
         owner_epoch_(other.owner_epoch_),
-        packed_key_(other.packed_key_),
-        packed_live_(other.packed_live_),
-        packed_trusted_(other.packed_trusted_),
         allocations_(other.allocations()),
         reuse_hits_(other.reuse_hits()),
         packed_builds_(other.packed_builds()) {}
@@ -128,9 +122,6 @@ class Workspace {
     shared_slab_ = std::move(other.shared_slab_);
     owner_stamp_ = std::move(other.owner_stamp_);
     owner_epoch_ = other.owner_epoch_;
-    packed_key_ = other.packed_key_;
-    packed_live_ = other.packed_live_;
-    packed_trusted_ = other.packed_trusted_;
     allocations_.store(other.allocations(), std::memory_order_relaxed);
     reuse_hits_.store(other.reuse_hits(), std::memory_order_relaxed);
     packed_builds_.store(other.packed_builds(), std::memory_order_relaxed);
@@ -147,8 +138,8 @@ class Workspace {
   std::uint64_t reuse_hits() const {
     return reuse_hits_.load(std::memory_order_relaxed);
   }
-  /// Times the packed hot-path slab was (re)built; a batch of runs over
-  /// the same list should count one.
+  /// Times a run built the packed hot-path slab: every packing run that
+  /// did not ride an installed shared slab.
   std::uint64_t packed_builds() const {
     return packed_builds_.load(std::memory_order_relaxed);
   }
@@ -204,55 +195,10 @@ class Workspace {
     return owner_stamp_[v] == owner_epoch_ ? owner_of_head[v] : kNoVertex;
   }
 
-  // -- packed-slab cache -------------------------------------------------
-
-  /// Identity of a packed slab: which arrays it was built from (by
-  /// pointer: the cache is only trusted while the caller is blocked
-  /// inside a batch and cannot mutate them), the sublist-boundary inputs
-  /// (count and the RNG state the picks were drawn from), and whether
-  /// values were overridden to ones (ranking).
-  struct PackedKey {
-    const void* next_data = nullptr;   ///< the list's link array
-    const void* value_data = nullptr;  ///< the value array; null when `ones`
-    std::size_t n = 0;                 ///< list length
-    index_t head = kNoVertex;          ///< list head vertex
-    std::size_t sublists = 0;  ///< boundary count the picks targeted
-    bool ones = false;         ///< value lane forced to 1 (ranking)
-    Rng rng_at_entry{0};       ///< draws repeat iff entry state matches
-
-    /// Field-wise equality: same arrays, same boundary inputs.
-    bool operator==(const PackedKey& o) const {
-      return next_data == o.next_data && value_data == o.value_data &&
-             n == o.n && head == o.head && sublists == o.sublists &&
-             ones == o.ones && rng_at_entry == o.rng_at_entry;
-    }
-  };
-
-  /// True iff the cached slab (and the ws.heads it was built with) was
-  /// built under exactly `key` -- and the cache is currently trusted.
-  /// Trust is granted only by Engine::run_batch (see
-  /// set_packed_trusted): the key identifies arrays by pointer, which is
-  /// only sound while the caller is provably unable to mutate them, so a
-  /// direct host_exec caller never hits the cache.
-  bool packed_cache_hit(const PackedKey& key) const {
-    return packed_trusted_ && packed_live_ && packed_key_ == key;
-  }
-  /// Grants (or revokes) cache trust; only an Engine batch scope -- where
-  /// the caller's thread is blocked and cannot mutate the keyed arrays --
-  /// may grant it.
-  void set_packed_trusted(bool trusted) { packed_trusted_ = trusted; }
-  /// Marks the current slab + heads as built under `key`, and counts the
-  /// build.
-  void packed_cache_store(const PackedKey& key) {
-    packed_key_ = key;
-    packed_live_ = true;
+  /// Counts one packed-slab build (the host kernel calls it per build).
+  void note_packed_build() {
     packed_builds_.fetch_add(1, std::memory_order_relaxed);
   }
-  /// Drops the cached slab identity (the memory stays for reuse). Called
-  /// outside batches -- where the caller could have mutated the list
-  /// behind the key's pointers -- and whenever another path clobbers
-  /// ws.heads.
-  void invalidate_packed() { packed_live_ = false; }
 
   // -- shared (cross-request) slab -------------------------------------
 
@@ -267,12 +213,14 @@ class Workspace {
   }
   /// The installed shared slab, or null. Read by the hot path per run.
   const PackedSlab* shared_slab() const { return shared_slab_.get(); }
-  /// Copies the live packed slab + heads out as an immutable PackedSlab
-  /// for a cross-request cache, or returns null when no slab is live.
-  /// Copies -- rather than moves -- so the workspace keeps its warmed
-  /// capacity and steady state stays allocation-free.
+  /// Copies the packed slab + heads out as an immutable PackedSlab for a
+  /// cross-request cache. Only meaningful right after an unsharded run
+  /// that built its slab (RunStats::host_packed set, host_packed_cached
+  /// and shard_count clear): after any other run, `packed` and `heads`
+  /// may describe another list. Copies -- rather than moves -- so the
+  /// workspace keeps its warmed capacity and steady state stays
+  /// allocation-free.
   std::shared_ptr<const PackedSlab> export_packed_slab(bool ones) const {
-    if (!packed_live_) return nullptr;
     auto slab = std::make_shared<PackedSlab>();
     slab->heads = heads;
     slab->words = packed;
@@ -323,8 +271,6 @@ class Workspace {
     shared_slab_ = nullptr;
     owner_stamp_ = {};
     owner_epoch_ = 0;
-    packed_live_ = false;
-    packed_trusted_ = false;
   }
 
  private:
@@ -339,9 +285,6 @@ class Workspace {
   std::shared_ptr<const PackedSlab> shared_slab_;  ///< cross-request slab
   std::vector<std::uint32_t> owner_stamp_;  ///< owner_of_head generations
   std::uint32_t owner_epoch_ = 0;           ///< current generation
-  PackedKey packed_key_;                    ///< identity of `packed`
-  bool packed_live_ = false;                ///< packed_key_ is meaningful
-  bool packed_trusted_ = false;             ///< an Engine batch is active
   std::atomic<std::uint64_t> allocations_{0};
   std::atomic<std::uint64_t> reuse_hits_{0};
   std::atomic<std::uint64_t> packed_builds_{0};

@@ -1,7 +1,6 @@
 #include "serve/server.hpp"
 
 #include <algorithm>
-#include <span>
 #include <utility>
 
 #include "lists/validate.hpp"
@@ -220,18 +219,19 @@ void EngineServer::finish_snapshot_run(const Job& job, const Request& req,
                                        RunResult& r, Engine& engine) {
   r.stats.snapshot_generation = job.snapshot_generation;
   if (!r.ok()) return;
-  // Freshly built slab: export a copy for every other worker. Only fresh
-  // builds export (a cached-slab or batch-cache run has nothing new), so
-  // a hot key exports once per generation.
-  const bool lane = req.rank || scan_op_lane32(req.op);
-  if (lane && r.stats.host_packed && !r.stats.host_packed_cached) {
-    if (auto slab = engine.workspace().export_packed_slab(req.rank)) {
-      const std::size_t bytes = slab->bytes();
-      slab_cache_.insert(
-          CacheKey{job.snapshot_id, job.snapshot_generation,
-                   req.rank ? kSlabFlavorOnes : kSlabFlavorValues},
-          std::move(slab), bytes);
-    }
+  // Export a freshly built slab for every other worker, so a hot key
+  // exports once per generation. Only an unsharded run that built its own
+  // slab exports: a run on a cached slab has nothing new, and a sharded
+  // run packs per-shard scratch, leaving the workspace slab of whatever
+  // list packed there last.
+  if (r.stats.host_packed && !r.stats.host_packed_cached &&
+      r.stats.shard_count == 0) {
+    auto slab = engine.workspace().export_packed_slab(req.rank);
+    const std::size_t bytes = slab->bytes();
+    slab_cache_.insert(
+        CacheKey{job.snapshot_id, job.snapshot_generation,
+                 req.rank ? kSlabFlavorOnes : kSlabFlavorValues},
+        std::move(slab), bytes);
   }
   // Memoize the full result for the next identical request. Keyed on the
   // generation the run used, so a result inserted after a concurrent
@@ -342,68 +342,66 @@ void EngineServer::worker_loop() {
     WorkspacePool::Lease lease = pool_.acquire();
     answered.assign(jobs.size(), false);
     try {
-      lease->run_batch_each(
-          std::span<const Request>(reqs), [&](std::size_t u, RunResult&& r) {
-            // Track the intra-request thread peak before the result moves
-            // out: workers x this is the machine parallelism actually used.
-            std::uint64_t peak =
-                intra_threads_peak_.load(std::memory_order_relaxed);
-            while (r.stats.host_threads > peak &&
-                   !intra_threads_peak_.compare_exchange_weak(
-                       peak, r.stats.host_threads,
-                       std::memory_order_relaxed)) {
-            }
-            // Which hop source actually ran (kAuto = the host kernels
-            // never ran: empty lists, non-host backends).
-            switch (r.stats.kernel_tier) {
-              case KernelTier::kListArrays:
-                tier_list_arrays_runs_.fetch_add(1,
-                                                 std::memory_order_relaxed);
-                break;
-              case KernelTier::kPackedCursors:
-                tier_packed_runs_.fetch_add(1, std::memory_order_relaxed);
-                break;
-              case KernelTier::kAuto:
-                break;
-            }
-            if (r.stats.shard_count > 0) {
-              sharded_runs_.fetch_add(1, std::memory_order_relaxed);
-              shard_spills_.fetch_add(r.stats.shard_spills,
-                                      std::memory_order_relaxed);
-              shard_prefetch_hits_.fetch_add(r.stats.shard_prefetch_hits,
-                                             std::memory_order_relaxed);
-              shard_corrupt_slabs_.fetch_add(r.stats.shard_corrupt_slabs,
-                                             std::memory_order_relaxed);
-              shard_repacks_.fetch_add(r.stats.shard_repacks,
-                                       std::memory_order_relaxed);
-              shard_degraded_.fetch_add(r.stats.shard_degraded,
-                                        std::memory_order_relaxed);
-            }
-            // Snapshot jobs stamp the generation and feed the caches
-            // before the result fans out (jobs collapsed onto one run
-            // share a pinned list, hence one snapshot generation).
-            for (std::size_t i = 0; i < jobs.size(); ++i) {
-              if (run_of[i] == u && jobs[i].snapshot_id != 0) {
-                finish_snapshot_run(jobs[i], reqs[u], r, *lease);
-                break;
-              }
-            }
-            // Fan the result out to every job this run answers: copies for
-            // the duplicates, the original for the last one.
-            std::size_t last = jobs.size();
-            for (std::size_t i = 0; i < jobs.size(); ++i) {
-              if (run_of[i] == u) last = i;
-            }
-            for (std::size_t i = 0; i < jobs.size(); ++i) {
-              if (run_of[i] != u) continue;
-              answered[i] = true;
-              if (i == last) {
-                jobs[i].fulfill(std::move(r));
-              } else {
-                jobs[i].fulfill_copy(r);
-              }
-            }
-          });
+      for (std::size_t u = 0; u < reqs.size(); ++u) {
+        RunResult r = lease->run(reqs[u]);
+        // Track the intra-request thread peak before the result moves
+        // out: workers x this is the machine parallelism actually used.
+        std::uint64_t peak =
+            intra_threads_peak_.load(std::memory_order_relaxed);
+        while (r.stats.host_threads > peak &&
+               !intra_threads_peak_.compare_exchange_weak(
+                   peak, r.stats.host_threads, std::memory_order_relaxed)) {
+        }
+        // Which hop source actually ran (kAuto = the host kernels never
+        // ran: empty lists, non-host backends).
+        switch (r.stats.kernel_tier) {
+          case KernelTier::kListArrays:
+            tier_list_arrays_runs_.fetch_add(1, std::memory_order_relaxed);
+            break;
+          case KernelTier::kPackedCursors:
+            tier_packed_runs_.fetch_add(1, std::memory_order_relaxed);
+            break;
+          case KernelTier::kAuto:
+            break;
+        }
+        if (r.stats.shard_count > 0) {
+          sharded_runs_.fetch_add(1, std::memory_order_relaxed);
+          shard_spills_.fetch_add(r.stats.shard_spills,
+                                  std::memory_order_relaxed);
+          shard_prefetch_hits_.fetch_add(r.stats.shard_prefetch_hits,
+                                         std::memory_order_relaxed);
+          shard_corrupt_slabs_.fetch_add(r.stats.shard_corrupt_slabs,
+                                         std::memory_order_relaxed);
+          shard_repacks_.fetch_add(r.stats.shard_repacks,
+                                   std::memory_order_relaxed);
+          shard_degraded_.fetch_add(r.stats.shard_degraded,
+                                    std::memory_order_relaxed);
+        }
+        // Snapshot jobs stamp the generation and feed the caches before
+        // the result fans out (jobs collapsed onto one run share a pinned
+        // list, hence one snapshot generation).
+        for (std::size_t i = 0; i < jobs.size(); ++i) {
+          if (run_of[i] == u && jobs[i].snapshot_id != 0) {
+            finish_snapshot_run(jobs[i], reqs[u], r, *lease);
+            break;
+          }
+        }
+        // Fan the result out to every job this run answers: copies for
+        // the duplicates, the original for the last one.
+        std::size_t last = jobs.size();
+        for (std::size_t i = 0; i < jobs.size(); ++i) {
+          if (run_of[i] == u) last = i;
+        }
+        for (std::size_t i = 0; i < jobs.size(); ++i) {
+          if (run_of[i] != u) continue;
+          answered[i] = true;
+          if (i == last) {
+            jobs[i].fulfill(std::move(r));
+          } else {
+            jobs[i].fulfill_copy(r);
+          }
+        }
+      }
     } catch (...) {
       // run() only throws on resource exhaustion (e.g. bad_alloc); every
       // job whose run never fulfilled it is still unanswered. Future jobs

@@ -11,15 +11,15 @@
 // Architecture (see docs/ARCHITECTURE.md):
 //
 //   clients --submit--> BoundedQueue --pop_batch--> workers --> WorkspacePool
-//      futures <-------- promises fulfilled per result <-- Engine::run_batch_each
+//      futures <-------- promises fulfilled per result <-- Engine::run
 //
 //   * Each submit() enqueues a job (request + promise) onto a bounded MPMC
 //     queue; back-pressure blocks producers when full (or rejects with
 //     StatusCode::kUnavailable when reject_when_full is set).
 //   * A fixed pool of worker threads pops jobs. While the queue is shallow
 //     each worker takes one job (lowest latency); once the depth exceeds
-//     batch_threshold it coalesces up to max_batch jobs and runs them as
-//     one Engine::run_batch_each call -- adaptive micro-batching, paying
+//     batch_threshold it coalesces up to max_batch jobs and runs them
+//     back to back on one leased Engine -- adaptive micro-batching, paying
 //     one queue critical section and one engine lease per batch. Identical
 //     requests inside a batch collapse into a single engine run (hot-key
 //     traffic runs the work once per batch, not once per client).
@@ -64,7 +64,7 @@ struct ServerOptions {
   std::size_t queue_capacity = 1024;
   /// Micro-batching trigger: coalesce once the queue depth exceeds this.
   std::size_t batch_threshold = 1;
-  /// Largest number of requests coalesced into one run_batch call.
+  /// Largest number of requests coalesced into one worker batch.
   std::size_t max_batch = 64;
   /// When true, submit() on a full queue resolves immediately to
   /// StatusCode::kUnavailable instead of blocking for a slot.
@@ -119,7 +119,7 @@ struct ServerStats {
   std::uint64_t submitted = 0;   ///< jobs accepted into the queue
   std::uint64_t rejected = 0;    ///< submits resolved kUnavailable
   std::uint64_t completed = 0;   ///< jobs whose promise was fulfilled
-  std::uint64_t batches = 0;     ///< run_batch_each calls issued
+  std::uint64_t batches = 0;     ///< worker batches run
   std::uint64_t coalesced = 0;   ///< jobs that shared a batch (size > 1)
   std::uint64_t collapsed = 0;   ///< jobs served by another job's run
   std::uint64_t peak_batch = 0;  ///< largest batch observed

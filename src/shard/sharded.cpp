@@ -226,10 +226,6 @@ Status run_sharded(const LinkedList& list, const ShardedList& sharded,
                               static_cast<std::size_t>(exec.threads) * 64),
         exec.interleave};
     host_exec::scan_into<Op, false>(reduced, op, plan2, ws, seg_pref);
-    // The second-level scan may have rebuilt ws.packed for the (local,
-    // about-to-die) reduced list; its batch-cache identity must not
-    // survive this call.
-    ws.invalidate_packed();
   } else {
     host_exec::serial_scan_into(reduced, std::span<value_t>(seg_pref), op);
   }

@@ -359,7 +359,6 @@ TEST_P(HostThreadsHarness, AllThreadCountsMatchSerialOracle) {
 
           std::vector<value_t> ranked(n, 0);
           ws.rng = Rng(seed);
-          ws.invalidate_packed();
           host_exec::rank_into(l, plan, ws, std::span<value_t>(ranked));
           testutil::expect_scan_eq(ranked, reference_rank(l));
         }

@@ -717,6 +717,67 @@ TEST(EngineServer, SnapshotSpillRootPinsReusesAndDropsShardFiles) {
   fs::remove_all(root);
 }
 
+TEST(EngineServer, ShardedSnapshotRunExportsNoSlab) {
+  // A sharded snapshot run reports host_packed from its shard passes, but
+  // the workspace slab belongs to whatever ran before it on that engine.
+  // Here an unsharded plus-scan of another list runs first in the same
+  // batch; its slab must not reach the slab cache under the snapshot's
+  // key. Only the memoized result is cached, and a later min-scan of the
+  // snapshot finds no slab.
+  Rng rng(71);
+  const LinkedList snap = random_list(1u << 16, rng, ValueInit::kSigned);
+  const LinkedList other = random_list(20000, rng, ValueInit::kSigned);
+  Engine serial({.backend = BackendKind::kSerial});
+
+  ServerOptions opt;
+  opt.engine.backend = BackendKind::kHost;
+  opt.engine.shard.byte_budget = std::size_t{700} << 10;  // 3 shards
+  opt.workers = 1;
+  EngineServer server(opt);
+  SnapshotHandle handle;
+  ASSERT_TRUE(server.register_snapshot(snap, handle).ok());
+  SnapshotRequest req;
+  req.snapshot_id = handle.snapshot_id;
+  req.rank = false;
+  req.op = ScanOp::kPlus;
+
+  // Hold the worker inside a first job's callback so the next two jobs
+  // queue up and pop as one batch, the plain list's scan first.
+  std::promise<void> held;
+  std::future<void> worker_held = held.get_future();
+  std::promise<void> release;
+  std::shared_future<void> gate = release.get_future().share();
+  server.submit(RankRequest{&other, Method::kSerial}, [&](RunResult&&) {
+    held.set_value();
+    gate.wait();
+  });
+  worker_held.wait();
+  std::future<RunResult> plain =
+      server.submit(ScanRequest{&other, ScanOp::kPlus, Method::kReidMiller});
+  std::future<RunResult> sharded = server.submit(req);
+  release.set_value();
+
+  const RunResult p = plain.get();
+  ASSERT_TRUE(p.ok()) << p.status.message;
+  EXPECT_TRUE(p.stats.host_packed);
+  EXPECT_EQ(p.stats.shard_count, 0u);
+  const RunResult s = sharded.get();
+  ASSERT_TRUE(s.ok()) << s.status.message;
+  EXPECT_EQ(s.stats.shard_count, 3u);
+  EXPECT_TRUE(s.stats.host_packed);
+  EXPECT_EQ(s.scan, serial.run(OpRequest{&snap, ScanOp::kPlus}).scan);
+  EXPECT_EQ(server.stats().cache_resident_entries, 1u)
+      << "the memoized result only, no slab";
+
+  req.op = ScanOp::kMin;
+  const RunResult m = server.submit(req).get();
+  ASSERT_TRUE(m.ok()) << m.status.message;
+  EXPECT_EQ(m.scan, serial.run(OpRequest{&snap, ScanOp::kMin}).scan);
+  server.shutdown();
+  EXPECT_EQ(server.stats().slab_hits, 0u);
+  EXPECT_EQ(server.stats().peak_batch, 2u);
+}
+
 TEST(EngineServer, SnapshotUpdateRaceNeverServesAStaleGeneration) {
   // The TSan battery: 8 clients hammer one hot snapshot key while a
   // writer loops update(). Coherence contract under race: once update()
