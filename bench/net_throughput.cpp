@@ -130,7 +130,6 @@ bool run_overload(BenchJson& json) {
   opt.serve.engine.threads = 1;
   opt.serve.workers = 1;
   opt.serve.queue_capacity = 1;
-  opt.serve.max_batch = 1;
   NetServer server(opt);
   if (!server.start().ok()) {
     std::puts("FAIL: overload server did not start");

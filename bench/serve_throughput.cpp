@@ -3,15 +3,13 @@
 //
 // Each client runs a closed-loop: submit one request, wait for its future,
 // repeat. With one client every request pays the full submit -> worker
-// wakeup -> run -> fulfil -> client wakeup round trip; with several
-// concurrent clients the queue stays occupied, the workers never sleep
-// between requests, and adaptive micro-batching coalesces the backlog into
-// run_batch calls that pay one queue critical section and one workspace
-// lease for many requests. The speedup column against the 1-client row
-// isolates exactly that serving-layer overhead amortization (the requests
-// themselves are small on purpose) -- even a single-core machine shows it,
-// because the win is fewer context switches and condvar wakeups per
-// request, not parallel compute.
+// wakeup -> run -> fulfil -> client wakeup round trip while the other
+// workers sit idle; with several concurrent clients the queue stays
+// occupied, every worker runs a request on its own leased engine, and one
+// request's wakeups overlap another's run. The speedup column against the
+// 1-client row measures that overlap and inter-request parallelism (the
+// requests themselves are small on purpose); a single-core machine shows
+// little of it.
 //
 // Also reports the pooled-workspace allocation counters around the
 // measured phases: after warmup the steady state must not allocate.
@@ -22,11 +20,9 @@
 //       workers             server worker threads    (default 0 = one per
 //                           hardware thread)
 //
-// The workload is deliberately hot-key: every client ranks the same list,
-// so the 4-client rows benefit from request collapsing (one engine run per
-// batch of identical requests) on top of micro-batching -- which is why
-// the speedup shows even on a single-core machine, where closed-loop
-// clients cannot add parallel compute.
+// Every client ranks the same caller-owned list, and every request runs
+// the engine once: only snapshot-addressed requests are memoized (the
+// snapshot hot-key phase at the end).
 //
 // Exits non-zero if the 4-client aggregate throughput fails to reach 2x
 // the 1-client baseline or the steady state allocated workspace memory --
@@ -124,13 +120,10 @@ int main(int argc, char** argv) {
   // worker pool, the serving-layer axis this bench measures.
   opt.engine.threads = 2;
   opt.workers = workers;
-  opt.batch_threshold = 1;
-  opt.max_batch = 64;
   EngineServer server(opt);
 
-  std::printf("serve_throughput: n=%zu, %zu reqs/client, %zu workers, "
-              "max_batch=%zu\n\n",
-              n, per_client, server.workers(), opt.max_batch);
+  std::printf("serve_throughput: n=%zu, %zu reqs/client, %zu workers\n\n",
+              n, per_client, server.workers());
 
   // Warm every pooled workspace (and the allocator) before measuring.
   run_load(server, list, 2 * static_cast<unsigned>(server.workers()), 64);
@@ -174,18 +167,11 @@ int main(int argc, char** argv) {
   const std::uint64_t steady_allocs = stats.pool.allocations - warm_allocs;
   const double speedup = at4 / baseline;
   std::printf(
-      "\nbatches: %llu for %llu requests (mean batch %.2f, peak %llu); "
-      "%llu hot-key duplicates collapsed\n"
+      "\nengine runs: %llu for %llu requests\n"
       "workspace allocations after warmup: %llu (reuse hits %llu)\n"
       "4-client speedup over 1-client submission loop: %.2fx\n",
       static_cast<unsigned long long>(stats.batches),
       static_cast<unsigned long long>(stats.completed),
-      stats.batches > 0
-          ? static_cast<double>(stats.completed) /
-                static_cast<double>(stats.batches)
-          : 0.0,
-      static_cast<unsigned long long>(stats.peak_batch),
-      static_cast<unsigned long long>(stats.collapsed),
       static_cast<unsigned long long>(steady_allocs),
       static_cast<unsigned long long>(stats.pool.reuse_hits), speedup);
   // The two parallelism axes multiplied: worker pool (inter-request) x
@@ -222,9 +208,9 @@ int main(int argc, char** argv) {
     }
   }
   // Quiesce before zeroing: a worker bumps completed_ only AFTER it has
-  // fulfilled the batch's futures, so joining every client (and even the
+  // fulfilled the job's future, so joining every client (and even the
   // warmup future) does not prove the counters have settled -- a late
-  // batch epilogue (the warmup's, or the engine phase's last) would land
+  // job epilogue (the warmup's, or the engine phase's last) would land
   // after reset_stats() and show up as a phantom engine run in the
   // measured window. submitted_ is bumped synchronously at accept time,
   // so completed == submitted means every accepted job is fully

@@ -76,7 +76,6 @@ int main(int argc, char** argv) {
   NetServerOptions tiny = opt;
   tiny.serve.workers = 1;
   tiny.serve.queue_capacity = 1;
-  tiny.serve.max_batch = 1;
   NetServer small(tiny);
   small.start();
   NetClient burst;

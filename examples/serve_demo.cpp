@@ -1,6 +1,6 @@
-// EngineServer walkthrough: concurrent clients, futures, micro-batching,
-// request collapsing, a tree workload through the server, and a graceful
-// shutdown with typed rejection -- the serving layer in ~100 lines.
+// EngineServer walkthrough: concurrent clients, futures, pooled engines,
+// a tree workload through the server, and a graceful shutdown with typed
+// rejection -- the serving layer in ~100 lines.
 //
 //   $ ./serve_demo [n]
 #include <cstdio>
@@ -23,13 +23,13 @@ int main(int argc, char** argv) {
   const LinkedList other = random_list(n / 2, rng);
 
   // A host-backend server: one engine (and one warmed workspace) per
-  // worker, bounded queue, adaptive micro-batching.
+  // worker, bounded queue, one job per pop.
   EngineServer server({.engine = {.backend = BackendKind::kHost}});
   std::printf("serving on %zu workers (queue capacity %zu)\n",
               server.workers(), server.options().queue_capacity);
 
-  // Four clients hammer the server concurrently: ranks over the shared
-  // hot list (collapsible) and scans over another (not collapsible).
+  // Four clients hammer the server concurrently: ranks over one shared
+  // hot list and max-scans over another.
   std::vector<std::thread> clients;
   for (int c = 0; c < 4; ++c) {
     clients.emplace_back([&, c] {
@@ -65,13 +65,10 @@ int main(int argc, char** argv) {
   server.shutdown();
   const ServerStats stats = server.stats();
   std::printf(
-      "served %llu requests in %llu batches (peak batch %llu, "
-      "%llu hot-key duplicates collapsed)\n"
+      "served %llu requests in %llu engine runs\n"
       "pooled workspaces: %llu allocations, %llu reuse hits\n",
       static_cast<unsigned long long>(stats.completed),
       static_cast<unsigned long long>(stats.batches),
-      static_cast<unsigned long long>(stats.peak_batch),
-      static_cast<unsigned long long>(stats.collapsed),
       static_cast<unsigned long long>(stats.pool.allocations),
       static_cast<unsigned long long>(stats.pool.reuse_hits));
 

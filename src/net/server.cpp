@@ -167,7 +167,6 @@ std::string NetServer::stats_text() const {
       << "completed " << s.completed << '\n'
       << "rejected " << s.rejected << '\n'
       << "batches " << s.batches << '\n'
-      << "collapsed " << s.collapsed << '\n'
       << "rank_requests " << s.rank_requests << '\n'
       << "scan_requests " << s.scan_requests << '\n'
       << "intra_threads_peak " << s.intra_threads_peak << '\n'
@@ -195,6 +194,7 @@ std::string NetServer::stats_text() const {
       << "deadline_expired " << s.deadline_expired << '\n'
       << "net_accepted " << n.accepted << '\n'
       << "net_closed " << n.closed << '\n'
+      << "net_refused_over_cap " << n.refused_over_cap << '\n'
       << "net_idle_closed " << n.idle_closed << '\n'
       << "net_peer_resets " << n.peer_resets << '\n'
       << "net_protocol_errors " << n.protocol_errors << '\n'

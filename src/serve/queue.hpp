@@ -1,22 +1,15 @@
-// A bounded multi-producer multi-consumer queue with an adaptive batch pop.
+// A bounded multi-producer multi-consumer queue with close/drain semantics.
 //
 // This is the hand-off point of the EngineServer: client threads push jobs,
-// worker threads pop them. Two properties are load-bearing for serving:
-//
-//   * Bounded capacity -- a full queue blocks producers (back-pressure)
-//     instead of growing without bound under overload.
-//   * Adaptive batch pop -- a consumer takes ONE item while the queue is
-//     shallow (lowest latency) but takes up to `max_batch` items in a
-//     single critical section once the depth exceeds `batch_threshold`
-//     (micro-batching: the depth is the congestion signal, and coalescing
-//     amortizes the per-item synchronization exactly when it matters).
+// worker threads pop them one at a time. Bounded capacity is load-bearing
+// for serving: a full queue blocks producers (back-pressure) instead of
+// growing without bound under overload.
 //
 // close() starts a graceful drain: producers are rejected from then on,
 // consumers keep popping until the queue is empty and only then observe
 // shutdown. A plain mutex + two condition variables implementation is
-// deliberately chosen over a lock-free ring: jobs are popped in batches
-// (the lock is taken once per batch, not per item) and the hand-off cost
-// is measured by bench/serve_throughput.cpp.
+// deliberately chosen over a lock-free ring: the hand-off cost is small
+// next to an engine run and is measured by bench/serve_throughput.cpp.
 #pragma once
 
 #include <condition_variable>
@@ -69,29 +62,21 @@ class BoundedQueue {
     return true;
   }
 
-  /// Blocks until at least one item is available (or the queue is closed
-  /// and drained, in which case 0 is returned). Appends to `out` either a
-  /// single item (depth <= `batch_threshold`) or up to `max_batch` items
-  /// (depth above the threshold) in one critical section.
-  std::size_t pop_batch(std::vector<T>& out, std::size_t batch_threshold,
-                        std::size_t max_batch) {
-    std::size_t taken = 0;
-    {
-      std::unique_lock<std::mutex> lock(mu_);
-      not_empty_.wait(lock, [&] { return closed_ || !items_.empty(); });
-      if (items_.empty()) return 0;  // closed and fully drained
-      const std::size_t depth = items_.size();
-      taken = depth > batch_threshold
-                  ? std::min(depth, max_batch == 0 ? std::size_t{1} : max_batch)
-                  : 1;
-      for (std::size_t i = 0; i < taken; ++i) {
-        out.push_back(std::move(items_.front()));
-        items_.pop_front();
-      }
-    }
-    // A batch frees several slots at once; wake every blocked producer.
-    not_full_.notify_all();
-    return taken;
+  /// Blocks until an item is available, moves it into `out` and returns
+  /// true; returns false (leaving `out` untouched) once the queue is
+  /// closed and drained. Items come out in push order. `out` is assigned
+  /// after the lock is released, so whatever it held is destroyed outside
+  /// the critical section producers contend on.
+  bool pop(T& out) {
+    std::unique_lock<std::mutex> lock(mu_);
+    not_empty_.wait(lock, [&] { return closed_ || !items_.empty(); });
+    if (items_.empty()) return false;  // closed and fully drained
+    T item = std::move(items_.front());
+    items_.pop_front();
+    lock.unlock();
+    not_full_.notify_one();
+    out = std::move(item);
+    return true;
   }
 
   /// Rejects producers from now on; consumers drain the remaining items.

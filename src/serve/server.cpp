@@ -1,6 +1,5 @@
 #include "serve/server.hpp"
 
-#include <algorithm>
 #include <utility>
 
 #include "lists/validate.hpp"
@@ -11,11 +10,11 @@ namespace lr90::serve {
 
 namespace {
 
-// Stalls a worker between popping a batch and running it: the chaos
+// Stalls a worker between popping a job and running it: the chaos
 // harness's deterministic way to make queued jobs outlive their deadline
 // (a slow engine run is timing-dependent; a fault-site sleep is not).
 fault::FaultSite f_batch_stall{"serve.batch.stall",
-                               "worker stalls 50ms before running a batch"};
+                               "worker stalls 50ms before running a job"};
 
 /// Number of workers actually started for a requested count.
 unsigned resolve_workers(unsigned requested) {
@@ -37,7 +36,6 @@ RunResult rejected_result(const ServerOptions& opt, const char* why) {
 EngineServer::EngineServer(ServerOptions opt)
     : opt_([&] {
         opt.workers = resolve_workers(opt.workers);
-        if (opt.max_batch == 0) opt.max_batch = 1;
         // Inter-request parallelism comes from the worker pool; an OpenMP
         // all-cores default per pooled engine would oversubscribe the
         // machine workers^2-fold (see ServerOptions::engine).
@@ -155,6 +153,14 @@ std::future<RunResult> EngineServer::submit_snapshot(
   std::future<RunResult> future;
   if (has_future) future = job.result.get_future();
 
+  // Shutdown answers first, as for every other submit: the registry and
+  // the result memo below would otherwise keep answering after it began.
+  if (queue_.closed()) {
+    rejected_.fetch_add(1, std::memory_order_relaxed);
+    job.fulfill(rejected_result(opt_, "server is shut down"));
+    return future;
+  }
+
   SnapshotHandle current;
   const SnapshotRegistry::Resolve found =
       registry_.resolve(req.snapshot_id, req.generation, job.pinned, current);
@@ -215,8 +221,9 @@ std::future<RunResult> EngineServer::submit_snapshot(
   return future;
 }
 
-void EngineServer::finish_snapshot_run(const Job& job, const Request& req,
-                                       RunResult& r, Engine& engine) {
+void EngineServer::finish_snapshot_run(const Job& job, RunResult& r,
+                                       Engine& engine) {
+  const Request& req = job.req;
   r.stats.snapshot_generation = job.snapshot_generation;
   if (!r.ok()) return;
   // Export a freshly built slab for every other worker, so a hot key
@@ -269,166 +276,82 @@ std::future<RunResult> EngineServer::submit_job(Job job, bool has_future) {
   return future;
 }
 
-namespace {
-
-/// Two requests are collapsible when one engine run answers both. Pointer
-/// identity on the list is deliberate: equal content behind different
-/// objects is not worth a compare, the hot-key case shares the object.
-bool same_work(const Request& a, const Request& b) {
-  return a.list == b.list && a.rank == b.rank && a.method == b.method &&
-         (a.rank || a.op == b.op);
-}
-
-}  // namespace
-
 void EngineServer::worker_loop() {
-  std::vector<Job> jobs;
-  std::vector<Request> reqs;          // unique work items of the batch
-  std::vector<std::size_t> run_of;    // job index -> index into reqs
-  std::vector<bool> answered;
-  jobs.reserve(opt_.max_batch);
-  reqs.reserve(opt_.max_batch);
   while (true) {
-    jobs.clear();
-    reqs.clear();
-    if (queue_.pop_batch(jobs, opt_.batch_threshold, opt_.max_batch) == 0)
-      break;  // closed and drained
+    Job job;  // one per iteration: its pinned list and callback go with it
+    if (!queue_.pop(job)) break;  // closed and drained
 
     if (f_batch_stall.fire())
       std::this_thread::sleep_for(std::chrono::milliseconds(50));
 
-    // Deadline filter: a job whose deadline passed while it queued is
-    // answered kDeadlineExceeded without running -- under overload this
-    // sheds exactly the work whose answer nobody is waiting for anymore.
-    {
-      const auto now = std::chrono::steady_clock::now();
-      std::size_t kept = 0;
-      for (std::size_t i = 0; i < jobs.size(); ++i) {
-        if (jobs[i].deadline < now) {
-          deadline_expired_.fetch_add(1, std::memory_order_relaxed);
-          completed_.fetch_add(1, std::memory_order_relaxed);
-          RunResult r;
-          r.backend = opt_.engine.backend;
-          r.status =
-              Status::deadline_exceeded("deadline expired in queue");
-          jobs[i].fulfill(std::move(r));
-          continue;
-        }
-        if (kept != i) jobs[kept] = std::move(jobs[i]);
-        ++kept;
-      }
-      jobs.resize(kept);
-      if (jobs.empty()) continue;
-    }
-
-    // Request collapsing: map every job onto a unique work item. The scan
-    // is quadratic in the batch size, which is bounded by max_batch and
-    // in the common case terminates on the first element (hot key).
-    run_of.assign(jobs.size(), 0);
-    for (std::size_t i = 0; i < jobs.size(); ++i) {
-      std::size_t slot = reqs.size();
-      if (opt_.collapse_duplicates) {
-        for (std::size_t u = 0; u < reqs.size(); ++u) {
-          if (same_work(reqs[u], jobs[i].req)) {
-            slot = u;
-            break;
-          }
-        }
-      }
-      if (slot == reqs.size()) reqs.push_back(jobs[i].req);
-      run_of[i] = slot;
+    // A job whose deadline passed while it queued is answered
+    // kDeadlineExceeded without running -- under overload this sheds
+    // exactly the work whose answer nobody is waiting for anymore.
+    if (job.deadline < std::chrono::steady_clock::now()) {
+      deadline_expired_.fetch_add(1, std::memory_order_relaxed);
+      RunResult r;
+      r.backend = opt_.engine.backend;
+      r.status = Status::deadline_exceeded("deadline expired in queue");
+      job.fulfill(std::move(r));
+      completed_.fetch_add(1, std::memory_order_relaxed);
+      continue;
     }
 
     WorkspacePool::Lease lease = pool_.acquire();
-    answered.assign(jobs.size(), false);
+    bool answered = false;
     try {
-      for (std::size_t u = 0; u < reqs.size(); ++u) {
-        RunResult r = lease->run(reqs[u]);
-        // Track the intra-request thread peak before the result moves
-        // out: workers x this is the machine parallelism actually used.
-        std::uint64_t peak =
-            intra_threads_peak_.load(std::memory_order_relaxed);
-        while (r.stats.host_threads > peak &&
-               !intra_threads_peak_.compare_exchange_weak(
-                   peak, r.stats.host_threads, std::memory_order_relaxed)) {
-        }
-        // Which hop source actually ran (kAuto = the host kernels never
-        // ran: empty lists, non-host backends).
-        switch (r.stats.kernel_tier) {
-          case KernelTier::kListArrays:
-            tier_list_arrays_runs_.fetch_add(1, std::memory_order_relaxed);
-            break;
-          case KernelTier::kPackedCursors:
-            tier_packed_runs_.fetch_add(1, std::memory_order_relaxed);
-            break;
-          case KernelTier::kAuto:
-            break;
-        }
-        if (r.stats.shard_count > 0) {
-          sharded_runs_.fetch_add(1, std::memory_order_relaxed);
-          shard_spills_.fetch_add(r.stats.shard_spills,
-                                  std::memory_order_relaxed);
-          shard_prefetch_hits_.fetch_add(r.stats.shard_prefetch_hits,
-                                         std::memory_order_relaxed);
-          shard_corrupt_slabs_.fetch_add(r.stats.shard_corrupt_slabs,
-                                         std::memory_order_relaxed);
-          shard_repacks_.fetch_add(r.stats.shard_repacks,
-                                   std::memory_order_relaxed);
-          shard_degraded_.fetch_add(r.stats.shard_degraded,
-                                    std::memory_order_relaxed);
-        }
-        // Snapshot jobs stamp the generation and feed the caches before
-        // the result fans out (jobs collapsed onto one run share a pinned
-        // list, hence one snapshot generation).
-        for (std::size_t i = 0; i < jobs.size(); ++i) {
-          if (run_of[i] == u && jobs[i].snapshot_id != 0) {
-            finish_snapshot_run(jobs[i], reqs[u], r, *lease);
-            break;
-          }
-        }
-        // Fan the result out to every job this run answers: copies for
-        // the duplicates, the original for the last one.
-        std::size_t last = jobs.size();
-        for (std::size_t i = 0; i < jobs.size(); ++i) {
-          if (run_of[i] == u) last = i;
-        }
-        for (std::size_t i = 0; i < jobs.size(); ++i) {
-          if (run_of[i] != u) continue;
-          answered[i] = true;
-          if (i == last) {
-            jobs[i].fulfill(std::move(r));
-          } else {
-            jobs[i].fulfill_copy(r);
-          }
-        }
+      RunResult r = lease->run(job.req);
+      // Track the intra-request thread peak: workers x this is the
+      // machine parallelism actually used.
+      std::uint64_t peak = intra_threads_peak_.load(std::memory_order_relaxed);
+      while (r.stats.host_threads > peak &&
+             !intra_threads_peak_.compare_exchange_weak(
+                 peak, r.stats.host_threads, std::memory_order_relaxed)) {
       }
+      // Which hop source actually ran (kAuto = the host kernels never
+      // ran: empty lists, non-host backends).
+      switch (r.stats.kernel_tier) {
+        case KernelTier::kListArrays:
+          tier_list_arrays_runs_.fetch_add(1, std::memory_order_relaxed);
+          break;
+        case KernelTier::kPackedCursors:
+          tier_packed_runs_.fetch_add(1, std::memory_order_relaxed);
+          break;
+        case KernelTier::kAuto:
+          break;
+      }
+      if (r.stats.shard_count > 0) {
+        sharded_runs_.fetch_add(1, std::memory_order_relaxed);
+        shard_spills_.fetch_add(r.stats.shard_spills,
+                                std::memory_order_relaxed);
+        shard_prefetch_hits_.fetch_add(r.stats.shard_prefetch_hits,
+                                       std::memory_order_relaxed);
+        shard_corrupt_slabs_.fetch_add(r.stats.shard_corrupt_slabs,
+                                       std::memory_order_relaxed);
+        shard_repacks_.fetch_add(r.stats.shard_repacks,
+                                 std::memory_order_relaxed);
+        shard_degraded_.fetch_add(r.stats.shard_degraded,
+                                  std::memory_order_relaxed);
+      }
+      // Snapshot jobs stamp the generation and feed the caches first.
+      if (job.snapshot_id != 0) finish_snapshot_run(job, r, *lease);
+      answered = true;
+      job.fulfill(std::move(r));
     } catch (...) {
-      // run() only throws on resource exhaustion (e.g. bad_alloc); every
-      // job whose run never fulfilled it is still unanswered. Future jobs
-      // propagate the exception; callback jobs (which have no promise to
-      // carry it) get a typed kUnavailable result instead.
-      for (std::size_t i = 0; i < jobs.size(); ++i) {
-        if (answered[i]) continue;
-        if (jobs[i].done) {
-          jobs[i].fulfill(rejected_result(opt_, "engine run threw"));
+      // run() only throws on resource exhaustion (e.g. bad_alloc). A
+      // future job propagates the exception; a callback job (which has no
+      // promise to carry it) gets a typed kUnavailable result instead.
+      if (!answered) {
+        if (job.done) {
+          job.fulfill(rejected_result(opt_, "engine run threw"));
         } else {
-          jobs[i].result.set_exception(std::current_exception());
+          job.result.set_exception(std::current_exception());
         }
       }
     }
 
     batches_.fetch_add(1, std::memory_order_relaxed);
-    completed_.fetch_add(jobs.size(), std::memory_order_relaxed);
-    if (jobs.size() > 1)
-      coalesced_.fetch_add(jobs.size(), std::memory_order_relaxed);
-    if (jobs.size() > reqs.size())
-      collapsed_.fetch_add(jobs.size() - reqs.size(),
-                           std::memory_order_relaxed);
-    std::uint64_t peak = peak_batch_.load(std::memory_order_relaxed);
-    while (jobs.size() > peak &&
-           !peak_batch_.compare_exchange_weak(peak, jobs.size(),
-                                              std::memory_order_relaxed)) {
-    }
+    completed_.fetch_add(1, std::memory_order_relaxed);
   }
 }
 
@@ -455,9 +378,6 @@ void EngineServer::reset_stats() {
   rejected_.store(0, std::memory_order_relaxed);
   completed_.store(0, std::memory_order_relaxed);
   batches_.store(0, std::memory_order_relaxed);
-  coalesced_.store(0, std::memory_order_relaxed);
-  collapsed_.store(0, std::memory_order_relaxed);
-  peak_batch_.store(0, std::memory_order_relaxed);
   intra_threads_peak_.store(0, std::memory_order_relaxed);
   tier_list_arrays_runs_.store(0, std::memory_order_relaxed);
   tier_packed_runs_.store(0, std::memory_order_relaxed);
@@ -487,9 +407,6 @@ ServerStats EngineServer::stats() const {
   s.rejected = rejected_.load(std::memory_order_relaxed);
   s.completed = completed_.load(std::memory_order_relaxed);
   s.batches = batches_.load(std::memory_order_relaxed);
-  s.coalesced = coalesced_.load(std::memory_order_relaxed);
-  s.collapsed = collapsed_.load(std::memory_order_relaxed);
-  s.peak_batch = peak_batch_.load(std::memory_order_relaxed);
   s.intra_threads_peak =
       intra_threads_peak_.load(std::memory_order_relaxed);
   s.tier_list_arrays_runs =

@@ -10,19 +10,14 @@
 //
 // Architecture (see docs/ARCHITECTURE.md):
 //
-//   clients --submit--> BoundedQueue --pop_batch--> workers --> WorkspacePool
-//      futures <-------- promises fulfilled per result <-- Engine::run
+//   clients --submit--> BoundedQueue --pop--> workers --> WorkspacePool
+//      futures <-------- promise fulfilled per job <-- Engine::run
 //
 //   * Each submit() enqueues a job (request + promise) onto a bounded MPMC
 //     queue; back-pressure blocks producers when full (or rejects with
 //     StatusCode::kUnavailable when reject_when_full is set).
-//   * A fixed pool of worker threads pops jobs. While the queue is shallow
-//     each worker takes one job (lowest latency); once the depth exceeds
-//     batch_threshold it coalesces up to max_batch jobs and runs them
-//     back to back on one leased Engine -- adaptive micro-batching, paying
-//     one queue critical section and one engine lease per batch. Identical
-//     requests inside a batch collapse into a single engine run (hot-key
-//     traffic runs the work once per batch, not once per client).
+//   * A fixed pool of worker threads pops one job at a time, runs it on an
+//     Engine leased for that job, and answers it.
 //   * Engines (and their warmed-up Workspaces) come from a WorkspacePool:
 //     zero scratch allocations in steady state, observable via stats().
 //   * shutdown() closes the queue, lets workers drain every queued job,
@@ -62,22 +57,9 @@ struct ServerOptions {
   unsigned workers = 0;
   /// Bounded request-queue capacity; a full queue back-pressures clients.
   std::size_t queue_capacity = 1024;
-  /// Micro-batching trigger: coalesce once the queue depth exceeds this.
-  std::size_t batch_threshold = 1;
-  /// Largest number of requests coalesced into one worker batch.
-  std::size_t max_batch = 64;
   /// When true, submit() on a full queue resolves immediately to
   /// StatusCode::kUnavailable instead of blocking for a slot.
   bool reject_when_full = false;
-  /// Request collapsing: identical requests inside one micro-batch (same
-  /// LinkedList object, same rank/op/method) share a single engine run and
-  /// each receive a copy of its result. Semantically invisible -- Engine
-  /// runs are deterministic (the workspace RNG is reseeded from the
-  /// options' seed every run), so N identical requests produce bit-
-  /// identical answers either way -- but under hot-key traffic (many
-  /// clients asking about the same list) it multiplies aggregate
-  /// throughput: the work runs once per batch instead of once per client.
-  bool collapse_duplicates = true;
   /// Byte budget of the shared packed-slab cache (snapshot-addressed
   /// requests only; serve/slab_cache.hpp). 0 disables slab caching.
   std::size_t slab_cache_bytes = std::size_t{64} << 20;
@@ -119,10 +101,7 @@ struct ServerStats {
   std::uint64_t submitted = 0;   ///< jobs accepted into the queue
   std::uint64_t rejected = 0;    ///< submits resolved kUnavailable
   std::uint64_t completed = 0;   ///< jobs whose promise was fulfilled
-  std::uint64_t batches = 0;     ///< worker batches run
-  std::uint64_t coalesced = 0;   ///< jobs that shared a batch (size > 1)
-  std::uint64_t collapsed = 0;   ///< jobs served by another job's run
-  std::uint64_t peak_batch = 0;  ///< largest batch observed
+  std::uint64_t batches = 0;     ///< jobs run on a leased engine
   /// Deepest request-queue backlog seen at any submit (BoundedQueue
   /// size_hwm): the congestion high-water behind capacity planning and
   /// the net layer's RETRY_AFTER hint.
@@ -199,8 +178,6 @@ class EngineServer {
   std::future<RunResult> submit(const RankRequest& req);
   /// Submits a scan under any registered operator -- ScanRequest and
   /// OpRequest are one type (same contract as the rank overload).
-  /// Collapsing keys on the operator identity: only jobs with the same
-  /// list, method, AND ScanOp share one engine run.
   std::future<RunResult> submit(const ScanRequest& req);
   /// Submits a unified request (same contract as the rank overload).
   std::future<RunResult> submit(Request req);
@@ -208,8 +185,8 @@ class EngineServer {
   /// future -- the network event loop. `done` is invoked exactly once
   /// with the result: from a worker thread on completion, or inline from
   /// this call on rejection (full queue / shutdown, a kUnavailable
-  /// result). The callback must be cheap and non-blocking (it runs on a
-  /// worker's batch path); hand heavy work to another thread.
+  /// result). The callback must be cheap and non-blocking (it runs on the
+  /// worker that ran the job); hand heavy work to another thread.
   void submit(Request req, std::function<void(RunResult&&)> done);
 
   // -- snapshot-addressed serving (the cross-request cache path) ---------
@@ -233,8 +210,9 @@ class EngineServer {
   /// Submits a snapshot-addressed request. A memoized result is answered
   /// inline (the future is already resolved on return); otherwise the
   /// job is queued like any other, carrying the pinned snapshot list and
-  /// any cached slab. Stale pins and unknown ids resolve immediately to
-  /// kStaleGeneration / kInvalidInput.
+  /// any cached slab. Once shutdown has begun it resolves to kUnavailable
+  /// like every other submit; before that, stale pins and unknown ids
+  /// resolve immediately to kStaleGeneration / kInvalidInput.
   std::future<RunResult> submit(const SnapshotRequest& req);
   /// Callback flavour of the snapshot submit (same contract as the
   /// Request callback overload; inline resolutions invoke `done` from
@@ -294,28 +272,19 @@ class EngineServer {
         result.set_value(std::move(r));
       }
     }
-    /// Answers with a copy of `r` (collapsed-duplicate fan-out).
-    void fulfill_copy(const RunResult& r) {
-      if (done) {
-        done(RunResult(r));
-      } else {
-        result.set_value(r);
-      }
-    }
   };
 
   std::future<RunResult> submit_job(Job job, bool has_future);
   std::future<RunResult> submit_snapshot(const SnapshotRequest& req,
                                          std::function<void(RunResult&&)> done,
                                          bool has_future);
-  void finish_snapshot_run(const Job& job, const Request& req, RunResult& r,
-                           Engine& engine);
+  void finish_snapshot_run(const Job& job, RunResult& r, Engine& engine);
   void worker_loop();
   void join_workers(bool drain);
 
   ServerOptions opt_;            ///< resolved configuration
   BoundedQueue<Job> queue_;      ///< clients push, workers pop
-  WorkspacePool pool_;           ///< one warmed engine per running batch
+  WorkspacePool pool_;           ///< one warmed engine per running job
   SnapshotRegistry registry_;    ///< immutable generation-stamped lists
   /// Cross-request packed slabs per (snapshot, generation, ones-flag).
   LruCache<std::shared_ptr<const PackedSlab>> slab_cache_;
@@ -326,10 +295,7 @@ class EngineServer {
   std::atomic<std::uint64_t> submitted_{0};   ///< accepted jobs
   std::atomic<std::uint64_t> rejected_{0};    ///< kUnavailable resolutions
   std::atomic<std::uint64_t> completed_{0};   ///< fulfilled promises
-  std::atomic<std::uint64_t> batches_{0};     ///< engine batch calls
-  std::atomic<std::uint64_t> coalesced_{0};   ///< jobs in shared batches
-  std::atomic<std::uint64_t> collapsed_{0};   ///< duplicate jobs collapsed
-  std::atomic<std::uint64_t> peak_batch_{0};  ///< largest batch seen
+  std::atomic<std::uint64_t> batches_{0};     ///< jobs run on an engine
   std::atomic<std::uint64_t> intra_threads_peak_{0};  ///< max host_threads
   std::atomic<std::uint64_t> tier_list_arrays_runs_{0};  ///< kListArrays
   std::atomic<std::uint64_t> tier_packed_runs_{0};  ///< kPackedCursors

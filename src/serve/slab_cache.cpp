@@ -4,8 +4,8 @@ namespace lr90::serve {
 
 std::uint64_t request_flavor(bool rank, ScanOp op, Method method) {
   // Rank ignores the operator (it always combines by addition), so every
-  // rank request of one method shares a flavor -- maximizing hot-key
-  // collapse -- while scans key on their operator.
+  // rank request of one method shares a flavor -- one memoized result
+  // answers them all -- while scans key on their operator.
   const std::uint64_t op_word =
       rank ? 0 : static_cast<std::uint64_t>(op) + 1;
   return (rank ? 1ULL : 0ULL) | (op_word << 1) |

@@ -2,12 +2,12 @@
 // cross-request caching layer of the serving stack.
 //
 // The packed hot word (lists/encode.hpp) makes the O(n) slab build the
-// dominant fixed cost per request once traversal is latency-hidden; the
-// Workspace slab cache amortizes it only within one engine batch because
-// arbitrary callers can mutate arrays between runs. The SnapshotRegistry
+// dominant fixed cost per request once traversal is latency-hidden; a run
+// over a caller-owned list pays it every time, because arbitrary callers
+// can mutate arrays between runs. The SnapshotRegistry
 // (serve/snapshot.hpp) removes that caveat -- server-registered lists are
 // immutable and generation-stamped -- so cached artifacts keyed on
-// (snapshot_id, generation) can outlive a batch, a worker, and a client.
+// (snapshot_id, generation) can outlive a run, a worker, and a client.
 //
 // One template, two instantiations in EngineServer:
 //

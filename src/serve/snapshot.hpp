@@ -2,8 +2,8 @@
 // ownership story that makes cross-request caching sound.
 //
 // Everywhere else in the library the caller owns the list and may mutate
-// it between runs, which is why the Workspace slab cache trusts its keys
-// only inside one engine batch. The SnapshotRegistry inverts ownership:
+// it between runs, which is why every run over a caller-owned list builds
+// its own packed slab. The SnapshotRegistry inverts ownership:
 // a client registers a list ONCE, the server takes an immutable copy and
 // hands back a {snapshot_id, generation} handle, and every later request
 // addresses the handle instead of shipping (or aliasing) the arrays.

@@ -1,7 +1,7 @@
 // A pool of warmed-up Engines (each owning its reusable Workspace).
 //
 // An Engine is confined to one thread at a time, so a concurrent serving
-// layer needs one engine per in-flight batch. Constructing engines per
+// layer needs one engine per in-flight job. Constructing engines per
 // request would throw away exactly what the Workspace exists to amortize;
 // the pool instead builds `size` identically-configured engines up front
 // and leases them out. After the first few requests of a given shape have
@@ -69,21 +69,23 @@ class WorkspacePool {
     Engine* engine_;       ///< the leased engine
   };
 
-  /// Blocks until an engine is free, then leases it.
+  /// Blocks until an engine is free, then leases the most recently
+  /// released one, so warm buffers stay on as few engines as the load
+  /// needs.
   Lease acquire();
 
   /// Number of engines the pool owns.
   std::size_t size() const { return engines_.size(); }
 
   /// Aggregated workspace counters. Safe to call while engines are leased
-  /// and running (the counters are atomic); in-flight batches may be
+  /// and running (the counters are atomic); in-flight jobs may be
   /// partially counted, so read at a quiescent point for exact figures.
   PoolStats stats() const;
 
   /// Zeroes the aggregated counters: the lease tally and every pooled
   /// workspace's allocation/reuse counters (warmed buffers keep their
   /// capacity, so a reset does not reintroduce allocations). Call at a
-  /// quiescent point -- counts from in-flight batches may be lost.
+  /// quiescent point -- counts from in-flight jobs may be lost.
   void reset_stats();
 
  private:

@@ -3,8 +3,8 @@
 // over real sockets. Covers lifecycle, bit-exactness against a direct
 // Engine run, concurrent connections, pipelining, the RETRY_AFTER
 // back-pressure path, protocol-error teardown, the netcat plaintext
-// escape, idle timeouts, abrupt peer resets, and graceful-shutdown
-// draining of in-flight responses.
+// escape, idle timeouts, the connection cap, abrupt peer resets, and
+// graceful-shutdown draining of in-flight responses.
 #include "net/server.hpp"
 
 #include <gtest/gtest.h>
@@ -189,14 +189,13 @@ TEST(NetServer, PipelinedRequestsAnswerInOrderOnOneSocket) {
 }
 
 TEST(NetServer, FullQueueAnswersRetryAfterAndNeverHangs) {
-  // The back-pressure scenario: one worker, a one-slot queue, no
-  // batching -- then a pipelined burst far deeper than the queue. Every
-  // request gets an answer (kOk or kRetryAfter with a usable hint);
-  // nothing blocks, nothing is silently dropped.
+  // The back-pressure scenario: one worker, a one-slot queue -- then a
+  // pipelined burst far deeper than the queue. Every request gets an
+  // answer (kOk or kRetryAfter with a usable hint); nothing blocks,
+  // nothing is silently dropped.
   NetServerOptions opt = base_options();
   opt.serve.workers = 1;
   opt.serve.queue_capacity = 1;
-  opt.serve.max_batch = 1;
   NetServer server(opt);
   ASSERT_TRUE(server.start().ok());
   NetClient client = connect_client(server);
@@ -401,6 +400,35 @@ TEST(NetServer, IdleConnectionsTimeOut) {
   EXPECT_TRUE(client.read_until_eof(rest).ok());
   EXPECT_TRUE(rest.empty());
   EXPECT_GE(server.net_stats().idle_closed, 1u);
+  server.stop();
+}
+
+TEST(NetServer, ConnectionsOverTheCapAreClosedAndCounted) {
+  NetServerOptions opt = base_options();
+  opt.max_connections = 1;
+  NetServer server(opt);
+  ASSERT_TRUE(server.start().ok());
+
+  // A round trip proves the loop accepted the first connection before
+  // the second one arrives.
+  NetClient first = connect_client(server);
+  std::string health;
+  ASSERT_TRUE(first.health_text(health).ok());
+  EXPECT_EQ(health, "ok\n");
+
+  NetClient second = connect_client(server);
+  std::string rest;
+  EXPECT_TRUE(second.read_until_eof(rest).ok());
+  EXPECT_TRUE(rest.empty()) << "a refused connection gets no bytes";
+
+  // The refusal is counted before the loop reads the STATS frame that
+  // follows it, so both views agree.
+  std::string text;
+  ASSERT_TRUE(first.stats_text(text).ok());
+  EXPECT_NE(text.find("net_refused_over_cap 1\n"), std::string::npos)
+      << text;
+  EXPECT_EQ(server.net_stats().refused_over_cap, 1u);
+  EXPECT_EQ(server.net_stats().accepted, 1u);
   server.stop();
 }
 
@@ -688,7 +716,7 @@ TEST(NetServer, WireDeadlineExpiredInQueueIsTypedNotRun) {
   // End-to-end deadline propagation: a request whose header deadline is
   // already hopeless by the time a worker pops it is answered
   // DEADLINE_EXCEEDED without running. The queue delay is injected at
-  // the batch-pop edge (serve.batch.stall sleeps 50ms) so a 1ms budget
+  // the job-pop edge (serve.batch.stall sleeps 50ms) so a 1ms budget
   // expires deterministically.
   fault::FaultSite* stallsite = fault::find_site("serve.batch.stall");
   ASSERT_NE(stallsite, nullptr);
@@ -702,7 +730,7 @@ TEST(NetServer, WireDeadlineExpiredInQueueIsTypedNotRun) {
   const LinkedList list = random_list(256, rng);
 
   fault::Trigger t;
-  t.probability = 1.0;  // every batch pop stalls 50ms
+  t.probability = 1.0;  // every job pop stalls 50ms
   stallsite->arm(t);
   ResponseFrame resp;
   ASSERT_TRUE(client.rank(list, resp, Method::kAuto,

@@ -2,8 +2,8 @@
 // N client threads x M mixed rank/scan requests produce results
 // bit-identical to a serial Engine; shutdown while draining resolves every
 // future with a typed Status (never a broken promise, never a deadlock);
-// pooled workspaces stop allocating after warmup; micro-batching coalesces
-// under queue pressure. Runs under -fsanitize=thread in CI.
+// pooled workspaces stop allocating after warmup; a backlog runs every job
+// on its own pop and engine lease. Runs under -fsanitize=thread in CI.
 #include "serve/server.hpp"
 
 #include <gtest/gtest.h>
@@ -105,7 +105,6 @@ TEST(EngineServer, ShutdownDrainsEveryQueuedJob) {
   ServerOptions opt;
   opt.engine.backend = BackendKind::kHost;
   opt.workers = 1;
-  opt.batch_threshold = 1u << 30;  // no coalescing: one pop per job
   EngineServer server(opt);
 
   std::vector<std::future<RunResult>> futures;
@@ -139,7 +138,6 @@ TEST(EngineServer, ShutdownNowFailsPendingJobsTyped) {
   ServerOptions opt;
   opt.engine.backend = BackendKind::kHost;
   opt.workers = 1;
-  opt.batch_threshold = 1u << 30;
   EngineServer server(opt);
 
   std::vector<std::future<RunResult>> futures;
@@ -200,8 +198,6 @@ TEST(EngineServer, RejectWhenFullResolvesUnavailable) {
   opt.engine.backend = BackendKind::kHost;
   opt.workers = 1;
   opt.queue_capacity = 1;
-  opt.batch_threshold = 1u << 30;  // keep the queue occupied
-  opt.max_batch = 1;
   opt.reject_when_full = true;
   EngineServer server(opt);
 
@@ -224,69 +220,42 @@ TEST(EngineServer, RejectWhenFullResolvesUnavailable) {
   EXPECT_EQ(server.stats().rejected, rejected);
 }
 
-TEST(EngineServer, MicroBatchingCoalescesUnderPressure) {
+TEST(EngineServer, BacklogRunsEveryJobOnItsOwnPop) {
+  // One worker busy on a large rank while 128 ranks of one hot list queue
+  // behind it: each queued job is popped, leased an engine and run on its
+  // own, and every answer is bit-exact against the serial engine.
   Rng rng(17);
   const LinkedList big = random_list(300000, rng);
-  const LinkedList small = random_list(256, rng);
+  const LinkedList hot = random_list(30000, rng);
+  Engine serial({.backend = BackendKind::kSerial});
+  const RunResult want_big = serial.rank(big);
+  const RunResult want_hot = serial.rank(hot);
+  ASSERT_TRUE(want_big.ok());
+  ASSERT_TRUE(want_hot.ok());
+
   ServerOptions opt;
   opt.engine.backend = BackendKind::kHost;
   opt.workers = 1;
-  opt.batch_threshold = 1;
-  opt.max_batch = 64;
   EngineServer server(opt);
 
-  // Occupy the worker, then burst; the backlog must be coalesced.
   std::future<RunResult> head = server.submit(RankRequest{&big});
   std::vector<std::future<RunResult>> burst;
   for (std::size_t i = 0; i < 128; ++i)
-    burst.push_back(server.submit(RankRequest{&small}));
-  ASSERT_TRUE(head.get().ok());
-  for (auto& f : burst) ASSERT_TRUE(f.get().ok());
-  server.shutdown();  // quiesce: batch counters settle after the promises
+    burst.push_back(server.submit(RankRequest{&hot}));
+  const RunResult first = head.get();
+  ASSERT_TRUE(first.ok());
+  EXPECT_EQ(first.scan, want_big.scan);
+  for (auto& f : burst) {
+    const RunResult r = f.get();
+    ASSERT_TRUE(r.ok());
+    EXPECT_EQ(r.scan, want_hot.scan);
+  }
+  server.shutdown();  // quiesce: job counters settle after the promises
 
   const ServerStats stats = server.stats();
   EXPECT_EQ(stats.completed, 129u);
-  EXPECT_LT(stats.batches, stats.completed);  // some batches carried > 1
-  EXPECT_GT(stats.peak_batch, 1u);
-  EXPECT_GT(stats.coalesced, 0u);
-}
-
-TEST(EngineServer, RequestCollapsingIsSemanticallyInvisible) {
-  // Identical requests inside a batch share one engine run. Because runs
-  // are deterministic (per-run reseeding), results with collapsing on must
-  // be bit-identical to results with it off -- and to the serial engine.
-  Rng rng(31);
-  const LinkedList hot = random_list(30000, rng);
-  Engine serial({.backend = BackendKind::kSerial});
-  const RunResult want = serial.rank(hot);
-  ASSERT_TRUE(want.ok());
-
-  for (const bool collapse : {true, false}) {
-    ServerOptions opt;
-    opt.engine.backend = BackendKind::kHost;
-    opt.workers = 1;
-    opt.collapse_duplicates = collapse;
-    EngineServer server(opt);
-
-    // Occupy the worker so the hot-key burst coalesces into batches.
-    std::future<RunResult> head = server.submit(RankRequest{&hot});
-    std::vector<std::future<RunResult>> burst;
-    for (std::size_t i = 0; i < 64; ++i)
-      burst.push_back(server.submit(RankRequest{&hot}));
-    ASSERT_TRUE(head.get().ok());
-    for (auto& f : burst) {
-      const RunResult r = f.get();
-      ASSERT_TRUE(r.ok());
-      EXPECT_EQ(r.scan, want.scan);
-    }
-    server.shutdown();
-    if (collapse) {
-      EXPECT_GT(server.stats().collapsed, 0u)
-          << "a 64-deep hot-key backlog must collapse";
-    } else {
-      EXPECT_EQ(server.stats().collapsed, 0u);
-    }
-  }
+  EXPECT_EQ(stats.batches, 129u) << "one engine run per job";
+  EXPECT_EQ(stats.pool.leases, 129u) << "one engine lease per job";
 }
 
 TEST(EngineServer, PooledWorkspacesStopAllocatingAfterWarmup) {
@@ -304,7 +273,7 @@ TEST(EngineServer, PooledWorkspacesStopAllocatingAfterWarmup) {
 
   for (std::size_t i = 0; i < 64; ++i)
     ASSERT_TRUE(server.submit(RankRequest{&list}).get().ok());
-  server.shutdown();  // quiesce: batch counters settle after the promises
+  server.shutdown();  // quiesce: job counters settle after the promises
   const ServerStats stats = server.stats();
   EXPECT_EQ(stats.pool.allocations, warm)
       << "steady-state requests must not grow any pooled workspace";
@@ -353,7 +322,7 @@ TEST(EngineServer, ResetStatsZeroesPoolCountersWithoutReallocating) {
     std::this_thread::sleep_for(std::chrono::milliseconds(2));
     const ServerStats s = server.stats();
     if (s.completed == 8 && s.batches == warm.batches &&
-        s.peak_batch == warm.peak_batch && s.pool.leases == warm.pool.leases)
+        s.pool.leases == warm.pool.leases)
       break;
     warm = s;
   }
@@ -366,9 +335,6 @@ TEST(EngineServer, ResetStatsZeroesPoolCountersWithoutReallocating) {
   EXPECT_EQ(zeroed.submitted, 0u);
   EXPECT_EQ(zeroed.completed, 0u);
   EXPECT_EQ(zeroed.batches, 0u);
-  EXPECT_EQ(zeroed.coalesced, 0u);
-  EXPECT_EQ(zeroed.collapsed, 0u);
-  EXPECT_EQ(zeroed.peak_batch, 0u);
   EXPECT_EQ(zeroed.pool.allocations, 0u);
   EXPECT_EQ(zeroed.pool.reuse_hits, 0u);
   EXPECT_EQ(zeroed.pool.leases, 0u);
@@ -534,10 +500,10 @@ TEST(EngineServer, CallbackSubmitMatchesFutureSubmit) {
   EXPECT_TRUE(called);
 }
 
-TEST(EngineServer, CollapsingKeysOnOperatorIdentity) {
-  // A hot key served under two different operators must collapse within
-  // each operator but never across them: seg-sum answers are not plus
-  // answers. Occupy the worker so the mixed burst lands in one backlog.
+TEST(EngineServer, MixedOperatorBacklogOnOneListIsBitExact) {
+  // A hot key served under two different operators from one backlog:
+  // every answer is the one its own operator gives, and seg-sum answers
+  // are not plus answers. Occupy the worker so the mixed burst queues.
   Rng rng(41);
   const LinkedList big = random_list(300000, rng);
   LinkedList hot = random_list(20000, rng, ValueInit::kSigned);
@@ -571,8 +537,6 @@ TEST(EngineServer, CollapsingKeysOnOperatorIdentity) {
     EXPECT_EQ(r.scan, want_seg.scan);
   }
   server.shutdown();
-  EXPECT_GT(server.stats().collapsed, 0u)
-      << "a 64-deep two-key backlog must collapse within each key";
 }
 
 TEST(EngineServer, SnapshotHotKeySteadyStateDoesZeroPacksAndZeroRuns) {
@@ -648,6 +612,51 @@ TEST(EngineServer, SnapshotHotKeySteadyStateDoesZeroPacksAndZeroRuns) {
       << "steady state builds zero packed slabs";
 }
 
+TEST(EngineServer, SnapshotSubmitAfterShutdownResolvesUnavailable) {
+  // Regression: snapshot submits answered from the registry and the
+  // result memo before they reached the queue, so a memoized key kept
+  // answering ok, and a stale pin stale-generation, after shutdown began.
+  // Once shutdown starts every submit resolves to kUnavailable.
+  Rng rng(59);
+  const LinkedList list = random_list(20000, rng);
+  ServerOptions opt;
+  opt.engine.backend = BackendKind::kHost;
+  opt.workers = 1;
+  EngineServer server(opt);
+
+  SnapshotHandle first;
+  ASSERT_TRUE(server.register_snapshot(list, first).ok());
+  SnapshotHandle current;
+  ASSERT_TRUE(
+      server.update_snapshot(first.snapshot_id, list, current).ok());
+  SnapshotRequest memoized;
+  memoized.snapshot_id = current.snapshot_id;
+  SnapshotRequest stale = memoized;
+  stale.generation = first.generation;
+
+  // Warm the memo (the cache insert precedes the answer), and check both
+  // requests take the inline paths while the server is up.
+  ASSERT_TRUE(server.submit(memoized).get().ok());
+  EXPECT_TRUE(server.submit(memoized).get().ok());
+  EXPECT_EQ(server.stats().result_hits, 1u);
+  EXPECT_EQ(server.submit(stale).get().status.code,
+            StatusCode::kStaleGeneration);
+
+  server.shutdown();
+  const ServerStats before = server.stats();
+  for (const SnapshotRequest& req : {memoized, stale}) {
+    const RunResult r = server.submit(req).get();
+    EXPECT_EQ(r.status.code, StatusCode::kUnavailable)
+        << status_code_name(r.status.code);
+    EXPECT_EQ(r.status.message, "server is shut down");
+    EXPECT_TRUE(r.scan.empty());
+  }
+  const ServerStats after = server.stats();
+  EXPECT_EQ(after.rejected, before.rejected + 2);
+  EXPECT_EQ(after.result_hits, before.result_hits);
+  EXPECT_EQ(after.stale_rejections, before.stale_rejections);
+}
+
 TEST(EngineServer, SnapshotSpillRootPinsReusesAndDropsShardFiles) {
   // The out-of-core serving lifecycle: with shard_spill_root set, a
   // sharded snapshot run keeps its shard files in the generation-stamped
@@ -720,8 +729,8 @@ TEST(EngineServer, SnapshotSpillRootPinsReusesAndDropsShardFiles) {
 TEST(EngineServer, ShardedSnapshotRunExportsNoSlab) {
   // A sharded snapshot run reports host_packed from its shard passes, but
   // the workspace slab belongs to whatever ran before it on that engine.
-  // Here an unsharded plus-scan of another list runs first in the same
-  // batch; its slab must not reach the slab cache under the snapshot's
+  // Here an unsharded plus-scan of another list runs first on the one
+  // engine; its slab must not reach the slab cache under the snapshot's
   // key. Only the memoized result is cached, and a later min-scan of the
   // snapshot finds no slab.
   Rng rng(71);
@@ -742,7 +751,7 @@ TEST(EngineServer, ShardedSnapshotRunExportsNoSlab) {
   req.op = ScanOp::kPlus;
 
   // Hold the worker inside a first job's callback so the next two jobs
-  // queue up and pop as one batch, the plain list's scan first.
+  // queue up and run back to back, the plain list's scan first.
   std::promise<void> held;
   std::future<void> worker_held = held.get_future();
   std::promise<void> release;
@@ -775,7 +784,6 @@ TEST(EngineServer, ShardedSnapshotRunExportsNoSlab) {
   EXPECT_EQ(m.scan, serial.run(OpRequest{&snap, ScanOp::kMin}).scan);
   server.shutdown();
   EXPECT_EQ(server.stats().slab_hits, 0u);
-  EXPECT_EQ(server.stats().peak_batch, 2u);
 }
 
 TEST(EngineServer, SnapshotUpdateRaceNeverServesAStaleGeneration) {
@@ -856,27 +864,28 @@ TEST(EngineServer, SnapshotUpdateRaceNeverServesAStaleGeneration) {
       << "the hot key must have been served from the caches at least once";
 }
 
-TEST(BoundedQueue, AdaptiveBatchPop) {
+TEST(BoundedQueue, PopIsFifoAndDrainsAfterClose) {
   serve::BoundedQueue<int> q(16);
   for (int i = 0; i < 10; ++i) {
     int x = i;
     ASSERT_TRUE(q.push(x));
   }
   std::vector<int> out;
-  // Depth 10 > threshold 2: one critical section takes up to max_batch.
-  EXPECT_EQ(q.pop_batch(out, /*batch_threshold=*/2, /*max_batch=*/4), 4u);
+  int item = -1;
+  for (int i = 0; i < 4; ++i) {
+    ASSERT_TRUE(q.pop(item));
+    out.push_back(item);
+  }
   EXPECT_EQ(out, (std::vector<int>{0, 1, 2, 3}));
-  // Depth 6 <= threshold 8: latency mode, single item.
-  EXPECT_EQ(q.pop_batch(out, /*batch_threshold=*/8, /*max_batch=*/4), 1u);
-  EXPECT_EQ(out.back(), 4);
   q.close();
   int rejected = 99;
   EXPECT_FALSE(q.push(rejected));
   EXPECT_EQ(rejected, 99);  // rejected items stay with the caller
   // Drain continues after close...
-  while (q.pop_batch(out, 2, 4) != 0) {
-  }
+  while (q.pop(item)) out.push_back(item);
   EXPECT_EQ(out.size(), 10u);  // ...until every queued item came out
+  for (int i = 0; i < 10; ++i) EXPECT_EQ(out[static_cast<size_t>(i)], i);
+  EXPECT_EQ(item, 9) << "a pop on a closed, drained queue leaves out alone";
 }
 
 TEST(BoundedQueue, CapacityOneBackpressuresAndDeliversInOrder) {
@@ -899,8 +908,7 @@ TEST(BoundedQueue, CapacityOneBackpressuresAndDeliversInOrder) {
     q.close();
   });
   std::vector<int> out;
-  while (q.pop_batch(out, /*batch_threshold=*/1, /*max_batch=*/8) != 0) {
-  }
+  for (int x; q.pop(x);) out.push_back(x);
   producer.join();
   ASSERT_EQ(out.size(), 51u);  // the pre-filled 0 plus 1..50
   for (int i = 0; i <= 50; ++i) EXPECT_EQ(out[static_cast<size_t>(i)], i);
@@ -933,8 +941,7 @@ TEST(BoundedQueue, TryPushUnderContentionConservesEveryItem) {
   }
   std::vector<int> out;
   std::thread consumer([&] {
-    while (q.pop_batch(out, /*batch_threshold=*/1, /*max_batch=*/3) != 0) {
-    }
+    for (int x; q.pop(x);) out.push_back(x);
   });
   for (auto& t : producers) t.join();
   q.close();
@@ -946,9 +953,9 @@ TEST(BoundedQueue, TryPushUnderContentionConservesEveryItem) {
       << "an item was delivered twice";
 }
 
-TEST(BoundedQueue, DrainNowRacingBatchPopLosesNothing) {
+TEST(BoundedQueue, DrainNowRacingPopLosesNothing) {
   // Non-graceful shutdown steals the backlog out from under a consumer
-  // blocked in (or racing into) pop_batch: every pushed item must end up
+  // blocked in (or racing into) pop: every pushed item must end up
   // in exactly one of the two, and the consumer must observe termination.
   for (int round = 0; round < 20; ++round) {
     serve::BoundedQueue<int> q(64);
@@ -958,10 +965,8 @@ TEST(BoundedQueue, DrainNowRacingBatchPopLosesNothing) {
     }
     std::vector<int> popped;
     std::thread consumer([&] {
-      // Keeps batch-popping until close-and-drained.
-      while (q.pop_batch(popped, /*batch_threshold=*/2, /*max_batch=*/5) !=
-             0) {
-      }
+      // Keeps popping until close-and-drained.
+      for (int x; q.pop(x);) popped.push_back(x);
     });
     q.close();
     const std::vector<int> drained = q.drain_now();
@@ -975,12 +980,12 @@ TEST(BoundedQueue, DrainNowRacingBatchPopLosesNothing) {
 
   // And a consumer already asleep on an empty queue wakes on close.
   serve::BoundedQueue<int> empty(4);
-  std::vector<int> none;
-  std::thread sleeper([&] { EXPECT_EQ(empty.pop_batch(none, 1, 4), 0u); });
+  int none = -1;
+  std::thread sleeper([&] { EXPECT_FALSE(empty.pop(none)); });
   std::this_thread::sleep_for(std::chrono::milliseconds(10));
   empty.close();
   sleeper.join();
-  EXPECT_TRUE(none.empty());
+  EXPECT_EQ(none, -1);
 }
 
 TEST(WorkspacePool, LeasesBlockAndAggregateStats) {

@@ -291,7 +291,7 @@ INSTANTIATE_TEST_SUITE_P(Seeds, LruCacheSweep,
 
 TEST(SlabCacheKeying, RequestFlavorsNeverCollide) {
   // Every (rank, op, method) request shape must key a distinct result
-  // slot; rank ignores the operator so hot-key ranks collapse maximally.
+  // slot; rank ignores the operator so every rank of one method shares one.
   std::vector<std::uint64_t> seen;
   for (const Method m : {Method::kAuto, Method::kSerial, Method::kReidMiller,
                          Method::kReidMillerEncoded}) {
