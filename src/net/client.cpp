@@ -23,6 +23,16 @@ timeval timeval_of(double seconds) {
   return tv;
 }
 
+/// Refuses a list too large for one frame before anything is encoded or
+/// sent; the server would take the frame as a protocol error and close
+/// the connection.
+Status fits_one_frame(const LinkedList& list) {
+  if (list.size() <= kMaxListVertices) return Status::success();
+  return Status::invalid("a list of " + std::to_string(list.size()) +
+                         " vertices does not fit one frame (at most " +
+                         std::to_string(kMaxListVertices) + ")");
+}
+
 }  // namespace
 
 NetClient::~NetClient() { close(); }
@@ -151,6 +161,7 @@ Status NetClient::round_trip(const std::vector<std::uint8_t>& frame,
 
 Status NetClient::send_rank(const LinkedList& list,
                             std::uint32_t& request_id, Method method) {
+  if (Status fits = fits_one_frame(list); !fits.ok()) return fits;
   request_id = next_id_++;
   std::vector<std::uint8_t> frame;
   encode_rank_request(frame, request_id, list, method);
@@ -159,6 +170,7 @@ Status NetClient::send_rank(const LinkedList& list,
 
 Status NetClient::send_scan(const LinkedList& list, ScanOp op,
                             std::uint32_t& request_id, Method method) {
+  if (Status fits = fits_one_frame(list); !fits.ok()) return fits;
   request_id = next_id_++;
   std::vector<std::uint8_t> frame;
   encode_scan_request(frame, request_id, list, op, method);
@@ -167,6 +179,7 @@ Status NetClient::send_scan(const LinkedList& list, ScanOp op,
 
 Status NetClient::rank(const LinkedList& list, ResponseFrame& out,
                        Method method, std::uint32_t deadline_ms) {
+  if (Status fits = fits_one_frame(list); !fits.ok()) return fits;
   const std::uint32_t id = next_id_++;
   std::vector<std::uint8_t> frame;
   encode_rank_request(frame, id, list, method, deadline_ms);
@@ -176,6 +189,7 @@ Status NetClient::rank(const LinkedList& list, ResponseFrame& out,
 Status NetClient::scan(const LinkedList& list, ScanOp op,
                        ResponseFrame& out, Method method,
                        std::uint32_t deadline_ms) {
+  if (Status fits = fits_one_frame(list); !fits.ok()) return fits;
   const std::uint32_t id = next_id_++;
   std::vector<std::uint8_t> frame;
   encode_scan_request(frame, id, list, op, method, deadline_ms);
@@ -184,6 +198,7 @@ Status NetClient::scan(const LinkedList& list, ScanOp op,
 
 Status NetClient::register_snapshot(const LinkedList& list,
                                     ResponseFrame& out) {
+  if (Status fits = fits_one_frame(list); !fits.ok()) return fits;
   const std::uint32_t id = next_id_++;
   std::vector<std::uint8_t> frame;
   encode_register_snapshot_request(frame, id, list);
@@ -193,6 +208,7 @@ Status NetClient::register_snapshot(const LinkedList& list,
 Status NetClient::update_snapshot(std::uint64_t snapshot_id,
                                   const LinkedList& list,
                                   ResponseFrame& out) {
+  if (Status fits = fits_one_frame(list); !fits.ok()) return fits;
   const std::uint32_t id = next_id_++;
   std::vector<std::uint8_t> frame;
   encode_update_snapshot_request(frame, id, snapshot_id, list);

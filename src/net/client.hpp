@@ -13,7 +13,10 @@
 //
 // The Status return reports the TRANSPORT outcome (connected, framed,
 // decoded); the server's answer -- including RETRY_AFTER back-pressure --
-// arrives typed in ResponseFrame::status for the caller to act on.
+// arrives typed in ResponseFrame::status for the caller to act on. A list
+// too large for one frame (more than kMaxListVertices = 5,592,404
+// vertices) is refused kInvalidInput before anything is sent, and the
+// connection stays usable.
 #pragma once
 
 #include <cstdint>

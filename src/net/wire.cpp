@@ -1,5 +1,7 @@
 #include "net/wire.hpp"
 
+#include <algorithm>
+#include <bit>
 #include <cstring>
 
 namespace lr90::net {
@@ -7,6 +9,13 @@ namespace lr90::net {
 namespace {
 
 // -- little-endian primitives ----------------------------------------------
+
+// Arrays cross the wire as their memory image: one block copy each way.
+// That is only the little-endian wire format on a little-endian host, so
+// the codec refuses to build anywhere else rather than carry a
+// byte-swapping path no build exercises.
+static_assert(std::endian::native == std::endian::little,
+              "the wire codec copies arrays in host byte order");
 
 void put_u8(std::vector<std::uint8_t>& out, std::uint8_t v) {
   out.push_back(v);
@@ -19,15 +28,17 @@ void put_u32(std::vector<std::uint8_t>& out, std::uint32_t v) {
   out.push_back(static_cast<std::uint8_t>(v >> 24));
 }
 
-void put_i64(std::vector<std::uint8_t>& out, std::int64_t v) {
-  const auto u = static_cast<std::uint64_t>(v);
-  for (int shift = 0; shift < 64; shift += 8)
-    out.push_back(static_cast<std::uint8_t>(u >> shift));
-}
-
 void put_u64(std::vector<std::uint8_t>& out, std::uint64_t v) {
   for (int shift = 0; shift < 64; shift += 8)
     out.push_back(static_cast<std::uint8_t>(v >> shift));
+}
+
+/// Appends `len` bytes from `src` in one copy.
+void put_bytes(std::vector<std::uint8_t>& out, const void* src,
+               std::size_t len) {
+  if (len == 0) return;  // an empty array's data() may be null
+  const auto* p = static_cast<const std::uint8_t*>(src);
+  out.insert(out.end(), p, p + len);
 }
 
 /// A strict cursor over a payload: every read checks the remaining
@@ -53,26 +64,19 @@ class Reader {
     return true;
   }
 
-  bool i64(std::int64_t& v) {
+  bool u64(std::uint64_t& v) {
     if (n_ < 8) return false;
-    std::uint64_t u = 0;
+    v = 0;
     for (int i = 0; i < 8; ++i)
-      u |= static_cast<std::uint64_t>(p_[i]) << (8 * i);
-    v = static_cast<std::int64_t>(u);
+      v |= static_cast<std::uint64_t>(p_[i]) << (8 * i);
     advance(8);
     return true;
   }
 
-  bool u64(std::uint64_t& v) {
-    std::int64_t s = 0;
-    if (!i64(s)) return false;
-    v = static_cast<std::uint64_t>(s);
-    return true;
-  }
-
-  bool bytes(std::size_t len, const std::uint8_t*& out) {
+  /// Copies the next `len` bytes into `dst` in one block.
+  bool copy(void* dst, std::size_t len) {
     if (n_ < len) return false;
-    out = p_;
+    if (len != 0) std::memcpy(dst, p_, len);  // dst may be null when empty
     advance(len);
     return true;
   }
@@ -88,28 +92,34 @@ class Reader {
   std::size_t n_;
 };
 
+/// Appends a frame header and reserves room for the whole frame, so the
+/// payload that follows is appended without reallocating. The length is
+/// computed in size_t; the header field is its low 32 bits (callers keep
+/// lists within kMaxListVertices).
 void put_header(std::vector<std::uint8_t>& out, MsgKind kind,
-                std::uint32_t request_id, std::uint32_t payload_len,
+                std::uint32_t request_id, std::size_t payload_len,
                 std::uint32_t deadline_ms = 0) {
+  const std::size_t need = out.size() + kHeaderSize + payload_len;
+  if (need > out.capacity()) out.reserve(std::max(need, 2 * out.capacity()));
   put_u8(out, kMagic0);
   put_u8(out, kMagic1);
   put_u8(out, kWireVersion);
   put_u8(out, static_cast<std::uint8_t>(kind));
   put_u32(out, request_id);
-  put_u32(out, payload_len);
+  put_u32(out, static_cast<std::uint32_t>(payload_len));
   put_u32(out, deadline_ms);
 }
 
 /// Payload bytes of a list body: n, head, next[], value[].
-std::uint32_t list_body_len(const LinkedList& list) {
-  return static_cast<std::uint32_t>(4 + 4 + list.size() * 12);
+std::size_t list_body_len(const LinkedList& list) {
+  return 4 + 4 + list.size() * (sizeof(index_t) + sizeof(value_t));
 }
 
 void put_list(std::vector<std::uint8_t>& out, const LinkedList& list) {
   put_u32(out, static_cast<std::uint32_t>(list.size()));
   put_u32(out, list.head);
-  for (const index_t nxt : list.next) put_u32(out, nxt);
-  for (const value_t v : list.value) put_i64(out, v);
+  put_bytes(out, list.next.data(), list.next.size() * sizeof(index_t));
+  put_bytes(out, list.value.data(), list.value.size() * sizeof(value_t));
 }
 
 /// Decodes a list body; checks head range and exact length consumption.
@@ -120,8 +130,10 @@ WireError read_list(Reader& r, LinkedList& list) {
   // The element arrays must fit the remaining payload exactly; a count
   // that claims more than the frame carries is rejected before any
   // allocation sized from it.
-  if (r.remaining() != static_cast<std::size_t>(n) * 12)
-    return WireError::kBadLength;
+  const std::size_t next_bytes = static_cast<std::size_t>(n) * sizeof(index_t);
+  const std::size_t value_bytes =
+      static_cast<std::size_t>(n) * sizeof(value_t);
+  if (r.remaining() != next_bytes + value_bytes) return WireError::kBadLength;
   if (n == 0) {
     if (head != kNoVertex) return WireError::kBadPayload;
   } else if (head >= n) {
@@ -131,12 +143,9 @@ WireError read_list(Reader& r, LinkedList& list) {
   list.value.resize(n);
   list.head = head;
   list.tail = kNoVertex;  // recomputed lazily server-side (find_tail)
-  for (std::uint32_t i = 0; i < n; ++i) {
-    if (!r.u32(list.next[i])) return WireError::kBadLength;
-  }
-  for (std::uint32_t i = 0; i < n; ++i) {
-    if (!r.i64(list.value[i])) return WireError::kBadLength;
-  }
+  if (!r.copy(list.next.data(), next_bytes) ||
+      !r.copy(list.value.data(), value_bytes))
+    return WireError::kBadLength;
   return WireError::kOk;
 }
 
@@ -390,23 +399,21 @@ WireError decode_response(const FrameView& frame, ResponseFrame& out) {
       out.body = BodyKind::kValues;
       std::uint32_t count = 0;
       if (!r.u32(count)) return WireError::kBadLength;
-      if (r.remaining() != static_cast<std::size_t>(count) * 8)
-        return WireError::kBadLength;
+      const std::size_t bytes =
+          static_cast<std::size_t>(count) * sizeof(value_t);
+      if (r.remaining() != bytes) return WireError::kBadLength;
       out.values.resize(count);
-      for (std::uint32_t i = 0; i < count; ++i) {
-        if (!r.i64(out.values[i])) return WireError::kBadLength;
-      }
-      return WireError::kOk;
+      return r.copy(out.values.data(), bytes) ? WireError::kOk
+                                              : WireError::kBadLength;
     }
     case BodyKind::kText: {
       out.body = BodyKind::kText;
       std::uint32_t len = 0;
       if (!r.u32(len)) return WireError::kBadLength;
       if (r.remaining() != len) return WireError::kBadLength;
-      const std::uint8_t* p = nullptr;
-      if (!r.bytes(len, p)) return WireError::kBadLength;
-      out.text.assign(reinterpret_cast<const char*>(p), len);
-      return WireError::kOk;
+      out.text.resize(len);
+      return r.copy(out.text.data(), len) ? WireError::kOk
+                                          : WireError::kBadLength;
     }
     case BodyKind::kRetry: {
       out.body = BodyKind::kRetry;
@@ -426,23 +433,22 @@ WireError decode_response(const FrameView& frame, ResponseFrame& out) {
 void encode_values_response(std::vector<std::uint8_t>& out,
                             std::uint32_t request_id, WireStatus status,
                             std::span<const value_t> values) {
-  put_header(out, MsgKind::kResponse, request_id,
-             static_cast<std::uint32_t>(2 + 4 + values.size() * 8));
+  const std::size_t bytes = values.size() * sizeof(value_t);
+  put_header(out, MsgKind::kResponse, request_id, 2 + 4 + bytes);
   put_u8(out, static_cast<std::uint8_t>(status));
   put_u8(out, static_cast<std::uint8_t>(BodyKind::kValues));
   put_u32(out, static_cast<std::uint32_t>(values.size()));
-  for (const value_t v : values) put_i64(out, v);
+  put_bytes(out, values.data(), bytes);
 }
 
 void encode_text_response(std::vector<std::uint8_t>& out,
                           std::uint32_t request_id, WireStatus status,
                           std::string_view text) {
-  put_header(out, MsgKind::kResponse, request_id,
-             static_cast<std::uint32_t>(2 + 4 + text.size()));
+  put_header(out, MsgKind::kResponse, request_id, 2 + 4 + text.size());
   put_u8(out, static_cast<std::uint8_t>(status));
   put_u8(out, static_cast<std::uint8_t>(BodyKind::kText));
   put_u32(out, static_cast<std::uint32_t>(text.size()));
-  out.insert(out.end(), text.begin(), text.end());
+  put_bytes(out, text.data(), text.size());
 }
 
 void encode_retry_response(std::vector<std::uint8_t>& out,

@@ -40,13 +40,24 @@
 //               to retarget on kStaleGeneration
 //     kNone     (nothing)
 //
+// Arrays (next[], value[] and the kValues answer) move as one block copy
+// each: the wire is little-endian and so is the host (wire.cpp asserts it
+// at compile time), so an array's memory image is its wire image.
+// Encoders size the frame once from the payload length in the header;
+// scalar fields are written byte by byte. List-carrying encoders expect
+// at most kMaxListVertices vertices (NetClient refuses a larger list
+// before encoding); a peer refuses a larger frame as kOversized.
+//
 // Decoding is strict and bounds-checked: every read is validated against
-// the remaining buffer, sizes must match the declared payload length
-// exactly, and every malformed-frame class maps to a typed WireError --
-// truncation is kNeedMore (feed more bytes), everything else is a hard
-// protocol error the server answers with kBadRequest and a close. No
-// decode ever reads past the supplied buffer (tests/net_wire_test.cpp
-// runs the corruption harness under ASan/UBSan to keep that true).
+// the remaining buffer, and a declared count (n, count, len) is checked
+// once against the payload length -- which must match it exactly --
+// before the array is sized and copied. Every malformed-frame class maps
+// to a typed WireError -- truncation is kNeedMore (feed more bytes),
+// everything else is a hard protocol error the server answers with
+// kBadRequest and a close. No decode ever reads past the supplied buffer
+// (tests/net_wire_test.cpp runs the corruption harness under ASan/UBSan
+// to keep that true). tests/golden/wire_v2/ pins the bytes of one frame
+// per request kind and response body (tests/wire_golden_test.cpp).
 #pragma once
 
 #include <cstddef>
@@ -74,6 +85,13 @@ inline constexpr std::size_t kHeaderSize = 16;   ///< bytes before payload
 /// length beyond this is rejected before any allocation, so a corrupt or
 /// hostile length prefix cannot balloon server memory.
 inline constexpr std::uint32_t kMaxPayload = 64u << 20;
+/// Most vertices one list-carrying request holds: a vertex is 12 payload
+/// bytes (u32 next, i64 value), and the list body's n and head plus the
+/// widest field ahead of it (an update's u64 snapshot id) are 16 more.
+/// Every list-carrying kind fits this many and none fits one more.
+inline constexpr std::size_t kMaxListVertices = (kMaxPayload - 16) / 12;
+static_assert(16 + 12 * kMaxListVertices == kMaxPayload &&
+              8 + 12 * (kMaxListVertices + 1) > kMaxPayload);
 
 /// Frame kinds. Requests are < 0x80; responses have the top bit set.
 enum class MsgKind : std::uint8_t {

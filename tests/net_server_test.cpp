@@ -3,8 +3,9 @@
 // over real sockets. Covers lifecycle, bit-exactness against a direct
 // Engine run, concurrent connections, pipelining, the RETRY_AFTER
 // back-pressure path, protocol-error teardown, the netcat plaintext
-// escape, idle timeouts, the connection cap, abrupt peer resets, and
-// graceful-shutdown draining of in-flight responses.
+// escape, idle timeouts, the connection cap, abrupt peer resets,
+// graceful-shutdown draining of in-flight responses, and the client's
+// refusal of lists too large for one frame.
 #include "net/server.hpp"
 
 #include <gtest/gtest.h>
@@ -528,6 +529,60 @@ TEST(NetServer, InvalidListIsTypedNotFatal) {
   ASSERT_TRUE(client.rank(good, resp).ok());
   EXPECT_EQ(resp.status, WireStatus::kOk);
   server.stop();
+}
+
+TEST(NetServer, OversizedListIsRefusedBeforeSendingAndTheConnectionLives) {
+  // One vertex past what a frame can carry: every list-carrying client
+  // call answers kInvalidInput without sending, so the server sees no
+  // frame and no protocol error, and the same connection keeps serving.
+  NetServer server(base_options());
+  ASSERT_TRUE(server.start().ok());
+  NetClient client = connect_client(server);
+  const NetStats before = server.net_stats();
+
+  const LinkedList big = sequential_list(kMaxListVertices + 1);
+  ResponseFrame resp;
+  std::uint32_t id = 0;
+  for (const Status& s :
+       {client.rank(big, resp), client.scan(big, ScanOp::kPlus, resp),
+        client.send_rank(big, id), client.send_scan(big, ScanOp::kMax, id),
+        client.register_snapshot(big, resp),
+        client.update_snapshot(1, big, resp)}) {
+    EXPECT_EQ(s.code, StatusCode::kInvalidInput) << s.message;
+  }
+  EXPECT_TRUE(client.connected());
+
+  Rng rng(6);
+  const LinkedList good = random_list(64, rng);
+  Engine direct(server.options().serve.engine);
+  ASSERT_TRUE(client.rank(good, resp).ok());
+  EXPECT_EQ(resp.status, WireStatus::kOk) << resp.text;
+  EXPECT_EQ(resp.values, direct.run(RankRequest{&good}).scan);
+  // Frames on one connection are handled in order, so had any refused
+  // call sent bytes they would be counted by now.
+  const NetStats after = server.net_stats();
+  EXPECT_EQ(after.frames_in, before.frames_in + 1);
+  EXPECT_EQ(after.protocol_errors, before.protocol_errors);
+  server.stop();
+}
+
+TEST(NetClient, ListAtTheFrameLimitGetsPastTheSizeCheck) {
+  // The refusal starts exactly one vertex past the limit: a list of
+  // kMaxListVertices is encoded and reaches the socket, which an
+  // unconnected client then reports as kUnavailable.
+  NetClient client;
+  const LinkedList at_limit = sequential_list(kMaxListVertices);
+  ResponseFrame resp;
+  std::uint32_t id = 0;
+  for (const Status& s :
+       {client.rank(at_limit, resp),
+        client.scan(at_limit, ScanOp::kPlus, resp),
+        client.send_rank(at_limit, id),
+        client.send_scan(at_limit, ScanOp::kMax, id),
+        client.register_snapshot(at_limit, resp),
+        client.update_snapshot(1, at_limit, resp)}) {
+    EXPECT_EQ(s.code, StatusCode::kUnavailable) << s.message;
+  }
 }
 
 TEST(NetServer, SnapshotLifecycleOverTcp) {
