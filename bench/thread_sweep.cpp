@@ -12,10 +12,17 @@
 // over random-permutation lists (ranking: the all-ones scan) at a FIXED
 // sublist count, so every (T, W) cell does identical work and the ratios
 // are pure scheduling. Two reference rows per n: the serial walk, and the
-// Engine's fully-auto plan (threads = 0, interleave = 0 -- what the joint
-// (T x W) planner picks by itself). Per-phase wall clock from ExecInfo
-// lands in BENCH_threads.json together with per-phase parallel efficiency
-// E_p(T) = t_p(1) / (T * t_p(T)) against the same-W one-thread row.
+// Engine's fully-auto plan (threads = 0, interleave = 0 -- the (T, W) the
+// joint planner picks, run at the sublist count m it plans). Per-phase
+// wall clock from ExecInfo lands in BENCH_threads.json together with
+// per-phase parallel efficiency E_p(T) = t_p(1) / (T * t_p(T)) against
+// the same-W one-thread row.
+//
+// The sublist-count axis (the paper's m, Section 4.4) gets its own rows:
+// T in {1, 4} at W = 8 over k/T in {64, 256, 1024, 4096}, next to the
+// host rule's planned m at the same shape (analysis/tuner.hpp
+// host_sublists), with the planned row's gap to the best k/T cell
+// printed.
 //
 // Gate (the PR's acceptance bar): at n = 2^22, packed T=4/W=8 must beat
 // its own T=1/W=8 time by >= 2.5x. The gate needs hardware: fewer than 4
@@ -33,6 +40,7 @@
 #include <thread>
 #include <vector>
 
+#include "analysis/tuner.hpp"
 #include "core/engine.hpp"
 #include "core/host_exec.hpp"
 #include "lists/generators.hpp"
@@ -60,32 +68,53 @@ struct Cell {
   bool phase2_parallel = false;
 };
 
+/// Times one (T, W) shape at each sublist count in `counts`, the reps
+/// taken round-robin across the counts so drift on a shared machine lands
+/// on every cell alike.
+std::vector<Cell> measure_counts(const LinkedList& list, unsigned threads,
+                                 unsigned W,
+                                 const std::vector<std::size_t>& counts,
+                                 std::size_t reps, Workspace& ws,
+                                 std::span<value_t> out) {
+  struct Samples {
+    std::vector<double> total, build, p1, p2, p3;
+    bool p2par = false;
+  };
+  std::vector<Samples> samples(counts.size());
+  for (std::size_t i = 0; i < reps; ++i) {
+    for (std::size_t c = 0; c < counts.size(); ++c) {
+      host_exec::HostPlan plan;
+      plan.threads = threads;
+      plan.sublists = counts[c];
+      plan.interleave = W;
+      // Fresh seed per rep: each run redraws boundaries exactly like a
+      // fresh engine run would.
+      ws.rng = Rng(0x5eed);
+      const auto t0 = Clock::now();
+      const host_exec::ExecInfo info =
+          host_exec::rank_into(list, plan, ws, out);
+      const auto t1 = Clock::now();
+      Samples& s = samples[c];
+      s.total.push_back(
+          std::chrono::duration<double, std::milli>(t1 - t0).count());
+      s.build.push_back(info.build_ns * 1e-6);
+      s.p1.push_back(info.phase1_ns * 1e-6);
+      s.p2.push_back(info.phase2_ns * 1e-6);
+      s.p3.push_back(info.phase3_ns * 1e-6);
+      s.p2par = info.phase2_parallel;
+    }
+  }
+  std::vector<Cell> cells;
+  for (const Samples& s : samples)
+    cells.push_back(Cell{median(s.total), median(s.build), median(s.p1),
+                         median(s.p2), median(s.p3), s.p2par});
+  return cells;
+}
+
 Cell measure(const LinkedList& list, unsigned threads, unsigned W,
              std::size_t sublists, std::size_t reps, Workspace& ws,
              std::span<value_t> out) {
-  host_exec::HostPlan plan;
-  plan.threads = threads;
-  plan.sublists = sublists;
-  plan.interleave = W;
-  std::vector<double> total, build, p1, p2, p3;
-  bool p2par = false;
-  for (std::size_t i = 0; i < reps; ++i) {
-    // Fresh seed per rep: each run redraws boundaries exactly like a
-    // fresh engine run would.
-    ws.rng = Rng(0x5eed);
-    const auto t0 = Clock::now();
-    const host_exec::ExecInfo info = host_exec::rank_into(list, plan, ws, out);
-    const auto t1 = Clock::now();
-    total.push_back(
-        std::chrono::duration<double, std::milli>(t1 - t0).count());
-    build.push_back(info.build_ns * 1e-6);
-    p1.push_back(info.phase1_ns * 1e-6);
-    p2.push_back(info.phase2_ns * 1e-6);
-    p3.push_back(info.phase3_ns * 1e-6);
-    p2par = info.phase2_parallel;
-  }
-  return Cell{median(total), median(build), median(p1), median(p2),
-              median(p3), p2par};
+  return measure_counts(list, threads, W, {sublists}, reps, ws, out)[0];
 }
 
 /// Per-phase parallel efficiency t1 / (T * tT); 0 when unmeasurable.
@@ -106,6 +135,11 @@ int main(int argc, char** argv) {
   constexpr unsigned kThreads[] = {1, 2, 4, 8};
   constexpr unsigned kWidths[] = {4, 8, 16};
   constexpr std::size_t kSublists = 512;  // fixed: identical work per cell
+  // The sublist-count rows: k/T cells at one width, for one and four
+  // workers.
+  constexpr unsigned kCountThreads[] = {1, 4};
+  constexpr unsigned kCountW = 8;
+  constexpr std::size_t kPerThread[] = {64, 256, 1024, 4096};
   constexpr std::size_t kGateN = 1u << 22;
   constexpr unsigned kGateT = 4;
   constexpr unsigned kGateW = 8;
@@ -200,10 +234,10 @@ int main(int argc, char** argv) {
     }
     last_n = n;
 
-    // The fully-auto plan: the (T, W) cell the joint planner picks with
-    // EngineOptions{threads=0, interleave=0}, measured under the same
-    // harness as the grid cells (same warm output buffer, same sublist
-    // count) so the row judges the planner's choice, not Engine API
+    // The fully-auto plan: the (T, W, m) the planner picks with
+    // EngineOptions{threads=0, interleave=0, sublists_per_thread=0},
+    // measured under the same harness as the grid cells (same warm output
+    // buffer) so the row judges the planner's choice, not Engine API
     // overheads like cold result pages.
     {
       EngineOptions eo;
@@ -213,14 +247,15 @@ int main(int argc, char** argv) {
           engine.planner().decide(n, Method::kAuto, /*rank=*/true);
       const unsigned t = d.method == Method::kSerial ? 1 : d.threads;
       const unsigned w = d.interleave;
+      const auto m = static_cast<std::size_t>(d.sublists);
       double auto_ms = serial;
       if (d.method != Method::kSerial) {
-        const Cell c = measure(list, t, std::max(1u, w), kSublists, reps,
-                               ws, std::span<value_t>(out));
+        const Cell c = measure(list, t, std::max(1u, w), m, reps, ws,
+                               std::span<value_t>(out));
         auto_ms = c.total_ms;
       }
-      table.add_row({"auto-plan", std::to_string(t), std::to_string(w),
-                     TextTable::num(auto_ms, 2),
+      table.add_row({"auto-plan m=" + std::to_string(m), std::to_string(t),
+                     std::to_string(w), TextTable::num(auto_ms, 2),
                      TextTable::num(auto_ms * 1e6 / nd, 2), "-", "-", "-",
                      "-"});
       json.row();
@@ -231,13 +266,64 @@ int main(int argc, char** argv) {
       // on (they are hardware-shape fields, skipped cross-machine).
       json.field("picked_t", static_cast<double>(t));
       json.field("picked_w", static_cast<double>(w));
+      json.field("picked_m", static_cast<double>(m));
       json.field("median_ms", auto_ms);
       json.field("ns_per_elem", auto_ms * 1e6 / nd);
     }
 
     std::printf("n = %zu\n", n);
     table.print();
-    std::printf("\n");
+
+    // The sublist-count axis: fixed (T, W), k/T swept, and the host
+    // rule's own m beside it.
+    TextTable counts({"T", "W", "k/T", "k", "median ms", "ns/elem",
+                      "p1 ns/elem", "p2 ns/elem", "p3 ns/elem"});
+    std::string gaps;
+    for (const unsigned t : kCountThreads) {
+      const std::size_t planned = host_sublists(nd, t, kCountW);
+      std::vector<std::size_t> ks;
+      for (const std::size_t kt : kPerThread) ks.push_back(kt * t);
+      ks.push_back(planned);
+      const std::vector<Cell> cells = measure_counts(
+          list, t, kCountW, ks, reps, ws, std::span<value_t>(out));
+      double best_ms = 0.0;
+      for (std::size_t c = 0; c < ks.size(); ++c) {
+        const bool is_planned = c + 1 == ks.size();
+        const Cell& cell = cells[c];
+        if (!is_planned && (best_ms == 0.0 || cell.total_ms < best_ms))
+          best_ms = cell.total_ms;
+        const std::string label =
+            is_planned ? "planned" : std::to_string(kPerThread[c]);
+        counts.add_row({std::to_string(t), std::to_string(kCountW), label,
+                        std::to_string(ks[c]),
+                        TextTable::num(cell.total_ms, 2),
+                        TextTable::num(cell.total_ms * 1e6 / nd, 2),
+                        TextTable::num(cell.phase1_ms * 1e6 / nd, 2),
+                        TextTable::num(cell.phase2_ms * 1e6 / nd, 3),
+                        TextTable::num(cell.phase3_ms * 1e6 / nd, 2)});
+        json.row();
+        json.field("n", nd);
+        json.field("variant", "k/T=" + label);
+        json.field("t", static_cast<double>(t));
+        json.field("w", static_cast<double>(kCountW));
+        json.field("sublists", static_cast<double>(ks[c]));
+        json.field("median_ms", cell.total_ms);
+        json.field("ns_per_elem", cell.total_ms * 1e6 / nd);
+        json.field("phase1_ms", cell.phase1_ms);
+        json.field("phase2_ms", cell.phase2_ms);
+        json.field("phase3_ms", cell.phase3_ms);
+      }
+      char gap[128];
+      std::snprintf(gap, sizeof gap,
+                    "T=%u W=%u: planned m=%zu runs %+.1f%% against the "
+                    "best k/T cell\n",
+                    t, kCountW, planned,
+                    (cells.back().total_ms / best_ms - 1.0) * 100.0);
+      gaps += gap;
+    }
+    std::printf("sublist counts, n = %zu\n", n);
+    counts.print();
+    std::printf("%s\n", gaps.c_str());
   }
 
   const std::string path = bench_json_path("BENCH_threads.json");

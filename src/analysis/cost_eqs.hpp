@@ -97,7 +97,18 @@ double expected_cycles_eq5(double n, double m, double s1, std::size_t l,
 // Defaults are fitted from bench/interleave_sweep and one-thread Engine
 // runs on a 4-core Xeon (2 MiB L2 per core); they need only rank the
 // candidate shapes -- and the serial walk -- correctly, not predict wall
-// time. One model serves both hop sources (core/host_exec.hpp).
+// time. One model serves both hop sources (core/host_exec.hpp). The
+// latency terms were fitted while the kernel's per-hop prefetch was
+// non-temporal; it is prefetcht0 now (plus a write prefetch in phase 3),
+// which makes small W and small n cheaper than the model says, and they
+// have not been refitted since.
+//
+// The sublist count m is planned apart from (threads, W), by Eq. 5's own
+// trade-off: the drain (the last sublists finishing with fewer cursors
+// than the workers hold, each hop paying an unhidden latency) costs
+// ~(n/m) ln m hops, against a per-sublist cost ~m, so m tracks
+// sqrt(n ln n) exactly as the paper's tuned m does (analysis/tuner.hpp
+// host_sublists).
 
 /// Per-element constants of the host sublist kernel, in nanoseconds.
 /// Value-semantic so benches can refit and re-plan. The per-thread terms
@@ -137,6 +148,15 @@ struct HostCostConstants {
   /// Parallel slab-build floor (streaming bandwidth bound): build time
   /// per element cannot drop below this no matter how many workers.
   double build_min_ns = 0.3;
+
+  // -- sublist count (analysis/tuner.hpp host_sublists) ------------------
+  /// Eq. 5's drain-to-per-sublist cost ratio on the host: ns a drain hop
+  /// costs (a cursor walking the last long sublists alone, its latency
+  /// no longer hidden) over the ns one more sublist costs (boundary pick,
+  /// claim, and phase 2's serial chain hop -- all latency-bound random
+  /// accesses too, so the ratio holds across the cache hierarchy).
+  /// Fitted to the best sublist count of bench/thread_sweep's k/T rows.
+  double drain_per_sublist = 0.2;
 };
 
 /// Interpolated random-access latency for a working set of `bytes`.

@@ -163,4 +163,15 @@ HostTuneResult host_tune(double n, double op_factor, unsigned max_threads,
   return best;
 }
 
+std::size_t host_sublists(double n, unsigned threads, unsigned interleave,
+                          unsigned pinned_per_thread,
+                          const HostCostConstants& k) {
+  const std::size_t t = std::max(1u, threads);
+  if (pinned_per_thread > 0) return t * pinned_per_thread;
+  const std::size_t lanes = t * std::max(1u, interleave);
+  const double m =
+      n > 1.0 ? std::sqrt(k.drain_per_sublist * n * std::log(n) / 2.0) : 0.0;
+  return std::max(lanes, static_cast<std::size_t>(m));
+}
+
 }  // namespace lr90

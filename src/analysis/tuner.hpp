@@ -98,4 +98,19 @@ HostTuneResult host_tune(double n, double op_factor = 1.0,
                          unsigned pinned_interleave = 0,
                          const HostCostConstants& k = {});
 
+/// The host sublist count m for a list of length n walked by `threads`
+/// workers with `interleave` cursors each: the one rule the Planner and
+/// the shard layer's second-level pass both size their sublist kernels
+/// by. It minimizes Eq. 5's two m-dependent terms, the drain
+/// D (n/m) ln m against the per-sublist cost S m, in closed form: with
+/// ln m ~ (ln n)/2 at the optimum, m = sqrt(D/S * n ln n / 2)
+/// (D/S = k.drain_per_sublist), floored at threads x interleave so
+/// every cursor starts on a sublist of its own. The paper's Section 4.4
+/// tuned m scales the same way. `pinned_per_thread` > 0 returns
+/// threads x pinned_per_thread instead (EngineOptions::
+/// sublists_per_thread). The kernel caps the count at n / 2.
+std::size_t host_sublists(double n, unsigned threads, unsigned interleave,
+                          unsigned pinned_per_thread = 0,
+                          const HostCostConstants& k = {});
+
 }  // namespace lr90

@@ -96,7 +96,7 @@ Planner::Planner(const EngineOptions& opt)
     : backend_(opt.backend),
       processors_(std::max(1u, opt.processors)),
       threads_(opt.threads),
-      sublists_per_thread_(std::max(1u, opt.sublists_per_thread)),
+      sublists_per_thread_(opt.sublists_per_thread),
       pinned_interleave_(opt.interleave),
       shard_(opt.shard),
       pinned_m_(opt.reid_miller.m),
@@ -239,12 +239,12 @@ Planner::Decision Planner::decide(std::size_t n, Method requested, bool rank,
     else
       d.threads = threads_ == 0 ? std::max(1u, std::min(ht.threads, eff))
                                 : useful;
-    d.sublists = static_cast<double>(d.threads) *
-                 static_cast<double>(sublists_per_thread_);
     d.interleave =
         d.threads == ht.threads
             ? ht.interleave
             : host_tune(wd, factor, eff, d.threads, wpin).interleave;
+    d.sublists = static_cast<double>(
+        host_sublists(wd, d.threads, d.interleave, sublists_per_thread_));
     return d;
   }
 
@@ -375,10 +375,11 @@ class HostBackend final : public ExecutionBackend {
     out.stats.algo.extra_words =
         sublists_ran
             ? n + n / 2 + n / 8 + (info.packed ? n : 0) +
-                  4 * static_cast<std::uint64_t>(plan.sublists)
+                  4 * static_cast<std::uint64_t>(info.sublists)
             : 0;
     out.stats.host_interleave = info.interleave;
     out.stats.host_threads = info.threads;
+    out.stats.host_sublists = info.sublists;
     out.stats.host_packed = info.packed;
     out.stats.host_packed_cached = info.packed_cached;
     out.stats.kernel_tier = info.tier;

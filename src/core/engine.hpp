@@ -205,6 +205,9 @@ struct RunStats {
   // intra-request thread scaling.
   unsigned host_interleave = 0;   ///< cursors in flight per worker
   unsigned host_threads = 0;      ///< worker threads the run actually used
+  /// Sublists the kernel actually walked: the plan's m, capped at n / 2
+  /// (0 on the serial walk and on sharded runs).
+  std::size_t host_sublists = 0;
   bool host_packed = false;       ///< the single-gather packed slab ran
   bool host_packed_cached = false;  ///< rode the installed shared slab
   /// The hop source the hot phases actually walked (host backend; kAuto
@@ -300,9 +303,13 @@ struct EngineOptions {
   /// OpenMP (or hardware) thread count. > 0 pins the cap explicitly
   /// (small runs still shed threads before going serial).
   unsigned threads = 0;
-  /// Sublists per thread the host planner targets (more = better balance,
-  /// more overhead).
-  unsigned sublists_per_thread = 64;
+  /// Host sublists per worker thread; 0 = auto: the Planner sizes the
+  /// total by the paper's Eq. 5 trade-off, m ~ sqrt(n ln n) (analysis/
+  /// tuner host_sublists) -- more sublists shorten the drain, where the
+  /// last ones finish with fewer cursors than the workers hold, but each
+  /// costs a boundary pick, a claim and a phase-2 hop. > 0 pins the total
+  /// at threads x this count.
+  unsigned sublists_per_thread = 0;
   /// Accepted for source compatibility and otherwise ignored: every
   /// value plans alike, because the kernel picks its hop source per run
   /// from the operator and the value fit (RunStats::kernel_tier reports
@@ -339,13 +346,14 @@ struct EngineOptions {
 /// algorithm skips re-tuning.
 ///
 /// Host backend: one joint (threads x W) host cost model (analysis/tuner
-/// host_tune) plans every operator. The sublist kernel runs with
-/// threads * sublists_per_thread sublists (the paper's oversubscription
-/// discipline; the tuner models C90 vector startups, which do not exist
-/// on the host) when the model beats the serial walk or real threads
-/// are available; with EngineOptions::threads == 0 the grid search picks
-/// both the worker count and the cursor width, the paper's Section 5
-/// processor dimension joined to its Section 3 vector length.
+/// host_tune) plans every operator. The sublist kernel runs when the
+/// model beats the serial walk or real threads are available; with
+/// EngineOptions::threads == 0 the grid search picks both the worker
+/// count and the cursor width, the paper's Section 5 processor dimension
+/// joined to its Section 3 vector length. The sublist count m then comes
+/// from the paper's Section 4.4 scaling, m ~ sqrt(n ln n) (analysis/
+/// tuner host_sublists), unless EngineOptions::sublists_per_thread pins
+/// it.
 class Planner {
  public:
   /// Builds a planner for the given engine configuration.
@@ -354,7 +362,10 @@ class Planner {
   /// The planner's answer: resolved method plus tuned execution shape.
   struct Decision {
     Method method = Method::kSerial;  ///< resolved algorithm (never kAuto)
-    double sublists = 0.0;  ///< m (sim Reid-Miller) / total target (host)
+    /// m: the tuned Reid-Miller m (sim), or the host kernel's total
+    /// sublist count (host_sublists, or threads x a pinned per-thread
+    /// count).
+    double sublists = 0.0;
     double s1 = 0.0;        ///< first balance interval (sim Reid-Miller)
     unsigned threads = 1;   ///< host worker threads (host backend only)
     /// Host cursor width W (cursors in flight per worker) of a

@@ -10,11 +10,15 @@
 // One traversal kernel serves phases 1 and 3 for every operator:
 // interleave_sublists, the modern-CPU analog of the paper's VL=64 vector
 // gathers. Each worker advances W independent sublist cursors round-robin
-// with a software prefetch on every next hop: instead of stalling a full
-// memory round-trip per element, the core overlaps W dependent-load
-// chains, as the C90 overlapped 64 lanes of a vector gather. Cursors that
-// finish their sublist refill from a shared claim counter; the last < W
-// sublists drain with shrinking parallelism.
+// with a software prefetch on every next hop (prefetcht0, so the line is
+// in L1 when the cursor comes back to it; in phase 3 also a write
+// prefetch of the output slot the next step stores to): instead of
+// stalling a full memory round-trip per element, the core overlaps W
+// dependent-load chains, as the C90 overlapped 64 lanes of a vector
+// gather. Cursors that finish their sublist refill from a shared claim
+// counter; the last sublists drain with shrinking parallelism, which is
+// why the Planner sizes the sublist count by the paper's Eq. 5 trade-off
+// (analysis/tuner.hpp host_sublists) rather than by the thread count.
 //
 // The driver is generic over a hop source that yields (tail flag, link,
 // value) per vertex. There are two, and the kernel picks one from the
@@ -186,12 +190,28 @@ void claim_blocks(unsigned threads, std::size_t count, Body&& body) {
   });
 }
 
-/// Read-prefetch of the cache line holding `addr` (no-op when the
-/// compiler has no intrinsic). The cursor driver issues one per cursor
-/// per element, which is what keeps W load chains in flight.
+/// Read-prefetch of the cache line holding `addr` into every cache level
+/// (no-op when the compiler has no intrinsic). The cursor driver issues
+/// one per cursor per element, which is what keeps W load chains in
+/// flight. Locality 3 (prefetcht0 on x86): the cursor reads the line W
+/// hops later, so it must arrive in L1. It was the fastest of the four
+/// hints on one thread at n = 2^20 on a 4-core Xeon; the non-temporal one
+/// (locality 0) read ~1.5x slower at W = 1 and 1.4-2.0x at W = 8.
 inline void prefetch_ro(const void* addr) {
 #if defined(__GNUC__) || defined(__clang__)
-  __builtin_prefetch(addr, /*rw=*/0, /*locality=*/0);
+  __builtin_prefetch(addr, /*rw=*/0, /*locality=*/3);
+#else
+  (void)addr;
+#endif
+}
+
+/// Write-prefetch of the cache line holding `addr` (prefetchw on x86):
+/// phase 3 issues one for the output slot each cursor stores to next, so
+/// the random store finds its line owned instead of stalling the cursor
+/// on a read-for-ownership miss.
+inline void prefetch_rw(void* addr) {
+#if defined(__GNUC__) || defined(__clang__)
+  __builtin_prefetch(addr, /*rw=*/1, /*locality=*/3);
 #else
   (void)addr;
 #endif
@@ -293,18 +313,28 @@ struct ListHops {
   }
 };
 
+/// The driver's default `ahead` hook: the step touches nothing beyond
+/// what the hop source prefetches.
+struct NoAhead {
+  void operator()(index_t) const {}
+};
+
 /// The phase-1/3 traversal kernel: walks all `k` sublists over `threads`
 /// workers, each keeping up to `W` cursors in flight. Per element: one
-/// hop from `hops` (see SlabHops / ListHops), a prefetch of the next hop,
-/// then `step(vertex, value, acc)`; at a sublist tail,
-/// `finish(sublist, tail_vertex, acc)` runs and the cursor refills from
-/// the shared claim counter (perfect load balance; the final < W sublists
-/// drain with shrinking parallelism). `init(sublist)` seeds the
-/// accumulator.
-template <class Hops, class AccInit, class Step, class Finish>
+/// hop from `hops` (see SlabHops / ListHops), a prefetch of the next hop
+/// plus `ahead(next vertex)`, then `step(vertex, value, acc)`; at a
+/// sublist tail, `finish(sublist, tail_vertex, acc)` runs and the cursor
+/// refills from the shared claim counter (perfect load balance; the final
+/// < W sublists drain with shrinking parallelism, which is why the
+/// Planner sizes k by host_sublists). `init(sublist)` seeds the
+/// accumulator. `ahead` lets a phase prefetch what its step will write
+/// at the vertex a cursor moves to (phase 3's output slot).
+template <class Hops, class AccInit, class Step, class Finish,
+          class Ahead = NoAhead>
 void interleave_sublists(const Hops& hops, const index_t* heads,
                          std::size_t k, unsigned threads, unsigned W,
-                         AccInit init, Step step, Finish finish) {
+                         AccInit init, Step step, Finish finish,
+                         Ahead ahead = {}) {
   W = std::clamp(W, 1u, kMaxInterleave);
   std::atomic<std::size_t> next_claim{0};
   auto worker = [&]() {
@@ -315,12 +345,16 @@ void interleave_sublists(const Hops& hops, const index_t* heads,
     };
     Cursor cur[kMaxInterleave];
     std::size_t active = 0;
+    const auto fetch = [&](index_t v) {
+      hops.prefetch(v);
+      ahead(v);
+    };
     auto claim = [&]() -> bool {
       const std::size_t j =
           next_claim.fetch_add(1, std::memory_order_relaxed);
       if (j >= k) return false;
       cur[active] = Cursor{heads[j], static_cast<index_t>(j), init(j)};
-      hops.prefetch(heads[j]);
+      fetch(heads[j]);
       ++active;
       return true;
     };
@@ -330,7 +364,7 @@ void interleave_sublists(const Hops& hops, const index_t* heads,
       for (std::size_t i = 0; i < active;) {
         Cursor& c = cur[i];
         const Hop h = hops(c.v);
-        if (!h.tail) hops.prefetch(h.link);
+        if (!h.tail) fetch(h.link);
         step(c.v, h.value, c.acc);
         if (!h.tail) {
           c.v = h.link;
@@ -342,7 +376,7 @@ void interleave_sublists(const Hops& hops, const index_t* heads,
             next_claim.fetch_add(1, std::memory_order_relaxed);
         if (j < k) {
           c = Cursor{heads[j], static_cast<index_t>(j), init(j)};
-          hops.prefetch(heads[j]);
+          fetch(heads[j]);
           ++i;
         } else {
           --active;  // drain: rerun index i with the swapped-in cursor
@@ -427,18 +461,18 @@ ExecInfo scan_into(const LinkedList& list, Op op, const HostPlan& plan,
 
   // Phases 1 and 3 run the one cursor driver over whichever hop source
   // this run has.
-  const auto traverse = [&](auto init, auto step, auto finish) {
+  const auto traverse = [&](auto init, auto step, auto finish, auto ahead) {
     if constexpr (kLane) {
       if (slab) {
         interleave_sublists(SlabHops{words}, heads, k, threads, W, init, step,
-                            finish);
+                            finish, ahead);
         return;
       }
     }
     interleave_sublists(
         ListHops<kOnes>{list.next.data(), list.value.data(),
                         ws.is_tail.data()},
-        heads, k, threads, W, init, step, finish);
+        heads, k, threads, W, init, step, finish, ahead);
   };
 
   // Phase 1: per-sublist inclusive sums; record each sublist's tail.
@@ -450,7 +484,8 @@ ExecInfo scan_into(const LinkedList& list, Op op, const HostPlan& plan,
            [&](index_t j, index_t v, value_t acc) {
              ws.sums[j] = acc;
              ws.tails[j] = v;
-           });
+           },
+           NoAhead{});
   info.phase1_ns = since_ns(t_phase1);
 
   // Phase 2: order the sublists by chaining tail -> successor head (a
@@ -519,7 +554,9 @@ ExecInfo scan_into(const LinkedList& list, Op op, const HostPlan& plan,
   }
   info.phase2_ns = since_ns(t_phase2);
 
-  // Phase 3: expand each sublist from its head's scan value.
+  // Phase 3: expand each sublist from its head's scan value. Every hop
+  // stores to a random output slot, so the cursor write-prefetches that
+  // slot alongside its next hop.
   const auto t_phase3 = Clock::now();
   value_t* o = out.data();
   traverse([&](std::size_t j) { return ws.headscan[j]; },
@@ -527,7 +564,8 @@ ExecInfo scan_into(const LinkedList& list, Op op, const HostPlan& plan,
              o[v] = acc;
              acc = op(acc, x);
            },
-           [](index_t, index_t, value_t) {});
+           [](index_t, index_t, value_t) {},
+           [o](index_t v) { prefetch_rw(&o[v]); });
   info.phase3_ns = since_ns(t_phase3);
 
   info.interleave = W;

@@ -7,6 +7,7 @@
 
 #include <new>
 
+#include "analysis/tuner.hpp"
 #include "core/host_exec.hpp"
 #include "lists/encode.hpp"
 #include "support/faultpoint.hpp"
@@ -104,12 +105,13 @@ struct ShardScratch {
 };
 
 /// Walks every segment headed in one shard with the cursor driver (see
-/// host_exec::interleave_sublists for init/step/finish; vertices are
-/// shard-local). Returns whether the shard's hot-word slab served it.
-template <ListOp Op, bool kOnes, class Init, class Step, class Finish>
+/// host_exec::interleave_sublists for init/step/finish/ahead; vertices
+/// are shard-local). Returns whether the shard's hot-word slab served it.
+template <ListOp Op, bool kOnes, class Init, class Step, class Finish,
+          class Ahead>
 bool walk_shard(const ShardView& view, const std::vector<index_t>& heads,
                 const ShardExec& exec, ShardScratch& scratch, Init init,
-                Step step, Finish finish) {
+                Step step, Finish finish, Ahead ahead) {
   const std::size_t k = heads.size();
   scratch.lheads.resize(k);
   for (std::size_t j = 0; j < k; ++j)
@@ -121,14 +123,14 @@ bool walk_shard(const ShardView& view, const std::vector<index_t>& heads,
   if (slab) {
     host_exec::interleave_sublists(
         host_exec::SlabHops{scratch.words.data()}, scratch.lheads.data(), k,
-        exec.threads, exec.interleave, init, step, finish);
+        exec.threads, exec.interleave, init, step, finish, ahead);
   } else {
     host_exec::interleave_sublists(
         ShardHops<kOnes>{view.next, view.value,
                          static_cast<index_t>(view.begin),
                          static_cast<index_t>(view.end)},
         scratch.lheads.data(), k, exec.threads, exec.interleave, init, step,
-        finish);
+        finish, ahead);
   }
   return slab;
 }
@@ -148,11 +150,14 @@ bool pass_totals(const ShardView& view, const std::vector<index_t>& heads,
         const index_t gn = view.next[tv];
         exits[g] =
             gn == static_cast<index_t>(view.begin + tv) ? kNoVertex : gn;
-      });
+      },
+      host_exec::NoAhead{});
 }
 
 /// Pass C over one shard: re-walk each segment with the accumulator seeded
-/// at its global prefix, writing the final exclusive scan.
+/// at its global prefix, writing the final exclusive scan (write-
+/// prefetching each output slot a hop ahead, as the kernel's phase 3
+/// does).
 template <ListOp Op, bool kOnes>
 bool pass_expand(const ShardView& view, const std::vector<index_t>& heads,
                  std::size_t seg_base, const ShardExec& exec,
@@ -167,7 +172,8 @@ bool pass_expand(const ShardView& view, const std::vector<index_t>& heads,
         o[v] = acc;
         acc = op(acc, x);
       },
-      [](index_t, index_t, value_t) {});
+      [](index_t, index_t, value_t) {},
+      [o](index_t v) { host_exec::prefetch_rw(&o[v]); });
 }
 
 template <ListOp Op, bool kOnes>
@@ -198,7 +204,8 @@ Status run_sharded(const LinkedList& list, const ShardedList& sharded,
   }
 
   // Pass B: the second-level Reid-Miller pass over the reduced list (one
-  // node per segment). O(m), all in RAM.
+  // node per segment), its sublist count sized by the host rule the
+  // Planner uses. O(m), all in RAM.
   LinkedList reduced;
   reduced.next.resize(m);
   reduced.value = std::move(totals);
@@ -222,8 +229,7 @@ Status run_sharded(const LinkedList& list, const ShardedList& sharded,
   if (m >= kSecondLevelParallelMin && exec.threads > 1) {
     const host_exec::HostPlan plan2{
         exec.threads,
-        std::min<std::size_t>(m / 2,
-                              static_cast<std::size_t>(exec.threads) * 64),
+        host_sublists(static_cast<double>(m), exec.threads, exec.interleave),
         exec.interleave};
     host_exec::scan_into<Op, false>(reduced, op, plan2, ws, seg_pref);
   } else {

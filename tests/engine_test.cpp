@@ -391,7 +391,9 @@ TEST(Planner, HostShedsThreadsBeforeGoingSerial) {
   const auto big = planner.decide(1u << 20, Method::kAuto, true);
   EXPECT_EQ(big.method, Method::kReidMiller);
   EXPECT_EQ(big.threads, 8u);
-  EXPECT_EQ(big.sublists, 8.0 * eo.sublists_per_thread);
+  // host_sublists: floor(sqrt(0.2 / 2 * 2^20 * ln 2^20)) = 1205, above
+  // the 8 x W floor.
+  EXPECT_EQ(big.sublists, 1205.0);
 
   // Medium lists keep some parallelism with fewer threads.
   const auto medium = planner.decide(8192, Method::kAuto, true);
@@ -402,6 +404,38 @@ TEST(Planner, HostShedsThreadsBeforeGoingSerial) {
   EXPECT_EQ(planner.decide(100, Method::kAuto, true).method,
             Method::kSerial);
   EXPECT_EQ(planner.decide(3, Method::kAuto, true).method, Method::kSerial);
+}
+
+TEST(Planner, HostSublistCountComesFromTheModelUnlessPinned) {
+  // Default (sublists_per_thread = 0): m is the host rule's, evaluated at
+  // the width, threads and W the plan runs -- for ranks and for the
+  // list-array operators alike -- so it grows with n.
+  EngineOptions eo = backend_options(BackendKind::kHost);
+  eo.threads = 4;
+  const Planner planner(eo);
+  double prev = 0.0;
+  for (const std::size_t n : {1u << 16, 1u << 20, 1u << 24}) {
+    for (const ScanOp op : {ScanOp::kPlus, ScanOp::kAffine}) {
+      const auto d = planner.decide(n, Method::kAuto, false, op);
+      ASSERT_EQ(d.method, Method::kReidMiller) << n;
+      EXPECT_EQ(d.sublists, static_cast<double>(host_sublists(
+                                static_cast<double>(n), d.threads,
+                                d.interleave)))
+          << "n=" << n << " " << scan_op_name(op);
+    }
+    const auto rank = planner.decide(n, Method::kAuto, true);
+    EXPECT_GT(rank.sublists, prev) << n;
+    prev = rank.sublists;
+  }
+
+  // Pinned: exactly threads x count, whatever n, threads or W.
+  eo.sublists_per_thread = 100;
+  const Planner pinned(eo);
+  for (const std::size_t n : {1u << 16, 1u << 24}) {
+    const auto d = pinned.decide(n, Method::kAuto, true);
+    ASSERT_EQ(d.method, Method::kReidMiller);
+    EXPECT_EQ(d.sublists, 100.0 * d.threads) << n;
+  }
 }
 
 TEST(Planner, SerialBackendAlwaysWalksSerially) {
@@ -481,6 +515,31 @@ TEST(Engine, LargeRankRunsPackedAndReportsCursors) {
   EXPECT_GT(r.stats.host_interleave, 1u);
   EXPECT_FALSE(r.stats.host_packed_cached);  // no shared slab installed
   testutil::expect_scan_eq(r.scan, reference_rank(l));
+}
+
+TEST(Engine, ReportsTheSublistCountItPlanned) {
+  // RunStats::host_sublists is the sublist count the kernel walked: the
+  // plan's m on both hop sources, and 0 on the serial walk.
+  Rng rng(27);
+  const LinkedList l = random_list(1u << 17, rng, ValueInit::kSigned);
+  Engine engine(backend_options(BackendKind::kHost));
+  const auto d = engine.planner().decide(l.size(), Method::kAuto, true);
+  ASSERT_EQ(d.method, Method::kReidMiller);
+  const RunResult r = engine.rank(l);
+  ASSERT_TRUE(r.ok());
+  EXPECT_EQ(r.stats.kernel_tier, KernelTier::kPackedCursors);
+  EXPECT_EQ(r.stats.host_sublists, static_cast<std::size_t>(d.sublists));
+
+  const auto da =
+      engine.planner().decide(l.size(), Method::kAuto, false, ScanOp::kAffine);
+  const RunResult a = engine.run(OpRequest{&l, ScanOp::kAffine});
+  ASSERT_TRUE(a.ok());
+  EXPECT_EQ(a.stats.kernel_tier, KernelTier::kListArrays);
+  EXPECT_EQ(a.stats.host_sublists, static_cast<std::size_t>(da.sublists));
+
+  const RunResult s = engine.rank(l, Method::kSerial);
+  ASSERT_TRUE(s.ok());
+  EXPECT_EQ(s.stats.host_sublists, 0u);
 }
 
 TEST(Engine, PinnedInterleaveIsHonoured) {

@@ -111,6 +111,30 @@ TEST(HopSources, DriverVisitsEveryVertexOnceOverEitherSource) {
   EXPECT_EQ(slab_sums, array_sums);
 }
 
+TEST(HopSources, AheadSeesEveryVertexOnceBeforeItsStep) {
+  // The driver's `ahead` hook (phase 3's write prefetch rides it) is
+  // called exactly once per vertex, always before that vertex's step.
+  Rng rng(4);
+  const LinkedList l = random_list(20000, rng);
+  Workspace ws;
+  const std::vector<index_t> heads = sublist_heads(l, 96, ws);
+  ASSERT_TRUE(host_exec::build_packed<true>(l, OpPlus{}, 3, ws));
+  std::vector<std::atomic<int>> ahead(l.size());
+  std::atomic<int> early{0};
+  host_exec::interleave_sublists(
+      SlabHops{ws.packed.data()}, heads.data(), heads.size(),
+      /*threads=*/3, /*W=*/4, [](std::size_t) { return value_t{0}; },
+      [&](index_t v, value_t, value_t&) {
+        if (ahead[v].load(std::memory_order_relaxed) != 1)
+          early.fetch_add(1, std::memory_order_relaxed);
+      },
+      [](index_t, index_t, value_t) {},
+      [&](index_t v) { ahead[v].fetch_add(1, std::memory_order_relaxed); });
+  EXPECT_EQ(early.load(), 0) << "a step ran before its vertex's ahead";
+  for (index_t v = 0; v < l.size(); ++v)
+    EXPECT_EQ(ahead[v].load(), 1) << "vertex " << v;
+}
+
 TEST(ScanInto, ReportsTheHopSourceThatRan) {
   Rng rng(3);
   const LinkedList l = random_list(10000, rng, ValueInit::kSigned);

@@ -202,6 +202,32 @@ TEST(HostTune, MoreThreadsNeverModelSlowerUnderTheJointGrid) {
             host_tune_at(4096, 1, 8, 1.0).packed_ns);
 }
 
+TEST(HostTune, SublistCountTracksSqrtNLogN) {
+  // The host sublist rule sizes m the way the paper's tuner does
+  // (Tuner.TunedMTracksSqrtNLogN above): it grows with n, stays within a
+  // factor of 4 of sqrt(n ln n), and never leaves a cursor without a
+  // sublist of its own.
+  for (const unsigned threads : {1u, 4u, 8u}) {
+    for (const unsigned w : {1u, 8u, 32u}) {
+      std::size_t prev = 0;
+      for (double n = 1 << 16; n <= double(1u << 30); n *= 4) {
+        const std::size_t m = host_sublists(n, threads, w);
+        const double scale = std::sqrt(n * std::log(n));
+        EXPECT_GT(m, prev) << "n=" << n << " T=" << threads << " W=" << w;
+        EXPECT_GT(static_cast<double>(m), scale / 4.0) << n;
+        EXPECT_LT(static_cast<double>(m), scale * 4.0) << n;
+        EXPECT_GE(m, threads * w) << "n=" << n;
+        prev = m;
+      }
+    }
+  }
+  // Below the scale where the drain matters, the floor holds: threads x W.
+  EXPECT_EQ(host_sublists(1024, 8, 32), 256u);
+  // A pinned per-thread count is exactly threads x count, whatever n.
+  EXPECT_EQ(host_sublists(1 << 24, 4, 16, /*pinned_per_thread=*/100), 400u);
+  EXPECT_EQ(host_sublists(64, 3, 16, 7), 21u);
+}
+
 TEST(HostTune, MtModelReducesToSingleThreadModel) {
   // At T=1 the multithread per-element model must agree with the original
   // single-worker model (same phases, same build, no floor active).

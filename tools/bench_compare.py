@@ -56,7 +56,7 @@ PROVENANCE_FIELDS = ("compiler", "openmp", "hw_threads")
 # planner picks cursors/threads from the machine's thread count): checked
 # same-machine, skipped cross-machine. "packed" is NOT here -- operator
 # lane capability does not depend on hardware.
-HW_SHAPE_FIELDS = {"cursors", "picked_t", "picked_w"}
+HW_SHAPE_FIELDS = {"cursors", "picked_t", "picked_w", "picked_m"}
 
 
 def classify(field: str, value) -> str:
