@@ -425,10 +425,11 @@ class HostBackend final : public ExecutionBackend {
     const std::size_t n = req.list->size();
     out.stats.algo.rounds = n == 0 ? 0 : 3;
     out.stats.algo.link_steps = 2 * n;
-    // Per-run reduced-list arrays (~4 words per segment) plus one shard's
-    // slab resident at a time.
+    // Per-run reduced-list arrays (~4 words per segment), the 4 B/vertex
+    // segment-id array (n/2 words), and one shard's slab resident at a
+    // time.
     out.stats.algo.extra_words =
-        4 * ss.segments +
+        4 * ss.segments + n / 2 +
         (ss.packed && ss.shards > 0 ? (n + ss.shards - 1) / ss.shards : 0);
     out.stats.host_threads = exec.threads;
     out.stats.host_interleave = ss.interleave;

@@ -15,8 +15,12 @@
 // prefetch of the output slot the next step stores to): instead of
 // stalling a full memory round-trip per element, the core overlaps W
 // dependent-load chains, as the C90 overlapped 64 lanes of a vector
-// gather. Cursors that finish their sublist refill from a shared claim
-// counter; the last sublists drain with shrinking parallelism, which is
+// gather. Cursors that finish their sublist refill from their worker's
+// claimed range, and a worker refills that range from a shared counter by
+// guided self-scheduling: each trip takes max(1, remaining / (2 T W))
+// sublists, so a run of ~1-vertex sublists (the shard passes' segments)
+// pays a fraction of a contended claim per sublist. The last claims are
+// single sublists, and they drain with shrinking parallelism, which is
 // why the Planner sizes the sublist count by the paper's Eq. 5 trade-off
 // (analysis/tuner.hpp host_sublists) rather than by the thread count.
 //
@@ -37,9 +41,9 @@
 // Every phase scales across worker threads (the paper's Section 5
 // multiprocessor dimension, Fig. 11): the slab build splits into
 // per-thread ranges, phases 1 and 3 feed each worker its own W-cursor set
-// from the shared claim counter, and phase 2's reduced-list scan runs as
-// a blocked two-pass prefix over operator-splittable prefixes once the
-// sublist count is large enough to pay for it. Workers come from OpenMP
+// from the shared guided claim counter, and phase 2's reduced-list scan
+// runs as a blocked two-pass prefix over operator-splittable prefixes once
+// the sublist count is large enough to pay for it. Workers come from OpenMP
 // when the build has it and plain std::thread otherwise, so OpenMP-less
 // builds (and the TSan job) exercise the same parallel kernels.
 #pragma once
@@ -177,9 +181,9 @@ inline std::pair<std::size_t, std::size_t> block_range(std::size_t count,
 }
 
 /// Fans block ids [0, count) out to `threads` workers through a shared
-/// claim counter and calls body(block) for each: the one claim
-/// discipline every parallel kernel here uses (exact coverage whatever
-/// team size run_workers actually delivers).
+/// claim counter and calls body(block) for each: the claim discipline of
+/// every fixed-block kernel here (exact coverage whatever team size
+/// run_workers actually delivers; the cursor driver claims guided ranges).
 template <class Body>
 void claim_blocks(unsigned threads, std::size_t count, Body&& body) {
   std::atomic<std::size_t> next{0};
@@ -324,11 +328,16 @@ struct NoAhead {
 /// hop from `hops` (see SlabHops / ListHops), a prefetch of the next hop
 /// plus `ahead(next vertex)`, then `step(vertex, value, acc)`; at a
 /// sublist tail, `finish(sublist, tail_vertex, acc)` runs and the cursor
-/// refills from the shared claim counter (perfect load balance; the final
-/// < W sublists drain with shrinking parallelism, which is why the
-/// Planner sizes k by host_sublists). `init(sublist)` seeds the
-/// accumulator. `ahead` lets a phase prefetch what its step will write
-/// at the vertex a cursor moves to (phase 3's output slot).
+/// refills with the worker's next claimed sublist. `init(sublist)` seeds
+/// the accumulator. `ahead` lets a phase prefetch what its step will
+/// write at the vertex a cursor moves to (phase 3's output slot).
+///
+/// Claims are guided self-scheduling: a worker whose own range is empty
+/// takes max(1, remaining / (2 T W)) sublists from the shared counter in
+/// one CAS. Short sublists (the shard passes' ~1-vertex segments) then
+/// cost a fraction of a contended claim each, while the last claims are
+/// still single sublists: the final < W sublists drain with shrinking
+/// parallelism, which is why the Planner sizes k by host_sublists.
 template <class Hops, class AccInit, class Step, class Finish,
           class Ahead = NoAhead>
 void interleave_sublists(const Hops& hops, const index_t* heads,
@@ -336,6 +345,8 @@ void interleave_sublists(const Hops& hops, const index_t* heads,
                          AccInit init, Step step, Finish finish,
                          Ahead ahead = {}) {
   W = std::clamp(W, 1u, kMaxInterleave);
+  const std::size_t split =
+      2 * std::size_t{std::clamp(threads, 1u, kMaxThreads)} * W;
   std::atomic<std::size_t> next_claim{0};
   auto worker = [&]() {
     struct Cursor {
@@ -345,20 +356,34 @@ void interleave_sublists(const Hops& hops, const index_t* heads,
     };
     Cursor cur[kMaxInterleave];
     std::size_t active = 0;
+    std::size_t own = 0, own_end = 0;  // claimed, not yet started
     const auto fetch = [&](index_t v) {
       hops.prefetch(v);
       ahead(v);
     };
-    auto claim = [&]() -> bool {
-      const std::size_t j =
-          next_claim.fetch_add(1, std::memory_order_relaxed);
-      if (j >= k) return false;
-      cur[active] = Cursor{heads[j], static_cast<index_t>(j), init(j)};
-      fetch(heads[j]);
-      ++active;
-      return true;
+    // The worker's next sublist, from its own range or else one guided
+    // trip to the shared counter; k once every sublist is claimed.
+    const auto claim = [&]() -> std::size_t {
+      if (own < own_end) return own++;
+      std::size_t at = next_claim.load(std::memory_order_relaxed);
+      std::size_t take = 0;
+      do {
+        if (at >= k) return k;
+        take = std::max<std::size_t>(1, (k - at) / split);
+      } while (!next_claim.compare_exchange_weak(at, at + take,
+                                                 std::memory_order_relaxed));
+      own = at + 1;
+      own_end = at + take;
+      return at;
     };
-    for (unsigned i = 0; i < W && claim(); ++i) {
+    const auto start = [&](Cursor& c, std::size_t j) {
+      c = Cursor{heads[j], static_cast<index_t>(j), init(j)};
+      fetch(heads[j]);
+    };
+    while (active < W) {
+      const std::size_t j = claim();
+      if (j >= k) break;
+      start(cur[active++], j);
     }
     while (active > 0) {
       for (std::size_t i = 0; i < active;) {
@@ -372,11 +397,9 @@ void interleave_sublists(const Hops& hops, const index_t* heads,
           continue;
         }
         finish(c.j, c.v, c.acc);
-        const std::size_t j =
-            next_claim.fetch_add(1, std::memory_order_relaxed);
+        const std::size_t j = claim();
         if (j < k) {
-          c = Cursor{heads[j], static_cast<index_t>(j), init(j)};
-          fetch(heads[j]);
+          start(c, j);
           ++i;
         } else {
           --active;  // drain: rerun index i with the swapped-in cursor

@@ -1,12 +1,16 @@
 #include "shard/shard_store.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <filesystem>
 #include <system_error>
 
+#include "core/host_exec.hpp"
+
 namespace lr90::shard {
 
-ShardedList ShardedList::build(const LinkedList& list, unsigned shards) {
+ShardedList ShardedList::build(const LinkedList& list, unsigned shards,
+                               unsigned threads) {
   ShardedList s;
   s.n = list.size();
   if (s.n == 0) {
@@ -19,29 +23,52 @@ ShardedList ShardedList::build(const LinkedList& list, unsigned shards) {
       std::clamp<std::size_t>(shards == 0 ? 1 : shards, 1, cap));
   s.width = (s.n + s.shards - 1) / s.shards;
   s.heads_of.resize(s.shards);
-  // The global head always heads a segment; every other head is the target
-  // of a link that crosses shards. A valid list has in-degree <= 1 and no
-  // predecessor of head, so no vertex is pushed twice.
-  s.heads_of[s.shard_of(list.head)].push_back(list.head);
-  const index_t* nx = list.next.data();
-  for (std::size_t v = 0; v < s.n; ++v) {
-    const index_t t = nx[v];
-    if (t != static_cast<index_t>(v) &&
-        s.shard_of(t) != s.shard_of(static_cast<index_t>(v)))
-      s.heads_of[s.shard_of(t)].push_back(t);
-  }
   s.seg_base.resize(s.shards);
+  // A vertex heads a segment when it is the global head or the target of
+  // a link that leaves its source's shard. Every pass below runs one shard
+  // per claimed block: clear the shard's seg_of slice; mark the targets of
+  // the shard's outgoing cross-shard links (the one pass that writes other
+  // slices; atomic stores, since a malformed list may mark a vertex from
+  // two shards); collect the marked vertices of the slice in id order;
+  // then, once the prefix sums give each shard its first id, number them.
+  constexpr index_t kMarked = 0;
+  s.seg_of.resize(s.n);
+  index_t* seg_of = s.seg_of.data();
+  const index_t* nx = list.next.data();
+  const auto each_shard = [&](auto&& body) {
+    host_exec::claim_blocks(threads, s.shards, [&](std::size_t p) {
+      const auto [b, e] = s.range(static_cast<unsigned>(p));
+      body(p, b, e);
+    });
+  };
+  each_shard([&](std::size_t, std::size_t b, std::size_t e) {
+    std::fill(seg_of + b, seg_of + e, kNoVertex);
+  });
+  seg_of[list.head] = kMarked;
+  each_shard([&](std::size_t, std::size_t b, std::size_t e) {
+    for (std::size_t v = b; v < e; ++v) {
+      const index_t t = nx[v];
+      if (t - b >= e - b)  // unsigned: t lies outside [b, e)
+        std::atomic_ref<index_t>(seg_of[t]).store(kMarked,
+                                                  std::memory_order_relaxed);
+    }
+  });
+  each_shard([&](std::size_t p, std::size_t b, std::size_t e) {
+    std::vector<index_t>& heads = s.heads_of[p];
+    for (std::size_t v = b; v < e; ++v)
+      if (seg_of[v] != kNoVertex) heads.push_back(static_cast<index_t>(v));
+  });
   std::size_t m = 0;
   for (unsigned p = 0; p < s.shards; ++p) {
     s.seg_base[p] = m;
     m += s.heads_of[p].size();
   }
   s.segments = m;
-  s.seg_of_head.reserve(m);
-  for (unsigned p = 0; p < s.shards; ++p)
-    for (std::size_t i = 0; i < s.heads_of[p].size(); ++i)
-      s.seg_of_head.emplace(s.heads_of[p][i],
-                            static_cast<index_t>(s.seg_base[p] + i));
+  each_shard([&](std::size_t p, std::size_t, std::size_t) {
+    const std::vector<index_t>& heads = s.heads_of[p];
+    for (std::size_t i = 0; i < heads.size(); ++i)
+      seg_of[heads[i]] = static_cast<index_t>(s.seg_base[p] + i);
+  });
   return s;
 }
 
@@ -61,7 +88,7 @@ ShardStore::~ShardStore() {
 bool ShardStore::prepare(const LinkedList& list, const ShardedList& sharded,
                          std::size_t byte_budget, const std::string& dir,
                          unsigned prefetch_depth, bool keep_files,
-                         bool allow_degraded) {
+                         unsigned threads, bool allow_degraded) {
   list_ = &list;
   sharded_ = &sharded;
   budget_ = byte_budget;
@@ -74,14 +101,19 @@ bool ShardStore::prepare(const LinkedList& list, const ShardedList& sharded,
   degraded_.assign(sharded.shards, 0);
   std::error_code ec;
   std::filesystem::create_directories(dir_, ec);
-  for (unsigned p = 0; p < sharded.shards; ++p) {
+  // Each shard's file is independent: write them one shard per claimed
+  // block, then fold the outcomes into the counters in shard order.
+  enum class Spill : char { kReused, kWritten, kFailed };
+  std::vector<Spill> spilled(sharded.shards, Spill::kWritten);
+  host_exec::claim_blocks(threads, sharded.shards, [&](std::size_t i) {
+    const auto p = static_cast<unsigned>(i);
     const auto [b, e] = sharded.range(p);
     const std::string path = dir_ + "/" + shard_file_name(p);
     ShardHeader h;
     if (read_shard_header(path, h) &&
         shard_header_matches(h, p, b, e, sharded.n)) {
-      ++stats_.reused_files;  // a pinned dir amortizes the write across runs
-      continue;
+      spilled[p] = Spill::kReused;
+      return;
     }
     h = ShardHeader{};
     h.shard_index = p;
@@ -90,22 +122,34 @@ bool ShardStore::prepare(const LinkedList& list, const ShardedList& sharded,
     h.total_n = sharded.n;
     h.payload_bytes = shard_payload_bytes(e - b);
     if (!write_shard_file(path, h, list.next.data() + b,
-                          list.value.data() + b)) {
-      // ENOSPC/EIO mid-spill. The source list is resident by contract,
-      // so the shard can always be served from RAM: degrade it (counted)
-      // instead of failing the whole run -- unless the caller asked for
-      // a hard failure, which surfaces as kResourceExhausted upstream.
-      ++stats_.write_errors;
-      if (!allow_degraded_) {
-        last_error_ = StoreError::kIo;
-        return false;
+                          list.value.data() + b))
+      spilled[p] = Spill::kFailed;
+  });
+  for (unsigned p = 0; p < sharded.shards; ++p) {
+    switch (spilled[p]) {
+      case Spill::kReused:
+        ++stats_.reused_files;  // a pinned dir amortizes the write
+        break;
+      case Spill::kWritten: {
+        const auto [b, e] = sharded.range(p);
+        stats_.spill_bytes += sizeof(ShardHeader) + shard_payload_bytes(e - b);
+        break;
       }
-      degraded_[p] = 1;
-      ++stats_.degraded;
-      continue;
+      case Spill::kFailed:
+        // ENOSPC/EIO mid-spill. The source list is resident by contract,
+        // so the shard can always be served from RAM: degrade it
+        // (counted) instead of failing the whole run -- unless the caller
+        // asked for a hard failure, which surfaces as kResourceExhausted
+        // upstream.
+        ++stats_.write_errors;
+        if (!allow_degraded_) {
+          last_error_ = StoreError::kIo;
+          return false;
+        }
+        degraded_[p] = 1;
+        ++stats_.degraded;
+        break;
     }
-    stats_.spill_bytes +=
-        sizeof(ShardHeader) + static_cast<std::size_t>(h.payload_bytes);
   }
   stats_.spilled = true;
   if (prefetch_depth > 0 && sharded.shards > 1) {

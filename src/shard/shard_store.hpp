@@ -6,9 +6,11 @@
 // a *segment* is a maximal run of list-order-consecutive vertices whose
 // ids fall in the same shard, so every segment lives wholly inside one
 // shard and the segments form a reduced list (one node per segment) whose
-// scan resolves all cross-shard cursors. Segment discovery is a single
-// streaming pass over next[]: vertex t = next[v] heads a segment exactly
-// when v and t land in different shards (plus the global head).
+// scan resolves all cross-shard cursors. Vertex t = next[v] heads a
+// segment exactly when v and t land in different shards (plus the global
+// head). Discovery streams each shard's slice of next[] in parallel,
+// marking those targets in a dense 4 B/vertex segment-id array, then
+// numbers each shard's marked slice in id order.
 //
 // The store's out-of-core tier follows the Gigablast RdbCache/RdbMerge
 // shape: shard files written once at streaming bandwidth, an LRU of
@@ -37,19 +39,21 @@ namespace lr90::shard {
 inline constexpr unsigned kMaxShards = 4096;
 
 /// The sharded representation of one list: P contiguous id-range shards
-/// plus the discovered segment structure (see file comment). Built by one
-/// streaming pass; holds O(segments) memory, never O(n).
+/// plus the discovered segment structure (see file comment). Holds
+/// O(segments) head lists plus the 4 B/vertex segment-id array `seg_of`,
+/// so O(n) in all.
 struct ShardedList {
   std::size_t n = 0;        ///< full list length
   unsigned shards = 1;      ///< P
   std::size_t width = 1;    ///< ceil(n / P); shard p covers [p*width, ...)
-  /// Per shard: the segment head vertices (global ids) in discovery order.
+  /// Per shard: the segment head vertices (global ids) in id order.
   std::vector<std::vector<index_t>> heads_of;
   /// Per shard: the id of its first segment (prefix sums of heads_of
   /// sizes); segment ids are dense in [0, segments).
   std::vector<std::size_t> seg_base;
-  /// Head vertex -> its segment id, for resolving segment exits.
-  std::unordered_map<index_t, index_t> seg_of_head;
+  /// By vertex (n entries): the id of the segment it heads, or kNoVertex
+  /// when it heads none. Resolves a segment's exit by one lookup.
+  std::vector<index_t> seg_of;
   std::size_t segments = 0;  ///< total segment count (reduced-list length)
 
   /// The shard owning global vertex `v`.
@@ -64,9 +68,11 @@ struct ShardedList {
   }
 
   /// Splits `list` into `shards` (clamped to [1, min(n, kMaxShards)]) and
-  /// discovers the segment structure. `list` must be valid (the Engine
-  /// validates upstream); n == 0 yields an empty structure.
-  static ShardedList build(const LinkedList& list, unsigned shards);
+  /// discovers the segment structure, filling `seg_of` over `threads`
+  /// workers. `list` must be valid (the Engine validates upstream); n == 0
+  /// yields an empty structure.
+  static ShardedList build(const LinkedList& list, unsigned shards,
+                           unsigned threads = 1);
 };
 
 /// A resident shard: the next/value subranges of global vertices
@@ -112,9 +118,11 @@ enum class StoreError {
 /// with one async prefetch thread faulting the next shard in.
 ///
 /// Thread model: one orchestrator thread calls prepare/acquire/release/
-/// hint_next; the internal prefetch thread is the only concurrency, and
-/// every shared field is guarded by one mutex. The view returned by
-/// acquire(p) stays valid until release(p).
+/// hint_next. prepare's workers each write one shard's file and its own
+/// outcome slot, and are joined before it returns; after that the
+/// internal prefetch thread is the only concurrency, and every shared
+/// field is guarded by one mutex. The view returned by acquire(p) stays
+/// valid until release(p).
 class ShardStore {
  public:
   ShardStore() = default;
@@ -126,8 +134,9 @@ class ShardStore {
 
   /// Binds the store to `list` split per `sharded`. byte_budget == 0
   /// selects RAM mode; otherwise shard files are written under `dir`
-  /// (created if needed; must be non-empty), existing matching files are
-  /// reused, and `prefetch_depth` > 0 starts the async prefetcher.
+  /// (created if needed; must be non-empty) over `threads` workers,
+  /// existing matching files are reused, and `prefetch_depth` > 0 starts
+  /// the async prefetcher.
   /// `keep_files` leaves the files on disk at destruction (a server
   /// pinning a snapshot's spill dir); otherwise they are ephemeral.
   ///
@@ -139,7 +148,7 @@ class ShardStore {
   /// (last_error() == kIo; the caller surfaces kResourceExhausted).
   bool prepare(const LinkedList& list, const ShardedList& sharded,
                std::size_t byte_budget, const std::string& dir,
-               unsigned prefetch_depth, bool keep_files,
+               unsigned prefetch_depth, bool keep_files, unsigned threads,
                bool allow_degraded = true);
 
   /// Blocks until shard `p` is resident and returns its view, pinned until

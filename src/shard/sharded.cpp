@@ -205,26 +205,37 @@ Status run_sharded(const LinkedList& list, const ShardedList& sharded,
 
   // Pass B: the second-level Reid-Miller pass over the reduced list (one
   // node per segment), its sublist count sized by the host rule the
-  // Planner uses. O(m), all in RAM.
+  // Planner uses. O(m), all in RAM. Each segment links to the one its exit
+  // vertex heads: one seg_of lookup, over parallel index blocks.
   LinkedList reduced;
   reduced.next.resize(m);
   reduced.value = std::move(totals);
-  for (std::size_t s = 0; s < m; ++s) {
-    if (exits[s] == kNoVertex) {
-      reduced.next[s] = static_cast<index_t>(s);  // global tail's segment
-      reduced.tail = static_cast<index_t>(s);
-      continue;
+  const index_t* seg_of = sharded.seg_of.data();
+  const std::size_t blocks = std::max(1u, exec.threads);
+  std::atomic<index_t> tail_seg{kNoVertex};
+  std::atomic<bool> dangling{false};
+  host_exec::claim_blocks(exec.threads, blocks, [&](std::size_t b) {
+    const auto [lo, hi] = host_exec::block_range(m, blocks, b);
+    bool linked = true;
+    for (std::size_t s = lo; s < hi; ++s) {
+      if (exits[s] == kNoVertex) {
+        reduced.next[s] = static_cast<index_t>(s);  // global tail's segment
+        tail_seg.store(static_cast<index_t>(s), std::memory_order_relaxed);
+        continue;
+      }
+      const index_t t = seg_of[exits[s]];
+      linked = linked && t != kNoVertex;
+      reduced.next[s] = t;
     }
-    const auto it = sharded.seg_of_head.find(exits[s]);
-    if (it == sharded.seg_of_head.end())
-      return Status::invalid(
-          "sharded scan: dangling cross-shard link (malformed list)");
-    reduced.next[s] = it->second;
-  }
-  const auto head_it = sharded.seg_of_head.find(list.head);
-  if (head_it == sharded.seg_of_head.end())
+    if (!linked) dangling.store(true, std::memory_order_relaxed);
+  });
+  if (dangling.load(std::memory_order_relaxed))
+    return Status::invalid(
+        "sharded scan: dangling cross-shard link (malformed list)");
+  reduced.tail = tail_seg.load(std::memory_order_relaxed);
+  if (seg_of[list.head] == kNoVertex)
     return Status::invalid("sharded scan: list head owns no segment");
-  reduced.head = head_it->second;
+  reduced.head = seg_of[list.head];
   std::vector<value_t> seg_pref(m);
   if (m >= kSecondLevelParallelMin && exec.threads > 1) {
     const host_exec::HostPlan plan2{
@@ -267,14 +278,15 @@ Status sharded_scan(const LinkedList& list, bool rank, ScanOp op,
   stats = ShardRunStats{};
   const std::size_t n = list.size();
   if (n == 0) return Status::success();
-  const ShardedList sharded = ShardedList::build(list, exec.shards);
+  const ShardedList sharded =
+      ShardedList::build(list, exec.shards, exec.threads);
   ShardStore store;
   const bool spill = exec.byte_budget > 0;
   const std::string dir =
       spill ? (exec.spill_dir.empty() ? ephemeral_spill_dir() : exec.spill_dir)
             : std::string{};
   if (!store.prepare(list, sharded, exec.byte_budget, dir, exec.prefetch,
-                     exec.keep_files, exec.degrade)) {
+                     exec.keep_files, exec.threads, exec.degrade)) {
     stats.store = store.stats();
     return store.last_error() == StoreError::kIo
                ? Status::resource_exhausted(

@@ -12,9 +12,10 @@
 //           need be resident at a time.
 //   pass B  the second-level Reid-Miller pass: the segments form a reduced
 //           list (node s = segment s, value = its total, link = the
-//           segment its exit vertex heads); an exclusive scan of it yields
-//           every segment's global prefix. Runs in RAM -- the reduced list
-//           is O(segments), not O(n).
+//           segment its exit vertex heads, read from ShardedList::seg_of);
+//           an exclusive scan of it yields every segment's global prefix.
+//           Runs in RAM: the reduced list is O(segments), which is
+//           thousands on an id-local list but ~(P-1)/P n on a random one.
 //   pass C  per shard, ascending again: re-walk each segment with the
 //           accumulator seeded at its global prefix, writing the final
 //           exclusive scan. Associativity makes this bit-exact vs the

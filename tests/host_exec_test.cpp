@@ -7,6 +7,9 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdio>
+#include <cstdlib>
+#include <string>
 #include <vector>
 
 #include "lists/generators.hpp"
@@ -133,6 +136,65 @@ TEST(HopSources, AheadSeesEveryVertexOnceBeforeItsStep) {
   EXPECT_EQ(early.load(), 0) << "a step ran before its vertex's ahead";
   for (index_t v = 0; v < l.size(); ++v)
     EXPECT_EQ(ahead[v].load(), 1) << "vertex " << v;
+}
+
+TEST(HopSources, GuidedClaimsCoverShortSublistsOnceAtEveryThreadCount) {
+  // The shard passes' shape: sublists of 1-2 vertices, both far more of
+  // them than cursors (k >> T x W) and fewer (k < T x W). Each claim takes
+  // max(1, remaining / (2 T W)) sublists; one that took none would make
+  // no progress and re-walk a sublist forever, so a second finish stops
+  // the run here instead of hanging it.
+  constexpr unsigned kW = 8;
+  for (const std::size_t n : {std::size_t{30000}, std::size_t{6}}) {
+    Rng rng(5);
+    const LinkedList l = random_list(n, rng, ValueInit::kSigned);
+    std::vector<std::uint8_t> is_tail(n, 0);
+    std::vector<index_t> heads;
+    std::size_t run = 0;
+    std::size_t len = 1;
+    for_each_in_order(l, [&](index_t v, std::size_t) {
+      if (run++ == 0) heads.push_back(v);
+      if (run == len || l.next[v] == v) {
+        is_tail[v] = 1;
+        run = 0;
+        len = 1 + rng.uniform(2);
+      }
+    });
+    const std::size_t k = heads.size();
+    const ListHops<false> hops{l.next.data(), l.value.data(), is_tail.data()};
+    for (const unsigned threads : {1u, 2u, 4u}) {
+      SCOPED_TRACE("n=" + std::to_string(n) + " k=" + std::to_string(k) +
+                   " T=" + std::to_string(threads));
+      if (n < 10) {
+        ASSERT_LT(k, std::size_t{threads} * kW);
+      }
+      std::vector<std::atomic<int>> visits(n);
+      std::vector<std::atomic<int>> finishes(k);
+      std::vector<index_t> tails(k, kNoVertex);
+      host_exec::interleave_sublists(
+          hops, heads.data(), k, threads, kW,
+          [](std::size_t) { return value_t{0}; },
+          [&](index_t v, value_t x, value_t& acc) {
+            visits[v].fetch_add(1, std::memory_order_relaxed);
+            acc += x;
+          },
+          [&](index_t j, index_t v, value_t) {
+            tails[j] = v;
+            if (finishes[j].fetch_add(1, std::memory_order_relaxed) != 0) {
+              ADD_FAILURE() << "sublist " << j << " finished twice";
+              std::fflush(stdout);
+              std::abort();  // the driver would re-walk it forever
+            }
+          });
+      for (index_t v = 0; v < n; ++v)
+        EXPECT_EQ(visits[v].load(), 1) << "vertex " << v;
+      for (std::size_t j = 0; j < k; ++j) {
+        EXPECT_EQ(finishes[j].load(), 1) << "sublist " << j;
+        EXPECT_TRUE(tails[j] != kNoVertex && is_tail[tails[j]] == 1)
+            << "sublist " << j << " did not end at a boundary";
+      }
+    }
+  }
 }
 
 TEST(ScanInto, ReportsTheHopSourceThatRan) {

@@ -8,6 +8,7 @@
 #include <cstdint>
 #include <filesystem>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/engine.hpp"
@@ -86,6 +87,37 @@ TEST(ShardedList, SegmentsPartitionTheListAndStayInsideTheirShard) {
   EXPECT_EQ(segs, s.segments);
   for (std::size_t v = 0; v < list.size(); ++v)
     EXPECT_EQ(seen[v], 1) << "vertex " << v;
+}
+
+TEST(ShardedList, DenseSegmentIdsNameEveryHeadAndOnlyHeads) {
+  Rng rng(44);
+  const std::pair<std::string, LinkedList> lists[] = {
+      {"random", random_list(5000, rng)},
+      {"blocked", blocked_list(5000, 64, rng)}};
+  for (const auto& [name, list] : lists) {
+    for (const unsigned shards : {1u, 3u, 8u}) {
+      SCOPED_TRACE(name + " P=" + std::to_string(shards));
+      const shard::ShardedList s =
+          shard::ShardedList::build(list, shards, /*threads=*/3);
+      ASSERT_EQ(s.seg_of.size(), list.size());
+      std::vector<char> is_head(list.size(), 0);
+      for (unsigned p = 0; p < s.shards; ++p) {
+        for (std::size_t i = 0; i < s.heads_of[p].size(); ++i) {
+          const index_t h = s.heads_of[p][i];
+          EXPECT_EQ(s.seg_of[h], s.seg_base[p] + i) << "head " << h;
+          is_head[h] = 1;
+        }
+      }
+      std::size_t named = 0;
+      for (std::size_t v = 0; v < list.size(); ++v) {
+        if (s.seg_of[v] != kNoVertex) ++named;
+        if (!is_head[v]) {
+          EXPECT_EQ(s.seg_of[v], kNoVertex) << "vertex " << v;
+        }
+      }
+      EXPECT_EQ(named, s.segments);
+    }
+  }
 }
 
 TEST(ShardedList, SequentialListHasOneSegmentPerNonemptyShard) {
@@ -394,6 +426,22 @@ TEST(ShardEngine, PinnedShardsRunShardedAndVerify) {
   EXPECT_GT(r.stats.shard_segments, 0u);
   EXPECT_FALSE(r.stats.shard_spilled);  // no budget: all-in-RAM sharding
   testutil::expect_scan_eq(r.scan, oracle(list, false, ScanOp::kMin));
+}
+
+TEST(ShardEngine, ExtraWordsCountTheSegmentIdArray) {
+  // ~4 words per segment, the 4 B/vertex segment-id array (n/2 words),
+  // and one shard's slab resident at a time.
+  EngineOptions opt;
+  opt.backend = BackendKind::kHost;
+  opt.shard.shards = 4;
+  Engine engine(opt);
+  Rng rng(33);
+  const LinkedList list = random_list(5000, rng);
+  const RunResult r = engine.rank(list);
+  ASSERT_TRUE(r.ok()) << r.status.message;
+  ASSERT_TRUE(r.stats.host_packed);
+  EXPECT_EQ(r.stats.algo.extra_words,
+            4 * r.stats.shard_segments + 5000 / 2 + 5000 / 4);
 }
 
 TEST(ShardEngine, ByteBudgetSpillsAndStaysBitExact) {
