@@ -4,8 +4,8 @@
 // PR 4 reproduced the paper's vector dimension (W cursors in flight per
 // worker ~ Cray VL); this bench measures the Section 5 processor
 // dimension on top: the same packed single-gather kernels with T workers
-// feeding their W-cursor sets from the shared claim counter, the slab
-// built in per-thread ranges, and phase 2 scanned blocked. The sweep runs
+// feeding their W-cursor sets from the shared claim counter and the slab
+// built in per-thread ranges (phase 2 stays serial). The sweep runs
 //
 //   T in {1, 2, 4, 8}  x  W in {4, 8, 16}  x  n in {2^18 .. max_n}
 //
@@ -65,7 +65,6 @@ struct Cell {
   double phase1_ms = 0.0;
   double phase2_ms = 0.0;
   double phase3_ms = 0.0;
-  bool phase2_parallel = false;
 };
 
 /// Times one (T, W) shape at each sublist count in `counts`, the reps
@@ -78,7 +77,6 @@ std::vector<Cell> measure_counts(const LinkedList& list, unsigned threads,
                                  std::span<value_t> out) {
   struct Samples {
     std::vector<double> total, build, p1, p2, p3;
-    bool p2par = false;
   };
   std::vector<Samples> samples(counts.size());
   for (std::size_t i = 0; i < reps; ++i) {
@@ -101,13 +99,12 @@ std::vector<Cell> measure_counts(const LinkedList& list, unsigned threads,
       s.p1.push_back(info.phase1_ns * 1e-6);
       s.p2.push_back(info.phase2_ns * 1e-6);
       s.p3.push_back(info.phase3_ns * 1e-6);
-      s.p2par = info.phase2_parallel;
     }
   }
   std::vector<Cell> cells;
   for (const Samples& s : samples)
     cells.push_back(Cell{median(s.total), median(s.build), median(s.p1),
-                         median(s.p2), median(s.p3), s.p2par});
+                         median(s.p2), median(s.p3)});
   return cells;
 }
 
@@ -188,10 +185,9 @@ int main(int argc, char** argv) {
     json.field("ns_per_elem", serial * 1e6 / nd);
 
     TextTable table({"variant", "T", "W", "median ms", "ns/elem",
-                     "vs T=1", "eff p1", "eff p3", "p2 par"});
+                     "vs T=1", "eff p1", "eff p3"});
     table.add_row({"serial-walk", "1", "-", TextTable::num(serial, 2),
-                   TextTable::num(serial * 1e6 / nd, 2), "-", "-", "-",
-                   "-"});
+                   TextTable::num(serial * 1e6 / nd, 2), "-", "-", "-"});
 
     for (const unsigned w : kWidths) {
       Cell base;  // the T=1 row of this width: the scaling denominator
@@ -207,8 +203,7 @@ int main(int argc, char** argv) {
                        TextTable::num(c.total_ms, 2),
                        TextTable::num(c.total_ms * 1e6 / nd, 2),
                        TextTable::num(speedup, 2) + "x",
-                       TextTable::num(e1, 2), TextTable::num(e3, 2),
-                       c.phase2_parallel ? "yes" : "no"});
+                       TextTable::num(e1, 2), TextTable::num(e3, 2)});
         json.row();
         json.field("n", nd);
         json.field("variant", "packed");
@@ -223,7 +218,6 @@ int main(int argc, char** argv) {
         json.field("phase3_ms", c.phase3_ms);
         json.field("phase1_efficiency", e1);
         json.field("phase3_efficiency", e3);
-        json.field("phase2_parallel", c.phase2_parallel ? 1.0 : 0.0);
         if (w == kGateW) {
           if (t == 1) last_t1_ms = c.total_ms;
           if (t == kGateT) last_t4_ms = c.total_ms;
@@ -256,8 +250,7 @@ int main(int argc, char** argv) {
       }
       table.add_row({"auto-plan m=" + std::to_string(m), std::to_string(t),
                      std::to_string(w), TextTable::num(auto_ms, 2),
-                     TextTable::num(auto_ms * 1e6 / nd, 2), "-", "-", "-",
-                     "-"});
+                     TextTable::num(auto_ms * 1e6 / nd, 2), "-", "-", "-"});
       json.row();
       json.field("n", nd);
       json.field("variant", "auto-plan");

@@ -114,26 +114,13 @@ double host_latency_ns(double bytes, const HostCostConstants& k) {
               k.dram_latency_ns);
 }
 
-double host_packed_ns_per_elem(double n, unsigned W,
-                               const HostCostConstants& k,
-                               double op_factor) {
-  assert(W >= 1);
-  // Footprint: the slab plus the output array phase 3 scatters into.
-  const double lat = host_latency_ns(n * 12.0, k);
-  const double per_phase =
-      std::max(lat / static_cast<double>(W), k.combine_ns * op_factor) +
-      k.bookkeeping_ns * static_cast<double>(W - 1);
-  // Phases 1 and 3 each traverse every element; the build is one
-  // sequential pass.
-  return 2.0 * per_phase + k.build_ns;
-}
-
 double host_packed_ns_per_elem_mt(double n, unsigned threads, unsigned W,
                                   const HostCostConstants& k,
                                   double op_factor) {
   assert(threads >= 1 && W >= 1);
+  // Footprint: the slab plus the output array phase 3 scatters into.
   const double lat = host_latency_ns(n * 12.0, k);
-  // One worker's per-element cost (same shape as host_packed_ns_per_elem).
+  // One worker's per-element cost in each traversal phase.
   const double per_thread =
       std::max(lat / static_cast<double>(W), k.combine_ns * op_factor) +
       k.bookkeeping_ns * static_cast<double>(W - 1);

@@ -142,8 +142,8 @@ struct HostCostConstants {
   /// Chip-wide outstanding-miss ceiling: total in-flight random loads the
   /// memory system sustains. threads x W chains hide latency only up to
   /// this; past it, more threads stop helping the traversal phases. Kept
-  /// above the per-worker cursor cap (32 in the W grid) so the T=1 model
-  /// stays identical to host_packed_ns_per_elem.
+  /// above the per-worker cursor cap (32 in the W grid) so the ceiling
+  /// never binds on one thread.
   double mem_parallelism = 48.0;
   /// Parallel slab-build floor (streaming bandwidth bound): build time
   /// per element cannot drop below this no matter how many workers.
@@ -162,19 +162,14 @@ struct HostCostConstants {
 /// Interpolated random-access latency for a working set of `bytes`.
 double host_latency_ns(double bytes, const HostCostConstants& k);
 
-/// Model ns/element of the packed phases 1+3 with `W` cursors in flight
-/// per worker (one worker assumed: threads divide the element count
-/// upstream). `op_factor` scales the combine (lists/ops.hpp).
-double host_packed_ns_per_elem(double n, unsigned W,
-                               const HostCostConstants& k,
-                               double op_factor = 1.0);
-
-/// The (threads x W) generalization: model ns/element of the packed
-/// phases 1+3 plus the parallel slab build with `threads` workers each
-/// keeping `W` cursors in flight. Per-core work divides by the worker
-/// count; aggregate latency hiding saturates at k.mem_parallelism
-/// outstanding misses; the build scales to its bandwidth floor. Excludes
-/// the per-run fixed and fork/join terms (host_tune_at adds those).
+/// Model ns/element of the packed phases 1+3 plus the parallel slab
+/// build with `threads` workers each keeping `W` cursors in flight. One
+/// worker pays max(latency / W, combine) plus the round-robin
+/// bookkeeping per element and phase; per-core work divides by the
+/// worker count; aggregate latency hiding saturates at k.mem_parallelism
+/// outstanding misses; the build scales to its bandwidth floor.
+/// `op_factor` scales the combine (lists/ops.hpp). Excludes the per-run
+/// fixed and fork/join terms (host_tune_at adds those).
 double host_packed_ns_per_elem_mt(double n, unsigned threads, unsigned W,
                                   const HostCostConstants& k,
                                   double op_factor = 1.0);

@@ -4,12 +4,9 @@
 #include <cassert>
 #include <cmath>
 #include <limits>
-#include <map>
-#include <mutex>
-#include <tuple>
 
 #include "analysis/schedule.hpp"
-#include "vm/config.hpp"
+#include "core/host_exec.hpp"
 
 namespace lr90 {
 
@@ -105,21 +102,6 @@ TuneResult TunedModel::params(double n) const {
   return r;
 }
 
-TuneResult tuned_params(double n, bool rank, unsigned p) {
-  static std::mutex mu;
-  static std::map<std::tuple<double, bool, unsigned>, TuneResult> cache;
-  std::lock_guard<std::mutex> lock(mu);
-  const auto key = std::make_tuple(n, rank, p);
-  auto it = cache.find(key);
-  if (it != cache.end()) return it->second;
-  const CostConstants k = CostConstants::from(vm::CostTable::cray_c90(), rank);
-  vm::MachineConfig cfg;
-  cfg.processors = p;
-  const TuneResult r = tune(n, k, p, cfg.contention_factor());
-  cache.emplace(key, r);
-  return r;
-}
-
 HostTuneResult host_tune_at(double n, unsigned threads, unsigned interleave,
                             double op_factor, const HostCostConstants& k) {
   threads = std::max(1u, threads);
@@ -172,6 +154,37 @@ std::size_t host_sublists(double n, unsigned threads, unsigned interleave,
   const double m =
       n > 1.0 ? std::sqrt(k.drain_per_sublist * n * std::log(n) / 2.0) : 0.0;
   return std::max(lanes, static_cast<std::size_t>(m));
+}
+
+host_exec::HostPlan plan_host(std::size_t width, ScanOp op,
+                              const HostPins& pins) {
+  const unsigned eff = host_exec::effective_threads(pins.threads);
+  const double factor = op_cost_factor(op);
+  // Parallelism must amortize thread fork/join (~tens of microseconds):
+  // give every thread at least ~2k vertices of combine-equivalent work
+  // (costlier operators amortize sooner), shedding threads before
+  // falling back to the serial walk.
+  const auto breakeven =
+      static_cast<std::size_t>(std::max(1.0, 2048.0 / factor));
+  const auto useful = static_cast<unsigned>(std::min<std::size_t>(
+      eff, std::max<std::size_t>(1, width / breakeven)));
+  // One (threads x W) tune for every operator. A pinned knob restricts
+  // its grid axis to what will actually run; with both on auto, the
+  // joint grid picks the full execution shape.
+  const double wd = static_cast<double>(width);
+  const HostTuneResult ht =
+      host_tune(wd, factor, eff, pins.threads > 0 ? useful : 0,
+                std::min(pins.interleave, host_exec::kMaxInterleave));
+  // Threads alone justify the sublist kernel; so does the model whenever
+  // W cursors beat the serial walk -- including on ONE thread, where W
+  // independent load chains hide the memory latency the serial walk
+  // stalls on (the paper's vectorization argument, on a CPU).
+  if (!pins.force_sublists && useful <= 1 && ht.packed_ns >= ht.serial_ns)
+    return {};
+  return {ht.threads,
+          host_sublists(wd, ht.threads, ht.interleave,
+                        pins.sublists_per_thread),
+          ht.interleave};
 }
 
 }  // namespace lr90

@@ -17,9 +17,14 @@
 #include <vector>
 
 #include "analysis/cost_eqs.hpp"
+#include "lists/ops.hpp"
 #include "support/polyfit.hpp"
 
 namespace lr90 {
+
+namespace host_exec {
+struct HostPlan;  // core/host_exec.hpp: the shape plan_host returns
+}  // namespace host_exec
 
 struct TuneResult {
   double m = 1.0;         ///< number of random split positions
@@ -56,11 +61,6 @@ class TunedModel {
   Polynomial s1_poly_;
 };
 
-/// Library-wide cached tuned parameters for the default Cray C90 cost
-/// table: direct tune() results memoized by (n, rank, p), suitable for the
-/// hot path of the public API.
-TuneResult tuned_params(double n, bool rank, unsigned p = 1);
-
 // -- host hot-path tuning ---------------------------------------------------
 
 /// The host tuner's answer for the sublist kernel: worker thread count
@@ -89,9 +89,9 @@ HostTuneResult host_tune_at(double n, unsigned threads, unsigned interleave,
 /// the paper's Section 4.4 (m, S_1) grid, extended to Section 5's
 /// processor dimension and the Section 3 vector-length choice.
 /// `pinned_threads` / `pinned_interleave` (> 0) restrict their axis to
-/// that single value, which is how the Planner re-tunes one knob after a
-/// caller fixed the other. Deterministic, O(candidates) closed-form
-/// evaluations -- cheap enough that the Planner calls it on every run.
+/// that single value, so a caller who fixed one knob gets the other
+/// tuned for it. Deterministic, O(candidates) closed-form
+/// evaluations -- cheap enough that plan_host calls it on every run.
 HostTuneResult host_tune(double n, double op_factor = 1.0,
                          unsigned max_threads = 1,
                          unsigned pinned_threads = 0,
@@ -99,10 +99,9 @@ HostTuneResult host_tune(double n, double op_factor = 1.0,
                          const HostCostConstants& k = {});
 
 /// The host sublist count m for a list of length n walked by `threads`
-/// workers with `interleave` cursors each: the one rule the Planner and
-/// the shard layer's second-level pass both size their sublist kernels
-/// by. It minimizes Eq. 5's two m-dependent terms, the drain
-/// D (n/m) ln m against the per-sublist cost S m, in closed form: with
+/// workers with `interleave` cursors each (plan_host's m). It minimizes
+/// Eq. 5's two m-dependent terms, the drain D (n/m) ln m against the
+/// per-sublist cost S m, in closed form: with
 /// ln m ~ (ln n)/2 at the optimum, m = sqrt(D/S * n ln n / 2)
 /// (D/S = k.drain_per_sublist), floored at threads x interleave so
 /// every cursor starts on a sublist of its own. The paper's Section 4.4
@@ -112,5 +111,29 @@ HostTuneResult host_tune(double n, double op_factor = 1.0,
 std::size_t host_sublists(double n, unsigned threads, unsigned interleave,
                           unsigned pinned_per_thread = 0,
                           const HostCostConstants& k = {});
+
+/// The knobs of a host plan its caller fixed; 0 (false) leaves a knob
+/// to the model.
+struct HostPins {
+  unsigned threads = 0;     ///< worker-thread cap; 0 = the machine's
+  unsigned interleave = 0;  ///< cursors per worker (W)
+  unsigned sublists_per_thread = 0;  ///< see host_sublists
+  /// Run the sublist kernel even where the model prefers the serial
+  /// walk: an explicit Method::kReidMiller, or one shard of a sharded run.
+  bool force_sublists = false;
+};
+
+/// The host execution shape for `width` vertices combined by `op`: the
+/// one planning path for the Planner (a whole list or one shard) and the
+/// shard layer's second-level pass (its reduced list). A pinned thread
+/// count is shed to one thread per ~2048 / op_cost_factor(op) vertices,
+/// so fork/join amortizes; with pins.threads == 0 the joint host_tune
+/// grid picks the count, capped at the machine's. W comes from the same
+/// tune, m from host_sublists. The sublist kernel runs when two or more
+/// threads clear that break-even, when W cursors beat the serial walk, or
+/// when forced; otherwise the plan is the serial walk (sublists < 2). The
+/// returned host_exec::HostPlan is defined in core/host_exec.hpp.
+host_exec::HostPlan plan_host(std::size_t width, ScanOp op,
+                              const HostPins& pins = {});
 
 }  // namespace lr90

@@ -1,5 +1,6 @@
 #include "core/engine.hpp"
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 
@@ -95,9 +96,9 @@ void serial_rank_into(const LinkedList& list, std::span<value_t> out) {
 Planner::Planner(const EngineOptions& opt)
     : backend_(opt.backend),
       processors_(std::max(1u, opt.processors)),
-      threads_(opt.threads),
-      sublists_per_thread_(opt.sublists_per_thread),
-      pinned_interleave_(opt.interleave),
+      pins_{.threads = opt.threads,
+            .interleave = opt.interleave,
+            .sublists_per_thread = opt.sublists_per_thread},
       shard_(opt.shard),
       pinned_m_(opt.reid_miller.m),
       pinned_s1_(opt.reid_miller.s1),
@@ -174,77 +175,35 @@ Planner::Decision Planner::decide(std::size_t n, Method requested, bool rank,
   if (rank) op = ScanOp::kPlus;  // ranking always combines by addition
 
   if (backend_ == BackendKind::kHost) {
-    // Sharding decision first: a pinned ShardOptions::shards, or
-    // auto-shard when n exceeds the slab's 2^31 link-lane bound
-    // (lists/encode.hpp kHotMaxVertices) or the resident byte budget.
-    // Each shard then runs the sublist kernel over its own slice, so the
-    // (threads x W) shape below is tuned on the shard width, not n.
     // Explicit kSerial/kWyllie requests are honoured unsharded.
+    if (requested != Method::kAuto && requested != Method::kReidMiller)
+      return d;
+    // Sharding first: a pinned ShardOptions::shards, or enough shards
+    // that two fit the resident byte budget. Each shard then runs the
+    // sublist kernel over its own slice, so the plan is made for the
+    // shard width, not n.
     std::size_t width = n;
-    if (requested == Method::kAuto || requested == Method::kReidMiller) {
-      std::size_t shards = shard_.shards;
-      if (shards == 0 && shard_.auto_shard) {
-        const std::size_t bytes = n * (sizeof(index_t) + sizeof(value_t));
-        if (n > kHotMaxVertices)
-          shards = (n + kHotMaxVertices / 2 - 1) / (kHotMaxVertices / 2);
-        if (shard_.byte_budget > 0 && bytes > shard_.byte_budget)
-          shards = std::max<std::size_t>(
-              shards,
-              (2 * bytes + shard_.byte_budget - 1) / shard_.byte_budget);
-      }
-      if (shards > 0 && n > 0) {
-        d.shard_count = static_cast<unsigned>(std::min<std::size_t>(
-            std::min<std::size_t>(shards, n), shard::kMaxShards));
-        d.method = Method::kReidMiller;
-        width = (n + d.shard_count - 1) / d.shard_count;
-      }
+    std::size_t shards = shard_.shards;
+    const std::size_t bytes = n * (sizeof(index_t) + sizeof(value_t));
+    if (shards == 0 && shard_.byte_budget > 0 && bytes > shard_.byte_budget)
+      shards = (2 * bytes + shard_.byte_budget - 1) / shard_.byte_budget;
+    if (shards > 0 && n > 0) {
+      d.shard_count = static_cast<unsigned>(
+          std::min({shards, n, std::size_t{shard::kMaxShards}}));
+      width = (n + d.shard_count - 1) / d.shard_count;
     }
-    const unsigned eff = host_exec::effective_threads(threads_);
-    const double factor = op_cost_factor(op);
-    // Parallelism must amortize thread fork/join (~tens of microseconds):
-    // give every thread at least ~2k vertices of combine-equivalent work
-    // (costlier operators amortize sooner), shedding threads before
-    // falling back to the serial walk.
-    const auto breakeven =
-        static_cast<std::size_t>(std::max(1.0, 2048.0 / factor));
-    const auto useful = static_cast<unsigned>(std::min<std::size_t>(
-        eff, std::max<std::size_t>(1, width / breakeven)));
-    const unsigned wpin =
-        pinned_interleave_ > 0
-            ? std::min(pinned_interleave_, host_exec::kMaxInterleave)
-            : 0;
-    const double wd = static_cast<double>(width);
-    // One (threads x W) tune for every operator. A caller-pinned knob
-    // restricts its grid axis to what will actually run; with both on
-    // auto, the joint grid picks the full execution shape.
-    const HostTuneResult ht =
-        host_tune(wd, factor, eff, threads_ > 0 ? useful : 0, wpin);
-    if (requested == Method::kAuto && d.shard_count == 0) {
-      // Threads alone justify the sublist kernel; so does the model
-      // whenever W cursors beat the serial walk -- including on ONE
-      // thread, where W independent load chains hide the memory latency
-      // the serial walk stalls on (the paper's vectorization argument,
-      // on a CPU).
-      d.method = (useful > 1 || ht.packed_ns < ht.serial_ns) && n / 2 >= 2
-                     ? Method::kReidMiller
-                     : Method::kSerial;
+    HostPins pins = pins_;
+    pins.force_sublists =
+        requested == Method::kReidMiller || d.shard_count > 0;
+    const host_exec::HostPlan hp = plan_host(width, op, pins);
+    if (!pins.force_sublists && hp.sublists < 2) {
+      d.method = Method::kSerial;
+      return d;
     }
-    if (d.method != Method::kReidMiller) return d;
-    // The worker count: an explicit unsharded reid-miller request keeps
-    // every available thread; otherwise the joint grid's pick (auto) or
-    // the breakeven-shed cap (pinned). W is re-tuned when that count is
-    // not the one the grid evaluated.
-    if (requested == Method::kReidMiller && d.shard_count == 0)
-      d.threads = eff;
-    else
-      d.threads = threads_ == 0 ? std::max(1u, std::min(ht.threads, eff))
-                                : useful;
-    d.interleave =
-        d.threads == ht.threads
-            ? ht.interleave
-            : host_tune(wd, factor, eff, d.threads, wpin).interleave;
-    d.sublists = static_cast<double>(
-        host_sublists(wd, d.threads, d.interleave, sublists_per_thread_));
+    d.method = Method::kReidMiller;
+    d.threads = hp.threads;
+    d.interleave = hp.interleave;
+    d.sublists = static_cast<double>(hp.sublists);
     return d;
   }
 

@@ -264,16 +264,16 @@ struct RunResult {
 /// into P contiguous id-range shards ranked independently, with
 /// cross-shard cursors resolved by a second-level Reid-Miller pass, and an
 /// optional spill tier that keeps at most `byte_budget` shard bytes
-/// resident (mmapped ShardFiles + async prefetch).
+/// resident (mmapped ShardFiles + async prefetch). Lists of any length a
+/// 32-bit index holds run unsharded unless one of these asks otherwise.
 struct ShardOptions {
-  /// Let the Planner shard automatically when n exceeds the packed path's
-  /// 2^31 link-lane bound, or when the list's bytes exceed `byte_budget`.
-  bool auto_shard = true;
-  /// Pinned shard count; 0 = auto (1 forces a single-shard sharded run,
-  /// which tests use to exercise the machinery on small lists).
+  /// Pinned shard count; 0 = auto: shard only when the list's bytes
+  /// exceed `byte_budget` (1 forces a single-shard sharded run, which
+  /// tests use to exercise the machinery on small lists).
   unsigned shards = 0;
   /// Resident shard-byte budget for the spill tier; 0 = all-in-RAM (no
-  /// shard files are ever written).
+  /// shard files are ever written). A list larger than a nonzero budget
+  /// is sharded so that about two shards fit it.
   std::size_t byte_budget = 0;
   /// Spill directory. "" = a fresh ephemeral per-run directory under the
   /// system temp dir, removed when the run ends. A non-empty directory is
@@ -345,15 +345,16 @@ struct EngineOptions {
 /// fixed size thresholds. Also reports the tuned m and S_1 so the
 /// algorithm skips re-tuning.
 ///
-/// Host backend: one joint (threads x W) host cost model (analysis/tuner
-/// host_tune) plans every operator. The sublist kernel runs when the
-/// model beats the serial walk or real threads are available; with
-/// EngineOptions::threads == 0 the grid search picks both the worker
-/// count and the cursor width, the paper's Section 5 processor dimension
-/// joined to its Section 3 vector length. The sublist count m then comes
-/// from the paper's Section 4.4 scaling, m ~ sqrt(n ln n) (analysis/
-/// tuner host_sublists), unless EngineOptions::sublists_per_thread pins
-/// it.
+/// Host backend: decides the shard split (ShardOptions), then takes the
+/// whole execution shape from analysis/tuner plan_host, the one host
+/// planning path the shard layer's second-level pass shares: a pinned
+/// thread count shed to a per-thread break-even, (threads x W) from the
+/// joint host cost model -- the paper's Section 5 processor dimension
+/// joined to its Section 3 vector length -- and m from its Section 4.4
+/// scaling, m ~ sqrt(n ln n), unless EngineOptions pins a knob. kAuto
+/// runs the sublist kernel when the model beats the serial walk or real
+/// threads are available; an explicit kReidMiller and every shard
+/// always do.
 class Planner {
  public:
   /// Builds a planner for the given engine configuration.
@@ -375,9 +376,9 @@ class Planner {
     double predicted_cycles = 0.0;  ///< sim cost-model estimate; 0 if n/a
     /// Shards the run splits into (src/shard/ two-level path); 0 = the
     /// ordinary unsharded execution. Set from a pinned
-    /// ShardOptions::shards, or automatically when n exceeds the packed
-    /// path's 2^31 link-lane bound or the resident byte budget -- the
-    /// typed fallback for "too big": never a silently wrong packed run.
+    /// ShardOptions::shards, or automatically when the list's bytes
+    /// exceed ShardOptions::byte_budget. threads, interleave and sublists
+    /// then describe each shard's passes.
     unsigned shard_count = 0;
   };
 
@@ -406,10 +407,8 @@ class Planner {
 
   BackendKind backend_;
   unsigned processors_;
-  unsigned threads_;
-  unsigned sublists_per_thread_;
-  unsigned pinned_interleave_;  ///< caller-pinned interleave (0 = auto)
-  ShardOptions shard_;          ///< sharding knobs (host backend only)
+  HostPins pins_;       ///< caller-pinned host knobs (0 = auto)
+  ShardOptions shard_;  ///< sharding knobs (host backend only)
   double pinned_m_;   ///< caller-pinned reid_miller.m (<= 0 = auto)
   double pinned_s1_;  ///< caller-pinned reid_miller.s1 (<= 0 = auto)
   double contention_;

@@ -38,14 +38,16 @@
 //    at the same index, and no slab to build. Serves seg-sum/affine/
 //    max-plus and any value that misses the lane.
 //
-// Every phase scales across worker threads (the paper's Section 5
-// multiprocessor dimension, Fig. 11): the slab build splits into
-// per-thread ranges, phases 1 and 3 feed each worker its own W-cursor set
-// from the shared guided claim counter, and phase 2's reduced-list scan
-// runs as a blocked two-pass prefix over operator-splittable prefixes once
-// the sublist count is large enough to pay for it. Workers come from OpenMP
-// when the build has it and plain std::thread otherwise, so OpenMP-less
-// builds (and the TSan job) exercise the same parallel kernels.
+// The slab build and phases 1 and 3 scale across worker threads (the
+// paper's Section 5 multiprocessor dimension, Fig. 11): the build splits
+// into per-thread ranges, and phases 1 and 3 feed each worker its own
+// W-cursor set from the shared guided claim counter. Phase 2 is
+// serial: its cost is the tail -> head chain over the k sublists, a
+// pointer chase no split shortens, and its O(k) scan is small beside it.
+// The plan (threads, m, W) comes from analysis/tuner.hpp plan_host.
+// Workers come from OpenMP when the build has it and plain std::thread
+// otherwise, so OpenMP-less builds (and the TSan job) exercise the same
+// parallel kernels.
 #pragma once
 
 #include <algorithm>
@@ -68,7 +70,8 @@
 
 namespace lr90::host_exec {
 
-/// Execution shape chosen by the Planner.
+/// Execution shape of one run, from analysis/tuner.hpp plan_host (the
+/// Planner's and the shard layer's one host planning path).
 struct HostPlan {
   /// Worker threads to use (already resolved; >= 1).
   unsigned threads = 1;
@@ -90,7 +93,6 @@ struct ExecInfo {
   unsigned threads = 0;
   bool packed = false;        ///< the single-gather slab path ran
   bool packed_cached = false; ///< ...on the installed shared slab
-  bool phase2_parallel = false;  ///< phase 2 ran the blocked parallel scan
   std::size_t sublists = 0;   ///< sublists used (0 = serial walk)
   /// The hop source that ran: kPackedCursors over the slab, kListArrays
   /// over the list arrays and on the serial walk, kAuto when nothing ran
@@ -106,12 +108,11 @@ struct ExecInfo {
   double phase3_ns = 0.0;  ///< per-sublist expansion
 
   /// Share of the phase wall clock spent in the multi-worker phases
-  /// (build + 1 + 3, plus 2 when it ran blocked): the Amdahl fraction a
-  /// bench divides by to judge thread scaling. 0 when nothing was timed.
+  /// (build + 1 + 3; phase 2 is serial): the Amdahl fraction a bench
+  /// divides by to judge thread scaling. 0 when nothing was timed.
   double parallel_frac() const {
-    const double par =
-        build_ns + phase1_ns + phase3_ns + (phase2_parallel ? phase2_ns : 0.0);
-    const double total = build_ns + phase1_ns + phase2_ns + phase3_ns;
+    const double par = build_ns + phase1_ns + phase3_ns;
+    const double total = par + phase2_ns;
     return total > 0.0 ? par / total : 0.0;
   }
 };
@@ -119,13 +120,8 @@ struct ExecInfo {
 /// Hard cap on cursors per worker (stack-resident cursor state).
 inline constexpr unsigned kMaxInterleave = 64;
 
-/// Hard cap on worker threads per run (per-thread scratch such as the
-/// phase-2 block sums is sized by this).
+/// Hard cap on worker threads per run.
 inline constexpr unsigned kMaxThreads = 256;
-
-/// Smallest sublist count phase 2 parallelizes its reduced-list scan at;
-/// below it the serial scan wins on fork/join overhead alone.
-inline constexpr std::size_t kPhase2MinParallelSublists = 64;
 
 /// Worker threads actually available for `requested` (0 = library default:
 /// the OpenMP thread count, or the hardware thread count on OpenMP-less
@@ -511,68 +507,29 @@ ExecInfo scan_into(const LinkedList& list, Op op, const HostPlan& plan,
            NoAhead{});
   info.phase1_ns = since_ns(t_phase1);
 
-  // Phase 2: order the sublists by chaining tail -> successor head (a
-  // serial O(k) pointer-chase; the head-ownership table is
-  // epoch-stamped, so no O(n) refill), then exclusive-scan their sums in
-  // that order. Large sublist counts scan blocked across the workers:
-  // contiguous prefixes of the order reduce in parallel, a serial pass
-  // turns the block sums into block offsets, and the workers expand
-  // their blocks -- combine order is preserved throughout, so
-  // associativity alone (no commutativity) keeps the non-commutative
-  // operators bit-exact.
+  // Phase 2: visit the sublists in list order by chaining tail ->
+  // successor head (a serial O(k) pointer-chase; the head-ownership table
+  // is epoch-stamped, so no O(n) refill), exclusive-scanning their sums on
+  // the way. Combine order follows the list, so associativity alone (no
+  // commutativity) keeps the non-commutative operators bit-exact.
   const auto t_phase2 = Clock::now();
   ws.owner_begin(n);
   for (std::size_t j = 0; j < k; ++j)
     ws.owner_set(heads[j], static_cast<index_t>(j));
-  ws.fit_uninit(ws.order, k);
-  ws.order.clear();
+  // Sublists a malformed snapshot left out of the chain keep identity.
+  ws.fit(ws.headscan, k, Op::identity());
   {
     std::size_t j = 0;  // the first sublist starts at the list head
+    value_t acc = Op::identity();
     for (std::size_t seen = 0; seen < k; ++seen) {
-      ws.order.push_back(static_cast<index_t>(j));
+      ws.headscan[j] = acc;
+      acc = op(acc, ws.sums[j]);
       const index_t t = ws.tails[j];
       const index_t nt = list.next[t];
       if (nt == t) break;  // the global tail ends the chain
       const index_t owner = ws.owner_get(nt);
       if (owner == kNoVertex) break;  // defensive: malformed snapshot
       j = owner;
-    }
-  }
-  // Sublists a malformed snapshot left out of the chain keep identity.
-  ws.fit(ws.headscan, k, Op::identity());
-  const std::size_t ordered = ws.order.size();
-  if (threads > 1 && ordered >= kPhase2MinParallelSublists) {
-    info.phase2_parallel = true;
-    const std::size_t blocks = threads;
-    ws.fit(ws.block_sums, blocks, Op::identity());
-    claim_blocks(threads, blocks, [&](std::size_t b) {
-      const auto [begin, end] = block_range(ordered, blocks, b);
-      value_t acc = Op::identity();
-      for (std::size_t i = begin; i < end; ++i)
-        acc = op(acc, ws.sums[ws.order[i]]);
-      ws.block_sums[b] = acc;
-    });
-    value_t acc = Op::identity();  // block sums -> exclusive block offsets
-    for (std::size_t b = 0; b < blocks; ++b) {
-      const value_t sum = ws.block_sums[b];
-      ws.block_sums[b] = acc;
-      acc = op(acc, sum);
-    }
-    claim_blocks(threads, blocks, [&](std::size_t b) {
-      const auto [begin, end] = block_range(ordered, blocks, b);
-      value_t acc = ws.block_sums[b];
-      for (std::size_t i = begin; i < end; ++i) {
-        const index_t j = ws.order[i];
-        ws.headscan[j] = acc;
-        acc = op(acc, ws.sums[j]);
-      }
-    });
-  } else {
-    value_t acc = Op::identity();
-    for (std::size_t i = 0; i < ordered; ++i) {
-      const index_t j = ws.order[i];
-      ws.headscan[j] = acc;
-      acc = op(acc, ws.sums[j]);
     }
   }
   info.phase2_ns = since_ns(t_phase2);

@@ -72,8 +72,6 @@ class Workspace {
   std::vector<index_t> owner_of_head;     ///< by vertex: owning sublist id
   std::vector<value_t> sums;              ///< per-sublist inclusive sums
   std::vector<value_t> headscan;          ///< per-sublist exclusive scan
-  std::vector<index_t> order;             ///< sublist ids in list order (ph 2)
-  std::vector<value_t> block_sums;        ///< per-worker phase-2 block sums
   std::vector<value_t> verify;            ///< serial reference (verify_output)
   std::vector<packed_t> packed;           ///< hot-path single-gather slab
   LinkedList scratch_list;                ///< mutable copy of an input list
@@ -92,8 +90,6 @@ class Workspace {
         owner_of_head(std::move(other.owner_of_head)),
         sums(std::move(other.sums)),
         headscan(std::move(other.headscan)),
-        order(std::move(other.order)),
-        block_sums(std::move(other.block_sums)),
         verify(std::move(other.verify)),
         packed(std::move(other.packed)),
         scratch_list(std::move(other.scratch_list)),
@@ -113,8 +109,6 @@ class Workspace {
     owner_of_head = std::move(other.owner_of_head);
     sums = std::move(other.sums);
     headscan = std::move(other.headscan);
-    order = std::move(other.order);
-    block_sums = std::move(other.block_sums);
     verify = std::move(other.verify);
     packed = std::move(other.packed);
     scratch_list = std::move(other.scratch_list);
@@ -263,8 +257,6 @@ class Workspace {
     owner_of_head = {};
     sums = {};
     headscan = {};
-    order = {};
-    block_sums = {};
     verify = {};
     packed = {};
     scratch_list = {};

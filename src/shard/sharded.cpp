@@ -26,10 +26,6 @@ namespace {
 fault::FaultSite f_scratch_alloc{"shard.scratch.alloc",
                                  "reduced-list scratch allocation fails"};
 
-/// Reduced lists below this length take the serial second-level scan; the
-/// parallel sublist kernel's fork/join cannot pay off on fewer nodes.
-constexpr std::size_t kSecondLevelParallelMin = 8192;
-
 /// A fresh per-run spill directory under the system temp dir, unique per
 /// process + run (ephemeral: removed by the ShardStore when the run ends).
 std::string ephemeral_spill_dir() {
@@ -178,7 +174,8 @@ bool pass_expand(const ShardView& view, const std::vector<index_t>& heads,
 
 template <ListOp Op, bool kOnes>
 Status run_sharded(const LinkedList& list, const ShardedList& sharded,
-                   const ShardExec& exec, Op op, Workspace& ws,
+                   const ShardExec& exec, Op op,
+                   const host_exec::HostPlan& reduced_plan, Workspace& ws,
                    std::span<value_t> out, ShardStore& store,
                    ShardRunStats& stats) {
   const std::size_t m = sharded.segments;
@@ -204,9 +201,9 @@ Status run_sharded(const LinkedList& list, const ShardedList& sharded,
   }
 
   // Pass B: the second-level Reid-Miller pass over the reduced list (one
-  // node per segment), its sublist count sized by the host rule the
-  // Planner uses. O(m), all in RAM. Each segment links to the one its exit
-  // vertex heads: one seg_of lookup, over parallel index blocks.
+  // node per segment), run by the host kernel on `reduced_plan`. O(m), all
+  // in RAM. Each segment links to the one its exit vertex heads: one
+  // seg_of lookup, over parallel index blocks.
   LinkedList reduced;
   reduced.next.resize(m);
   reduced.value = std::move(totals);
@@ -237,15 +234,7 @@ Status run_sharded(const LinkedList& list, const ShardedList& sharded,
     return Status::invalid("sharded scan: list head owns no segment");
   reduced.head = seg_of[list.head];
   std::vector<value_t> seg_pref(m);
-  if (m >= kSecondLevelParallelMin && exec.threads > 1) {
-    const host_exec::HostPlan plan2{
-        exec.threads,
-        host_sublists(static_cast<double>(m), exec.threads, exec.interleave),
-        exec.interleave};
-    host_exec::scan_into<Op, false>(reduced, op, plan2, ws, seg_pref);
-  } else {
-    host_exec::serial_scan_into(reduced, std::span<value_t>(seg_pref), op);
-  }
+  host_exec::scan_into<Op, false>(reduced, op, reduced_plan, ws, seg_pref);
 
   // Pass C: per-shard expansion from the segment prefixes.
   for (unsigned p = 0; p < sharded.shards; ++p) {
@@ -294,16 +283,21 @@ Status sharded_scan(const LinkedList& list, bool rank, ScanOp op,
                : Status::unavailable(
                      "sharded scan: spill directory unusable: " + dir);
   }
+  // Pass B's shape: the one host planning path, sized for the reduced
+  // list at the shard passes' pinned threads and W.
+  const host_exec::HostPlan reduced_plan =
+      plan_host(sharded.segments, rank ? ScanOp::kPlus : op,
+                {.threads = exec.threads, .interleave = exec.interleave});
   Status st;
   try {
     if (f_scratch_alloc.fire()) throw std::bad_alloc{};
     if (rank) {
-      st = run_sharded<OpPlus, true>(list, sharded, exec, OpPlus{}, ws, out,
-                                     store, stats);
+      st = run_sharded<OpPlus, true>(list, sharded, exec, OpPlus{},
+                                     reduced_plan, ws, out, store, stats);
     } else {
       st = with_scan_op(op, [&](auto typed) {
-        return run_sharded<decltype(typed), false>(list, sharded, exec, typed,
-                                                   ws, out, store, stats);
+        return run_sharded<decltype(typed), false>(
+            list, sharded, exec, typed, reduced_plan, ws, out, store, stats);
       });
     }
   } catch (const std::bad_alloc&) {

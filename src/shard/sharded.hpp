@@ -13,7 +13,8 @@
 //   pass B  the second-level Reid-Miller pass: the segments form a reduced
 //           list (node s = segment s, value = its total, link = the
 //           segment its exit vertex heads, read from ShardedList::seg_of);
-//           an exclusive scan of it yields every segment's global prefix.
+//           an exclusive scan of it, on the plan analysis/tuner plan_host
+//           gives its length, yields every segment's global prefix.
 //           Runs in RAM: the reduced list is O(segments), which is
 //           thousands on an id-local list but ~(P-1)/P n on a random one.
 //   pass C  per shard, ascending again: re-walk each segment with the

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <limits>
+#include <utility>
 
 #include "analysis/tuner.hpp"
 #include "core/host_exec.hpp"
@@ -502,6 +503,87 @@ TEST(Planner, OneThreadCrossesFromSerialToSublistsBetween2To15And2To18) {
   check(true, ScanOp::kPlus);
   check(false, ScanOp::kPlus);
   check(false, ScanOp::kAffine);
+}
+
+TEST(Planner, BenchmarkShapesAreUnchanged) {
+  // The exact plans the benchmark workloads run, with the thread count
+  // pinned so the answer does not depend on the machine: bulk's 2^24
+  // list on 4 threads, a snapshot's 2^18 and a served request's 2^15
+  // list on one worker, and out_of_core's 8 shards of a 2^20 list with
+  // two shards' bytes resident. Any drift in the host planner fails here.
+  struct Shape {
+    Method method;
+    unsigned threads, interleave;
+    double sublists;
+    unsigned shards;
+  };
+  const auto plan = [](unsigned threads, std::size_t n, bool rank,
+                       ScanOp op, const ShardOptions& shard = {}) {
+    EngineOptions eo = backend_options(BackendKind::kHost);
+    eo.threads = threads;
+    eo.shard = shard;
+    const Planner::Decision d =
+        Planner(eo).decide(n, Method::kAuto, rank, op);
+    return Shape{d.method, d.threads, d.interleave, d.sublists,
+                 d.shard_count};
+  };
+  const auto expect = [](const Shape& got, const Shape& want) {
+    EXPECT_EQ(got.method, want.method);
+    EXPECT_EQ(got.threads, want.threads);
+    EXPECT_EQ(got.interleave, want.interleave);
+    EXPECT_EQ(got.sublists, want.sublists);
+    EXPECT_EQ(got.shards, want.shards);
+  };
+  const std::size_t bulk = std::size_t{1} << 24;
+  for (const auto& [rank, op] : {std::pair{true, ScanOp::kPlus},
+                                 std::pair{false, ScanOp::kPlus},
+                                 std::pair{false, ScanOp::kAffine}}) {
+    SCOPED_TRACE(rank ? "rank" : scan_op_name(op));
+    expect(plan(4, bulk, rank, op), {Method::kReidMiller, 4, 16, 5282, 0});
+  }
+  expect(plan(1, std::size_t{1} << 18, true, ScanOp::kPlus),
+         {Method::kReidMiller, 1, 16, 571, 0});
+  expect(plan(1, std::size_t{1} << 15, true, ScanOp::kPlus),
+         {Method::kSerial, 1, 0, 0, 0});
+
+  const std::size_t n = std::size_t{1} << 20;
+  ShardOptions shard;
+  shard.shards = 8;
+  shard.byte_budget = 2 * n * (sizeof(index_t) + sizeof(value_t)) / 8;
+  expect(plan(4, n, true, ScanOp::kPlus, shard),
+         {Method::kReidMiller, 4, 8, 392, 8});
+}
+
+TEST(Planner, ForcedSublistPlansShedThreadsByOneRule) {
+  // Every sublist plan sheds threads by one break-even (~2048 vertices
+  // per thread for addition): kAuto, an explicit kReidMiller and one
+  // shard of that width all run a 5000-vertex width on 2 of 8 threads,
+  // with the same W and m.
+  EngineOptions eo = backend_options(BackendKind::kHost);
+  eo.threads = 8;
+  const std::size_t n = 5000;
+  const auto auto_plan = Planner(eo).decide(n, Method::kAuto, true);
+  const auto explicit_plan = Planner(eo).decide(n, Method::kReidMiller, true);
+  eo.shard.shards = 2;
+  const auto shard_plan = Planner(eo).decide(2 * n, Method::kAuto, true);
+  ASSERT_EQ(auto_plan.method, Method::kReidMiller);
+  ASSERT_EQ(shard_plan.shard_count, 2u);
+  EXPECT_EQ(auto_plan.threads, 2u);
+  for (const Planner::Decision& d : {explicit_plan, shard_plan}) {
+    EXPECT_EQ(d.method, Method::kReidMiller);
+    EXPECT_EQ(d.threads, auto_plan.threads);
+    EXPECT_EQ(d.interleave, auto_plan.interleave);
+    EXPECT_EQ(d.sublists, auto_plan.sublists);
+  }
+
+  // Shard pass B plans its reduced list by the same function: at
+  // out_of_core's shape (917,739 segments, 4 threads, W = 8) that is
+  // 1122 sublists on all four threads.
+  const host_exec::HostPlan reduced =
+      plan_host(917739, ScanOp::kPlus, {.threads = 4, .interleave = 8});
+  EXPECT_EQ(reduced.threads, 4u);
+  EXPECT_EQ(reduced.sublists, 1122u);
+  EXPECT_EQ(reduced.interleave, 8u);
 }
 
 TEST(Engine, LargeRankRunsPackedAndReportsCursors) {

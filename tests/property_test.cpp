@@ -308,9 +308,9 @@ INSTANTIATE_TEST_SUITE_P(Widths, HostInterleaveHarness,
 // shape and size class, every operator -- bit-exact against the serial
 // oracle. The direct host_exec half pins the exact worker count (the
 // Engine's planner sheds threads for small n), so the parallel slab
-// build, the shared claim counter, and the blocked phase-2 scan all run
-// with genuinely T workers; the Engine half checks the same shape
-// end-to-end through the planner and stats plumbing.
+// build and the shared claim counter both run with genuinely T workers;
+// the Engine half checks the same shape end-to-end through the planner
+// and stats plumbing.
 // ---------------------------------------------------------------------
 
 using ThreadsWidth = std::tuple<unsigned, unsigned>;
@@ -324,8 +324,7 @@ TEST_P(HostThreadsHarness, AllThreadCountsMatchSerialOracle) {
   opt.threads = threads;
   opt.interleave = width;
   Engine engine(std::move(opt));
-  // Enough sublists that T workers all get work and the blocked phase-2
-  // scan (k >= 64) is exercised whenever n allows it.
+  // Enough sublists that T workers all get work whenever n allows it.
   const std::size_t sublists = 16 * static_cast<std::size_t>(threads) + 64;
   for (const ScanOp op : kAllScanOps) {
     for (const Shape shape : kAllShapes) {

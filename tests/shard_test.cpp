@@ -362,28 +362,12 @@ TEST(ShardedScan, PrefetchDisabledStillCorrect) {
 
 // -- Engine / Planner wiring ------------------------------------------------
 
-TEST(ShardPlanner, AutoShardsBeyondThePackedLinkLaneBound) {
-  // Satellite bugfix: the packed hot word's 31-bit link lane bounds n at
-  // 2^31. decide() must answer "too big" with a TYPED route -- a sharded
-  // plan whose per-shard width fits the lane -- never a packed plan that
-  // would silently truncate links.
-  EngineOptions opt;
-  opt.backend = BackendKind::kHost;
-  const Planner planner(opt);
-  const std::size_t big = kHotMaxVertices + 5;
-  const auto d = planner.decide(big, Method::kAuto, /*rank=*/true);
-  ASSERT_GT(d.shard_count, 0u);
-  EXPECT_EQ(d.method, Method::kReidMiller);
-  const std::size_t width = (big + d.shard_count - 1) / d.shard_count;
-  EXPECT_LE(width, kHotMaxVertices);  // per-shard bound, not global
-}
-
 TEST(ShardPlanner, AutoShardOffStillNeverPlansPackedPastTheBound) {
-  // With auto-shard off the run stays unsharded; the kernel itself walks
-  // the list arrays for links that cannot fit the slab's 31-bit lane.
+  // A list past the slab's 2^31 link-lane bound runs unsharded; the
+  // kernel itself walks the list arrays for links that cannot fit the
+  // slab's 31-bit lane.
   EngineOptions opt;
   opt.backend = BackendKind::kHost;
-  opt.shard.auto_shard = false;
   const Planner planner(opt);
   const auto d =
       planner.decide(kHotMaxVertices + 5, Method::kAuto, /*rank=*/true);

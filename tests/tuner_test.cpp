@@ -2,9 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 
 #include "analysis/schedule.hpp"
+#include "core/host_exec.hpp"
 #include "core/reid_miller.hpp"
 #include "lists/generators.hpp"
 
@@ -143,15 +145,6 @@ TEST(TunedModel, FittedParametersRunEndToEnd) {
   EXPECT_LT(via_fits, 1.15 * auto_tuned);
 }
 
-TEST(TunedParams, CachedAndDeterministic) {
-  const TuneResult a = tuned_params(123456, false);
-  const TuneResult b = tuned_params(123456, false);
-  EXPECT_EQ(a.m, b.m);
-  EXPECT_EQ(a.s1, b.s1);
-  const TuneResult r = tuned_params(123456, true);
-  EXPECT_GE(r.m, 1.0);
-}
-
 // -- joint (threads x W) host tuning ---------------------------------------
 
 TEST(HostTune, JointGridPicksThreadsForLargeLists) {
@@ -229,16 +222,43 @@ TEST(HostTune, SublistCountTracksSqrtNLogN) {
 }
 
 TEST(HostTune, MtModelReducesToSingleThreadModel) {
-  // At T=1 the multithread per-element model must agree with the original
-  // single-worker model (same phases, same build, no floor active).
+  // At T=1 the multithread per-element model is the single-worker model:
+  // phases 1 and 3 each pay max(latency / W, combine) plus the
+  // round-robin bookkeeping, and the build is one sequential pass.
+  // Neither the outstanding-miss ceiling nor the build floor binds.
   const HostCostConstants k;
   for (const double n : {1 << 14, 1 << 18, 1 << 22}) {
+    const double lat = host_latency_ns(n * 12.0, k);
     for (const unsigned w : {1u, 8u, 32u}) {
+      const double per_phase = std::max(lat / w, k.combine_ns) +
+                               k.bookkeeping_ns * static_cast<double>(w - 1);
       EXPECT_NEAR(host_packed_ns_per_elem_mt(n, 1, w, k),
-                  host_packed_ns_per_elem(n, w, k), 1e-12)
+                  2.0 * per_phase + k.build_ns, 1e-12)
           << "n=" << n << " W=" << w;
     }
   }
+}
+
+TEST(HostTune, PlanHostWalksSeriallyUnlessForcedOrThreaded) {
+  // One worker on a 2^15 list: the model prefers the serial walk, so the
+  // plan is sublists < 2. Forcing the sublist kernel keeps the one thread
+  // and a pinned W, and gives every cursor a sublist of its own.
+  const std::size_t n = std::size_t{1} << 15;
+  EXPECT_LT(plan_host(n, ScanOp::kPlus, {.threads = 1}).sublists, 2u);
+  const host_exec::HostPlan forced = plan_host(
+      n, ScanOp::kPlus,
+      {.threads = 1, .interleave = 4, .force_sublists = true});
+  EXPECT_EQ(forced.threads, 1u);
+  EXPECT_EQ(forced.interleave, 4u);
+  EXPECT_GE(forced.sublists, 4u);
+  EXPECT_EQ(forced.sublists, host_sublists(static_cast<double>(n), 1, 4));
+
+  // Two threads past the ~2048-vertex break-even run the sublist kernel
+  // without being forced; a third would get too little work.
+  const host_exec::HostPlan threaded =
+      plan_host(5000, ScanOp::kPlus, {.threads = 3});
+  EXPECT_EQ(threaded.threads, 2u);
+  EXPECT_GE(threaded.sublists, 2u);
 }
 
 }  // namespace

@@ -8,14 +8,15 @@ OLD and NEW are BENCH_*.json files, or directories holding them (matched
 by file name). The comparison has three severity classes:
 
   * correctness fields (execution-shape booleans like "packed" or
-    "phase2_parallel", and any string field) must match exactly -> FAIL
-    (exit 1). These say WHICH code ran; a change is a behaviour
-    regression no matter how fast it was.
+    counters like "cursors", and any string field) must match exactly,
+    and must still be present in NEW -> FAIL (exit 1). These say WHICH
+    code ran; a change is a behaviour regression no matter how fast it
+    was, and a bench that stops reporting one hides exactly that.
   * measurement fields (medians, latencies, throughputs, efficiencies)
     beyond --threshold (default 10%) in the bad direction -> WARN.
     Warnings exit 0 -- shared runners are noisy -- unless --strict.
-  * missing rows / files in NEW -> WARN (the bench did not run or lost
-    coverage).
+  * missing rows / files / measurement fields in NEW -> WARN (the bench
+    did not run or lost coverage).
 
 Provenance: every document carries the stamp from lr90::stamp_provenance
 (git_sha, compiler, openmp, hw_threads). When compiler, openmp, or
@@ -42,8 +43,9 @@ KEY_FIELDS = {"n", "variant", "w", "t", "op", "clients", "tier", "method",
 # Numeric measurement fields where LOWER is better.
 LOWER_BETTER_SUFFIXES = ("_ms", "_ns", "_us", "ns_per_elem", "p50_us",
                          "p99_us")
-# Exact-name measurements (timing ratios that no suffix rule catches).
-LOWER_BETTER_NAMES = {"vs_hard_coded"}
+# Exact-name measurements (timings and timing ratios that no suffix rule
+# catches; op_scan's faultpoint row reports the last two).
+LOWER_BETTER_NAMES = {"vs_hard_coded", "vs_dispatched", "fire_ns_per_call"}
 # Numeric measurement fields where HIGHER is better.
 HIGHER_BETTER_SUFFIXES = ("req_per_s", "_efficiency", "parallel_frac")
 HIGHER_BETTER_PREFIXES = ("speedup",)
@@ -70,7 +72,7 @@ def classify(field: str, value) -> str:
                 HIGHER_BETTER_PREFIXES):
             return "higher"
         # Numeric, but neither a key nor a known measurement: the
-        # execution-shape counters (packed, phase2_parallel, cursors...).
+        # execution-shape counters (packed, cursors, picked_t...).
         return "correctness"
     return "correctness"  # strings and booleans describe what ran
 
@@ -142,7 +144,11 @@ def compare_doc(name: str, old: dict, new: dict, threshold: float,
                 continue
             new_val = new_row.get(field)
             if new_val is None:
-                rep.warn(f"{name}: field {field!r} missing ({ident})")
+                if kind == "correctness":
+                    rep.fail(f"{name}: correctness field {field!r} missing "
+                             f"from new results ({ident})")
+                else:
+                    rep.warn(f"{name}: field {field!r} missing ({ident})")
                 continue
             if kind == "correctness":
                 if field in HW_SHAPE_FIELDS and not compare_perf:

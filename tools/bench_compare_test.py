@@ -10,7 +10,8 @@ Covers the gate semantics that keep the perf trajectory honest:
     (or a non-numeric fresh value) must neither crash the ratio gate nor
     silently drop the field from comparison forever -- it warns, and
     --strict turns that into a failure.
-  * correctness-field changes fail regardless of --strict.
+  * correctness-field changes fail regardless of --strict, and so does a
+    correctness field the fresh results stopped reporting.
 """
 
 from __future__ import annotations
@@ -116,6 +117,41 @@ class BenchCompareTest(unittest.TestCase):
         p = run(self.old_dir, self.new_dir)
         self.assertEqual(p.returncode, 1, p.stdout + p.stderr)
         self.assertIn("correctness field", p.stdout)
+
+    def test_missing_correctness_field_fails_without_strict(self) -> None:
+        # A bench that silently stops reporting which code ran must fail,
+        # not warn; a missing measurement field still only warns.
+        old = doc("shard", [{"n": 10, "variant": "ram", "median_ms": 2.0,
+                             "p50_us": 1.0, "packed": True}])
+        new = doc("shard", [{"n": 10, "variant": "ram", "median_ms": 2.0,
+                             "p50_us": 1.0}])
+        self.write(self.old_dir, "BENCH_shard.json", old)
+        self.write(self.new_dir, "BENCH_shard.json", new)
+        p = run(self.old_dir, self.new_dir)
+        self.assertEqual(p.returncode, 1, p.stdout + p.stderr)
+        self.assertIn("correctness field 'packed' missing", p.stdout)
+        new["results"][0]["packed"] = True
+        del new["results"][0]["p50_us"]
+        self.write(self.new_dir, "BENCH_shard.json", new)
+        p = run(self.old_dir, self.new_dir)
+        self.assertEqual(p.returncode, 0, p.stdout + p.stderr)
+        self.assertIn("field 'p50_us' missing", p.stdout)
+
+    def test_named_timings_are_measurements_not_shape(self) -> None:
+        # op_scan's faultpoint timings drift run to run; they must gate as
+        # measurements, never fail as which-code-ran fields.
+        old = doc("op_scan", [{"tier": "faultpoint", "median_ms": 2.0,
+                               "vs_dispatched": 1.01,
+                               "fire_ns_per_call": 1.9}])
+        new = doc("op_scan", [{"tier": "faultpoint", "median_ms": 2.0,
+                               "vs_dispatched": 0.99,
+                               "fire_ns_per_call": 3.0}])
+        self.write(self.old_dir, "BENCH_op_scan.json", old)
+        self.write(self.new_dir, "BENCH_op_scan.json", new)
+        p = run(self.old_dir, self.new_dir)
+        self.assertEqual(p.returncode, 0, p.stdout + p.stderr)
+        self.assertIn("fire_ns_per_call regressed", p.stdout)
+        self.assertNotIn("vs_dispatched regressed", p.stdout)
 
     def test_measurement_regression_warns_then_strict_fails(self) -> None:
         old = doc("shard", [{"n": 10, "variant": "ram", "median_ms": 2.0}])
