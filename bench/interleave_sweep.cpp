@@ -36,6 +36,7 @@
 #include <string>
 #include <vector>
 
+#include "baselines/serial_walk.hpp"
 #include "core/host_exec.hpp"
 #include "lists/generators.hpp"
 #include "lists/ops.hpp"
@@ -161,7 +162,7 @@ int main(int argc, char** argv) {
     const double nd = static_cast<double>(n);
 
     const double serial = median_ms(reps, [&] {
-      host_exec::serial_scan_into(list, std::span<value_t>(out), OpPlus{});
+      serial_scan_host(list, std::span<value_t>(out));
     });
     const double seed1 = median_ms(reps, [&] {
       seed_single_cursor_scan(list, kSublists, ws,

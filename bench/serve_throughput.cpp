@@ -207,14 +207,10 @@ int main(int argc, char** argv) {
       return 1;
     }
   }
-  // Quiesce before zeroing: a worker bumps completed_ only AFTER it has
-  // fulfilled the job's future, so joining every client (and even the
-  // warmup future) does not prove the counters have settled -- a late
-  // job epilogue (the warmup's, or the engine phase's last) would land
-  // after reset_stats() and show up as a phantom engine run in the
-  // measured window. submitted_ is bumped synchronously at accept time,
-  // so completed == submitted means every accepted job is fully
-  // accounted; the resident entry proves the memo is warm.
+  // Quiesce before zeroing, so no job of the engine phase or the warmup
+  // lands after reset_stats() as a phantom engine run in the measured
+  // window: completed == submitted means every accepted job is fully
+  // accounted, and the resident entry proves the memo is warm.
   for (ServerStats s = server.stats();
        s.cache_resident_entries == 0 || s.completed < s.submitted;
        s = server.stats())

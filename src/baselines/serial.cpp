@@ -4,11 +4,7 @@ namespace lr90 {
 
 AlgoStats serial_rank(vm::Machine& m, unsigned proc, const LinkedList& list,
                       std::span<value_t> out) {
-  value_t acc = 0;
-  for_each_in_order(list, [&](index_t v, std::size_t) {
-    out[v] = acc;
-    ++acc;
-  });
+  serial_rank_host(list, out);
   const auto& c = m.costs();
   m.charge_scalar(proc,
                   c.serial_rank_per_vertex * static_cast<double>(list.size()) +

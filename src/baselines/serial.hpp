@@ -4,28 +4,19 @@
 // constants, and the yardstick every parallel algorithm must beat. On the
 // simulated Cray C90 the walk is a scalar (non-vectorizable) loop costing
 // ~42 cycles per vertex for ranking and ~43.6 for scanning (Table I).
+// The walks themselves are serial_rank_host / serial_scan_host
+// (baselines/serial_walk.hpp); this header charges them to the machine.
 #pragma once
 
 #include <span>
 
 #include "baselines/algo_stats.hpp"
+#include "baselines/serial_walk.hpp"
 #include "lists/linked_list.hpp"
 #include "lists/ops.hpp"
 #include "vm/machine.hpp"
 
 namespace lr90 {
-
-/// Exclusive serial list scan into `out` (indexed by vertex).
-/// Host-only: no simulated machine, no cycle accounting.
-template <ListOp Op = OpPlus>
-void serial_scan_host(const LinkedList& list, std::span<value_t> out,
-                      Op op = {}) {
-  value_t acc = Op::identity();
-  for_each_in_order(list, [&](index_t v, std::size_t) {
-    out[v] = acc;
-    acc = op(acc, list.value[v]);
-  });
-}
 
 /// Exclusive serial list scan on the simulated machine, charged to `proc`.
 /// `as_rank` selects the (slightly cheaper) list-ranking cycle cost.

@@ -80,17 +80,6 @@ Status Status::deadline_exceeded(std::string msg) {
   return Status{StatusCode::kDeadlineExceeded, std::move(msg)};
 }
 
-namespace {
-
-/// Serial rank into `out`: position of each vertex in traversal order.
-void serial_rank_into(const LinkedList& list, std::span<value_t> out) {
-  for_each_in_order(list, [&](index_t v, std::size_t pos) {
-    out[v] = static_cast<value_t>(pos);
-  });
-}
-
-}  // namespace
-
 // -- planner ----------------------------------------------------------------
 
 Planner::Planner(const EngineOptions& opt)
@@ -273,10 +262,10 @@ class SerialBackend final : public ExecutionBackend {
     }
     const LinkedList& list = *req.list;
     if (req.rank) {
-      serial_rank_into(list, out.scan);
+      serial_rank_host(list, out.scan);
     } else {
       with_scan_op(req.op, [&](auto op) {
-        host_exec::serial_scan_into(list, std::span<value_t>(out.scan), op);
+        serial_scan_host(list, std::span<value_t>(out.scan), op);
       });
     }
     out.stats.algo.rounds = list.empty() ? 0 : 1;
@@ -540,11 +529,9 @@ Status verify_result(const Request& req, Workspace& ws,
   ws.fit(ws.verify, list.size(), value_t{0});
   std::span<value_t> want(ws.verify);
   if (req.rank) {
-    serial_rank_into(list, want);
+    serial_rank_host(list, want);
   } else {
-    with_scan_op(req.op, [&](auto op) {
-      host_exec::serial_scan_into(list, want, op);
-    });
+    with_scan_op(req.op, [&](auto op) { serial_scan_host(list, want, op); });
   }
   for (std::size_t v = 0; v < got.size(); ++v) {
     if (got[v] != want[v]) {

@@ -57,6 +57,7 @@
 #include <thread>
 #include <vector>
 
+#include "baselines/serial_walk.hpp"
 #include "core/kernel_tier.hpp"
 #include "core/workspace.hpp"
 #include "lists/encode.hpp"
@@ -215,17 +216,6 @@ inline void prefetch_rw(void* addr) {
 #else
   (void)addr;
 #endif
-}
-
-/// Serial walk fallback, used when parallelism cannot pay off.
-template <ListOp Op>
-void serial_scan_into(const LinkedList& list, std::span<value_t> out,
-                      Op op = {}) {
-  value_t acc = Op::identity();
-  for_each_in_order(list, [&](index_t v, std::size_t) {
-    out[v] = acc;
-    acc = op(acc, list.value[v]);
-  });
 }
 
 /// Chooses `count` distinct sublist boundary vertices (plus the global
@@ -423,11 +413,9 @@ ExecInfo scan_into(const LinkedList& list, Op op, const HostPlan& plan,
   const std::size_t want = std::min(plan.sublists, n / 2);
   if (want < 2) {
     if constexpr (kOnes) {
-      for_each_in_order(list, [&](index_t v, std::size_t pos) {
-        out[v] = static_cast<value_t>(pos);
-      });
+      serial_rank_host(list, out);
     } else {
-      serial_scan_into(list, out, op);
+      serial_scan_host(list, out, op);
     }
     return info;
   }

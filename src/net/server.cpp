@@ -579,19 +579,21 @@ void NetServer::dispatch(Connection& c, RequestFrame& req) {
     case MsgKind::kReleaseSnapshotRequest:
       dispatch_snapshot_admin(c, req);
       return;
-    case MsgKind::kSnapshotRankRequest:
-    case MsgKind::kSnapshotScanRequest:
-      dispatch_snapshot_run(c, req);
-      return;
     case MsgKind::kRankRequest:
+      bump(&NetStats::req_rank);
+      break;
     case MsgKind::kScanRequest:
+      bump(&NetStats::req_scan);
+      break;
+    case MsgKind::kSnapshotRankRequest:
+      bump(&NetStats::req_snapshot_rank);
+      break;
+    case MsgKind::kSnapshotScanRequest:
+      bump(&NetStats::req_snapshot_scan);
       break;
     case MsgKind::kResponse:
       return;  // unreachable: decode_request rejected it
   }
-
-  const bool rank = req.kind == MsgKind::kRankRequest;
-  bump(rank ? &NetStats::req_rank : &NetStats::req_scan);
   if (stopping_.load(std::memory_order_acquire)) {
     encode_status_response(c.out, req.request_id,
                            WireStatus::kShuttingDown);
@@ -599,36 +601,57 @@ void NetServer::dispatch(Connection& c, RequestFrame& req) {
     return;
   }
 
-  // The engine borrows the list by pointer for the whole run; move the
-  // decoded copy into shared ownership that the completion keeps alive.
-  auto list = std::make_shared<LinkedList>(std::move(req.list));
-  Request engine_req;
-  engine_req.list = list.get();
-  engine_req.rank = rank;
-  engine_req.op = req.op;
-  engine_req.method = req.method;
-  engine_req.deadline_ms = req.deadline_ms;
+  const bool snapshot = req.kind == MsgKind::kSnapshotRankRequest ||
+                        req.kind == MsgKind::kSnapshotScanRequest;
+  const bool rank = req.kind == MsgKind::kRankRequest ||
+                    req.kind == MsgKind::kSnapshotRankRequest;
+  Completion pending;
+  pending.conn_id = c.id;
+  pending.request_id = req.request_id;
+  if (req.deadline_ms > 0) {
+    pending.deadline =
+        Clock::now() + std::chrono::milliseconds(req.deadline_ms);
+  }
+  if (snapshot) {
+    pending.snapshot_id = req.snapshot_id;
+  } else {
+    // The engine borrows the list by pointer for the whole run; move the
+    // decoded copy into shared ownership that the completion keeps alive.
+    pending.list = std::make_shared<LinkedList>(std::move(req.list));
+  }
+  const LinkedList* list = pending.list.get();
 
   c.in_flight += 1;
-  const std::uint64_t conn_id = c.id;
-  const std::uint32_t request_id = req.request_id;
-  const Clock::time_point deadline =
-      req.deadline_ms > 0
-          ? Clock::now() + std::chrono::milliseconds(req.deadline_ms)
-          : Clock::time_point::max();
-  // The callback runs on an EngineServer worker thread (or inline right
-  // here on a queue-full rejection): enqueue the completion and poke the
-  // wake pipe; the loop does the encoding.
-  engine_->submit(engine_req, [this, conn_id, request_id, list,
-                               deadline](RunResult&& r) {
+  // The callback runs on an EngineServer worker thread, or inline right
+  // here for the answers that never queue (a full queue; an unknown,
+  // stale or memoized snapshot): it enqueues the completion and pokes the
+  // wake pipe, and the loop encodes on its next drain.
+  auto done = [this, pending = std::move(pending)](RunResult&& r) mutable {
+    pending.result = std::move(r);
     {
       std::lock_guard<std::mutex> lock(completions_mu_);
-      completions_.push_back(
-          Completion{conn_id, request_id, std::move(r), list, 0, deadline});
+      completions_.push_back(std::move(pending));
     }
     const char byte = 0;
     [[maybe_unused]] const ssize_t rc = ::write(wake_w_, &byte, 1);
-  });
+  };
+  if (snapshot) {
+    engine_->submit(serve::SnapshotRequest{.snapshot_id = req.snapshot_id,
+                                           .generation = req.generation,
+                                           .rank = rank,
+                                           .op = req.op,
+                                           .method = req.method,
+                                           .deadline_ms = req.deadline_ms},
+                    std::move(done));
+    return;
+  }
+  Request run;
+  run.list = list;
+  run.rank = rank;
+  run.op = req.op;
+  run.method = req.method;
+  run.deadline_ms = req.deadline_ms;
+  engine_->submit(run, std::move(done));
 }
 
 void NetServer::dispatch_snapshot_admin(Connection& c, RequestFrame& req) {
@@ -667,46 +690,6 @@ void NetServer::dispatch_snapshot_admin(Connection& c, RequestFrame& req) {
                          s.message + "\n");
   }
   bump(&NetStats::responses_out);
-}
-
-void NetServer::dispatch_snapshot_run(Connection& c, RequestFrame& req) {
-  const bool rank = req.kind == MsgKind::kSnapshotRankRequest;
-  bump(rank ? &NetStats::req_snapshot_rank : &NetStats::req_snapshot_scan);
-  if (stopping_.load(std::memory_order_acquire)) {
-    encode_status_response(c.out, req.request_id,
-                           WireStatus::kShuttingDown);
-    bump(&NetStats::responses_out);
-    return;
-  }
-  serve::SnapshotRequest sreq;
-  sreq.snapshot_id = req.snapshot_id;
-  sreq.generation = req.generation;
-  sreq.rank = rank;
-  sreq.op = req.op;
-  sreq.method = req.method;
-  sreq.deadline_ms = req.deadline_ms;
-
-  c.in_flight += 1;
-  const std::uint64_t conn_id = c.id;
-  const std::uint32_t request_id = req.request_id;
-  const std::uint64_t snapshot_id = req.snapshot_id;
-  const Clock::time_point deadline =
-      req.deadline_ms > 0
-          ? Clock::now() + std::chrono::milliseconds(req.deadline_ms)
-          : Clock::time_point::max();
-  // Unknown-id / stale / cache-hit answers invoke this callback inline
-  // right here; real runs invoke it from a worker. Either way the loop
-  // encodes on the next drain.
-  engine_->submit(sreq, [this, conn_id, request_id, snapshot_id,
-                         deadline](RunResult&& r) {
-    {
-      std::lock_guard<std::mutex> lock(completions_mu_);
-      completions_.push_back(Completion{conn_id, request_id, std::move(r),
-                                        nullptr, snapshot_id, deadline});
-    }
-    const char byte = 0;
-    [[maybe_unused]] const ssize_t rc = ::write(wake_w_, &byte, 1);
-  });
 }
 
 void NetServer::drain_completions() {

@@ -54,8 +54,10 @@ namespace lr90::net {
 struct NetServerOptions {
   /// The EngineServer beneath the loop. reject_when_full is forced ON
   /// (the loop must never block in submit) and validate_input is forced
-  /// ON for the pooled engines (wire input is untrusted; malformed lists
-  /// must come back kInvalidInput, not corrupt a kernel).
+  /// ON (wire input is untrusted; malformed lists must come back
+  /// kInvalidInput, not corrupt a kernel). The EngineServer checks each
+  /// wire list once: a run's list on its worker, a snapshot's at
+  /// REGISTER/UPDATE.
   serve::ServerOptions serve;
   std::string bind_address = "127.0.0.1";  ///< dotted-quad listen address
   std::uint16_t port = 0;  ///< listen port; 0 = ephemeral (see port())
@@ -148,7 +150,9 @@ class NetServer {
   std::string health_text() const;  ///< "ok\n" serving, "draining\n" not
 
  private:
-  /// A finished engine run travelling from a worker thread to the loop.
+  /// A finished engine run travelling from a worker thread to the loop:
+  /// built at dispatch for list and snapshot runs alike, answered by the
+  /// run's one completion callback.
   struct Completion {
     std::uint64_t conn_id = 0;   ///< which connection asked
     std::uint32_t request_id = 0;  ///< which of its requests
@@ -176,7 +180,6 @@ class NetServer {
   void parse_input(Connection& c);
   void dispatch(Connection& c, RequestFrame& req);
   void dispatch_snapshot_admin(Connection& c, RequestFrame& req);
-  void dispatch_snapshot_run(Connection& c, RequestFrame& req);
   void handle_plaintext(Connection& c);
   void drain_completions();
   void finish_completion(Connection& c, const Completion& done);

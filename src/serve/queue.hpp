@@ -36,8 +36,8 @@ class BoundedQueue {
 
   /// Blocks while the queue is full; returns false iff the queue was
   /// closed. The item is moved from only on success -- on rejection it
-  /// stays with the caller (so a serving layer can still answer its
-  /// promise with a typed Status).
+  /// stays with the caller (so a serving layer can still answer it with
+  /// a typed Status).
   bool push(T& item) {
     std::unique_lock<std::mutex> lock(mu_);
     not_full_.wait(lock,

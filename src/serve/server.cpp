@@ -1,5 +1,6 @@
 #include "serve/server.hpp"
 
+#include <algorithm>
 #include <utility>
 
 #include "lists/validate.hpp"
@@ -23,12 +24,20 @@ unsigned resolve_workers(unsigned requested) {
   return hw > 0 ? hw : 1;
 }
 
-/// A result that never ran: the typed rejection the serving layer returns.
-RunResult rejected_result(const ServerOptions& opt, const char* why) {
+/// The typed answer of a job the serving layer did not run.
+RunResult unrun_result(const ServerOptions& opt, Status status) {
   RunResult r;
   r.backend = opt.engine.backend;
-  r.status = Status::unavailable(why);
+  r.status = std::move(status);
   return r;
+}
+
+/// The completion callback behind a future-returning submit: it fulfils
+/// the promise whose future it stores in `future`.
+std::function<void(RunResult&&)> fulfil(std::future<RunResult>& future) {
+  auto promise = std::make_shared<std::promise<RunResult>>();
+  future = promise->get_future();
+  return [promise](RunResult&& r) { promise->set_value(std::move(r)); };
 }
 
 }  // namespace
@@ -46,7 +55,13 @@ EngineServer::EngineServer(ServerOptions opt)
         return opt;
       }()),
       queue_(opt_.queue_capacity),
-      pool_(opt_.engine, opt_.workers),
+      // The server validates each list once, where it enters (check_list),
+      // so its pooled engines never re-check an immutable snapshot.
+      pool_([&] {
+        EngineOptions engine = opt_.engine;
+        engine.validate_input = false;
+        return engine;
+      }(), opt_.workers),
       slab_cache_(opt_.slab_cache_bytes),
       result_cache_(opt_.result_cache_bytes) {
   threads_.reserve(opt_.workers);
@@ -56,51 +71,63 @@ EngineServer::EngineServer(ServerOptions opt)
 
 EngineServer::~EngineServer() { shutdown(); }
 
-std::future<RunResult> EngineServer::submit(const RankRequest& req) {
-  return submit(Request(req));
+void EngineServer::count(std::uint64_t ServerStats::* field,
+                         std::uint64_t by) {
+  std::lock_guard<std::mutex> lock(stats_mu_);
+  stats_.*field += by;
 }
 
-std::future<RunResult> EngineServer::submit(const ScanRequest& req) {
-  return submit(Request(req));
+Status EngineServer::check_list(const LinkedList& list) const {
+  if (opt_.engine.validate_input) {
+    if (const auto err = validate_list(list))
+      return Status::invalid("invalid linked list: " + *err);
+  }
+  return Status::success();
 }
 
 std::future<RunResult> EngineServer::submit(Request req) {
-  Job job;
-  job.req = req;
-  return submit_job(std::move(job), /*has_future=*/true);
+  std::future<RunResult> future;
+  submit(std::move(req), fulfil(future));
+  return future;
 }
 
 void EngineServer::submit(Request req,
                           std::function<void(RunResult&&)> done) {
   Job job;
-  job.req = req;
+  job.req = std::move(req);
   job.done = std::move(done);
-  submit_job(std::move(job), /*has_future=*/false);
+  enqueue(std::move(job));
 }
 
 // -- snapshot-addressed serving ---------------------------------------------
 
 Status EngineServer::register_snapshot(LinkedList list, SnapshotHandle& out) {
-  if (opt_.engine.validate_input) {
-    if (const auto err = validate_list(list))
-      return Status::invalid("invalid linked list: " + *err);
-  }
-  out = registry_.register_snapshot(std::move(list));
-  return Status::success();
+  Status s = check_list(list);
+  if (s.ok()) out = registry_.register_snapshot(std::move(list));
+  return s;
 }
 
 Status EngineServer::update_snapshot(std::uint64_t id, LinkedList list,
                                      SnapshotHandle& out) {
-  if (opt_.engine.validate_input) {
-    if (const auto err = validate_list(list))
-      return Status::invalid("invalid linked list: " + *err);
-  }
+  if (Status s = check_list(list); !s.ok()) return s;
   if (!registry_.update(id, std::move(list), out))
     return Status::invalid("unknown snapshot id");
-  snapshot_updates_.fetch_add(1, std::memory_order_relaxed);
-  // Reclaim space AFTER the generation bump: the bump alone already made
-  // every old-generation key unreachable, so a racing worker re-inserting
-  // an old-generation artifact merely wastes bytes until LRU'd.
+  count(&ServerStats::snapshot_updates);
+  forget_snapshot(id);
+  return Status::success();
+}
+
+bool EngineServer::drop_snapshot(std::uint64_t id) {
+  const bool known = registry_.drop(id);
+  if (known) forget_snapshot(id);
+  return known;
+}
+
+void EngineServer::forget_snapshot(std::uint64_t id) {
+  // Reclaim space AFTER the registry change: the generation bump (or the
+  // drop) alone already made every old key unreachable, so a racing
+  // worker re-inserting an old-generation artifact merely wastes bytes
+  // until LRU'd.
   slab_cache_.invalidate(id);
   result_cache_.invalidate(id);
   // Same lifecycle for pinned shard spill files: the generation-stamped
@@ -113,72 +140,41 @@ Status EngineServer::update_snapshot(std::uint64_t id, LinkedList list,
     // leaked spill space, surfaced as a counter an operator can alarm on.
     shard::ReclaimStats rs;
     shard::drop_snapshot_spill_dirs(opt_.shard_spill_root, id, &rs);
-    if (rs.failed > 0)
-      spill_reclaim_failures_.fetch_add(rs.failed,
-                                        std::memory_order_relaxed);
+    if (rs.failed > 0) count(&ServerStats::spill_reclaim_failures, rs.failed);
   }
-  return Status::success();
-}
-
-bool EngineServer::drop_snapshot(std::uint64_t id) {
-  const bool known = registry_.drop(id);
-  if (known) {
-    slab_cache_.invalidate(id);
-    result_cache_.invalidate(id);
-    if (!opt_.shard_spill_root.empty()) {
-      shard::ReclaimStats rs;
-      shard::drop_snapshot_spill_dirs(opt_.shard_spill_root, id, &rs);
-      if (rs.failed > 0)
-        spill_reclaim_failures_.fetch_add(rs.failed,
-                                          std::memory_order_relaxed);
-    }
-  }
-  return known;
 }
 
 std::future<RunResult> EngineServer::submit(const SnapshotRequest& req) {
-  return submit_snapshot(req, nullptr, /*has_future=*/true);
+  std::future<RunResult> future;
+  submit(req, fulfil(future));
+  return future;
 }
 
 void EngineServer::submit(const SnapshotRequest& req,
                           std::function<void(RunResult&&)> done) {
-  submit_snapshot(req, std::move(done), /*has_future=*/false);
-}
-
-std::future<RunResult> EngineServer::submit_snapshot(
-    const SnapshotRequest& req, std::function<void(RunResult&&)> done,
-    bool has_future) {
-  Job job;
-  job.done = std::move(done);
-  std::future<RunResult> future;
-  if (has_future) future = job.result.get_future();
-
   // Shutdown answers first, as for every other submit: the registry and
   // the result memo below would otherwise keep answering after it began.
   if (queue_.closed()) {
-    rejected_.fetch_add(1, std::memory_order_relaxed);
-    job.fulfill(rejected_result(opt_, "server is shut down"));
-    return future;
+    count(&ServerStats::rejected);
+    done(unrun_result(opt_, Status::unavailable("server is shut down")));
+    return;
   }
 
+  Job job;
   SnapshotHandle current;
   const SnapshotRegistry::Resolve found =
       registry_.resolve(req.snapshot_id, req.generation, job.pinned, current);
   if (found == SnapshotRegistry::Resolve::kUnknown) {
-    RunResult r;
-    r.backend = opt_.engine.backend;
-    r.status = Status::invalid("unknown snapshot id");
-    job.fulfill(std::move(r));
-    return future;
+    done(unrun_result(opt_, Status::invalid("unknown snapshot id")));
+    return;
   }
   if (found == SnapshotRegistry::Resolve::kStale) {
-    stale_rejections_.fetch_add(1, std::memory_order_relaxed);
-    RunResult r;
-    r.backend = opt_.engine.backend;
-    r.status = Status::stale_generation("snapshot generation superseded");
+    count(&ServerStats::stale_rejections);
+    RunResult r = unrun_result(
+        opt_, Status::stale_generation("snapshot generation superseded"));
     r.stats.snapshot_generation = current.generation;  // retarget hint
-    job.fulfill(std::move(r));
-    return future;
+    done(std::move(r));
+    return;
   }
 
   // Memoized hot keys are answered inline, without ever touching the
@@ -187,10 +183,11 @@ std::future<RunResult> EngineServer::submit_snapshot(
                             request_flavor(req.rank, req.op, req.method)};
   std::shared_ptr<const RunResult> memo;
   if (result_cache_.lookup(result_key, memo)) {
-    job.fulfill(RunResult(*memo));
-    return future;
+    done(RunResult(*memo));
+    return;
   }
 
+  job.done = std::move(done);
   job.snapshot_id = req.snapshot_id;
   job.snapshot_generation = current.generation;
   job.req.list = job.pinned.get();
@@ -215,10 +212,7 @@ std::future<RunResult> EngineServer::submit_snapshot(
     std::shared_ptr<const PackedSlab> slab;
     if (slab_cache_.lookup(slab_key, slab)) job.req.slab = std::move(slab);
   }
-  // The future (if any) is already retrieved above -- the promise travels
-  // with the job and keeps feeding it, so submit_job must not re-retrieve.
-  submit_job(std::move(job), /*has_future=*/false);
-  return future;
+  enqueue(std::move(job));
 }
 
 void EngineServer::finish_snapshot_run(const Job& job, RunResult& r,
@@ -251,9 +245,7 @@ void EngineServer::finish_snapshot_run(const Job& job, RunResult& r,
       std::move(memo), bytes);
 }
 
-std::future<RunResult> EngineServer::submit_job(Job job, bool has_future) {
-  std::future<RunResult> future;
-  if (has_future) future = job.result.get_future();
+void EngineServer::enqueue(Job job) {
   const bool rank = job.req.rank;
   // Stamp the absolute expiry now: queueing time counts against the
   // client's budget (that is the point of a deadline under congestion).
@@ -265,15 +257,14 @@ std::future<RunResult> EngineServer::submit_job(Job job, bool has_future) {
       opt_.reject_when_full ? queue_.try_push(job) : queue_.push(job);
   if (!accepted) {
     // The job was never enqueued, so the answer is still ours to give.
-    rejected_.fetch_add(1, std::memory_order_relaxed);
-    job.fulfill(rejected_result(
-        opt_, queue_.closed() ? "server is shut down" : "request queue full"));
-    return future;
+    count(&ServerStats::rejected);
+    job.done(unrun_result(opt_, Status::unavailable(
+        queue_.closed() ? "server is shut down" : "request queue full")));
+    return;
   }
-  submitted_.fetch_add(1, std::memory_order_relaxed);
-  (rank ? rank_requests_ : scan_requests_)
-      .fetch_add(1, std::memory_order_relaxed);
-  return future;
+  std::lock_guard<std::mutex> lock(stats_mu_);
+  ++stats_.submitted;
+  ++(rank ? stats_.rank_requests : stats_.scan_requests);
 }
 
 void EngineServer::worker_loop() {
@@ -288,70 +279,59 @@ void EngineServer::worker_loop() {
     // kDeadlineExceeded without running -- under overload this sheds
     // exactly the work whose answer nobody is waiting for anymore.
     if (job.deadline < std::chrono::steady_clock::now()) {
-      deadline_expired_.fetch_add(1, std::memory_order_relaxed);
-      RunResult r;
-      r.backend = opt_.engine.backend;
-      r.status = Status::deadline_exceeded("deadline expired in queue");
-      job.fulfill(std::move(r));
-      completed_.fetch_add(1, std::memory_order_relaxed);
+      {
+        std::lock_guard<std::mutex> lock(stats_mu_);
+        ++stats_.deadline_expired;
+        ++stats_.completed;
+      }
+      job.done(unrun_result(
+          opt_, Status::deadline_exceeded("deadline expired in queue")));
       continue;
     }
 
     WorkspacePool::Lease lease = pool_.acquire();
-    bool answered = false;
+    RunResult r;
     try {
-      RunResult r = lease->run(job.req);
-      // Track the intra-request thread peak: workers x this is the
-      // machine parallelism actually used.
-      std::uint64_t peak = intra_threads_peak_.load(std::memory_order_relaxed);
-      while (r.stats.host_threads > peak &&
-             !intra_threads_peak_.compare_exchange_weak(
-                 peak, r.stats.host_threads, std::memory_order_relaxed)) {
-      }
-      // Which hop source actually ran (kAuto = the host kernels never
-      // ran: empty lists, non-host backends).
-      switch (r.stats.kernel_tier) {
-        case KernelTier::kListArrays:
-          tier_list_arrays_runs_.fetch_add(1, std::memory_order_relaxed);
-          break;
-        case KernelTier::kPackedCursors:
-          tier_packed_runs_.fetch_add(1, std::memory_order_relaxed);
-          break;
-        case KernelTier::kAuto:
-          break;
-      }
-      if (r.stats.shard_count > 0) {
-        sharded_runs_.fetch_add(1, std::memory_order_relaxed);
-        shard_spills_.fetch_add(r.stats.shard_spills,
-                                std::memory_order_relaxed);
-        shard_prefetch_hits_.fetch_add(r.stats.shard_prefetch_hits,
-                                       std::memory_order_relaxed);
-        shard_corrupt_slabs_.fetch_add(r.stats.shard_corrupt_slabs,
-                                       std::memory_order_relaxed);
-        shard_repacks_.fetch_add(r.stats.shard_repacks,
-                                 std::memory_order_relaxed);
-        shard_degraded_.fetch_add(r.stats.shard_degraded,
-                                  std::memory_order_relaxed);
-      }
-      // Snapshot jobs stamp the generation and feed the caches first.
+      // A caller-owned list is checked here, once; a snapshot was checked
+      // when it was registered or updated.
+      Status checked;
+      if (job.snapshot_id == 0 && job.req.list != nullptr)
+        checked = check_list(*job.req.list);
+      r = checked.ok() ? lease->run(job.req)
+                       : unrun_result(opt_, std::move(checked));
+      // Snapshot jobs stamp the generation and feed the caches.
       if (job.snapshot_id != 0) finish_snapshot_run(job, r, *lease);
-      answered = true;
-      job.fulfill(std::move(r));
     } catch (...) {
-      // run() only throws on resource exhaustion (e.g. bad_alloc). A
-      // future job propagates the exception; a callback job (which has no
-      // promise to carry it) gets a typed kUnavailable result instead.
-      if (!answered) {
-        if (job.done) {
-          job.fulfill(rejected_result(opt_, "engine run threw"));
-        } else {
-          job.result.set_exception(std::current_exception());
-        }
-      }
+      // run() only throws on resource exhaustion (e.g. bad_alloc): every
+      // caller gets the typed kUnavailable instead.
+      r = unrun_result(opt_, Status::unavailable("engine run threw"));
     }
 
-    batches_.fetch_add(1, std::memory_order_relaxed);
-    completed_.fetch_add(1, std::memory_order_relaxed);
+    {
+      std::lock_guard<std::mutex> lock(stats_mu_);
+      ++stats_.batches;
+      ++stats_.completed;
+      // workers x the intra-request peak is the machine parallelism
+      // actually used.
+      stats_.intra_threads_peak =
+          std::max<std::uint64_t>(stats_.intra_threads_peak,
+                                  r.stats.host_threads);
+      // Which hop source actually ran (kAuto = the host kernels never
+      // ran: empty lists, non-host backends).
+      if (r.stats.kernel_tier == KernelTier::kListArrays)
+        ++stats_.tier_list_arrays_runs;
+      if (r.stats.kernel_tier == KernelTier::kPackedCursors)
+        ++stats_.tier_packed_runs;
+      if (r.stats.shard_count > 0) {
+        ++stats_.sharded_runs;
+        stats_.shard_spills += r.stats.shard_spills;
+        stats_.shard_prefetch_hits += r.stats.shard_prefetch_hits;
+        stats_.shard_corrupt_slabs += r.stats.shard_corrupt_slabs;
+        stats_.shard_repacks += r.stats.shard_repacks;
+        stats_.shard_degraded += r.stats.shard_degraded;
+      }
+    }
+    job.done(std::move(r));
   }
 }
 
@@ -359,8 +339,9 @@ void EngineServer::join_workers(bool drain) {
   queue_.close();
   if (!drain) {
     for (Job& job : queue_.drain_now()) {
-      rejected_.fetch_add(1, std::memory_order_relaxed);
-      job.fulfill(rejected_result(opt_, "server is shutting down"));
+      count(&ServerStats::rejected);
+      job.done(
+          unrun_result(opt_, Status::unavailable("server is shutting down")));
     }
   }
   std::lock_guard<std::mutex> lock(shutdown_mu_);
@@ -374,25 +355,10 @@ void EngineServer::shutdown() { join_workers(/*drain=*/true); }
 void EngineServer::shutdown_now() { join_workers(/*drain=*/false); }
 
 void EngineServer::reset_stats() {
-  submitted_.store(0, std::memory_order_relaxed);
-  rejected_.store(0, std::memory_order_relaxed);
-  completed_.store(0, std::memory_order_relaxed);
-  batches_.store(0, std::memory_order_relaxed);
-  intra_threads_peak_.store(0, std::memory_order_relaxed);
-  tier_list_arrays_runs_.store(0, std::memory_order_relaxed);
-  tier_packed_runs_.store(0, std::memory_order_relaxed);
-  rank_requests_.store(0, std::memory_order_relaxed);
-  scan_requests_.store(0, std::memory_order_relaxed);
-  snapshot_updates_.store(0, std::memory_order_relaxed);
-  stale_rejections_.store(0, std::memory_order_relaxed);
-  sharded_runs_.store(0, std::memory_order_relaxed);
-  shard_spills_.store(0, std::memory_order_relaxed);
-  shard_prefetch_hits_.store(0, std::memory_order_relaxed);
-  shard_corrupt_slabs_.store(0, std::memory_order_relaxed);
-  shard_repacks_.store(0, std::memory_order_relaxed);
-  shard_degraded_.store(0, std::memory_order_relaxed);
-  spill_reclaim_failures_.store(0, std::memory_order_relaxed);
-  deadline_expired_.store(0, std::memory_order_relaxed);
+  {
+    std::lock_guard<std::mutex> lock(stats_mu_);
+    stats_ = {};
+  }
   queue_.reset_size_hwm();
   pool_.reset_stats();
   // Cumulative cache counters restart; the caches themselves stay warm
@@ -403,18 +369,11 @@ void EngineServer::reset_stats() {
 
 ServerStats EngineServer::stats() const {
   ServerStats s;
-  s.submitted = submitted_.load(std::memory_order_relaxed);
-  s.rejected = rejected_.load(std::memory_order_relaxed);
-  s.completed = completed_.load(std::memory_order_relaxed);
-  s.batches = batches_.load(std::memory_order_relaxed);
-  s.intra_threads_peak =
-      intra_threads_peak_.load(std::memory_order_relaxed);
-  s.tier_list_arrays_runs =
-      tier_list_arrays_runs_.load(std::memory_order_relaxed);
-  s.tier_packed_runs = tier_packed_runs_.load(std::memory_order_relaxed);
+  {
+    std::lock_guard<std::mutex> lock(stats_mu_);
+    s = stats_;
+  }
   s.queue_depth_hwm = queue_.size_hwm();
-  s.rank_requests = rank_requests_.load(std::memory_order_relaxed);
-  s.scan_requests = scan_requests_.load(std::memory_order_relaxed);
   s.pool = pool_.stats();
   const CacheStats slab = slab_cache_.stats();
   const CacheStats result = result_cache_.stats();
@@ -428,19 +387,6 @@ ServerStats EngineServer::stats() const {
   s.cache_resident_entries =
       slab.resident_entries + result.resident_entries;
   s.snapshots_live = registry_.size();
-  s.snapshot_updates = snapshot_updates_.load(std::memory_order_relaxed);
-  s.stale_rejections = stale_rejections_.load(std::memory_order_relaxed);
-  s.sharded_runs = sharded_runs_.load(std::memory_order_relaxed);
-  s.shard_spills = shard_spills_.load(std::memory_order_relaxed);
-  s.shard_prefetch_hits =
-      shard_prefetch_hits_.load(std::memory_order_relaxed);
-  s.shard_corrupt_slabs =
-      shard_corrupt_slabs_.load(std::memory_order_relaxed);
-  s.shard_repacks = shard_repacks_.load(std::memory_order_relaxed);
-  s.shard_degraded = shard_degraded_.load(std::memory_order_relaxed);
-  s.spill_reclaim_failures =
-      spill_reclaim_failures_.load(std::memory_order_relaxed);
-  s.deadline_expired = deadline_expired_.load(std::memory_order_relaxed);
   return s;
 }
 

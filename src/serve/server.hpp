@@ -4,34 +4,37 @@
 //
 //   EngineServer server({.engine = {.backend = BackendKind::kHost}});
 //   std::future<RunResult> f = server.submit(RankRequest{&list});
-//   RunResult r = f.get();              // typed Status, never throws on
-//                                       // rejection -- kUnavailable instead
+//   RunResult r = f.get();              // typed Status, never throws: a
+//                                       // rejection answers kUnavailable
 //   server.shutdown();                  // graceful: drains, then joins
 //
 // Architecture (see docs/ARCHITECTURE.md):
 //
 //   clients --submit--> BoundedQueue --pop--> workers --> WorkspacePool
-//      futures <-------- promise fulfilled per job <-- Engine::run
+//      callback or future <---- one callback per job <-- Engine::run
 //
-//   * Each submit() enqueues a job (request + promise) onto a bounded MPMC
-//     queue; back-pressure blocks producers when full (or rejects with
-//     StatusCode::kUnavailable when reject_when_full is set).
+//   * Each submit() enqueues a job (request + completion callback) onto a
+//     bounded MPMC queue; back-pressure blocks producers when full (or
+//     rejects with StatusCode::kUnavailable when reject_when_full is set).
+//     The future-returning submits pass a callback that fulfils a promise.
 //   * A fixed pool of worker threads pops one job at a time, runs it on an
-//     Engine leased for that job, and answers it.
+//     Engine leased for that job, and answers it through its callback. A
+//     caller-owned list is validated there, before its run; a snapshot
+//     once, at register/update.
 //   * Engines (and their warmed-up Workspaces) come from a WorkspacePool:
 //     zero scratch allocations in steady state, observable via stats().
 //   * shutdown() closes the queue, lets workers drain every queued job,
 //     and joins; shutdown_now() fails queued-but-unstarted jobs with
-//     kUnavailable instead. Submissions racing with either resolve to a
-//     kUnavailable future -- typed propagation, no exceptions, no deadlock.
+//     kUnavailable instead. Submissions racing with either are answered
+//     kUnavailable -- typed propagation, no exceptions, no deadlock.
 #pragma once
 
-#include <atomic>
 #include <chrono>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <future>
+#include <mutex>
 #include <thread>
 #include <vector>
 
@@ -50,7 +53,10 @@ struct ServerOptions {
   /// a server gets its parallelism from the worker pool (one engine per
   /// worker), and the OpenMP default of all-cores-per-engine would
   /// oversubscribe the machine workers^2-fold under load. Set threads
-  /// explicitly for intra-request parallelism on top.
+  /// explicitly for intra-request parallelism on top. validate_input is
+  /// applied by the server, once per list where it enters (a caller's
+  /// list on the worker before its run, a snapshot at register/update);
+  /// the pooled engines never re-check.
   EngineOptions engine;
   /// Worker threads (each with its own pooled engine); 0 = one per
   /// hardware thread.
@@ -99,8 +105,8 @@ struct SnapshotRequest {
 /// EngineServer::reset_stats()).
 struct ServerStats {
   std::uint64_t submitted = 0;   ///< jobs accepted into the queue
-  std::uint64_t rejected = 0;    ///< submits resolved kUnavailable
-  std::uint64_t completed = 0;   ///< jobs whose promise was fulfilled
+  std::uint64_t rejected = 0;    ///< refused unrun: full, shut down, drained
+  std::uint64_t completed = 0;   ///< queued jobs a worker answered
   std::uint64_t batches = 0;     ///< jobs run on a leased engine
   /// Deepest request-queue backlog seen at any submit (BoundedQueue
   /// size_hwm): the congestion high-water behind capacity planning and
@@ -173,21 +179,19 @@ class EngineServer {
   EngineServer(const EngineServer&) = delete;             ///< not copyable
   EngineServer& operator=(const EngineServer&) = delete;  ///< not copyable
 
-  /// Submits a rank request; the future resolves when a worker ran it (or
-  /// immediately, with StatusCode::kUnavailable, if rejected).
-  std::future<RunResult> submit(const RankRequest& req);
-  /// Submits a scan under any registered operator -- ScanRequest and
-  /// OpRequest are one type (same contract as the rank overload).
-  std::future<RunResult> submit(const ScanRequest& req);
-  /// Submits a unified request (same contract as the rank overload).
-  std::future<RunResult> submit(Request req);
-  /// Callback flavour of submit() for callers that must never block on a
-  /// future -- the network event loop. `done` is invoked exactly once
-  /// with the result: from a worker thread on completion, or inline from
-  /// this call on rejection (full queue / shutdown, a kUnavailable
-  /// result). The callback must be cheap and non-blocking (it runs on the
-  /// worker that ran the job); hand heavy work to another thread.
+  /// Submits a request -- a RankRequest, ScanRequest or OpRequest
+  /// converts -- and answers it through `done`, exactly once: from a
+  /// worker thread on completion, or inline from this call on rejection
+  /// (full queue / shutdown, a kUnavailable result). A run that throws
+  /// (resource exhaustion) answers kUnavailable "engine run threw". The
+  /// callback must be cheap, non-blocking and must not throw (it runs on
+  /// the worker that ran the job); hand heavy work to another thread.
+  /// This is the network event loop's entry point, which must never block
+  /// on a future.
   void submit(Request req, std::function<void(RunResult&&)> done);
+  /// Future flavour of the submit above: the future resolves with the
+  /// result `done` would have received, so it never throws.
+  std::future<RunResult> submit(Request req);
 
   // -- snapshot-addressed serving (the cross-request cache path) ---------
 
@@ -207,18 +211,18 @@ class EngineServer {
   /// Retires snapshot `id` and drops its cached artifacts. Returns false
   /// if `id` is unknown. In-flight runs keep the old bytes alive.
   bool drop_snapshot(std::uint64_t id);
-  /// Submits a snapshot-addressed request. A memoized result is answered
-  /// inline (the future is already resolved on return); otherwise the
-  /// job is queued like any other, carrying the pinned snapshot list and
-  /// any cached slab. Once shutdown has begun it resolves to kUnavailable
-  /// like every other submit; before that, stale pins and unknown ids
-  /// resolve immediately to kStaleGeneration / kInvalidInput.
-  std::future<RunResult> submit(const SnapshotRequest& req);
-  /// Callback flavour of the snapshot submit (same contract as the
-  /// Request callback overload; inline resolutions invoke `done` from
-  /// this call).
+  /// Submits a snapshot-addressed request, answered through `done` as
+  /// the Request overload answers. A memoized result is answered inline,
+  /// from this call; otherwise the job is queued like any other, carrying
+  /// the pinned snapshot list and any cached slab. Once shutdown has begun
+  /// it resolves to kUnavailable like every other submit; before that,
+  /// stale pins and unknown ids resolve inline to kStaleGeneration /
+  /// kInvalidInput.
   void submit(const SnapshotRequest& req,
               std::function<void(RunResult&&)> done);
+  /// Future flavour of the snapshot submit (a future answered inline is
+  /// already resolved on return).
+  std::future<RunResult> submit(const SnapshotRequest& req);
 
   /// Stops accepting work, drains every queued job, joins the workers.
   /// Idempotent; concurrent callers all block until the drain finishes.
@@ -234,7 +238,8 @@ class EngineServer {
   std::size_t queue_depth() const { return queue_.size(); }
   /// Number of worker threads serving this instance.
   std::size_t workers() const { return threads_.size(); }
-  /// Snapshot of the serving counters.
+  /// Snapshot of the serving counters, plus the queue, pool, cache and
+  /// registry gauges read at the call.
   ServerStats stats() const;
   /// Zeroes every serving counter, including the pooled workspace
   /// allocation/reuse counters (which were monotonic-only before this
@@ -246,13 +251,11 @@ class EngineServer {
   const ServerOptions& options() const { return opt_; }
 
  private:
-  /// One queued unit of work: the request plus how to answer it -- a
-  /// promise feeding the client's future, or (callback submissions) a
-  /// completion function invoked in its place.
+  /// One queued unit of work: the request plus the one callback that
+  /// answers it.
   struct Job {
-    Request req;                     ///< what to run
-    std::promise<RunResult> result;  ///< how to answer (future flavour)
-    std::function<void(RunResult&&)> done;  ///< how to answer (callback)
+    Request req;                            ///< what to run
+    std::function<void(RunResult&&)> done;  ///< called once with the answer
     /// Snapshot jobs pin their immutable list here (req.list aliases it),
     /// so the bytes outlive update()/drop() races.
     std::shared_ptr<const LinkedList> pinned;
@@ -263,24 +266,15 @@ class EngineServer {
     /// running when a popped job is already past it.
     std::chrono::steady_clock::time_point deadline =
         std::chrono::steady_clock::time_point::max();
-
-    /// Answers with `r` (consumed). Exactly one fulfil per job.
-    void fulfill(RunResult&& r) {
-      if (done) {
-        done(std::move(r));
-      } else {
-        result.set_value(std::move(r));
-      }
-    }
   };
 
-  std::future<RunResult> submit_job(Job job, bool has_future);
-  std::future<RunResult> submit_snapshot(const SnapshotRequest& req,
-                                         std::function<void(RunResult&&)> done,
-                                         bool has_future);
+  void enqueue(Job job);
+  Status check_list(const LinkedList& list) const;
+  void forget_snapshot(std::uint64_t id);
   void finish_snapshot_run(const Job& job, RunResult& r, Engine& engine);
   void worker_loop();
   void join_workers(bool drain);
+  void count(std::uint64_t ServerStats::* field, std::uint64_t by = 1);
 
   ServerOptions opt_;            ///< resolved configuration
   BoundedQueue<Job> queue_;      ///< clients push, workers pop
@@ -290,30 +284,14 @@ class EngineServer {
   LruCache<std::shared_ptr<const PackedSlab>> slab_cache_;
   /// Memoized results per (snapshot, generation, request shape).
   LruCache<std::shared_ptr<const RunResult>> result_cache_;
-  std::vector<std::thread> threads_;  ///< the worker pool
-
-  std::atomic<std::uint64_t> submitted_{0};   ///< accepted jobs
-  std::atomic<std::uint64_t> rejected_{0};    ///< kUnavailable resolutions
-  std::atomic<std::uint64_t> completed_{0};   ///< fulfilled promises
-  std::atomic<std::uint64_t> batches_{0};     ///< jobs run on an engine
-  std::atomic<std::uint64_t> intra_threads_peak_{0};  ///< max host_threads
-  std::atomic<std::uint64_t> tier_list_arrays_runs_{0};  ///< kListArrays
-  std::atomic<std::uint64_t> tier_packed_runs_{0};  ///< kPackedCursors
-  std::atomic<std::uint64_t> rank_requests_{0};  ///< accepted rank jobs
-  std::atomic<std::uint64_t> scan_requests_{0};  ///< accepted scan jobs
-  std::atomic<std::uint64_t> snapshot_updates_{0};  ///< update_snapshot()s
-  std::atomic<std::uint64_t> stale_rejections_{0};  ///< stale-pin rejects
-  std::atomic<std::uint64_t> sharded_runs_{0};      ///< shard-path runs
-  std::atomic<std::uint64_t> shard_spills_{0};      ///< budget evictions
-  std::atomic<std::uint64_t> shard_prefetch_hits_{0};  ///< warm shard loads
-  std::atomic<std::uint64_t> shard_corrupt_slabs_{0};  ///< integrity misses
-  std::atomic<std::uint64_t> shard_repacks_{0};        ///< slab rewrites
-  std::atomic<std::uint64_t> shard_degraded_{0};       ///< resident fallbacks
-  std::atomic<std::uint64_t> spill_reclaim_failures_{0};  ///< leaked spills
-  std::atomic<std::uint64_t> deadline_expired_{0};  ///< expired in queue
+  /// Guards stats_. Its gauge fields (queue_depth_hwm, pool, the cache
+  /// and registry figures) stay zero here: stats() reads them live.
+  mutable std::mutex stats_mu_;
+  ServerStats stats_;             ///< the counters since the last reset
 
   std::mutex shutdown_mu_;        ///< serializes shutdown paths
   bool joined_ = false;           ///< workers already joined
+  std::vector<std::thread> threads_;  ///< the worker pool
 };
 
 }  // namespace lr90::serve

@@ -500,6 +500,213 @@ TEST(EngineServer, CallbackSubmitMatchesFutureSubmit) {
   EXPECT_TRUE(called);
 }
 
+/// Holds a server's only worker inside a plug job's callback until
+/// release() (or destruction), so later jobs queue behind it.
+class Plug {
+ public:
+  Plug(EngineServer& server, const LinkedList& list)
+      : state_(std::make_shared<State>()) {
+    std::future<void> held = state_->held.get_future();
+    server.submit(RankRequest{&list}, [state = state_](RunResult&&) {
+      state->held.set_value();
+      state->gate.wait();
+    });
+    held.wait();
+  }
+  ~Plug() { release(); }
+  Plug(const Plug&) = delete;
+  Plug& operator=(const Plug&) = delete;
+
+  void release() {
+    if (released_) return;
+    released_ = true;
+    state_->release.set_value();
+  }
+
+ private:
+  struct State {
+    std::promise<void> held;
+    std::promise<void> release;
+    std::shared_future<void> gate = release.get_future().share();
+  };
+  std::shared_ptr<State> state_;
+  bool released_ = false;
+};
+
+/// Submits jobs alternately through the future and the callback flavour
+/// and gathers every answer in submit order, counting callback calls.
+class MixedSubmits {
+ public:
+  explicit MixedSubmits(EngineServer& server) : server_(server) {}
+  MixedSubmits(const MixedSubmits&) = delete;
+  MixedSubmits& operator=(const MixedSubmits&) = delete;
+
+  void submit(const Request& req) {
+    const std::size_t i = futures_.size();
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      calls_.push_back(0);
+      results_.emplace_back();
+    }
+    if (i % 2 == 0) {
+      futures_.push_back(server_.submit(req));
+      return;
+    }
+    futures_.emplace_back();  // answered through the callback
+    server_.submit(req, [this, i](RunResult&& r) {
+      std::lock_guard<std::mutex> lock(mu_);
+      ++calls_[i];
+      results_[i] = std::move(r);
+      cv_.notify_all();
+    });
+  }
+
+  /// Every answer in submit order, once each job resolved (or 30 s).
+  std::vector<RunResult> wait() {
+    for (; gathered_ < futures_.size(); ++gathered_) {
+      const std::size_t i = gathered_;
+      if (i % 2 != 0) continue;
+      EXPECT_EQ(futures_[i].wait_for(std::chrono::seconds(30)),
+                std::future_status::ready)
+          << "future " << i << " never resolved";
+      RunResult r = futures_[i].get();
+      std::lock_guard<std::mutex> lock(mu_);
+      results_[i] = std::move(r);
+    }
+    std::unique_lock<std::mutex> lock(mu_);
+    EXPECT_TRUE(cv_.wait_for(lock, std::chrono::seconds(30), [&] {
+      for (std::size_t i = 1; i < calls_.size(); i += 2)
+        if (calls_[i] == 0) return false;
+      return true;
+    })) << "a callback was never invoked";
+    return results_;
+  }
+
+  /// Callbacks invoked more than once (call at quiescence).
+  std::size_t repeated_callbacks() {
+    std::lock_guard<std::mutex> lock(mu_);
+    return static_cast<std::size_t>(std::count_if(
+        calls_.begin(), calls_.end(), [](int c) { return c > 1; }));
+  }
+
+ private:
+  EngineServer& server_;
+  std::vector<std::future<RunResult>> futures_;  ///< even jobs only
+  std::size_t gathered_ = 0;  ///< futures_ already read by wait()
+  std::mutex mu_;
+  std::condition_variable cv_;
+  std::vector<int> calls_;          ///< callback calls per job
+  std::vector<RunResult> results_;  ///< answers per job
+};
+
+TEST(EngineServer, EveryJobEndsInExactlyOneCounter) {
+  // Every submit ends in exactly one place: a run on a leased engine
+  // (batches), a deadline that expired in the queue (deadline_expired), or
+  // a refusal -- at the door, after shutdown, or drained by shutdown_now
+  // (rejected). One worker is held in a plug job's callback so the burst
+  // queues behind it deterministically; futures and callbacks alternate.
+  Rng rng(83);
+  const LinkedList list = random_list(3000, rng);
+  LinkedList cycle;  // malformed: a 2-cycle, so no vertex is the tail
+  cycle.next = {1, 0};
+  cycle.value = {1, 1};
+  cycle.head = 0;
+  const auto expiring = [](Request r) {
+    r.deadline_ms = 1;
+    return r;
+  };
+
+  ServerOptions opt;
+  opt.engine.backend = BackendKind::kHost;
+  opt.engine.validate_input = true;
+  opt.workers = 1;
+  opt.queue_capacity = 6;
+  opt.reject_when_full = true;
+
+  {
+    EngineServer server(opt);
+    MixedSubmits jobs(server);
+    Plug plug(server, list);
+    jobs.submit(RankRequest{&cycle});
+    jobs.submit(expiring(RankRequest{&list}));
+    jobs.submit(expiring(ScanRequest{&list, ScanOp::kMax}));
+    jobs.submit(RankRequest{&list});
+    jobs.submit(ScanRequest{&list, ScanOp::kPlus});
+    jobs.submit(ScanRequest{&list, ScanOp::kXor});
+    for (int i = 0; i < 3; ++i) jobs.submit(RankRequest{&list});  // full
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    plug.release();
+    const std::vector<RunResult> got = jobs.wait();
+    server.shutdown();  // quiescent from here on
+
+    ASSERT_EQ(got.size(), 9u);
+    EXPECT_EQ(got[0].status.code, StatusCode::kInvalidInput);
+    EXPECT_EQ(got[0].status.message.rfind("invalid linked list: ", 0), 0u)
+        << got[0].status.message;
+    for (std::size_t i : {1u, 2u})
+      EXPECT_EQ(got[i].status.code, StatusCode::kDeadlineExceeded) << i;
+    for (std::size_t i : {3u, 4u, 5u})
+      EXPECT_TRUE(got[i].ok()) << i << ": " << got[i].status.message;
+    for (std::size_t i : {6u, 7u, 8u}) {
+      EXPECT_EQ(got[i].status.code, StatusCode::kUnavailable) << i;
+      EXPECT_EQ(got[i].status.message, "request queue full") << i;
+    }
+    jobs.submit(RankRequest{&list});  // after shutdown: refused inline
+    const RunResult late = jobs.wait().back();
+    EXPECT_EQ(late.status.code, StatusCode::kUnavailable);
+    EXPECT_EQ(late.status.message, "server is shut down");
+    EXPECT_EQ(jobs.repeated_callbacks(), 0u);
+
+    const ServerStats s = server.stats();
+    EXPECT_EQ(s.submitted, 7u);  // the plug and the six queued jobs
+    EXPECT_EQ(s.rank_requests, 4u);
+    EXPECT_EQ(s.scan_requests, 3u);
+    EXPECT_EQ(s.batches, 5u) << "the malformed list still takes a run";
+    EXPECT_EQ(s.deadline_expired, 2u);
+    EXPECT_EQ(s.rejected, 4u) << "three at the door, one after shutdown";
+    EXPECT_EQ(s.completed, s.batches + s.deadline_expired);
+    EXPECT_EQ(s.pool.leases, s.batches);
+    EXPECT_EQ(s.rank_requests + s.scan_requests, s.submitted);
+    EXPECT_EQ(s.submitted, s.completed);
+  }
+
+  {
+    opt.queue_capacity = 16;
+    EngineServer server(opt);
+    MixedSubmits jobs(server);
+    Plug plug(server, list);
+    constexpr std::size_t kBacklog = 8;
+    for (std::size_t i = 0; i < kBacklog; ++i) {
+      jobs.submit(i % 3 == 0 ? Request(ScanRequest{&list, ScanOp::kMin})
+                             : Request(RankRequest{&list}));
+    }
+    // shutdown_now answers the backlog, then waits on the plugged worker.
+    std::thread stopper([&] { server.shutdown_now(); });
+    const std::vector<RunResult> got = jobs.wait();
+    plug.release();
+    stopper.join();
+
+    ASSERT_EQ(got.size(), kBacklog);
+    for (const RunResult& r : got) {
+      EXPECT_EQ(r.status.code, StatusCode::kUnavailable);
+      EXPECT_EQ(r.status.message, "server is shutting down");
+    }
+    EXPECT_EQ(jobs.repeated_callbacks(), 0u);
+
+    const ServerStats s = server.stats();
+    EXPECT_EQ(s.submitted, 1 + kBacklog);
+    EXPECT_EQ(s.rank_requests, 6u);
+    EXPECT_EQ(s.scan_requests, 3u);
+    EXPECT_EQ(s.batches, 1u) << "only the plug ran";
+    EXPECT_EQ(s.deadline_expired, 0u);
+    EXPECT_EQ(s.rejected, kBacklog) << "every drained job, nothing else";
+    EXPECT_EQ(s.completed, s.batches + s.deadline_expired);
+    EXPECT_EQ(s.pool.leases, s.batches);
+    EXPECT_EQ(s.rank_requests + s.scan_requests, s.submitted);
+    EXPECT_EQ(s.submitted, s.completed + kBacklog);
+  }
+}
+
 TEST(EngineServer, MixedOperatorBacklogOnOneListIsBitExact) {
   // A hot key served under two different operators from one backlog:
   // every answer is the one its own operator gives, and seg-sum answers
