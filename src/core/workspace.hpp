@@ -7,8 +7,15 @@
 // and every run re-fits the same buffers: capacity only ever grows, and a
 // warmed-up workspace serves steady-state traffic with zero allocations.
 //
-// Two hot-path refinements live here as well:
+// Three hot-path refinements live here as well:
 //
+//  * huge pages -- a fit that must grow a buffer of 16 MiB or more
+//    reserves it through reserve_huge (support/huge_pages.hpp), which
+//    advises the fresh capacity MADV_HUGEPAGE before the fill touches it.
+//    At 2^24 vertices that is the slab, the bitmap and (when verifying)
+//    the serial reference, so the cursors' random hops walk 2 MiB pages
+//    instead of missing the TLB on nearly every 4 KiB one. Smaller
+//    buffers stay on base pages.
 //  * the packed slab -- the host kernels' single-gather representation
 //    (lists/encode.hpp hot_pack): one 64-bit word per vertex fusing link,
 //    value lane, and sublist-tail flag. Every packing run builds its own,
@@ -34,6 +41,7 @@
 
 #include "lists/encode.hpp"
 #include "lists/linked_list.hpp"
+#include "support/huge_pages.hpp"
 #include "support/rng.hpp"
 
 namespace lr90 {
@@ -148,18 +156,23 @@ class Workspace {
     packed_builds_.store(0, std::memory_order_relaxed);
   }
 
-  /// Sizes `v` to n elements, all set to `init`, reusing capacity.
+  /// Sizes `v` to n elements, all set to `init`, reusing capacity. A
+  /// growth reserves through reserve_huge, so the fill is the first touch
+  /// of a large buffer's advised capacity.
   template <class T>
   std::vector<T>& fit(std::vector<T>& v, std::size_t n, T init) {
     note(v.capacity() >= n);
+    reserve_huge(v, n);
     v.assign(n, init);
     return v;
   }
 
-  /// Sizes `v` to n elements without initializing new content.
+  /// Sizes `v` to n elements without keeping old content (the new
+  /// elements are value-initialized). Grows like fit().
   template <class T>
   std::vector<T>& fit_uninit(std::vector<T>& v, std::size_t n) {
     note(v.capacity() >= n);
+    reserve_huge(v, n);
     v.clear();
     v.resize(n);
     return v;

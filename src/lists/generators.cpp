@@ -3,6 +3,8 @@
 #include <cassert>
 #include <numeric>
 
+#include "support/huge_pages.hpp"
+
 namespace lr90 {
 
 void init_values(LinkedList& list, ValueInit init, Rng* rng) {
@@ -30,6 +32,8 @@ LinkedList list_from_order(std::span<const index_t> order, ValueInit init,
                            Rng* rng) {
   LinkedList list;
   const std::size_t n = order.size();
+  reserve_huge(list.next, n);
+  reserve_huge(list.value, n);
   list.next.assign(n, 0);
   list.value.assign(n, 0);
   if (n == 0) return list;

@@ -165,6 +165,7 @@ void EngineServer::submit(const SnapshotRequest& req,
   const SnapshotRegistry::Resolve found =
       registry_.resolve(req.snapshot_id, req.generation, job.pinned, current);
   if (found == SnapshotRegistry::Resolve::kUnknown) {
+    count(&ServerStats::rejected);
     done(unrun_result(opt_, Status::invalid("unknown snapshot id")));
     return;
   }

@@ -105,7 +105,9 @@ struct SnapshotRequest {
 /// EngineServer::reset_stats()).
 struct ServerStats {
   std::uint64_t submitted = 0;   ///< jobs accepted into the queue
-  std::uint64_t rejected = 0;    ///< refused unrun: full, shut down, drained
+  /// Refused unrun: queue full, shut down, drained by shutdown_now, or a
+  /// snapshot request naming an unknown (never registered or dropped) id.
+  std::uint64_t rejected = 0;
   std::uint64_t completed = 0;   ///< queued jobs a worker answered
   std::uint64_t batches = 0;     ///< jobs run on a leased engine
   /// Deepest request-queue backlog seen at any submit (BoundedQueue

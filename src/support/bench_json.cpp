@@ -33,6 +33,24 @@ std::string escaped(const std::string& s) {
   return out;
 }
 
+/// The active transparent-huge-page mode: the bracketed word of the
+/// kernel's THP setting ("always [madvise] never" -> "madvise"), or
+/// "unavailable" when the setting cannot be read.
+std::string thp_mode() {
+  std::FILE* f =
+      std::fopen("/sys/kernel/mm/transparent_hugepage/enabled", "r");
+  if (f == nullptr) return "unavailable";
+  char buf[128] = {};
+  const std::size_t got = std::fread(buf, 1, sizeof buf - 1, f);
+  std::fclose(f);
+  const std::string line(buf, got);
+  const std::size_t open = line.find('[');
+  const std::size_t close = line.find(']', open);
+  if (open == std::string::npos || close == std::string::npos)
+    return "unavailable";
+  return line.substr(open + 1, close - open - 1);
+}
+
 std::string number(double v) {
   if (!std::isfinite(v)) return "null";
   char buf[32];
@@ -143,6 +161,7 @@ void stamp_provenance(BenchJson& json) {
 #endif
   json.meta("hw_threads",
             static_cast<double>(std::thread::hardware_concurrency()));
+  json.meta("thp", thp_mode());
 }
 
 }  // namespace lr90

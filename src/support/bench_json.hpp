@@ -74,6 +74,10 @@ std::string bench_json_path(const char* default_name);
 ///   compiler     compiler id + version the binary was built with
 ///   openmp       "on"/"off" (LISTRANK90_HAVE_OPENMP at build time)
 ///   hw_threads   std::thread::hardware_concurrency() at run time
+///   thp          the transparent-huge-page mode at run time ("always",
+///                "madvise", "never"), or "unavailable" when
+///                /sys/kernel/mm/transparent_hugepage/enabled is unreadable;
+///                bench_compare.py notes a difference but never refuses
 /// Call once per document, before write().
 void stamp_provenance(BenchJson& json);
 

@@ -2,13 +2,19 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <filesystem>
+#include <fstream>
 #include <limits>
+#include <sstream>
+#include <string>
 #include <utility>
 
 #include "analysis/tuner.hpp"
 #include "core/host_exec.hpp"
 #include "lists/generators.hpp"
 #include "lists/validate.hpp"
+#include "support/huge_pages.hpp"
 #include "test_util.hpp"
 
 namespace lr90 {
@@ -824,6 +830,88 @@ TEST(Engine, ReportsThreadsAndPerPhaseTimings) {
   EXPECT_EQ(s.stats.host_threads, 1u);
   EXPECT_EQ(s.stats.host_phase1_ns, 0.0);
   EXPECT_EQ(s.stats.host_parallel_frac, 0.0);
+}
+
+// -- huge pages -------------------------------------------------------------
+
+/// 2^21 vertices: the answer, the packed slab and the value array are
+/// 16 MiB each, the smallest buffers reserve_huge advises.
+constexpr std::size_t kHugeN = std::size_t{1} << 21;
+
+/// Whether [lo, hi) lies inside one mapping of /proc/self/smaps whose
+/// VmFlags carry `hg` (advised MADV_HUGEPAGE).
+bool advised_huge(std::uintptr_t lo, std::uintptr_t hi) {
+  std::ifstream smaps("/proc/self/smaps");
+  bool inside = false;
+  for (std::string line; std::getline(smaps, line);) {
+    std::istringstream header(line);
+    std::uintptr_t begin = 0, end = 0;
+    char dash = 0;
+    if (header >> std::hex >> begin >> dash >> end && dash == '-') {
+      inside = begin <= lo && hi <= end;
+      continue;
+    }
+    if (inside && line.rfind("VmFlags:", 0) == 0)
+      return line.find(" hg") != std::string::npos;
+  }
+  return false;
+}
+
+/// Whether the 2 MiB-aligned interior of `v`'s buffer was advised.
+template <class T>
+bool interior_advised_huge(const std::vector<T>& v) {
+  constexpr std::uintptr_t kMask = ~std::uintptr_t{kHugePageBytes - 1};
+  const auto begin = reinterpret_cast<std::uintptr_t>(v.data());
+  const std::uintptr_t lo = (begin + kHugePageBytes - 1) & kMask;
+  const std::uintptr_t hi = (begin + v.size() * sizeof(T)) & kMask;
+  return hi > lo && advised_huge(lo, hi);
+}
+
+TEST(Engine, HugePageSizedRunsAreExactAndStopAllocating) {
+  // The advised path at its threshold: rank and plus-scan walk the slab,
+  // affine the list arrays, and all three match the serial oracle. A
+  // second round of the same three runs grows nothing.
+  Rng rng(33);
+  const LinkedList l = random_list(kHugeN, rng, ValueInit::kSigned);
+  const std::vector<value_t> want[] = {
+      reference_rank(l), testutil::expected_scan(l, OpPlus{}),
+      testutil::expected_scan(l, OpAffine{})};
+  const KernelTier tier[] = {KernelTier::kPackedCursors,
+                             KernelTier::kPackedCursors,
+                             KernelTier::kListArrays};
+  Engine engine(backend_options(BackendKind::kHost));
+  const auto round = [&] {
+    const RunResult got[] = {engine.rank(l),
+                             engine.run(OpRequest{&l, ScanOp::kPlus}),
+                             engine.run(OpRequest{&l, ScanOp::kAffine})};
+    for (int i = 0; i < 3; ++i) {
+      SCOPED_TRACE(i);
+      ASSERT_TRUE(got[i].ok()) << got[i].status.message;
+      EXPECT_EQ(got[i].method_used, Method::kReidMiller);
+      EXPECT_EQ(got[i].stats.kernel_tier, tier[i]);
+      testutil::expect_scan_eq(got[i].scan, want[i]);
+    }
+  };
+  round();
+  const std::uint64_t warm = engine.workspace().allocations();
+  round();
+  EXPECT_EQ(engine.workspace().allocations(), warm);
+}
+
+TEST(Engine, LargeAnswerAndSlabAreAdvisedHugePages) {
+  // With THP built into the kernel, the advice marks the mapping `hg`
+  // whatever the THP mode; without it there is nothing to check.
+  const char* thp = "/sys/kernel/mm/transparent_hugepage/enabled";
+  if (!std::filesystem::exists(thp))
+    GTEST_SKIP() << "kernel without transparent huge pages";
+  Rng rng(34);
+  const LinkedList l = random_list(kHugeN, rng);
+  Engine engine(backend_options(BackendKind::kHost));
+  const RunResult r = engine.rank(l);
+  ASSERT_TRUE(r.ok()) << r.status.message;
+  ASSERT_TRUE(r.stats.host_packed);
+  EXPECT_TRUE(interior_advised_huge(r.scan)) << "the answer";
+  EXPECT_TRUE(interior_advised_huge(engine.workspace().packed)) << "the slab";
 }
 
 }  // namespace

@@ -707,6 +707,62 @@ TEST(EngineServer, EveryJobEndsInExactlyOneCounter) {
   }
 }
 
+TEST(EngineServer, UnknownSnapshotIdEndsInRejected) {
+  // A snapshot request naming an id the registry does not hold -- one
+  // never registered, or one dropped after it warmed the memo -- is
+  // refused unrun, through the future and the callback flavour alike. It
+  // ends in `rejected` alone: it never enters the queue, never runs, and
+  // never reaches the result memo.
+  Rng rng(89);
+  ServerOptions opt;
+  opt.engine.backend = BackendKind::kHost;
+  opt.workers = 1;
+  EngineServer server(opt);
+
+  SnapshotHandle dropped;
+  ASSERT_TRUE(server.register_snapshot(random_list(3000, rng), dropped).ok());
+  SnapshotRequest warm;
+  warm.snapshot_id = dropped.snapshot_id;
+  ASSERT_TRUE(server.submit(warm).get().ok());
+  ASSERT_TRUE(server.drop_snapshot(dropped.snapshot_id));
+
+  for (const std::uint64_t id :
+       {dropped.snapshot_id, dropped.snapshot_id + 1000}) {
+    for (const bool future : {true, false}) {
+      SCOPED_TRACE(future ? "future" : "callback");
+      SnapshotRequest req;
+      req.snapshot_id = id;
+      const ServerStats before = server.stats();
+      RunResult r;
+      if (future) {
+        r = server.submit(req).get();
+      } else {
+        std::promise<RunResult> answer;
+        std::atomic<int> calls{0};
+        server.submit(req, [&](RunResult&& got) {
+          if (calls.fetch_add(1) == 0) answer.set_value(std::move(got));
+        });
+        r = answer.get_future().get();
+        EXPECT_EQ(calls.load(), 1);
+      }
+      EXPECT_EQ(r.status.code, StatusCode::kInvalidInput)
+          << status_code_name(r.status.code);
+      EXPECT_EQ(r.status.message, "unknown snapshot id");
+      EXPECT_TRUE(r.scan.empty());
+
+      const ServerStats after = server.stats();
+      EXPECT_EQ(after.rejected, before.rejected + 1);
+      EXPECT_EQ(after.submitted, before.submitted);
+      EXPECT_EQ(after.completed, before.completed);
+      EXPECT_EQ(after.stale_rejections, before.stale_rejections);
+      EXPECT_EQ(after.result_hits, before.result_hits);
+      EXPECT_EQ(after.result_misses, before.result_misses);
+      EXPECT_EQ(after.result_evictions, before.result_evictions);
+    }
+  }
+  server.shutdown();
+}
+
 TEST(EngineServer, MixedOperatorBacklogOnOneListIsBitExact) {
   // A hot key served under two different operators from one backlog:
   // every answer is the one its own operator gives, and seg-sum answers

@@ -19,13 +19,15 @@ by file name). The comparison has three severity classes:
     did not run or lost coverage).
 
 Provenance: every document carries the stamp from lr90::stamp_provenance
-(git_sha, compiler, openmp, hw_threads). When compiler, openmp, or
+(git_sha, compiler, openmp, hw_threads, thp). When compiler, openmp, or
 hw_threads differ between OLD and NEW the perf numbers are not
 comparable; the default is to refuse (exit 2) so nobody mis-reads a
 hardware change as a regression. --lenient-cross-machine instead skips
 the measurement comparison with a notice but still enforces the
 correctness fields, which is how CI checks runner output against the
-dev-machine trajectory.
+dev-machine trajectory. A different (or missing) transparent-huge-page
+mode, thp, only prints a note: it moves the large-n timings, but
+baselines stamped before the field existed must still compare.
 """
 
 from __future__ import annotations
@@ -53,6 +55,10 @@ HIGHER_BETTER_PREFIXES = ("speedup",)
 # Provenance metadata that must match for timings to be comparable.
 # git_sha is deliberately NOT here: comparing across commits is the point.
 PROVENANCE_FIELDS = ("compiler", "openmp", "hw_threads")
+
+# Provenance metadata that is reported, never enforced: a difference
+# prints a note and the comparison goes on.
+NOTED_PROVENANCE_FIELDS = ("thp",)
 
 # Execution-shape fields that legitimately follow the hardware (the
 # planner picks cursors/threads from the machine's thread count): checked
@@ -114,13 +120,14 @@ def load(path: Path) -> dict:
 
 def provenance_matches(old: dict, new: dict, rep: Report, name: str) -> bool:
     ok = True
-    for field in PROVENANCE_FIELDS:
+    for field in PROVENANCE_FIELDS + NOTED_PROVENANCE_FIELDS:
         a = old.get("meta", {}).get(field)
         b = new.get("meta", {}).get(field)
         if a != b:
             rep.note(f"{name}: provenance differs on {field!r}: "
                      f"{a!r} (old) vs {b!r} (new)")
-            ok = False
+            if field in PROVENANCE_FIELDS:
+                ok = False
     return ok
 
 

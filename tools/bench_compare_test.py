@@ -12,6 +12,8 @@ Covers the gate semantics that keep the perf trajectory honest:
     --strict turns that into a failure.
   * correctness-field changes fail regardless of --strict, and so does a
     correctness field the fresh results stopped reporting.
+  * a transparent-huge-page mode (thp) that differs, or that one side
+    lacks, is a note: never a refusal, a warning, or a skipped perf gate.
 """
 
 from __future__ import annotations
@@ -152,6 +154,32 @@ class BenchCompareTest(unittest.TestCase):
         self.assertEqual(p.returncode, 0, p.stdout + p.stderr)
         self.assertIn("fire_ns_per_call regressed", p.stdout)
         self.assertNotIn("vs_dispatched regressed", p.stdout)
+
+    def test_thp_difference_or_absence_is_only_a_note(self) -> None:
+        # Baselines stamped before the thp field existed must still gate
+        # their measurements: a thp mismatch neither refuses nor turns the
+        # comparison into a correctness-only one.
+        rows = [{"n": 10, "variant": "ram", "median_ms": 2.0}]
+        old = doc("shard", rows)
+        new = doc("shard", [{"n": 10, "variant": "ram", "median_ms": 3.0}])
+        for old_thp, new_thp in ((None, "madvise"), ("never", "madvise")):
+            if old_thp is not None:
+                old["meta"]["thp"] = old_thp
+            new["meta"]["thp"] = new_thp
+            self.write(self.old_dir, "BENCH_shard.json", old)
+            self.write(self.new_dir, "BENCH_shard.json", new)
+            p = run(self.old_dir, self.new_dir)
+            self.assertEqual(p.returncode, 0, p.stdout + p.stderr)
+            self.assertIn("provenance differs on 'thp'", p.stdout)
+            self.assertIn(f"{old_thp!r} (old) vs 'madvise' (new)", p.stdout)
+            self.assertNotIn("REFUSED", p.stdout)
+            self.assertNotIn("cross-machine", p.stdout)
+            self.assertIn("median_ms regressed", p.stdout)
+        new["results"] = rows
+        self.write(self.new_dir, "BENCH_shard.json", new)
+        p = run(self.old_dir, self.new_dir, "--strict")
+        self.assertEqual(p.returncode, 0, p.stdout + p.stderr)
+        self.assertIn("provenance differs on 'thp'", p.stdout)
 
     def test_measurement_regression_warns_then_strict_fails(self) -> None:
         old = doc("shard", [{"n": 10, "variant": "ram", "median_ms": 2.0}])
