@@ -319,13 +319,12 @@ class HostBackend final : public ExecutionBackend {
     const bool sublists_ran = info.sublists > 0;
     out.stats.algo.rounds = n == 0 ? 0 : (sublists_ran ? 3 : 1);
     out.stats.algo.link_steps = sublists_ran ? 2 * n : n;
-    // Owner table + stamps (1.5n words) + bitmap (n bytes) + the packed
-    // slab (n words when it ran) + O(sublists) arrays.
+    // Bitmap (n bytes) + the packed slab (n words when it ran) +
+    // O(sublists) arrays.
     out.stats.algo.extra_words =
-        sublists_ran
-            ? n + n / 2 + n / 8 + (info.packed ? n : 0) +
-                  4 * static_cast<std::uint64_t>(info.sublists)
-            : 0;
+        sublists_ran ? n / 8 + (info.packed ? n : 0) +
+                           4 * static_cast<std::uint64_t>(info.sublists)
+                     : 0;
     out.stats.host_interleave = info.interleave;
     out.stats.host_threads = info.threads;
     out.stats.host_sublists = info.sublists;

@@ -42,8 +42,10 @@
 // paper's Section 5 multiprocessor dimension, Fig. 11): the build splits
 // into per-thread ranges, and phases 1 and 3 feed each worker its own
 // W-cursor set from the shared guided claim counter. Phase 2 is
-// serial: its cost is the tail -> head chain over the k sublists, a
-// pointer chase no split shortens, and its O(k) scan is small beside it.
+// serial: it chains the k sublists in list order, tail -> successor
+// sublist. The picks are sorted and sublist i + 1 starts at the successor
+// of the i-th pick, so each link is one binary search of the picks for
+// the tail: O(k) memory that stays in cache, with no per-vertex table.
 // The plan (threads, m, W) comes from analysis/tuner.hpp plan_host.
 // Workers come from OpenMP when the build has it and plain std::thread
 // otherwise, so OpenMP-less builds (and the TSan job) exercise the same
@@ -102,7 +104,7 @@ struct ExecInfo {
 
   // Per-phase wall clock, for parallel-efficiency reporting (zero on the
   // serial walk, which has no phases). build_ns covers boundary choice,
-  // head collection, and the slab build; it is zero on a shared slab.
+  // head collection, and the slab build; on a shared slab only the heads.
   double build_ns = 0.0;   ///< boundaries + heads + packed-slab build
   double phase1_ns = 0.0;  ///< per-sublist inclusive scans
   double phase2_ns = 0.0;  ///< reduced-list scan over sublist sums
@@ -219,9 +221,10 @@ inline void prefetch_rw(void* addr) {
 }
 
 /// Chooses `count` distinct sublist boundary vertices (plus the global
-/// tail) into ws.is_tail / ws.picks. Rejection sampling against the bitmap
-/// needs no per-call set: the pick density is at most 1/2, so the expected
-/// number of retries per pick is below one.
+/// tail) into ws.is_tail / ws.picks, and sorts the picks: phase 2 finds a
+/// sublist's successor by searching them. Rejection sampling against the
+/// bitmap needs no per-call set: the pick density is at most 1/2, so the
+/// expected number of retries per pick is below one.
 inline void choose_boundaries(const LinkedList& list, std::size_t count,
                               Workspace& ws, index_t global_tail) {
   const std::size_t n = list.size();
@@ -235,6 +238,7 @@ inline void choose_boundaries(const LinkedList& list, std::size_t count,
     ws.is_tail[r] = 1;
     ws.picks.push_back(r);
   }
+  std::sort(ws.picks.begin(), ws.picks.end());
 }
 
 /// Builds the single-gather slab into ws.packed from the list and the
@@ -429,13 +433,13 @@ ExecInfo scan_into(const LinkedList& list, Op op, const HostPlan& plan,
   const unsigned W = std::clamp(plan.interleave, 1u, kMaxInterleave);
   // A shared (cross-request) slab, installed by the serving layer for
   // immutable snapshot lists, replaces both boundary choice and the slab
-  // build outright when its shape matches this run's plan. The RNG is
-  // then left undrawn -- answers are exact under any sublist
-  // decomposition.
+  // build outright when its shape matches this run's plan; the run only
+  // rebuilds its k heads from the slab's picks. The RNG is then left
+  // undrawn -- answers are exact under any sublist decomposition.
   const PackedSlab* ext = nullptr;
   if (slab) {
     const PackedSlab* s = ws.shared_slab();
-    if (s && s->n == n && s->ones == kOnes && s->heads.size() == want &&
+    if (s && s->n == n && s->ones == kOnes && s->picks.size() + 1 == want &&
         !s->words.empty())
       ext = s;
   }
@@ -445,26 +449,25 @@ ExecInfo scan_into(const LinkedList& list, Op op, const HostPlan& plan,
         .count();
   };
   const auto t_build = Clock::now();
-  if (!ext) {
-    choose_boundaries(list, want - 1, ws, list.find_tail());
-    // Sublist heads: the whole-list head plus each pick's successor. A
-    // pick whose successor is itself a tail yields a single-vertex
-    // sublist.
-    ws.fit_uninit(ws.heads, want);
-    ws.heads.clear();
-    ws.heads.push_back(list.head);
-    for (const index_t r : ws.picks) ws.heads.push_back(list.next[r]);
-    // A value that misses the lane leaves the list arrays to walk.
-    if constexpr (kLane) {
-      if (slab) slab = build_packed<kOnes>(list, op, threads, ws);
-    }
+  if (!ext) choose_boundaries(list, want - 1, ws, list.find_tail());
+  const std::vector<index_t>& picks = ext ? ext->picks : ws.picks;
+  // Sublist heads: the whole-list head, then sublist i + 1 at the i-th
+  // pick's successor. A pick whose successor is itself a tail yields a
+  // single-vertex sublist.
+  ws.fit_uninit(ws.heads, want);
+  ws.heads.clear();
+  ws.heads.push_back(list.head);
+  for (const index_t r : picks) ws.heads.push_back(list.next[r]);
+  // A value that misses the lane leaves the list arrays to walk.
+  if constexpr (kLane) {
+    if (slab && !ext) slab = build_packed<kOnes>(list, op, threads, ws);
   }
   // Resolved after the build section: ws.heads/ws.packed may have
   // reallocated during it.
   const packed_t* words = ext ? ext->words.data() : ws.packed.data();
-  const index_t* heads = ext ? ext->heads.data() : ws.heads.data();
-  const std::size_t k = ext ? ext->heads.size() : ws.heads.size();
-  info.build_ns = ext ? 0.0 : since_ns(t_build);
+  const index_t* heads = ws.heads.data();
+  const std::size_t k = ws.heads.size();
+  info.build_ns = since_ns(t_build);
 
   // Phases 1 and 3 run the one cursor driver over whichever hop source
   // this run has.
@@ -496,14 +499,12 @@ ExecInfo scan_into(const LinkedList& list, Op op, const HostPlan& plan,
   info.phase1_ns = since_ns(t_phase1);
 
   // Phase 2: visit the sublists in list order by chaining tail ->
-  // successor head (a serial O(k) pointer-chase; the head-ownership table
-  // is epoch-stamped, so no O(n) refill), exclusive-scanning their sums on
-  // the way. Combine order follows the list, so associativity alone (no
+  // successor sublist, exclusive-scanning their sums on the way. A tail
+  // found at picks[i] continues at sublist i + 1, whose head is
+  // next[picks[i]], so each link is one binary search of the O(k) sorted
+  // picks. Combine order follows the list, so associativity alone (no
   // commutativity) keeps the non-commutative operators bit-exact.
   const auto t_phase2 = Clock::now();
-  ws.owner_begin(n);
-  for (std::size_t j = 0; j < k; ++j)
-    ws.owner_set(heads[j], static_cast<index_t>(j));
   // Sublists a malformed snapshot left out of the chain keep identity.
   ws.fit(ws.headscan, k, Op::identity());
   {
@@ -513,11 +514,11 @@ ExecInfo scan_into(const LinkedList& list, Op op, const HostPlan& plan,
       ws.headscan[j] = acc;
       acc = op(acc, ws.sums[j]);
       const index_t t = ws.tails[j];
-      const index_t nt = list.next[t];
-      if (nt == t) break;  // the global tail ends the chain
-      const index_t owner = ws.owner_get(nt);
-      if (owner == kNoVertex) break;  // defensive: malformed snapshot
-      j = owner;
+      const auto hit = std::lower_bound(picks.begin(), picks.end(), t);
+      // No pick: the global tail ends the chain (or a malformed snapshot's
+      // stray tail does).
+      if (hit == picks.end() || *hit != t) break;
+      j = static_cast<std::size_t>(hit - picks.begin()) + 1;
     }
   }
   info.phase2_ns = since_ns(t_phase2);

@@ -617,6 +617,11 @@ TEST(Engine, ReportsTheSublistCountItPlanned) {
   ASSERT_TRUE(r.ok());
   EXPECT_EQ(r.stats.kernel_tier, KernelTier::kPackedCursors);
   EXPECT_EQ(r.stats.host_sublists, static_cast<std::size_t>(d.sublists));
+  // Extra space: the bitmap (n/8 words), the slab (n words) and four
+  // O(sublists) arrays, nothing else per vertex.
+  const std::uint64_t n = l.size();
+  EXPECT_EQ(r.stats.algo.extra_words,
+            n / 8 + n + 4 * r.stats.host_sublists);
 
   const auto da =
       engine.planner().decide(l.size(), Method::kAuto, false, ScanOp::kAffine);
@@ -624,6 +629,7 @@ TEST(Engine, ReportsTheSublistCountItPlanned) {
   ASSERT_TRUE(a.ok());
   EXPECT_EQ(a.stats.kernel_tier, KernelTier::kListArrays);
   EXPECT_EQ(a.stats.host_sublists, static_cast<std::size_t>(da.sublists));
+  EXPECT_EQ(a.stats.algo.extra_words, n / 8 + 4 * a.stats.host_sublists);
 
   const RunResult s = engine.rank(l, Method::kSerial);
   ASSERT_TRUE(s.ok());

@@ -222,6 +222,16 @@ TEST(ScanInto, ReportsTheHopSourceThatRan) {
     expect_sublists(host_exec::rank_into(l, plan, ws, out),
                     KernelTier::kPackedCursors);
     testutil::expect_scan_eq(out, reference_rank(l));
+    // Phase 2 finds a tail's successor sublist by searching the picks:
+    // they must be sorted, and sublist i + 1 must start at the successor
+    // of the i-th pick.
+    for (std::size_t i = 1; i < ws.picks.size(); ++i)
+      EXPECT_LT(ws.picks[i - 1], ws.picks[i]) << "pick " << i;
+    ASSERT_EQ(ws.heads.size(), 64u);
+    ASSERT_EQ(ws.picks.size(), 63u);
+    EXPECT_EQ(ws.heads[0], l.head);
+    for (std::size_t i = 0; i < ws.picks.size(); ++i)
+      EXPECT_EQ(ws.heads[i + 1], l.next[ws.picks[i]]) << "pick " << i;
   }
   {
     SCOPED_TRACE("plus in the lane");

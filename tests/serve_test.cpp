@@ -1049,6 +1049,50 @@ TEST(EngineServer, ShardedSnapshotRunExportsNoSlab) {
   EXPECT_EQ(server.stats().slab_hits, 0u);
 }
 
+TEST(EngineServer, CachedSlabRunsAreBitExact) {
+  // A snapshot run that builds its packed slab exports it, and every later
+  // packing run of the same generation rides it: the repeated rank on the
+  // ones slab, and min/max/xor/plus on the values slab the first plus-scan
+  // built. Such a run rebuilds its sublist heads from the slab's picks
+  // and must stay bit-exact.
+  Rng rng(83);
+  const LinkedList list = random_list(1u << 16, rng, ValueInit::kSigned);
+  EngineOptions oracle;
+  oracle.backend = BackendKind::kSerial;
+  Engine serial(oracle);
+
+  ServerOptions opt;
+  opt.engine.backend = BackendKind::kHost;
+  opt.workers = 1;
+  opt.result_cache_bytes = 0;  // every repeat must reach the engine
+  EngineServer server(opt);
+  SnapshotHandle handle;
+  ASSERT_TRUE(server.register_snapshot(list, handle).ok());
+  SnapshotRequest req;
+  req.snapshot_id = handle.snapshot_id;
+  req.method = Method::kReidMiller;
+
+  const auto expect_run = [&](bool rank, ScanOp op, bool cached) {
+    SCOPED_TRACE(rank ? "rank" : scan_op_name(op));
+    req.rank = rank;
+    req.op = op;
+    const RunResult r = server.submit(req).get();
+    ASSERT_TRUE(r.ok()) << r.status.message;
+    EXPECT_TRUE(r.stats.host_packed);
+    EXPECT_EQ(r.stats.host_packed_cached, cached);
+    EXPECT_EQ(r.scan, rank ? serial.rank(list).scan
+                           : serial.run(OpRequest{&list, op}).scan);
+  };
+  expect_run(true, ScanOp::kPlus, /*cached=*/false);
+  expect_run(true, ScanOp::kPlus, /*cached=*/true);
+  expect_run(false, ScanOp::kPlus, /*cached=*/false);
+  for (const ScanOp op :
+       {ScanOp::kMin, ScanOp::kMax, ScanOp::kXor, ScanOp::kPlus})
+    expect_run(false, op, /*cached=*/true);
+  server.shutdown();
+  EXPECT_EQ(server.stats().slab_hits, 5u);
+}
+
 TEST(EngineServer, SnapshotUpdateRaceNeverServesAStaleGeneration) {
   // The TSan battery: 8 clients hammer one hot snapshot key while a
   // writer loops update(). Coherence contract under race: once update()
