@@ -70,16 +70,22 @@ double median_ms(std::size_t reps, F&& f) {
 /// the differential baseline: one cursor per sublist, a value gather and
 /// a bitmap access per element, full O(n) owner refill in phase 2. Do
 /// not "fix" this copy -- its whole point is to stay what the seed did.
-/// The owner table is this kernel's alone (the library kernel keeps
-/// none), so the caller owns it and it grows through the Workspace, as
-/// the seed's did.
+/// The owner table and the 1-byte tail bitmap are this kernel's alone
+/// (the library kernel keeps neither), so the caller owns them and they
+/// grow through the Workspace, as the seed's did. The bitmap is filled
+/// from the library's picks, so both kernels walk the same sublists.
 void seed_single_cursor_scan(const LinkedList& list, std::size_t sublists,
                              Workspace& ws,
                              std::vector<index_t>& owner_of_head,
+                             std::vector<std::uint8_t>& is_tail,
                              std::span<value_t> out) {
   const std::size_t n = list.size();
   const std::size_t want = std::min(sublists, n / 2);
-  host_exec::choose_boundaries(list, want - 1, ws, list.find_tail());
+  const index_t global_tail = list.find_tail();
+  host_exec::choose_boundaries(list, want - 1, ws, global_tail);
+  ws.fit(is_tail, n, std::uint8_t{0});
+  is_tail[global_tail] = 1;
+  for (const index_t r : ws.picks) is_tail[r] = 1;
   ws.fit_uninit(ws.heads, want);
   ws.heads.clear();
   ws.heads.push_back(list.head);
@@ -93,7 +99,7 @@ void seed_single_cursor_scan(const LinkedList& list, std::size_t sublists,
     value_t acc = OpPlus::identity();
     while (true) {
       acc = acc + list.value[v];
-      if (ws.is_tail[v]) break;
+      if (is_tail[v]) break;
       v = list.next[v];
     }
     ws.sums[j] = acc;
@@ -122,7 +128,7 @@ void seed_single_cursor_scan(const LinkedList& list, std::size_t sublists,
     while (true) {
       out[v] = acc;
       acc = acc + list.value[v];
-      if (ws.is_tail[v]) break;
+      if (is_tail[v]) break;
       v = list.next[v];
     }
   }
@@ -165,13 +171,14 @@ int main(int argc, char** argv) {
     std::vector<value_t> out(n);
     Workspace ws;
     std::vector<index_t> owner_of_head;  // the seed kernel's, kept warm
+    std::vector<std::uint8_t> is_tail;   // likewise
     const double nd = static_cast<double>(n);
 
     const double serial = median_ms(reps, [&] {
       serial_scan_host(list, std::span<value_t>(out));
     });
     const double seed1 = median_ms(reps, [&] {
-      seed_single_cursor_scan(list, kSublists, ws, owner_of_head,
+      seed_single_cursor_scan(list, kSublists, ws, owner_of_head, is_tail,
                               std::span<value_t>(out));
     });
 

@@ -118,7 +118,7 @@ double host_packed_ns_per_elem_mt(double n, unsigned threads, unsigned W,
                                   const HostCostConstants& k,
                                   double op_factor) {
   assert(threads >= 1 && W >= 1);
-  // Footprint: the slab plus the output array phase 3 scatters into.
+  // Footprint: the slab plus the output array the cursors scatter into.
   const double lat = host_latency_ns(n * 12.0, k);
   // One worker's per-element cost in each traversal phase.
   const double per_thread =

@@ -99,9 +99,11 @@ double expected_cycles_eq5(double n, double m, double s1, std::size_t l,
 // candidate shapes -- and the serial walk -- correctly, not predict wall
 // time. One model serves both hop sources (core/host_exec.hpp). The
 // latency terms were fitted while the kernel's per-hop prefetch was
-// non-temporal; it is prefetcht0 now (plus a write prefetch in phase 3),
-// which makes small W and small n cheaper than the model says, and they
-// have not been refitted since.
+// non-temporal; it is prefetcht0 now (plus a write prefetch of the
+// answer slot), which makes small W and small n cheaper than the model
+// says, and they have not been refitted since. The model also still
+// charges phase 3 as a second traversal, where the kernel now streams it
+// in array order.
 //
 // The sublist count m is planned apart from (threads, W), by Eq. 5's own
 // trade-off: the drain (the last sublists finishing with fewer cursors

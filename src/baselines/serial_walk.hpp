@@ -14,20 +14,23 @@
 namespace lr90 {
 
 /// Exclusive serial list rank into `out` (indexed by vertex): each
-/// vertex's position in list order. Reads only the link array.
-inline void serial_rank_host(const LinkedList& list,
+/// vertex's position in list order. Reads only the link array. Returns
+/// false when n hops from the head meet no self-loop tail (a malformed
+/// list; `out` then holds no answer).
+inline bool serial_rank_host(const LinkedList& list,
                              std::span<value_t> out) {
-  for_each_in_order(list, [&](index_t v, std::size_t pos) {
+  return for_each_in_order(list, [&](index_t v, std::size_t pos) {
     out[v] = static_cast<value_t>(pos);
   });
 }
 
-/// Exclusive serial list scan into `out` (indexed by vertex).
+/// Exclusive serial list scan into `out` (indexed by vertex). Returns
+/// false as serial_rank_host does.
 template <ListOp Op = OpPlus>
-void serial_scan_host(const LinkedList& list, std::span<value_t> out,
+bool serial_scan_host(const LinkedList& list, std::span<value_t> out,
                       Op op = {}) {
   value_t acc = Op::identity();
-  for_each_in_order(list, [&](index_t v, std::size_t) {
+  return for_each_in_order(list, [&](index_t v, std::size_t) {
     out[v] = acc;
     acc = op(acc, list.value[v]);
   });

@@ -250,6 +250,12 @@ Planner::Decision Planner::decide(std::size_t n, Method requested, bool rank,
 
 namespace {
 
+/// The answer of a serial or host run whose walk met no self-loop tail.
+Status no_tail() {
+  return Status::invalid(
+      "invalid linked list: the walk from the head meets no self-loop tail");
+}
+
 class SerialBackend final : public ExecutionBackend {
  public:
   BackendKind kind() const override { return BackendKind::kSerial; }
@@ -262,13 +268,15 @@ class SerialBackend final : public ExecutionBackend {
           method_name(plan.method) + "'");
     }
     const LinkedList& list = *req.list;
+    bool tailed = false;
     if (req.rank) {
-      serial_rank_host(list, out.scan);
+      tailed = serial_rank_host(list, out.scan);
     } else {
       with_scan_op(req.op, [&](auto op) {
-        serial_scan_host(list, std::span<value_t>(out.scan), op);
+        tailed = serial_scan_host(list, std::span<value_t>(out.scan), op);
       });
     }
+    if (!tailed) return no_tail();
     out.stats.algo.rounds = list.empty() ? 0 : 1;
     out.stats.algo.link_steps = list.size();
     return Status::success();
@@ -315,21 +323,22 @@ class HostBackend final : public ExecutionBackend {
       });
     }
 
+    if (info.no_tail) return no_tail();
     const std::size_t n = req.list->size();
     const bool sublists_ran = info.sublists > 0;
     out.stats.algo.rounds = n == 0 ? 0 : (sublists_ran ? 3 : 1);
-    out.stats.algo.link_steps = sublists_ran ? 2 * n : n;
-    // Bitmap (n bytes) + the packed slab (n words when it ran) +
-    // O(sublists) arrays.
+    // Phase 1 chases every link once; phase 3 streams in array order.
+    out.stats.algo.link_steps = n;
+    // The packed slab (n words), or else the 4-byte tags (n/2 words),
+    // plus O(sublists) arrays.
     out.stats.algo.extra_words =
-        sublists_ran ? n / 8 + (info.packed ? n : 0) +
+        sublists_ran ? (info.packed ? n : n / 2) +
                            4 * static_cast<std::uint64_t>(info.sublists)
                      : 0;
     out.stats.host_interleave = info.interleave;
     out.stats.host_threads = info.threads;
     out.stats.host_sublists = info.sublists;
     out.stats.host_packed = info.packed;
-    out.stats.host_packed_cached = info.packed_cached;
     out.stats.kernel_tier = info.tier;
     out.stats.host_build_ns = info.build_ns;
     out.stats.host_phase1_ns = info.phase1_ns;
@@ -596,10 +605,6 @@ RunResult Engine::run(const Request& req) {
   // Per-run determinism: results depend on the options' seed, never on
   // what ran on this engine before.
   ws_.rng = Rng(opt_.seed);
-  // A snapshot-keyed shared slab (if the request carries one) serves this
-  // run only; a null request slab clears any previous installation.
-  ws_.install_shared_slab(req.slab);
-
   const auto t0 = std::chrono::steady_clock::now();
   result.status = backend_->execute(req, plan, ws_, result);
   const auto t1 = std::chrono::steady_clock::now();

@@ -163,10 +163,6 @@ struct Request {
   bool rank = true;                  ///< rank (true) or scan (false)
   ScanOp op = ScanOp::kPlus;         ///< ignored when rank
   Method method = Method::kAuto;     ///< algorithm; kAuto = Planner's pick
-  /// Optional cross-request packed slab (serve/slab_cache.hpp), installed
-  /// into the workspace for this run. Only sound when `list` is an
-  /// immutable snapshot the slab was built from; null for ordinary runs.
-  std::shared_ptr<const PackedSlab> slab;
   /// Pinned spill directory for a sharded run ("" = the engine's
   /// ShardOptions default). Set by the serving layer to its per-snapshot-
   /// generation directory so shard files are written once and reused
@@ -209,7 +205,6 @@ struct RunStats {
   /// (0 on the serial walk and on sharded runs).
   std::size_t host_sublists = 0;
   bool host_packed = false;       ///< the single-gather packed slab ran
-  bool host_packed_cached = false;  ///< rode the installed shared slab
   /// The hop source the hot phases actually walked (host backend; kAuto
   /// on the other backends and on runs that never reached the host
   /// kernels): kPackedCursors over the slab, kListArrays over the list
@@ -223,7 +218,7 @@ struct RunStats {
   double host_build_ns = 0.0;   ///< boundaries + heads + slab build
   double host_phase1_ns = 0.0;  ///< per-sublist inclusive scans
   double host_phase2_ns = 0.0;  ///< reduced-list scan over sublist sums
-  double host_phase3_ns = 0.0;  ///< per-sublist expansion
+  double host_phase3_ns = 0.0;  ///< the array-order finishing pass
   /// Share of the phase wall clock spent in multi-worker phases (the
   /// Amdahl fraction); 0 when no phases were timed.
   double host_parallel_frac = 0.0;

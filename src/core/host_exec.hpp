@@ -1,28 +1,37 @@
-// The host execution kernel: Reid-Miller's three-phase sublist scan on real
-// hardware (OpenMP threads when available), generic over the operator and
+// The host execution kernel: Reid-Miller's sublist scan on real hardware
+// (OpenMP threads when available), generic over the operator and
 // allocation-free given a warmed-up Workspace. lr90::Engine's HostBackend
 // runs it; the shard layer (shard/sharded.cpp) reuses its cursor driver.
 //
 // Same structure as the paper's algorithm, non-destructively: sublist
-// boundaries live in a bitmap instead of planted self-loops, so the input
-// list stays shared read-only across threads.
+// boundaries live in a per-run tag array (and the slab's tail bits)
+// instead of planted self-loops, so the input list stays shared
+// read-only across threads.
 //
-// One traversal kernel serves phases 1 and 3 for every operator:
+// One traversal kernel serves phase 1 for every operator:
 // interleave_sublists, the modern-CPU analog of the paper's VL=64 vector
 // gathers. Each worker advances W independent sublist cursors round-robin
 // with a software prefetch on every next hop (prefetcht0, so the line is
-// in L1 when the cursor comes back to it; in phase 3 also a write
-// prefetch of the output slot the next step stores to): instead of
-// stalling a full memory round-trip per element, the core overlaps W
-// dependent-load chains, as the C90 overlapped 64 lanes of a vector
-// gather. Cursors that finish their sublist refill from their worker's
-// claimed range, and a worker refills that range from a shared counter by
-// guided self-scheduling: each trip takes max(1, remaining / (2 T W))
-// sublists, so a run of ~1-vertex sublists (the shard passes' segments)
-// pays a fraction of a contended claim per sublist. The last claims are
-// single sublists, and they drain with shrinking parallelism, which is
-// why the Planner sizes the sublist count by the paper's Eq. 5 trade-off
-// (analysis/tuner.hpp host_sublists) rather than by the thread count.
+// in L1 when the cursor comes back to it; also a write prefetch of the
+// output slot the next step stores to): instead of stalling a full memory
+// round-trip per element, the core overlaps W dependent-load chains, as
+// the C90 overlapped 64 lanes of a vector gather. Cursors that finish
+// their sublist refill from their worker's claimed range, and a worker
+// refills that range from a shared counter by guided self-scheduling:
+// each trip takes max(1, remaining / (2 T W)) sublists, so a run of
+// ~1-vertex sublists (the shard passes' segments) pays a fraction of a
+// contended claim per sublist. The last claims are single sublists, and
+// they drain with shrinking parallelism, which is why the Planner sizes
+// the sublist count by the paper's Eq. 5 trade-off (analysis/tuner.hpp
+// host_sublists) rather than by the thread count.
+//
+// Phase 3 departs from the paper. The C90's cacheless vector gathers made
+// a second walk of every sublist cheap; here it would be a second pointer
+// chase with a random store per hop. Instead, as in Helman and JaJa's SMP
+// list ranking (ALENEX 1999), phase 1 records at every vertex its sublist
+// id and its exclusive prefix within the sublist, in cache lines the hop
+// has already loaded, and phase 3 is one pass in array order:
+// out[v] = op(headscan[sublist(v)], prefix(v)).
 //
 // The driver is generic over a hop source that yields (tail flag, link,
 // value) per vertex. There are two, and the kernel picks one from the
@@ -30,26 +39,29 @@
 //
 //  * SlabHops (KernelTier::kPackedCursors) -- the single-gather slab
 //    (lists/encode.hpp hot_pack: link + value lane + sublist-tail flag in
-//    one 64-bit word), built once per run unless the serving layer
-//    installed a shared one: ONE random load per element. Serves ranks
-//    and the plus/min/max/xor scans whose values fit the 32-bit lane.
+//    one 64-bit word), built once per run: ONE random load per element.
+//    Serves ranks and the plus/min/max/xor scans whose values fit the
+//    32-bit lane. Phase 1 overwrites each word it has read with the
+//    vertex's sublist id (a rank adds its local count), so a slab serves
+//    one run.
 //  * ListHops (KernelTier::kListArrays) -- the list's own next/value
-//    arrays plus the per-run is_tail bitmap: three loads per element, all
-//    at the same index, and no slab to build. Serves seg-sum/affine/
-//    max-plus and any value that misses the lane.
+//    arrays plus the per-run 4-byte tag (tail flag in its top bit, then
+//    phase 1's sublist id): three loads per element, all at the same
+//    index, and no slab to build. Serves seg-sum/affine/max-plus and any
+//    value that misses the lane.
 //
 // The slab build and phases 1 and 3 scale across worker threads (the
-// paper's Section 5 multiprocessor dimension, Fig. 11): the build splits
-// into per-thread ranges, and phases 1 and 3 feed each worker its own
-// W-cursor set from the shared guided claim counter. Phase 2 is
-// serial: it chains the k sublists in list order, tail -> successor
-// sublist. The picks are sorted and sublist i + 1 starts at the successor
-// of the i-th pick, so each link is one binary search of the picks for
-// the tail: O(k) memory that stays in cache, with no per-vertex table.
-// The plan (threads, m, W) comes from analysis/tuner.hpp plan_host.
-// Workers come from OpenMP when the build has it and plain std::thread
-// otherwise, so OpenMP-less builds (and the TSan job) exercise the same
-// parallel kernels.
+// paper's Section 5 multiprocessor dimension, Fig. 11): the build and
+// phase 3 split into per-thread index ranges, and phase 1 feeds each
+// worker its own W-cursor set from the shared guided claim counter.
+// Phase 2 is serial: it chains the k sublists in list order, tail ->
+// successor sublist. The picks are sorted and sublist i + 1 starts at the
+// successor of the i-th pick, so each link is one binary search of the
+// picks for the tail: O(k) memory that stays in cache, with no per-vertex
+// table. The plan (threads, m, W) comes from analysis/tuner.hpp
+// plan_host. Workers come from OpenMP when the build has it and plain
+// std::thread otherwise, so OpenMP-less builds (and the TSan job)
+// exercise the same parallel kernels.
 #pragma once
 
 #include <algorithm>
@@ -80,7 +92,7 @@ struct HostPlan {
   unsigned threads = 1;
   /// Total sublist count target; < 2 selects the serial walk.
   std::size_t sublists = 0;
-  /// Cursors in flight per worker in phases 1 and 3 (clamped to
+  /// Cursors in flight per worker in phase 1 (clamped to
   /// [1, kMaxInterleave]).
   unsigned interleave = 1;
 };
@@ -95,7 +107,9 @@ struct ExecInfo {
   /// on the serial walk, 0 when nothing ran (empty list).
   unsigned threads = 0;
   bool packed = false;        ///< the single-gather slab path ran
-  bool packed_cached = false; ///< ...on the installed shared slab
+  /// The walk from the head meets no self-loop tail (a malformed list):
+  /// the run stopped without an answer.
+  bool no_tail = false;
   std::size_t sublists = 0;   ///< sublists used (0 = serial walk)
   /// The hop source that ran: kPackedCursors over the slab, kListArrays
   /// over the list arrays and on the serial walk, kAuto when nothing ran
@@ -104,11 +118,11 @@ struct ExecInfo {
 
   // Per-phase wall clock, for parallel-efficiency reporting (zero on the
   // serial walk, which has no phases). build_ns covers boundary choice,
-  // head collection, and the slab build; on a shared slab only the heads.
+  // head collection, and the slab build.
   double build_ns = 0.0;   ///< boundaries + heads + packed-slab build
   double phase1_ns = 0.0;  ///< per-sublist inclusive scans
   double phase2_ns = 0.0;  ///< reduced-list scan over sublist sums
-  double phase3_ns = 0.0;  ///< per-sublist expansion
+  double phase3_ns = 0.0;  ///< the array-order pass finishing every vertex
 
   /// Share of the phase wall clock spent in the multi-worker phases
   /// (build + 1 + 3; phase 2 is serial): the Amdahl fraction a bench
@@ -209,7 +223,7 @@ inline void prefetch_ro(const void* addr) {
 }
 
 /// Write-prefetch of the cache line holding `addr` (prefetchw on x86):
-/// phase 3 issues one for the output slot each cursor stores to next, so
+/// phase 1 applies it to the output slot each cursor stores to next, so
 /// the random store finds its line owned instead of stalling the cursor
 /// on a read-for-ownership miss.
 inline void prefetch_rw(void* addr) {
@@ -220,35 +234,80 @@ inline void prefetch_rw(void* addr) {
 #endif
 }
 
-/// Chooses `count` distinct sublist boundary vertices (plus the global
-/// tail) into ws.is_tail / ws.picks, and sorts the picks: phase 2 finds a
-/// sublist's successor by searching them. Rejection sampling against the
-/// bitmap needs no per-call set: the pick density is at most 1/2, so the
-/// expected number of retries per pick is below one.
-inline void choose_boundaries(const LinkedList& list, std::size_t count,
-                              Workspace& ws, index_t global_tail) {
-  const std::size_t n = list.size();
-  ws.fit(ws.is_tail, n, std::uint8_t{0});
+/// Calls body(begin, end) once for each of `threads` contiguous balanced
+/// ranges of [0, n), spread over `threads` workers: the array-order
+/// passes (the slab build and phase 3).
+template <class Body>
+void for_each_range(unsigned threads, std::size_t n, Body&& body) {
+  const std::size_t blocks = std::max(1u, threads);
+  claim_blocks(threads, blocks, [&](std::size_t b) {
+    const auto [begin, end] = block_range(n, blocks, b);
+    body(begin, end);
+  });
+}
+
+/// The top bit of a per-run tag (Workspace::tag): the vertex ends its
+/// sublist. Phase 1 sets it at every vertex it passes, beside the
+/// vertex's sublist id in the low bits.
+inline constexpr std::uint32_t kTagTail = 0x80000000u;
+
+/// Draws `count` distinct sublist boundary vertices, none of them the
+/// global tail, into ws.picks and sorts them: phase 2 finds a sublist's
+/// successor by searching them. `flag(v)` marks v as a sublist tail and
+/// returns false if it already was one. The global tail is flagged
+/// first, and a draw that hits a flagged vertex is redrawn: rejection
+/// sampling against the flags the run needs anyway, with no per-call
+/// set. The pick density is at most 1/2, so the expected number of
+/// retries per pick is below one.
+template <class Flag>
+void draw_boundaries(std::size_t n, std::size_t count, Workspace& ws,
+                     index_t global_tail, Flag flag) {
   ws.fit_uninit(ws.picks, count);
   ws.picks.clear();  // keep capacity, refill below
-  ws.is_tail[global_tail] = 1;
+  flag(global_tail);
   while (ws.picks.size() < count) {
     const auto r = static_cast<index_t>(ws.rng.uniform(n));
-    if (ws.is_tail[r]) continue;  // duplicate or the global tail: redraw
-    ws.is_tail[r] = 1;
-    ws.picks.push_back(r);
+    if (flag(r)) ws.picks.push_back(r);
   }
   std::sort(ws.picks.begin(), ws.picks.end());
 }
 
-/// Builds the single-gather slab into ws.packed from the list and the
-/// per-run boundary bitmap (ws.is_tail must already be chosen): word v =
-/// hot_pack(is_tail[v], next[v], value lane). One O(n) pass, split into
-/// per-thread index ranges (hot_pack_range) claimed from an atomic
-/// counter. `kOnes` forces every value lane to 1 (ranking) and cannot
-/// fail; otherwise returns false -- slab contents unspecified -- if any
-/// value does not round-trip through the signed 32-bit lane. Each
-/// successful build counts in Workspace::packed_builds.
+/// The boundaries of a list-array run: refits ws.tag to zero and flags
+/// the global tail and `count` picks with kTagTail.
+inline void choose_boundaries(const LinkedList& list, std::size_t count,
+                              Workspace& ws, index_t global_tail) {
+  ws.fit(ws.tag, list.size(), std::uint32_t{0});
+  std::uint32_t* tag = ws.tag.data();
+  draw_boundaries(list.size(), count, ws, global_tail, [tag](index_t v) {
+    if (tag[v] != 0) return false;
+    tag[v] = kTagTail;
+    return true;
+  });
+}
+
+/// The boundaries of a slab run: flags the global tail and `count` picks
+/// in the tail bits of the slab build_packed has just built. From the
+/// same RNG state it draws the same picks as choose_boundaries, and the
+/// run touches no per-vertex array besides the slab.
+inline void choose_slab_boundaries(std::size_t count, Workspace& ws,
+                                   index_t global_tail) {
+  packed_t* words = ws.packed.data();
+  draw_boundaries(ws.packed.size(), count, ws, global_tail,
+                  [words](index_t v) {
+                    if (hot_tail(words[v])) return false;
+                    words[v] |= kHotTailBit;
+                    return true;
+                  });
+}
+
+/// Builds the single-gather slab into ws.packed from the list, with no
+/// sublist tail flagged yet (choose_slab_boundaries flags them): word v =
+/// hot_pack(false, next[v], value lane). One O(n) pass, split into
+/// per-thread index ranges (hot_pack_range). `kOnes` forces every value
+/// lane to 1 (ranking) and cannot fail; otherwise returns false -- slab
+/// contents unspecified -- if any value does not round-trip through the
+/// signed 32-bit lane. Each successful build counts in
+/// Workspace::packed_builds.
 template <bool kOnes, ListOp Op>
 bool build_packed(const LinkedList& list, Op, unsigned threads,
                   Workspace& ws) {
@@ -258,13 +317,10 @@ bool build_packed(const LinkedList& list, Op, unsigned threads,
   ws.fit_uninit(ws.packed, n);
   const index_t* next = list.next.data();
   const value_t* val = kOnes ? nullptr : list.value.data();
-  const std::uint8_t* tail = ws.is_tail.data();
   packed_t* out = ws.packed.data();
-  const std::size_t blocks = std::max<std::size_t>(1, threads);
   std::atomic<bool> ok{true};
-  claim_blocks(threads, blocks, [&](std::size_t b) {
-    const auto [begin, end] = block_range(n, blocks, b);
-    if (!hot_pack_range(next, val, tail, out, begin, end))
+  for_each_range(threads, n, [&](std::size_t begin, std::size_t end) {
+    if (!hot_pack_range(next, val, out, begin, end))
       ok.store(false, std::memory_order_relaxed);
   });
   if (!ok.load(std::memory_order_relaxed)) return false;
@@ -290,20 +346,21 @@ struct SlabHops {
   void prefetch(index_t v) const { prefetch_ro(&words[v]); }
 };
 
-/// Hop source over the list's own arrays plus the per-run boundary bitmap;
-/// `kOnes` substitutes the constant 1 for every value (ranking).
+/// Hop source over the list's own arrays plus the per-run tags; `kOnes`
+/// substitutes the constant 1 for every value (ranking).
 template <bool kOnes>
 struct ListHops {
   const index_t* next;
   const value_t* value;
-  const std::uint8_t* is_tail;
+  const std::uint32_t* tag;
   Hop operator()(index_t v) const {
-    return {is_tail[v] != 0, next[v], kOnes ? value_t{1} : value[v]};
+    return {(tag[v] & kTagTail) != 0, next[v],
+            kOnes ? value_t{1} : value[v]};
   }
   void prefetch(index_t v) const {
     prefetch_ro(&next[v]);
     if constexpr (!kOnes) prefetch_ro(&value[v]);
-    prefetch_ro(&is_tail[v]);
+    prefetch_ro(&tag[v]);
   }
 };
 
@@ -313,14 +370,16 @@ struct NoAhead {
   void operator()(index_t) const {}
 };
 
-/// The phase-1/3 traversal kernel: walks all `k` sublists over `threads`
+/// The sublist traversal kernel: walks all `k` sublists over `threads`
 /// workers, each keeping up to `W` cursors in flight. Per element: one
 /// hop from `hops` (see SlabHops / ListHops), a prefetch of the next hop
-/// plus `ahead(next vertex)`, then `step(vertex, value, acc)`; at a
-/// sublist tail, `finish(sublist, tail_vertex, acc)` runs and the cursor
-/// refills with the worker's next claimed sublist. `init(sublist)` seeds
-/// the accumulator. `ahead` lets a phase prefetch what its step will
-/// write at the vertex a cursor moves to (phase 3's output slot).
+/// plus `ahead(next vertex)`, then `step(sublist, vertex, value, acc)`;
+/// at a sublist tail, `finish(sublist, tail_vertex, acc)` runs and the
+/// cursor refills with the worker's next claimed sublist. `init(sublist)`
+/// seeds the accumulator. The step runs after the vertex's hop is read,
+/// so it may overwrite what the hop source holds for that vertex. `ahead`
+/// lets a phase prefetch what its step will write at the vertex a cursor
+/// moves to (phase 1's output slot).
 ///
 /// Claims are guided self-scheduling: a worker whose own range is empty
 /// takes max(1, remaining / (2 T W)) sublists from the shared counter in
@@ -380,7 +439,7 @@ void interleave_sublists(const Hops& hops, const index_t* heads,
         Cursor& c = cur[i];
         const Hop h = hops(c.v);
         if (!h.tail) fetch(h.link);
-        step(c.v, h.value, c.acc);
+        step(c.j, c.v, h.value, c.acc);
         if (!h.tail) {
           c.v = h.link;
           ++i;
@@ -402,9 +461,12 @@ void interleave_sublists(const Hops& hops, const index_t* heads,
 }
 
 /// Exclusive list scan into `out` (sized n) per the plan, reusing `ws`.
-/// Preconditions: `list` is a valid LinkedList, out.size() == list.size().
-/// `kOnes` treats every value as 1 regardless of list.value (ranking);
-/// only rank_into sets it.
+/// Preconditions: `list` is a LinkedList whose arrays agree in size and
+/// whose links stay in range, out.size() == list.size(). A list whose
+/// walk from the head meets no self-loop tail is refused (ExecInfo::
+/// no_tail) before any boundary is marked; a vertex no sublist head
+/// reaches gets an unspecified answer. `kOnes` treats every value as 1
+/// regardless of list.value (ranking); only rank_into sets it.
 template <ListOp Op, bool kOnes = false>
 ExecInfo scan_into(const LinkedList& list, Op op, const HostPlan& plan,
                    Workspace& ws, std::span<value_t> out) {
@@ -417,10 +479,15 @@ ExecInfo scan_into(const LinkedList& list, Op op, const HostPlan& plan,
   const std::size_t want = std::min(plan.sublists, n / 2);
   if (want < 2) {
     if constexpr (kOnes) {
-      serial_rank_host(list, out);
+      info.no_tail = !serial_rank_host(list, out);
     } else {
-      serial_scan_host(list, out, op);
+      info.no_tail = !serial_scan_host(list, out, op);
     }
+    return info;
+  }
+  const index_t global_tail = list.find_tail();
+  if (global_tail == kNoVertex) {
+    info.no_tail = true;
     return info;
   }
 
@@ -431,71 +498,85 @@ ExecInfo scan_into(const LinkedList& list, Op op, const HostPlan& plan,
   bool slab = kLane && n <= kHotMaxVertices;
   const unsigned threads = std::max(1u, plan.threads);
   const unsigned W = std::clamp(plan.interleave, 1u, kMaxInterleave);
-  // A shared (cross-request) slab, installed by the serving layer for
-  // immutable snapshot lists, replaces both boundary choice and the slab
-  // build outright when its shape matches this run's plan; the run only
-  // rebuilds its k heads from the slab's picks. The RNG is then left
-  // undrawn -- answers are exact under any sublist decomposition.
-  const PackedSlab* ext = nullptr;
-  if (slab) {
-    const PackedSlab* s = ws.shared_slab();
-    if (s && s->n == n && s->ones == kOnes && s->picks.size() + 1 == want &&
-        !s->words.empty())
-      ext = s;
-  }
   using Clock = std::chrono::steady_clock;
   const auto since_ns = [](Clock::time_point t0) {
     return std::chrono::duration<double, std::nano>(Clock::now() - t0)
         .count();
   };
   const auto t_build = Clock::now();
-  if (!ext) choose_boundaries(list, want - 1, ws, list.find_tail());
-  const std::vector<index_t>& picks = ext ? ext->picks : ws.picks;
+  // A value that misses the lane leaves the list arrays to walk.
+  if constexpr (kLane) {
+    if (slab) slab = build_packed<kOnes>(list, op, threads, ws);
+  }
+  if (slab) {
+    choose_slab_boundaries(want - 1, ws, global_tail);
+  } else {
+    choose_boundaries(list, want - 1, ws, global_tail);
+  }
   // Sublist heads: the whole-list head, then sublist i + 1 at the i-th
   // pick's successor. A pick whose successor is itself a tail yields a
   // single-vertex sublist.
   ws.fit_uninit(ws.heads, want);
   ws.heads.clear();
   ws.heads.push_back(list.head);
-  for (const index_t r : picks) ws.heads.push_back(list.next[r]);
-  // A value that misses the lane leaves the list arrays to walk.
-  if constexpr (kLane) {
-    if (slab && !ext) slab = build_packed<kOnes>(list, op, threads, ws);
-  }
-  // Resolved after the build section: ws.heads/ws.packed may have
-  // reallocated during it.
-  const packed_t* words = ext ? ext->words.data() : ws.packed.data();
+  for (const index_t r : ws.picks) ws.heads.push_back(list.next[r]);
+  // Resolved after the build section: the buffers may have reallocated
+  // during it.
+  packed_t* words = ws.packed.data();
+  std::uint32_t* tag = ws.tag.data();
   const index_t* heads = ws.heads.data();
   const std::size_t k = ws.heads.size();
+  value_t* o = out.data();
   info.build_ns = since_ns(t_build);
 
-  // Phases 1 and 3 run the one cursor driver over whichever hop source
-  // this run has.
-  const auto traverse = [&](auto init, auto step, auto finish, auto ahead) {
-    if constexpr (kLane) {
-      if (slab) {
-        interleave_sublists(SlabHops{words}, heads, k, threads, W, init, step,
-                            finish, ahead);
-        return;
-      }
-    }
-    interleave_sublists(
-        ListHops<kOnes>{list.next.data(), list.value.data(),
-                        ws.is_tail.data()},
-        heads, k, threads, W, init, step, finish, ahead);
-  };
-
-  // Phase 1: per-sublist inclusive sums; record each sublist's tail.
+  // Phase 1: per-sublist inclusive sums and tails. At each vertex the
+  // step also records what phase 3 needs, where the hop has just loaded
+  // a line: its sublist id j in the slab word or the tag, flagged as a
+  // tail so that a malformed list leading a second cursor there stops it,
+  // and its exclusive prefix within the sublist -- in the slab word's
+  // lane for a rank, otherwise in out[v], whose line the cursor
+  // write-prefetched a hop ahead.
   const auto t_phase1 = Clock::now();
   ws.fit(ws.sums, k, Op::identity());
   ws.fit(ws.tails, k, kNoVertex);
-  traverse([](std::size_t) { return Op::identity(); },
-           [&](index_t, value_t x, value_t& acc) { acc = op(acc, x); },
-           [&](index_t j, index_t v, value_t acc) {
-             ws.sums[j] = acc;
-             ws.tails[j] = v;
+  const auto walk = [&](const auto& hops, auto record, auto ahead) {
+    interleave_sublists(
+        hops, heads, k, threads, W, [](std::size_t) { return Op::identity(); },
+        [&](index_t j, index_t v, value_t x, value_t& acc) {
+          record(j, v, acc);
+          acc = op(acc, x);
+        },
+        [&](index_t j, index_t v, value_t acc) {
+          ws.sums[j] = acc;
+          ws.tails[j] = v;
+        },
+        ahead);
+  };
+  const auto ahead = [o](index_t v) { prefetch_rw(&o[v]); };
+  if constexpr (kOnes) {
+    if (slab)
+      walk(SlabHops{words},
+           [words](index_t j, index_t v, value_t acc) {
+             words[v] = hot_pack(true, j, static_cast<std::uint32_t>(acc));
            },
            NoAhead{});
+  } else if constexpr (kLane) {
+    if (slab)
+      walk(SlabHops{words},
+           [words, o](index_t j, index_t v, value_t acc) {
+             words[v] = hot_pack(true, j, 0);
+             o[v] = acc;
+           },
+           ahead);
+  }
+  if (!slab) {
+    walk(ListHops<kOnes>{list.next.data(), list.value.data(), tag},
+         [tag, o](index_t j, index_t v, value_t acc) {
+           tag[v] = kTagTail | j;
+           o[v] = acc;
+         },
+         ahead);
+  }
   info.phase1_ns = since_ns(t_phase1);
 
   // Phase 2: visit the sublists in list order by chaining tail ->
@@ -505,7 +586,8 @@ ExecInfo scan_into(const LinkedList& list, Op op, const HostPlan& plan,
   // picks. Combine order follows the list, so associativity alone (no
   // commutativity) keeps the non-commutative operators bit-exact.
   const auto t_phase2 = Clock::now();
-  // Sublists a malformed snapshot left out of the chain keep identity.
+  const std::vector<index_t>& picks = ws.picks;
+  // Sublists a malformed list left out of the chain keep identity.
   ws.fit(ws.headscan, k, Op::identity());
   {
     std::size_t j = 0;  // the first sublist starts at the list head
@@ -515,7 +597,7 @@ ExecInfo scan_into(const LinkedList& list, Op op, const HostPlan& plan,
       acc = op(acc, ws.sums[j]);
       const index_t t = ws.tails[j];
       const auto hit = std::lower_bound(picks.begin(), picks.end(), t);
-      // No pick: the global tail ends the chain (or a malformed snapshot's
+      // No pick: the global tail ends the chain (or a malformed list's
       // stray tail does).
       if (hit == picks.end() || *hit != t) break;
       j = static_cast<std::size_t>(hit - picks.begin()) + 1;
@@ -523,24 +605,40 @@ ExecInfo scan_into(const LinkedList& list, Op op, const HostPlan& plan,
   }
   info.phase2_ns = since_ns(t_phase2);
 
-  // Phase 3: expand each sublist from its head's scan value. Every hop
-  // stores to a random output slot, so the cursor write-prefetches that
-  // slot alongside its next hop.
+  // Phase 3: one pass in array order, out[v] = op(headscan[j], prefix).
+  // Every read and write streams; only the O(k) headscan is gathered,
+  // and it stays in cache. A vertex no head reached still holds its
+  // build-time word or tag, whose id may be anything: ids past k are
+  // skipped.
   const auto t_phase3 = Clock::now();
-  value_t* o = out.data();
-  traverse([&](std::size_t j) { return ws.headscan[j]; },
-           [&](index_t v, value_t x, value_t& acc) {
-             o[v] = acc;
-             acc = op(acc, x);
-           },
-           [](index_t, index_t, value_t) {},
-           [o](index_t v) { prefetch_rw(&o[v]); });
+  const value_t* hs = ws.headscan.data();
+  const auto expand = [&](auto sublist, auto prefix) {
+    for_each_range(threads, n, [&](std::size_t begin, std::size_t end) {
+      for (std::size_t v = begin; v < end; ++v) {
+        const std::size_t j = sublist(v);
+        if (j < k) o[v] = op(hs[j], prefix(v));
+      }
+    });
+  };
+  const auto out_prefix = [o](std::size_t v) { return o[v]; };
+  const auto word_sublist = [words](std::size_t v) {
+    return hot_link(words[v]);
+  };
+  if constexpr (kOnes) {
+    if (slab)
+      expand(word_sublist, [words](std::size_t v) {
+        return static_cast<value_t>(packed_value(words[v]));
+      });
+  } else if constexpr (kLane) {
+    if (slab) expand(word_sublist, out_prefix);
+  }
+  if (!slab)
+    expand([tag](std::size_t v) { return tag[v] & ~kTagTail; }, out_prefix);
   info.phase3_ns = since_ns(t_phase3);
 
   info.interleave = W;
   info.threads = threads;
   info.packed = slab;
-  info.packed_cached = ext != nullptr;
   info.sublists = k;
   info.tier = slab ? KernelTier::kPackedCursors : KernelTier::kListArrays;
   return info;

@@ -1,7 +1,7 @@
 // Reusable per-engine scratch memory.
 //
 // The host execution path needs a handful of O(n) and O(k) scratch arrays
-// (sublist boundary bitmap, picks/heads/sums/tails).
+// (per-vertex sublist tags, picks/heads/sums/tails).
 // Allocating them per call dominates the cost of ranking short lists and
 // fragments the heap under batched traffic, so an Engine owns one Workspace
 // and every run re-fits the same buffers: capacity only ever grows, and a
@@ -12,15 +12,15 @@
 //  * huge pages -- a fit that must grow a buffer of 16 MiB or more
 //    reserves it through reserve_huge (support/huge_pages.hpp), which
 //    advises the fresh capacity MADV_HUGEPAGE before the fill touches it.
-//    At 2^24 vertices that is the slab, the bitmap and (when verifying)
-//    the serial reference, so the cursors' random hops walk 2 MiB pages
+//    At 2^24 vertices that is the slab, the tags and (when verifying) the
+//    serial reference, so the cursors' random hops walk 2 MiB pages
 //    instead of missing the TLB on nearly every 4 KiB one. Smaller
 //    buffers stay on base pages.
 //  * the packed slab -- the host kernels' single-gather representation
 //    (lists/encode.hpp hot_pack): one 64-bit word per vertex fusing link,
 //    value lane, and sublist-tail flag. Every packing run builds its own,
-//    one O(n) pass; only an installed shared slab (the serving layer's
-//    per-snapshot cache, see PackedSlab) skips the build.
+//    one O(n) pass, and its phase 1 overwrites each word with what phase 3
+//    needs, so a slab never outlives its run.
 //
 // The counters make reuse observable: `allocations()` increments whenever a
 // fit must grow a buffer, `reuse_hits()` whenever existing capacity was
@@ -31,7 +31,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "lists/encode.hpp"
@@ -41,37 +40,15 @@
 
 namespace lr90 {
 
-/// An immutable, shareable copy of the packed hot-path artifacts: the
-/// single-gather slab (lists/encode.hpp hot_pack words) plus the sorted
-/// boundary picks it was decomposed under. Exported from a Workspace after
-/// a build (export_packed_slab) and installed into any Workspace before a
-/// run (install_shared_slab), it lets a serving layer cache the dominant
-/// fixed cost of the packed path -- the O(n) slab build -- across requests
-/// and across workers. Holders share it by shared_ptr-to-const; the struct is
-/// never mutated after export.
-struct PackedSlab {
-  /// The run's boundary picks, ascending: the decomposition. A run on the
-  /// slab rebuilds its sublist heads from them (the list head, then each
-  /// pick's successor) and searches them in phase 2.
-  std::vector<index_t> picks;
-  std::vector<packed_t> words;  ///< hot_pack word per vertex
-  std::size_t n = 0;            ///< list length the slab was built from
-  bool ones = false;            ///< value lane forced to 1 (ranking)
-
-  /// Approximate resident footprint, for byte-budget cache accounting.
-  std::size_t bytes() const {
-    return picks.capacity() * sizeof(index_t) +
-           words.capacity() * sizeof(packed_t) + sizeof(*this);
-  }
-};
-
 /// Reusable per-engine scratch memory: capacity only grows, so a warmed-up
 /// workspace serves steady-state traffic with zero allocations. Not
 /// thread-safe -- each Engine (and each EngineServer worker) owns one.
 class Workspace {
  public:
   // -- scratch buffers (backends wire these directly) --------------------
-  std::vector<std::uint8_t> is_tail;      ///< by vertex: sublist tail flag
+  /// By vertex: the sublist-tail flag in the top bit (boundary choice),
+  /// then phase 1's sublist id in the low bits (list-array runs).
+  std::vector<std::uint32_t> tag;
   std::vector<index_t> heads;             ///< sublist head vertices
   std::vector<index_t> tails;             ///< sublist tail vertices
   std::vector<index_t> picks;             ///< boundary vertices, ascending
@@ -88,7 +65,7 @@ class Workspace {
   Workspace() = default;
   /// Workspaces move with their Engine (buffers transfer, counters copy).
   Workspace(Workspace&& other) noexcept
-      : is_tail(std::move(other.is_tail)),
+      : tag(std::move(other.tag)),
         heads(std::move(other.heads)),
         tails(std::move(other.tails)),
         picks(std::move(other.picks)),
@@ -98,13 +75,12 @@ class Workspace {
         packed(std::move(other.packed)),
         scratch_list(std::move(other.scratch_list)),
         rng(other.rng),
-        shared_slab_(std::move(other.shared_slab_)),
         allocations_(other.allocations()),
         reuse_hits_(other.reuse_hits()),
         packed_builds_(other.packed_builds()) {}
   /// Move-assignment counterpart of the move constructor.
   Workspace& operator=(Workspace&& other) noexcept {
-    is_tail = std::move(other.is_tail);
+    tag = std::move(other.tag);
     heads = std::move(other.heads);
     tails = std::move(other.tails);
     picks = std::move(other.picks);
@@ -114,7 +90,6 @@ class Workspace {
     packed = std::move(other.packed);
     scratch_list = std::move(other.scratch_list);
     rng = other.rng;
-    shared_slab_ = std::move(other.shared_slab_);
     allocations_.store(other.allocations(), std::memory_order_relaxed);
     reuse_hits_.store(other.reuse_hits(), std::memory_order_relaxed);
     packed_builds_.store(other.packed_builds(), std::memory_order_relaxed);
@@ -131,8 +106,7 @@ class Workspace {
   std::uint64_t reuse_hits() const {
     return reuse_hits_.load(std::memory_order_relaxed);
   }
-  /// Times a run built the packed hot-path slab: every packing run that
-  /// did not ride an installed shared slab.
+  /// Times a run built the packed hot-path slab: once per packing run.
   std::uint64_t packed_builds() const {
     return packed_builds_.load(std::memory_order_relaxed);
   }
@@ -174,35 +148,6 @@ class Workspace {
     packed_builds_.fetch_add(1, std::memory_order_relaxed);
   }
 
-  // -- shared (cross-request) slab -------------------------------------
-
-  /// Installs an externally cached slab for the next run (null clears).
-  /// The hot path uses it -- skipping boundary choice and the slab build
-  /// entirely -- when its (n, ones, sublist count) match the run's plan;
-  /// a mismatch falls back to the normal build. The caller (the serving
-  /// layer) guarantees the slab outlives the run and matches the list
-  /// being ranked: slabs must only ever be keyed on immutable snapshots.
-  void install_shared_slab(std::shared_ptr<const PackedSlab> slab) {
-    shared_slab_ = std::move(slab);
-  }
-  /// The installed shared slab, or null. Read by the hot path per run.
-  const PackedSlab* shared_slab() const { return shared_slab_.get(); }
-  /// Copies the packed slab + picks out as an immutable PackedSlab for a
-  /// cross-request cache. Only meaningful right after an unsharded run
-  /// that built its slab (RunStats::host_packed set, host_packed_cached
-  /// and shard_count clear): after any other run, `packed` and `picks`
-  /// may describe another list. Copies -- rather than moves -- so the
-  /// workspace keeps its warmed capacity and steady state stays
-  /// allocation-free.
-  std::shared_ptr<const PackedSlab> export_packed_slab(bool ones) const {
-    auto slab = std::make_shared<PackedSlab>();
-    slab->picks = picks;
-    slab->words = packed;
-    slab->n = packed.size();
-    slab->ones = ones;
-    return slab;
-  }
-
   /// Copies `src` into the scratch list, reusing its capacity. Algorithms
   /// that mutate their input (the simulated Reid-Miller path) run on this
   /// copy so the caller's list stays const without a per-call allocation.
@@ -230,7 +175,7 @@ class Workspace {
 
   /// Releases all held memory (counters are kept).
   void release() {
-    is_tail = {};
+    tag = {};
     heads = {};
     tails = {};
     picks = {};
@@ -239,7 +184,6 @@ class Workspace {
     verify = {};
     packed = {};
     scratch_list = {};
-    shared_slab_ = nullptr;
   }
 
  private:
@@ -251,7 +195,6 @@ class Workspace {
     }
   }
 
-  std::shared_ptr<const PackedSlab> shared_slab_;  ///< cross-request slab
   std::atomic<std::uint64_t> allocations_{0};
   std::atomic<std::uint64_t> reuse_hits_{0};
   std::atomic<std::uint64_t> packed_builds_{0};

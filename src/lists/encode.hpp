@@ -47,7 +47,7 @@ inline std::uint32_t packed_value(packed_t w) {
 // so the inner loop issues exactly ONE random load per element -- link,
 // value, and stop condition arrive together, where the seed kernel paid a
 // dependent load on `next`, a second gather on `value`, and a third random
-// access into the `is_tail` bitmap. The value lane is the low 32 bits of
+// access into a sublist-tail bitmap. The value lane is the low 32 bits of
 // value_t, reread back sign-extended; a list qualifies only when every
 // value round-trips (hot_value_fits).
 
@@ -82,21 +82,22 @@ inline constexpr bool hot_value_fits(value_t v) {
                   static_cast<std::uint32_t>(v)));
 }
 
-/// Packs hot words for the index range [begin, end): the per-thread unit
-/// of the parallel slab build (core/host_exec.hpp build_packed). `value`
-/// == nullptr packs the constant 1 into every value lane (ranking).
-/// Returns false -- packed contents of the range unspecified -- if any
-/// value misses the signed 32-bit lane; always true when ranking. The
-/// pass is branch-light and sequential over the range, so per-thread
-/// ranges stream independently at full bandwidth.
+/// Packs hot words for the index range [begin, end), with no sublist
+/// tail flagged (the kernel flags its boundaries afterwards): the
+/// per-thread unit of the parallel slab build (core/host_exec.hpp
+/// build_packed). `value` == nullptr packs the constant 1 into every
+/// value lane (ranking). Returns false -- packed contents of the range
+/// unspecified -- if any value misses the signed 32-bit lane; always true
+/// when ranking. The pass is branch-light and sequential over the range,
+/// so per-thread ranges stream independently at full bandwidth.
 inline bool hot_pack_range(const index_t* next, const value_t* value,
-                           const std::uint8_t* is_tail, packed_t* out,
-                           std::size_t begin, std::size_t end) {
+                           packed_t* out, std::size_t begin,
+                           std::size_t end) {
   bool ok = true;
   for (std::size_t i = begin; i < end; ++i) {
     const value_t v = value == nullptr ? value_t{1} : value[i];
     ok = ok && hot_value_fits(v);
-    out[i] = hot_pack(is_tail[i] != 0, next[i],
+    out[i] = hot_pack(false, next[i],
                       static_cast<std::uint32_t>(static_cast<std::uint64_t>(v)));
   }
   return ok;

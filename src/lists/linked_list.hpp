@@ -50,19 +50,21 @@ struct LinkedList {
   index_t find_tail() const;
 };
 
-/// Visits vertices in list order, calling f(vertex, position).
+/// Visits vertices in list order, calling f(vertex, position), and
+/// returns whether the walk met the self-loop tail (true for an empty
+/// list). It stops after n visits, so a list whose links never reach a
+/// self-loop (a cycle) ends the walk with false instead of spinning it.
 template <class F>
-void for_each_in_order(const LinkedList& list, F&& f) {
-  if (list.empty()) return;
+bool for_each_in_order(const LinkedList& list, F&& f) {
+  if (list.empty()) return true;
   index_t v = list.head;
-  std::size_t pos = 0;
-  while (true) {
+  for (std::size_t pos = 0; pos < list.size(); ++pos) {
     f(v, pos);
-    ++pos;
     const index_t nxt = list.next[v];
-    if (nxt == v) break;
+    if (nxt == v) return true;
     v = nxt;
   }
+  return false;
 }
 
 /// Returns the vertices in list order (head first).

@@ -178,7 +178,6 @@ std::string NetServer::stats_text() const {
       << "stale_rejections " << s.stale_rejections << '\n'
       << "slab_hits " << s.slab_hits << '\n'
       << "slab_misses " << s.slab_misses << '\n'
-      << "slab_evictions " << s.slab_evictions << '\n'
       << "result_hits " << s.result_hits << '\n'
       << "result_misses " << s.result_misses << '\n'
       << "result_evictions " << s.result_evictions << '\n'

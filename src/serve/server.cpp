@@ -62,7 +62,6 @@ EngineServer::EngineServer(ServerOptions opt)
         engine.validate_input = false;
         return engine;
       }(), opt_.workers),
-      slab_cache_(opt_.slab_cache_bytes),
       result_cache_(opt_.result_cache_bytes) {
   threads_.reserve(opt_.workers);
   for (unsigned i = 0; i < opt_.workers; ++i)
@@ -126,9 +125,8 @@ bool EngineServer::drop_snapshot(std::uint64_t id) {
 void EngineServer::forget_snapshot(std::uint64_t id) {
   // Reclaim space AFTER the registry change: the generation bump (or the
   // drop) alone already made every old key unreachable, so a racing
-  // worker re-inserting an old-generation artifact merely wastes bytes
+  // worker re-inserting an old-generation result merely wastes bytes
   // until LRU'd.
-  slab_cache_.invalidate(id);
   result_cache_.invalidate(id);
   // Same lifecycle for pinned shard spill files: the generation-stamped
   // directory name already keeps new runs off the stale bytes, so this is
@@ -203,38 +201,13 @@ void EngineServer::submit(const SnapshotRequest& req,
     job.req.shard_spill_dir = shard::snapshot_spill_dir(
         opt_.shard_spill_root, req.snapshot_id, current.generation);
   }
-  // Ride a cached slab when one exists for this generation; ranking packs
-  // the constant 1 and lane-capable scans pack their values, so the two
-  // slab flavors cover every packed-capable shape.
-  if (req.rank || scan_op_lane32(req.op)) {
-    const CacheKey slab_key{
-        req.snapshot_id, current.generation,
-        req.rank ? kSlabFlavorOnes : kSlabFlavorValues};
-    std::shared_ptr<const PackedSlab> slab;
-    if (slab_cache_.lookup(slab_key, slab)) job.req.slab = std::move(slab);
-  }
   enqueue(std::move(job));
 }
 
-void EngineServer::finish_snapshot_run(const Job& job, RunResult& r,
-                                       Engine& engine) {
+void EngineServer::finish_snapshot_run(const Job& job, RunResult& r) {
   const Request& req = job.req;
   r.stats.snapshot_generation = job.snapshot_generation;
   if (!r.ok()) return;
-  // Export a freshly built slab for every other worker, so a hot key
-  // exports once per generation. Only an unsharded run that built its own
-  // slab exports: a run on a cached slab has nothing new, and a sharded
-  // run packs per-shard scratch, leaving the workspace slab of whatever
-  // list packed there last.
-  if (r.stats.host_packed && !r.stats.host_packed_cached &&
-      r.stats.shard_count == 0) {
-    auto slab = engine.workspace().export_packed_slab(req.rank);
-    const std::size_t bytes = slab->bytes();
-    slab_cache_.insert(
-        CacheKey{job.snapshot_id, job.snapshot_generation,
-                 req.rank ? kSlabFlavorOnes : kSlabFlavorValues},
-        std::move(slab), bytes);
-  }
   // Memoize the full result for the next identical request. Keyed on the
   // generation the run used, so a result inserted after a concurrent
   // update() is simply unreachable -- never stale-served.
@@ -300,8 +273,8 @@ void EngineServer::worker_loop() {
         checked = check_list(*job.req.list);
       r = checked.ok() ? lease->run(job.req)
                        : unrun_result(opt_, std::move(checked));
-      // Snapshot jobs stamp the generation and feed the caches.
-      if (job.snapshot_id != 0) finish_snapshot_run(job, r, *lease);
+      // Snapshot jobs stamp the generation and feed the memo.
+      if (job.snapshot_id != 0) finish_snapshot_run(job, r);
     } catch (...) {
       // run() only throws on resource exhaustion (e.g. bad_alloc): every
       // caller gets the typed kUnavailable instead.
@@ -362,9 +335,8 @@ void EngineServer::reset_stats() {
   }
   queue_.reset_size_hwm();
   pool_.reset_stats();
-  // Cumulative cache counters restart; the caches themselves stay warm
-  // (the resident gauges keep tracking the retained entries).
-  slab_cache_.reset_counters();
+  // Cumulative memo counters restart; the memo itself stays warm (the
+  // resident gauges keep tracking the retained entries).
   result_cache_.reset_counters();
 }
 
@@ -376,17 +348,12 @@ ServerStats EngineServer::stats() const {
   }
   s.queue_depth_hwm = queue_.size_hwm();
   s.pool = pool_.stats();
-  const CacheStats slab = slab_cache_.stats();
   const CacheStats result = result_cache_.stats();
-  s.slab_hits = slab.hits;
-  s.slab_misses = slab.misses;
-  s.slab_evictions = slab.evictions;
   s.result_hits = result.hits;
   s.result_misses = result.misses;
   s.result_evictions = result.evictions;
-  s.cache_resident_bytes = slab.resident_bytes + result.resident_bytes;
-  s.cache_resident_entries =
-      slab.resident_entries + result.resident_entries;
+  s.cache_resident_bytes = result.resident_bytes;
+  s.cache_resident_entries = result.resident_entries;
   s.snapshots_live = registry_.size();
   return s;
 }

@@ -66,9 +66,6 @@ struct ServerOptions {
   /// When true, submit() on a full queue resolves immediately to
   /// StatusCode::kUnavailable instead of blocking for a slot.
   bool reject_when_full = false;
-  /// Byte budget of the shared packed-slab cache (snapshot-addressed
-  /// requests only; serve/slab_cache.hpp). 0 disables slab caching.
-  std::size_t slab_cache_bytes = std::size_t{64} << 20;
   /// Byte budget of the memoized-result cache (snapshot-addressed
   /// requests only). 0 disables result memoization.
   std::size_t result_cache_bytes = std::size_t{64} << 20;
@@ -90,8 +87,8 @@ struct ServerOptions {
 /// pins are rejected with StatusCode::kStaleGeneration carrying the
 /// current generation in RunStats::snapshot_generation; generation 0
 /// means "whatever is current". Snapshot requests are what the
-/// cross-request caches serve: hot keys in steady state do zero packs
-/// (slab cache) and zero engine runs (result memoization).
+/// cross-request result memo serves: hot keys in steady state do zero
+/// engine runs.
 struct SnapshotRequest {
   std::uint64_t snapshot_id = 0;  ///< handle from register_snapshot()
   std::uint64_t generation = 0;   ///< pinned generation; 0 = current
@@ -129,21 +126,22 @@ struct ServerStats {
   std::uint64_t tier_packed_runs = 0;       ///< cursors over the slab
   PoolStats pool;                ///< aggregated workspace counters
 
-  // Snapshot / cross-request-cache counters (snapshot-addressed requests
-  // only). The hit/miss/eviction tallies are cumulative since the last
+  // Snapshot / result-memo counters (snapshot-addressed requests only).
+  // The hit/miss/eviction tallies are cumulative since the last
   // reset_stats(); the resident figures are occupancy gauges that follow
-  // the caches' actual content (reset_stats does NOT flush a warmed
-  // cache). Result-cache hits are answered inline at submit() and never
-  // enter the queue, so they appear in result_hits but not in
-  // submitted/completed.
-  std::uint64_t slab_hits = 0;         ///< slab-cache lookup hits
-  std::uint64_t slab_misses = 0;       ///< slab-cache lookup misses
-  std::uint64_t slab_evictions = 0;    ///< slab entries dropped
+  // the memo's actual content (reset_stats does NOT flush a warmed
+  // memo). Memo hits are answered inline at submit() and never enter the
+  // queue, so they appear in result_hits but not in submitted/completed.
+  /// Always 0: a slab serves only the run that built it, since phase 1
+  /// overwrites it. Kept, with slab_misses, only because the repo
+  /// benchmark (perfbench/served.cpp) reads both.
+  std::uint64_t slab_hits = 0;
+  std::uint64_t slab_misses = 0;       ///< always 0; see slab_hits
   std::uint64_t result_hits = 0;       ///< memoized results served
   std::uint64_t result_misses = 0;     ///< memoization lookup misses
   std::uint64_t result_evictions = 0;  ///< memoized entries dropped
-  std::uint64_t cache_resident_bytes = 0;    ///< both caches' bytes (gauge)
-  std::uint64_t cache_resident_entries = 0;  ///< both caches' count (gauge)
+  std::uint64_t cache_resident_bytes = 0;    ///< the memo's bytes (gauge)
+  std::uint64_t cache_resident_entries = 0;  ///< the memo's count (gauge)
   std::uint64_t snapshots_live = 0;     ///< registered snapshots (gauge)
   std::uint64_t snapshot_updates = 0;   ///< update_snapshot() generations
   std::uint64_t stale_rejections = 0;   ///< kStaleGeneration rejections
@@ -216,10 +214,9 @@ class EngineServer {
   /// Submits a snapshot-addressed request, answered through `done` as
   /// the Request overload answers. A memoized result is answered inline,
   /// from this call; otherwise the job is queued like any other, carrying
-  /// the pinned snapshot list and any cached slab. Once shutdown has begun
-  /// it resolves to kUnavailable like every other submit; before that,
-  /// stale pins and unknown ids resolve inline to kStaleGeneration /
-  /// kInvalidInput.
+  /// the pinned snapshot list. Once shutdown has begun it resolves to
+  /// kUnavailable like every other submit; before that, stale pins and
+  /// unknown ids resolve inline to kStaleGeneration / kInvalidInput.
   void submit(const SnapshotRequest& req,
               std::function<void(RunResult&&)> done);
   /// Future flavour of the snapshot submit (a future answered inline is
@@ -273,7 +270,7 @@ class EngineServer {
   void enqueue(Job job);
   Status check_list(const LinkedList& list) const;
   void forget_snapshot(std::uint64_t id);
-  void finish_snapshot_run(const Job& job, RunResult& r, Engine& engine);
+  void finish_snapshot_run(const Job& job, RunResult& r);
   void worker_loop();
   void join_workers(bool drain);
   void count(std::uint64_t ServerStats::* field, std::uint64_t by = 1);
@@ -282,11 +279,9 @@ class EngineServer {
   BoundedQueue<Job> queue_;      ///< clients push, workers pop
   WorkspacePool pool_;           ///< one warmed engine per running job
   SnapshotRegistry registry_;    ///< immutable generation-stamped lists
-  /// Cross-request packed slabs per (snapshot, generation, ones-flag).
-  LruCache<std::shared_ptr<const PackedSlab>> slab_cache_;
   /// Memoized results per (snapshot, generation, request shape).
   LruCache<std::shared_ptr<const RunResult>> result_cache_;
-  /// Guards stats_. Its gauge fields (queue_depth_hwm, pool, the cache
+  /// Guards stats_. Its gauge fields (queue_depth_hwm, pool, the memo
   /// and registry figures) stay zero here: stats() reads them live.
   mutable std::mutex stats_mu_;
   ServerStats stats_;             ///< the counters since the last reset

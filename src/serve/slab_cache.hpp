@@ -1,23 +1,14 @@
 // A bounded, sharded LRU cache keyed on snapshot generations -- the
-// cross-request caching layer of the serving stack.
+// cross-request result memo of the serving stack.
 //
-// The packed hot word (lists/encode.hpp) makes the O(n) slab build the
-// dominant fixed cost per request once traversal is latency-hidden; a run
-// over a caller-owned list pays it every time, because arbitrary callers
-// can mutate arrays between runs. The SnapshotRegistry
+// A run over a caller-owned list cannot be memoized, because arbitrary
+// callers can mutate arrays between runs. The SnapshotRegistry
 // (serve/snapshot.hpp) removes that caveat -- server-registered lists are
-// immutable and generation-stamped -- so cached artifacts keyed on
-// (snapshot_id, generation) can outlive a run, a worker, and a client.
-//
-// One template, two instantiations in EngineServer:
-//
-//   * the SLAB cache: shared_ptr<const PackedSlab> per (snapshot,
-//     generation, ones-flag) -- any pooled worker reuses any other
-//     worker's build; steady-state hot keys do ZERO packs.
-//   * the RESULT cache: shared_ptr<const RunResult> per (snapshot,
-//     generation, request shape) -- repeated hot-key requests are
-//     answered without touching an engine at all; steady state does ZERO
-//     ranks.
+// immutable and generation-stamped -- so results keyed on (snapshot_id,
+// generation, request shape) can outlive a run, a worker, and a client.
+// EngineServer instantiates it once, with shared_ptr<const RunResult>:
+// repeated hot-key requests are answered without touching an engine at
+// all, so steady state does ZERO ranks.
 //
 // Eviction is LRU under a byte budget, split evenly across lock shards
 // (all generations of one snapshot land in one shard, so invalidation is
@@ -40,13 +31,6 @@ namespace lr90::serve {
 
 // -- keying helpers (the cache-keying contract; see ARCHITECTURE.md) -------
 
-/// Slab-cache flavor for a slab whose value lane carries list values
-/// (lane-capable scans).
-inline constexpr std::uint64_t kSlabFlavorValues = 0;
-/// Slab-cache flavor for a slab whose value lane is the constant 1
-/// (ranking).
-inline constexpr std::uint64_t kSlabFlavorOnes = 1;
-
 /// Result-cache flavor: the request shape (rank-or-scan, operator,
 /// method) packed into one word, so distinct shapes never collide.
 std::uint64_t request_flavor(bool rank, ScanOp op, Method method);
@@ -57,7 +41,7 @@ std::size_t result_bytes(const RunResult& r);
 
 /// Identity of a cached artifact: which immutable snapshot generation it
 /// was derived from, plus a flavor word distinguishing artifact shapes
-/// (the ones-flag for slabs; the packed request shape for results).
+/// (the packed request shape, for results).
 struct CacheKey {
   std::uint64_t snapshot_id = 0;  ///< registry-issued snapshot id
   std::uint64_t generation = 0;   ///< generation the artifact was built at

@@ -9,8 +9,9 @@
 // addresses the handle instead of shipping (or aliasing) the arrays.
 // Mutation is explicit -- update() installs a new list under the same id
 // and bumps the generation, drop() retires the id -- so every derived
-// artifact (packed slabs, memoized results; serve/slab_cache.hpp) is
-// keyed on a generation that provably identifies immutable bytes.
+// artifact (memoized results, serve/slab_cache.hpp; pinned shard spill
+// files) is keyed on a generation that provably identifies immutable
+// bytes.
 //
 // Coherence contract: resolve() reads the current generation under the
 // same mutex update() writes it, so any request submitted after update()

@@ -27,8 +27,8 @@ struct PoolStats {
   std::uint64_t allocations = 0;  ///< buffer-growth events (fit misses)
   std::uint64_t reuse_hits = 0;   ///< fits served from existing capacity
   std::uint64_t leases = 0;       ///< acquire() calls served so far
-  /// Packed-slab (re)builds across every pooled workspace: the zero-pack
-  /// steady-state gate of the snapshot cache (bench/serve_throughput).
+  /// Packed-slab builds across every pooled workspace: the zero-pack
+  /// steady-state gate of the result memo (bench/serve_throughput).
   std::uint64_t packed_builds = 0;
 };
 

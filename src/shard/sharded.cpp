@@ -139,7 +139,7 @@ bool pass_totals(const ShardView& view, const std::vector<index_t>& heads,
                  std::vector<index_t>& exits) {
   return walk_shard<Op, kOnes>(
       view, heads, exec, scratch, [](std::size_t) { return Op::identity(); },
-      [op](index_t, value_t x, value_t& acc) { acc = op(acc, x); },
+      [op](index_t, index_t, value_t x, value_t& acc) { acc = op(acc, x); },
       [&](index_t j, index_t tv, value_t acc) {
         const std::size_t g = seg_base + j;
         totals[g] = acc;
@@ -152,7 +152,7 @@ bool pass_totals(const ShardView& view, const std::vector<index_t>& heads,
 
 /// Pass C over one shard: re-walk each segment with the accumulator seeded
 /// at its global prefix, writing the final exclusive scan (write-
-/// prefetching each output slot a hop ahead, as the kernel's phase 3
+/// prefetching each output slot a hop ahead, as the kernel's phase 1
 /// does).
 template <ListOp Op, bool kOnes>
 bool pass_expand(const ShardView& view, const std::vector<index_t>& heads,
@@ -164,7 +164,7 @@ bool pass_expand(const ShardView& view, const std::vector<index_t>& heads,
   return walk_shard<Op, kOnes>(
       view, heads, exec, scratch,
       [&](std::size_t j) { return seg_pref[seg_base + j]; },
-      [op, o](index_t v, value_t x, value_t& acc) {
+      [op, o](index_t, index_t v, value_t x, value_t& acc) {
         o[v] = acc;
         acc = op(acc, x);
       },
@@ -234,7 +234,9 @@ Status run_sharded(const LinkedList& list, const ShardedList& sharded,
     return Status::invalid("sharded scan: list head owns no segment");
   reduced.head = seg_of[list.head];
   std::vector<value_t> seg_pref(m);
-  host_exec::scan_into<Op, false>(reduced, op, reduced_plan, ws, seg_pref);
+  if (host_exec::scan_into<Op, false>(reduced, op, reduced_plan, ws, seg_pref)
+          .no_tail)
+    return Status::invalid("sharded scan: the reduced list has no tail");
 
   // Pass C: per-shard expansion from the segment prefixes.
   for (unsigned p = 0; p < sharded.shards; ++p) {

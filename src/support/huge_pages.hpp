@@ -25,11 +25,11 @@
 
 namespace lr90 {
 
-/// Buffers smaller than this stay on base pages. 16 MiB covers the
-/// smallest array of a 2^24 run (its 1-byte `is_tail` bitmap) and leaves
-/// the 2^20 out-of-core lists (8 MiB arrays), the 2^18 snapshots and the
-/// 2^15 served lists alone: an 8 MiB threshold slowed the out-of-core
-/// rank in 5 of 7 measured pairs.
+/// Buffers smaller than this stay on base pages. 16 MiB covers every
+/// per-vertex array of a 2^24 run (the smallest, `next` and the 4-byte
+/// sublist tags, are 64 MiB) and leaves the 2^20 out-of-core lists (8 MiB
+/// arrays), the 2^18 snapshots and the 2^15 served lists alone: an 8 MiB
+/// threshold slowed the out-of-core rank in 5 of 7 measured pairs.
 inline constexpr std::size_t kHugeAdviseBytes = std::size_t{16} << 20;
 
 /// The huge (PMD) page size advice is aligned to.

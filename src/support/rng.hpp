@@ -58,8 +58,7 @@ class Rng {
   Rng split();
 
   /// True iff both generators are in the same state (will produce the
-  /// same stream). Lets caches key on "the draws would repeat exactly"
-  /// (core/workspace.hpp's packed-slab cache).
+  /// same stream): "the draws would repeat exactly".
   friend bool operator==(const Rng& a, const Rng& b) {
     return a.s_[0] == b.s_[0] && a.s_[1] == b.s_[1] && a.s_[2] == b.s_[2] &&
            a.s_[3] == b.s_[3];

@@ -601,7 +601,6 @@ TEST(Engine, LargeRankRunsPackedAndReportsCursors) {
   EXPECT_EQ(r.method_used, Method::kReidMiller);
   EXPECT_TRUE(r.stats.host_packed);
   EXPECT_GT(r.stats.host_interleave, 1u);
-  EXPECT_FALSE(r.stats.host_packed_cached);  // no shared slab installed
   testutil::expect_scan_eq(r.scan, reference_rank(l));
 }
 
@@ -617,11 +616,10 @@ TEST(Engine, ReportsTheSublistCountItPlanned) {
   ASSERT_TRUE(r.ok());
   EXPECT_EQ(r.stats.kernel_tier, KernelTier::kPackedCursors);
   EXPECT_EQ(r.stats.host_sublists, static_cast<std::size_t>(d.sublists));
-  // Extra space: the bitmap (n/8 words), the slab (n words) and four
-  // O(sublists) arrays, nothing else per vertex.
+  // Extra space: the slab (n words) and four O(sublists) arrays, nothing
+  // else per vertex -- a slab run flags its boundaries in the slab.
   const std::uint64_t n = l.size();
-  EXPECT_EQ(r.stats.algo.extra_words,
-            n / 8 + n + 4 * r.stats.host_sublists);
+  EXPECT_EQ(r.stats.algo.extra_words, n + 4 * r.stats.host_sublists);
 
   const auto da =
       engine.planner().decide(l.size(), Method::kAuto, false, ScanOp::kAffine);
@@ -629,7 +627,8 @@ TEST(Engine, ReportsTheSublistCountItPlanned) {
   ASSERT_TRUE(a.ok());
   EXPECT_EQ(a.stats.kernel_tier, KernelTier::kListArrays);
   EXPECT_EQ(a.stats.host_sublists, static_cast<std::size_t>(da.sublists));
-  EXPECT_EQ(a.stats.algo.extra_words, n / 8 + 4 * a.stats.host_sublists);
+  // A list-array run: the 4-byte tags (n/2 words) instead.
+  EXPECT_EQ(a.stats.algo.extra_words, n / 2 + 4 * a.stats.host_sublists);
 
   const RunResult s = engine.rank(l, Method::kSerial);
   ASSERT_TRUE(s.ok());
@@ -700,8 +699,7 @@ TEST(Engine, FewerSublistsThanCursorsDrainCorrectly) {
 
 TEST(Engine, EveryPackingRunInABatchBuildsItsOwnSlab) {
   // run_batch is a plain loop over run(): five same-list ranks build the
-  // single-gather slab five times, and none rides a cached slab (only an
-  // installed shared slab sets host_packed_cached).
+  // single-gather slab five times.
   Rng rng(24);
   const LinkedList a = random_list(40000, rng);
   Engine engine(backend_options(BackendKind::kHost));
@@ -712,9 +710,86 @@ TEST(Engine, EveryPackingRunInABatchBuildsItsOwnSlab) {
   for (const RunResult& r : results) {
     ASSERT_TRUE(r.ok());
     EXPECT_TRUE(r.stats.host_packed);
-    EXPECT_FALSE(r.stats.host_packed_cached);
     testutil::expect_scan_eq(r.scan, reference_rank(a));
   }
+}
+
+TEST(Engine, AlternatingOperatorsNeverReuseAUsedUpSlab) {
+  // Phase 1 overwrites the slab it walks, so each packing run must build
+  // a fresh one: on one engine, rank, plus and affine in turn are each
+  // bit-exact, and packed_builds() rises by one per rank or plus run and
+  // not at all for affine (which walks the list arrays).
+  Rng rng(25);
+  const LinkedList l = random_list(1u << 16, rng, ValueInit::kSigned);
+  const std::vector<value_t> rank = reference_rank(l);
+  const std::vector<value_t> plus = testutil::expected_scan(l, OpPlus{});
+  const std::vector<value_t> affine = testutil::expected_scan(l, OpAffine{});
+  Engine engine(backend_options(BackendKind::kHost));
+  for (int round = 0; round < 3; ++round) {
+    SCOPED_TRACE(round);
+    std::uint64_t builds = engine.workspace().packed_builds();
+    const RunResult r = engine.rank(l, Method::kReidMiller);
+    ASSERT_TRUE(r.ok()) << r.status.message;
+    testutil::expect_scan_eq(r.scan, rank);
+    EXPECT_EQ(engine.workspace().packed_builds(), ++builds);
+
+    const RunResult p =
+        engine.run(OpRequest{&l, ScanOp::kPlus, Method::kReidMiller});
+    ASSERT_TRUE(p.ok()) << p.status.message;
+    testutil::expect_scan_eq(p.scan, plus);
+    EXPECT_EQ(engine.workspace().packed_builds(), ++builds);
+
+    const RunResult a =
+        engine.run(OpRequest{&l, ScanOp::kAffine, Method::kReidMiller});
+    ASSERT_TRUE(a.ok()) << a.status.message;
+    testutil::expect_scan_eq(a.scan, affine);
+    EXPECT_EQ(a.stats.kernel_tier, KernelTier::kListArrays);
+    EXPECT_EQ(engine.workspace().packed_builds(), builds);
+  }
+}
+
+TEST(Engine, TaillessListsAreRefusedWithValidationOff) {
+  // With validate_input off (the default) a list whose links never reach
+  // a self-loop must still get a typed answer: the serial walk stops
+  // after n hops, and the sublist kernel refuses a list with no tail
+  // before it marks any boundary.
+  LinkedList cycle;  // a 2-cycle: the serial plan
+  cycle.next = {1, 0};
+  cycle.value = {1, 1};
+  cycle.head = 0;
+  Rng rng(26);
+  LinkedList ring = random_list(1u << 16, rng);  // tail linked to head
+  ring.next[ring.find_tail()] = ring.head;
+  ring.tail = kNoVertex;
+  ASSERT_EQ(ring.find_tail(), kNoVertex);
+
+  for (const BackendKind kind : {BackendKind::kSerial, BackendKind::kHost}) {
+    SCOPED_TRACE(backend_name(kind));
+    Engine engine(backend_options(kind));
+    ASSERT_FALSE(engine.options().validate_input);
+    for (const bool rank : {true, false}) {
+      Request req = rank ? Request(RankRequest{&cycle})
+                         : Request(OpRequest{&cycle, ScanOp::kAffine});
+      const RunResult r = engine.run(req);
+      EXPECT_EQ(r.status.code, StatusCode::kInvalidInput)
+          << status_code_name(r.status.code);
+      EXPECT_EQ(r.method_used, Method::kSerial);
+    }
+  }
+
+  Engine host(backend_options(BackendKind::kHost));
+  for (const ScanOp op : {ScanOp::kPlus, ScanOp::kAffine}) {
+    SCOPED_TRACE(scan_op_name(op));
+    const RunResult s = host.run(OpRequest{&ring, op, Method::kReidMiller});
+    EXPECT_EQ(s.status.code, StatusCode::kInvalidInput)
+        << status_code_name(s.status.code);
+    EXPECT_EQ(s.method_used, Method::kReidMiller);
+  }
+  const RunResult r = host.rank(ring, Method::kReidMiller);
+  EXPECT_EQ(r.status.code, StatusCode::kInvalidInput);
+  // A serial walk over the ring stops after n hops as well.
+  EXPECT_EQ(host.rank(ring, Method::kSerial).status.code,
+            StatusCode::kInvalidInput);
 }
 
 TEST(Engine, PinnedS1SurvivesAutoM) {

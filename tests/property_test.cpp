@@ -12,6 +12,7 @@
 
 #include <cstdlib>
 #include <sstream>
+#include <string>
 #include <tuple>
 
 #include "baselines/anderson_miller.hpp"
@@ -379,6 +380,51 @@ INSTANTIATE_TEST_SUITE_P(
     ThreadsTimesWidths, HostThreadsHarness,
     ::testing::Combine(::testing::Values(1u, 2u, 4u, 8u),
                        ::testing::Values(1u, 4u, 16u)));
+
+// The array-order phase 3 at its edge: sublists pinned near n / 2, so
+// most hold one or two vertices and sublist ids pass 2^16. Every operator
+// runs on each hop source it can take -- the slab when its values fit the
+// 32-bit lane, the list arrays with one value past it, the list arrays
+// always for the two-lane operators -- and rank runs on the slab, all
+// bit-exact against the serial oracle.
+TEST(StreamingPhase3, TinySublistsOnBothHopSourcesMatchSerialOracle) {
+  constexpr std::size_t kN = std::size_t{1} << 18;
+  host_exec::HostPlan plan;
+  plan.threads = 4;
+  plan.sublists = kN / 2 - 3;
+  plan.interleave = 8;
+  const auto expect_run = [&](const host_exec::ExecInfo& info,
+                              KernelTier tier) {
+    EXPECT_EQ(info.tier, tier);
+    EXPECT_EQ(info.sublists, plan.sublists);
+    EXPECT_GT(info.sublists, std::size_t{1} << 16);
+  };
+  Workspace ws;
+  std::vector<value_t> got(kN, 0);
+  for (const ScanOp op : kAllScanOps) {
+    Rng rng(0x57ea + static_cast<std::uint64_t>(op));
+    LinkedList l = random_list(kN, rng, ValueInit::kSigned);
+    for (value_t& v : l.value) v = harness_value(op, v);
+    for (const bool past_lane : {false, true}) {
+      if (past_lane && !scan_op_lane32(op)) continue;
+      SCOPED_TRACE(std::string(scan_op_name(op)) +
+                   (past_lane ? " past the lane" : ""));
+      if (past_lane) l.value[kN / 3] = (value_t{1} << 31) + 5;
+      with_scan_op(op, [&](auto o) {
+        expect_run(host_exec::scan_into(l, o, plan, ws, got),
+                   scan_op_lane32(op) && !past_lane
+                       ? KernelTier::kPackedCursors
+                       : KernelTier::kListArrays);
+      });
+      testutil::expect_scan_eq(got, oracle_scan(l, op));
+    }
+  }
+  Rng rng(0x57eb);
+  const LinkedList l = random_list(kN, rng);
+  expect_run(host_exec::rank_into(l, plan, ws, got),
+             KernelTier::kPackedCursors);
+  testutil::expect_scan_eq(got, reference_rank(l));
+}
 
 // ---------------------------------------------------------------------
 // The sharded tier: P shards x every operator x every generator shape,
