@@ -229,10 +229,10 @@ int main(int argc, char** argv) {
     last_n = n;
 
     // The fully-auto plan: the (T, W, m) the planner picks with
-    // EngineOptions{threads=0, interleave=0, sublists_per_thread=0},
-    // measured under the same harness as the grid cells (same warm output
-    // buffer) so the row judges the planner's choice, not Engine API
-    // overheads like cold result pages.
+    // EngineOptions{threads=0, interleave=0}, measured under the same
+    // harness as the grid cells (same warm output buffer) so the row
+    // judges the planner's choice, not Engine API overheads like cold
+    // result pages.
     {
       EngineOptions eo;
       eo.backend = BackendKind::kHost;

@@ -146,11 +146,9 @@ HostTuneResult host_tune(double n, double op_factor, unsigned max_threads,
 }
 
 std::size_t host_sublists(double n, unsigned threads, unsigned interleave,
-                          unsigned pinned_per_thread,
                           const HostCostConstants& k) {
-  const std::size_t t = std::max(1u, threads);
-  if (pinned_per_thread > 0) return t * pinned_per_thread;
-  const std::size_t lanes = t * std::max(1u, interleave);
+  const std::size_t lanes =
+      std::size_t{std::max(1u, threads)} * std::max(1u, interleave);
   const double m =
       n > 1.0 ? std::sqrt(k.drain_per_sublist * n * std::log(n) / 2.0) : 0.0;
   return std::max(lanes, static_cast<std::size_t>(m));
@@ -181,9 +179,7 @@ host_exec::HostPlan plan_host(std::size_t width, ScanOp op,
   // stalls on (the paper's vectorization argument, on a CPU).
   if (!pins.force_sublists && useful <= 1 && ht.packed_ns >= ht.serial_ns)
     return {};
-  return {ht.threads,
-          host_sublists(wd, ht.threads, ht.interleave,
-                        pins.sublists_per_thread),
+  return {ht.threads, host_sublists(wd, ht.threads, ht.interleave),
           ht.interleave};
 }
 

@@ -105,11 +105,8 @@ HostTuneResult host_tune(double n, double op_factor = 1.0,
 /// ln m ~ (ln n)/2 at the optimum, m = sqrt(D/S * n ln n / 2)
 /// (D/S = k.drain_per_sublist), floored at threads x interleave so
 /// every cursor starts on a sublist of its own. The paper's Section 4.4
-/// tuned m scales the same way. `pinned_per_thread` > 0 returns
-/// threads x pinned_per_thread instead (EngineOptions::
-/// sublists_per_thread). The kernel caps the count at n / 2.
+/// tuned m scales the same way. The kernel caps the count at n / 2.
 std::size_t host_sublists(double n, unsigned threads, unsigned interleave,
-                          unsigned pinned_per_thread = 0,
                           const HostCostConstants& k = {});
 
 /// The knobs of a host plan its caller fixed; 0 (false) leaves a knob
@@ -117,7 +114,6 @@ std::size_t host_sublists(double n, unsigned threads, unsigned interleave,
 struct HostPins {
   unsigned threads = 0;     ///< worker-thread cap; 0 = the machine's
   unsigned interleave = 0;  ///< cursors per worker (W)
-  unsigned sublists_per_thread = 0;  ///< see host_sublists
   /// Run the sublist kernel even where the model prefers the serial
   /// walk: an explicit Method::kReidMiller, or one shard of a sharded run.
   bool force_sublists = false;

@@ -86,9 +86,7 @@ Status Status::deadline_exceeded(std::string msg) {
 Planner::Planner(const EngineOptions& opt)
     : backend_(opt.backend),
       processors_(std::max(1u, opt.processors)),
-      pins_{.threads = opt.threads,
-            .interleave = opt.interleave,
-            .sublists_per_thread = opt.sublists_per_thread},
+      pins_{.threads = opt.threads, .interleave = opt.interleave},
       shard_(opt.shard),
       pinned_m_(opt.reid_miller.m),
       pinned_s1_(opt.reid_miller.s1),
@@ -381,7 +379,8 @@ class HostBackend final : public ExecutionBackend {
     if (!st.ok()) return st;
     const std::size_t n = req.list->size();
     out.stats.algo.rounds = n == 0 ? 0 : 3;
-    out.stats.algo.link_steps = 2 * n;
+    // Pass A chases every link once; pass C streams in array order.
+    out.stats.algo.link_steps = n;
     // Per-run reduced-list arrays (~4 words per segment), the 4 B/vertex
     // segment-id array (n/2 words), and one shard's slab resident at a
     // time.
@@ -588,7 +587,10 @@ RunResult Engine::run(const Request& req) {
     result.status = Status::invalid("request carries no list");
     return result;
   }
-  if (opt_.validate_input) {
+  // The sim backend's algorithms assume a well-formed list (a tail-less
+  // one can crash or spin them), so it validates every input; the check
+  // costs host time only, not simulated cycles.
+  if (opt_.validate_input || opt_.backend == BackendKind::kSim) {
     if (const auto err = validate_list(*req.list)) {
       result.status = Status::invalid("invalid linked list: " + *err);
       return result;

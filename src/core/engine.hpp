@@ -227,7 +227,7 @@ struct RunStats {
   unsigned shard_count = 0;          ///< shards the run split into
   std::uint64_t shard_segments = 0;  ///< reduced-list length (2nd level)
   std::uint64_t shard_loads = 0;     ///< shard-file loads (spill tier)
-  std::uint64_t shard_spills = 0;    ///< residencies evicted by the budget
+  std::uint64_t shard_spills = 0;    ///< mapped shards unmapped on release
   std::uint64_t shard_prefetch_hits = 0;  ///< loads the prefetcher served
   bool shard_spilled = false;        ///< the out-of-core tier was active
   std::uint64_t shard_corrupt_slabs = 0;  ///< slabs failing integrity checks
@@ -258,17 +258,19 @@ struct RunResult {
 /// Sharded / out-of-core execution knobs (src/shard/): splitting a run
 /// into P contiguous id-range shards ranked independently, with
 /// cross-shard cursors resolved by a second-level Reid-Miller pass, and an
-/// optional spill tier that keeps at most `byte_budget` shard bytes
-/// resident (mmapped ShardFiles + async prefetch). Lists of any length a
+/// optional spill tier that maps one shard at a time from mmapped
+/// ShardFiles, with an async prefetch of the next. Lists of any length a
 /// 32-bit index holds run unsharded unless one of these asks otherwise.
 struct ShardOptions {
   /// Pinned shard count; 0 = auto: shard only when the list's bytes
   /// exceed `byte_budget` (1 forces a single-shard sharded run, which
   /// tests use to exercise the machinery on small lists).
   unsigned shards = 0;
-  /// Resident shard-byte budget for the spill tier; 0 = all-in-RAM (no
-  /// shard files are ever written). A list larger than a nonzero budget
-  /// is sharded so that about two shards fit it.
+  /// Shard-byte budget: > 0 turns the spill tier on and sizes the shards
+  /// (a list larger than the budget is sharded so that about two shards
+  /// fit it), and the store maps only the acquired shard and the
+  /// prefetched next one; 0 = all-in-RAM (no shard files are ever
+  /// written).
   std::size_t byte_budget = 0;
   /// Spill directory. "" = a fresh ephemeral per-run directory under the
   /// system temp dir, removed when the run ends. A non-empty directory is
@@ -298,13 +300,6 @@ struct EngineOptions {
   /// OpenMP (or hardware) thread count. > 0 pins the cap explicitly
   /// (small runs still shed threads before going serial).
   unsigned threads = 0;
-  /// Host sublists per worker thread; 0 = auto: the Planner sizes the
-  /// total by the paper's Eq. 5 trade-off, m ~ sqrt(n ln n) (analysis/
-  /// tuner host_sublists) -- more sublists shorten the drain, where the
-  /// last ones finish with fewer cursors than the workers hold, but each
-  /// costs a boundary pick, a claim and a phase-2 hop. > 0 pins the total
-  /// at threads x this count.
-  unsigned sublists_per_thread = 0;
   /// Accepted for source compatibility and otherwise ignored: every
   /// value plans alike, because the kernel picks its hop source per run
   /// from the operator and the value fit (RunStats::kernel_tier reports
@@ -321,6 +316,7 @@ struct EngineOptions {
   AndersonMillerOptions anderson_miller;  ///< sim backend baseline knobs
   /// Run the O(n) structural validator on every input first; malformed
   /// lists yield StatusCode::kInvalidInput instead of undefined behaviour.
+  /// The sim backend validates every input whatever this says.
   bool validate_input = false;
   /// Check every answer against the serial reference; mismatches yield
   /// StatusCode::kWrongAnswer. Costs one serial pass per run.
@@ -359,8 +355,7 @@ class Planner {
   struct Decision {
     Method method = Method::kSerial;  ///< resolved algorithm (never kAuto)
     /// m: the tuned Reid-Miller m (sim), or the host kernel's total
-    /// sublist count (host_sublists, or threads x a pinned per-thread
-    /// count).
+    /// sublist count (host_sublists).
     double sublists = 0.0;
     double s1 = 0.0;        ///< first balance interval (sim Reid-Miller)
     unsigned threads = 1;   ///< host worker threads (host backend only)

@@ -19,7 +19,7 @@
 // their sublist refill from their worker's claimed range, and a worker
 // refills that range from a shared counter by guided self-scheduling:
 // each trip takes max(1, remaining / (2 T W)) sublists, so a run of
-// ~1-vertex sublists (the shard passes' segments) pays a fraction of a
+// ~1-vertex sublists (shard pass A's segments) pays a fraction of a
 // contended claim per sublist. The last claims are single sublists, and
 // they drain with shrinking parallelism, which is why the Planner sizes
 // the sublist count by the paper's Eq. 5 trade-off (analysis/tuner.hpp
@@ -383,7 +383,7 @@ struct NoAhead {
 ///
 /// Claims are guided self-scheduling: a worker whose own range is empty
 /// takes max(1, remaining / (2 T W)) sublists from the shared counter in
-/// one CAS. Short sublists (the shard passes' ~1-vertex segments) then
+/// one CAS. Short sublists (shard pass A's ~1-vertex segments) then
 /// cost a fraction of a contended claim each, while the last claims are
 /// still single sublists: the final < W sublists drain with shrinking
 /// parallelism, which is why the Planner sizes k by host_sublists.

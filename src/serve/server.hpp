@@ -147,10 +147,10 @@ struct ServerStats {
   std::uint64_t stale_rejections = 0;   ///< kStaleGeneration rejections
 
   // Out-of-core sharding aggregates across every completed run
-  // (RunStats::shard_*): how often the sharded tier engaged and how hard
-  // the byte budget squeezed it.
+  // (RunStats::shard_*): how often the sharded tier engaged and what its
+  // spill tier did.
   std::uint64_t sharded_runs = 0;        ///< runs that took the shard path
-  std::uint64_t shard_spills = 0;        ///< shard evictions under budget
+  std::uint64_t shard_spills = 0;        ///< shards unmapped on release
   std::uint64_t shard_prefetch_hits = 0; ///< shards consumed pre-faulted
 
   // Failure-model counters (the hardened paths; see ARCHITECTURE.md

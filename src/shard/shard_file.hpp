@@ -169,8 +169,6 @@ class ShardMap {
   const value_t* value() const { return value_; }
   /// Vertices in the shard.
   std::size_t size() const { return len_; }
-  /// Resident footprint charged against the store's byte budget.
-  std::size_t bytes() const { return map_bytes_; }
 
   /// Sequentially faults every payload page in (the prefetcher's whole
   /// job: by the time the ranking pass arrives, the pages are resident).

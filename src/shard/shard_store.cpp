@@ -86,13 +86,12 @@ ShardStore::~ShardStore() {
 }
 
 bool ShardStore::prepare(const LinkedList& list, const ShardedList& sharded,
-                         std::size_t byte_budget, const std::string& dir,
+                         bool spill, const std::string& dir,
                          unsigned prefetch_depth, bool keep_files,
                          unsigned threads, bool allow_degraded) {
   list_ = &list;
   sharded_ = &sharded;
-  budget_ = byte_budget;
-  spill_ = byte_budget > 0 && sharded.n > 0;
+  spill_ = spill && sharded.n > 0;
   dir_ = dir;
   keep_files_ = keep_files;
   allow_degraded_ = allow_degraded;
@@ -153,8 +152,8 @@ bool ShardStore::prepare(const LinkedList& list, const ShardedList& sharded,
   }
   stats_.spilled = true;
   if (prefetch_depth > 0 && sharded.shards > 1) {
+    target_ = 0;  // prime: fault shard 0 in while the caller finishes setup
     prefetcher_ = std::thread([this] { prefetch_loop(); });
-    hint_next(0);  // prime: fault shard 0 in while the caller finishes setup
   }
   return true;
 }
@@ -188,27 +187,12 @@ ShardView ShardStore::resident_view(unsigned p) const {
   return ShardView{list_->next.data() + b, list_->value.data() + b, b, e};
 }
 
-void ShardStore::evict_over_budget_locked() {
-  while (resident_bytes_ > budget_) {
-    auto victim = resident_.end();
-    for (auto it = resident_.begin(); it != resident_.end(); ++it) {
-      if (it->second.pinned) continue;
-      if (victim == resident_.end() || it->second.stamp < victim->second.stamp)
-        victim = it;
-    }
-    if (victim == resident_.end()) return;  // everything left is pinned
-    resident_bytes_ -= victim->second.map.bytes();
-    ++stats_.spills;
-    resident_.erase(victim);
-  }
-}
-
 ShardView ShardStore::acquire(unsigned p) {
   const auto [b, e] = sharded_->range(p);
   if (!spill_) return resident_view(p);
   std::unique_lock<std::mutex> lk(mu_);
-  // Depth-1 lookahead: both ranking passes visit shards in ascending
-  // order, so the next shard is always p + 1.
+  // Depth-1 lookahead: pass A visits shards in ascending order, so the
+  // next shard is always p + 1.
   const auto hint_next_locked = [&] {
     if (prefetcher_.joinable() && p + 1 < sharded_->shards &&
         !degraded_[p + 1] &&
@@ -220,7 +204,7 @@ ShardView ShardStore::acquire(unsigned p) {
   for (;;) {
     if (degraded_[p]) {
       // The spill tier is broken for this shard; serve it straight from
-      // the resident source arrays (over budget, by design).
+      // the resident source arrays (nothing to unmap on release).
       hint_next_locked();
       return resident_view(p);
     }
@@ -248,38 +232,22 @@ ShardView ShardStore::acquire(unsigned p) {
         continue;  // served by the degraded branch above
       }
       ++stats_.loads;
-      resident_bytes_ += lo.map.bytes();
-      Resident r;
-      r.map = std::move(lo.map);
-      it = resident_.emplace(p, std::move(r)).first;
+      it = resident_.emplace(p, Resident{std::move(lo.map)}).first;
     }
     Resident& res = it->second;
-    res.pinned = true;
-    res.stamp = ++clock_;
     if (res.from_prefetch) {
       res.from_prefetch = false;
       ++stats_.prefetch_hits;
     }
-    const ShardView view{res.map.next(), res.map.value(), b, e};
-    evict_over_budget_locked();
     hint_next_locked();
-    return view;
+    return ShardView{res.map.next(), res.map.value(), b, e};
   }
 }
 
 void ShardStore::release(unsigned p) {
   if (!spill_) return;
   std::lock_guard<std::mutex> lk(mu_);
-  auto it = resident_.find(p);
-  if (it != resident_.end()) it->second.pinned = false;
-}
-
-void ShardStore::hint_next(unsigned p) {
-  if (!spill_ || !prefetcher_.joinable() || p >= sharded_->shards) return;
-  std::lock_guard<std::mutex> lk(mu_);
-  if (resident_.find(p) != resident_.end() || in_flight_ == p) return;
-  target_ = p;
-  cv_.notify_all();
+  if (resident_.erase(p) > 0) ++stats_.spills;  // a degraded shard maps none
 }
 
 StoreStats ShardStore::stats() const {
@@ -314,12 +282,7 @@ void ShardStore::prefetch_loop() {
     // synchronously and owns the degrade/refuse decision.
     if (!shutdown_ && lo.map && resident_.find(p) == resident_.end()) {
       ++stats_.loads;
-      resident_bytes_ += lo.map.bytes();
-      Resident r;
-      r.map = std::move(lo.map);
-      r.from_prefetch = true;
-      r.stamp = ++clock_;
-      resident_.emplace(p, std::move(r));
+      resident_.emplace(p, Resident{std::move(lo.map), true});
     }
     cv_.notify_all();  // an acquire may be blocked on this shard
   }

@@ -1,6 +1,7 @@
 // ShardedList -- the list split into P contiguous index-range shards --
 // and ShardStore, the residency manager that serves per-shard views either
-// straight out of RAM or from spilled ShardFiles under a byte budget.
+// straight out of RAM or, when a byte budget is set, from spilled
+// ShardFiles.
 //
 // The decomposition is the paper's sublist reduction applied one level up:
 // a *segment* is a maximal run of list-order-consecutive vertices whose
@@ -13,11 +14,12 @@
 // numbers each shard's marked slice in id order.
 //
 // The store's out-of-core tier follows the Gigablast RdbCache/RdbMerge
-// shape: shard files written once at streaming bandwidth, an LRU of
-// mmapped shards capped by a resident byte budget, and a single async
-// prefetch thread that faults the next shard's pages in while the current
-// one is being ranked -- the ranking passes visit shards in ascending
-// order twice, so depth-1 lookahead is the whole win.
+// shape: shard files written once at streaming bandwidth, mmapped one
+// shard at a time, and a single async prefetch thread that faults the
+// next shard's pages in while the current one is being ranked. The
+// ranking visits each shard once, in ascending order, so depth-1
+// lookahead is the whole win, and a released shard is unmapped at once:
+// at most the acquired shard and the prefetched next one are mapped.
 #pragma once
 
 #include <condition_variable>
@@ -51,8 +53,11 @@ struct ShardedList {
   /// Per shard: the id of its first segment (prefix sums of heads_of
   /// sizes); segment ids are dense in [0, segments).
   std::vector<std::size_t> seg_base;
-  /// By vertex (n entries): the id of the segment it heads, or kNoVertex
-  /// when it heads none. Resolves a segment's exit by one lookup.
+  /// By vertex (n entries): after build(), the id of the segment it
+  /// heads, or kNoVertex when it heads none, which resolves a segment's
+  /// exit by one lookup. After sharded_scan's pass A it names every
+  /// vertex's segment (heads keep their ids); a vertex no segment reaches
+  /// keeps kNoVertex.
   std::vector<index_t> seg_of;
   std::size_t segments = 0;  ///< total segment count (reduced-list length)
 
@@ -90,7 +95,7 @@ struct ShardView {
 /// Residency and I/O counters for one store lifetime.
 struct StoreStats {
   std::uint64_t loads = 0;          ///< shard file loads (mmap/open)
-  std::uint64_t spills = 0;         ///< residencies evicted under the budget
+  std::uint64_t spills = 0;         ///< mapped shards unmapped on release
   std::uint64_t prefetch_hits = 0;  ///< loads the async prefetcher served
   std::uint64_t reused_files = 0;   ///< valid pre-existing files kept as-is
   std::uint64_t spill_bytes = 0;    ///< bytes written to shard files
@@ -111,18 +116,18 @@ enum class StoreError {
 
 /// Serves per-shard views of one list for the duration of one sharded run.
 ///
-/// RAM mode (byte_budget == 0): views alias the source arrays; zero copy,
-/// zero I/O. Spill mode (byte_budget > 0): prepare() writes every shard to
+/// RAM mode: views alias the source arrays; zero copy, zero I/O. Spill
+/// mode (ShardExec::byte_budget > 0): prepare() writes every shard to
 /// a ShardFile in `dir` (reusing any file whose header already matches),
-/// then acquire() serves mmapped views under an LRU capped at the budget,
-/// with one async prefetch thread faulting the next shard in.
+/// then acquire() serves an mmapped view of one shard, release() unmaps
+/// it, and one async prefetch thread faults the next shard in meanwhile.
 ///
-/// Thread model: one orchestrator thread calls prepare/acquire/release/
-/// hint_next. prepare's workers each write one shard's file and its own
-/// outcome slot, and are joined before it returns; after that the
-/// internal prefetch thread is the only concurrency, and every shared
-/// field is guarded by one mutex. The view returned by acquire(p) stays
-/// valid until release(p).
+/// Thread model: one orchestrator thread calls prepare/acquire/release.
+/// prepare's workers each write one shard's file and its own outcome
+/// slot, and are joined before it returns; after that the internal
+/// prefetch thread is the only concurrency, and every shared field is
+/// guarded by one mutex. The view returned by acquire(p) stays valid
+/// until release(p).
 class ShardStore {
  public:
   ShardStore() = default;
@@ -132,9 +137,9 @@ class ShardStore {
   /// (and their directory) unless keep_files was set.
   ~ShardStore();
 
-  /// Binds the store to `list` split per `sharded`. byte_budget == 0
-  /// selects RAM mode; otherwise shard files are written under `dir`
-  /// (created if needed; must be non-empty) over `threads` workers,
+  /// Binds the store to `list` split per `sharded`. `spill` false selects
+  /// RAM mode; true selects the spill tier: shard files are written under
+  /// `dir` (created if needed; must be non-empty) over `threads` workers,
   /// existing matching files are reused, and `prefetch_depth` > 0 starts
   /// the async prefetcher.
   /// `keep_files` leaves the files on disk at destruction (a server
@@ -142,19 +147,18 @@ class ShardStore {
   ///
   /// Failure model: with `allow_degraded` (the default) a shard whose
   /// spill write fails (ENOSPC, EIO) is put in DEGRADED mode -- served
-  /// straight from the always-resident source arrays, over budget,
-  /// counted in StoreStats::degraded -- and prepare() still succeeds.
+  /// straight from the always-resident source arrays, counted in
+  /// StoreStats::degraded -- and prepare() still succeeds.
   /// With `allow_degraded == false` any write failure fails prepare()
   /// (last_error() == kIo; the caller surfaces kResourceExhausted).
   bool prepare(const LinkedList& list, const ShardedList& sharded,
-               std::size_t byte_budget, const std::string& dir,
+               bool spill, const std::string& dir,
                unsigned prefetch_depth, bool keep_files, unsigned threads,
                bool allow_degraded = true);
 
-  /// Blocks until shard `p` is resident and returns its view, pinned until
+  /// Blocks until shard `p` is resident and returns its view, valid until
   /// release(p). On the spill tier this may wait for the prefetcher or
-  /// perform a synchronous load, then evicts LRU unpinned shards until the
-  /// budget holds.
+  /// perform a synchronous load, then asks the prefetcher for shard p + 1.
   ///
   /// Failure ladder: a slab failing its integrity check is counted
   /// (corrupt_slabs), re-packed from the source list (repacks) and
@@ -168,14 +172,9 @@ class ShardStore {
   /// when everything was served, possibly degraded).
   StoreError last_error() const;
 
-  /// Unpins shard `p` (it stays resident until evicted by the budget).
+  /// Unmaps shard `p` on the spill tier (counted in StoreStats::spills):
+  /// each shard is acquired once per run.
   void release(unsigned p);
-
-  /// Asks the prefetcher to start faulting shard `p` in (no-op in RAM
-  /// mode, when disabled, or when `p` is already resident or in flight).
-  /// acquire() hints p + 1 automatically; this is for callers that know a
-  /// different access order.
-  void hint_next(unsigned p);
 
   /// Counters so far (orchestrator-thread view; the prefetcher's
   /// contributions are folded in under the same mutex).
@@ -184,9 +183,7 @@ class ShardStore {
  private:
   struct Resident {
     ShardMap map;
-    bool pinned = false;
     bool from_prefetch = false;  ///< not yet consumed by an acquire
-    std::uint64_t stamp = 0;     ///< LRU clock at last acquire
   };
 
   /// One load attempt plus its recovery bookkeeping (no lock held; pure
@@ -198,13 +195,11 @@ class ShardStore {
   };
 
   LoadOutcome load_shard(unsigned p);
-  void evict_over_budget_locked();
   void prefetch_loop();
   ShardView resident_view(unsigned p) const;  ///< degraded/RAM-mode view
 
   const LinkedList* list_ = nullptr;
   const ShardedList* sharded_ = nullptr;
-  std::size_t budget_ = 0;
   std::string dir_;
   bool keep_files_ = false;
   bool spill_ = false;
@@ -217,8 +212,6 @@ class ShardStore {
   mutable std::mutex mu_;
   std::condition_variable cv_;
   std::unordered_map<unsigned, Resident> resident_;
-  std::size_t resident_bytes_ = 0;
-  std::uint64_t clock_ = 0;
   StoreStats stats_;
 
   // Prefetcher handshake (all under mu_): target_ is the shard the

@@ -93,25 +93,47 @@ struct ShardHops {
   }
 };
 
-/// Per-run scratch shared by passes A and C (sized to the widest shard
-/// once, reused across shards).
+/// Per-run scratch of pass A (sized to the widest shard once, reused
+/// across shards).
 struct ShardScratch {
   std::vector<packed_t> words;   ///< shard-local hot slab
   std::vector<index_t> lheads;   ///< shard-local segment head indices
 };
 
-/// Walks every segment headed in one shard with the cursor driver (see
-/// host_exec::interleave_sublists for init/step/finish/ahead; vertices
-/// are shard-local). Returns whether the shard's hot-word slab served it.
-template <ListOp Op, bool kOnes, class Init, class Step, class Finish,
-          class Ahead>
-bool walk_shard(const ShardView& view, const std::vector<index_t>& heads,
-                const ShardExec& exec, ShardScratch& scratch, Init init,
-                Step step, Finish finish, Ahead ahead) {
+/// Pass A over one shard: walks every segment headed in it with the
+/// cursor driver (host_exec::interleave_sublists; vertices are
+/// shard-local), over the shard's hot-word slab when its values fit the
+/// 32-bit lane and over its own arrays otherwise. At each vertex the step
+/// leaves what pass C needs: the vertex's exclusive prefix within its
+/// segment in out[v], whose line the cursor write-prefetched a hop ahead,
+/// and its segment id in seg_of[v] (a head rewrites its own id). Each
+/// segment's finish records its operator total and exit vertex. Returns
+/// whether the slab served the shard.
+template <ListOp Op, bool kOnes>
+bool pass_reduce(const ShardView& view, const std::vector<index_t>& heads,
+                 std::size_t seg_base, const ShardExec& exec,
+                 ShardScratch& scratch, Op op, index_t* seg_of, value_t* out,
+                 std::vector<value_t>& totals, std::vector<index_t>& exits) {
   const std::size_t k = heads.size();
+  const auto begin = static_cast<index_t>(view.begin);
   scratch.lheads.resize(k);
-  for (std::size_t j = 0; j < k; ++j)
-    scratch.lheads[j] = heads[j] - static_cast<index_t>(view.begin);
+  for (std::size_t j = 0; j < k; ++j) scratch.lheads[j] = heads[j] - begin;
+  value_t* o = out + begin;
+  index_t* sg = seg_of + begin;
+  const auto init = [](std::size_t) { return Op::identity(); };
+  const auto step = [op, o, sg, seg_base](index_t j, index_t v, value_t x,
+                                          value_t& acc) {
+    o[v] = acc;
+    sg[v] = static_cast<index_t>(seg_base + j);
+    acc = op(acc, x);
+  };
+  const auto finish = [&](index_t j, index_t tv, value_t acc) {
+    const std::size_t g = seg_base + j;
+    totals[g] = acc;
+    const index_t gn = view.next[tv];
+    exits[g] = gn == begin + tv ? kNoVertex : gn;
+  };
+  const auto ahead = [o](index_t v) { host_exec::prefetch_rw(&o[v]); };
   bool slab = false;
   if constexpr (kOnes || kOpLane32<Op>)
     slab = view.size() <= kHotMaxVertices &&
@@ -122,8 +144,7 @@ bool walk_shard(const ShardView& view, const std::vector<index_t>& heads,
         exec.threads, exec.interleave, init, step, finish, ahead);
   } else {
     host_exec::interleave_sublists(
-        ShardHops<kOnes>{view.next, view.value,
-                         static_cast<index_t>(view.begin),
+        ShardHops<kOnes>{view.next, view.value, begin,
                          static_cast<index_t>(view.end)},
         scratch.lheads.data(), k, exec.threads, exec.interleave, init, step,
         finish, ahead);
@@ -131,49 +152,8 @@ bool walk_shard(const ShardView& view, const std::vector<index_t>& heads,
   return slab;
 }
 
-/// Pass A over one shard: every segment's operator total and exit vertex.
 template <ListOp Op, bool kOnes>
-bool pass_totals(const ShardView& view, const std::vector<index_t>& heads,
-                 std::size_t seg_base, const ShardExec& exec,
-                 ShardScratch& scratch, Op op, std::vector<value_t>& totals,
-                 std::vector<index_t>& exits) {
-  return walk_shard<Op, kOnes>(
-      view, heads, exec, scratch, [](std::size_t) { return Op::identity(); },
-      [op](index_t, index_t, value_t x, value_t& acc) { acc = op(acc, x); },
-      [&](index_t j, index_t tv, value_t acc) {
-        const std::size_t g = seg_base + j;
-        totals[g] = acc;
-        const index_t gn = view.next[tv];
-        exits[g] =
-            gn == static_cast<index_t>(view.begin + tv) ? kNoVertex : gn;
-      },
-      host_exec::NoAhead{});
-}
-
-/// Pass C over one shard: re-walk each segment with the accumulator seeded
-/// at its global prefix, writing the final exclusive scan (write-
-/// prefetching each output slot a hop ahead, as the kernel's phase 1
-/// does).
-template <ListOp Op, bool kOnes>
-bool pass_expand(const ShardView& view, const std::vector<index_t>& heads,
-                 std::size_t seg_base, const ShardExec& exec,
-                 ShardScratch& scratch, Op op,
-                 const std::vector<value_t>& seg_pref,
-                 std::span<value_t> out) {
-  value_t* o = out.data() + view.begin;
-  return walk_shard<Op, kOnes>(
-      view, heads, exec, scratch,
-      [&](std::size_t j) { return seg_pref[seg_base + j]; },
-      [op, o](index_t, index_t v, value_t x, value_t& acc) {
-        o[v] = acc;
-        acc = op(acc, x);
-      },
-      [](index_t, index_t, value_t) {},
-      [o](index_t v) { host_exec::prefetch_rw(&o[v]); });
-}
-
-template <ListOp Op, bool kOnes>
-Status run_sharded(const LinkedList& list, const ShardedList& sharded,
+Status run_sharded(const LinkedList& list, ShardedList& sharded,
                    const ShardExec& exec, Op op,
                    const host_exec::HostPlan& reduced_plan, Workspace& ws,
                    std::span<value_t> out, ShardStore& store,
@@ -182,9 +162,12 @@ Status run_sharded(const LinkedList& list, const ShardedList& sharded,
   std::vector<value_t> totals(m);
   std::vector<index_t> exits(m);
   ShardScratch scratch;
-  bool packed = true;  // every shard pass walked its slab
+  bool packed = true;  // every shard walked its slab
+  index_t* seg_of = sharded.seg_of.data();
+  value_t* o = out.data();
 
-  // Pass A: per-shard segment totals + exits, one resident shard at a time.
+  // Pass A: per-shard segment totals + exits, plus every vertex's segment
+  // and local prefix, one resident shard at a time.
   for (unsigned p = 0; p < sharded.shards; ++p) {
     if (sharded.heads_of[p].empty()) continue;
     const ShardView view = store.acquire(p);
@@ -194,20 +177,20 @@ Status run_sharded(const LinkedList& list, const ShardedList& sharded,
                        "sharded scan: unrecoverable slab (pass A)")
                  : Status::resource_exhausted(
                        "sharded scan: shard load failed (pass A)");
-    packed &= pass_totals<Op, kOnes>(view, sharded.heads_of[p],
+    packed &= pass_reduce<Op, kOnes>(view, sharded.heads_of[p],
                                      sharded.seg_base[p], exec, scratch, op,
-                                     totals, exits);
+                                     seg_of, o, totals, exits);
     store.release(p);
   }
 
   // Pass B: the second-level Reid-Miller pass over the reduced list (one
   // node per segment), run by the host kernel on `reduced_plan`. O(m), all
   // in RAM. Each segment links to the one its exit vertex heads: one
-  // seg_of lookup, over parallel index blocks.
+  // seg_of lookup (a head's id survives pass A), over parallel index
+  // blocks.
   LinkedList reduced;
   reduced.next.resize(m);
   reduced.value = std::move(totals);
-  const index_t* seg_of = sharded.seg_of.data();
   const std::size_t blocks = std::max(1u, exec.threads);
   std::atomic<index_t> tail_seg{kNoVertex};
   std::atomic<bool> dangling{false};
@@ -238,21 +221,18 @@ Status run_sharded(const LinkedList& list, const ShardedList& sharded,
           .no_tail)
     return Status::invalid("sharded scan: the reduced list has no tail");
 
-  // Pass C: per-shard expansion from the segment prefixes.
-  for (unsigned p = 0; p < sharded.shards; ++p) {
-    if (sharded.heads_of[p].empty()) continue;
-    const ShardView view = store.acquire(p);
-    if (view.next == nullptr)
-      return store.last_error() == StoreError::kCorrupt
-                 ? Status::corrupt_slab(
-                       "sharded scan: unrecoverable slab (pass C)")
-                 : Status::resource_exhausted(
-                       "sharded scan: shard load failed (pass C)");
-    packed &= pass_expand<Op, kOnes>(view, sharded.heads_of[p],
-                                     sharded.seg_base[p], exec, scratch, op,
-                                     seg_pref, out);
-    store.release(p);
-  }
+  // Pass C: one pass in array order, out[v] = op(seg_pref[seg_of[v]],
+  // out[v]). Every read and write streams and no shard is acquired; only
+  // the O(m) prefixes are gathered. A vertex no segment reached keeps
+  // kNoVertex and is skipped.
+  const value_t* pref = seg_pref.data();
+  host_exec::for_each_range(
+      exec.threads, list.size(), [&](std::size_t b, std::size_t e) {
+        for (std::size_t v = b; v < e; ++v) {
+          const index_t s = seg_of[v];
+          if (s != kNoVertex) o[v] = op(pref[s], o[v]);
+        }
+      });
   stats.shards = sharded.shards;
   stats.segments = m;
   stats.interleave =
@@ -269,14 +249,13 @@ Status sharded_scan(const LinkedList& list, bool rank, ScanOp op,
   stats = ShardRunStats{};
   const std::size_t n = list.size();
   if (n == 0) return Status::success();
-  const ShardedList sharded =
-      ShardedList::build(list, exec.shards, exec.threads);
+  ShardedList sharded = ShardedList::build(list, exec.shards, exec.threads);
   ShardStore store;
   const bool spill = exec.byte_budget > 0;
   const std::string dir =
       spill ? (exec.spill_dir.empty() ? ephemeral_spill_dir() : exec.spill_dir)
             : std::string{};
-  if (!store.prepare(list, sharded, exec.byte_budget, dir, exec.prefetch,
+  if (!store.prepare(list, sharded, spill, dir, exec.prefetch,
                      exec.keep_files, exec.threads, exec.degrade)) {
     stats.store = store.stats();
     return store.last_error() == StoreError::kIo

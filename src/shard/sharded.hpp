@@ -2,29 +2,32 @@
 // applied one level up (ROADMAP "Sharded + out-of-core list ranking").
 //
 // A run splits the list into P contiguous id-range shards (ShardedList),
-// then makes three passes:
+// then makes three passes, the host kernel's phases one level up:
 //
 //   pass A  per shard, ascending: walk every segment headed in the shard
 //           with the (threads x W) cursor driver -- over a shard-local
 //           hot-word slab when the shard's values fit the 32-bit lane,
 //           over the shard's own arrays otherwise -- producing the
-//           segment's operator total and its exit vertex. Only ONE shard
-//           need be resident at a time.
+//           segment's operator total and its exit vertex, and leaving at
+//           every vertex its exclusive prefix within its segment (in the
+//           answer) and its segment id (in ShardedList::seg_of). Only ONE
+//           shard need be resident at a time, and each is walked once.
 //   pass B  the second-level Reid-Miller pass: the segments form a reduced
 //           list (node s = segment s, value = its total, link = the
-//           segment its exit vertex heads, read from ShardedList::seg_of);
-//           an exclusive scan of it, on the plan analysis/tuner plan_host
-//           gives its length, yields every segment's global prefix.
-//           Runs in RAM: the reduced list is O(segments), which is
-//           thousands on an id-local list but ~(P-1)/P n on a random one.
-//   pass C  per shard, ascending again: re-walk each segment with the
-//           accumulator seeded at its global prefix, writing the final
-//           exclusive scan. Associativity makes this bit-exact vs the
-//           serial oracle (the same algebra the in-core phases rely on).
+//           segment its exit vertex heads, read from seg_of, where heads
+//           keep their own ids); an exclusive scan of it, on the plan
+//           analysis/tuner plan_host gives its length, yields every
+//           segment's global prefix. Runs in RAM: the reduced list is
+//           O(segments), which is thousands on an id-local list but
+//           ~(P-1)/P n on a random one.
+//   pass C  one pass over the answer in array order, acquiring no shard:
+//           out[v] = op(prefix of seg_of[v], out[v]). Associativity makes
+//           this bit-exact vs the serial oracle (the same algebra the
+//           in-core phases rely on).
 //
-// Residency between passes is the ShardStore's job: all-in-RAM views when
-// no byte budget is set, spilled ShardFiles + LRU + async prefetch when
-// one is (the out-of-core tier).
+// Residency during pass A is the ShardStore's job: all-in-RAM views when
+// no byte budget is set, spilled ShardFiles mapped one at a time with an
+// async prefetch of the next when one is (the out-of-core tier).
 #pragma once
 
 #include <cstdint>
@@ -44,11 +47,14 @@ namespace lr90::shard {
 /// benches construct it directly).
 struct ShardExec {
   unsigned shards = 1;      ///< P (clamped to [1, min(n, kMaxShards)])
-  unsigned threads = 1;     ///< worker threads inside each per-shard pass
-  /// Cursors in flight per worker in each shard pass (clamped to
-  /// [1, host_exec::kMaxInterleave]).
+  unsigned threads = 1;     ///< worker threads inside each pass
+  /// Cursors in flight per worker in pass A's walk of each shard (clamped
+  /// to [1, host_exec::kMaxInterleave]).
   unsigned interleave = 8;
-  /// Resident shard-byte budget; 0 = all-in-RAM (no spill tier).
+  /// Shard-byte budget: > 0 turns the spill tier on, 0 = all-in-RAM. The
+  /// Planner sizes the shards so that about two fit it; whatever its
+  /// value, the store maps only the acquired shard and the prefetched
+  /// next one.
   std::size_t byte_budget = 0;
   /// Spill directory; "" = a fresh per-run directory under the system
   /// temp dir. Ignored when byte_budget == 0.
@@ -71,8 +77,8 @@ struct ShardExec {
 struct ShardRunStats {
   unsigned shards = 0;         ///< P the run actually used
   std::uint64_t segments = 0;  ///< reduced-list length (cross-shard cursors)
-  unsigned interleave = 0;     ///< cursors per worker the shard passes ran
-  /// Every shard pass walked a hot-word slab (false as soon as one shard
+  unsigned interleave = 0;     ///< cursors per worker pass A ran
+  /// Pass A walked every shard's hot-word slab (false as soon as one shard
   /// walked its arrays: a two-lane operator or a value past the lane).
   bool packed = false;
   StoreStats store;            ///< residency / spill / prefetch counters

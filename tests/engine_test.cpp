@@ -413,10 +413,10 @@ TEST(Planner, HostShedsThreadsBeforeGoingSerial) {
   EXPECT_EQ(planner.decide(3, Method::kAuto, true).method, Method::kSerial);
 }
 
-TEST(Planner, HostSublistCountComesFromTheModelUnlessPinned) {
-  // Default (sublists_per_thread = 0): m is the host rule's, evaluated at
-  // the width, threads and W the plan runs -- for ranks and for the
-  // list-array operators alike -- so it grows with n.
+TEST(Planner, HostSublistCountComesFromTheModel) {
+  // m is the host rule's, evaluated at the width, threads and W the plan
+  // runs -- for ranks and for the list-array operators alike -- so it
+  // grows with n.
   EngineOptions eo = backend_options(BackendKind::kHost);
   eo.threads = 4;
   const Planner planner(eo);
@@ -433,15 +433,6 @@ TEST(Planner, HostSublistCountComesFromTheModelUnlessPinned) {
     const auto rank = planner.decide(n, Method::kAuto, true);
     EXPECT_GT(rank.sublists, prev) << n;
     prev = rank.sublists;
-  }
-
-  // Pinned: exactly threads x count, whatever n, threads or W.
-  eo.sublists_per_thread = 100;
-  const Planner pinned(eo);
-  for (const std::size_t n : {1u << 16, 1u << 24}) {
-    const auto d = pinned.decide(n, Method::kAuto, true);
-    ASSERT_EQ(d.method, Method::kReidMiller);
-    EXPECT_EQ(d.sublists, 100.0 * d.threads) << n;
   }
 }
 
@@ -790,6 +781,21 @@ TEST(Engine, TaillessListsAreRefusedWithValidationOff) {
   // A serial walk over the ring stops after n hops as well.
   EXPECT_EQ(host.rank(ring, Method::kSerial).status.code,
             StatusCode::kInvalidInput);
+
+  // The sim backend checks every input, so no method sees the cycle.
+  Engine sim(backend_options(BackendKind::kSim));
+  ASSERT_FALSE(sim.options().validate_input);
+  for (const Method m :
+       {Method::kAuto, Method::kSerial, Method::kWyllie, Method::kMillerReif,
+        Method::kAndersonMiller, Method::kReidMiller,
+        Method::kReidMillerEncoded}) {
+    SCOPED_TRACE(method_name(m));
+    for (const bool rank : {true, false}) {
+      Request req = rank ? Request(RankRequest{&cycle, m})
+                         : Request(OpRequest{&cycle, ScanOp::kPlus, m});
+      EXPECT_EQ(sim.run(req).status.code, StatusCode::kInvalidInput);
+    }
+  }
 }
 
 TEST(Engine, PinnedS1SurvivesAutoM) {

@@ -3,11 +3,13 @@
 // oversubscription and the tiny-list sublist clamp all stay bit-exact
 // against the reference walk, and the input list is never written.
 // Method::kReidMiller is requested where a test needs the sublist kernel
-// itself rather than the planner's pick.
+// itself rather than the planner's pick; the two sublist-count cases
+// force host_exec::HostPlan::sublists on the kernel directly.
 #include "core/engine.hpp"
 
 #include <gtest/gtest.h>
 
+#include "core/host_exec.hpp"
 #include "lists/generators.hpp"
 #include "lists/validate.hpp"
 #include "test_util.hpp"
@@ -78,15 +80,17 @@ TEST(ParallelHost, MinMaxXorOperators) {
 }
 
 TEST(ParallelHost, ManySublistsPerThread) {
+  // 500 sublists per worker, far past the planned m.
   Rng rng(5);
   const LinkedList l = random_list(50000, rng);
-  EngineOptions eo = host_options(2);
-  eo.sublists_per_thread = 500;
-  Engine engine(std::move(eo));
-  const RunResult r = engine.rank(l);
-  ASSERT_TRUE(r.ok());
-  EXPECT_EQ(r.stats.host_threads, 2u);
-  testutil::expect_scan_eq(r.scan, reference_rank(l));
+  Workspace ws;
+  std::vector<value_t> out(l.size());
+  const host_exec::ExecInfo info = host_exec::rank_into(
+      l, {.threads = 2, .sublists = 1000, .interleave = 8}, ws, out);
+  ASSERT_FALSE(info.no_tail);
+  EXPECT_EQ(info.threads, 2u);
+  EXPECT_EQ(info.sublists, 1000u);
+  testutil::expect_scan_eq(out, reference_rank(l));
 }
 
 TEST(ParallelHost, SublistCountClampedForTinyLists) {
@@ -94,12 +98,14 @@ TEST(ParallelHost, SublistCountClampedForTinyLists) {
   // the sublist count to n/2.
   Rng rng(6);
   const LinkedList l = random_list(6, rng, ValueInit::kUniformSmall);
-  EngineOptions eo = host_options(8);
-  eo.sublists_per_thread = 1000;
-  Engine engine(std::move(eo));
-  const RunResult r = engine.scan(l, ScanOp::kPlus, Method::kReidMiller);
-  ASSERT_TRUE(r.ok()) << r.status.message;
-  testutil::expect_scan_eq(r.scan, testutil::expected_scan(l, OpPlus{}));
+  Workspace ws;
+  std::vector<value_t> out(l.size());
+  const host_exec::ExecInfo info = host_exec::scan_into(
+      l, OpPlus{}, {.threads = 8, .sublists = 8000, .interleave = 8}, ws,
+      out);
+  ASSERT_FALSE(info.no_tail);
+  EXPECT_EQ(info.sublists, 3u);
+  testutil::expect_scan_eq(out, testutil::expected_scan(l, OpPlus{}));
 }
 
 TEST(ParallelHost, SeedInvariance) {

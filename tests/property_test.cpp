@@ -459,8 +459,8 @@ TEST_P(ShardHarness, AllShardCountsMatchSerialOracleSpillOnAndOff) {
           exec.shards = shards;
           exec.threads = 2;
           exec.interleave = 8;
-          // A 1-byte budget cannot hold any shard: every acquire loads
-          // from the spill file and evicts on release.
+          // Any nonzero budget turns the spill tier on: every acquire
+          // loads from the spill file and unmaps it on release.
           if (spill) exec.byte_budget = 1;
 
           Workspace ws;

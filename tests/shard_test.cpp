@@ -312,7 +312,7 @@ TEST(ShardedScan, SpillTierIsBitExactAndCountsSpillsLoadsPrefetch) {
   shard::ShardExec exec;
   exec.shards = P;
   exec.spill_dir = fresh_dir("spill_counts");
-  // Budget for two resident shards: both passes thrash the LRU.
+  // Budget for two resident shards: pass A maps each shard once.
   const std::size_t width = (n + P - 1) / P;
   exec.byte_budget =
       2 * (shard::shard_payload_bytes(width) + sizeof(shard::ShardHeader));
@@ -320,7 +320,7 @@ TEST(ShardedScan, SpillTierIsBitExactAndCountsSpillsLoadsPrefetch) {
       run_and_check(list, /*rank=*/true, ScanOp::kPlus, exec);
   EXPECT_EQ(stats.shards, P);
   EXPECT_TRUE(stats.store.spilled);
-  EXPECT_GE(stats.store.loads, static_cast<std::uint64_t>(P));
+  EXPECT_EQ(stats.store.loads, static_cast<std::uint64_t>(P));
   EXPECT_GE(stats.store.spills, 4u);
   EXPECT_GE(stats.store.prefetch_hits, 1u);
   // Ephemeral directory: removed when the run ended.
@@ -357,7 +357,29 @@ TEST(ShardedScan, PrefetchDisabledStillCorrect) {
   const shard::ShardRunStats stats =
       run_and_check(list, /*rank=*/true, ScanOp::kPlus, exec);
   EXPECT_EQ(stats.store.prefetch_hits, 0u);
-  EXPECT_GE(stats.store.loads, 12u);  // both passes load every shard
+  EXPECT_EQ(stats.store.loads, 6u);  // pass A loads every shard once
+}
+
+TEST(ShardedScan, ReleasedShardsAreUnmappedUnderABudgetThatHoldsTheList) {
+  // The budget turns the spill tier on; it does not keep shards mapped.
+  // Even a budget past the whole list unmaps each shard on release.
+  Rng rng(31);
+  const std::size_t n = 20000;
+  const unsigned P = 5;
+  const LinkedList list = random_list(n, rng, ValueInit::kSigned);
+  for (const unsigned prefetch : {0u, 1u}) {
+    SCOPED_TRACE("prefetch=" + std::to_string(prefetch));
+    shard::ShardExec exec;
+    exec.shards = P;
+    exec.spill_dir = fresh_dir("spill_roomy");
+    exec.prefetch = prefetch;
+    exec.byte_budget = 4 * n * (sizeof(index_t) + sizeof(value_t));
+    const shard::ShardRunStats stats =
+        run_and_check(list, /*rank=*/false, ScanOp::kPlus, exec);
+    EXPECT_TRUE(stats.store.spilled);
+    EXPECT_EQ(stats.store.loads, static_cast<std::uint64_t>(P));
+    EXPECT_EQ(stats.store.spills, static_cast<std::uint64_t>(P));
+  }
 }
 
 // -- Engine / Planner wiring ------------------------------------------------
@@ -426,6 +448,8 @@ TEST(ShardEngine, ExtraWordsCountTheSegmentIdArray) {
   ASSERT_TRUE(r.stats.host_packed);
   EXPECT_EQ(r.stats.algo.extra_words,
             4 * r.stats.shard_segments + 5000 / 2 + 5000 / 4);
+  // Pass A chases every link once; pass C streams.
+  EXPECT_EQ(r.stats.algo.link_steps, 5000u);
 }
 
 TEST(ShardEngine, ByteBudgetSpillsAndStaysBitExact) {

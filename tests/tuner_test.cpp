@@ -216,9 +216,6 @@ TEST(HostTune, SublistCountTracksSqrtNLogN) {
   }
   // Below the scale where the drain matters, the floor holds: threads x W.
   EXPECT_EQ(host_sublists(1024, 8, 32), 256u);
-  // A pinned per-thread count is exactly threads x count, whatever n.
-  EXPECT_EQ(host_sublists(1 << 24, 4, 16, /*pinned_per_thread=*/100), 400u);
-  EXPECT_EQ(host_sublists(64, 3, 16, 7), 21u);
 }
 
 TEST(HostTune, MtModelReducesToSingleThreadModel) {
