@@ -71,9 +71,6 @@ Status Status::unavailable(std::string msg) {
 Status Status::stale_generation(std::string msg) {
   return Status{StatusCode::kStaleGeneration, std::move(msg)};
 }
-Status Status::corrupt_slab(std::string msg) {
-  return Status{StatusCode::kCorruptSlab, std::move(msg)};
-}
 Status Status::resource_exhausted(std::string msg) {
   return Status{StatusCode::kResourceExhausted, std::move(msg)};
 }
@@ -356,23 +353,14 @@ class HostBackend final : public ExecutionBackend {
     exec.threads = std::max(1u, plan.threads);
     exec.interleave = plan.interleave;
     exec.byte_budget = shard_opts_.byte_budget;
-    exec.prefetch = shard_opts_.prefetch;
-    exec.degrade = shard_opts_.degrade;
-    if (!req.shard_spill_dir.empty()) {
-      // A request-pinned directory (the serving layer's per-snapshot-
-      // generation dir): reuse matching files and leave them on disk.
-      exec.spill_dir = req.shard_spill_dir;
-      exec.keep_files = true;
-    } else if (!shard_opts_.spill_dir.empty()) {
-      exec.spill_dir = shard_opts_.spill_dir;
-      exec.keep_files = true;
-    }
+    if (!shard_opts_.spill_dir.empty())
+      exec.spill_dir = shard::fresh_spill_dir(shard_opts_.spill_dir);
     shard::ShardRunStats ss;
     const Status st =
         shard::sharded_scan(*req.list, req.rank, req.op, exec, ws,
                             std::span<value_t>(out.scan), ss);
     // Fold the store's failure/recovery counters even when the run failed
-    // -- a typed kCorruptSlab answer should still report what was seen.
+    // -- a typed answer should still report what was seen.
     out.stats.shard_corrupt_slabs = ss.store.corrupt_slabs;
     out.stats.shard_repacks = ss.store.repacks;
     out.stats.shard_degraded = ss.store.degraded;

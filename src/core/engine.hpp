@@ -95,7 +95,9 @@ enum class StatusCode {
   kWrongAnswer,   ///< verify_output found a mismatch with the reference
   kUnavailable,   ///< the serving layer rejected the request (shutdown/full)
   kStaleGeneration,  ///< the addressed snapshot generation was superseded
-  kCorruptSlab,   ///< a spilled shard slab failed its integrity check
+  /// A spilled shard slab failed its integrity check. Kept as a wire
+  /// code; no run answers it: such a shard degrades to the resident source.
+  kCorruptSlab,
   kResourceExhausted,  ///< disk/RAM could not hold the run (ENOSPC, alloc)
   kDeadlineExceeded,   ///< the request's deadline passed before it ran
 };
@@ -122,8 +124,6 @@ struct Status {
   static Status unavailable(std::string msg);
   /// A kStaleGeneration status carrying `msg`.
   static Status stale_generation(std::string msg);
-  /// A kCorruptSlab status carrying `msg`.
-  static Status corrupt_slab(std::string msg);
   /// A kResourceExhausted status carrying `msg`.
   static Status resource_exhausted(std::string msg);
   /// A kDeadlineExceeded status carrying `msg`.
@@ -163,11 +163,6 @@ struct Request {
   bool rank = true;                  ///< rank (true) or scan (false)
   ScanOp op = ScanOp::kPlus;         ///< ignored when rank
   Method method = Method::kAuto;     ///< algorithm; kAuto = Planner's pick
-  /// Pinned spill directory for a sharded run ("" = the engine's
-  /// ShardOptions default). Set by the serving layer to its per-snapshot-
-  /// generation directory so shard files are written once and reused
-  /// across requests; only sound for immutable snapshot lists.
-  std::string shard_spill_dir;
   /// Relative deadline in milliseconds (0 = none). Carried through the
   /// wire header and the EngineServer queue: a request still queued when
   /// its deadline passes is answered kDeadlineExceeded without running.
@@ -272,20 +267,12 @@ struct ShardOptions {
   /// prefetched next one; 0 = all-in-RAM (no shard files are ever
   /// written).
   std::size_t byte_budget = 0;
-  /// Spill directory. "" = a fresh ephemeral per-run directory under the
-  /// system temp dir, removed when the run ends. A non-empty directory is
-  /// treated as pinned: shard files whose headers match are REUSED across
-  /// runs and left on disk -- only sound for immutable lists (the serving
-  /// layer's snapshot contract).
+  /// Root of the spill directories. Every run that spills writes its
+  /// shard files into a fresh directory under it
+  /// (shard::fresh_spill_dir) and removes that directory when it ends,
+  /// so engines and server workers may share one root. "" = the system
+  /// temp dir.
   std::string spill_dir;
-  /// Async prefetch depth for the spill tier (0 disables the prefetcher).
-  unsigned prefetch = 1;
-  /// Allow the spill tier's counted degraded mode: shards whose spill
-  /// files cannot be written (ENOSPC/EIO) or reloaded (after a failed
-  /// repack) are served from the always-resident source arrays and
-  /// counted (RunStats::shard_degraded). Off = strict: those failures
-  /// become typed kResourceExhausted / kCorruptSlab run errors instead.
-  bool degrade = true;
 };
 
 /// Everything an Engine is configured with; value-semantic and copyable

@@ -189,7 +189,6 @@ std::string NetServer::stats_text() const {
       << "shard_corrupt_slabs " << s.shard_corrupt_slabs << '\n'
       << "shard_repacks " << s.shard_repacks << '\n'
       << "shard_degraded " << s.shard_degraded << '\n'
-      << "spill_reclaim_failures " << s.spill_reclaim_failures << '\n'
       << "deadline_expired " << s.deadline_expired << '\n'
       << "net_accepted " << n.accepted << '\n'
       << "net_closed " << n.closed << '\n'

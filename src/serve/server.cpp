@@ -4,7 +4,6 @@
 #include <utility>
 
 #include "lists/validate.hpp"
-#include "shard/shard_file.hpp"
 #include "support/faultpoint.hpp"
 
 namespace lr90::serve {
@@ -112,34 +111,18 @@ Status EngineServer::update_snapshot(std::uint64_t id, LinkedList list,
   if (!registry_.update(id, std::move(list), out))
     return Status::invalid("unknown snapshot id");
   count(&ServerStats::snapshot_updates);
-  forget_snapshot(id);
-  return Status::success();
-}
-
-bool EngineServer::drop_snapshot(std::uint64_t id) {
-  const bool known = registry_.drop(id);
-  if (known) forget_snapshot(id);
-  return known;
-}
-
-void EngineServer::forget_snapshot(std::uint64_t id) {
   // Reclaim space AFTER the registry change: the generation bump (or the
   // drop) alone already made every old key unreachable, so a racing
   // worker re-inserting an old-generation result merely wastes bytes
   // until LRU'd.
   result_cache_.invalidate(id);
-  // Same lifecycle for pinned shard spill files: the generation-stamped
-  // directory name already keeps new runs off the stale bytes, so this is
-  // a disk reclaim. An in-flight old-generation run that loses the race
-  // keeps its already-mapped shards (POSIX unlink semantics) and at worst
-  // resolves a not-yet-mapped shard to a typed kUnavailable.
-  if (!opt_.shard_spill_root.empty()) {
-    // ENOENT is the normal "already reclaimed" answer; anything else is
-    // leaked spill space, surfaced as a counter an operator can alarm on.
-    shard::ReclaimStats rs;
-    shard::drop_snapshot_spill_dirs(opt_.shard_spill_root, id, &rs);
-    if (rs.failed > 0) count(&ServerStats::spill_reclaim_failures, rs.failed);
-  }
+  return Status::success();
+}
+
+bool EngineServer::drop_snapshot(std::uint64_t id) {
+  const bool known = registry_.drop(id);
+  if (known) result_cache_.invalidate(id);  // after the drop, as above
+  return known;
 }
 
 std::future<RunResult> EngineServer::submit(const SnapshotRequest& req) {
@@ -194,13 +177,6 @@ void EngineServer::submit(const SnapshotRequest& req,
   job.req.op = req.op;
   job.req.method = req.method;
   job.req.deadline_ms = req.deadline_ms;
-  // Pin the generation-stamped spill directory: a sharded run keeps its
-  // shard files there, so repeat runs against the same generation reuse
-  // them (header-validated) instead of rewriting the whole list.
-  if (!opt_.shard_spill_root.empty()) {
-    job.req.shard_spill_dir = shard::snapshot_spill_dir(
-        opt_.shard_spill_root, req.snapshot_id, current.generation);
-  }
   enqueue(std::move(job));
 }
 

@@ -69,16 +69,6 @@ struct ServerOptions {
   /// Byte budget of the memoized-result cache (snapshot-addressed
   /// requests only). 0 disables result memoization.
   std::size_t result_cache_bytes = std::size_t{64} << 20;
-  /// Root directory for out-of-core shard spill files of
-  /// snapshot-addressed requests. When non-empty, every snapshot job
-  /// carries the generation-stamped spill directory
-  /// shard::snapshot_spill_dir(root, id, gen), so sharded runs KEEP their
-  /// shard files across requests (repeat runs reuse matching headers
-  /// instead of rewriting); update_snapshot()/drop_snapshot() remove
-  /// every generation's directory of the id alongside the cache
-  /// invalidation. Empty (the default) leaves sharded runs on ephemeral
-  /// per-run temp directories.
-  std::string shard_spill_root;
 };
 
 /// A request addressed to a server-registered immutable snapshot
@@ -159,9 +149,6 @@ struct ServerStats {
   std::uint64_t shard_corrupt_slabs = 0;  ///< slabs failing integrity
   std::uint64_t shard_repacks = 0;        ///< slabs rewritten from source
   std::uint64_t shard_degraded = 0;       ///< shards served resident (spill down)
-  /// Spill-dir unlink/rmdir failures other than ENOENT during snapshot
-  /// update/drop reclamation (leaked spill space an operator should see).
-  std::uint64_t spill_reclaim_failures = 0;
   /// Jobs answered kDeadlineExceeded because their deadline passed while
   /// they were still queued (the work never ran).
   std::uint64_t deadline_expired = 0;
@@ -269,7 +256,6 @@ class EngineServer {
 
   void enqueue(Job job);
   Status check_list(const LinkedList& list) const;
-  void forget_snapshot(std::uint64_t id);
   void finish_snapshot_run(const Job& job, RunResult& r);
   void worker_loop();
   void join_workers(bool drain);

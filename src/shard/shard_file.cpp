@@ -331,11 +331,10 @@ void ShardMap::swap(ShardMap& other) noexcept {
   std::swap(error_, other.error_);
 }
 
-std::size_t drop_spill_dir(const std::string& dir, ReclaimStats* out) {
+void drop_spill_dir(const std::string& dir) {
   namespace fs = std::filesystem;
   std::error_code ec;
-  if (dir.empty() || !fs::is_directory(dir, ec)) return 0;
-  std::size_t removed = 0;
+  if (dir.empty() || !fs::is_directory(dir, ec)) return;
   for (const auto& entry : fs::directory_iterator(dir, ec)) {
     const std::string name = entry.path().filename().string();
     const bool is_shard =
@@ -346,64 +345,13 @@ std::size_t drop_spill_dir(const std::string& dir, ReclaimStats* out) {
         (name.rfind("shard_", 0) == 0 && name.size() > 4 &&
          name.compare(name.size() - 4, 4, ".tmp") == 0);
     if (!is_shard && !is_tmp) continue;
-    if (f_reclaim_unlink.fire()) {
-      if (out != nullptr) ++out->failed;
-      continue;
-    }
-    if (fs::remove(entry.path(), ec)) {
-      if (is_shard) ++removed;
-    } else if (ec && fs::exists(entry.path())) {
-      // remove() returning false without the file going away is a real
-      // unlink failure (EBUSY, EACCES, EROFS); ENOENT lands in the
-      // "already gone" branch and is not counted.
-      if (out != nullptr) ++out->failed;
-    }
+    // A file that refuses to go (EBUSY, EACCES, EROFS) stays, and so does
+    // the directory; the run's answer is already out.
+    if (f_reclaim_unlink.fire()) continue;
+    fs::remove(entry.path(), ec);
   }
   ec.clear();
   fs::remove(dir, ec);  // succeeds only if now empty; foreign files keep it
-  if (out != nullptr) {
-    // An empty directory that refused to die is a real rmdir failure; a
-    // directory kept alive by foreign (or unlink-failed, counted above)
-    // files is not double-counted here.
-    std::error_code probe;
-    if (fs::is_directory(dir, probe) && fs::is_empty(dir, probe) && !probe)
-      ++out->failed;
-    out->removed += removed;
-  }
-  return removed;
-}
-
-std::string snapshot_spill_dir(const std::string& root, std::uint64_t id,
-                               std::uint64_t gen) {
-  return root + "/snap" + std::to_string(id) + "_g" + std::to_string(gen);
-}
-
-std::size_t drop_snapshot_spill_dirs(const std::string& root,
-                                     std::uint64_t id, ReclaimStats* out) {
-  namespace fs = std::filesystem;
-  std::error_code ec;
-  if (root.empty() || !fs::is_directory(root, ec)) return 0;
-  const std::string prefix = "snap" + std::to_string(id) + "_g";
-  std::size_t dropped = 0;
-  for (const auto& entry : fs::directory_iterator(root, ec)) {
-    if (!entry.is_directory(ec)) continue;
-    const std::string name = entry.path().filename().string();
-    if (name.rfind(prefix, 0) != 0) continue;
-    // All generation digits after the prefix: don't match snap12_g1 when
-    // dropping snapshot 1.
-    if (name.find_first_not_of("0123456789", prefix.size()) !=
-        std::string::npos)
-      continue;
-    drop_spill_dir(entry.path().string(), out);
-    if (!fs::exists(entry.path(), ec)) {
-      ++dropped;
-    } else if (out != nullptr) {
-      // The directory survived the drop: some file inside refused to die
-      // (counted above) or the rmdir itself failed.
-      ++out->failed;
-    }
-  }
-  return dropped;
 }
 
 }  // namespace lr90::shard

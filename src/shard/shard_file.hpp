@@ -10,9 +10,11 @@
 //
 // Versioning: the header carries a magic, a format version, and the shard's
 // identity (index, range, total list length). A loader rejects anything
-// that does not match what the run expects, so a stale spill directory --
-// files from an older generation of a snapshot, or from a different shard
-// plan -- degrades to a rewrite, never to a wrong answer.
+// that does not match what the run expects, so a file that is not the one
+// the run wrote -- another format, another shard of the plan -- degrades
+// to a rewrite, never to a wrong answer. No file is shared between runs:
+// each run writes every shard afresh into a directory of its own and
+// removes the files when it ends.
 #pragma once
 
 #include <cstdint>
@@ -30,8 +32,8 @@ inline constexpr std::uint64_t kShardMagic =
     (std::uint64_t{'R'} << 48) | (std::uint64_t{'D'} << 56);
 
 /// Current shard-file format version. Bump on any layout change; loaders
-/// reject other versions (a mismatched spill dir is rewritten, not read).
-/// v2 added the payload checksum (v1 files are rewritten on sight).
+/// reject other versions (a mismatched file is rewritten, not read).
+/// v2 added the payload checksum.
 inline constexpr std::uint32_t kShardFormatVersion = 2;
 
 /// Fixed 64-byte header at offset 0 of every shard file. The payload
@@ -117,7 +119,7 @@ bool shard_header_matches(const ShardHeader& h, unsigned index,
 enum class ShardLoadError {
   kOk,              ///< the map is live
   kNotFound,        ///< the file is missing / unreadable
-  kHeaderMismatch,  ///< wrong magic/version/identity (stale spill dir)
+  kHeaderMismatch,  ///< wrong magic/version/identity (not this shard)
   kCorrupt,         ///< identity matches but the payload is torn/corrupt
   kIoError,         ///< open/fstat/mmap/read failed
 };
@@ -186,35 +188,10 @@ class ShardMap {
   ShardLoadError error_ = ShardLoadError::kOk;  ///< last open() outcome
 };
 
-/// Outcome counters of a spill-dir reclamation pass. A missing directory
-/// or file is NOT a failure (ENOENT is the normal "already reclaimed"
-/// answer); `failed` counts files/directories that still exist after a
-/// remove was attempted and refused -- the serving layer surfaces these
-/// in ServerStats instead of leaking spill space silently.
-struct ReclaimStats {
-  std::size_t removed = 0;  ///< shard files (or directories) removed
-  std::size_t failed = 0;   ///< unlink/rmdir failures other than ENOENT
-};
-
 /// Removes every shard file in `dir` and then the directory itself (only
-/// files matching the shard naming scheme are touched). Returns the number
-/// of shard files removed; 0 when the directory does not exist. When
-/// `out` is non-null its counters accumulate (not reset) across calls.
-std::size_t drop_spill_dir(const std::string& dir,
-                           ReclaimStats* out = nullptr);
-
-/// The spill directory a server pins for snapshot `id` at generation
-/// `gen`: "<root>/snap<id>_g<gen>". Generation-stamped so an update can
-/// never reuse stale files -- the old generation's directory is dropped.
-std::string snapshot_spill_dir(const std::string& root, std::uint64_t id,
-                               std::uint64_t gen);
-
-/// Drops every generation's spill directory of snapshot `id` under `root`
-/// (the server calls this from update/drop invalidation). Returns the
-/// number of directories removed. ENOENT is ignored; other unlink/rmdir
-/// failures accumulate into `out` when non-null.
-std::size_t drop_snapshot_spill_dirs(const std::string& root,
-                                     std::uint64_t id,
-                                     ReclaimStats* out = nullptr);
+/// files matching the shard naming scheme are touched; a missing directory
+/// is a no-op). A file that refuses to go keeps the directory; that is
+/// never an error.
+void drop_spill_dir(const std::string& dir);
 
 }  // namespace lr90::shard

@@ -82,80 +82,56 @@ ShardStore::~ShardStore() {
     prefetcher_.join();
   }
   resident_.clear();
-  if (spill_ && !keep_files_) drop_spill_dir(dir_);
+  if (spill_) drop_spill_dir(dir_);
 }
 
-bool ShardStore::prepare(const LinkedList& list, const ShardedList& sharded,
+void ShardStore::prepare(const LinkedList& list, const ShardedList& sharded,
                          bool spill, const std::string& dir,
-                         unsigned prefetch_depth, bool keep_files,
-                         unsigned threads, bool allow_degraded) {
+                         unsigned threads) {
   list_ = &list;
   sharded_ = &sharded;
   spill_ = spill && sharded.n > 0;
   dir_ = dir;
-  keep_files_ = keep_files;
-  allow_degraded_ = allow_degraded;
-  if (!spill_) return true;
-  if (dir_.empty()) return false;
+  if (!spill_) return;
   degraded_.assign(sharded.shards, 0);
   std::error_code ec;
   std::filesystem::create_directories(dir_, ec);
   // Each shard's file is independent: write them one shard per claimed
   // block, then fold the outcomes into the counters in shard order.
-  enum class Spill : char { kReused, kWritten, kFailed };
-  std::vector<Spill> spilled(sharded.shards, Spill::kWritten);
-  host_exec::claim_blocks(threads, sharded.shards, [&](std::size_t i) {
-    const auto p = static_cast<unsigned>(i);
-    const auto [b, e] = sharded.range(p);
-    const std::string path = dir_ + "/" + shard_file_name(p);
-    ShardHeader h;
-    if (read_shard_header(path, h) &&
-        shard_header_matches(h, p, b, e, sharded.n)) {
-      spilled[p] = Spill::kReused;
-      return;
-    }
-    h = ShardHeader{};
-    h.shard_index = p;
-    h.begin = b;
-    h.end = e;
-    h.total_n = sharded.n;
-    h.payload_bytes = shard_payload_bytes(e - b);
-    if (!write_shard_file(path, h, list.next.data() + b,
-                          list.value.data() + b))
-      spilled[p] = Spill::kFailed;
+  std::vector<char> written(sharded.shards, 0);
+  host_exec::claim_blocks(threads, sharded.shards, [&](std::size_t p) {
+    written[p] = write_shard(static_cast<unsigned>(p));
   });
   for (unsigned p = 0; p < sharded.shards; ++p) {
-    switch (spilled[p]) {
-      case Spill::kReused:
-        ++stats_.reused_files;  // a pinned dir amortizes the write
-        break;
-      case Spill::kWritten: {
-        const auto [b, e] = sharded.range(p);
-        stats_.spill_bytes += sizeof(ShardHeader) + shard_payload_bytes(e - b);
-        break;
-      }
-      case Spill::kFailed:
-        // ENOSPC/EIO mid-spill. The source list is resident by contract,
-        // so the shard can always be served from RAM: degrade it
-        // (counted) instead of failing the whole run -- unless the caller
-        // asked for a hard failure, which surfaces as kResourceExhausted
-        // upstream.
-        ++stats_.write_errors;
-        if (!allow_degraded_) {
-          last_error_ = StoreError::kIo;
-          return false;
-        }
-        degraded_[p] = 1;
-        ++stats_.degraded;
-        break;
+    if (written[p]) {
+      const auto [b, e] = sharded.range(p);
+      stats_.spill_bytes += sizeof(ShardHeader) + shard_payload_bytes(e - b);
+      continue;
     }
+    // ENOSPC/EIO mid-spill. The source list is resident by contract, so
+    // the shard can always be served from RAM: degrade it (counted)
+    // instead of failing the whole run.
+    ++stats_.write_errors;
+    degraded_[p] = 1;
+    ++stats_.degraded;
   }
   stats_.spilled = true;
-  if (prefetch_depth > 0 && sharded.shards > 1) {
+  if (sharded.shards > 1) {
     target_ = 0;  // prime: fault shard 0 in while the caller finishes setup
     prefetcher_ = std::thread([this] { prefetch_loop(); });
   }
-  return true;
+}
+
+bool ShardStore::write_shard(unsigned p) const {
+  const auto [b, e] = sharded_->range(p);
+  ShardHeader h;
+  h.shard_index = p;
+  h.begin = b;
+  h.end = e;
+  h.total_n = sharded_->n;
+  h.payload_bytes = shard_payload_bytes(e - b);
+  return write_shard_file(dir_ + "/" + shard_file_name(p), h,
+                          list_->next.data() + b, list_->value.data() + b);
 }
 
 ShardStore::LoadOutcome ShardStore::load_shard(unsigned p) {
@@ -164,18 +140,10 @@ ShardStore::LoadOutcome ShardStore::load_shard(unsigned p) {
   LoadOutcome out;
   if (out.map.open(path, p, b, e, sharded_->n)) return out;
   if (out.map.error() == ShardLoadError::kCorrupt) out.corrupt = true;
-  // Recovery: whatever broke the slab (torn write, bit rot, a stale or
-  // vanished file), the source arrays are resident -- re-pack and retry
-  // once. A second failure falls through empty; the caller degrades or
-  // surfaces the typed error.
-  ShardHeader h;
-  h.shard_index = p;
-  h.begin = b;
-  h.end = e;
-  h.total_n = sharded_->n;
-  h.payload_bytes = shard_payload_bytes(e - b);
-  if (write_shard_file(path, h, list_->next.data() + b,
-                       list_->value.data() + b)) {
+  // Recovery: whatever broke the slab (torn write, bit rot, a vanished
+  // file), the source arrays are resident -- re-pack and retry once. A
+  // second failure falls through empty; the caller degrades the shard.
+  if (write_shard(p)) {
     out.repacked = true;
     out.map.open(path, p, b, e, sharded_->n);
   }
@@ -223,10 +191,6 @@ ShardView ShardStore::acquire(unsigned p) {
       if (lo.corrupt) ++stats_.corrupt_slabs;
       if (lo.repacked) ++stats_.repacks;
       if (!lo.map) {
-        if (!allow_degraded_) {
-          last_error_ = lo.corrupt ? StoreError::kCorrupt : StoreError::kIo;
-          return ShardView{};
-        }
         degraded_[p] = 1;
         ++stats_.degraded;
         continue;  // served by the degraded branch above
@@ -255,11 +219,6 @@ StoreStats ShardStore::stats() const {
   return stats_;
 }
 
-StoreError ShardStore::last_error() const {
-  std::lock_guard<std::mutex> lk(mu_);
-  return last_error_;
-}
-
 void ShardStore::prefetch_loop() {
   std::unique_lock<std::mutex> lk(mu_);
   for (;;) {
@@ -279,7 +238,7 @@ void ShardStore::prefetch_loop() {
     if (lo.corrupt) ++stats_.corrupt_slabs;
     if (lo.repacked) ++stats_.repacks;
     // A failed prefetch is NOT degraded here: the acquire path retries
-    // synchronously and owns the degrade/refuse decision.
+    // synchronously and owns the degrade decision.
     if (!shutdown_ && lo.map && resident_.find(p) == resident_.end()) {
       ++stats_.loads;
       resident_.emplace(p, Resident{std::move(lo.map), true});

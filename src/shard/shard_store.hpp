@@ -14,12 +14,13 @@
 // numbers each shard's marked slice in id order.
 //
 // The store's out-of-core tier follows the Gigablast RdbCache/RdbMerge
-// shape: shard files written once at streaming bandwidth, mmapped one
-// shard at a time, and a single async prefetch thread that faults the
-// next shard's pages in while the current one is being ranked. The
-// ranking visits each shard once, in ascending order, so depth-1
-// lookahead is the whole win, and a released shard is unmapped at once:
-// at most the acquired shard and the prefetched next one are mapped.
+// shape: shard files written once per run at streaming bandwidth into the
+// run's own directory, mmapped one shard at a time, and a single async
+// prefetch thread that faults the next shard's pages in while the current
+// one is being ranked. The ranking visits each shard once, in ascending
+// order, so depth-1 lookahead is the whole win, and a released shard is
+// unmapped at once: at most the acquired shard and the prefetched next
+// one are mapped. The files and their directory go when the store does.
 #pragma once
 
 #include <condition_variable>
@@ -97,7 +98,6 @@ struct StoreStats {
   std::uint64_t loads = 0;          ///< shard file loads (mmap/open)
   std::uint64_t spills = 0;         ///< mapped shards unmapped on release
   std::uint64_t prefetch_hits = 0;  ///< loads the async prefetcher served
-  std::uint64_t reused_files = 0;   ///< valid pre-existing files kept as-is
   std::uint64_t spill_bytes = 0;    ///< bytes written to shard files
   bool spilled = false;             ///< the out-of-core tier was active
   std::uint64_t corrupt_slabs = 0;  ///< loads failing the integrity check
@@ -106,21 +106,13 @@ struct StoreStats {
   std::uint64_t write_errors = 0;   ///< shard-file writes that failed
 };
 
-/// Why the store refused a shard (acquire returned an all-null view) or
-/// prepare() failed. kNone while everything has been served.
-enum class StoreError {
-  kNone,     ///< no failure so far
-  kCorrupt,  ///< a slab failed integrity and could not be re-packed
-  kIo,       ///< spill I/O failed (write or load) with degradation off
-};
-
 /// Serves per-shard views of one list for the duration of one sharded run.
 ///
 /// RAM mode: views alias the source arrays; zero copy, zero I/O. Spill
 /// mode (ShardExec::byte_budget > 0): prepare() writes every shard to
-/// a ShardFile in `dir` (reusing any file whose header already matches),
-/// then acquire() serves an mmapped view of one shard, release() unmaps
-/// it, and one async prefetch thread faults the next shard in meanwhile.
+/// a ShardFile in the run's own directory `dir`, then acquire() serves an
+/// mmapped view of one shard, release() unmaps it, and one async prefetch
+/// thread faults the next shard in meanwhile.
 ///
 /// Thread model: one orchestrator thread calls prepare/acquire/release.
 /// prepare's workers each write one shard's file and its own outcome
@@ -134,27 +126,20 @@ class ShardStore {
   ShardStore(const ShardStore&) = delete;             ///< not copyable
   ShardStore& operator=(const ShardStore&) = delete;  ///< not copyable
   /// Joins the prefetcher, unmaps everything, and removes the spill files
-  /// (and their directory) unless keep_files was set.
+  /// and their directory.
   ~ShardStore();
 
   /// Binds the store to `list` split per `sharded`. `spill` false selects
-  /// RAM mode; true selects the spill tier: shard files are written under
-  /// `dir` (created if needed; must be non-empty) over `threads` workers,
-  /// existing matching files are reused, and `prefetch_depth` > 0 starts
-  /// the async prefetcher.
-  /// `keep_files` leaves the files on disk at destruction (a server
-  /// pinning a snapshot's spill dir); otherwise they are ephemeral.
+  /// RAM mode; true selects the spill tier: every shard file is written
+  /// afresh under `dir` (the run's own directory, created if needed; must
+  /// be non-empty) over `threads` workers, and with more than one shard
+  /// the async prefetcher starts.
   ///
-  /// Failure model: with `allow_degraded` (the default) a shard whose
-  /// spill write fails (ENOSPC, EIO) is put in DEGRADED mode -- served
-  /// straight from the always-resident source arrays, counted in
-  /// StoreStats::degraded -- and prepare() still succeeds.
-  /// With `allow_degraded == false` any write failure fails prepare()
-  /// (last_error() == kIo; the caller surfaces kResourceExhausted).
-  bool prepare(const LinkedList& list, const ShardedList& sharded,
-               bool spill, const std::string& dir,
-               unsigned prefetch_depth, bool keep_files, unsigned threads,
-               bool allow_degraded = true);
+  /// Failure model: a shard whose spill write fails (ENOSPC, EIO) is put
+  /// in DEGRADED mode -- served straight from the always-resident source
+  /// arrays, counted in StoreStats::write_errors and degraded.
+  void prepare(const LinkedList& list, const ShardedList& sharded,
+               bool spill, const std::string& dir, unsigned threads);
 
   /// Blocks until shard `p` is resident and returns its view, valid until
   /// release(p). On the spill tier this may wait for the prefetcher or
@@ -162,15 +147,9 @@ class ShardStore {
   ///
   /// Failure ladder: a slab failing its integrity check is counted
   /// (corrupt_slabs), re-packed from the source list (repacks) and
-  /// re-loaded; if the slab still cannot be served and degradation is
-  /// allowed, the shard is served resident from the source arrays
-  /// (degraded). Only with `allow_degraded == false` can acquire return
-  /// an all-null view -- last_error() then carries the typed cause.
+  /// re-loaded; if the slab still cannot be served, the shard is served
+  /// resident from the source arrays (degraded). The view is never null.
   ShardView acquire(unsigned p);
-
-  /// The typed cause of the last refused shard / failed prepare (kNone
-  /// when everything was served, possibly degraded).
-  StoreError last_error() const;
 
   /// Unmaps shard `p` on the spill tier (counted in StoreStats::spills):
   /// each shard is acquired once per run.
@@ -194,6 +173,7 @@ class ShardStore {
     bool repacked = false;  ///< the slab was rewritten from the source
   };
 
+  bool write_shard(unsigned p) const;  ///< (re)writes p's file from list_
   LoadOutcome load_shard(unsigned p);
   void prefetch_loop();
   ShardView resident_view(unsigned p) const;  ///< degraded/RAM-mode view
@@ -201,13 +181,10 @@ class ShardStore {
   const LinkedList* list_ = nullptr;
   const ShardedList* sharded_ = nullptr;
   std::string dir_;
-  bool keep_files_ = false;
   bool spill_ = false;
-  bool allow_degraded_ = true;
   /// Per-shard degraded flag: spill for this shard is broken; serve it
   /// from the source arrays (guarded by mu_ once the prefetcher runs).
   std::vector<char> degraded_;
-  StoreError last_error_ = StoreError::kNone;  ///< guarded by mu_
 
   mutable std::mutex mu_;
   std::condition_variable cv_;

@@ -26,21 +26,6 @@ namespace {
 fault::FaultSite f_scratch_alloc{"shard.scratch.alloc",
                                  "reduced-list scratch allocation fails"};
 
-/// A fresh per-run spill directory under the system temp dir, unique per
-/// process + run (ephemeral: removed by the ShardStore when the run ends).
-std::string ephemeral_spill_dir() {
-  static std::atomic<std::uint64_t> seq{0};
-  unsigned long pid = 0;
-#if defined(__unix__) || defined(__APPLE__)
-  pid = static_cast<unsigned long>(::getpid());
-#endif
-  std::error_code ec;
-  const std::string base = std::filesystem::temp_directory_path(ec).string();
-  return (base.empty() ? std::string{"."} : base) + "/lr90-shards-" +
-         std::to_string(pid) + "-" +
-         std::to_string(seq.fetch_add(1, std::memory_order_relaxed));
-}
-
 /// Builds the shard-LOCAL hot slab for `view`: word i carries the
 /// sublist-tail flag (the successor leaves the shard, or is the global
 /// tail), the LOCAL link (tails self-link), and the 32-bit value lane.
@@ -171,12 +156,6 @@ Status run_sharded(const LinkedList& list, ShardedList& sharded,
   for (unsigned p = 0; p < sharded.shards; ++p) {
     if (sharded.heads_of[p].empty()) continue;
     const ShardView view = store.acquire(p);
-    if (view.next == nullptr)
-      return store.last_error() == StoreError::kCorrupt
-                 ? Status::corrupt_slab(
-                       "sharded scan: unrecoverable slab (pass A)")
-                 : Status::resource_exhausted(
-                       "sharded scan: shard load failed (pass A)");
     packed &= pass_reduce<Op, kOnes>(view, sharded.heads_of[p],
                                      sharded.seg_base[p], exec, scratch, op,
                                      seg_of, o, totals, exits);
@@ -243,27 +222,40 @@ Status run_sharded(const LinkedList& list, ShardedList& sharded,
 
 }  // namespace
 
+std::string fresh_spill_dir(const std::string& root) {
+  static std::atomic<std::uint64_t> seq{0};
+  unsigned long pid = 0;
+#if defined(__unix__) || defined(__APPLE__)
+  pid = static_cast<unsigned long>(::getpid());
+#endif
+  std::string base = root;
+  if (base.empty()) {
+    std::error_code ec;
+    base = std::filesystem::temp_directory_path(ec).string();
+    if (base.empty()) base = ".";
+  }
+  return base + "/lr90-shards-" + std::to_string(pid) + "-" +
+         std::to_string(seq.fetch_add(1, std::memory_order_relaxed));
+}
+
 Status sharded_scan(const LinkedList& list, bool rank, ScanOp op,
                     const ShardExec& exec, Workspace& ws,
                     std::span<value_t> out, ShardRunStats& stats) {
   stats = ShardRunStats{};
   const std::size_t n = list.size();
   if (n == 0) return Status::success();
+  // Pass A walks each segment to a shard exit or the self-loop, so a list
+  // without one could spin inside a shard: refuse it first, as scan_into
+  // does (O(1) when the list's cached tail holds).
+  if (list.find_tail() == kNoVertex)
+    return Status::invalid("sharded scan: the list has no self-loop tail");
   ShardedList sharded = ShardedList::build(list, exec.shards, exec.threads);
   ShardStore store;
   const bool spill = exec.byte_budget > 0;
-  const std::string dir =
-      spill ? (exec.spill_dir.empty() ? ephemeral_spill_dir() : exec.spill_dir)
-            : std::string{};
-  if (!store.prepare(list, sharded, spill, dir, exec.prefetch,
-                     exec.keep_files, exec.threads, exec.degrade)) {
-    stats.store = store.stats();
-    return store.last_error() == StoreError::kIo
-               ? Status::resource_exhausted(
-                     "sharded scan: spill write failed under " + dir)
-               : Status::unavailable(
-                     "sharded scan: spill directory unusable: " + dir);
-  }
+  const std::string dir = spill && exec.spill_dir.empty()
+                              ? fresh_spill_dir("")
+                              : exec.spill_dir;
+  store.prepare(list, sharded, spill, dir, exec.threads);
   // Pass B's shape: the one host planning path, sized for the reduced
   // list at the shard passes' pinned threads and W.
   const host_exec::HostPlan reduced_plan =

@@ -27,7 +27,9 @@
 //
 // Residency during pass A is the ShardStore's job: all-in-RAM views when
 // no byte budget is set, spilled ShardFiles mapped one at a time with an
-// async prefetch of the next when one is (the out-of-core tier).
+// async prefetch of the next when one is (the out-of-core tier). A run
+// that spills writes its shard files into a directory no other run uses
+// and removes it when it ends.
 #pragma once
 
 #include <cstdint>
@@ -56,21 +58,14 @@ struct ShardExec {
   /// value, the store maps only the acquired shard and the prefetched
   /// next one.
   std::size_t byte_budget = 0;
-  /// Spill directory; "" = a fresh per-run directory under the system
-  /// temp dir. Ignored when byte_budget == 0.
+  /// The run's own spill directory: its shard files are written there
+  /// and removed, with the directory, when the run ends, so no two runs
+  /// may share one. "" = fresh_spill_dir("") per run. Ignored when
+  /// byte_budget == 0.
   std::string spill_dir;
-  /// Keep (and reuse) the spill files across runs: set when the caller
-  /// pins the directory (a server's per-snapshot-generation spill dir);
-  /// unset directories are removed when the run finishes.
+  /// Accepted for source compatibility and otherwise ignored: every run
+  /// removes its spill files when it ends.
   bool keep_files = false;
-  /// Async prefetch depth (0 disables the prefetch thread).
-  unsigned prefetch = 1;
-  /// Allow the store's counted degraded mode: shards whose spill tier
-  /// fails (ENOSPC, EIO, unrecoverable corruption) are served resident
-  /// from the source arrays instead of failing the run. false turns
-  /// every such failure into a typed error (kCorruptSlab /
-  /// kResourceExhausted) -- the chaos harness's strict knob.
-  bool degrade = true;
 };
 
 /// What one sharded run did, for RunStats and the bench.
@@ -84,13 +79,18 @@ struct ShardRunStats {
   StoreStats store;            ///< residency / spill / prefetch counters
 };
 
+/// A spill directory no other run uses: "<root>/lr90-shards-<pid>-<seq>",
+/// unique per process and call; "" = the system temp dir as the root.
+std::string fresh_spill_dir(const std::string& root);
+
 /// Exclusive rank (rank == true) or `op`-scan of `list` into `out`
 /// (sized n), sharded per `exec`. Deterministic and bit-exact vs the
 /// serial oracle for every registered operator. `ws` supplies the
-/// second-level pass's scratch. Returns kInvalidInput on structurally
-/// broken cross-shard links; with `exec.degrade` off, kCorruptSlab for
-/// an unrecoverable slab and kResourceExhausted when the spill tier
-/// cannot write (with it on, those are counted degradations instead).
+/// second-level pass's scratch. Returns kInvalidInput on a list with no
+/// self-loop tail (before any shard is built) or structurally broken
+/// cross-shard links, and kResourceExhausted when the scratch cannot be
+/// allocated. A spill write that fails or a slab that cannot be loaded
+/// degrades its shard to the resident source, counted in `stats.store`.
 Status sharded_scan(const LinkedList& list, bool rank, ScanOp op,
                     const ShardExec& exec, Workspace& ws,
                     std::span<value_t> out, ShardRunStats& stats);

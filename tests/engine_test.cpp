@@ -782,6 +782,23 @@ TEST(Engine, TaillessListsAreRefusedWithValidationOff) {
   EXPECT_EQ(host.rank(ring, Method::kSerial).status.code,
             StatusCode::kInvalidInput);
 
+  // A sharded run refuses both before it builds a shard, at one shard
+  // (where pass A would walk the cycle forever) and at two.
+  for (const unsigned shards : {1u, 2u}) {
+    SCOPED_TRACE("shards=" + std::to_string(shards));
+    EngineOptions opt = backend_options(BackendKind::kHost);
+    opt.shard.shards = shards;
+    Engine sharded(opt);
+    ASSERT_FALSE(sharded.options().validate_input);
+    for (const LinkedList* list : {&cycle, &ring}) {
+      for (const bool rank : {true, false}) {
+        Request req = rank ? Request(RankRequest{list})
+                           : Request(OpRequest{list, ScanOp::kAffine});
+        EXPECT_EQ(sharded.run(req).status.code, StatusCode::kInvalidInput);
+      }
+    }
+  }
+
   // The sim backend checks every input, so no method sees the cycle.
   Engine sim(backend_options(BackendKind::kSim));
   ASSERT_FALSE(sim.options().validate_input);

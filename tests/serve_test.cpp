@@ -22,7 +22,6 @@
 #include "lists/generators.hpp"
 #include "serve/queue.hpp"
 #include "serve/workspace_pool.hpp"
-#include "shard/shard_file.hpp"
 
 namespace lr90 {
 namespace {
@@ -1007,72 +1006,51 @@ TEST(EngineServer, SnapshotSubmitAfterShutdownResolvesUnavailable) {
   EXPECT_EQ(after.stale_rejections, before.stale_rejections);
 }
 
-TEST(EngineServer, SnapshotSpillRootPinsReusesAndDropsShardFiles) {
-  // The out-of-core serving lifecycle: with shard_spill_root set, a
-  // sharded snapshot run keeps its shard files in the generation-stamped
-  // directory (so repeat runs reuse them instead of rewriting the list),
-  // and update/drop reclaim every generation's directory of the id
-  // alongside the cache invalidation.
+TEST(EngineServer, WorkersSharingASpillDirAnswerExactlyAndLeaveNoShardFile) {
+  // Four workers share engine.shard.spill_dir and run concurrent sharded
+  // plus-scans of four distinct lists of one length, so every run's
+  // shards have the same identity (index, range, n). Each run spills into
+  // its own directory under the root and removes it: every answer is
+  // bit-exact, and after shutdown no shard file is left.
   namespace fs = std::filesystem;
   const fs::path root =
-      fs::temp_directory_path() / "lr90-serve-spill-test";
+      fs::path(::testing::TempDir()) / "lr90-serve-shared-spill";
   fs::remove_all(root);
 
-  Rng rng(77);
-  const LinkedList list = random_list(40000, rng);
-  Engine serial({.backend = BackendKind::kSerial});
-  const RunResult want = serial.rank(list);
-  ASSERT_TRUE(want.ok());
+  Rng rng(79);
+  EngineOptions serial_opt;
+  serial_opt.backend = BackendKind::kSerial;
+  Engine serial(serial_opt);
+  std::vector<LinkedList> lists;
+  std::vector<std::vector<value_t>> want;
+  for (int i = 0; i < 4; ++i) {
+    lists.push_back(random_list(20000, rng, ValueInit::kSigned));
+    want.push_back(serial.scan(lists.back(), ScanOp::kPlus).scan);
+  }
 
   ServerOptions opt;
   opt.engine.backend = BackendKind::kHost;
-  opt.workers = 1;
-  opt.result_cache_bytes = 0;       // every repeat must reach the engine
-  opt.engine.shard.shards = 4;      // pin the sharded tier on
-  opt.engine.shard.byte_budget = 1; // squeeze: every shard load spills
-  opt.shard_spill_root = root.string();
+  opt.workers = 4;
+  opt.engine.shard.shards = 4;       // pin the sharded tier on
+  opt.engine.shard.byte_budget = 1;  // squeeze: every shard load spills
+  opt.engine.shard.spill_dir = root.string();
   EngineServer server(opt);
 
-  SnapshotHandle handle;
-  ASSERT_TRUE(server.register_snapshot(list, handle).ok());
-  SnapshotRequest req;
-  req.snapshot_id = handle.snapshot_id;
-  req.rank = true;
-
-  const RunResult first = server.submit(req).get();
-  ASSERT_TRUE(first.ok()) << first.status.message;
-  EXPECT_EQ(first.scan, want.scan);
-  EXPECT_EQ(first.stats.shard_count, 4u);
-  EXPECT_TRUE(first.stats.shard_spilled);
-  const fs::path gen1 = shard::snapshot_spill_dir(
-      root.string(), handle.snapshot_id, handle.generation);
-  EXPECT_TRUE(fs::exists(gen1 / shard::shard_file_name(0)))
-      << "snapshot shard files must be pinned, not ephemeral";
-
-  const RunResult repeat = server.submit(req).get();
-  ASSERT_TRUE(repeat.ok());
-  EXPECT_EQ(repeat.scan, want.scan);
-  const ServerStats s = server.stats();
-  EXPECT_GE(s.sharded_runs, 2u);
-  EXPECT_GT(s.shard_spills, 0u);
-
-  // Update: the old generation's directory is reclaimed; the new
-  // generation's run pins its own.
-  const LinkedList fresh = random_list(30000, rng);
-  SnapshotHandle updated;
-  ASSERT_TRUE(
-      server.update_snapshot(handle.snapshot_id, fresh, updated).ok());
-  EXPECT_FALSE(fs::exists(gen1));
-  const RunResult second = server.submit(req).get();
-  ASSERT_TRUE(second.ok()) << second.status.message;
-  EXPECT_EQ(second.scan, serial.rank(fresh).scan);
-  const fs::path gen2 = shard::snapshot_spill_dir(
-      root.string(), handle.snapshot_id, updated.generation);
-  EXPECT_TRUE(fs::exists(gen2));
-
-  EXPECT_TRUE(server.drop_snapshot(handle.snapshot_id));
-  EXPECT_FALSE(fs::exists(gen2));
+  std::vector<std::future<RunResult>> futures;
+  for (int i = 0; i < 128; ++i)
+    futures.push_back(server.submit(OpRequest{&lists[i % 4], ScanOp::kPlus}));
+  for (int i = 0; i < 128; ++i) {
+    const RunResult r = futures[i].get();
+    ASSERT_TRUE(r.ok()) << i << ": " << r.status.message;
+    EXPECT_TRUE(r.stats.shard_spilled);
+    EXPECT_EQ(r.scan, want[i % 4]) << "request " << i;
+  }
   server.shutdown();
+  std::size_t left = 0;
+  std::error_code ec;
+  for (const auto& e : fs::recursive_directory_iterator(root, ec))
+    if (e.path().filename().string().rfind("shard_", 0) == 0) ++left;
+  EXPECT_EQ(left, 0u);
   fs::remove_all(root);
 }
 

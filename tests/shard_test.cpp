@@ -2,10 +2,12 @@
 // format, the ShardStore residency/spill/prefetch machinery, the two-level
 // sharded scan's bit-exactness vs the serial oracle, the Engine/Planner
 // wiring (auto-shard on the 2^31 packed bound and on the byte budget), and
-// the spill-directory lifecycle helpers the serving layer uses.
+// the spill lifecycle: every run writes its own shard files and removes
+// them when it ends.
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstdio>
 #include <filesystem>
 #include <string>
 #include <utility>
@@ -32,6 +34,15 @@ std::string fresh_dir(const std::string& tag) {
   const std::string dir = ::testing::TempDir() + "lr90_shard_" + tag;
   fs::remove_all(dir);
   return dir;
+}
+
+/// Shard files (and their temp files) anywhere under `root`.
+std::size_t shard_files_under(const std::string& root) {
+  std::size_t count = 0;
+  std::error_code ec;
+  for (const auto& e : fs::recursive_directory_iterator(root, ec))
+    if (e.path().filename().string().rfind("shard_", 0) == 0) ++count;
+  return count;
 }
 
 /// Oracle exclusive scan under a runtime operator.
@@ -201,30 +212,50 @@ TEST(ShardFile, CorruptMagicAndVersionAreRejected) {
   shard::drop_spill_dir(dir);
 }
 
-TEST(ShardFile, SnapshotSpillDirLifecycle) {
-  const std::string root = fresh_dir("snap_root");
-  fs::create_directories(root);
-  // Two generations of snapshot 1, one of snapshot 12: dropping snapshot 1
-  // must not touch snapshot 12 (prefix "snap1_g" vs "snap12_g3").
-  for (const auto& [id, gen] :
-       {std::pair<std::uint64_t, std::uint64_t>{1, 1}, {1, 2}, {12, 3}}) {
-    const std::string dir = shard::snapshot_spill_dir(root, id, gen);
-    fs::create_directories(dir);
-    std::vector<index_t> next{0};
-    std::vector<value_t> value{1};
-    shard::ShardHeader h;
-    h.end = 1;
-    h.total_n = 1;
-    h.payload_bytes = shard::shard_payload_bytes(1);
-    ASSERT_TRUE(shard::write_shard_file(
-        dir + "/" + shard::shard_file_name(0), h, next.data(), value.data()));
+TEST(ShardFile, FlippedOrTruncatedPayloadIsCorrupt) {
+  // The loader's checksum and size checks catch a slab damaged on disk
+  // under an intact header: one flipped payload byte, or a payload cut
+  // short, each answers kCorrupt.
+  const std::string dir = fresh_dir("file_damage");
+  fs::create_directories(dir);
+  const std::string path = dir + "/" + shard::shard_file_name(1);
+  std::vector<index_t> next(64);
+  std::vector<value_t> value(64);
+  for (std::size_t i = 0; i < 64; ++i) {
+    next[i] = static_cast<index_t>(65 + i);
+    value[i] = static_cast<value_t>(i) - 7;
   }
-  EXPECT_EQ(shard::drop_snapshot_spill_dirs(root, 1), 2u);
-  EXPECT_FALSE(fs::exists(shard::snapshot_spill_dir(root, 1, 1)));
-  EXPECT_FALSE(fs::exists(shard::snapshot_spill_dir(root, 1, 2)));
-  EXPECT_TRUE(fs::exists(shard::snapshot_spill_dir(root, 12, 3)));
-  EXPECT_EQ(shard::drop_snapshot_spill_dirs(root, 12), 1u);
-  fs::remove_all(root);
+  shard::ShardHeader h;
+  h.shard_index = 1;
+  h.begin = 64;
+  h.end = 128;
+  h.total_n = 200;
+  h.payload_bytes = shard::shard_payload_bytes(64);
+  shard::ShardMap map;
+
+  ASSERT_TRUE(shard::write_shard_file(path, h, next.data(), value.data()));
+  ASSERT_TRUE(map.open(path, 1, 64, 128, 200));
+  map.close();
+  {
+    std::FILE* f = std::fopen(path.c_str(), "r+b");
+    ASSERT_NE(f, nullptr);
+    ASSERT_EQ(std::fseek(f, sizeof(shard::ShardHeader) + 13, SEEK_SET), 0);
+    const int c = std::fgetc(f);
+    ASSERT_NE(c, EOF);
+    ASSERT_EQ(std::fseek(f, -1, SEEK_CUR), 0);
+    std::fputc(c ^ 0x40, f);
+    std::fclose(f);
+  }
+  EXPECT_FALSE(map.open(path, 1, 64, 128, 200));
+  EXPECT_EQ(map.error(), shard::ShardLoadError::kCorrupt);
+
+  ASSERT_TRUE(shard::write_shard_file(path, h, next.data(), value.data()));
+  const auto full = fs::file_size(path);
+  fs::resize_file(path, sizeof(shard::ShardHeader) +
+                            (full - sizeof(shard::ShardHeader)) / 2);
+  EXPECT_FALSE(map.open(path, 1, 64, 128, 200));
+  EXPECT_EQ(map.error(), shard::ShardLoadError::kCorrupt);
+  shard::drop_spill_dir(dir);
 }
 
 // -- sharded_scan correctness ----------------------------------------------
@@ -327,37 +358,41 @@ TEST(ShardedScan, SpillTierIsBitExactAndCountsSpillsLoadsPrefetch) {
   EXPECT_FALSE(fs::exists(exec.spill_dir));
 }
 
-TEST(ShardedScan, PinnedSpillDirIsReusedAcrossRunsAndDroppable) {
+TEST(ShardedScan, SpillDirFilesAreNeverReusedAcrossRuns) {
+  // A run writes every shard afresh into its spill directory and removes
+  // the files when it ends. Files another run left there with the same
+  // shard identity (index, range, n) but other values are overwritten,
+  // never served.
   Rng rng(23);
-  const LinkedList list = random_list(20000, rng, ValueInit::kSigned);
+  const LinkedList stale = random_list(20000, rng, ValueInit::kSigned);
+  LinkedList list = stale;  // the same links, new values
+  for (value_t& v : list.value)
+    v = static_cast<value_t>(rng.next_u64() % 2001) - 1000;
   shard::ShardExec exec;
   exec.shards = 4;
   exec.spill_dir = fresh_dir("spill_reuse");
-  exec.keep_files = true;
   exec.byte_budget = 1;  // tiny: every acquire loads from file
-  const shard::ShardRunStats first =
-      run_and_check(list, /*rank=*/false, ScanOp::kMax, exec);
-  EXPECT_EQ(first.store.reused_files, 0u);
-  EXPECT_TRUE(fs::exists(exec.spill_dir));  // pinned: files persist
-  const shard::ShardRunStats second =
-      run_and_check(list, /*rank=*/false, ScanOp::kMax, exec);
-  EXPECT_EQ(second.store.reused_files, 4u);  // written once, reused after
-  EXPECT_EQ(shard::drop_spill_dir(exec.spill_dir), 4u);
-  EXPECT_FALSE(fs::exists(exec.spill_dir));
-}
-
-TEST(ShardedScan, PrefetchDisabledStillCorrect) {
-  Rng rng(29);
-  const LinkedList list = random_list(10000, rng, ValueInit::kSigned);
-  shard::ShardExec exec;
-  exec.shards = 6;
-  exec.spill_dir = fresh_dir("spill_noprefetch");
-  exec.byte_budget = 1;
-  exec.prefetch = 0;
+  fs::create_directories(exec.spill_dir);
+  const shard::ShardedList plan = shard::ShardedList::build(stale, 4);
+  std::uint64_t bytes = 0;
+  for (unsigned p = 0; p < plan.shards; ++p) {
+    const auto [b, e] = plan.range(p);
+    shard::ShardHeader h;
+    h.shard_index = p;
+    h.begin = b;
+    h.end = e;
+    h.total_n = plan.n;
+    h.payload_bytes = shard::shard_payload_bytes(e - b);
+    ASSERT_TRUE(shard::write_shard_file(
+        exec.spill_dir + "/" + shard::shard_file_name(p), h,
+        stale.next.data() + b, stale.value.data() + b));
+    bytes += sizeof(shard::ShardHeader) + h.payload_bytes;
+  }
   const shard::ShardRunStats stats =
-      run_and_check(list, /*rank=*/true, ScanOp::kPlus, exec);
-  EXPECT_EQ(stats.store.prefetch_hits, 0u);
-  EXPECT_EQ(stats.store.loads, 6u);  // pass A loads every shard once
+      run_and_check(list, /*rank=*/false, ScanOp::kMax, exec);
+  EXPECT_EQ(stats.store.spill_bytes, bytes);  // every shard rewritten
+  EXPECT_EQ(stats.store.loads, 4u);
+  EXPECT_FALSE(fs::exists(exec.spill_dir));
 }
 
 TEST(ShardedScan, ReleasedShardsAreUnmappedUnderABudgetThatHoldsTheList) {
@@ -367,18 +402,43 @@ TEST(ShardedScan, ReleasedShardsAreUnmappedUnderABudgetThatHoldsTheList) {
   const std::size_t n = 20000;
   const unsigned P = 5;
   const LinkedList list = random_list(n, rng, ValueInit::kSigned);
-  for (const unsigned prefetch : {0u, 1u}) {
-    SCOPED_TRACE("prefetch=" + std::to_string(prefetch));
+  shard::ShardExec exec;
+  exec.shards = P;
+  exec.spill_dir = fresh_dir("spill_roomy");
+  exec.byte_budget = 4 * n * (sizeof(index_t) + sizeof(value_t));
+  const shard::ShardRunStats stats =
+      run_and_check(list, /*rank=*/false, ScanOp::kPlus, exec);
+  EXPECT_TRUE(stats.store.spilled);
+  EXPECT_EQ(stats.store.loads, static_cast<std::uint64_t>(P));
+  EXPECT_EQ(stats.store.spills, static_cast<std::uint64_t>(P));
+}
+
+TEST(ShardedScan, TaillessListIsRefusedBeforeAnyShardIsBuilt) {
+  // Pass A walks a segment to a shard exit or the self-loop, so a list
+  // with neither would spin inside one shard. The run refuses it before
+  // it builds or spills a shard, at one shard or two.
+  LinkedList cycle;
+  cycle.next = {1, 0};
+  cycle.value = {1, 1};
+  cycle.head = 0;
+  for (const unsigned p : {1u, 2u}) {
+    SCOPED_TRACE("P=" + std::to_string(p));
     shard::ShardExec exec;
-    exec.shards = P;
-    exec.spill_dir = fresh_dir("spill_roomy");
-    exec.prefetch = prefetch;
-    exec.byte_budget = 4 * n * (sizeof(index_t) + sizeof(value_t));
-    const shard::ShardRunStats stats =
-        run_and_check(list, /*rank=*/false, ScanOp::kPlus, exec);
-    EXPECT_TRUE(stats.store.spilled);
-    EXPECT_EQ(stats.store.loads, static_cast<std::uint64_t>(P));
-    EXPECT_EQ(stats.store.spills, static_cast<std::uint64_t>(P));
+    exec.shards = p;
+    exec.byte_budget = 1;
+    exec.spill_dir = fresh_dir("tailless");
+    Workspace ws;
+    std::vector<value_t> out(cycle.size());
+    for (const bool rank : {true, false}) {
+      shard::ShardRunStats stats;
+      const Status st =
+          shard::sharded_scan(cycle, rank, ScanOp::kPlus, exec, ws, out,
+                              stats);
+      EXPECT_EQ(st.code, StatusCode::kInvalidInput) << st.message;
+      EXPECT_EQ(stats.shards, 0u);
+      EXPECT_FALSE(stats.store.spilled);
+      EXPECT_FALSE(fs::exists(exec.spill_dir));
+    }
   }
 }
 
@@ -468,6 +528,38 @@ TEST(ShardEngine, ByteBudgetSpillsAndStaysBitExact) {
   EXPECT_GE(r.stats.shard_spills, 4u);
   EXPECT_GE(r.stats.shard_loads, 6u);
   testutil::expect_scan_eq(r.scan, oracle(list, true, ScanOp::kPlus));
+}
+
+TEST(ShardEngine, PinnedSpillDirGivesEveryRunFreshShardFiles) {
+  // One Engine under a pinned spill_dir. List B keeps A's links with new
+  // values and C is another list of the same length, so all three share
+  // every shard's identity (index, range, n). Each run spills into its
+  // own directory under the root and removes it, so every answer is
+  // bit-exact and no shard file is left behind.
+  const std::string root = fresh_dir("engine_root");
+  EngineOptions opt;
+  opt.backend = BackendKind::kHost;
+  opt.shard.shards = 4;
+  opt.shard.byte_budget = 1;
+  opt.shard.spill_dir = root;
+  Engine engine(opt);
+  Rng rng(53);
+  const std::size_t n = 4000;
+  const LinkedList a = random_list(n, rng, ValueInit::kSigned);
+  LinkedList b = a;
+  for (value_t& v : b.value)
+    v = static_cast<value_t>(rng.next_u64() % 2001) - 1000;
+  const LinkedList c = random_list(n, rng, ValueInit::kSigned);
+  const LinkedList* const lists[] = {&a, &b, &c};
+  for (const LinkedList* list : lists) {
+    const RunResult r = engine.scan(*list, ScanOp::kPlus);
+    ASSERT_TRUE(r.ok()) << r.status.message;
+    EXPECT_EQ(r.stats.shard_count, 4u);
+    EXPECT_TRUE(r.stats.shard_spilled);
+    testutil::expect_scan_eq(r.scan, oracle(*list, false, ScanOp::kPlus));
+    EXPECT_EQ(shard_files_under(root), 0u);
+  }
+  fs::remove_all(root);
 }
 
 TEST(ShardEngine, ExplicitSerialRequestIsHonouredUnsharded) {
