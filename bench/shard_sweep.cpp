@@ -16,7 +16,7 @@
 //                  resident list, the spill tier never engages
 //   sharded-spill  the same plan under a budget of ~2 shards: pass A maps
 //                  each shard from its spill file once and unmaps it on
-//                  release, and the prefetcher hides the next load
+//                  release, and one future loads the next meanwhile
 //
 // Every measured run is verified bit-exact against the serial oracle
 // before its timing is accepted -- a fast wrong answer is not a result.
@@ -247,8 +247,7 @@ int main(int argc, char** argv) {
                 static_cast<unsigned long long>(m.stats.store.prefetch_hits));
   }
 
-  // Store behaviour of the gate's spill run, as meta: the prefetch hit
-  // count is residency-timing dependent, so these are context for humans,
+  // Store behaviour of the gate's spill run, as meta: context for humans,
   // not compared row fields.
   json.meta("spill_loads", static_cast<double>(gate_store.loads));
   json.meta("spill_spills", static_cast<double>(gate_store.spills));

@@ -362,7 +362,6 @@ class HostBackend final : public ExecutionBackend {
     // Fold the store's failure/recovery counters even when the run failed
     // -- a typed answer should still report what was seen.
     out.stats.shard_corrupt_slabs = ss.store.corrupt_slabs;
-    out.stats.shard_repacks = ss.store.repacks;
     out.stats.shard_degraded = ss.store.degraded;
     if (!st.ok()) return st;
     const std::size_t n = req.list->size();

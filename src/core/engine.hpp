@@ -223,10 +223,9 @@ struct RunStats {
   std::uint64_t shard_segments = 0;  ///< reduced-list length (2nd level)
   std::uint64_t shard_loads = 0;     ///< shard-file loads (spill tier)
   std::uint64_t shard_spills = 0;    ///< mapped shards unmapped on release
-  std::uint64_t shard_prefetch_hits = 0;  ///< loads the prefetcher served
+  std::uint64_t shard_prefetch_hits = 0;  ///< loads the lookahead served
   bool shard_spilled = false;        ///< the out-of-core tier was active
   std::uint64_t shard_corrupt_slabs = 0;  ///< slabs failing integrity checks
-  std::uint64_t shard_repacks = 0;   ///< slabs rewritten from the source
   std::uint64_t shard_degraded = 0;  ///< shards served resident (spill down)
 
   /// For snapshot-addressed serving requests (serve/server.hpp): the

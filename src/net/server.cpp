@@ -187,7 +187,6 @@ std::string NetServer::stats_text() const {
       << "shard_spills " << s.shard_spills << '\n'
       << "shard_prefetch_hits " << s.shard_prefetch_hits << '\n'
       << "shard_corrupt_slabs " << s.shard_corrupt_slabs << '\n'
-      << "shard_repacks " << s.shard_repacks << '\n'
       << "shard_degraded " << s.shard_degraded << '\n'
       << "deadline_expired " << s.deadline_expired << '\n'
       << "net_accepted " << n.accepted << '\n'

@@ -277,7 +277,6 @@ void EngineServer::worker_loop() {
         stats_.shard_spills += r.stats.shard_spills;
         stats_.shard_prefetch_hits += r.stats.shard_prefetch_hits;
         stats_.shard_corrupt_slabs += r.stats.shard_corrupt_slabs;
-        stats_.shard_repacks += r.stats.shard_repacks;
         stats_.shard_degraded += r.stats.shard_degraded;
       }
     }

@@ -147,7 +147,6 @@ struct ServerStats {
   // "Failure model"). All are degradations or typed rejections the server
   // survived, never aborts.
   std::uint64_t shard_corrupt_slabs = 0;  ///< slabs failing integrity
-  std::uint64_t shard_repacks = 0;        ///< slabs rewritten from source
   std::uint64_t shard_degraded = 0;       ///< shards served resident (spill down)
   /// Jobs answered kDeadlineExceeded because their deadline passed while
   /// they were still queued (the work never ran).

@@ -6,15 +6,12 @@
 #include <filesystem>
 #include <system_error>
 
-#include "support/faultpoint.hpp"
-
-#if defined(__unix__) || defined(__APPLE__)
-#define LR90_SHARD_HAVE_MMAP 1
 #include <fcntl.h>
 #include <sys/mman.h>
 #include <sys/stat.h>
 #include <unistd.h>
-#endif
+
+#include "support/faultpoint.hpp"
 
 namespace lr90::shard {
 
@@ -23,20 +20,16 @@ namespace {
 // The I/O edges of the slab format, one fault site each (chaos coverage:
 // tests/fault_test.cpp arms every site and asserts a typed outcome).
 fault::FaultSite f_write_open{"shard.write.open",
-                              "temp-file fopen fails (EACCES)"};
+                              "shard-file fopen fails (EACCES)"};
 fault::FaultSite f_write_io{"shard.write.io", "fwrite fails mid-slab (EIO)"};
 fault::FaultSite f_write_nospc{"shard.write.nospc",
                                "fwrite fails mid-slab (ENOSPC)"};
 fault::FaultSite f_write_short{"shard.write.short",
                                "fwrite writes a short count (torn slab)"};
-fault::FaultSite f_write_rename{"shard.write.rename",
-                                "rename of the flushed temp file fails"};
 fault::FaultSite f_map_open{"shard.map.open",
                             "slab open/fstat fails on reload (EIO)"};
 fault::FaultSite f_map_mmap{"shard.map.mmap",
                             "mmap fails (address-space pressure)"};
-fault::FaultSite f_map_read{"shard.map.read",
-                            "heap-fallback fread fails (EIO)"};
 fault::FaultSite f_map_checksum{"shard.map.checksum",
                                 "payload checksum mismatch (bit rot)"};
 fault::FaultSite f_reclaim_unlink{"shard.reclaim.unlink",
@@ -134,15 +127,11 @@ bool write_shard_file(const std::string& path, const ShardHeader& header,
     h.payload_checksum = sum.digest();
   }
 
-  // Write-to-temp + rename: the final path only ever holds a complete,
-  // flushed slab, so a crash mid-write can never leave a valid-header
-  // torn file under the name a reload would trust.
-  const std::string tmp = path + ".tmp";
   if (f_write_open.fire()) {
     errno = EACCES;
     return false;
   }
-  std::FILE* f = std::fopen(tmp.c_str(), "wb");
+  std::FILE* f = std::fopen(path.c_str(), "wb");
   if (f == nullptr) return false;
   bool ok = std::fwrite(&h, sizeof(h), 1, f) == 1;
   if (ok && (f_write_io.fire() || f_write_nospc.fire())) {
@@ -151,8 +140,8 @@ bool write_shard_file(const std::string& path, const ShardHeader& header,
   }
   if (ok && f_write_short.fire() && len > 0) {
     // A torn write: half the links land, then the device gives up. The
-    // temp+rename discipline keeps this out of the final path; the site
-    // exists so the recovery path is testable end to end.
+    // run never reads a shard whose write failed; the site exists so the
+    // degraded path is testable end to end.
     (void)std::fwrite(next, sizeof(index_t), len / 2, f);
     ok = false;
   }
@@ -161,12 +150,7 @@ bool write_shard_file(const std::string& path, const ShardHeader& header,
   ok = ok && (len == 0 || std::fwrite(value, sizeof(value_t), len, f) == len);
   ok = std::fflush(f) == 0 && ok;
   ok = std::fclose(f) == 0 && ok;
-  if (ok && f_write_rename.fire()) {
-    errno = EIO;
-    ok = false;
-  }
-  ok = ok && std::rename(tmp.c_str(), path.c_str()) == 0;
-  if (!ok) std::remove(tmp.c_str());
+  if (!ok) std::remove(path.c_str());
   return ok;
 }
 
@@ -187,17 +171,6 @@ bool shard_header_matches(const ShardHeader& h, unsigned index,
          h.payload_bytes == shard_payload_bytes(end - begin);
 }
 
-const char* shard_load_error_name(ShardLoadError e) {
-  switch (e) {
-    case ShardLoadError::kOk: return "ok";
-    case ShardLoadError::kNotFound: return "not-found";
-    case ShardLoadError::kHeaderMismatch: return "header-mismatch";
-    case ShardLoadError::kCorrupt: return "corrupt";
-    case ShardLoadError::kIoError: return "io-error";
-  }
-  return "?";
-}
-
 bool ShardMap::open(const std::string& path, unsigned index,
                     std::size_t begin, std::size_t end, std::size_t total_n) {
   close();
@@ -213,69 +186,42 @@ bool ShardMap::open(const std::string& path, unsigned index,
   const std::size_t len = shard_header_len(h);
   const std::size_t total =
       sizeof(ShardHeader) + static_cast<std::size_t>(h.payload_bytes);
-#if defined(LR90_SHARD_HAVE_MMAP)
-  if (base_ == nullptr && heap_ == nullptr) {
-    if (f_map_open.fire()) {
-      error_ = ShardLoadError::kIoError;
-      return false;
-    }
-    const int fd = ::open(path.c_str(), O_RDONLY);
-    if (fd < 0) {
-      error_ = ShardLoadError::kIoError;
-      return false;
-    }
-    struct stat st{};
-    if (::fstat(fd, &st) != 0) {
-      ::close(fd);
-      error_ = ShardLoadError::kIoError;
-      return false;
-    }
-    if (static_cast<std::size_t>(st.st_size) < total) {
-      // Shorter than the header promises: a torn slab (the header made it
-      // to disk but the payload did not).
-      ::close(fd);
-      error_ = ShardLoadError::kCorrupt;
-      return false;
-    }
-    void* base = f_map_mmap.fire()
-                     ? MAP_FAILED
-                     : ::mmap(nullptr, total, PROT_READ, MAP_PRIVATE, fd, 0);
-    ::close(fd);  // on success the mapping keeps its own reference
-    if (base != MAP_FAILED) {
-      base_ = base;
-      map_bytes_ = total;
-    }
-    // mmap failure (address-space pressure, filesystem without mmap)
-    // falls through to the heap read below rather than failing the load.
+  if (f_map_open.fire()) {
+    error_ = ShardLoadError::kIoError;
+    return false;
   }
-#endif
-  if (base_ == nullptr) {
-    std::FILE* f = std::fopen(path.c_str(), "rb");
-    if (f == nullptr) {
-      error_ = ShardLoadError::kIoError;
-      return false;
-    }
-    heap_ = new (std::nothrow) char[total];
-    const bool read_ok = heap_ != nullptr && !f_map_read.fire() &&
-                         std::fread(heap_, 1, total, f) == total;
-    std::fclose(f);
-    if (!read_ok) {
-      delete[] heap_;
-      heap_ = nullptr;
-      // A short fread here could also be a torn slab, but it is not
-      // distinguishable from a device error; report the I/O class and
-      // let the store's repack path decide.
-      error_ = ShardLoadError::kIoError;
-      return false;
-    }
-    map_bytes_ = total;
+  const int fd = ::open(path.c_str(), O_RDONLY);
+  if (fd < 0) {
+    error_ = ShardLoadError::kIoError;
+    return false;
   }
-  const char* payload =
-      (base_ != nullptr ? static_cast<const char*>(base_) : heap_) +
-      sizeof(ShardHeader);
+  struct stat st{};
+  if (::fstat(fd, &st) != 0) {
+    ::close(fd);
+    error_ = ShardLoadError::kIoError;
+    return false;
+  }
+  if (static_cast<std::size_t>(st.st_size) < total) {
+    // Shorter than the header promises: a torn slab (the header made it
+    // to disk but the payload did not).
+    ::close(fd);
+    error_ = ShardLoadError::kCorrupt;
+    return false;
+  }
+  void* base = f_map_mmap.fire()
+                   ? MAP_FAILED
+                   : ::mmap(nullptr, total, PROT_READ, MAP_PRIVATE, fd, 0);
+  ::close(fd);  // on success the mapping keeps its own reference
+  if (base == MAP_FAILED) {
+    error_ = ShardLoadError::kIoError;
+    return false;
+  }
+  base_ = base;
+  map_bytes_ = total;
+  const char* payload = static_cast<const char*>(base_) + sizeof(ShardHeader);
   // Verify the payload against the header's checksum. This reads every
-  // payload byte, which doubles as the page fault-in touch_pages() would
-  // otherwise do on first access.
+  // payload byte, so the pages are resident when the ranking pass walks
+  // them.
   const std::uint64_t sum =
       checksum64(payload, static_cast<std::size_t>(h.payload_bytes));
   if (sum != h.payload_checksum || f_map_checksum.fire()) {
@@ -292,33 +238,12 @@ bool ShardMap::open(const std::string& path, unsigned index,
 }
 
 void ShardMap::close() {
-#if defined(LR90_SHARD_HAVE_MMAP)
   if (base_ != nullptr) ::munmap(base_, map_bytes_);
-#endif
-  delete[] heap_;
   base_ = nullptr;
-  heap_ = nullptr;
   map_bytes_ = 0;
   len_ = 0;
   next_ = nullptr;
   value_ = nullptr;
-}
-
-void ShardMap::touch_pages() const {
-  if (next_ == nullptr || map_bytes_ == 0) return;
-  const char* base =
-      base_ != nullptr ? static_cast<const char*>(base_) : heap_;
-  if (base == nullptr) return;
-#if defined(LR90_SHARD_HAVE_MMAP)
-  // Advise first so the kernel streams ahead of the touch loop.
-  ::posix_madvise(const_cast<char*>(base), map_bytes_, POSIX_MADV_WILLNEED);
-#endif
-  // One read per page is enough to fault it in; the sum keeps the loop
-  // from being optimized away.
-  volatile std::size_t sink = 0;
-  for (std::size_t off = 0; off < map_bytes_; off += 4096)
-    sink = sink + static_cast<unsigned char>(base[off]);
-  (void)sink;
 }
 
 void ShardMap::swap(ShardMap& other) noexcept {
@@ -327,7 +252,6 @@ void ShardMap::swap(ShardMap& other) noexcept {
   std::swap(len_, other.len_);
   std::swap(next_, other.next_);
   std::swap(value_, other.value_);
-  std::swap(heap_, other.heap_);
   std::swap(error_, other.error_);
 }
 
@@ -340,11 +264,7 @@ void drop_spill_dir(const std::string& dir) {
     const bool is_shard =
         (name.rfind("shard_", 0) == 0 &&
          name.size() > 5 && name.compare(name.size() - 5, 5, ".lr90") == 0);
-    // Reclaim leftover temp files of interrupted writes too.
-    const bool is_tmp =
-        (name.rfind("shard_", 0) == 0 && name.size() > 4 &&
-         name.compare(name.size() - 4, 4, ".tmp") == 0);
-    if (!is_shard && !is_tmp) continue;
+    if (!is_shard) continue;
     // A file that refuses to go (EBUSY, EACCES, EROFS) stays, and so does
     // the directory; the run's answer is already out.
     if (f_reclaim_unlink.fire()) continue;

@@ -11,10 +11,11 @@
 // Versioning: the header carries a magic, a format version, and the shard's
 // identity (index, range, total list length). A loader rejects anything
 // that does not match what the run expects, so a file that is not the one
-// the run wrote -- another format, another shard of the plan -- degrades
-// to a rewrite, never to a wrong answer. No file is shared between runs:
-// each run writes every shard afresh into a directory of its own and
-// removes the files when it ends.
+// the run wrote -- another format, another shard of the plan -- is not
+// read: its shard degrades to the resident source, never to a wrong
+// answer. No file is shared between runs: each run writes every shard
+// afresh into a directory of its own, reads a shard only after its own
+// write of it succeeded, and removes the files when it ends.
 #pragma once
 
 #include <cstdint>
@@ -32,7 +33,7 @@ inline constexpr std::uint64_t kShardMagic =
     (std::uint64_t{'R'} << 48) | (std::uint64_t{'D'} << 56);
 
 /// Current shard-file format version. Bump on any layout change; loaders
-/// reject other versions (a mismatched file is rewritten, not read).
+/// reject other versions (a mismatched file is not read).
 /// v2 added the payload checksum.
 inline constexpr std::uint32_t kShardFormatVersion = 2;
 
@@ -90,14 +91,13 @@ std::uint64_t checksum64(const void* data, std::size_t len);
 /// The canonical file name of shard `index` inside a spill directory.
 std::string shard_file_name(unsigned index);
 
-/// Writes one shard file (header + next/value subranges) atomically: the
-/// bytes land in "<path>.tmp" first and only a fully flushed temp file is
-/// renamed over `path`, so a crash or mid-write failure can never leave a
-/// valid-header half slab under the final name. The payload checksum is
-/// computed here and stamped into the written header (the caller's
-/// `header.payload_checksum` is ignored). `next`/`value` point at `len`
-/// elements (the global subrange). Returns false on any I/O failure, with
-/// the temp file removed (caller treats the shard as unspillable).
+/// Writes one shard file (header + next/value subranges) to `path`. The
+/// payload checksum is computed here and stamped into the written header
+/// (the caller's `header.payload_checksum` is ignored). `next`/`value`
+/// point at `len` elements (the global subrange). Returns true only when
+/// every write, the flush and the close succeeded; on any I/O failure it
+/// removes the partial file and returns false (the caller treats the
+/// shard as unspillable).
 bool write_shard_file(const std::string& path, const ShardHeader& header,
                       const index_t* next, const value_t* value);
 
@@ -114,22 +114,18 @@ bool shard_header_matches(const ShardHeader& h, unsigned index,
 /// Why a ShardMap::open failed (kOk on success). kCorrupt is the typed
 /// "this slab is torn or bit-flipped" signal: header and identity match
 /// but the payload fails its checksum (or the file is shorter than the
-/// header promises) -- the store re-packs the shard from the source list
-/// instead of serving garbage.
+/// header promises) -- the store serves the shard from the resident
+/// source instead of serving garbage.
 enum class ShardLoadError {
   kOk,              ///< the map is live
   kNotFound,        ///< the file is missing / unreadable
   kHeaderMismatch,  ///< wrong magic/version/identity (not this shard)
   kCorrupt,         ///< identity matches but the payload is torn/corrupt
-  kIoError,         ///< open/fstat/mmap/read failed
+  kIoError,         ///< open/fstat/mmap failed
 };
 
-/// Short stable name of `e` ("ok", "not-found", ...).
-const char* shard_load_error_name(ShardLoadError e);
-
-/// One mapped (or, where mmap is unavailable, heap-loaded) shard file:
-/// RAII over the mapping, exposing the next/value subranges zero-copy.
-/// Move-only; unmaps on destruction.
+/// One mapped shard file: RAII over the mapping, exposing the next/value
+/// subranges zero-copy. Move-only; unmaps on destruction.
 class ShardMap {
  public:
   ShardMap() = default;
@@ -151,14 +147,14 @@ class ShardMap {
   /// shard identity, and verifies the payload checksum (which also faults
   /// every payload page in). On success the next()/value() spans are
   /// live. Returns false (and stays empty) on any mismatch, corruption,
-  /// or I/O failure; error() says which.
+  /// or I/O failure, a failed mmap included; error() says which.
   bool open(const std::string& path, unsigned index, std::size_t begin,
             std::size_t end, std::size_t total_n);
 
   /// Why the last open() failed (kOk after a successful open).
   ShardLoadError error() const { return error_; }
 
-  /// Unmaps/frees; the object returns to the empty state.
+  /// Unmaps; the object returns to the empty state.
   void close();
 
   /// True iff a file is mapped.
@@ -172,19 +168,14 @@ class ShardMap {
   /// Vertices in the shard.
   std::size_t size() const { return len_; }
 
-  /// Sequentially faults every payload page in (the prefetcher's whole
-  /// job: by the time the ranking pass arrives, the pages are resident).
-  void touch_pages() const;
-
  private:
   void swap(ShardMap& other) noexcept;
 
-  void* base_ = nullptr;         ///< mmap base (null on the heap fallback)
-  std::size_t map_bytes_ = 0;    ///< mapped / allocated length
+  void* base_ = nullptr;         ///< mmap base
+  std::size_t map_bytes_ = 0;    ///< mapped length
   std::size_t len_ = 0;          ///< vertices
   const index_t* next_ = nullptr;
   const value_t* value_ = nullptr;
-  char* heap_ = nullptr;         ///< non-mmap fallback buffer
   ShardLoadError error_ = ShardLoadError::kOk;  ///< last open() outcome
 };
 

@@ -4,6 +4,7 @@
 #include <atomic>
 #include <filesystem>
 #include <system_error>
+#include <utility>
 
 #include "core/host_exec.hpp"
 
@@ -73,15 +74,10 @@ ShardedList ShardedList::build(const LinkedList& list, unsigned shards,
 }
 
 ShardStore::~ShardStore() {
-  if (prefetcher_.joinable()) {
-    {
-      std::lock_guard<std::mutex> lk(mu_);
-      shutdown_ = true;
-    }
-    cv_.notify_all();
-    prefetcher_.join();
-  }
-  resident_.clear();
+  // A pending load maps a file of the directory: drop its map first.
+  if (pending_.valid()) pending_.wait();
+  pending_ = {};
+  current_.close();
   if (spill_) drop_spill_dir(dir_);
 }
 
@@ -93,17 +89,16 @@ void ShardStore::prepare(const LinkedList& list, const ShardedList& sharded,
   spill_ = spill && sharded.n > 0;
   dir_ = dir;
   if (!spill_) return;
-  degraded_.assign(sharded.shards, 0);
   std::error_code ec;
   std::filesystem::create_directories(dir_, ec);
   // Each shard's file is independent: write them one shard per claimed
   // block, then fold the outcomes into the counters in shard order.
-  std::vector<char> written(sharded.shards, 0);
+  written_.assign(sharded.shards, 0);
   host_exec::claim_blocks(threads, sharded.shards, [&](std::size_t p) {
-    written[p] = write_shard(static_cast<unsigned>(p));
+    written_[p] = write_shard(static_cast<unsigned>(p));
   });
   for (unsigned p = 0; p < sharded.shards; ++p) {
-    if (written[p]) {
+    if (written_[p]) {
       const auto [b, e] = sharded.range(p);
       stats_.spill_bytes += sizeof(ShardHeader) + shard_payload_bytes(e - b);
       continue;
@@ -112,14 +107,10 @@ void ShardStore::prepare(const LinkedList& list, const ShardedList& sharded,
     // the shard can always be served from RAM: degrade it (counted)
     // instead of failing the whole run.
     ++stats_.write_errors;
-    degraded_[p] = 1;
     ++stats_.degraded;
   }
   stats_.spilled = true;
-  if (sharded.shards > 1) {
-    target_ = 0;  // prime: fault shard 0 in while the caller finishes setup
-    prefetcher_ = std::thread([this] { prefetch_loop(); });
-  }
+  start_load(0);  // map shard 0 while the caller finishes setup
 }
 
 bool ShardStore::write_shard(unsigned p) const {
@@ -134,20 +125,16 @@ bool ShardStore::write_shard(unsigned p) const {
                           list_->next.data() + b, list_->value.data() + b);
 }
 
-ShardStore::LoadOutcome ShardStore::load_shard(unsigned p) {
+void ShardStore::start_load(unsigned p) {
+  if (p >= sharded_->shards || !written_[p]) return;
   const auto [b, e] = sharded_->range(p);
-  const std::string path = dir_ + "/" + shard_file_name(p);
-  LoadOutcome out;
-  if (out.map.open(path, p, b, e, sharded_->n)) return out;
-  if (out.map.error() == ShardLoadError::kCorrupt) out.corrupt = true;
-  // Recovery: whatever broke the slab (torn write, bit rot, a vanished
-  // file), the source arrays are resident -- re-pack and retry once. A
-  // second failure falls through empty; the caller degrades the shard.
-  if (write_shard(p)) {
-    out.repacked = true;
-    out.map.open(path, p, b, e, sharded_->n);
-  }
-  return out;
+  pending_ = std::async(
+      std::launch::async,
+      [path = dir_ + "/" + shard_file_name(p), p, b, e, n = sharded_->n] {
+        ShardMap map;
+        map.open(path, p, b, e, n);
+        return map;
+      });
 }
 
 ShardView ShardStore::resident_view(unsigned p) const {
@@ -156,95 +143,30 @@ ShardView ShardStore::resident_view(unsigned p) const {
 }
 
 ShardView ShardStore::acquire(unsigned p) {
-  const auto [b, e] = sharded_->range(p);
   if (!spill_) return resident_view(p);
-  std::unique_lock<std::mutex> lk(mu_);
-  // Depth-1 lookahead: pass A visits shards in ascending order, so the
-  // next shard is always p + 1.
-  const auto hint_next_locked = [&] {
-    if (prefetcher_.joinable() && p + 1 < sharded_->shards &&
-        !degraded_[p + 1] &&
-        resident_.find(p + 1) == resident_.end() && in_flight_ != p + 1) {
-      target_ = p + 1;
-      cv_.notify_all();
-    }
-  };
-  for (;;) {
-    if (degraded_[p]) {
-      // The spill tier is broken for this shard; serve it straight from
-      // the resident source arrays (nothing to unmap on release).
-      hint_next_locked();
-      return resident_view(p);
-    }
-    auto it = resident_.find(p);
-    if (it == resident_.end()) {
-      if (in_flight_ == p || target_ == p) {
-        cv_.wait(lk);  // the prefetcher is on it; re-check on wake
-        continue;
-      }
-      // Synchronous load. Drop the lock for the I/O: the prefetcher may be
-      // mapping a different shard concurrently. Only this (orchestrator)
-      // thread sets target_, so nobody else can start loading p meanwhile.
-      lk.unlock();
-      LoadOutcome lo = load_shard(p);
-      lk.lock();
-      if (lo.corrupt) ++stats_.corrupt_slabs;
-      if (lo.repacked) ++stats_.repacks;
-      if (!lo.map) {
-        degraded_[p] = 1;
-        ++stats_.degraded;
-        continue;  // served by the degraded branch above
-      }
-      ++stats_.loads;
-      it = resident_.emplace(p, Resident{std::move(lo.map)}).first;
-    }
-    Resident& res = it->second;
-    if (res.from_prefetch) {
-      res.from_prefetch = false;
-      ++stats_.prefetch_hits;
-    }
-    hint_next_locked();
-    return ShardView{res.map.next(), res.map.value(), b, e};
+  // Depth-1 lookahead: pass A acquires the shards in ascending order, so
+  // the pending load is shard p's, and the next one to start is p + 1.
+  ShardMap map = written_[p] ? pending_.get() : ShardMap{};
+  start_load(p + 1);
+  if (!written_[p]) return resident_view(p);  // counted in prepare
+  if (!map) {
+    // The file cannot be opened, mapped or verified. The source arrays
+    // are resident: serve the shard from them (counted), with no retry.
+    if (map.error() == ShardLoadError::kCorrupt) ++stats_.corrupt_slabs;
+    ++stats_.degraded;
+    return resident_view(p);
   }
+  ++stats_.loads;
+  ++stats_.prefetch_hits;
+  current_ = std::move(map);
+  const auto [b, e] = sharded_->range(p);
+  return ShardView{current_.next(), current_.value(), b, e};
 }
 
-void ShardStore::release(unsigned p) {
-  if (!spill_) return;
-  std::lock_guard<std::mutex> lk(mu_);
-  if (resident_.erase(p) > 0) ++stats_.spills;  // a degraded shard maps none
-}
-
-StoreStats ShardStore::stats() const {
-  std::lock_guard<std::mutex> lk(mu_);
-  return stats_;
-}
-
-void ShardStore::prefetch_loop() {
-  std::unique_lock<std::mutex> lk(mu_);
-  for (;;) {
-    cv_.wait(lk, [this] { return shutdown_ || target_.has_value(); });
-    if (shutdown_) return;
-    const unsigned p = *target_;
-    target_.reset();
-    if (resident_.find(p) != resident_.end() || degraded_[p]) continue;
-    in_flight_ = p;
-    lk.unlock();
-    LoadOutcome lo = load_shard(p);
-    // The actual prefetch: pages resident on arrival (the checksum pass
-    // in open() already faulted them; this keeps them warm).
-    if (lo.map) lo.map.touch_pages();
-    lk.lock();
-    in_flight_.reset();
-    if (lo.corrupt) ++stats_.corrupt_slabs;
-    if (lo.repacked) ++stats_.repacks;
-    // A failed prefetch is NOT degraded here: the acquire path retries
-    // synchronously and owns the degrade decision.
-    if (!shutdown_ && lo.map && resident_.find(p) == resident_.end()) {
-      ++stats_.loads;
-      resident_.emplace(p, Resident{std::move(lo.map), true});
-    }
-    cv_.notify_all();  // an acquire may be blocked on this shard
-  }
+void ShardStore::release(unsigned) {
+  if (!current_) return;  // RAM mode or a degraded shard maps none
+  current_.close();
+  ++stats_.spills;
 }
 
 }  // namespace lr90::shard

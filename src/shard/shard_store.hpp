@@ -15,21 +15,17 @@
 //
 // The store's out-of-core tier follows the Gigablast RdbCache/RdbMerge
 // shape: shard files written once per run at streaming bandwidth into the
-// run's own directory, mmapped one shard at a time, and a single async
-// prefetch thread that faults the next shard's pages in while the current
-// one is being ranked. The ranking visits each shard once, in ascending
-// order, so depth-1 lookahead is the whole win, and a released shard is
-// unmapped at once: at most the acquired shard and the prefetched next
-// one are mapped. The files and their directory go when the store does.
+// run's own directory and mmapped one shard at a time, while one future
+// maps and checksums the next shard as the current one is being ranked.
+// The ranking visits each shard once, in ascending order, so depth-1
+// lookahead is the whole win, and a released shard is unmapped at once:
+// at most the acquired shard and the loading next one are mapped. The
+// files and their directory go when the store does.
 #pragma once
 
-#include <condition_variable>
 #include <cstdint>
-#include <mutex>
-#include <optional>
+#include <future>
 #include <string>
-#include <thread>
-#include <unordered_map>
 #include <vector>
 
 #include "lists/linked_list.hpp"
@@ -97,11 +93,10 @@ struct ShardView {
 struct StoreStats {
   std::uint64_t loads = 0;          ///< shard file loads (mmap/open)
   std::uint64_t spills = 0;         ///< mapped shards unmapped on release
-  std::uint64_t prefetch_hits = 0;  ///< loads the async prefetcher served
+  std::uint64_t prefetch_hits = 0;  ///< loads the lookahead future served
   std::uint64_t spill_bytes = 0;    ///< bytes written to shard files
   bool spilled = false;             ///< the out-of-core tier was active
-  std::uint64_t corrupt_slabs = 0;  ///< loads failing the integrity check
-  std::uint64_t repacks = 0;        ///< slabs rewritten from the source list
+  std::uint64_t corrupt_slabs = 0;  ///< loads failing the size or checksum
   std::uint64_t degraded = 0;       ///< shards downgraded to resident serving
   std::uint64_t write_errors = 0;   ///< shard-file writes that failed
 };
@@ -110,30 +105,31 @@ struct StoreStats {
 ///
 /// RAM mode: views alias the source arrays; zero copy, zero I/O. Spill
 /// mode (ShardExec::byte_budget > 0): prepare() writes every shard to
-/// a ShardFile in the run's own directory `dir`, then acquire() serves an
-/// mmapped view of one shard, release() unmaps it, and one async prefetch
-/// thread faults the next shard in meanwhile.
+/// a ShardFile in the run's own directory `dir` and starts loading shard
+/// 0; acquire(p) serves the mapped view of shard p and starts loading
+/// shard p + 1, and release() unmaps it.
 ///
-/// Thread model: one orchestrator thread calls prepare/acquire/release.
-/// prepare's workers each write one shard's file and its own outcome
-/// slot, and are joined before it returns; after that the internal
-/// prefetch thread is the only concurrency, and every shared field is
-/// guarded by one mutex. The view returned by acquire(p) stays valid
-/// until release(p).
+/// Thread model: one orchestrator thread calls prepare/acquire/release,
+/// and it alone touches the counters and the written flags. prepare's
+/// workers each write one shard's file and its own outcome slot, and are
+/// joined before it returns; after that the only concurrency is the one
+/// pending load, which owns copies of what it reads and hands its map
+/// over through its future. Shards are acquired in ascending order, each
+/// once, and the view returned by acquire(p) stays valid until
+/// release(p).
 class ShardStore {
  public:
   ShardStore() = default;
   ShardStore(const ShardStore&) = delete;             ///< not copyable
   ShardStore& operator=(const ShardStore&) = delete;  ///< not copyable
-  /// Joins the prefetcher, unmaps everything, and removes the spill files
-  /// and their directory.
+  /// Waits for a pending load, unmaps everything, and removes the spill
+  /// files and their directory.
   ~ShardStore();
 
   /// Binds the store to `list` split per `sharded`. `spill` false selects
   /// RAM mode; true selects the spill tier: every shard file is written
   /// afresh under `dir` (the run's own directory, created if needed; must
-  /// be non-empty) over `threads` workers, and with more than one shard
-  /// the async prefetcher starts.
+  /// be non-empty) over `threads` workers, and shard 0 starts loading.
   ///
   /// Failure model: a shard whose spill write fails (ENOSPC, EIO) is put
   /// in DEGRADED mode -- served straight from the always-resident source
@@ -141,63 +137,40 @@ class ShardStore {
   void prepare(const LinkedList& list, const ShardedList& sharded,
                bool spill, const std::string& dir, unsigned threads);
 
-  /// Blocks until shard `p` is resident and returns its view, valid until
-  /// release(p). On the spill tier this may wait for the prefetcher or
-  /// perform a synchronous load, then asks the prefetcher for shard p + 1.
+  /// Returns shard `p`'s view, valid until release(p); `p` is the shard
+  /// after the last one acquired (0 first). On the spill tier this waits
+  /// for the pending load of p, then starts loading shard p + 1.
   ///
-  /// Failure ladder: a slab failing its integrity check is counted
-  /// (corrupt_slabs), re-packed from the source list (repacks) and
-  /// re-loaded; if the slab still cannot be served, the shard is served
-  /// resident from the source arrays (degraded). The view is never null.
+  /// Failure model: a shard whose file cannot be opened, mapped or
+  /// verified is served at once from the resident source arrays, counted
+  /// in degraded (and in corrupt_slabs when its size or checksum is
+  /// wrong). The view is never null.
   ShardView acquire(unsigned p);
 
   /// Unmaps shard `p` on the spill tier (counted in StoreStats::spills):
   /// each shard is acquired once per run.
   void release(unsigned p);
 
-  /// Counters so far (orchestrator-thread view; the prefetcher's
-  /// contributions are folded in under the same mutex).
-  StoreStats stats() const;
+  /// Counters so far.
+  StoreStats stats() const { return stats_; }
 
  private:
-  struct Resident {
-    ShardMap map;
-    bool from_prefetch = false;  ///< not yet consumed by an acquire
-  };
-
-  /// One load attempt plus its recovery bookkeeping (no lock held; pure
-  /// file I/O). The caller folds the flags into stats_ under mu_.
-  struct LoadOutcome {
-    ShardMap map;           ///< empty on unrecoverable failure
-    bool corrupt = false;   ///< the first load failed integrity
-    bool repacked = false;  ///< the slab was rewritten from the source
-  };
-
-  bool write_shard(unsigned p) const;  ///< (re)writes p's file from list_
-  LoadOutcome load_shard(unsigned p);
-  void prefetch_loop();
+  bool write_shard(unsigned p) const;  ///< writes p's file from list_
+  /// Starts loading shard `p` into pending_, unless it is past the last
+  /// shard or its write failed.
+  void start_load(unsigned p);
   ShardView resident_view(unsigned p) const;  ///< degraded/RAM-mode view
 
   const LinkedList* list_ = nullptr;
   const ShardedList* sharded_ = nullptr;
   std::string dir_;
   bool spill_ = false;
-  /// Per-shard degraded flag: spill for this shard is broken; serve it
-  /// from the source arrays (guarded by mu_ once the prefetcher runs).
-  std::vector<char> degraded_;
-
-  mutable std::mutex mu_;
-  std::condition_variable cv_;
-  std::unordered_map<unsigned, Resident> resident_;
+  /// Per shard: its file was written. A shard whose write failed is
+  /// never loaded; it is served from the source arrays.
+  std::vector<char> written_;
+  std::future<ShardMap> pending_;  ///< the next shard's load, if started
+  ShardMap current_;               ///< the acquired shard's mapping
   StoreStats stats_;
-
-  // Prefetcher handshake (all under mu_): target_ is the shard the
-  // prefetcher should fetch next (nullopt = idle), in_flight_ the one it
-  // is currently mapping outside the lock.
-  std::thread prefetcher_;
-  bool shutdown_ = false;
-  std::optional<unsigned> target_;
-  std::optional<unsigned> in_flight_;
 };
 
 }  // namespace lr90::shard

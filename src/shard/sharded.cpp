@@ -1,5 +1,7 @@
 #include "shard/sharded.hpp"
 
+#include <unistd.h>
+
 #include <algorithm>
 #include <atomic>
 #include <filesystem>
@@ -11,10 +13,6 @@
 #include "core/host_exec.hpp"
 #include "lists/encode.hpp"
 #include "support/faultpoint.hpp"
-
-#if defined(__unix__) || defined(__APPLE__)
-#include <unistd.h>
-#endif
 
 namespace lr90::shard {
 
@@ -152,13 +150,15 @@ Status run_sharded(const LinkedList& list, ShardedList& sharded,
   value_t* o = out.data();
 
   // Pass A: per-shard segment totals + exits, plus every vertex's segment
-  // and local prefix, one resident shard at a time.
+  // and local prefix, one resident shard at a time. Every shard is
+  // acquired in order, a headless (empty) one included, so each load the
+  // store starts is consumed.
   for (unsigned p = 0; p < sharded.shards; ++p) {
-    if (sharded.heads_of[p].empty()) continue;
     const ShardView view = store.acquire(p);
-    packed &= pass_reduce<Op, kOnes>(view, sharded.heads_of[p],
-                                     sharded.seg_base[p], exec, scratch, op,
-                                     seg_of, o, totals, exits);
+    if (!sharded.heads_of[p].empty())
+      packed &= pass_reduce<Op, kOnes>(view, sharded.heads_of[p],
+                                       sharded.seg_base[p], exec, scratch,
+                                       op, seg_of, o, totals, exits);
     store.release(p);
   }
 
@@ -224,10 +224,7 @@ Status run_sharded(const LinkedList& list, ShardedList& sharded,
 
 std::string fresh_spill_dir(const std::string& root) {
   static std::atomic<std::uint64_t> seq{0};
-  unsigned long pid = 0;
-#if defined(__unix__) || defined(__APPLE__)
-  pid = static_cast<unsigned long>(::getpid());
-#endif
+  const auto pid = static_cast<unsigned long>(::getpid());
   std::string base = root;
   if (base.empty()) {
     std::error_code ec;

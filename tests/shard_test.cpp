@@ -36,7 +36,7 @@ std::string fresh_dir(const std::string& tag) {
   return dir;
 }
 
-/// Shard files (and their temp files) anywhere under `root`.
+/// Shard files anywhere under `root`.
 std::size_t shard_files_under(const std::string& root) {
   std::size_t count = 0;
   std::error_code ec;
@@ -352,10 +352,36 @@ TEST(ShardedScan, SpillTierIsBitExactAndCountsSpillsLoadsPrefetch) {
   EXPECT_EQ(stats.shards, P);
   EXPECT_TRUE(stats.store.spilled);
   EXPECT_EQ(stats.store.loads, static_cast<std::uint64_t>(P));
-  EXPECT_GE(stats.store.spills, 4u);
-  EXPECT_GE(stats.store.prefetch_hits, 1u);
+  EXPECT_EQ(stats.store.spills, static_cast<std::uint64_t>(P));
+  EXPECT_EQ(stats.store.prefetch_hits, static_cast<std::uint64_t>(P));
   // Ephemeral directory: removed when the run ended.
   EXPECT_FALSE(fs::exists(exec.spill_dir));
+}
+
+TEST(ShardedScan, EmptyTrailingShardsCountEveryLoadOnceInEveryRun) {
+  // n = 9 or 17 at P = 8 leaves the last shards empty. Pass A acquires
+  // them too, so every load the store starts is consumed and released:
+  // the counters repeat exactly, run after run, with no load left over.
+  for (const std::size_t n : {std::size_t{9}, std::size_t{17}}) {
+    SCOPED_TRACE("n=" + std::to_string(n));
+    Rng rng(n);
+    const LinkedList list = random_list(n, rng, ValueInit::kSigned);
+    const unsigned P = 8;
+    shard::ShardExec exec;
+    exec.shards = P;
+    exec.threads = 2;
+    exec.byte_budget = 1;
+    exec.spill_dir = fresh_dir("empty_tail");
+    for (int run = 0; run < 50; ++run) {
+      const shard::ShardRunStats stats =
+          run_and_check(list, /*rank=*/run % 2 == 0, ScanOp::kPlus, exec);
+      ASSERT_EQ(stats.shards, P) << "run " << run;
+      EXPECT_EQ(stats.store.loads, P) << "run " << run;
+      EXPECT_EQ(stats.store.spills, P) << "run " << run;
+      EXPECT_EQ(stats.store.prefetch_hits, P) << "run " << run;
+      EXPECT_FALSE(fs::exists(exec.spill_dir)) << "run " << run;
+    }
+  }
 }
 
 TEST(ShardedScan, SpillDirFilesAreNeverReusedAcrossRuns) {
