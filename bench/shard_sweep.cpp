@@ -15,8 +15,8 @@
 //   sharded-ram    P shards, no byte budget: every shard is a view of the
 //                  resident list, the spill tier never engages
 //   sharded-spill  the same plan under a budget of ~2 shards: pass A maps
-//                  each shard from its spill file once and unmaps it on
-//                  release, and one future loads the next meanwhile
+//                  each shard from its spill file when it reaches it,
+//                  once, and unmaps it on release
 //
 // Every measured run is verified bit-exact against the serial oracle
 // before its timing is accepted -- a fast wrong answer is not a result.
@@ -105,9 +105,10 @@ Measured measure_sharded(const LinkedList& list, std::size_t byte_budget,
   return m;
 }
 
-/// The spill budget: room for ~2 of the plan's P shards, the acquired one
-/// and the prefetched next. Any nonzero budget turns the spill tier on, so
-/// pass A loads every shard from its spill file.
+/// The spill budget: room for ~2 of the plan's P shards, which covers the
+/// mapped shard (12 B a vertex) plus pass A's 8 B-a-vertex slab of it. Any
+/// nonzero budget turns the spill tier on, so pass A loads every shard
+/// from its spill file.
 std::size_t spill_budget(std::size_t n) {
   const std::size_t per_shard =
       shard::shard_payload_bytes((n + kShards - 1) / kShards);
@@ -241,18 +242,15 @@ int main(int argc, char** argv) {
       return 1;
     }
     std::printf("full: n=2^27 bit-exact under budget, %.0f ms, "
-                "%llu loads, %llu spills, %llu prefetch hits\n\n",
+                "%llu loads, %llu spills\n\n",
                 m.ms, static_cast<unsigned long long>(m.stats.store.loads),
-                static_cast<unsigned long long>(m.stats.store.spills),
-                static_cast<unsigned long long>(m.stats.store.prefetch_hits));
+                static_cast<unsigned long long>(m.stats.store.spills));
   }
 
   // Store behaviour of the gate's spill run, as meta: context for humans,
   // not compared row fields.
   json.meta("spill_loads", static_cast<double>(gate_store.loads));
   json.meta("spill_spills", static_cast<double>(gate_store.spills));
-  json.meta("spill_prefetch_hits",
-            static_cast<double>(gate_store.prefetch_hits));
   const std::string path = bench_json_path("BENCH_shard.json");
   if (!json.write(path)) return 1;
   std::printf("wrote %s\n", path.c_str());

@@ -164,9 +164,10 @@ Planner::Decision Planner::decide(std::size_t n, Method requested, bool rank,
     if (requested != Method::kAuto && requested != Method::kReidMiller)
       return d;
     // Sharding first: a pinned ShardOptions::shards, or enough shards
-    // that two fit the resident byte budget. Each shard then runs the
-    // sublist kernel over its own slice, so the plan is made for the
-    // shard width, not n.
+    // that two fit the resident byte budget, which then covers the mapped
+    // shard (12 B a vertex) plus pass A's slab of it (8 B a vertex). Each
+    // shard then runs the sublist kernel over its own slice, so the plan
+    // is made for the shard width, not n.
     std::size_t width = n;
     std::size_t shards = shard_.shards;
     const std::size_t bytes = n * (sizeof(index_t) + sizeof(value_t));
@@ -386,7 +387,6 @@ class HostBackend final : public ExecutionBackend {
     out.stats.shard_segments = ss.segments;
     out.stats.shard_loads = ss.store.loads;
     out.stats.shard_spills = ss.store.spills;
-    out.stats.shard_prefetch_hits = ss.store.prefetch_hits;
     out.stats.shard_spilled = ss.store.spilled;
     return st;
   }

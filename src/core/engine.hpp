@@ -223,7 +223,6 @@ struct RunStats {
   std::uint64_t shard_segments = 0;  ///< reduced-list length (2nd level)
   std::uint64_t shard_loads = 0;     ///< shard-file loads (spill tier)
   std::uint64_t shard_spills = 0;    ///< mapped shards unmapped on release
-  std::uint64_t shard_prefetch_hits = 0;  ///< loads the lookahead served
   bool shard_spilled = false;        ///< the out-of-core tier was active
   std::uint64_t shard_corrupt_slabs = 0;  ///< slabs failing integrity checks
   std::uint64_t shard_degraded = 0;  ///< shards served resident (spill down)
@@ -253,7 +252,7 @@ struct RunResult {
 /// into P contiguous id-range shards ranked independently, with
 /// cross-shard cursors resolved by a second-level Reid-Miller pass, and an
 /// optional spill tier that maps one shard at a time from mmapped
-/// ShardFiles, with an async prefetch of the next. Lists of any length a
+/// ShardFiles, each loaded when the run reaches it. Lists of any length a
 /// 32-bit index holds run unsharded unless one of these asks otherwise.
 struct ShardOptions {
   /// Pinned shard count; 0 = auto: shard only when the list's bytes
@@ -262,9 +261,9 @@ struct ShardOptions {
   unsigned shards = 0;
   /// Shard-byte budget: > 0 turns the spill tier on and sizes the shards
   /// (a list larger than the budget is sharded so that about two shards
-  /// fit it), and the store maps only the acquired shard and the
-  /// prefetched next one; 0 = all-in-RAM (no shard files are ever
-  /// written).
+  /// fit it: the mapped shard plus pass A's slab of it), and the store
+  /// maps only the acquired shard; 0 = all-in-RAM (no shard files are
+  /// ever written).
   std::size_t byte_budget = 0;
   /// Root of the spill directories. Every run that spills writes its
   /// shard files into a fresh directory under it

@@ -275,7 +275,6 @@ void EngineServer::worker_loop() {
       if (r.stats.shard_count > 0) {
         ++stats_.sharded_runs;
         stats_.shard_spills += r.stats.shard_spills;
-        stats_.shard_prefetch_hits += r.stats.shard_prefetch_hits;
         stats_.shard_corrupt_slabs += r.stats.shard_corrupt_slabs;
         stats_.shard_degraded += r.stats.shard_degraded;
       }

@@ -141,7 +141,6 @@ struct ServerStats {
   // spill tier did.
   std::uint64_t sharded_runs = 0;        ///< runs that took the shard path
   std::uint64_t shard_spills = 0;        ///< shards unmapped on release
-  std::uint64_t shard_prefetch_hits = 0; ///< shards consumed pre-faulted
 
   // Failure-model counters (the hardened paths; see ARCHITECTURE.md
   // "Failure model"). All are degradations or typed rejections the server

@@ -246,15 +246,6 @@ void ShardMap::close() {
   value_ = nullptr;
 }
 
-void ShardMap::swap(ShardMap& other) noexcept {
-  std::swap(base_, other.base_);
-  std::swap(map_bytes_, other.map_bytes_);
-  std::swap(len_, other.len_);
-  std::swap(next_, other.next_);
-  std::swap(value_, other.value_);
-  std::swap(error_, other.error_);
-}
-
 void drop_spill_dir(const std::string& dir) {
   namespace fs = std::filesystem;
   std::error_code ec;

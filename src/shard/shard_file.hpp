@@ -125,22 +125,13 @@ enum class ShardLoadError {
 };
 
 /// One mapped shard file: RAII over the mapping, exposing the next/value
-/// subranges zero-copy. Move-only; unmaps on destruction.
+/// subranges zero-copy. Neither copyable nor movable; unmaps on
+/// destruction.
 class ShardMap {
  public:
   ShardMap() = default;
   ShardMap(const ShardMap&) = delete;             ///< not copyable
   ShardMap& operator=(const ShardMap&) = delete;  ///< not copyable
-  /// Moves transfer the mapping (the source becomes empty).
-  ShardMap(ShardMap&& other) noexcept { swap(other); }
-  /// Move-assignment counterpart (the source becomes empty).
-  ShardMap& operator=(ShardMap&& other) noexcept {
-    if (this != &other) {
-      close();
-      swap(other);
-    }
-    return *this;
-  }
   ~ShardMap() { close(); }  ///< unmaps
 
   /// Maps `path` read-only, validates its header against the expected
@@ -169,8 +160,6 @@ class ShardMap {
   std::size_t size() const { return len_; }
 
  private:
-  void swap(ShardMap& other) noexcept;
-
   void* base_ = nullptr;         ///< mmap base
   std::size_t map_bytes_ = 0;    ///< mapped length
   std::size_t len_ = 0;          ///< vertices

@@ -74,9 +74,6 @@ ShardedList ShardedList::build(const LinkedList& list, unsigned shards,
 }
 
 ShardStore::~ShardStore() {
-  // A pending load maps a file of the directory: drop its map first.
-  if (pending_.valid()) pending_.wait();
-  pending_ = {};
   current_.close();
   if (spill_) drop_spill_dir(dir_);
 }
@@ -110,7 +107,6 @@ void ShardStore::prepare(const LinkedList& list, const ShardedList& sharded,
     ++stats_.degraded;
   }
   stats_.spilled = true;
-  start_load(0);  // map shard 0 while the caller finishes setup
 }
 
 bool ShardStore::write_shard(unsigned p) const {
@@ -125,41 +121,23 @@ bool ShardStore::write_shard(unsigned p) const {
                           list_->next.data() + b, list_->value.data() + b);
 }
 
-void ShardStore::start_load(unsigned p) {
-  if (p >= sharded_->shards || !written_[p]) return;
-  const auto [b, e] = sharded_->range(p);
-  pending_ = std::async(
-      std::launch::async,
-      [path = dir_ + "/" + shard_file_name(p), p, b, e, n = sharded_->n] {
-        ShardMap map;
-        map.open(path, p, b, e, n);
-        return map;
-      });
-}
-
 ShardView ShardStore::resident_view(unsigned p) const {
   const auto [b, e] = sharded_->range(p);
   return ShardView{list_->next.data() + b, list_->value.data() + b, b, e};
 }
 
 ShardView ShardStore::acquire(unsigned p) {
-  if (!spill_) return resident_view(p);
-  // Depth-1 lookahead: pass A acquires the shards in ascending order, so
-  // the pending load is shard p's, and the next one to start is p + 1.
-  ShardMap map = written_[p] ? pending_.get() : ShardMap{};
-  start_load(p + 1);
-  if (!written_[p]) return resident_view(p);  // counted in prepare
-  if (!map) {
+  // RAM mode, or a shard whose write failed (counted in prepare).
+  if (!spill_ || !written_[p]) return resident_view(p);
+  const auto [b, e] = sharded_->range(p);
+  if (!current_.open(dir_ + "/" + shard_file_name(p), p, b, e, sharded_->n)) {
     // The file cannot be opened, mapped or verified. The source arrays
     // are resident: serve the shard from them (counted), with no retry.
-    if (map.error() == ShardLoadError::kCorrupt) ++stats_.corrupt_slabs;
+    if (current_.error() == ShardLoadError::kCorrupt) ++stats_.corrupt_slabs;
     ++stats_.degraded;
     return resident_view(p);
   }
   ++stats_.loads;
-  ++stats_.prefetch_hits;
-  current_ = std::move(map);
-  const auto [b, e] = sharded_->range(p);
   return ShardView{current_.next(), current_.value(), b, e};
 }
 

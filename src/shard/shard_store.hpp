@@ -15,16 +15,13 @@
 //
 // The store's out-of-core tier follows the Gigablast RdbCache/RdbMerge
 // shape: shard files written once per run at streaming bandwidth into the
-// run's own directory and mmapped one shard at a time, while one future
-// maps and checksums the next shard as the current one is being ranked.
-// The ranking visits each shard once, in ascending order, so depth-1
-// lookahead is the whole win, and a released shard is unmapped at once:
-// at most the acquired shard and the loading next one are mapped. The
-// files and their directory go when the store does.
+// run's own directory and mmapped one shard at a time. The ranking visits
+// each shard once, so acquire maps and checksums the shard on the
+// caller's thread and release unmaps it: at most one shard is mapped.
+// The files and their directory go when the store does.
 #pragma once
 
 #include <cstdint>
-#include <future>
 #include <string>
 #include <vector>
 
@@ -93,7 +90,9 @@ struct ShardView {
 struct StoreStats {
   std::uint64_t loads = 0;          ///< shard file loads (mmap/open)
   std::uint64_t spills = 0;         ///< mapped shards unmapped on release
-  std::uint64_t prefetch_hits = 0;  ///< loads the lookahead future served
+  /// Always 0: every load happens in acquire, none ahead of it. Kept
+  /// because perfbench/out_of_core.cpp still reads it.
+  std::uint64_t prefetch_hits = 0;
   std::uint64_t spill_bytes = 0;    ///< bytes written to shard files
   bool spilled = false;             ///< the out-of-core tier was active
   std::uint64_t corrupt_slabs = 0;  ///< loads failing the size or checksum
@@ -105,31 +104,28 @@ struct StoreStats {
 ///
 /// RAM mode: views alias the source arrays; zero copy, zero I/O. Spill
 /// mode (ShardExec::byte_budget > 0): prepare() writes every shard to
-/// a ShardFile in the run's own directory `dir` and starts loading shard
-/// 0; acquire(p) serves the mapped view of shard p and starts loading
-/// shard p + 1, and release() unmaps it.
+/// a ShardFile in the run's own directory `dir`; acquire(p) maps shard
+/// p's file and serves its view, and release() unmaps it.
 ///
 /// Thread model: one orchestrator thread calls prepare/acquire/release,
-/// and it alone touches the counters and the written flags. prepare's
-/// workers each write one shard's file and its own outcome slot, and are
-/// joined before it returns; after that the only concurrency is the one
-/// pending load, which owns copies of what it reads and hands its map
-/// over through its future. Shards are acquired in ascending order, each
-/// once, and the view returned by acquire(p) stays valid until
-/// release(p).
+/// and it alone touches the map, the counters and the written flags.
+/// prepare's workers each write one shard's file and its own outcome
+/// slot, and are joined before it returns. The view returned by
+/// acquire(p) stays valid until release(p), which comes before the next
+/// acquire.
 class ShardStore {
  public:
   ShardStore() = default;
   ShardStore(const ShardStore&) = delete;             ///< not copyable
   ShardStore& operator=(const ShardStore&) = delete;  ///< not copyable
-  /// Waits for a pending load, unmaps everything, and removes the spill
-  /// files and their directory.
+  /// Unmaps the acquired shard, if any, and removes the spill files and
+  /// their directory.
   ~ShardStore();
 
   /// Binds the store to `list` split per `sharded`. `spill` false selects
   /// RAM mode; true selects the spill tier: every shard file is written
   /// afresh under `dir` (the run's own directory, created if needed; must
-  /// be non-empty) over `threads` workers, and shard 0 starts loading.
+  /// be non-empty) over `threads` workers.
   ///
   /// Failure model: a shard whose spill write fails (ENOSPC, EIO) is put
   /// in DEGRADED mode -- served straight from the always-resident source
@@ -137,9 +133,8 @@ class ShardStore {
   void prepare(const LinkedList& list, const ShardedList& sharded,
                bool spill, const std::string& dir, unsigned threads);
 
-  /// Returns shard `p`'s view, valid until release(p); `p` is the shard
-  /// after the last one acquired (0 first). On the spill tier this waits
-  /// for the pending load of p, then starts loading shard p + 1.
+  /// Returns shard `p`'s view, valid until release(p). On the spill tier
+  /// this opens, maps and verifies shard p's file on the caller's thread.
   ///
   /// Failure model: a shard whose file cannot be opened, mapped or
   /// verified is served at once from the resident source arrays, counted
@@ -147,8 +142,7 @@ class ShardStore {
   /// wrong). The view is never null.
   ShardView acquire(unsigned p);
 
-  /// Unmaps shard `p` on the spill tier (counted in StoreStats::spills):
-  /// each shard is acquired once per run.
+  /// Unmaps shard `p` on the spill tier (counted in StoreStats::spills).
   void release(unsigned p);
 
   /// Counters so far.
@@ -156,9 +150,6 @@ class ShardStore {
 
  private:
   bool write_shard(unsigned p) const;  ///< writes p's file from list_
-  /// Starts loading shard `p` into pending_, unless it is past the last
-  /// shard or its write failed.
-  void start_load(unsigned p);
   ShardView resident_view(unsigned p) const;  ///< degraded/RAM-mode view
 
   const LinkedList* list_ = nullptr;
@@ -168,8 +159,7 @@ class ShardStore {
   /// Per shard: its file was written. A shard whose write failed is
   /// never loaded; it is served from the source arrays.
   std::vector<char> written_;
-  std::future<ShardMap> pending_;  ///< the next shard's load, if started
-  ShardMap current_;               ///< the acquired shard's mapping
+  ShardMap current_;  ///< the acquired shard's mapping
   StoreStats stats_;
 };
 

@@ -151,8 +151,8 @@ Status run_sharded(const LinkedList& list, ShardedList& sharded,
 
   // Pass A: per-shard segment totals + exits, plus every vertex's segment
   // and local prefix, one resident shard at a time. Every shard is
-  // acquired in order, a headless (empty) one included, so each load the
-  // store starts is consumed.
+  // acquired in order, a headless (empty) one included, so a spilling run
+  // loads and spills each shard once.
   for (unsigned p = 0; p < sharded.shards; ++p) {
     const ShardView view = store.acquire(p);
     if (!sharded.heads_of[p].empty())

@@ -26,10 +26,10 @@
 //           in-core phases rely on).
 //
 // Residency during pass A is the ShardStore's job: all-in-RAM views when
-// no byte budget is set, spilled ShardFiles mapped one at a time with an
-// async prefetch of the next when one is (the out-of-core tier). A run
-// that spills writes its shard files into a directory no other run uses
-// and removes it when it ends.
+// no byte budget is set, spilled ShardFiles mapped one at a time, each as
+// pass A reaches it, when one is (the out-of-core tier). A run that
+// spills writes its shard files into a directory no other run uses and
+// removes it when it ends.
 #pragma once
 
 #include <cstdint>
@@ -54,9 +54,9 @@ struct ShardExec {
   /// to [1, host_exec::kMaxInterleave]).
   unsigned interleave = 8;
   /// Shard-byte budget: > 0 turns the spill tier on, 0 = all-in-RAM. The
-  /// Planner sizes the shards so that about two fit it; whatever its
-  /// value, the store maps only the acquired shard and the prefetched
-  /// next one.
+  /// Planner sizes the shards so that about two fit it (the mapped shard
+  /// plus pass A's slab of it); whatever its value, the store maps only
+  /// the acquired shard.
   std::size_t byte_budget = 0;
   /// The run's own spill directory: its shard files are written there
   /// and removed, with the directory, when the run ends, so no two runs
@@ -76,7 +76,7 @@ struct ShardRunStats {
   /// Pass A walked every shard's hot-word slab (false as soon as one shard
   /// walked its arrays: a two-lane operator or a value past the lane).
   bool packed = false;
-  StoreStats store;            ///< residency / spill / prefetch counters
+  StoreStats store;            ///< residency / spill counters
 };
 
 /// A spill directory no other run uses: "<root>/lr90-shards-<pid>-<seq>",

@@ -7,8 +7,8 @@
 //   * the spill tier's one recovery path: a shard whose write fails
 //     (ENOSPC/EIO/short write) or whose file cannot be opened, mapped or
 //     verified is served from the resident source within the run,
-//     counted, and the run stays bit-exact; a failed unlink at teardown
-//     is never fatal;
+//     counted, and the run stays bit-exact; a store opens only the shard
+//     files it serves; a failed unlink at teardown is never fatal;
 //   * the full sweep: every registered site armed in turn under 8-client
 //     concurrent load through a real NetServer -- no crash, every answer
 //     kOk-and-bit-exact or a typed failure status, and full recovery
@@ -36,6 +36,7 @@
 #include "net/client.hpp"
 #include "net/server.hpp"
 #include "shard/shard_file.hpp"
+#include "shard/shard_store.hpp"
 #include "shard/sharded.hpp"
 #include "support/rng.hpp"
 #include "test_util.hpp"
@@ -312,9 +313,9 @@ TEST(ShardFault, ScratchAllocationFailureIsTypedResourceExhausted) {
   ASSERT_FALSE(st.ok());
   EXPECT_EQ(st.code, StatusCode::kResourceExhausted) << st.message;
   fault::disarm_all();
-  // The fault fired after prepare had started loading shard 0; the store
-  // waited for that load and removed its directory before the run
-  // returned.
+  // The fault fired after prepare had written the shard files and before
+  // pass A acquired any, so no load was in flight; the store removed its
+  // directory before the run returned.
   EXPECT_FALSE(fs::exists(dir));
   shard::drop_spill_dir(dir);
 
@@ -323,6 +324,42 @@ TEST(ShardFault, ScratchAllocationFailureIsTypedResourceExhausted) {
   ASSERT_TRUE(run_sharded(list, spill_exec(dir), out, stats2).ok());
   EXPECT_EQ(out, oracle(list, true, ScanOp::kPlus));
   shard::drop_spill_dir(dir);
+}
+
+TEST(ShardFault, StoreOpensOnlyTheShardsItServes) {
+  // A store maps a shard's file only when that shard is acquired: one
+  // torn down after k of its P shards has opened k files and loaded k
+  // shards, and it still removes its directory. The gate is up with no
+  // site armed, so shard.map.open counts every open and fires on none.
+  DisarmGuard guard;
+  fault::set_enabled(true);
+  fault::FaultSite* site = fault::find_site("shard.map.open");
+  ASSERT_NE(site, nullptr);
+  Rng rng(108);
+  const LinkedList list = random_list(2000, rng, ValueInit::kSigned);
+  constexpr unsigned P = 4;
+  const shard::ShardedList sharded = shard::ShardedList::build(list, P);
+  for (unsigned k = 0; k <= P; ++k) {
+    SCOPED_TRACE("k=" + std::to_string(k));
+    const std::string dir = fresh_dir("opens_" + std::to_string(k));
+    fault::reset_stats();
+    shard::StoreStats stats;
+    {
+      shard::ShardStore store;
+      store.prepare(list, sharded, /*spill=*/true, dir, /*threads=*/2);
+      for (unsigned p = 0; p < k; ++p) {
+        const shard::ShardView view = store.acquire(p);
+        EXPECT_TRUE(std::equal(view.next, view.next + view.size(),
+                               list.next.begin() + view.begin));
+        store.release(p);
+      }
+      stats = store.stats();
+    }
+    EXPECT_EQ(site->stats().hits, k);
+    EXPECT_EQ(site->stats().fires, 0u);
+    EXPECT_EQ(stats.loads, k);
+    EXPECT_FALSE(fs::exists(dir));
+  }
 }
 
 TEST(ShardFault, FailedTeardownUnlinkIsNeverFatal) {

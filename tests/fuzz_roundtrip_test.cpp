@@ -2,13 +2,15 @@
 // lists/validate.hpp: seeded random lists survive encode/decode
 // bit-exactly, and every class of structural corruption -- out-of-range
 // next-pointers, planted self-loops, removed tails, multi-head splits,
-// short cycles, mismatched arrays -- is rejected by the validator and
-// surfaces from the Engine as typed StatusCode::kInvalidInput, never as
-// undefined behaviour (the asan-ubsan CI job runs this suite). Every
-// assertion carries the reproducing seed.
+// short cycles, spliced-out cycles, mismatched arrays -- is rejected by
+// the validator and surfaces from the Engine (sharded or not) as typed
+// StatusCode::kInvalidInput, never as undefined behaviour (the asan-ubsan
+// CI job runs this suite). Every assertion carries the reproducing seed.
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <utility>
+#include <vector>
 
 #include "core/engine.hpp"
 #include "lists/encode.hpp"
@@ -76,13 +78,16 @@ enum class Corruption {
   kShortCycle,       // next[v] = head: the walk revisits the head
   kHeadOutOfRange,   // head = n
   kArrayMismatch,    // value array shorter than next array
+  kSplicedCycle,     // a run holding neither the head nor the tail is cut
+                     // out and closed into a cycle: one self-loop, no
+                     // in-degree above 1, a head with no predecessor
 };
 
 constexpr Corruption kAllCorruptions[] = {
     Corruption::kOutOfRangeNext, Corruption::kPlantedSelfLoop,
     Corruption::kUnloopedTail,   Corruption::kMultiHead,
     Corruption::kShortCycle,     Corruption::kHeadOutOfRange,
-    Corruption::kArrayMismatch,
+    Corruption::kArrayMismatch,  Corruption::kSplicedCycle,
 };
 
 /// Applies the corruption to a valid list of >= 4 vertices.
@@ -124,6 +129,20 @@ void corrupt(LinkedList& l, Corruption kind, Rng& rng) {
     case Corruption::kArrayMismatch:
       l.value.pop_back();
       break;
+    case Corruption::kSplicedCycle: {
+      // order[i..j], 2 <= j - i + 1 <= n - 2, lies strictly between the
+      // head (order[0]) and the tail (order[n - 1]).
+      std::vector<index_t> order;
+      order.reserve(n);
+      for (index_t v = l.head; order.size() < n; v = l.next[v])
+        order.push_back(v);
+      const std::size_t len = 2 + rng.uniform(n - 3);
+      const std::size_t i = 1 + rng.uniform(n - 1 - len);
+      const std::size_t j = i + len - 1;
+      l.next[order[i - 1]] = order[j + 1];
+      l.next[order[j]] = order[i];
+      break;
+    }
   }
 }
 
@@ -147,11 +166,16 @@ TEST(ValidateFuzz, EveryCorruptionClassIsNamedByTheValidator) {
 
 TEST(ValidateFuzz, EngineRejectsEveryCorruptionTyped) {
   // validate_input = true must turn every corruption into a typed
-  // kInvalidInput on every backend -- no crash, no UB, no wrong answer.
-  for (const BackendKind backend :
-       {BackendKind::kSerial, BackendKind::kSim, BackendKind::kHost}) {
+  // kInvalidInput on every backend, the sharded host path included -- no
+  // crash, no UB, no wrong answer.
+  const std::pair<BackendKind, unsigned> configs[] = {
+      {BackendKind::kSerial, 0}, {BackendKind::kSim, 0},
+      {BackendKind::kHost, 0},   {BackendKind::kHost, 1},
+      {BackendKind::kHost, 3}};
+  for (const auto& [backend, shards] : configs) {
     EngineOptions opt;
     opt.backend = backend;
+    opt.shard.shards = shards;  // 0 = unsharded
     opt.validate_input = true;
     Engine engine(opt);
     for (std::uint64_t seed = 1; seed <= 5; ++seed) {
@@ -159,7 +183,7 @@ TEST(ValidateFuzz, EngineRejectsEveryCorruptionTyped) {
         std::ostringstream repro;
         repro << "repro: seed=" << seed << " corruption="
               << static_cast<int>(kind) << " backend="
-              << backend_name(backend);
+              << backend_name(backend) << " shards=" << shards;
         SCOPED_TRACE(repro.str());
         Rng rng(seed);
         LinkedList l = random_list(4 + rng.uniform(200), rng);
