@@ -19,6 +19,10 @@
 //              single cursor per sublist, value gather + is_tail bitmap
 //              access per element, O(n) owner-table refill.
 //
+// Rep i of every sublist row draws its boundaries from seed 0x5eed + i,
+// so a row's median spans several decompositions and every row walks
+// the same ones.
+//
 // Gate: at n = 2^20 the packed W=8 kernel must beat seed-1cur by >= 1.5x.
 // When max_n < 2^20 (CI smoke runs) the gate degrades to "best width >=
 // seed-1cur" -- still meaningful on shared runners, and
@@ -53,18 +57,21 @@ double median(std::vector<double> v) {
   return v[v.size() / 2];
 }
 
+/// Times `reps` calls f(rep); a sublist row reseeds from rep_rng(rep).
 template <class F>
 double median_ms(std::size_t reps, F&& f) {
   std::vector<double> ms;
   ms.reserve(reps);
   for (std::size_t i = 0; i < reps; ++i) {
     const auto t0 = Clock::now();
-    f();
+    f(i);
     const auto t1 = Clock::now();
     ms.push_back(std::chrono::duration<double, std::milli>(t1 - t0).count());
   }
   return median(ms);
 }
+
+Rng rep_rng(std::size_t rep) { return Rng(0x5eed + rep); }
 
 /// The SEED's three-phase kernel, frozen at the pre-interleave state as
 /// the differential baseline: one cursor per sublist, a value gather and
@@ -174,10 +181,11 @@ int main(int argc, char** argv) {
     std::vector<std::uint8_t> is_tail;   // likewise
     const double nd = static_cast<double>(n);
 
-    const double serial = median_ms(reps, [&] {
+    const double serial = median_ms(reps, [&](std::size_t) {
       serial_scan_host(list, std::span<value_t>(out));
     });
-    const double seed1 = median_ms(reps, [&] {
+    const double seed1 = median_ms(reps, [&](std::size_t rep) {
+      ws.rng = rep_rng(rep);
       seed_single_cursor_scan(list, kSublists, ws, owner_of_head, is_tail,
                               std::span<value_t>(out));
     });
@@ -206,10 +214,8 @@ int main(int argc, char** argv) {
       plan.threads = 1;
       plan.sublists = kSublists;
       plan.interleave = w;
-      const double ms = median_ms(reps, [&] {
-        // Fresh seed per rep: each run redraws boundaries exactly like a
-        // fresh engine run would.
-        ws.rng = Rng(0x5eed);
+      const double ms = median_ms(reps, [&](std::size_t rep) {
+        ws.rng = rep_rng(rep);
         host_exec::scan_into(list, OpPlus{}, plan, ws,
                              std::span<value_t>(out));
       });

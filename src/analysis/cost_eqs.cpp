@@ -96,48 +96,4 @@ double expected_cycles_eq5(double n, double m, double s1, std::size_t l,
          static_cast<double>(l) * k.d + k.f;
 }
 
-double host_latency_ns(double bytes, const HostCostConstants& k) {
-  // Log-linear ramps between the cache levels: latency climbs as less of
-  // the working set fits each tier.
-  auto ramp = [](double bytes, double lo_b, double hi_b, double lo_ns,
-                 double hi_ns) {
-    const double t = (std::log2(bytes) - std::log2(lo_b)) /
-                     (std::log2(hi_b) - std::log2(lo_b));
-    return lo_ns + t * (hi_ns - lo_ns);
-  };
-  if (bytes <= k.l1_bytes) return k.l1_latency_ns;
-  if (bytes <= k.l2_bytes)
-    return ramp(bytes, k.l1_bytes, k.l2_bytes, k.l1_latency_ns,
-                k.l2_latency_ns);
-  if (bytes >= k.llc_bytes) return k.dram_latency_ns;
-  return ramp(bytes, k.l2_bytes, k.llc_bytes, k.l2_latency_ns,
-              k.dram_latency_ns);
-}
-
-double host_packed_ns_per_elem_mt(double n, unsigned threads, unsigned W,
-                                  const HostCostConstants& k,
-                                  double op_factor) {
-  assert(threads >= 1 && W >= 1);
-  // Footprint: the slab plus the output array the cursors scatter into.
-  const double lat = host_latency_ns(n * 12.0, k);
-  // One worker's per-element cost in each traversal phase.
-  const double per_thread =
-      std::max(lat / static_cast<double>(W), k.combine_ns * op_factor) +
-      k.bookkeeping_ns * static_cast<double>(W - 1);
-  // Dividing across workers helps until the chip's outstanding-miss
-  // ceiling: threads x W chains cannot hide more latency than
-  // mem_parallelism concurrent round-trips' worth.
-  const double per_phase =
-      std::max(per_thread / static_cast<double>(threads),
-               lat / k.mem_parallelism);
-  const double build = std::max(k.build_ns / static_cast<double>(threads),
-                                k.build_min_ns);
-  return 2.0 * per_phase + build;
-}
-
-double host_serial_ns_per_elem(double n, const HostCostConstants& k,
-                               double op_factor) {
-  return host_latency_ns(n * 12.0, k) + k.serial_walk_ns * op_factor;
-}
-
 }  // namespace lr90

@@ -102,85 +102,43 @@ TuneResult TunedModel::params(double n) const {
   return r;
 }
 
-HostTuneResult host_tune_at(double n, unsigned threads, unsigned interleave,
-                            double op_factor, const HostCostConstants& k) {
-  threads = std::max(1u, threads);
-  HostTuneResult r;
-  r.threads = threads;
-  r.interleave = interleave;
-  r.serial_ns = n * host_serial_ns_per_elem(n, k, op_factor);
-  r.packed_ns =
-      n * host_packed_ns_per_elem_mt(n, threads, interleave, k, op_factor) +
-      k.fixed_run_ns + k.fork_join_ns * static_cast<double>(threads - 1);
-  return r;
-}
-
-HostTuneResult host_tune(double n, double op_factor, unsigned max_threads,
-                         unsigned pinned_threads, unsigned pinned_interleave,
-                         const HostCostConstants& k) {
-  max_threads = std::max(1u, max_threads);
-  // Thread candidates: the powers of two up to max_threads plus
-  // max_threads itself (so e.g. 6 hardware threads consider {1,2,4,6}).
-  std::vector<unsigned> ts;
-  if (pinned_threads > 0) {
-    ts.push_back(pinned_threads);
-  } else {
-    for (unsigned t = 1; t <= max_threads; t *= 2) ts.push_back(t);
-    if (ts.back() != max_threads) ts.push_back(max_threads);
-  }
-  std::vector<unsigned> ws;
-  if (pinned_interleave > 0)
-    ws.push_back(pinned_interleave);
-  else
-    ws.assign({1u, 2u, 4u, 8u, 16u, 32u});
-  HostTuneResult best = host_tune_at(n, ts.front(), ws.front(), op_factor, k);
-  for (const unsigned t : ts) {
-    for (const unsigned w : ws) {
-      const HostTuneResult cand = host_tune_at(n, t, w, op_factor, k);
-      // Strict improvement keeps the smallest (threads, W) among model
-      // ties: fewer workers and cursors at equal predicted time.
-      if (cand.packed_ns < best.packed_ns) best = cand;
-    }
-  }
-  return best;
-}
-
-std::size_t host_sublists(double n, unsigned threads, unsigned interleave,
-                          const HostCostConstants& k) {
+std::size_t host_sublists(double n, unsigned threads, unsigned interleave) {
+  constexpr double kDrainPerSublist = 0.2;  // Eq. 5's D/S on the host
   const std::size_t lanes =
       std::size_t{std::max(1u, threads)} * std::max(1u, interleave);
   const double m =
-      n > 1.0 ? std::sqrt(k.drain_per_sublist * n * std::log(n) / 2.0) : 0.0;
+      n > 1.0 ? std::sqrt(kDrainPerSublist * n * std::log(n) / 2.0) : 0.0;
   return std::max(lanes, static_cast<std::size_t>(m));
 }
 
 host_exec::HostPlan plan_host(std::size_t width, ScanOp op,
                               const HostPins& pins) {
-  const unsigned eff = host_exec::effective_threads(pins.threads);
-  const double factor = op_cost_factor(op);
+  constexpr std::size_t kAutoThreadsFrom = std::size_t{1} << 17;
+  constexpr std::size_t kInL2 = std::size_t{512} << 10;  // flat latency
   // Parallelism must amortize thread fork/join (~tens of microseconds):
   // give every thread at least ~2k vertices of combine-equivalent work
   // (costlier operators amortize sooner), shedding threads before
   // falling back to the serial walk.
   const auto breakeven =
-      static_cast<std::size_t>(std::max(1.0, 2048.0 / factor));
-  const auto useful = static_cast<unsigned>(std::min<std::size_t>(
-      eff, std::max<std::size_t>(1, width / breakeven)));
-  // One (threads x W) tune for every operator. A pinned knob restricts
-  // its grid axis to what will actually run; with both on auto, the
-  // joint grid picks the full execution shape.
-  const double wd = static_cast<double>(width);
-  const HostTuneResult ht =
-      host_tune(wd, factor, eff, pins.threads > 0 ? useful : 0,
-                std::min(pins.interleave, host_exec::kMaxInterleave));
-  // Threads alone justify the sublist kernel; so does the model whenever
-  // W cursors beat the serial walk -- including on ONE thread, where W
-  // independent load chains hide the memory latency the serial walk
-  // stalls on (the paper's vectorization argument, on a CPU).
-  if (!pins.force_sublists && useful <= 1 && ht.packed_ns >= ht.serial_ns)
+      static_cast<std::size_t>(std::max(1.0, 2048.0 / op_cost_factor(op)));
+  const unsigned cap = pins.threads == 0 && width < kAutoThreadsFrom
+                           ? 1
+                           : host_exec::effective_threads(pins.threads);
+  const auto threads = static_cast<unsigned>(std::min<std::size_t>(
+      cap, std::max<std::size_t>(1, width / breakeven)));
+  const std::size_t bytes = 12 * width;
+  unsigned w = std::min(pins.interleave, host_exec::kMaxInterleave);
+  if (w == 0) {
+    w = bytes <= kInL2                    ? 4
+        : bytes <= (std::size_t{2} << 20) ? 8
+        : bytes <= (std::size_t{4} << 20) ? 16
+                                          : std::clamp(64 / threads, 1u, 32u);
+  }
+  // One worker walks serially unless W cursors have memory latency to
+  // hide: while the footprint fits L2 the serial walk barely stalls.
+  if (!pins.force_sublists && threads == 1 && (w <= 1 || bytes <= kInL2))
     return {};
-  return {ht.threads, host_sublists(wd, ht.threads, ht.interleave),
-          ht.interleave};
+  return {threads, host_sublists(static_cast<double>(width), threads, w), w};
 }
 
 }  // namespace lr90

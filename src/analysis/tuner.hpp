@@ -61,74 +61,57 @@ class TunedModel {
   Polynomial s1_poly_;
 };
 
-// -- host hot-path tuning ---------------------------------------------------
-
-/// The host tuner's answer for the sublist kernel: worker thread count
-/// and interleave width (the multiprocessor and vector-length analogs,
-/// paper Sections 5 and 3) plus the model totals backing the choice, so
-/// the Planner can compare the sublist kernel against the single-cursor
-/// serial walk.
-struct HostTuneResult {
-  unsigned threads = 1;     ///< worker threads the model picked
-  unsigned interleave = 1;  ///< cursors in flight per worker
-  double packed_ns = 0.0;   ///< model total ns of the sublist kernel (T, W)
-  double serial_ns = 0.0;   ///< model total ns of the serial walk
-};
-
-/// The host cost model evaluated at one pinned (threads, W) point: the
-/// sublist-kernel-vs-serial comparison a Planner makes when the caller
-/// fixed the whole execution shape.
-HostTuneResult host_tune_at(double n, unsigned threads, unsigned interleave,
-                            double op_factor = 1.0,
-                            const HostCostConstants& k = {});
-
-/// Searches the joint (threads x W) grid for a list of length n by
-/// evaluating the host cost model (analysis/cost_eqs.hpp
-/// host_packed_ns_per_elem_mt) at the power-of-two thread candidates up
-/// to `max_threads` crossed with W in {1..32} -- the host counterpart of
-/// the paper's Section 4.4 (m, S_1) grid, extended to Section 5's
-/// processor dimension and the Section 3 vector-length choice.
-/// `pinned_threads` / `pinned_interleave` (> 0) restrict their axis to
-/// that single value, so a caller who fixed one knob gets the other
-/// tuned for it. Deterministic, O(candidates) closed-form
-/// evaluations -- cheap enough that plan_host calls it on every run.
-HostTuneResult host_tune(double n, double op_factor = 1.0,
-                         unsigned max_threads = 1,
-                         unsigned pinned_threads = 0,
-                         unsigned pinned_interleave = 0,
-                         const HostCostConstants& k = {});
+// -- host hot-path planning -------------------------------------------------
+//
+// The paper tunes (m, S_1) offline and evaluates fitted functions of n at
+// run time; the host plan is the same kind of table, read off the run's
+// footprint F = 12 B a vertex and the operator's combine cost
+// f = op_cost_factor(op):
+//
+//   threads  a pinned count T is shed to one worker per 2048 / f vertices,
+//            min(T, max(1, n / (2048 / f))), so fork/join amortizes; with
+//            the count on auto, a width below 2^17 takes one worker and a
+//            wider one sheds the machine's count by the same rule
+//   W        4 while F <= 512 KiB, 8 up to 2 MiB, 16 up to 4 MiB, then
+//            64 / threads (at most 32): about 64 cursors across the chip
+//   serial   one worker, and one cursor or F <= 512 KiB, where the whole
+//            list sits in L2 and the walk has no latency to hide
+//   m        host_sublists
+//
+// Measured on a 4-core Xeon (2 MiB L2 per core): a whole-list rank runs
+// faster on one worker than on four up to 2^17 vertices, and on four from
+// 2^18. The auto edge sits at 2^17, the shard width sharded runs were
+// measured at with four workers.
 
 /// The host sublist count m for a list of length n walked by `threads`
 /// workers with `interleave` cursors each (plan_host's m). It minimizes
 /// Eq. 5's two m-dependent terms, the drain D (n/m) ln m against the
 /// per-sublist cost S m, in closed form: with
-/// ln m ~ (ln n)/2 at the optimum, m = sqrt(D/S * n ln n / 2)
-/// (D/S = k.drain_per_sublist), floored at threads x interleave so
-/// every cursor starts on a sublist of its own. The paper's Section 4.4
-/// tuned m scales the same way. The kernel caps the count at n / 2.
-std::size_t host_sublists(double n, unsigned threads, unsigned interleave,
-                          const HostCostConstants& k = {});
+/// ln m ~ (ln n)/2 at the optimum, m = sqrt(D/S * n ln n / 2), where
+/// D/S = 0.2 (a drain hop, a cursor walking the last long sublists alone,
+/// over one more sublist's pick, claim and phase-2 link), floored at
+/// threads x interleave so every cursor starts on a sublist of its own.
+/// The paper's Section 4.4 tuned m scales the same way. The kernel caps
+/// the count at n / 2.
+std::size_t host_sublists(double n, unsigned threads, unsigned interleave);
 
 /// The knobs of a host plan its caller fixed; 0 (false) leaves a knob
-/// to the model.
+/// to the plan table.
 struct HostPins {
-  unsigned threads = 0;     ///< worker-thread cap; 0 = the machine's
+  unsigned threads = 0;     ///< worker-thread cap; 0 = auto
   unsigned interleave = 0;  ///< cursors per worker (W)
-  /// Run the sublist kernel even where the model prefers the serial
-  /// walk: an explicit Method::kReidMiller, or one shard of a sharded run.
+  /// Run the sublist kernel even where the table picks the serial walk:
+  /// an explicit Method::kReidMiller, or one shard of a sharded run.
   bool force_sublists = false;
 };
 
-/// The host execution shape for `width` vertices combined by `op`: the
-/// one planning path for the Planner (a whole list or one shard) and the
-/// shard layer's second-level pass (its reduced list). A pinned thread
-/// count is shed to one thread per ~2048 / op_cost_factor(op) vertices,
-/// so fork/join amortizes; with pins.threads == 0 the joint host_tune
-/// grid picks the count, capped at the machine's. W comes from the same
-/// tune, m from host_sublists. The sublist kernel runs when two or more
-/// threads clear that break-even, when W cursors beat the serial walk, or
-/// when forced; otherwise the plan is the serial walk (sublists < 2). The
-/// returned host_exec::HostPlan is defined in core/host_exec.hpp.
+/// The host execution shape for `width` vertices combined by `op`, read
+/// off the table above: the one planning path for the Planner (a whole
+/// list or one shard) and the shard layer's second-level pass (its
+/// reduced list). A pinned W is kept; m comes from host_sublists. The
+/// plan is the serial walk (sublists < 2) where the table says so and
+/// the caller did not force the sublist kernel. The returned
+/// host_exec::HostPlan is defined in core/host_exec.hpp.
 host_exec::HostPlan plan_host(std::size_t width, ScanOp op,
                               const HostPins& pins = {});
 

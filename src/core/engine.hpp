@@ -280,10 +280,10 @@ struct EngineOptions {
   BackendKind backend = BackendKind::kHost;
   /// Simulated processors (sim backend; overrides machine.processors).
   unsigned processors = 1;
-  /// Host worker threads; 0 = auto: the Planner picks the count jointly
-  /// with the cursor width W from the host cost model, capped at the
-  /// OpenMP (or hardware) thread count. > 0 pins the cap explicitly
-  /// (small runs still shed threads before going serial).
+  /// Host worker threads; 0 = auto: one worker below 2^17 vertices, else
+  /// the OpenMP (or hardware) thread count. > 0 pins the cap explicitly.
+  /// Either way a run sheds threads to its width before going serial
+  /// (analysis/tuner.hpp plan_host).
   unsigned threads = 0;
   /// Accepted for source compatibility and otherwise ignored: every
   /// value plans alike, because the kernel picks its hop source per run
@@ -291,8 +291,8 @@ struct EngineOptions {
   /// which one ran).
   KernelTier tier = KernelTier::kAuto;
   /// Cursors in flight per worker in the host kernel's hot phases. 0 =
-  /// let the Planner pick from the host cost model (analysis/tuner
-  /// host_tune); 1..64 pins the width.
+  /// let the Planner pick by the run's footprint (analysis/tuner.hpp
+  /// plan_host); 1..64 pins the width.
   unsigned interleave = 0;
   /// Seed of the per-run RNG reseeding (results are deterministic in it).
   std::uint64_t seed = kDefaultSeed;
@@ -323,14 +323,13 @@ struct EngineOptions {
 ///
 /// Host backend: decides the shard split (ShardOptions), then takes the
 /// whole execution shape from analysis/tuner plan_host, the one host
-/// planning path the shard layer's second-level pass shares: a pinned
-/// thread count shed to a per-thread break-even, (threads x W) from the
-/// joint host cost model -- the paper's Section 5 processor dimension
-/// joined to its Section 3 vector length -- and m from its Section 4.4
-/// scaling, m ~ sqrt(n ln n), unless EngineOptions pins a knob. kAuto
-/// runs the sublist kernel when the model beats the serial walk or real
-/// threads are available; an explicit kReidMiller and every shard
-/// always do.
+/// planning path the shard layer's second-level pass shares: threads
+/// shed to a per-thread break-even (the paper's Section 5 processor
+/// dimension), W stepped by the run's footprint (its Section 3 vector
+/// length) and m from its Section 4.4 scaling, m ~ sqrt(n ln n), unless
+/// EngineOptions pins a knob. kAuto runs the sublist kernel on two or
+/// more threads, or on one once the list outgrows L2; an explicit
+/// kReidMiller and every shard always do.
 class Planner {
  public:
   /// Builds a planner for the given engine configuration.

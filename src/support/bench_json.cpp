@@ -5,6 +5,13 @@
 #include <cstdlib>
 #include <thread>
 
+// The build's git describe (LR90_GIT_SHA_BUILT). Builds that do not
+// generate it, such as perfbench's, stamp "unknown" unless the
+// environment names a SHA.
+#if __has_include("lr90_git_sha.hpp")
+#include "lr90_git_sha.hpp"
+#endif
+
 namespace lr90 {
 
 namespace {
@@ -143,8 +150,8 @@ std::string bench_json_path(const char* default_name) {
 void stamp_provenance(BenchJson& json) {
   const char* sha = std::getenv("LR90_GIT_SHA");
   if (sha == nullptr || sha[0] == '\0') sha = std::getenv("GITHUB_SHA");
-#if defined(LR90_GIT_SHA_CONFIGURED)
-  if (sha == nullptr || sha[0] == '\0') sha = LR90_GIT_SHA_CONFIGURED;
+#if defined(LR90_GIT_SHA_BUILT)
+  if (sha == nullptr || sha[0] == '\0') sha = LR90_GIT_SHA_BUILT;
 #endif
   json.meta("git_sha", sha != nullptr && sha[0] != '\0' ? sha : "unknown");
 #if defined(__clang__)

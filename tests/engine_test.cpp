@@ -888,30 +888,53 @@ TEST(Engine, TierOptionPlansAndAnswersAlike) {
   }
 }
 
-TEST(Planner, AutoThreadsComeFromTheJointGrid) {
-  // threads = 0: the planner resolves the worker count from the joint
-  // (threads x W) grid, capped at the machine. The pick must agree with
-  // the model evaluated at the same cap, whatever this machine is.
+TEST(Planner, AutoThreadsTakeTheMachineForWideLists) {
+  // threads = 0 on a DRAM-resident list: every thread the machine has,
+  // planned exactly as that count pinned, whatever this machine is.
+  EngineOptions eo;
+  eo.backend = BackendKind::kHost;
+  eo.threads = 0;
+  const unsigned eff = host_exec::effective_threads(0);
+  const auto d = Planner(eo).decide(1u << 22, Method::kAuto, /*rank=*/true);
+  ASSERT_EQ(d.method, Method::kReidMiller);
+  EXPECT_EQ(d.threads, eff);
+  const host_exec::HostPlan pinned =
+      plan_host(1u << 22, ScanOp::kPlus, {.threads = eff});
+  EXPECT_EQ(d.interleave, pinned.interleave);
+  EXPECT_EQ(d.sublists, static_cast<double>(pinned.sublists));
+
+  // On an (emulated) 8-thread machine a DRAM-resident list takes all
+  // eight, with W the chip's 64 cursors split across them.
+  eo.threads = 8;
+  const auto d8 = Planner(eo).decide(1u << 22, Method::kAuto, true);
+  ASSERT_EQ(d8.method, Method::kReidMiller);
+  EXPECT_EQ(d8.threads, 8u);
+  EXPECT_EQ(d8.interleave, 8u);
+}
+
+TEST(Planner, AutoThreadsPlanOneWorkerBelow2To17) {
+  // threads = 0 below 2^17 vertices plans one worker, however many the
+  // machine has: one beats four there. 2^12 and 2^15 fit L2 and walk
+  // serially; 2^16 runs W cursors on its one worker; from 2^17 the
+  // machine's count runs.
   EngineOptions eo;
   eo.backend = BackendKind::kHost;
   eo.threads = 0;
   const Planner planner(eo);
-  const unsigned eff = host_exec::effective_threads(0);
-  const auto d = planner.decide(1u << 22, Method::kAuto, /*rank=*/true);
-  ASSERT_EQ(d.method, Method::kReidMiller);
-  const HostTuneResult ht = host_tune(1u << 22, 1.0, eff);
-  EXPECT_EQ(d.threads, std::max(1u, std::min(ht.threads, eff)));
-  EXPECT_EQ(d.interleave, ht.interleave);
-
-  // On an (emulated) 8-thread machine the joint grid wants real thread
-  // parallelism for a DRAM-resident list, and W re-tuned at that count.
-  EngineOptions big = eo;
-  big.threads = 8;
-  const Planner p8(big);
-  const auto d8 = p8.decide(1u << 22, Method::kAuto, /*rank=*/true);
-  ASSERT_EQ(d8.method, Method::kReidMiller);
-  EXPECT_EQ(d8.threads, 8u);
-  EXPECT_EQ(d8.interleave, host_tune(1u << 22, 1.0, 8, 8).interleave);
+  for (const std::size_t n : {std::size_t{1} << 12, std::size_t{1} << 15}) {
+    for (const ScanOp op : {ScanOp::kPlus, ScanOp::kAffine}) {
+      const auto d = planner.decide(n, Method::kAuto, false, op);
+      EXPECT_EQ(d.method, Method::kSerial) << n << " " << scan_op_name(op);
+      EXPECT_EQ(d.threads, 1u) << n << " " << scan_op_name(op);
+    }
+  }
+  const auto d16 = planner.decide(1u << 16, Method::kAuto, true);
+  EXPECT_EQ(d16.method, Method::kReidMiller);
+  EXPECT_EQ(d16.threads, 1u);
+  EXPECT_GT(d16.interleave, 1u);
+  const auto d17 = planner.decide(1u << 17, Method::kAuto, true);
+  EXPECT_EQ(d17.method, Method::kReidMiller);
+  EXPECT_EQ(d17.threads, host_exec::effective_threads(0));
 }
 
 TEST(Engine, ReportsThreadsAndPerPhaseTimings) {

@@ -145,54 +145,94 @@ TEST(TunedModel, FittedParametersRunEndToEnd) {
   EXPECT_LT(via_fits, 1.15 * auto_tuned);
 }
 
-// -- joint (threads x W) host tuning ---------------------------------------
+// -- host plan table ---------------------------------------------------------
 
-TEST(HostTune, JointGridPicksThreadsForLargeLists) {
-  // A DRAM-resident list with plenty of hardware: the model must want
-  // real thread parallelism AND keep the packed path ahead of the serial
-  // walk (the Fig. 11 regime).
-  const HostTuneResult big = host_tune(1 << 22, 1.0, /*max_threads=*/8);
-  EXPECT_GT(big.threads, 1u);
+TEST(HostTune, DramSizedListTakesEveryThread) {
+  // A DRAM-resident list with plenty of hardware takes every worker and
+  // wide cursors on the sublist kernel (the Fig. 11 regime); a
+  // 512-vertex list cannot amortize a second worker.
+  const host_exec::HostPlan big =
+      plan_host(1 << 22, ScanOp::kPlus, {.threads = 8});
+  EXPECT_EQ(big.threads, 8u);
   EXPECT_GE(big.interleave, 4u);
-  EXPECT_LT(big.packed_ns, big.serial_ns);
+  EXPECT_GE(big.sublists, 2u);
 
-  // Tiny lists: fork/join dominates, one worker is the right answer.
-  const HostTuneResult tiny = host_tune(512, 1.0, /*max_threads=*/8);
+  const host_exec::HostPlan tiny =
+      plan_host(512, ScanOp::kPlus, {.threads = 8});
   EXPECT_EQ(tiny.threads, 1u);
+  EXPECT_LT(tiny.sublists, 2u);
 }
 
-TEST(HostTune, ThreadsNeverExceedTheCapAndPinsAreHonoured) {
-  for (const unsigned cap : {1u, 2u, 3u, 6u, 16u}) {
-    const HostTuneResult r = host_tune(1 << 22, 1.0, cap);
-    EXPECT_GE(r.threads, 1u);
-    EXPECT_LE(r.threads, cap) << "cap " << cap;
+TEST(HostTune, PlannedThreadsNeverExceedTheCapAndPinsAreHonoured) {
+  for (const std::size_t n : {std::size_t{1} << 10, std::size_t{1} << 16,
+                              std::size_t{1} << 22}) {
+    for (const unsigned cap : {1u, 2u, 3u, 6u, 16u}) {
+      const host_exec::HostPlan p =
+          plan_host(n, ScanOp::kPlus, {.threads = cap, .force_sublists = true});
+      EXPECT_GE(p.threads, 1u);
+      EXPECT_LE(p.threads, cap) << "n=" << n << " cap " << cap;
+    }
+    EXPECT_LE(plan_host(n, ScanOp::kPlus).threads,
+              host_exec::effective_threads(0));
   }
-  const HostTuneResult pinned_t = host_tune(1 << 22, 1.0, 8, /*pin T=*/3);
-  EXPECT_EQ(pinned_t.threads, 3u);
-  const HostTuneResult pinned_w =
-      host_tune(1 << 22, 1.0, 8, /*pin T=*/0, /*pin W=*/2);
-  EXPECT_EQ(pinned_w.interleave, 2u);
-  const HostTuneResult pinned_both = host_tune(1 << 20, 1.0, 8, 5, 7);
-  EXPECT_EQ(pinned_both.threads, 5u);
-  EXPECT_EQ(pinned_both.interleave, 7u);
-  // A pinned point evaluates to exactly host_tune_at's model totals.
-  const HostTuneResult at = host_tune_at(1 << 20, 5, 7, 1.0);
-  EXPECT_EQ(pinned_both.packed_ns, at.packed_ns);
-  EXPECT_EQ(pinned_both.serial_ns, at.serial_ns);
+  // Past the break-even a pinned count runs as pinned; a pinned W runs
+  // as pinned (clamped to the kernel's maximum), with m planned for it.
+  EXPECT_EQ(plan_host(1 << 22, ScanOp::kPlus, {.threads = 3}).threads, 3u);
+  EXPECT_EQ(plan_host(1 << 22, ScanOp::kPlus, {.interleave = 2}).interleave,
+            2u);
+  const host_exec::HostPlan both =
+      plan_host(1 << 20, ScanOp::kPlus, {.threads = 5, .interleave = 7});
+  EXPECT_EQ(both.threads, 5u);
+  EXPECT_EQ(both.interleave, 7u);
+  EXPECT_EQ(both.sublists, host_sublists(1 << 20, 5, 7));
+  EXPECT_EQ(plan_host(1 << 20, ScanOp::kPlus, {.threads = 1, .interleave = 999})
+                .interleave,
+            host_exec::kMaxInterleave);
 }
 
-TEST(HostTune, MoreThreadsNeverModelSlowerUnderTheJointGrid) {
-  // The grid's best at a larger cap can only improve (it contains the
-  // smaller grid), and the fork/join term makes strictly more threads at
-  // a FIXED W more expensive for small n.
-  double prev = host_tune(1 << 22, 1.0, 1).packed_ns;
-  for (const unsigned cap : {2u, 4u, 8u, 16u}) {
-    const double cur = host_tune(1 << 22, 1.0, cap).packed_ns;
-    EXPECT_LE(cur, prev) << "cap " << cap;
-    prev = cur;
+TEST(HostTune, ThreadsGrowWithTheCapAndTheWidth) {
+  // A larger cap or a wider list never plans fewer workers, for cheap and
+  // costly operators alike; a small width sheds the cap to one worker per
+  // ~2048 vertices of addition, so 4096 vertices take two of eight.
+  for (const ScanOp op : {ScanOp::kPlus, ScanOp::kAffine}) {
+    for (std::size_t n = 2; n <= (std::size_t{1} << 24); n *= 4) {
+      unsigned prev = 0;
+      for (const unsigned cap : {1u, 2u, 4u, 8u, 16u}) {
+        const auto plan = [&](std::size_t width) {
+          return plan_host(width, op, {.threads = cap, .force_sublists = true})
+              .threads;
+        };
+        EXPECT_GE(plan(n), prev) << "n=" << n << " cap " << cap;
+        EXPECT_GE(plan(4 * n), plan(n)) << "n=" << n << " cap " << cap;
+        prev = plan(n);
+      }
+    }
   }
-  EXPECT_GT(host_tune_at(4096, 8, 8, 1.0).packed_ns,
-            host_tune_at(4096, 1, 8, 1.0).packed_ns);
+  EXPECT_EQ(plan_host(4096, ScanOp::kPlus, {.threads = 8}).threads, 2u);
+}
+
+TEST(HostTune, InterleaveStepsAtTheFootprintTiers) {
+  // W by the footprint, 12 B a vertex: 4 up to 512 KiB, 8 up to 2 MiB,
+  // 16 up to 4 MiB, then 64 / threads, at most 32.
+  const auto w_at = [](std::size_t n, unsigned threads) {
+    return plan_host(n, ScanOp::kPlus,
+                     {.threads = threads, .force_sublists = true})
+        .interleave;
+  };
+  EXPECT_EQ(w_at(std::size_t{1} << 15, 1), 4u);
+  EXPECT_EQ(w_at(std::size_t{1} << 17, 1), 8u);
+  EXPECT_EQ(w_at(std::size_t{1} << 18, 1), 16u);
+  EXPECT_EQ(w_at(std::size_t{1} << 24, 4), 16u);
+  EXPECT_EQ(w_at(std::size_t{1} << 20, 1), 32u);
+  // The edges themselves, in vertices: 512 KiB, 2 MiB and 4 MiB over 12 B.
+  EXPECT_EQ(w_at(43690, 1), 4u);
+  EXPECT_EQ(w_at(43691, 1), 8u);
+  EXPECT_EQ(w_at(174762, 1), 8u);
+  EXPECT_EQ(w_at(174763, 1), 16u);
+  EXPECT_EQ(w_at(349525, 4), 16u);
+  EXPECT_EQ(w_at(349526, 1), 32u);
+  EXPECT_EQ(w_at(349526, 2), 32u);
+  EXPECT_EQ(w_at(349526, 8), 8u);
 }
 
 TEST(HostTune, SublistCountTracksSqrtNLogN) {
@@ -218,22 +258,25 @@ TEST(HostTune, SublistCountTracksSqrtNLogN) {
   EXPECT_EQ(host_sublists(1024, 8, 32), 256u);
 }
 
-TEST(HostTune, MtModelReducesToSingleThreadModel) {
-  // At T=1 the multithread per-element model is the single-worker model:
-  // phases 1 and 3 each pay max(latency / W, combine) plus the
-  // round-robin bookkeeping, and the build is one sequential pass.
-  // Neither the outstanding-miss ceiling nor the build floor binds.
-  const HostCostConstants k;
-  for (const double n : {1 << 14, 1 << 18, 1 << 22}) {
-    const double lat = host_latency_ns(n * 12.0, k);
-    for (const unsigned w : {1u, 8u, 32u}) {
-      const double per_phase = std::max(lat / w, k.combine_ns) +
-                               k.bookkeeping_ns * static_cast<double>(w - 1);
-      EXPECT_NEAR(host_packed_ns_per_elem_mt(n, 1, w, k),
-                  2.0 * per_phase + k.build_ns, 1e-12)
-          << "n=" << n << " W=" << w;
+TEST(HostTune, OneWorkerWalksSeriallyUntilCursorsHaveLatencyToHide) {
+  // One worker takes the serial walk while the footprint sits in L2
+  // (12 B a vertex, up to 512 KiB) or only one cursor would run; past
+  // it, W cursors hide the misses the walk stalls on. Two workers always
+  // run the sublist kernel.
+  for (const std::size_t n : {std::size_t{1} << 10, std::size_t{43690},
+                              std::size_t{43691}, std::size_t{1} << 16,
+                              std::size_t{1} << 20}) {
+    for (const unsigned w : {0u, 1u, 2u, 8u}) {
+      const host_exec::HostPlan p =
+          plan_host(n, ScanOp::kAffine, {.threads = 1, .interleave = w});
+      const bool serial = n <= 43690 || w == 1;
+      EXPECT_EQ(p.sublists < 2, serial) << "n=" << n << " W=" << w;
+      EXPECT_EQ(p.threads, 1u);
     }
   }
+  EXPECT_GE(
+      plan_host(5000, ScanOp::kPlus, {.threads = 2, .interleave = 1}).sublists,
+      2u);
 }
 
 TEST(HostTune, PlanHostWalksSeriallyUnlessForcedOrThreaded) {

@@ -46,8 +46,10 @@ KEY_FIELDS = {"n", "variant", "w", "t", "op", "clients", "tier", "method",
 LOWER_BETTER_SUFFIXES = ("_ms", "_ns", "_us", "ns_per_elem", "p50_us",
                          "p99_us")
 # Exact-name measurements (timings and timing ratios that no suffix rule
-# catches; op_scan's faultpoint row reports the last two).
-LOWER_BETTER_NAMES = {"vs_hard_coded", "vs_dispatched", "fire_ns_per_call"}
+# catches; op_scan's faultpoint row reports the last two, thread_sweep's
+# auto-plan row vs_best_packed).
+LOWER_BETTER_NAMES = {"vs_hard_coded", "vs_dispatched", "fire_ns_per_call",
+                      "vs_best_packed"}
 # Numeric measurement fields where HIGHER is better.
 HIGHER_BETTER_SUFFIXES = ("req_per_s", "_efficiency", "parallel_frac")
 HIGHER_BETTER_PREFIXES = ("speedup",)
