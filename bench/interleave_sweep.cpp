@@ -79,8 +79,9 @@ Rng rep_rng(std::size_t rep) { return Rng(0x5eed + rep); }
 /// not "fix" this copy -- its whole point is to stay what the seed did.
 /// The owner table and the 1-byte tail bitmap are this kernel's alone
 /// (the library kernel keeps neither), so the caller owns them and they
-/// grow through the Workspace, as the seed's did. The bitmap is filled
-/// from the library's picks, so both kernels walk the same sublists.
+/// grow through the Workspace, as the seed's did. The bitmap takes the
+/// library's boundary draw (draw_boundaries), so both kernels walk the
+/// same sublists.
 void seed_single_cursor_scan(const LinkedList& list, std::size_t sublists,
                              Workspace& ws,
                              std::vector<index_t>& owner_of_head,
@@ -89,10 +90,13 @@ void seed_single_cursor_scan(const LinkedList& list, std::size_t sublists,
   const std::size_t n = list.size();
   const std::size_t want = std::min(sublists, n / 2);
   const index_t global_tail = list.find_tail();
-  host_exec::choose_boundaries(list, want - 1, ws, global_tail);
   ws.fit(is_tail, n, std::uint8_t{0});
-  is_tail[global_tail] = 1;
-  for (const index_t r : ws.picks) is_tail[r] = 1;
+  std::uint8_t* tail = is_tail.data();
+  host_exec::draw_boundaries(n, want - 1, ws, global_tail, [tail](index_t v) {
+    if (tail[v] != 0) return false;
+    tail[v] = 1;
+    return true;
+  });
   ws.fit_uninit(ws.heads, want);
   ws.heads.clear();
   ws.heads.push_back(list.head);

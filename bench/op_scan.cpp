@@ -19,9 +19,9 @@
 // hard-coded median (OP_SCAN_LENIENT=1 downgrades a miss to a warning for
 // noisy shared runners). Also prints the ns/vertex of every registered
 // operator through the engine, and gates the two-lane operators (seg-sum,
-// affine, max-plus -- the list-array hop source) at 1.3x the plus scan:
-// one cursor driver serves every operator, so no operator may fall back
-// to a slow path.
+// affine, max-plus, whose values fill all 64 bits) at 1.3x the plus scan:
+// one slab kernel serves every operator, so no operator may fall back to
+// a slow path.
 //
 // A fourth tier gates the fault-injection framework's disabled fast path
 // (support/faultpoint.hpp): the dispatched scan plus one disabled
@@ -200,7 +200,7 @@ int main(int argc, char** argv) {
   for (const ScanOp op : kAllScanOps) {
     std::vector<double> ms;
     unsigned interleave = 0;
-    bool packed = false;
+    KernelTier tier = KernelTier::kAuto;
     for (std::size_t i = 0; i < std::max<std::size_t>(3, reps / 3); ++i) {
       ms.push_back(time_once([&] {
         const RunResult r = engine.run(OpRequest{&list, op});
@@ -210,22 +210,24 @@ int main(int argc, char** argv) {
           std::exit(1);
         }
         interleave = r.stats.host_interleave;
-        packed = r.stats.host_packed;
+        tier = r.stats.kernel_tier;
       }));
     }
     const double m = median(ms);
     if (op == ScanOp::kPlus) plus_ms = m;
-    if (!scan_op_lane32(op) && m / plus_ms > worst_wide) {
+    const bool two_lane = op == ScanOp::kSegSum || op == ScanOp::kAffine ||
+                          op == ScanOp::kMaxPlus;
+    if (two_lane && m / plus_ms > worst_wide) {
       worst_wide = m / plus_ms;
       worst_op = scan_op_name(op);
     }
     std::printf("  %-10s %8.2f ms  (%s, %u cursors)\n", scan_op_name(op), m,
-                packed ? "slab" : "list arrays", interleave);
+                kernel_tier_name(tier), interleave);
     json.row();
     json.field("tier", "operator");
     json.field("op", scan_op_name(op));
     json.field("median_ms", m);
-    json.field("packed", packed ? 1.0 : 0.0);
+    json.field("kernel_tier", static_cast<double>(tier));
     json.field("cursors", static_cast<double>(interleave));
   }
 

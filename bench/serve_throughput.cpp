@@ -50,7 +50,7 @@ struct LoadResult {
   double reqs = 0.0;             ///< requests completed across clients
   std::vector<double> lat_us;    ///< per-request latency, microseconds
   unsigned cursors = 0;          ///< cursors-in-flight the engines reported
-  bool packed = false;           ///< the packed hot path served the load
+  KernelTier tier = KernelTier::kAuto;  ///< what the engines walked
 };
 
 /// Runs `clients` closed-loop threads of `per_client` rank requests each.
@@ -75,7 +75,7 @@ LoadResult run_load(EngineServer& server, const LinkedList& list,
         }
         if (c == 0 && i == 0) {  // execution shape is per-run deterministic
           out.cursors = r.stats.host_interleave;
-          out.packed = r.stats.host_packed;
+          out.tier = r.stats.kernel_tier;
         }
         lat[c].push_back(
             std::chrono::duration<double, std::micro>(e - s).count());
@@ -150,8 +150,8 @@ int main(int argc, char** argv) {
     table.add_row({std::to_string(clients), TextTable::num(rps, 0),
                    TextTable::num(p50, 1), TextTable::num(p99, 1),
                    TextTable::num(rps / baseline, 2) + "x",
-                   std::to_string(r.cursors) +
-                       (r.packed ? " (packed)" : "")});
+                   std::to_string(r.cursors) + " (" +
+                       kernel_tier_name(r.tier) + ")"});
     json.row();
     json.field("clients", static_cast<double>(clients));
     json.field("req_per_s", rps);
@@ -159,7 +159,7 @@ int main(int argc, char** argv) {
     json.field("p99_us", p99);
     json.field("speedup_vs_1_client", rps / baseline);
     json.field("cursors", static_cast<double>(r.cursors));
-    json.field("packed", r.packed ? 1.0 : 0.0);
+    json.field("kernel_tier", static_cast<double>(r.tier));
   }
   table.print();
 

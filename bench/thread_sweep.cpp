@@ -19,6 +19,9 @@
 // 3-rep runs swing by 10-15%. Per-phase wall clock from ExecInfo lands
 // in BENCH_threads.json together with per-phase parallel efficiency
 // E_p(T) = t_p(1) / (T * t_p(T)) against the same-W one-thread row.
+// Cells with more threads than the hardware has are timed after every
+// other cell of their n, so no row, and no T=1 denominator, runs just
+// after an oversubscribed region.
 //
 // The sublist-count axis (the paper's m, Section 4.4) gets its own rows:
 // T in {1, 4} at W = 8 over k/T in {64, 256, 1024, 4096}, next to the
@@ -38,8 +41,10 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <iterator>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "analysis/tuner.hpp"
@@ -190,9 +195,8 @@ int main(int argc, char** argv) {
     // EngineOptions{threads=0, interleave=0}, measured under the same
     // harness as the grid cells (same warm output buffer) so the row
     // judges the planner's choice, not Engine API overheads like cold
-    // result pages. It runs before the grid: the first calls after the
-    // oversubscribed T=8 cells run up to 5x slow while the surplus
-    // OpenMP workers settle.
+    // result pages. Like every cell, it runs before the oversubscribed
+    // ones.
     const Planner::Decision d =
         Engine(EngineOptions{}).planner().decide(n, Method::kAuto,
                                                  /*rank=*/true);
@@ -214,13 +218,42 @@ int main(int argc, char** argv) {
     table.add_row({"serial-walk", "1", "-", TextTable::num(serial, 2),
                    TextTable::num(serial * 1e6 / nd, 2), "-", "-", "-"});
 
+    // Every cell of this n is timed before any is reported, those with
+    // more threads than the hardware last: the first calls after an
+    // oversubscribed region run several times slow while the surplus
+    // OpenMP workers settle, and each width's T=1 row is its scaling
+    // denominator. The sublist-count axis below sits between the two.
+    Cell grid[std::size(kWidths)][std::size(kThreads)];
+    const auto time_grid = [&](bool oversubscribed) {
+      for (std::size_t wi = 0; wi < std::size(kWidths); ++wi)
+        for (std::size_t ti = 0; ti < std::size(kThreads); ++ti)
+          if ((kThreads[ti] > hw) == oversubscribed)
+            grid[wi][ti] = measure(list, kThreads[ti], kWidths[wi],
+                                   kSublists, reps, ws,
+                                   std::span<value_t>(out));
+    };
+    time_grid(false);
+    // The sublist-count axis: fixed (T, W), k/T swept, and the host
+    // rule's own m beside it.
+    std::vector<std::vector<std::size_t>> count_ks;
+    std::vector<std::vector<Cell>> count_cells;
+    for (const unsigned t : kCountThreads) {
+      std::vector<std::size_t> ks;
+      for (const std::size_t kt : kPerThread) ks.push_back(kt * t);
+      ks.push_back(host_sublists(nd, t, kCountW));
+      count_cells.push_back(measure_counts(list, t, kCountW, ks, reps, ws,
+                                           std::span<value_t>(out)));
+      count_ks.push_back(std::move(ks));
+    }
+    time_grid(true);
+
     double best_packed_ms = 0.0;  // the grid's best cell, for the auto gap
-    for (const unsigned w : kWidths) {
-      Cell base;  // the T=1 row of this width: the scaling denominator
-      for (const unsigned t : kThreads) {
-        const Cell c = measure(list, t, w, kSublists, reps, ws,
-                               std::span<value_t>(out));
-        if (t == 1) base = c;
+    for (std::size_t wi = 0; wi < std::size(kWidths); ++wi) {
+      const unsigned w = kWidths[wi];
+      const Cell& base = grid[wi][0];  // T=1: the scaling denominator
+      for (std::size_t ti = 0; ti < std::size(kThreads); ++ti) {
+        const unsigned t = kThreads[ti];
+        const Cell& c = grid[wi][ti];
         if (best_packed_ms == 0.0 || c.total_ms < best_packed_ms)
           best_packed_ms = c.total_ms;
         const double speedup = c.total_ms > 0.0 ? base.total_ms / c.total_ms
@@ -277,8 +310,6 @@ int main(int argc, char** argv) {
     std::printf("n = %zu\n", n);
     table.print();
 
-    // The sublist-count axis: fixed (T, W), k/T swept, and the host
-    // rule's own m beside it.
     TextTable counts({"T", "W", "k/T", "k", "median ms", "ns/elem",
                       "p1 ns/elem", "p2 ns/elem", "p3 ns/elem"});
     char auto_line[128];
@@ -286,13 +317,11 @@ int main(int argc, char** argv) {
                   "auto plan runs %+.1f%% against the best packed cell\n",
                   (auto_vs_best - 1.0) * 100.0);
     std::string gaps = auto_line;
-    for (const unsigned t : kCountThreads) {
-      const std::size_t planned = host_sublists(nd, t, kCountW);
-      std::vector<std::size_t> ks;
-      for (const std::size_t kt : kPerThread) ks.push_back(kt * t);
-      ks.push_back(planned);
-      const std::vector<Cell> cells = measure_counts(
-          list, t, kCountW, ks, reps, ws, std::span<value_t>(out));
+    for (std::size_t ci = 0; ci < std::size(kCountThreads); ++ci) {
+      const unsigned t = kCountThreads[ci];
+      const std::vector<std::size_t>& ks = count_ks[ci];
+      const std::vector<Cell>& cells = count_cells[ci];
+      const std::size_t planned = ks.back();
       double best_ms = 0.0;
       for (std::size_t c = 0; c < ks.size(); ++c) {
         const bool is_planned = c + 1 == ks.size();

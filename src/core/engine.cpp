@@ -325,16 +325,15 @@ class HostBackend final : public ExecutionBackend {
     out.stats.algo.rounds = n == 0 ? 0 : (sublists_ran ? 3 : 1);
     // Phase 1 chases every link once; phase 3 streams in array order.
     out.stats.algo.link_steps = n;
-    // The packed slab (n words), or else the 4-byte tags (n/2 words),
-    // plus O(sublists) arrays.
+    // The record slab (n words for a rank, 2n for a scan) plus
+    // O(sublists) arrays.
     out.stats.algo.extra_words =
-        sublists_ran ? (info.packed ? n : n / 2) +
+        sublists_ran ? (req.rank ? n : 2 * n) +
                            4 * static_cast<std::uint64_t>(info.sublists)
                      : 0;
     out.stats.host_interleave = info.interleave;
     out.stats.host_threads = info.threads;
     out.stats.host_sublists = info.sublists;
-    out.stats.host_packed = info.packed;
     out.stats.kernel_tier = info.tier;
     out.stats.host_build_ns = info.build_ns;
     out.stats.host_phase1_ns = info.phase1_ns;
@@ -370,19 +369,16 @@ class HostBackend final : public ExecutionBackend {
     // Pass A chases every link once; pass C streams in array order.
     out.stats.algo.link_steps = n;
     // Per-run reduced-list arrays (~4 words per segment), the 4 B/vertex
-    // segment-id array (n/2 words), and one shard's slab resident at a
-    // time.
+    // segment-id array (n/2 words), and one shard's record slab (one or
+    // two words per vertex) resident at a time.
+    const std::uint64_t width =
+        ss.shards > 0 ? (n + ss.shards - 1) / ss.shards : 0;
     out.stats.algo.extra_words =
-        4 * ss.segments + n / 2 +
-        (ss.packed && ss.shards > 0 ? (n + ss.shards - 1) / ss.shards : 0);
+        4 * ss.segments + n / 2 + (req.rank ? width : 2 * width);
     out.stats.host_threads = exec.threads;
     out.stats.host_interleave = ss.interleave;
-    // What the shard passes ran, not what the operator could have run: a
-    // shard whose values miss the 32-bit lane walks its arrays.
-    out.stats.host_packed = ss.packed;
-    out.stats.kernel_tier = n == 0       ? KernelTier::kAuto
-                            : ss.packed ? KernelTier::kPackedCursors
-                                        : KernelTier::kListArrays;
+    out.stats.kernel_tier =
+        n == 0 ? KernelTier::kAuto : KernelTier::kPackedCursors;
     out.stats.shard_count = ss.shards;
     out.stats.shard_segments = ss.segments;
     out.stats.shard_loads = ss.store.loads;

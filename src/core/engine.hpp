@@ -199,12 +199,10 @@ struct RunStats {
   /// Sublists the kernel actually walked: the plan's m, capped at n / 2
   /// (0 on the serial walk and on sharded runs).
   std::size_t host_sublists = 0;
-  bool host_packed = false;       ///< the single-gather packed slab ran
-  /// The hop source the hot phases actually walked (host backend; kAuto
-  /// on the other backends and on runs that never reached the host
-  /// kernels): kPackedCursors over the slab, kListArrays over the list
-  /// arrays -- including a lane-capable scan whose values missed the
-  /// 32-bit lane -- and on the serial walk.
+  /// What the host kernels walked (kAuto on the other backends and on
+  /// runs that never reached the host kernels): kPackedCursors over the
+  /// record slab on every sublist and sharded run, whatever the operator,
+  /// and kListArrays on the serial walk.
   KernelTier kernel_tier = KernelTier::kAuto;
 
   // Per-phase wall clock of the host sublist kernel (zero on the serial
@@ -286,9 +284,9 @@ struct EngineOptions {
   /// (analysis/tuner.hpp plan_host).
   unsigned threads = 0;
   /// Accepted for source compatibility and otherwise ignored: every
-  /// value plans alike, because the kernel picks its hop source per run
-  /// from the operator and the value fit (RunStats::kernel_tier reports
-  /// which one ran).
+  /// value plans alike, because every sublist run walks the record slab
+  /// and only the serial walk reads the list arrays
+  /// (RunStats::kernel_tier reports which one ran).
   KernelTier tier = KernelTier::kAuto;
   /// Cursors in flight per worker in the host kernel's hot phases. 0 =
   /// let the Planner pick by the run's footprint (analysis/tuner.hpp

@@ -1,54 +1,45 @@
 // The host execution kernel: Reid-Miller's sublist scan on real hardware
 // (OpenMP threads when available), generic over the operator and
 // allocation-free given a warmed-up Workspace. lr90::Engine's HostBackend
-// runs it; the shard layer (shard/sharded.cpp) reuses its cursor driver.
+// runs it; the shard layer (shard/sharded.cpp) reuses its slab build and
+// cursor driver.
 //
 // Same structure as the paper's algorithm, non-destructively: sublist
-// boundaries live in a per-run tag array (and the slab's tail bits)
-// instead of planted self-loops, so the input list stays shared
-// read-only across threads.
+// boundaries live in a per-run record slab instead of planted self-loops,
+// so the input list stays shared read-only across threads.
 //
-// One traversal kernel serves phase 1 for every operator:
-// interleave_sublists, the modern-CPU analog of the paper's VL=64 vector
-// gathers. Each worker advances W independent sublist cursors round-robin
-// with a software prefetch on every next hop (prefetcht0, so the line is
-// in L1 when the cursor comes back to it; also a write prefetch of the
-// output slot the next step stores to): instead of stalling a full memory
-// round-trip per element, the core overlaps W dependent-load chains, as
-// the C90 overlapped 64 lanes of a vector gather. Cursors that finish
-// their sublist refill from their worker's claimed range, and a worker
-// refills that range from a shared counter by guided self-scheduling:
-// each trip takes max(1, remaining / (2 T W)) sublists, so a run of
-// ~1-vertex sublists (shard pass A's segments) pays a fraction of a
-// contended claim per sublist. The last claims are single sublists, and
-// they drain with shrinking parallelism, which is why the Planner sizes
-// the sublist count by the paper's Eq. 5 trade-off (analysis/tuner.hpp
-// host_sublists) rather than by the thread count.
+// The record slab is the paper's Section 3 single-gather encoding for
+// every operator (lists/encode.hpp hot_pack): one record per vertex, one
+// 64-bit word for a rank (sublist-tail flag, sublist id, link) and a
+// second for a scan (the full value), built once per run in one O(n)
+// pass. A hop is ONE random load, whatever the operator or the width of
+// its values.
+//
+// One traversal kernel serves phase 1: interleave_sublists, the
+// modern-CPU analog of the paper's VL=64 vector gathers. Each worker
+// advances W independent sublist cursors round-robin with a software
+// prefetch on every next hop (prefetcht0, so the line is in L1 when the
+// cursor comes back to it): instead of stalling a full memory round-trip
+// per element, the core overlaps W dependent-load chains, as the C90
+// overlapped 64 lanes of a vector gather. Cursors that finish their
+// sublist refill from their worker's claimed range, and a worker refills
+// that range from a shared counter by guided self-scheduling: each trip
+// takes max(1, remaining / (2 T W)) sublists, so a run of ~1-vertex
+// sublists (shard pass A's segments) pays a fraction of a contended claim
+// per sublist. The last claims are single sublists, and they drain with
+// shrinking parallelism, which is why the Planner sizes the sublist count
+// by the paper's Eq. 5 trade-off (analysis/tuner.hpp host_sublists)
+// rather than by the thread count.
 //
 // Phase 3 departs from the paper. The C90's cacheless vector gathers made
 // a second walk of every sublist cheap; here it would be a second pointer
 // chase with a random store per hop. Instead, as in Helman and JaJa's SMP
-// list ranking (ALENEX 1999), phase 1 records at every vertex its sublist
-// id and its exclusive prefix within the sublist, in cache lines the hop
-// has already loaded, and phase 3 is one pass in array order:
-// out[v] = op(headscan[sublist(v)], prefix(v)).
-//
-// The driver is generic over a hop source that yields (tail flag, link,
-// value) per vertex. There are two, and the kernel picks one from the
-// operator and the value fit (KernelTier names what ran):
-//
-//  * SlabHops (KernelTier::kPackedCursors) -- the single-gather slab
-//    (lists/encode.hpp hot_pack: link + value lane + sublist-tail flag in
-//    one 64-bit word), built once per run: ONE random load per element.
-//    Serves ranks and the plus/min/max/xor scans whose values fit the
-//    32-bit lane. Phase 1 overwrites each word it has read with the
-//    vertex's sublist id (a rank adds its local count), so a slab serves
-//    one run.
-//  * ListHops (KernelTier::kListArrays) -- the list's own next/value
-//    arrays plus the per-run 4-byte tag (tail flag in its top bit, then
-//    phase 1's sublist id): three loads per element, all at the same
-//    index, and no slab to build. Serves seg-sum/affine/max-plus and any
-//    value that misses the lane.
+// list ranking (ALENEX 1999), phase 1 overwrites each record it has read
+// with the vertex's sublist id and its exclusive prefix within the
+// sublist (a rank's count in word 0, a scan's prefix in word 1), and
+// phase 3 is one pass in array order: out[v] = op(headscan[sublist(v)],
+// prefix(v)). A slab therefore serves one run. KernelTier names what ran:
+// kPackedCursors for every sublist run, kListArrays for the serial walk.
 //
 // The slab build and phases 1 and 3 scale across worker threads (the
 // paper's Section 5 multiprocessor dimension, Fig. 11): the build and
@@ -69,6 +60,7 @@
 #include <chrono>
 #include <span>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "baselines/serial_walk.hpp"
@@ -106,20 +98,18 @@ struct ExecInfo {
   /// Worker threads the run used: the plan's count on the sublist path, 1
   /// on the serial walk, 0 when nothing ran (empty list).
   unsigned threads = 0;
-  bool packed = false;        ///< the single-gather slab path ran
   /// The walk from the head meets no self-loop tail (a malformed list):
   /// the run stopped without an answer.
   bool no_tail = false;
   std::size_t sublists = 0;   ///< sublists used (0 = serial walk)
-  /// The hop source that ran: kPackedCursors over the slab, kListArrays
-  /// over the list arrays and on the serial walk, kAuto when nothing ran
-  /// (empty list).
+  /// What ran: kPackedCursors over the record slab (every sublist run),
+  /// kListArrays on the serial walk, kAuto when nothing ran (empty list).
   KernelTier tier = KernelTier::kAuto;
 
   // Per-phase wall clock, for parallel-efficiency reporting (zero on the
-  // serial walk, which has no phases). build_ns covers boundary choice,
-  // head collection, and the slab build.
-  double build_ns = 0.0;   ///< boundaries + heads + packed-slab build
+  // serial walk, which has no phases). build_ns covers the slab build,
+  // boundary choice and head collection.
+  double build_ns = 0.0;   ///< slab build + boundaries + heads
   double phase1_ns = 0.0;  ///< per-sublist inclusive scans
   double phase2_ns = 0.0;  ///< reduced-list scan over sublist sums
   double phase3_ns = 0.0;  ///< the array-order pass finishing every vertex
@@ -223,9 +213,9 @@ inline void prefetch_ro(const void* addr) {
 }
 
 /// Write-prefetch of the cache line holding `addr` (prefetchw on x86):
-/// phase 1 applies it to the output slot each cursor stores to next, so
-/// the random store finds its line owned instead of stalling the cursor
-/// on a read-for-ownership miss.
+/// shard pass A applies it to the output slot each cursor stores to next,
+/// so the random store finds its line owned instead of stalling the
+/// cursor on a read-for-ownership miss.
 inline void prefetch_rw(void* addr) {
 #if defined(__GNUC__) || defined(__clang__)
   __builtin_prefetch(addr, /*rw=*/1, /*locality=*/3);
@@ -245,11 +235,6 @@ void for_each_range(unsigned threads, std::size_t n, Body&& body) {
     body(begin, end);
   });
 }
-
-/// The top bit of a per-run tag (Workspace::tag): the vertex ends its
-/// sublist. Phase 1 sets it at every vertex it passes, beside the
-/// vertex's sublist id in the low bits.
-inline constexpr std::uint32_t kTagTail = 0x80000000u;
 
 /// Draws `count` distinct sublist boundary vertices, none of them the
 /// global tail, into ws.picks and sorts them: phase 2 finds a sublist's
@@ -272,60 +257,30 @@ void draw_boundaries(std::size_t n, std::size_t count, Workspace& ws,
   std::sort(ws.picks.begin(), ws.picks.end());
 }
 
-/// The boundaries of a list-array run: refits ws.tag to zero and flags
-/// the global tail and `count` picks with kTagTail.
-inline void choose_boundaries(const LinkedList& list, std::size_t count,
-                              Workspace& ws, index_t global_tail) {
-  ws.fit(ws.tag, list.size(), std::uint32_t{0});
-  std::uint32_t* tag = ws.tag.data();
-  draw_boundaries(list.size(), count, ws, global_tail, [tag](index_t v) {
-    if (tag[v] != 0) return false;
-    tag[v] = kTagTail;
-    return true;
-  });
-}
+/// Words per vertex record: one for a rank (`kOnes`), two for a scan.
+template <bool kOnes>
+inline constexpr std::size_t kRecordWords = kOnes ? 1 : 2;
 
-/// The boundaries of a slab run: flags the global tail and `count` picks
-/// in the tail bits of the slab build_packed has just built. From the
-/// same RNG state it draws the same picks as choose_boundaries, and the
-/// run touches no per-vertex array besides the slab.
-inline void choose_slab_boundaries(std::size_t count, Workspace& ws,
-                                   index_t global_tail) {
-  packed_t* words = ws.packed.data();
-  draw_boundaries(ws.packed.size(), count, ws, global_tail,
-                  [words](index_t v) {
-                    if (hot_tail(words[v])) return false;
-                    words[v] |= kHotTailBit;
-                    return true;
-                  });
-}
-
-/// Builds the single-gather slab into ws.packed from the list, with no
-/// sublist tail flagged yet (choose_slab_boundaries flags them): word v =
-/// hot_pack(false, next[v], value lane). One O(n) pass, split into
-/// per-thread index ranges (hot_pack_range). `kOnes` forces every value
-/// lane to 1 (ranking) and cannot fail; otherwise returns false -- slab
-/// contents unspecified -- if any value does not round-trip through the
-/// signed 32-bit lane. Each successful build counts in
-/// Workspace::packed_builds.
-template <bool kOnes, ListOp Op>
-bool build_packed(const LinkedList& list, Op, unsigned threads,
-                  Workspace& ws) {
-  static_assert(kOnes || kOpLane32<Op>,
-                "64-bit-value operators walk the list arrays");
-  const std::size_t n = list.size();
-  ws.fit_uninit(ws.packed, n);
-  const index_t* next = list.next.data();
-  const value_t* val = kOnes ? nullptr : list.value.data();
-  packed_t* out = ws.packed.data();
-  std::atomic<bool> ok{true};
+/// Builds the record slab of vertices [0, n) in ws.slab(): word 0 =
+/// hot_pack(tail, kHotNoSublist, to) for (tail, to) = link(v), and for a
+/// scan word 1 = value[v]. One pass that writes every word, split into
+/// per-thread index ranges. The host kernel's link(v) is (false,
+/// next[v]), its boundaries flagged afterwards; shard pass A's flags a
+/// link that leaves the shard and localizes the rest.
+template <bool kOnes, class Link>
+packed_t* build_slab(std::size_t n, const value_t* value, unsigned threads,
+                     Workspace& ws, Link link) {
+  constexpr std::size_t kW = kRecordWords<kOnes>;
+  packed_t* words = ws.slab(kW * n);
   for_each_range(threads, n, [&](std::size_t begin, std::size_t end) {
-    if (!hot_pack_range(next, val, out, begin, end))
-      ok.store(false, std::memory_order_relaxed);
+    for (std::size_t v = begin; v < end; ++v) {
+      const auto [tail, to] = link(v);
+      packed_t* r = words + kW * v;
+      r[0] = hot_pack(tail, kHotNoSublist, to);
+      if constexpr (!kOnes) r[1] = static_cast<packed_t>(value[v]);
+    }
   });
-  if (!ok.load(std::memory_order_relaxed)) return false;
-  ws.note_packed_build();
-  return true;
+  return words;
 }
 
 /// One step of a cursor: whether `v` ends its sublist, its successor, and
@@ -336,31 +291,20 @@ struct Hop {
   value_t value;
 };
 
-/// Hop source over the single-gather slab: one 64-bit load per element.
+/// Hop source over the record slab: one random load per element (a
+/// scan's word 1 shares word 0's cache line). `kOnes` reads the constant
+/// 1 for every value (ranking).
+template <bool kOnes>
 struct SlabHops {
   const packed_t* words;
   Hop operator()(index_t v) const {
-    const packed_t w = words[v];
-    return {hot_tail(w), hot_link(w), hot_value(w)};
-  }
-  void prefetch(index_t v) const { prefetch_ro(&words[v]); }
-};
-
-/// Hop source over the list's own arrays plus the per-run tags; `kOnes`
-/// substitutes the constant 1 for every value (ranking).
-template <bool kOnes>
-struct ListHops {
-  const index_t* next;
-  const value_t* value;
-  const std::uint32_t* tag;
-  Hop operator()(index_t v) const {
-    return {(tag[v] & kTagTail) != 0, next[v],
-            kOnes ? value_t{1} : value[v]};
+    const packed_t* r = words + kRecordWords<kOnes> * v;
+    value_t value = 1;
+    if constexpr (!kOnes) value = static_cast<value_t>(r[1]);
+    return {hot_tail(r[0]), hot_link(r[0]), value};
   }
   void prefetch(index_t v) const {
-    prefetch_ro(&next[v]);
-    if constexpr (!kOnes) prefetch_ro(&value[v]);
-    prefetch_ro(&tag[v]);
+    prefetch_ro(words + kRecordWords<kOnes> * v);
   }
 };
 
@@ -372,14 +316,14 @@ struct NoAhead {
 
 /// The sublist traversal kernel: walks all `k` sublists over `threads`
 /// workers, each keeping up to `W` cursors in flight. Per element: one
-/// hop from `hops` (see SlabHops / ListHops), a prefetch of the next hop
+/// hop from `hops` (see SlabHops), a prefetch of the next hop
 /// plus `ahead(next vertex)`, then `step(sublist, vertex, value, acc)`;
 /// at a sublist tail, `finish(sublist, tail_vertex, acc)` runs and the
 /// cursor refills with the worker's next claimed sublist. `init(sublist)`
 /// seeds the accumulator. The step runs after the vertex's hop is read,
 /// so it may overwrite what the hop source holds for that vertex. `ahead`
-/// lets a phase prefetch what its step will write at the vertex a cursor
-/// moves to (phase 1's output slot).
+/// lets a walk prefetch what its step will write at the vertex a cursor
+/// moves to (shard pass A's output slot).
 ///
 /// Claims are guided self-scheduling: a worker whose own range is empty
 /// takes max(1, remaining / (2 T W)) sublists from the shared counter in
@@ -464,8 +408,8 @@ void interleave_sublists(const Hops& hops, const index_t* heads,
 /// Preconditions: `list` is a LinkedList whose arrays agree in size and
 /// whose links stay in range, out.size() == list.size(). A list whose
 /// walk from the head meets no self-loop tail is refused (ExecInfo::
-/// no_tail) before any boundary is marked; a vertex no sublist head
-/// reaches gets an unspecified answer. `kOnes` treats every value as 1
+/// no_tail) before the slab is built; a vertex no sublist head reaches
+/// keeps its answer slot untouched. `kOnes` treats every value as 1
 /// regardless of list.value (ranking); only rank_into sets it.
 template <ListOp Op, bool kOnes = false>
 ExecInfo scan_into(const LinkedList& list, Op op, const HostPlan& plan,
@@ -491,11 +435,7 @@ ExecInfo scan_into(const LinkedList& list, Op op, const HostPlan& plan,
     return info;
   }
 
-  // The hop source: the slab when the operator's values can live in the
-  // 32-bit lane and every link fits 31 bits (the build below re-checks
-  // each value), the list arrays otherwise.
-  constexpr bool kLane = kOnes || kOpLane32<Op>;
-  bool slab = kLane && n <= kHotMaxVertices;
+  constexpr std::size_t kW = kRecordWords<kOnes>;
   const unsigned threads = std::max(1u, plan.threads);
   const unsigned W = std::clamp(plan.interleave, 1u, kMaxInterleave);
   using Clock = std::chrono::steady_clock;
@@ -504,79 +444,55 @@ ExecInfo scan_into(const LinkedList& list, Op op, const HostPlan& plan,
         .count();
   };
   const auto t_build = Clock::now();
-  // A value that misses the lane leaves the list arrays to walk.
-  if constexpr (kLane) {
-    if (slab) slab = build_packed<kOnes>(list, op, threads, ws);
-  }
-  if (slab) {
-    choose_slab_boundaries(want - 1, ws, global_tail);
-  } else {
-    choose_boundaries(list, want - 1, ws, global_tail);
-  }
+  const index_t* next = list.next.data();
+  packed_t* words = build_slab<kOnes>(
+      n, list.value.data(), threads, ws,
+      [next](std::size_t v) { return std::pair{false, next[v]}; });
+  // The global tail and want - 1 picks, flagged in word 0's tail bit.
+  draw_boundaries(n, want - 1, ws, global_tail, [words](index_t v) {
+    packed_t& w = words[kW * v];
+    if (hot_tail(w)) return false;
+    w |= kHotTailBit;
+    return true;
+  });
   // Sublist heads: the whole-list head, then sublist i + 1 at the i-th
   // pick's successor. A pick whose successor is itself a tail yields a
   // single-vertex sublist.
   ws.fit_uninit(ws.heads, want);
   ws.heads.clear();
   ws.heads.push_back(list.head);
-  for (const index_t r : ws.picks) ws.heads.push_back(list.next[r]);
-  // Resolved after the build section: the buffers may have reallocated
-  // during it.
-  packed_t* words = ws.packed.data();
-  std::uint32_t* tag = ws.tag.data();
+  for (const index_t r : ws.picks) ws.heads.push_back(next[r]);
   const index_t* heads = ws.heads.data();
   const std::size_t k = ws.heads.size();
   value_t* o = out.data();
   info.build_ns = since_ns(t_build);
 
   // Phase 1: per-sublist inclusive sums and tails. At each vertex the
-  // step also records what phase 3 needs, where the hop has just loaded
-  // a line: its sublist id j in the slab word or the tag, flagged as a
-  // tail so that a malformed list leading a second cursor there stops it,
-  // and its exclusive prefix within the sublist -- in the slab word's
-  // lane for a rank, otherwise in out[v], whose line the cursor
-  // write-prefetched a hop ahead.
+  // step overwrites the record the hop has just loaded with what phase 3
+  // needs: its sublist id j, flagged as a tail so that a malformed list
+  // leading a second cursor there stops it, and its exclusive prefix
+  // within the sublist -- a rank's count in word 0's low lane, a scan's
+  // prefix in word 1.
   const auto t_phase1 = Clock::now();
   ws.fit(ws.sums, k, Op::identity());
   ws.fit(ws.tails, k, kNoVertex);
-  const auto walk = [&](const auto& hops, auto record, auto ahead) {
-    interleave_sublists(
-        hops, heads, k, threads, W, [](std::size_t) { return Op::identity(); },
-        [&](index_t j, index_t v, value_t x, value_t& acc) {
-          record(j, v, acc);
-          acc = op(acc, x);
-        },
-        [&](index_t j, index_t v, value_t acc) {
-          ws.sums[j] = acc;
-          ws.tails[j] = v;
-        },
-        ahead);
-  };
-  const auto ahead = [o](index_t v) { prefetch_rw(&o[v]); };
-  if constexpr (kOnes) {
-    if (slab)
-      walk(SlabHops{words},
-           [words](index_t j, index_t v, value_t acc) {
-             words[v] = hot_pack(true, j, static_cast<std::uint32_t>(acc));
-           },
-           NoAhead{});
-  } else if constexpr (kLane) {
-    if (slab)
-      walk(SlabHops{words},
-           [words, o](index_t j, index_t v, value_t acc) {
-             words[v] = hot_pack(true, j, 0);
-             o[v] = acc;
-           },
-           ahead);
-  }
-  if (!slab) {
-    walk(ListHops<kOnes>{list.next.data(), list.value.data(), tag},
-         [tag, o](index_t j, index_t v, value_t acc) {
-           tag[v] = kTagTail | j;
-           o[v] = acc;
-         },
-         ahead);
-  }
+  interleave_sublists(
+      SlabHops<kOnes>{words}, heads, k, threads, W,
+      [](std::size_t) { return Op::identity(); },
+      [words, op](index_t j, index_t v, value_t x, value_t& acc) {
+        packed_t* r = words + kW * v;
+        if constexpr (kOnes) {
+          r[0] = hot_pack(true, j, static_cast<std::uint32_t>(acc));
+        } else {
+          r[0] = hot_pack(true, j, 0);
+          r[1] = static_cast<packed_t>(acc);
+        }
+        acc = op(acc, x);
+      },
+      [&](index_t j, index_t v, value_t acc) {
+        ws.sums[j] = acc;
+        ws.tails[j] = v;
+      });
   info.phase1_ns = since_ns(t_phase1);
 
   // Phase 2: visit the sublists in list order by chaining tail ->
@@ -608,46 +524,34 @@ ExecInfo scan_into(const LinkedList& list, Op op, const HostPlan& plan,
   // Phase 3: one pass in array order, out[v] = op(headscan[j], prefix).
   // Every read and write streams; only the O(k) headscan is gathered,
   // and it stays in cache. A vertex no head reached still holds its
-  // build-time word or tag, whose id may be anything: ids past k are
-  // skipped.
+  // build-time record, whose id kHotNoSublist is past k: it is skipped.
   const auto t_phase3 = Clock::now();
   const value_t* hs = ws.headscan.data();
-  const auto expand = [&](auto sublist, auto prefix) {
-    for_each_range(threads, n, [&](std::size_t begin, std::size_t end) {
-      for (std::size_t v = begin; v < end; ++v) {
-        const std::size_t j = sublist(v);
-        if (j < k) o[v] = op(hs[j], prefix(v));
+  for_each_range(threads, n, [&](std::size_t begin, std::size_t end) {
+    for (std::size_t v = begin; v < end; ++v) {
+      const packed_t* r = words + kW * v;
+      const std::size_t j = hot_sublist(r[0]);
+      if (j >= k) continue;
+      if constexpr (kOnes) {
+        o[v] = op(hs[j], static_cast<value_t>(hot_link(r[0])));
+      } else {
+        o[v] = op(hs[j], static_cast<value_t>(r[1]));
       }
-    });
-  };
-  const auto out_prefix = [o](std::size_t v) { return o[v]; };
-  const auto word_sublist = [words](std::size_t v) {
-    return hot_link(words[v]);
-  };
-  if constexpr (kOnes) {
-    if (slab)
-      expand(word_sublist, [words](std::size_t v) {
-        return static_cast<value_t>(packed_value(words[v]));
-      });
-  } else if constexpr (kLane) {
-    if (slab) expand(word_sublist, out_prefix);
-  }
-  if (!slab)
-    expand([tag](std::size_t v) { return tag[v] & ~kTagTail; }, out_prefix);
+    }
+  });
   info.phase3_ns = since_ns(t_phase3);
 
   info.interleave = W;
   info.threads = threads;
-  info.packed = slab;
   info.sublists = k;
-  info.tier = slab ? KernelTier::kPackedCursors : KernelTier::kListArrays;
+  info.tier = KernelTier::kPackedCursors;
   return info;
 }
 
 /// Exclusive list rank into `out`: the all-ones scan without ever
-/// materializing a ones copy -- the slab's value lane is the constant 1,
-/// the list-array hops substitute it inline, and the serial walk writes
-/// positions directly. Correct for any plan.
+/// materializing a ones copy -- the one-word records carry no value, the
+/// hops read the constant 1, and the serial walk writes positions
+/// directly. Correct for any plan.
 inline ExecInfo rank_into(const LinkedList& list, const HostPlan& plan,
                           Workspace& ws, std::span<value_t> out) {
   return scan_into<OpPlus, /*kOnes=*/true>(list, OpPlus{}, plan, ws, out);

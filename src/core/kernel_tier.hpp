@@ -1,4 +1,4 @@
-// lr90::KernelTier -- which hop source the host traversal kernel walked.
+// lr90::KernelTier -- what the host traversal kernel walked.
 //
 // Lives in its own header (included and re-exported by core/engine.hpp,
 // where the rest of the Engine API is declared) so the execution kernel
@@ -8,14 +8,14 @@
 
 namespace lr90 {
 
-/// The hop source behind the host kernel's hot phases (1 + 3). One cursor
-/// driver serves every operator; the kernel picks the source per run from
-/// the operator and the value fit, and RunStats::kernel_tier reports what
-/// ran. The numeric values are stable (benches record them as codes).
+/// What the host kernel walked: every sublist run walks its record slab
+/// with W cursors, whatever the operator, and the serial walk reads the
+/// list arrays. RunStats::kernel_tier reports what ran. The numeric
+/// values are stable (benches record them as codes).
 enum class KernelTier {
   kAuto,           ///< nothing ran (empty list, non-host backend)
-  kListArrays,     ///< no slab: the serial walk or the list arrays
-  kPackedCursors,  ///< W cursors over the single-gather hot-word slab
+  kListArrays,     ///< no slab: the serial walk over the list arrays
+  kPackedCursors,  ///< W cursors over the single-gather record slab
 };
 
 /// Short stable name of `t` ("auto", "list-arrays", "packed-cursors") for

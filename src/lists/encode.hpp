@@ -36,71 +36,46 @@ inline std::uint32_t packed_value(packed_t w) {
   return static_cast<std::uint32_t>(w & kPackValueMask);
 }
 
-// -- the host hot-path word ("tail-flag-in-word") ---------------------------
+// -- the host record ---------------------------------------------------------
 //
-// The host traversal kernels (core/host_exec.hpp) extend the single-gather
-// idea with the per-run sublist-tail flag, stolen from the top bit of the
-// link lane (links only need 31 bits, bounding n by 2^31 on this path):
+// The host kernel (core/host_exec.hpp) keeps the single-gather idea with
+// one record per vertex in a per-run slab: word 0 carries the link and
+// the sublist bookkeeping, and a scan adds word 1 for the full 64-bit
+// value, in the same 16-byte record and so the same cache line.
 //
-//   word = (is_sublist_tail << 63) | (next << 32) | (value & 0xffffffff)
+//   word 0 = (is_sublist_tail << 63) | (sublist << 32) | low
 //
-// so the inner loop issues exactly ONE random load per element -- link,
-// value, and stop condition arrive together, where the seed kernel paid a
-// dependent load on `next`, a second gather on `value`, and a third random
-// access into a sublist-tail bitmap. The value lane is the low 32 bits of
-// value_t, reread back sign-extended; a list qualifies only when every
-// value round-trips (hot_value_fits).
+// `low` is the link until phase 1 reaches the vertex, and a rank's local
+// count after it; `sublist` is kHotNoSublist until phase 1 writes the
+// vertex's sublist id. Links get all 32 bits, so any list a 32-bit index
+// holds fits. Each hop then issues exactly ONE random load: link, stop
+// condition and (in word 1) value arrive together, where a walk of the
+// list arrays pays a dependent load on `next`, a second one on `value`
+// and a third on a sublist-tail flag.
 
-/// The sublist-tail flag bit of a hot word.
+/// The sublist-tail flag bit of a record's word 0.
 inline constexpr packed_t kHotTailBit = 0x8000000000000000ULL;
-/// Mask of the 31-bit link lane (bits 32..62).
-inline constexpr packed_t kHotLinkMask = 0x7fffffffULL;
-/// The largest list the hot path can encode (links must fit 31 bits).
-inline constexpr std::size_t kHotMaxVertices = std::size_t{1} << 31;
+/// The sublist id a build writes: no run has this many sublists (k <=
+/// n / 2 < 2^31), so phase 3 skips a vertex no sublist head reached.
+inline constexpr std::uint32_t kHotNoSublist = 0x7fffffffu;
 
-/// Packs (sublist-tail flag, link, value lane) into one hot word.
-inline constexpr packed_t hot_pack(bool tail, index_t link,
-                                   std::uint32_t value) {
+/// Packs (sublist-tail flag, sublist id, low lane) into a record's word 0.
+inline constexpr packed_t hot_pack(bool tail, std::uint32_t sublist,
+                                   std::uint32_t low) {
   return (tail ? kHotTailBit : 0) |
-         ((static_cast<packed_t>(link) & kHotLinkMask) << kPackShift) |
-         static_cast<packed_t>(value);
+         (static_cast<packed_t>(sublist & kHotNoSublist) << kPackShift) |
+         static_cast<packed_t>(low);
 }
 /// True iff the word's vertex ends its sublist.
 inline constexpr bool hot_tail(packed_t w) { return (w & kHotTailBit) != 0; }
-/// The word's successor index.
+/// The word's sublist id (kHotNoSublist until phase 1 writes one).
+inline constexpr std::uint32_t hot_sublist(packed_t w) {
+  return static_cast<std::uint32_t>(w >> kPackShift) & kHotNoSublist;
+}
+/// The word's low lane: the successor index before phase 1, a rank's
+/// local count after it.
 inline constexpr index_t hot_link(packed_t w) {
-  return static_cast<index_t>((w >> kPackShift) & kHotLinkMask);
-}
-/// The word's value lane, sign-extended back to value_t.
-inline constexpr value_t hot_value(packed_t w) {
-  return static_cast<value_t>(
-      static_cast<std::int32_t>(static_cast<std::uint32_t>(w)));
-}
-/// True iff `v` survives the lane round-trip (fits a signed 32-bit lane).
-inline constexpr bool hot_value_fits(value_t v) {
-  return v == static_cast<value_t>(static_cast<std::int32_t>(
-                  static_cast<std::uint32_t>(v)));
-}
-
-/// Packs hot words for the index range [begin, end), with no sublist
-/// tail flagged (the kernel flags its boundaries afterwards): the
-/// per-thread unit of the parallel slab build (core/host_exec.hpp
-/// build_packed). `value` == nullptr packs the constant 1 into every
-/// value lane (ranking). Returns false -- packed contents of the range
-/// unspecified -- if any value misses the signed 32-bit lane; always true
-/// when ranking. The pass is branch-light and sequential over the range,
-/// so per-thread ranges stream independently at full bandwidth.
-inline bool hot_pack_range(const index_t* next, const value_t* value,
-                           packed_t* out, std::size_t begin,
-                           std::size_t end) {
-  bool ok = true;
-  for (std::size_t i = begin; i < end; ++i) {
-    const value_t v = value == nullptr ? value_t{1} : value[i];
-    ok = ok && hot_value_fits(v);
-    out[i] = hot_pack(false, next[i],
-                      static_cast<std::uint32_t>(static_cast<std::uint64_t>(v)));
-  }
-  return ok;
+  return static_cast<index_t>(w & kPackValueMask);
 }
 
 /// True iff every value of `list` fits the 32-bit value lane and n itself

@@ -36,6 +36,10 @@
 // no intermediate shift or floor leaves the 32-bit lane (max does not
 // commute with wrap-around); callers keep durations and release times
 // small enough, which chain scheduling does by construction.
+//
+// The host kernel (core/host_exec.hpp) carries every value whole, all 64
+// bits, in its record slab, so all seven operators run the same slab
+// kernel whatever their values.
 #pragma once
 
 #include <algorithm>
@@ -238,27 +242,6 @@ struct OpMaxPlus {
   }
 };
 
-// -- lane capability --------------------------------------------------------
-//
-// The host hot path (core/host_exec.hpp) packs each vertex's value into
-// the 32-bit lane of a single-gather word (lists/encode.hpp hot_pack) and
-// rereads it sign-extended. That is exact for the elementwise operators
-// whenever every input fits a signed 32-bit lane: addition accumulates in
-// 64 bits from exact inputs; min/max/xor of sign-extended inputs are
-// themselves sign-extended. The packed two-lane operators (seg-sum,
-// affine, max-plus) need all 64 value bits, so they are typed out of the
-// lane path entirely: the same cursor driver walks the list arrays.
-
-/// Compile-time capability: may `Op` read its inputs from a sign-extended
-/// 32-bit value lane? Defaults to false; opt in per operator.
-template <class Op>
-inline constexpr bool kOpLane32 = false;
-
-template <> inline constexpr bool kOpLane32<OpPlus> = true;
-template <> inline constexpr bool kOpLane32<OpMin> = true;
-template <> inline constexpr bool kOpLane32<OpMax> = true;
-template <> inline constexpr bool kOpLane32<OpXor> = true;
-
 // -- runtime dispatch -------------------------------------------------------
 
 /// The registered operators, runtime-nameable for requests (OpRequest /
@@ -310,14 +293,6 @@ constexpr decltype(auto) with_scan_op(ScanOp op, F&& f) {
     case ScanOp::kMaxPlus: return f(OpMaxPlus{});
   }
   return f(OpPlus{});
-}
-
-/// Runtime face of kOpLane32 -- derived from the trait through the
-/// dispatcher so there is one source of truth: true iff `op`'s inputs may
-/// live in the 32-bit value lane of the host hot-path word (subject to
-/// the per-run value-fit check, host_exec::build_packed).
-constexpr bool scan_op_lane32(ScanOp op) {
-  return with_scan_op(op, [](auto o) { return kOpLane32<decltype(o)>; });
 }
 
 /// Combine cost of `op` relative to integer addition, for the Planner's

@@ -108,11 +108,11 @@ struct ServerStats {
   /// intra-request x inter-request parallelism the server actually ran
   /// (bench/serve_throughput reports the product).
   std::uint64_t intra_threads_peak = 0;
-  // Which hop source actually served each completed run
-  // (RunStats::kernel_tier; runs that never reached the host kernels --
-  // empty lists, result-cache hits -- count nowhere), surfaced as tier_*
-  // rows in the wire STATS text.
-  std::uint64_t tier_list_arrays_runs = 0;  ///< list arrays / serial walk
+  // What actually served each completed run (RunStats::kernel_tier;
+  // runs that never reached the host kernels -- empty lists, result-cache
+  // hits -- count nowhere), surfaced as tier_* rows in the wire STATS
+  // text.
+  std::uint64_t tier_list_arrays_runs = 0;  ///< the serial walk
   std::uint64_t tier_packed_runs = 0;       ///< cursors over the slab
   PoolStats pool;                ///< aggregated workspace counters
 

@@ -10,8 +10,10 @@
 // scan resolves all cross-shard cursors. Vertex t = next[v] heads a
 // segment exactly when v and t land in different shards (plus the global
 // head). Discovery streams each shard's slice of next[] in parallel,
-// marking those targets in a dense 4 B/vertex segment-id array, then
-// numbers each shard's marked slice in id order.
+// marking those targets in a dense 4 B/vertex segment-id array, counts
+// each shard's marks, then numbers and collects them in id order. Both
+// O(n + m) arrays live in the run's Workspace, so a warm one allocates
+// none.
 //
 // The store's out-of-core tier follows the Gigablast RdbCache/RdbMerge
 // shape: shard files written once per run at streaming bandwidth into the
@@ -22,9 +24,11 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
+#include "core/workspace.hpp"
 #include "lists/linked_list.hpp"
 #include "shard/shard_file.hpp"
 
@@ -35,24 +39,25 @@ namespace lr90::shard {
 inline constexpr unsigned kMaxShards = 4096;
 
 /// The sharded representation of one list: P contiguous id-range shards
-/// plus the discovered segment structure (see file comment). Holds
-/// O(segments) head lists plus the 4 B/vertex segment-id array `seg_of`,
-/// so O(n) in all.
+/// plus the discovered segment structure (see file comment). Its O(n + m)
+/// arrays are views of the Workspace build() was given (Workspace::seg_of
+/// and seg_heads), valid until that Workspace refits them.
 struct ShardedList {
   std::size_t n = 0;        ///< full list length
   unsigned shards = 1;      ///< P
   std::size_t width = 1;    ///< ceil(n / P); shard p covers [p*width, ...)
-  /// Per shard: the segment head vertices (global ids) in id order.
-  std::vector<std::vector<index_t>> heads_of;
-  /// Per shard: the id of its first segment (prefix sums of heads_of
-  /// sizes); segment ids are dense in [0, segments).
+  /// The segment head vertices (global ids), shard by shard, each shard's
+  /// in id order: segment s is headed by heads[s].
+  std::span<const index_t> heads;
+  /// P + 1 entries: shard p heads segments [seg_base[p], seg_base[p + 1]);
+  /// segment ids are dense in [0, segments).
   std::vector<std::size_t> seg_base;
   /// By vertex (n entries): after build(), the id of the segment it
   /// heads, or kNoVertex when it heads none, which resolves a segment's
   /// exit by one lookup. After sharded_scan's pass A it names every
   /// vertex's segment (heads keep their ids); a vertex no segment reaches
   /// keeps kNoVertex.
-  std::vector<index_t> seg_of;
+  std::span<index_t> seg_of;
   std::size_t segments = 0;  ///< total segment count (reduced-list length)
 
   /// The shard owning global vertex `v`.
@@ -65,13 +70,17 @@ struct ShardedList {
     const std::size_t b = std::min(n, static_cast<std::size_t>(p) * width);
     return {b, std::min(n, b + width)};
   }
+  /// The segment heads of shard `p`, in id order.
+  std::span<const index_t> heads_of(unsigned p) const {
+    return heads.subspan(seg_base[p], seg_base[p + 1] - seg_base[p]);
+  }
 
   /// Splits `list` into `shards` (clamped to [1, min(n, kMaxShards)]) and
-  /// discovers the segment structure, filling `seg_of` over `threads`
-  /// workers. `list` must be valid (the Engine validates upstream); n == 0
-  /// yields an empty structure.
+  /// discovers the segment structure into `ws`'s seg_of and seg_heads
+  /// over `threads` workers. `list` must be valid (the Engine validates
+  /// upstream); n == 0 yields an empty structure.
   static ShardedList build(const LinkedList& list, unsigned shards,
-                           unsigned threads = 1);
+                           unsigned threads, Workspace& ws);
 };
 
 /// A resident shard: the next/value subranges of global vertices

@@ -5,105 +5,64 @@
 #include <algorithm>
 #include <atomic>
 #include <filesystem>
-#include <vector>
-
 #include <new>
+#include <utility>
 
 #include "analysis/tuner.hpp"
 #include "core/host_exec.hpp"
-#include "lists/encode.hpp"
 #include "support/faultpoint.hpp"
 
 namespace lr90::shard {
 
 namespace {
 
-// The allocation edge of a sharded run: the O(m) reduced-list scratch
-// (totals, exits, prefixes) plus the per-shard packed slab. Firing here
-// simulates std::bad_alloc without depending on the allocator.
+// The allocation edge of a sharded run: the O(n + m) scratch it fits in
+// its Workspace (segment ids and heads, the reduced list, the prefixes,
+// the shard slab). Firing here simulates std::bad_alloc without
+// depending on the allocator.
 fault::FaultSite f_scratch_alloc{"shard.scratch.alloc",
                                  "reduced-list scratch allocation fails"};
 
-/// Builds the shard-LOCAL hot slab for `view`: word i carries the
-/// sublist-tail flag (the successor leaves the shard, or is the global
-/// tail), the LOCAL link (tails self-link), and the 32-bit value lane.
-/// Parallel over `threads` index blocks. Returns false -- slab contents
-/// unspecified -- when any value misses the signed 32-bit lane (the shard
-/// then walks its own arrays; per-shard fallback, never wrong).
-template <bool kOnes>
-bool build_shard_slab(const ShardView& view, unsigned threads,
-                      std::vector<packed_t>& words) {
-  const std::size_t len = view.size();
-  words.resize(len);
-  const std::size_t blocks = std::max<std::size_t>(1, threads);
-  std::atomic<bool> ok{true};
-  host_exec::claim_blocks(threads, blocks, [&](std::size_t blk) {
-    const auto [lo, hi] = host_exec::block_range(len, blocks, blk);
-    bool fits = true;
-    for (std::size_t i = lo; i < hi; ++i) {
-      const index_t gn = view.next[i];
-      const auto gv = static_cast<index_t>(view.begin + i);
-      const bool tail = gn == gv || gn < view.begin || gn >= view.end;
-      const index_t link = tail ? static_cast<index_t>(i) : gn - static_cast<index_t>(view.begin);
-      const value_t val = kOnes ? value_t{1} : view.value[i];
-      fits = fits && (kOnes || hot_value_fits(val));
-      words[i] = hot_pack(tail, link,
-                          static_cast<std::uint32_t>(
-                              static_cast<std::uint64_t>(val)));
-    }
-    if (!fits) ok.store(false, std::memory_order_relaxed);
-  });
-  return ok.load(std::memory_order_relaxed);
-}
-
-/// Hop source over a shard's own arrays (shard-local indices): the
-/// shard's range test is the tail flag -- the successor leaves the shard,
-/// or the vertex is the global tail -- exactly what the slab encodes.
-template <bool kOnes>
-struct ShardHops {
-  const index_t* next;   ///< global successor ids, by local index
-  const value_t* value;  ///< by local index
-  index_t begin;         ///< first global id of the shard
-  index_t end;           ///< one past its last global id
-  host_exec::Hop operator()(index_t i) const {
-    const index_t gn = next[i];
-    const bool tail = gn == begin + i || gn < begin || gn >= end;
-    return {tail, gn - begin, kOnes ? value_t{1} : value[i]};
-  }
-  void prefetch(index_t i) const {
-    host_exec::prefetch_ro(&next[i]);
-    if constexpr (!kOnes) host_exec::prefetch_ro(&value[i]);
-  }
+/// What pass A reports besides the reduced list it fills.
+struct ReduceOutcome {
+  std::atomic<index_t> tail_seg{kNoVertex};  ///< the global tail's segment
+  std::atomic<bool> dangling{false};  ///< an exit heads no segment
 };
 
-/// Per-run scratch of pass A (sized to the widest shard once, reused
-/// across shards).
-struct ShardScratch {
-  std::vector<packed_t> words;   ///< shard-local hot slab
-  std::vector<index_t> lheads;   ///< shard-local segment head indices
-};
-
-/// Pass A over one shard: walks every segment headed in it with the
-/// cursor driver (host_exec::interleave_sublists; vertices are
-/// shard-local), over the shard's hot-word slab when its values fit the
-/// 32-bit lane and over its own arrays otherwise. At each vertex the step
+/// Pass A over shard `p`: builds the shard's record slab in ws.slab()
+/// (shard-local links; a link that leaves the shard, or the global
+/// tail's self-loop, is flagged as a tail) and walks every segment headed
+/// in the shard with the cursor driver (host_exec::interleave_sublists;
+/// vertices are shard-local, heads in ws.heads). At each vertex the step
 /// leaves what pass C needs: the vertex's exclusive prefix within its
 /// segment in out[v], whose line the cursor write-prefetched a hop ahead,
 /// and its segment id in seg_of[v] (a head rewrites its own id). Each
-/// segment's finish records its operator total and exit vertex. Returns
-/// whether the slab served the shard.
+/// segment's finish writes its node of the reduced list in ws.reduced:
+/// its total, and its link -- the segment its exit vertex heads, whose id
+/// ShardedList::build wrote into seg_of (an exit lies in another shard,
+/// and no other shard is walked meanwhile), or itself at the global tail.
 template <ListOp Op, bool kOnes>
-bool pass_reduce(const ShardView& view, const std::vector<index_t>& heads,
-                 std::size_t seg_base, const ShardExec& exec,
-                 ShardScratch& scratch, Op op, index_t* seg_of, value_t* out,
-                 std::vector<value_t>& totals, std::vector<index_t>& exits) {
+void pass_reduce(const ShardView& view, const ShardedList& sharded,
+                 unsigned p, const ShardExec& exec, Workspace& ws, Op op,
+                 value_t* out, ReduceOutcome& outcome) {
+  const std::span<const index_t> heads = sharded.heads_of(p);
   const std::size_t k = heads.size();
   const auto begin = static_cast<index_t>(view.begin);
-  scratch.lheads.resize(k);
-  for (std::size_t j = 0; j < k; ++j) scratch.lheads[j] = heads[j] - begin;
+  const auto len = static_cast<index_t>(view.size());
+  const std::size_t seg_base = sharded.seg_base[p];
+  index_t* seg_of = sharded.seg_of.data();
+  ws.fit_uninit(ws.heads, k);
+  for (std::size_t j = 0; j < k; ++j) ws.heads[j] = heads[j] - begin;
+  const index_t* next = view.next;
+  const packed_t* words = host_exec::build_slab<kOnes>(
+      view.size(), view.value, exec.threads, ws, [=](std::size_t i) {
+        const index_t local = next[i] - begin;  // unsigned: wraps outside
+        return std::pair{local == i || local >= len, local};
+      });
   value_t* o = out + begin;
   index_t* sg = seg_of + begin;
-  const auto init = [](std::size_t) { return Op::identity(); };
+  index_t* link = ws.reduced.next.data();
+  value_t* total = ws.reduced.value.data();
   const auto step = [op, o, sg, seg_base](index_t j, index_t v, value_t x,
                                           value_t& acc) {
     o[v] = acc;
@@ -111,92 +70,63 @@ bool pass_reduce(const ShardView& view, const std::vector<index_t>& heads,
     acc = op(acc, x);
   };
   const auto finish = [&](index_t j, index_t tv, value_t acc) {
-    const std::size_t g = seg_base + j;
-    totals[g] = acc;
-    const index_t gn = view.next[tv];
-    exits[g] = gn == begin + tv ? kNoVertex : gn;
+    const auto g = static_cast<index_t>(seg_base + j);
+    total[g] = acc;
+    const index_t exit = next[tv];
+    if (exit == begin + tv) {
+      link[g] = g;
+      outcome.tail_seg.store(g, std::memory_order_relaxed);
+      return;
+    }
+    link[g] = seg_of[exit];
+    if (link[g] == kNoVertex)
+      outcome.dangling.store(true, std::memory_order_relaxed);
   };
   const auto ahead = [o](index_t v) { host_exec::prefetch_rw(&o[v]); };
-  bool slab = false;
-  if constexpr (kOnes || kOpLane32<Op>)
-    slab = view.size() <= kHotMaxVertices &&
-           build_shard_slab<kOnes>(view, exec.threads, scratch.words);
-  if (slab) {
-    host_exec::interleave_sublists(
-        host_exec::SlabHops{scratch.words.data()}, scratch.lheads.data(), k,
-        exec.threads, exec.interleave, init, step, finish, ahead);
-  } else {
-    host_exec::interleave_sublists(
-        ShardHops<kOnes>{view.next, view.value, begin,
-                         static_cast<index_t>(view.end)},
-        scratch.lheads.data(), k, exec.threads, exec.interleave, init, step,
-        finish, ahead);
-  }
-  return slab;
+  host_exec::interleave_sublists(
+      host_exec::SlabHops<kOnes>{words}, ws.heads.data(), k, exec.threads,
+      exec.interleave, [](std::size_t) { return Op::identity(); }, step,
+      finish, ahead);
 }
 
 template <ListOp Op, bool kOnes>
-Status run_sharded(const LinkedList& list, ShardedList& sharded,
+Status run_sharded(const LinkedList& list, const ShardedList& sharded,
                    const ShardExec& exec, Op op,
                    const host_exec::HostPlan& reduced_plan, Workspace& ws,
                    std::span<value_t> out, ShardStore& store,
                    ShardRunStats& stats) {
   const std::size_t m = sharded.segments;
-  std::vector<value_t> totals(m);
-  std::vector<index_t> exits(m);
-  ShardScratch scratch;
-  bool packed = true;  // every shard walked its slab
-  index_t* seg_of = sharded.seg_of.data();
-  value_t* o = out.data();
+  LinkedList& reduced = ws.reduced;
+  ws.fit_uninit(reduced.next, m);
+  ws.fit_uninit(reduced.value, m);
+  ReduceOutcome outcome;
 
-  // Pass A: per-shard segment totals + exits, plus every vertex's segment
-  // and local prefix, one resident shard at a time. Every shard is
-  // acquired in order, a headless (empty) one included, so a spilling run
-  // loads and spills each shard once.
+  // Pass A: the reduced list, plus every vertex's segment and local
+  // prefix, one resident shard at a time. Every shard is acquired in
+  // order, a headless (empty) one included, so a spilling run loads and
+  // spills each shard once.
   for (unsigned p = 0; p < sharded.shards; ++p) {
     const ShardView view = store.acquire(p);
-    if (!sharded.heads_of[p].empty())
-      packed &= pass_reduce<Op, kOnes>(view, sharded.heads_of[p],
-                                       sharded.seg_base[p], exec, scratch,
-                                       op, seg_of, o, totals, exits);
+    if (!sharded.heads_of(p).empty())
+      pass_reduce<Op, kOnes>(view, sharded, p, exec, ws, op, out.data(),
+                             outcome);
     store.release(p);
   }
-
-  // Pass B: the second-level Reid-Miller pass over the reduced list (one
-  // node per segment), run by the host kernel on `reduced_plan`. O(m), all
-  // in RAM. Each segment links to the one its exit vertex heads: one
-  // seg_of lookup (a head's id survives pass A), over parallel index
-  // blocks.
-  LinkedList reduced;
-  reduced.next.resize(m);
-  reduced.value = std::move(totals);
-  const std::size_t blocks = std::max(1u, exec.threads);
-  std::atomic<index_t> tail_seg{kNoVertex};
-  std::atomic<bool> dangling{false};
-  host_exec::claim_blocks(exec.threads, blocks, [&](std::size_t b) {
-    const auto [lo, hi] = host_exec::block_range(m, blocks, b);
-    bool linked = true;
-    for (std::size_t s = lo; s < hi; ++s) {
-      if (exits[s] == kNoVertex) {
-        reduced.next[s] = static_cast<index_t>(s);  // global tail's segment
-        tail_seg.store(static_cast<index_t>(s), std::memory_order_relaxed);
-        continue;
-      }
-      const index_t t = seg_of[exits[s]];
-      linked = linked && t != kNoVertex;
-      reduced.next[s] = t;
-    }
-    if (!linked) dangling.store(true, std::memory_order_relaxed);
-  });
-  if (dangling.load(std::memory_order_relaxed))
+  if (outcome.dangling.load(std::memory_order_relaxed))
     return Status::invalid(
         "sharded scan: dangling cross-shard link (malformed list)");
-  reduced.tail = tail_seg.load(std::memory_order_relaxed);
+  const index_t* seg_of = sharded.seg_of.data();
   if (seg_of[list.head] == kNoVertex)
     return Status::invalid("sharded scan: list head owns no segment");
   reduced.head = seg_of[list.head];
-  std::vector<value_t> seg_pref(m);
-  if (host_exec::scan_into<Op, false>(reduced, op, reduced_plan, ws, seg_pref)
+  reduced.tail = outcome.tail_seg.load(std::memory_order_relaxed);
+
+  // Pass B: the second-level Reid-Miller pass over the reduced list (one
+  // node per segment), run by the host kernel on `reduced_plan`. O(m), all
+  // in RAM; its slab reuses the buffer pass A's shard slabs used.
+  ws.fit_uninit(ws.seg_pref, m);
+  if (host_exec::scan_into<Op, false>(reduced, op, reduced_plan, ws,
+                                      ws.seg_pref)
           .no_tail)
     return Status::invalid("sharded scan: the reduced list has no tail");
 
@@ -204,7 +134,8 @@ Status run_sharded(const LinkedList& list, ShardedList& sharded,
   // out[v]). Every read and write streams and no shard is acquired; only
   // the O(m) prefixes are gathered. A vertex no segment reached keeps
   // kNoVertex and is skipped.
-  const value_t* pref = seg_pref.data();
+  const value_t* pref = ws.seg_pref.data();
+  value_t* o = out.data();
   host_exec::for_each_range(
       exec.threads, list.size(), [&](std::size_t b, std::size_t e) {
         for (std::size_t v = b; v < e; ++v) {
@@ -216,7 +147,6 @@ Status run_sharded(const LinkedList& list, ShardedList& sharded,
   stats.segments = m;
   stats.interleave =
       std::clamp(exec.interleave, 1u, host_exec::kMaxInterleave);
-  stats.packed = packed;
   return Status::success();
 }
 
@@ -246,7 +176,8 @@ Status sharded_scan(const LinkedList& list, bool rank, ScanOp op,
   // does (O(1) when the list's cached tail holds).
   if (list.find_tail() == kNoVertex)
     return Status::invalid("sharded scan: the list has no self-loop tail");
-  ShardedList sharded = ShardedList::build(list, exec.shards, exec.threads);
+  ShardedList sharded =
+      ShardedList::build(list, exec.shards, exec.threads, ws);
   ShardStore store;
   const bool spill = exec.byte_budget > 0;
   const std::string dir = spill && exec.spill_dir.empty()
@@ -271,7 +202,7 @@ Status sharded_scan(const LinkedList& list, bool rank, ScanOp op,
       });
     }
   } catch (const std::bad_alloc&) {
-    // The O(m) scratch (or a per-shard slab) did not fit: a typed answer,
+    // The O(m) scratch (or a shard's slab) did not fit: a typed answer,
     // not a crash -- the caller can retry smaller or shed load.
     st = Status::resource_exhausted(
         "sharded scan: scratch allocation failed");

@@ -4,26 +4,30 @@
 // A run splits the list into P contiguous id-range shards (ShardedList),
 // then makes three passes, the host kernel's phases one level up:
 //
-//   pass A  per shard, ascending: walk every segment headed in the shard
-//           with the (threads x W) cursor driver -- over a shard-local
-//           hot-word slab when the shard's values fit the 32-bit lane,
-//           over the shard's own arrays otherwise -- producing the
-//           segment's operator total and its exit vertex, and leaving at
-//           every vertex its exclusive prefix within its segment (in the
-//           answer) and its segment id (in ShardedList::seg_of). Only ONE
-//           shard need be resident at a time, and each is walked once.
-//   pass B  the second-level Reid-Miller pass: the segments form a reduced
-//           list (node s = segment s, value = its total, link = the
-//           segment its exit vertex heads, read from seg_of, where heads
-//           keep their own ids); an exclusive scan of it, on the plan
-//           analysis/tuner plan_host gives its length, yields every
-//           segment's global prefix. Runs in RAM: the reduced list is
-//           O(segments), which is thousands on an id-local list but
-//           ~(P-1)/P n on a random one.
+//   pass A  per shard, ascending: build the shard's record slab (the host
+//           kernel's, with shard-local links) and walk every segment
+//           headed in the shard with the (threads x W) cursor driver. At
+//           every vertex it leaves its exclusive prefix within its
+//           segment (in the answer) and its segment id (in
+//           ShardedList::seg_of); each segment's finish writes its node of
+//           the reduced list: its operator total, and a link to the
+//           segment its exit vertex heads, read from seg_of, where
+//           ShardedList::build wrote every head's id. Only ONE shard need
+//           be resident at a time, and each is walked once.
+//   pass B  the second-level Reid-Miller pass: an exclusive scan of the
+//           reduced list, on the plan analysis/tuner plan_host gives its
+//           length, yields every segment's global prefix. Runs in RAM:
+//           the reduced list is O(segments), which is thousands on an
+//           id-local list but ~(P-1)/P n on a random one.
 //   pass C  one pass over the answer in array order, acquiring no shard:
 //           out[v] = op(prefix of seg_of[v], out[v]). Associativity makes
 //           this bit-exact vs the serial oracle (the same algebra the
 //           in-core phases rely on).
+//
+// All of a run's O(n + m) scratch -- the segment ids and heads, the
+// reduced list, the prefixes and the shard slab, which pass B's own slab
+// reuses -- lives in the Workspace the caller passes, so a warm one
+// serves a sharded run without a large allocation.
 //
 // Residency during pass A is the ShardStore's job: all-in-RAM views when
 // no byte budget is set, spilled ShardFiles mapped one at a time, each as
@@ -73,9 +77,6 @@ struct ShardRunStats {
   unsigned shards = 0;         ///< P the run actually used
   std::uint64_t segments = 0;  ///< reduced-list length (cross-shard cursors)
   unsigned interleave = 0;     ///< cursors per worker pass A ran
-  /// Pass A walked every shard's hot-word slab (false as soon as one shard
-  /// walked its arrays: a two-lane operator or a value past the lane).
-  bool packed = false;
   StoreStats store;            ///< residency / spill counters
 };
 
@@ -85,8 +86,8 @@ std::string fresh_spill_dir(const std::string& root);
 
 /// Exclusive rank (rank == true) or `op`-scan of `list` into `out`
 /// (sized n), sharded per `exec`. Deterministic and bit-exact vs the
-/// serial oracle for every registered operator. `ws` supplies the
-/// second-level pass's scratch. Returns kInvalidInput on a list with no
+/// serial oracle for every registered operator. `ws` supplies all of the
+/// run's O(n + m) scratch. Returns kInvalidInput on a list with no
 /// self-loop tail (before any shard is built) or structurally broken
 /// cross-shard links, and kResourceExhausted when the scratch cannot be
 /// allocated. A spill write that fails or a slab that cannot be loaded

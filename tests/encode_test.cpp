@@ -70,66 +70,61 @@ TEST(Encode, SelfLoopSurvivesEncoding) {
   EXPECT_EQ(packed_link(packed[tail]), tail);
 }
 
-// -- the host hot-path word -------------------------------------------------
+// -- the host record's word 0 ----------------------------------------------
 
 TEST(HotWord, PackUnpackRoundTrip) {
   for (const bool tail : {false, true}) {
-    for (const index_t link :
-         {index_t{0}, index_t{1}, index_t{12345}, index_t{0x7fffffff}}) {
-      for (const std::int32_t lane :
-           {std::int32_t{0}, std::int32_t{1}, std::int32_t{-1},
-            std::numeric_limits<std::int32_t>::min(),
-            std::numeric_limits<std::int32_t>::max()}) {
-        const packed_t w =
-            hot_pack(tail, link, static_cast<std::uint32_t>(lane));
+    for (const std::uint32_t sublist :
+         {0u, 1u, 12345u, kHotNoSublist - 1, kHotNoSublist}) {
+      for (const std::uint32_t low :
+           {0u, 1u, 12345u, 0x7fffffffu, 0x80000000u, 0xffffffffu}) {
+        const packed_t w = hot_pack(tail, sublist, low);
         EXPECT_EQ(hot_tail(w), tail);
-        EXPECT_EQ(hot_link(w), link);
-        EXPECT_EQ(hot_value(w), static_cast<value_t>(lane))
-            << "sign extension must reconstruct the value";
+        EXPECT_EQ(hot_sublist(w), sublist);
+        EXPECT_EQ(hot_link(w), low) << "the low lane keeps all 32 bits";
       }
     }
   }
 }
 
 TEST(HotWord, TailFlagDoesNotLeakIntoLinkOrValue) {
-  // The flag is stolen from the top bit of the link lane: flipping it
-  // must change nothing else.
-  const packed_t off = hot_pack(false, 0x7fffffff, 0xffffffffu);
-  const packed_t on = hot_pack(true, 0x7fffffff, 0xffffffffu);
+  // The flag sits above the 31-bit sublist id: flipping it must change
+  // nothing else, and a full id and a full low lane must not reach it.
+  const packed_t off = hot_pack(false, kHotNoSublist, 0xffffffffu);
+  const packed_t on = hot_pack(true, kHotNoSublist, 0xffffffffu);
+  EXPECT_EQ(hot_sublist(off), hot_sublist(on));
   EXPECT_EQ(hot_link(off), hot_link(on));
-  EXPECT_EQ(hot_value(off), hot_value(on));
   EXPECT_FALSE(hot_tail(off));
   EXPECT_TRUE(hot_tail(on));
   EXPECT_EQ(on, off | kHotTailBit);
+  EXPECT_EQ(hot_pack(true, 0, 0), kHotTailBit);
 }
 
 TEST(HotWord, RandomRoundTrips) {
   Rng rng(0x407);
   for (int i = 0; i < 5000; ++i) {
     const bool tail = rng.coin();
-    const auto link = static_cast<index_t>(rng.uniform(1ull << 31));
-    const auto lane = static_cast<std::uint32_t>(rng.next_u64());
-    const packed_t w = hot_pack(tail, link, lane);
+    const auto sublist = static_cast<std::uint32_t>(rng.uniform(1ull << 31));
+    const auto low = static_cast<std::uint32_t>(rng.next_u64());
+    const packed_t w = hot_pack(tail, sublist, low);
     ASSERT_EQ(hot_tail(w), tail);
-    ASSERT_EQ(hot_link(w), link);
-    ASSERT_EQ(hot_value(w),
-              static_cast<value_t>(static_cast<std::int32_t>(lane)));
+    ASSERT_EQ(hot_sublist(w), sublist);
+    ASSERT_EQ(hot_link(w), low);
   }
 }
 
-TEST(HotWord, ValueFitsMatchesLaneRoundTrip) {
-  EXPECT_TRUE(hot_value_fits(0));
-  EXPECT_TRUE(hot_value_fits(1));
-  EXPECT_TRUE(hot_value_fits(-1));
-  EXPECT_TRUE(hot_value_fits(std::numeric_limits<std::int32_t>::max()));
-  EXPECT_TRUE(hot_value_fits(std::numeric_limits<std::int32_t>::min()));
-  EXPECT_FALSE(hot_value_fits(static_cast<value_t>(1) << 31));
-  EXPECT_FALSE(
-      hot_value_fits(static_cast<value_t>(
-                         std::numeric_limits<std::int32_t>::min()) -
-                     1));
-  EXPECT_FALSE(hot_value_fits(std::numeric_limits<value_t>::max()));
-  EXPECT_FALSE(hot_value_fits(std::numeric_limits<value_t>::min()));
+TEST(HotWord, EveryLinkAndSublistCountFits) {
+  // Links take the whole low lane, so every index a list can hold (up to
+  // kNoVertex itself) round-trips, and the build's sublist id is at least
+  // any sublist count a run can have (k <= n / 2 with n <= 2^32 - 1), so
+  // phase 3 always skips a vertex no head reached.
+  for (const index_t link :
+       {index_t{0}, index_t{1} << 31, kNoVertex - 1, kNoVertex}) {
+    EXPECT_EQ(hot_link(hot_pack(false, kHotNoSublist, link)), link);
+  }
+  const std::size_t max_k = std::size_t{kNoVertex} / 2;
+  EXPECT_GE(std::size_t{kHotNoSublist}, max_k);
+  EXPECT_EQ(hot_sublist(hot_pack(false, kHotNoSublist, 0)), kHotNoSublist);
 }
 
 TEST(HotWord, CachedTailIsUsedAndGuarded) {

@@ -483,8 +483,8 @@ TEST(Planner, PicksPackedInterleavedForLargeN) {
 TEST(Planner, OneThreadCrossesFromSerialToSublistsBetween2To15And2To18) {
   // The served shape: one worker per request. At n = 2^15 the whole list
   // sits in L2 and the serial walk beats W cursors plus the sublist
-  // phases; by 2^18 the cursors win -- for ranks, lane scans and the
-  // list-array operators alike.
+  // phases; by 2^18 the cursors win -- for ranks, the elementwise scans
+  // and the two-lane operators alike.
   EngineOptions one = backend_options(BackendKind::kHost);
   one.threads = 1;
   const Planner planner(one);
@@ -590,14 +590,15 @@ TEST(Engine, LargeRankRunsPackedAndReportsCursors) {
   const RunResult r = engine.rank(l);
   ASSERT_TRUE(r.ok());
   EXPECT_EQ(r.method_used, Method::kReidMiller);
-  EXPECT_TRUE(r.stats.host_packed);
+  EXPECT_EQ(r.stats.kernel_tier, KernelTier::kPackedCursors);
   EXPECT_GT(r.stats.host_interleave, 1u);
   testutil::expect_scan_eq(r.scan, reference_rank(l));
 }
 
 TEST(Engine, ReportsTheSublistCountItPlanned) {
   // RunStats::host_sublists is the sublist count the kernel walked: the
-  // plan's m on both hop sources, and 0 on the serial walk.
+  // plan's m for a rank and an affine scan alike, and 0 on the serial
+  // walk.
   Rng rng(27);
   const LinkedList l = random_list(1u << 17, rng, ValueInit::kSigned);
   Engine engine(backend_options(BackendKind::kHost));
@@ -607,8 +608,9 @@ TEST(Engine, ReportsTheSublistCountItPlanned) {
   ASSERT_TRUE(r.ok());
   EXPECT_EQ(r.stats.kernel_tier, KernelTier::kPackedCursors);
   EXPECT_EQ(r.stats.host_sublists, static_cast<std::size_t>(d.sublists));
-  // Extra space: the slab (n words) and four O(sublists) arrays, nothing
-  // else per vertex -- a slab run flags its boundaries in the slab.
+  // Extra space: the rank's one-word records (n words) and four
+  // O(sublists) arrays, nothing else per vertex -- a run flags its
+  // boundaries in the slab.
   const std::uint64_t n = l.size();
   EXPECT_EQ(r.stats.algo.extra_words, n + 4 * r.stats.host_sublists);
 
@@ -616,14 +618,15 @@ TEST(Engine, ReportsTheSublistCountItPlanned) {
       engine.planner().decide(l.size(), Method::kAuto, false, ScanOp::kAffine);
   const RunResult a = engine.run(OpRequest{&l, ScanOp::kAffine});
   ASSERT_TRUE(a.ok());
-  EXPECT_EQ(a.stats.kernel_tier, KernelTier::kListArrays);
+  EXPECT_EQ(a.stats.kernel_tier, KernelTier::kPackedCursors);
   EXPECT_EQ(a.stats.host_sublists, static_cast<std::size_t>(da.sublists));
-  // A list-array run: the 4-byte tags (n/2 words) instead.
-  EXPECT_EQ(a.stats.algo.extra_words, n / 2 + 4 * a.stats.host_sublists);
+  // A scan: two-word records (2n words) instead.
+  EXPECT_EQ(a.stats.algo.extra_words, 2 * n + 4 * a.stats.host_sublists);
 
   const RunResult s = engine.rank(l, Method::kSerial);
   ASSERT_TRUE(s.ok());
   EXPECT_EQ(s.stats.host_sublists, 0u);
+  EXPECT_EQ(s.stats.kernel_tier, KernelTier::kListArrays);
 }
 
 TEST(Engine, PinnedInterleaveIsHonoured) {
@@ -635,15 +638,15 @@ TEST(Engine, PinnedInterleaveIsHonoured) {
     Engine engine(std::move(eo));
     const RunResult r = engine.rank(l);
     ASSERT_TRUE(r.ok());
-    EXPECT_TRUE(r.stats.host_packed);
+    EXPECT_EQ(r.stats.kernel_tier, KernelTier::kPackedCursors);
     EXPECT_EQ(r.stats.host_interleave, w);
     testutil::expect_scan_eq(r.scan, reference_rank(l));
   }
 }
 
-TEST(Engine, WideValuesWalkTheListArraysNeverWrong) {
-  // Values outside the signed 32-bit lane fail the pack-time fit check;
-  // the run must walk the list arrays instead and stay bit-exact.
+TEST(Engine, WideValuesWalkTheSlabNeverWrong) {
+  // Values outside 32 bits ride whole in the scan's second record word:
+  // the run walks the slab like any other and stays bit-exact.
   Rng rng(23);
   LinkedList l = random_list(30000, rng, ValueInit::kSigned);
   l.value[12345] = (value_t{1} << 40) + 7;
@@ -652,15 +655,15 @@ TEST(Engine, WideValuesWalkTheListArraysNeverWrong) {
   const RunResult r = engine.run(OpRequest{&l, ScanOp::kPlus});
   ASSERT_TRUE(r.ok()) << r.status.message;
   EXPECT_EQ(r.method_used, Method::kReidMiller);
-  EXPECT_FALSE(r.stats.host_packed);
-  EXPECT_EQ(r.stats.kernel_tier, KernelTier::kListArrays);
+  EXPECT_EQ(r.stats.kernel_tier, KernelTier::kPackedCursors);
   testutil::expect_scan_eq(r.scan,
                            testutil::expected_scan(l, OpPlus{}));
-  // The same engine still packs the next lane-clean request.
+  // The same engine's next request, a rank, walks its own slab.
   const LinkedList clean = random_list(30000, rng);
   const RunResult r2 = engine.rank(clean);
   ASSERT_TRUE(r2.ok());
-  EXPECT_TRUE(r2.stats.host_packed);
+  EXPECT_EQ(r2.stats.kernel_tier, KernelTier::kPackedCursors);
+  testutil::expect_scan_eq(r2.scan, reference_rank(clean));
 }
 
 TEST(Engine, FewerSublistsThanCursorsDrainCorrectly) {
@@ -677,7 +680,7 @@ TEST(Engine, FewerSublistsThanCursorsDrainCorrectly) {
       Engine engine(std::move(eo));
       const RunResult r = engine.rank(l, Method::kReidMiller);
       ASSERT_TRUE(r.ok()) << "n=" << n << " W=" << w;
-      EXPECT_TRUE(r.stats.host_packed);
+      EXPECT_EQ(r.stats.kernel_tier, KernelTier::kPackedCursors);
       testutil::expect_scan_eq(r.scan, reference_rank(l));
       const RunResult s =
           engine.scan(l, ScanOp::kMin, Method::kReidMiller);
@@ -700,16 +703,16 @@ TEST(Engine, EveryPackingRunInABatchBuildsItsOwnSlab) {
   EXPECT_EQ(engine.workspace().packed_builds(), 5u);
   for (const RunResult& r : results) {
     ASSERT_TRUE(r.ok());
-    EXPECT_TRUE(r.stats.host_packed);
+    EXPECT_EQ(r.stats.kernel_tier, KernelTier::kPackedCursors);
     testutil::expect_scan_eq(r.scan, reference_rank(a));
   }
 }
 
 TEST(Engine, AlternatingOperatorsNeverReuseAUsedUpSlab) {
-  // Phase 1 overwrites the slab it walks, so each packing run must build
-  // a fresh one: on one engine, rank, plus and affine in turn are each
-  // bit-exact, and packed_builds() rises by one per rank or plus run and
-  // not at all for affine (which walks the list arrays).
+  // Phase 1 overwrites the slab it walks, so each run must build a fresh
+  // one: on one engine, rank, plus and affine in turn are each bit-exact,
+  // and packed_builds() rises by one per run, affine included, although
+  // the rank's one-word records leave the scans' second words behind.
   Rng rng(25);
   const LinkedList l = random_list(1u << 16, rng, ValueInit::kSigned);
   const std::vector<value_t> rank = reference_rank(l);
@@ -734,8 +737,8 @@ TEST(Engine, AlternatingOperatorsNeverReuseAUsedUpSlab) {
         engine.run(OpRequest{&l, ScanOp::kAffine, Method::kReidMiller});
     ASSERT_TRUE(a.ok()) << a.status.message;
     testutil::expect_scan_eq(a.scan, affine);
-    EXPECT_EQ(a.stats.kernel_tier, KernelTier::kListArrays);
-    EXPECT_EQ(engine.workspace().packed_builds(), builds);
+    EXPECT_EQ(a.stats.kernel_tier, KernelTier::kPackedCursors);
+    EXPECT_EQ(engine.workspace().packed_builds(), ++builds);
   }
 }
 
@@ -854,8 +857,8 @@ TEST(KernelTier, NamesAndCodesAreStable) {
 
 TEST(Engine, TierOptionPlansAndAnswersAlike) {
   // EngineOptions::tier is accepted for source compatibility only: every
-  // value plans the same shape, and the hop source that runs follows the
-  // operator (ranks walk the slab, affine the list arrays).
+  // value plans the same shape, and every sublist run walks the slab,
+  // rank and affine alike.
   Rng rng(27);
   const LinkedList l = random_list(1u << 16, rng, ValueInit::kUniformSmall);
   const auto shape = [&](KernelTier tier, bool rank) {
@@ -871,8 +874,7 @@ TEST(Engine, TierOptionPlansAndAnswersAlike) {
     SCOPED_TRACE(rank ? "rank" : "affine");
     const RunResult base = shape(KernelTier::kAuto, rank);
     ASSERT_EQ(base.method_used, Method::kReidMiller);
-    EXPECT_EQ(base.stats.kernel_tier,
-              rank ? KernelTier::kPackedCursors : KernelTier::kListArrays);
+    EXPECT_EQ(base.stats.kernel_tier, KernelTier::kPackedCursors);
     testutil::expect_scan_eq(
         base.scan, rank ? reference_rank(l)
                         : testutil::expected_scan(l, OpAffine{}));
@@ -995,17 +997,14 @@ bool interior_advised_huge(const std::vector<T>& v) {
 }
 
 TEST(Engine, HugePageSizedRunsAreExactAndStopAllocating) {
-  // The advised path at its threshold: rank and plus-scan walk the slab,
-  // affine the list arrays, and all three match the serial oracle. A
-  // second round of the same three runs grows nothing.
+  // The advised path at its threshold: rank, plus-scan and affine all
+  // walk the slab and match the serial oracle. A second round of the
+  // same three runs grows nothing.
   Rng rng(33);
   const LinkedList l = random_list(kHugeN, rng, ValueInit::kSigned);
   const std::vector<value_t> want[] = {
       reference_rank(l), testutil::expected_scan(l, OpPlus{}),
       testutil::expected_scan(l, OpAffine{})};
-  const KernelTier tier[] = {KernelTier::kPackedCursors,
-                             KernelTier::kPackedCursors,
-                             KernelTier::kListArrays};
   Engine engine(backend_options(BackendKind::kHost));
   const auto round = [&] {
     const RunResult got[] = {engine.rank(l),
@@ -1015,7 +1014,7 @@ TEST(Engine, HugePageSizedRunsAreExactAndStopAllocating) {
       SCOPED_TRACE(i);
       ASSERT_TRUE(got[i].ok()) << got[i].status.message;
       EXPECT_EQ(got[i].method_used, Method::kReidMiller);
-      EXPECT_EQ(got[i].stats.kernel_tier, tier[i]);
+      EXPECT_EQ(got[i].stats.kernel_tier, KernelTier::kPackedCursors);
       testutil::expect_scan_eq(got[i].scan, want[i]);
     }
   };
@@ -1036,7 +1035,7 @@ TEST(Engine, LargeAnswerAndSlabAreAdvisedHugePages) {
   Engine engine(backend_options(BackendKind::kHost));
   const RunResult r = engine.rank(l);
   ASSERT_TRUE(r.ok()) << r.status.message;
-  ASSERT_TRUE(r.stats.host_packed);
+  ASSERT_EQ(r.stats.kernel_tier, KernelTier::kPackedCursors);
   EXPECT_TRUE(interior_advised_huge(r.scan)) << "the answer";
   EXPECT_TRUE(interior_advised_huge(engine.workspace().packed)) << "the slab";
 }

@@ -338,7 +338,9 @@ TEST(ShardFault, StoreOpensOnlyTheShardsItServes) {
   Rng rng(108);
   const LinkedList list = random_list(2000, rng, ValueInit::kSigned);
   constexpr unsigned P = 4;
-  const shard::ShardedList sharded = shard::ShardedList::build(list, P);
+  Workspace ws;
+  const shard::ShardedList sharded =
+      shard::ShardedList::build(list, P, 1, ws);
   for (unsigned k = 0; k <= P; ++k) {
     SCOPED_TRACE("k=" + std::to_string(k));
     const std::string dir = fresh_dir("opens_" + std::to_string(k));

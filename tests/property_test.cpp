@@ -242,9 +242,9 @@ INSTANTIATE_TEST_SUITE_P(
 // ---------------------------------------------------------------------
 // The multi-cursor driver: every forced interleave width (including the
 // degenerate W=1), every generator shape and size class, every operator
-// -- bit-exact against the serial oracle. Lane-capable operators walk the
-// single-gather slab; the 64-bit-value operators walk the list arrays
-// with the same driver at the same forced width.
+// -- bit-exact against the serial oracle. Every operator walks the
+// record slab with the same driver at the same forced width, values
+// past 32 bits included.
 // ---------------------------------------------------------------------
 
 class HostInterleaveHarness : public ::testing::TestWithParam<unsigned> {};
@@ -273,9 +273,8 @@ TEST_P(HostInterleaveHarness, AllWidthsMatchSerialOracle) {
         ASSERT_TRUE(r.ok()) << r.status.message;
         testutil::expect_scan_eq(r.scan, oracle_scan(l, op));
         if (r.method_used == Method::kReidMiller) {
-          // Every operator runs the cursor driver at the forced width;
-          // only the lane-capable ones walk the slab.
-          EXPECT_EQ(r.stats.host_packed, scan_op_lane32(op));
+          // Every operator walks the slab at the forced width.
+          EXPECT_EQ(r.stats.kernel_tier, KernelTier::kPackedCursors);
           EXPECT_EQ(r.stats.host_interleave, width);
         }
 
@@ -286,8 +285,9 @@ TEST_P(HostInterleaveHarness, AllWidthsMatchSerialOracle) {
     }
   }
 
-  // A plus scan with one value past the 32-bit lane: the slab's fit check
-  // fails and the same driver walks the list arrays at the forced width.
+  // A plus scan with one value past 32 bits: it rides whole in the
+  // record's second word, and the same driver walks the slab at the
+  // forced width.
   Rng rng(0x0f10);
   LinkedList wide = random_list(8192, rng, ValueInit::kSigned);
   wide.value[1234] = (value_t{1} << 31) + 5;
@@ -296,8 +296,7 @@ TEST_P(HostInterleaveHarness, AllWidthsMatchSerialOracle) {
   ASSERT_TRUE(r.ok()) << r.status.message;
   testutil::expect_scan_eq(r.scan, oracle_scan(wide, ScanOp::kPlus));
   ASSERT_EQ(r.method_used, Method::kReidMiller);
-  EXPECT_FALSE(r.stats.host_packed);
-  EXPECT_EQ(r.stats.kernel_tier, KernelTier::kListArrays);
+  EXPECT_EQ(r.stats.kernel_tier, KernelTier::kPackedCursors);
   EXPECT_EQ(r.stats.host_interleave, width);
 }
 
@@ -383,19 +382,17 @@ INSTANTIATE_TEST_SUITE_P(
 
 // The array-order phase 3 at its edge: sublists pinned near n / 2, so
 // most hold one or two vertices and sublist ids pass 2^16. Every operator
-// runs on each hop source it can take -- the slab when its values fit the
-// 32-bit lane, the list arrays with one value past it, the list arrays
-// always for the two-lane operators -- and rank runs on the slab, all
-// bit-exact against the serial oracle.
-TEST(StreamingPhase3, TinySublistsOnBothHopSourcesMatchSerialOracle) {
+// runs on the slab, the elementwise ones again with one value past 32
+// bits, and rank runs on the slab, all bit-exact against the serial
+// oracle.
+TEST(StreamingPhase3, TinySublistsOnTheSlabMatchSerialOracle) {
   constexpr std::size_t kN = std::size_t{1} << 18;
   host_exec::HostPlan plan;
   plan.threads = 4;
   plan.sublists = kN / 2 - 3;
   plan.interleave = 8;
-  const auto expect_run = [&](const host_exec::ExecInfo& info,
-                              KernelTier tier) {
-    EXPECT_EQ(info.tier, tier);
+  const auto expect_run = [&](const host_exec::ExecInfo& info) {
+    EXPECT_EQ(info.tier, KernelTier::kPackedCursors);
     EXPECT_EQ(info.sublists, plan.sublists);
     EXPECT_GT(info.sublists, std::size_t{1} << 16);
   };
@@ -405,24 +402,23 @@ TEST(StreamingPhase3, TinySublistsOnBothHopSourcesMatchSerialOracle) {
     Rng rng(0x57ea + static_cast<std::uint64_t>(op));
     LinkedList l = random_list(kN, rng, ValueInit::kSigned);
     for (value_t& v : l.value) v = harness_value(op, v);
+    // The two-lane operators' values already fill all 64 bits.
+    const bool two_lane = op == ScanOp::kSegSum || op == ScanOp::kAffine ||
+                          op == ScanOp::kMaxPlus;
     for (const bool past_lane : {false, true}) {
-      if (past_lane && !scan_op_lane32(op)) continue;
+      if (past_lane && two_lane) continue;
       SCOPED_TRACE(std::string(scan_op_name(op)) +
-                   (past_lane ? " past the lane" : ""));
+                   (past_lane ? " past 32 bits" : ""));
       if (past_lane) l.value[kN / 3] = (value_t{1} << 31) + 5;
       with_scan_op(op, [&](auto o) {
-        expect_run(host_exec::scan_into(l, o, plan, ws, got),
-                   scan_op_lane32(op) && !past_lane
-                       ? KernelTier::kPackedCursors
-                       : KernelTier::kListArrays);
+        expect_run(host_exec::scan_into(l, o, plan, ws, got));
       });
       testutil::expect_scan_eq(got, oracle_scan(l, op));
     }
   }
   Rng rng(0x57eb);
   const LinkedList l = random_list(kN, rng);
-  expect_run(host_exec::rank_into(l, plan, ws, got),
-             KernelTier::kPackedCursors);
+  expect_run(host_exec::rank_into(l, plan, ws, got));
   testutil::expect_scan_eq(got, reference_rank(l));
 }
 

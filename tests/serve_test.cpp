@@ -410,10 +410,10 @@ TEST(EngineServer, QueueDepthHighWaterAndPerKindCounters) {
 }
 
 TEST(EngineServer, TierCountersFollowTheHopSourceThatRan) {
-  // tier_packed_runs / tier_list_arrays_runs count the hop source each
-  // run actually walked: lane operators whose values fit walk the slab;
-  // affine, a plus scan with one value past the lane, and the serial walk
-  // read the list arrays. reset_stats() re-bases both.
+  // tier_packed_runs / tier_list_arrays_runs count what each run actually
+  // walked: every sublist run walks the slab -- rank, max, affine and a
+  // plus scan with one value past 32 bits alike -- and only the serial
+  // walk reads the list arrays. reset_stats() re-bases both.
   Rng rng(53);
   const LinkedList list = random_list(20000, rng, ValueInit::kSigned);
   LinkedList wide = list;
@@ -433,23 +433,26 @@ TEST(EngineServer, TierCountersFollowTheHopSourceThatRan) {
   EXPECT_EQ(run(ScanRequest{&list, ScanOp::kMax}),
             KernelTier::kPackedCursors);
   EXPECT_EQ(run(ScanRequest{&list, ScanOp::kAffine}),
-            KernelTier::kListArrays);
-  EXPECT_EQ(run(ScanRequest{&wide, ScanOp::kPlus}), KernelTier::kListArrays);
+            KernelTier::kPackedCursors);
+  EXPECT_EQ(run(ScanRequest{&wide, ScanOp::kPlus}),
+            KernelTier::kPackedCursors);
   EXPECT_EQ(run(RankRequest{&list, Method::kSerial}),
             KernelTier::kListArrays);
   ServerStats s = server.stats();
-  EXPECT_EQ(s.tier_packed_runs, 2u);
-  EXPECT_EQ(s.tier_list_arrays_runs, 3u);
+  EXPECT_EQ(s.tier_packed_runs, 4u);
+  EXPECT_EQ(s.tier_list_arrays_runs, 1u);
 
   server.reset_stats();
   s = server.stats();
   EXPECT_EQ(s.tier_packed_runs, 0u);
   EXPECT_EQ(s.tier_list_arrays_runs, 0u);
   EXPECT_EQ(run(ScanRequest{&list, ScanOp::kSegSum}),
+            KernelTier::kPackedCursors);
+  EXPECT_EQ(run(ScanRequest{&list, ScanOp::kSegSum, Method::kSerial}),
             KernelTier::kListArrays);
   server.shutdown();
   s = server.stats();
-  EXPECT_EQ(s.tier_packed_runs, 0u);
+  EXPECT_EQ(s.tier_packed_runs, 1u);
   EXPECT_EQ(s.tier_list_arrays_runs, 1u);
 }
 
@@ -1055,8 +1058,8 @@ TEST(EngineServer, WorkersSharingASpillDirAnswerExactlyAndLeaveNoShardFile) {
 }
 
 TEST(EngineServer, ShardedSnapshotRunExportsNoSlab) {
-  // A sharded snapshot run reports host_packed from its shard passes, but
-  // the workspace slab belongs to whatever ran before it on that engine.
+  // A sharded snapshot run reports the slab tier from its shard passes,
+  // but the workspace slab holds whatever its last pass left there.
   // Here an unsharded plus-scan of another list runs first on the one
   // engine; its slab must not reach the slab cache under the snapshot's
   // key. Only the memoized result is cached, and a later min-scan of the
@@ -1096,12 +1099,12 @@ TEST(EngineServer, ShardedSnapshotRunExportsNoSlab) {
 
   const RunResult p = plain.get();
   ASSERT_TRUE(p.ok()) << p.status.message;
-  EXPECT_TRUE(p.stats.host_packed);
+  EXPECT_EQ(p.stats.kernel_tier, KernelTier::kPackedCursors);
   EXPECT_EQ(p.stats.shard_count, 0u);
   const RunResult s = sharded.get();
   ASSERT_TRUE(s.ok()) << s.status.message;
   EXPECT_EQ(s.stats.shard_count, 3u);
-  EXPECT_TRUE(s.stats.host_packed);
+  EXPECT_EQ(s.stats.kernel_tier, KernelTier::kPackedCursors);
   EXPECT_EQ(s.scan, serial.run(OpRequest{&snap, ScanOp::kPlus}).scan);
   EXPECT_EQ(server.stats().cache_resident_entries, 1u)
       << "the memoized result only, no slab";

@@ -1,7 +1,7 @@
 // Tests for the sharded + out-of-core tier (src/shard/): the ShardFile
 // format, the ShardStore residency/spill/load machinery, the two-level
 // sharded scan's bit-exactness vs the serial oracle, the Engine/Planner
-// wiring (auto-shard on the 2^31 packed bound and on the byte budget), and
+// wiring (auto-shard on the byte budget), and
 // the spill lifecycle: every run writes its own shard files and removes
 // them when it ends.
 #include <gtest/gtest.h>
@@ -74,15 +74,16 @@ shard::ShardRunStats run_and_check(const LinkedList& list, bool rank,
 TEST(ShardedList, SegmentsPartitionTheListAndStayInsideTheirShard) {
   Rng rng(42);
   const LinkedList list = random_list(1000, rng, ValueInit::kSigned);
-  const shard::ShardedList s = shard::ShardedList::build(list, 7);
+  Workspace ws;
+  const shard::ShardedList s = shard::ShardedList::build(list, 7, 1, ws);
   ASSERT_EQ(s.shards, 7u);
-  // Every segment head lives in the shard whose heads_of bucket holds it,
+  // Every segment head lives in the shard whose heads_of range holds it,
   // and walking all segments visits every vertex exactly once.
   std::vector<int> seen(list.size(), 0);
   std::size_t segs = 0;
   for (unsigned p = 0; p < s.shards; ++p) {
     const auto [b, e] = s.range(p);
-    for (const index_t h : s.heads_of[p]) {
+    for (const index_t h : s.heads_of(p)) {
       ASSERT_GE(h, b);
       ASSERT_LT(h, e);
       ++segs;
@@ -108,13 +109,14 @@ TEST(ShardedList, DenseSegmentIdsNameEveryHeadAndOnlyHeads) {
   for (const auto& [name, list] : lists) {
     for (const unsigned shards : {1u, 3u, 8u}) {
       SCOPED_TRACE(name + " P=" + std::to_string(shards));
+      Workspace ws;
       const shard::ShardedList s =
-          shard::ShardedList::build(list, shards, /*threads=*/3);
+          shard::ShardedList::build(list, shards, /*threads=*/3, ws);
       ASSERT_EQ(s.seg_of.size(), list.size());
       std::vector<char> is_head(list.size(), 0);
       for (unsigned p = 0; p < s.shards; ++p) {
-        for (std::size_t i = 0; i < s.heads_of[p].size(); ++i) {
-          const index_t h = s.heads_of[p][i];
+        for (std::size_t i = 0; i < s.heads_of(p).size(); ++i) {
+          const index_t h = s.heads_of(p)[i];
           EXPECT_EQ(s.seg_of[h], s.seg_base[p] + i) << "head " << h;
           is_head[h] = 1;
         }
@@ -133,15 +135,17 @@ TEST(ShardedList, DenseSegmentIdsNameEveryHeadAndOnlyHeads) {
 
 TEST(ShardedList, SequentialListHasOneSegmentPerNonemptyShard) {
   const LinkedList list = sequential_list(100);
-  const shard::ShardedList s = shard::ShardedList::build(list, 4);
+  Workspace ws;
+  const shard::ShardedList s = shard::ShardedList::build(list, 4, 1, ws);
   // Sequential order never re-enters a shard: exactly one segment each.
   EXPECT_EQ(s.segments, 4u);
-  for (unsigned p = 0; p < 4; ++p) EXPECT_EQ(s.heads_of[p].size(), 1u);
+  for (unsigned p = 0; p < 4; ++p) EXPECT_EQ(s.heads_of(p).size(), 1u);
 }
 
 TEST(ShardedList, ShardCountClampsToListLength) {
   const LinkedList list = sequential_list(3);
-  const shard::ShardedList s = shard::ShardedList::build(list, 64);
+  Workspace ws;
+  const shard::ShardedList s = shard::ShardedList::build(list, 64, 1, ws);
   EXPECT_LE(s.shards, 3u);
   EXPECT_EQ(s.segments, static_cast<std::size_t>(s.shards));
 }
@@ -306,13 +310,13 @@ TEST(ShardedScan, ZeroInterleaveRunsOneCursorAndMatchesOracle) {
   const shard::ShardRunStats stats =
       run_and_check(list, /*rank=*/true, ScanOp::kPlus, exec);
   EXPECT_EQ(stats.interleave, 1u);
-  EXPECT_TRUE(stats.packed);
 }
 
-TEST(ShardedScan, TwoLaneOperatorsWalkTheShardArraysAtThePinnedWidth) {
-  // The shard passes run the same cursor driver for every operator: the
-  // two-lane operators walk each shard's arrays (ShardHops) at the pinned
-  // width, while a rank of the same list walks the per-shard slabs.
+TEST(ShardedScan, TwoLaneOperatorsWalkTheShardSlabsAtThePinnedWidth) {
+  // The shard passes run the same slab and cursor driver for every
+  // operator: the two-lane operators build each shard's two-word records
+  // and walk them at the pinned width, and a rank of the same list its
+  // one-word records.
   Rng rng(19);
   LinkedList list = random_list(3000, rng, ValueInit::kSigned);
   for (value_t& v : list.value) v &= 0xffff;  // keep max-plus in-lane
@@ -320,19 +324,28 @@ TEST(ShardedScan, TwoLaneOperatorsWalkTheShardArraysAtThePinnedWidth) {
   exec.shards = 4;
   exec.threads = 2;
   exec.interleave = 8;
+  const std::size_t width = 3000 / 4;
+  const auto run = [&](bool rank, ScanOp op) {
+    Workspace ws;
+    std::vector<value_t> out(list.size());
+    shard::ShardRunStats stats;
+    const Status st =
+        shard::sharded_scan(list, rank, op, exec, ws, out, stats);
+    EXPECT_TRUE(st.ok()) << st.message;
+    testutil::expect_scan_eq(out, oracle(list, rank, op));
+    EXPECT_EQ(stats.shards, 4u);
+    EXPECT_EQ(stats.interleave, 8u);
+    // One slab per shard, each with room for the shard's records.
+    EXPECT_GE(ws.packed_builds(), 4u);
+    EXPECT_GE(ws.packed.size(), (rank ? 1 : 2) * width);
+  };
   for (const ScanOp op :
        {ScanOp::kSegSum, ScanOp::kAffine, ScanOp::kMaxPlus}) {
     SCOPED_TRACE(scan_op_name(op));
-    const shard::ShardRunStats stats =
-        run_and_check(list, /*rank=*/false, op, exec);
-    EXPECT_EQ(stats.shards, 4u);
-    EXPECT_EQ(stats.interleave, 8u);
-    EXPECT_FALSE(stats.packed);
+    run(/*rank=*/false, op);
   }
-  const shard::ShardRunStats rank =
-      run_and_check(list, /*rank=*/true, ScanOp::kPlus, exec);
-  EXPECT_EQ(rank.interleave, 8u);
-  EXPECT_TRUE(rank.packed);
+  SCOPED_TRACE("rank");
+  run(/*rank=*/true, ScanOp::kPlus);
 }
 
 TEST(ShardedScan, SpillTierIsBitExactAndCountsSpillsAndLoads) {
@@ -399,7 +412,9 @@ TEST(ShardedScan, SpillDirFilesAreNeverReusedAcrossRuns) {
   exec.spill_dir = fresh_dir("spill_reuse");
   exec.byte_budget = 1;  // tiny: every acquire loads from file
   fs::create_directories(exec.spill_dir);
-  const shard::ShardedList plan = shard::ShardedList::build(stale, 4);
+  Workspace plan_ws;
+  const shard::ShardedList plan =
+      shard::ShardedList::build(stale, 4, 1, plan_ws);
   std::uint64_t bytes = 0;
   for (unsigned p = 0; p < plan.shards; ++p) {
     const auto [b, e] = plan.range(p);
@@ -470,16 +485,19 @@ TEST(ShardedScan, TaillessListIsRefusedBeforeAnyShardIsBuilt) {
 
 // -- Engine / Planner wiring ------------------------------------------------
 
-TEST(ShardPlanner, AutoShardOffStillNeverPlansPackedPastTheBound) {
-  // A list past the slab's 2^31 link-lane bound runs unsharded; the
-  // kernel itself walks the list arrays for links that cannot fit the
-  // slab's 31-bit lane.
+TEST(ShardPlanner, AutoShardOffRunsEveryIndexableListUnsharded) {
+  // With no shard count and no byte budget, a list of any length a
+  // 32-bit index holds runs unsharded: the slab's links take all 32 bits,
+  // so no length forces a shard split.
   EngineOptions opt;
   opt.backend = BackendKind::kHost;
   const Planner planner(opt);
-  const auto d =
-      planner.decide(kHotMaxVertices + 5, Method::kAuto, /*rank=*/true);
-  EXPECT_EQ(d.shard_count, 0u);
+  for (const std::size_t n : {(std::size_t{1} << 31) + 5,
+                              std::size_t{kNoVertex}}) {
+    const auto d = planner.decide(n, Method::kAuto, /*rank=*/true);
+    EXPECT_EQ(d.shard_count, 0u) << n;
+    EXPECT_EQ(d.method, Method::kReidMiller) << n;
+  }
 }
 
 TEST(ShardPlanner, BelowTheBoundStaysUnsharded) {
@@ -523,7 +541,8 @@ TEST(ShardEngine, PinnedShardsRunShardedAndVerify) {
 
 TEST(ShardEngine, ExtraWordsCountTheSegmentIdArray) {
   // ~4 words per segment, the 4 B/vertex segment-id array (n/2 words),
-  // and one shard's slab resident at a time.
+  // and one shard's slab resident at a time: one word per vertex for a
+  // rank, two for a scan.
   EngineOptions opt;
   opt.backend = BackendKind::kHost;
   opt.shard.shards = 4;
@@ -532,11 +551,15 @@ TEST(ShardEngine, ExtraWordsCountTheSegmentIdArray) {
   const LinkedList list = random_list(5000, rng);
   const RunResult r = engine.rank(list);
   ASSERT_TRUE(r.ok()) << r.status.message;
-  ASSERT_TRUE(r.stats.host_packed);
+  ASSERT_EQ(r.stats.kernel_tier, KernelTier::kPackedCursors);
   EXPECT_EQ(r.stats.algo.extra_words,
             4 * r.stats.shard_segments + 5000 / 2 + 5000 / 4);
   // Pass A chases every link once; pass C streams.
   EXPECT_EQ(r.stats.algo.link_steps, 5000u);
+  const RunResult a = engine.scan(list, ScanOp::kAffine);
+  ASSERT_TRUE(a.ok()) << a.status.message;
+  EXPECT_EQ(a.stats.algo.extra_words,
+            4 * a.stats.shard_segments + 5000 / 2 + 2 * (5000 / 4));
 }
 
 TEST(ShardEngine, ByteBudgetSpillsAndStaysBitExact) {
@@ -601,7 +624,7 @@ TEST(ShardEngine, ExplicitSerialRequestIsHonouredUnsharded) {
   EXPECT_EQ(r.stats.shard_count, 0u);
 }
 
-TEST(ShardEngine, SixtyFourBitOperatorRunsShardedOverTheListArrays) {
+TEST(ShardEngine, SixtyFourBitOperatorRunsShardedOverTheSlab) {
   EngineOptions opt;
   opt.backend = BackendKind::kHost;
   opt.shard.shards = 3;
@@ -612,14 +635,13 @@ TEST(ShardEngine, SixtyFourBitOperatorRunsShardedOverTheListArrays) {
   const RunResult r = engine.scan(list, ScanOp::kMaxPlus);
   ASSERT_TRUE(r.ok()) << r.status.message;
   EXPECT_EQ(r.stats.shard_count, 3u);
-  EXPECT_FALSE(r.stats.host_packed);  // 64-bit lanes: the list arrays
-  EXPECT_EQ(r.stats.kernel_tier, KernelTier::kListArrays);
+  EXPECT_EQ(r.stats.kernel_tier, KernelTier::kPackedCursors);
 }
 
-TEST(ShardEngine, LaneOverflowReportsTheListArraysNotTheSlab) {
-  // Regression: a sharded run used to derive host_packed / kernel_tier
-  // from the operator, so a plus scan with one value past the 32-bit lane
-  // reported the slab while that shard walked its arrays.
+TEST(ShardEngine, ValuesPast32BitsRunShardedOverTheSlab) {
+  // A plus scan with one value past 32 bits walks every shard's slab,
+  // the value riding whole in its record's second word, and stays
+  // bit-exact; so does the same shape without it.
   EngineOptions opt;
   opt.backend = BackendKind::kHost;
   opt.shard.shards = 4;
@@ -631,15 +653,13 @@ TEST(ShardEngine, LaneOverflowReportsTheListArraysNotTheSlab) {
   ASSERT_TRUE(r.ok()) << r.status.message;
   testutil::expect_scan_eq(r.scan, oracle(list, false, ScanOp::kPlus));
   EXPECT_EQ(r.stats.shard_count, 4u);
-  EXPECT_FALSE(r.stats.host_packed);
-  EXPECT_EQ(r.stats.kernel_tier, KernelTier::kListArrays);
+  EXPECT_EQ(r.stats.kernel_tier, KernelTier::kPackedCursors);
   EXPECT_GE(r.stats.host_interleave, 1u);
 
-  // The same shape without the wide value walks every shard's slab.
   list.value[4321] = 7;
   const RunResult clean = engine.scan(list, ScanOp::kPlus);
   ASSERT_TRUE(clean.ok()) << clean.status.message;
-  EXPECT_TRUE(clean.stats.host_packed);
+  testutil::expect_scan_eq(clean.scan, oracle(list, false, ScanOp::kPlus));
   EXPECT_EQ(clean.stats.kernel_tier, KernelTier::kPackedCursors);
 }
 

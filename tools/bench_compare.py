@@ -7,7 +7,7 @@ Usage:
 OLD and NEW are BENCH_*.json files, or directories holding them (matched
 by file name). The comparison has three severity classes:
 
-  * correctness fields (execution-shape booleans like "packed" or
+  * correctness fields (execution-shape codes like "kernel_tier" or
     counters like "cursors", and any string field) must match exactly,
     and must still be present in NEW -> FAIL (exit 1). These say WHICH
     code ran; a change is a behaviour regression no matter how fast it
@@ -64,8 +64,8 @@ NOTED_PROVENANCE_FIELDS = ("thp",)
 
 # Execution-shape fields that legitimately follow the hardware (the
 # planner picks cursors/threads from the machine's thread count): checked
-# same-machine, skipped cross-machine. "packed" is NOT here -- operator
-# lane capability does not depend on hardware.
+# same-machine, skipped cross-machine. "kernel_tier" is NOT here -- which
+# kernel an operator runs does not depend on hardware.
 HW_SHAPE_FIELDS = {"cursors", "picked_t", "picked_w", "picked_m"}
 
 
@@ -80,7 +80,7 @@ def classify(field: str, value) -> str:
                 HIGHER_BETTER_PREFIXES):
             return "higher"
         # Numeric, but neither a key nor a known measurement: the
-        # execution-shape counters (packed, cursors, picked_t...).
+        # execution-shape counters (kernel_tier, cursors, picked_t...).
         return "correctness"
     return "correctness"  # strings and booleans describe what ran
 
