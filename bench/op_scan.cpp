@@ -25,10 +25,10 @@
 //
 // A fourth tier gates the fault-injection framework's disabled fast path
 // (support/faultpoint.hpp): the dispatched scan plus one disabled
-// FaultSite::fire() check per 1024 vertices -- a deliberately generous
-// model of the I/O-edge density a spill-tier run pays -- must stay
-// within 1% of the plain dispatched tier, so production binaries carry
-// the chaos hooks for free.
+// FaultSite::fire() check per 1024 vertices -- far denser than any
+// fault site in the library, which sit at allocation and socket edges,
+// not in the kernels -- must stay within 1% of the plain dispatched
+// tier, so production binaries carry the chaos hooks for free.
 //
 //   $ ./op_scan [n] [reps]
 #include <algorithm>
@@ -127,7 +127,7 @@ int main(int argc, char** argv) {
     with_scan_op(ScanOp::kPlus, [&](auto op) {
       host_exec::scan_into(list, op, plan, ws, std::span<value_t>(res));
     });
-    // The disabled fast path, at spill-run I/O-edge density.
+    // The disabled fast path, one check per 1024 vertices.
     bool fired = false;
     for (std::size_t i = 0; i < n; i += 1024) fired |= g_probe.fire();
     if (fired) std::exit(2);  // unreachable: the probe is never armed

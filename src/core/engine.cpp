@@ -164,10 +164,9 @@ Planner::Decision Planner::decide(std::size_t n, Method requested, bool rank,
     if (requested != Method::kAuto && requested != Method::kReidMiller)
       return d;
     // Sharding first: a pinned ShardOptions::shards, or enough shards
-    // that two fit the resident byte budget, which then covers the mapped
-    // shard (12 B a vertex) plus pass A's slab of it (8 B a vertex). Each
-    // shard then runs the sublist kernel over its own slice, so the plan
-    // is made for the shard width, not n.
+    // that two shards' list bytes (12 B a vertex) fit the byte budget.
+    // Each shard then runs the sublist kernel over its own slice, so the
+    // plan is made for the shard width, not n.
     std::size_t width = n;
     std::size_t shards = shard_.shards;
     const std::size_t bytes = n * (sizeof(index_t) + sizeof(value_t));
@@ -281,10 +280,6 @@ class SerialBackend final : public ExecutionBackend {
 
 class HostBackend final : public ExecutionBackend {
  public:
-  /// Keeps a copy of the sharding knobs: backends must not point into the
-  /// (movable) Engine.
-  explicit HostBackend(const EngineOptions& opt) : shard_opts_(opt.shard) {}
-
   BackendKind kind() const override { return BackendKind::kHost; }
 
   Status execute(const Request& req, const Planner::Decision& plan,
@@ -352,17 +347,10 @@ class HostBackend final : public ExecutionBackend {
     exec.shards = plan.shard_count;
     exec.threads = std::max(1u, plan.threads);
     exec.interleave = plan.interleave;
-    exec.byte_budget = shard_opts_.byte_budget;
-    if (!shard_opts_.spill_dir.empty())
-      exec.spill_dir = shard::fresh_spill_dir(shard_opts_.spill_dir);
     shard::ShardRunStats ss;
     const Status st =
         shard::sharded_scan(*req.list, req.rank, req.op, exec, ws,
                             std::span<value_t>(out.scan), ss);
-    // Fold the store's failure/recovery counters even when the run failed
-    // -- a typed answer should still report what was seen.
-    out.stats.shard_corrupt_slabs = ss.store.corrupt_slabs;
-    out.stats.shard_degraded = ss.store.degraded;
     if (!st.ok()) return st;
     const std::size_t n = req.list->size();
     out.stats.algo.rounds = n == 0 ? 0 : 3;
@@ -381,13 +369,8 @@ class HostBackend final : public ExecutionBackend {
         n == 0 ? KernelTier::kAuto : KernelTier::kPackedCursors;
     out.stats.shard_count = ss.shards;
     out.stats.shard_segments = ss.segments;
-    out.stats.shard_loads = ss.store.loads;
-    out.stats.shard_spills = ss.store.spills;
-    out.stats.shard_spilled = ss.store.spilled;
     return st;
   }
-
-  ShardOptions shard_opts_;  ///< copied from EngineOptions at construction
 };
 
 class SimBackend final : public ExecutionBackend {
@@ -508,7 +491,7 @@ std::unique_ptr<ExecutionBackend> make_backend(const EngineOptions& opt) {
   switch (opt.backend) {
     case BackendKind::kSerial: return std::make_unique<SerialBackend>();
     case BackendKind::kSim: return std::make_unique<SimBackend>(opt);
-    case BackendKind::kHost: return std::make_unique<HostBackend>(opt);
+    case BackendKind::kHost: return std::make_unique<HostBackend>();
   }
   return std::make_unique<SerialBackend>();
 }

@@ -95,10 +95,10 @@ enum class StatusCode {
   kWrongAnswer,   ///< verify_output found a mismatch with the reference
   kUnavailable,   ///< the serving layer rejected the request (shutdown/full)
   kStaleGeneration,  ///< the addressed snapshot generation was superseded
-  /// A spilled shard slab failed its integrity check. Kept as a wire
-  /// code; no run answers it: such a shard degrades to the resident source.
+  /// Kept as a wire code (net::WireStatus::kCorruptSlab); no run answers
+  /// it: every shard is read from the resident list.
   kCorruptSlab,
-  kResourceExhausted,  ///< disk/RAM could not hold the run (ENOSPC, alloc)
+  kResourceExhausted,  ///< RAM could not hold the run (a failed alloc)
   kDeadlineExceeded,   ///< the request's deadline passed before it ran
 };
 
@@ -219,11 +219,6 @@ struct RunStats {
   // Sharded execution (src/shard/): all zero when the run was unsharded.
   unsigned shard_count = 0;          ///< shards the run split into
   std::uint64_t shard_segments = 0;  ///< reduced-list length (2nd level)
-  std::uint64_t shard_loads = 0;     ///< shard-file loads (spill tier)
-  std::uint64_t shard_spills = 0;    ///< mapped shards unmapped on release
-  bool shard_spilled = false;        ///< the out-of-core tier was active
-  std::uint64_t shard_corrupt_slabs = 0;  ///< slabs failing integrity checks
-  std::uint64_t shard_degraded = 0;  ///< shards served resident (spill down)
 
   /// For snapshot-addressed serving requests (serve/server.hpp): the
   /// snapshot generation this result was computed against -- on a
@@ -246,29 +241,22 @@ struct RunResult {
 
 // -- options ----------------------------------------------------------------
 
-/// Sharded / out-of-core execution knobs (src/shard/): splitting a run
-/// into P contiguous id-range shards ranked independently, with
-/// cross-shard cursors resolved by a second-level Reid-Miller pass, and an
-/// optional spill tier that maps one shard at a time from mmapped
-/// ShardFiles, each loaded when the run reaches it. Lists of any length a
-/// 32-bit index holds run unsharded unless one of these asks otherwise.
+/// Sharded execution knobs (src/shard/): splitting a run into P
+/// contiguous id-range shards ranked independently, with cross-shard
+/// cursors resolved by a second-level Reid-Miller pass. The list stays
+/// resident and every shard is read from it; nothing touches disk. Lists
+/// of any length a 32-bit index holds run unsharded unless one of these
+/// asks otherwise.
 struct ShardOptions {
   /// Pinned shard count; 0 = auto: shard only when the list's bytes
   /// exceed `byte_budget` (1 forces a single-shard sharded run, which
   /// tests use to exercise the machinery on small lists).
   unsigned shards = 0;
-  /// Shard-byte budget: > 0 turns the spill tier on and sizes the shards
-  /// (a list larger than the budget is sharded so that about two shards
-  /// fit it: the mapped shard plus pass A's slab of it), and the store
-  /// maps only the acquired shard; 0 = all-in-RAM (no shard files are
-  /// ever written).
+  /// Shard-byte budget, which only picks the shard count: a list whose
+  /// bytes exceed it is split so that about two shards' bytes fit it
+  /// (Planner::decide); 0 = no auto-sharding. It bounds no memory: the
+  /// list stays resident.
   std::size_t byte_budget = 0;
-  /// Root of the spill directories. Every run that spills writes its
-  /// shard files into a fresh directory under it
-  /// (shard::fresh_spill_dir) and removes that directory when it ends,
-  /// so engines and server workers may share one root. "" = the system
-  /// temp dir.
-  std::string spill_dir;
 };
 
 /// Everything an Engine is configured with; value-semantic and copyable
@@ -304,7 +292,7 @@ struct EngineOptions {
   /// Check every answer against the serial reference; mismatches yield
   /// StatusCode::kWrongAnswer. Costs one serial pass per run.
   bool verify_output = false;
-  /// Sharded / out-of-core execution knobs (host backend only).
+  /// Sharded execution knobs (host backend only).
   ShardOptions shard;
 };
 
@@ -358,7 +346,10 @@ class Planner {
   /// (the backend may still reject it as unsupported). `op` feeds the
   /// operator's combine cost (op_cost_factor) into the model, so kAuto
   /// crossovers shift for the more expensive packed operators; ranking
-  /// always plans as ScanOp::kPlus.
+  /// always plans as ScanOp::kPlus. On the host backend a list whose
+  /// bytes exceed ShardOptions::byte_budget gets enough shards that about
+  /// two shards' bytes fit the budget, and each shard is planned at its
+  /// width.
   Decision decide(std::size_t n, Method requested, bool rank,
                   ScanOp op = ScanOp::kPlus) const;
 

@@ -184,9 +184,6 @@ std::string NetServer::stats_text() const {
       << "cache_resident_bytes " << s.cache_resident_bytes << '\n'
       << "cache_resident_entries " << s.cache_resident_entries << '\n'
       << "sharded_runs " << s.sharded_runs << '\n'
-      << "shard_spills " << s.shard_spills << '\n'
-      << "shard_corrupt_slabs " << s.shard_corrupt_slabs << '\n'
-      << "shard_degraded " << s.shard_degraded << '\n'
       << "deadline_expired " << s.deadline_expired << '\n'
       << "net_accepted " << n.accepted << '\n'
       << "net_closed " << n.closed << '\n'

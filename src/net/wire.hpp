@@ -122,8 +122,8 @@ enum class WireStatus : std::uint8_t {
   /// The addressed snapshot generation was superseded; the kSnapshot
   /// body carries the current generation to retarget.
   kStaleGeneration = 8,
-  kCorruptSlab = 9,         ///< spilled slab failed integrity, unrecovered
-  kResourceExhausted = 10,  ///< disk/RAM could not hold the run
+  kCorruptSlab = 9,         ///< kept for the pinned format; never answered
+  kResourceExhausted = 10,  ///< RAM could not hold the run
   kDeadlineExceeded = 11,   ///< deadline passed before the work ran
 };
 

@@ -272,12 +272,7 @@ void EngineServer::worker_loop() {
         ++stats_.tier_list_arrays_runs;
       if (r.stats.kernel_tier == KernelTier::kPackedCursors)
         ++stats_.tier_packed_runs;
-      if (r.stats.shard_count > 0) {
-        ++stats_.sharded_runs;
-        stats_.shard_spills += r.stats.shard_spills;
-        stats_.shard_corrupt_slabs += r.stats.shard_corrupt_slabs;
-        stats_.shard_degraded += r.stats.shard_degraded;
-      }
+      if (r.stats.shard_count > 0) ++stats_.sharded_runs;
     }
     job.done(std::move(r));
   }

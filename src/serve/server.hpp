@@ -136,17 +136,11 @@ struct ServerStats {
   std::uint64_t snapshot_updates = 0;   ///< update_snapshot() generations
   std::uint64_t stale_rejections = 0;   ///< kStaleGeneration rejections
 
-  // Out-of-core sharding aggregates across every completed run
-  // (RunStats::shard_*): how often the sharded tier engaged and what its
-  // spill tier did.
-  std::uint64_t sharded_runs = 0;        ///< runs that took the shard path
-  std::uint64_t shard_spills = 0;        ///< shards unmapped on release
+  /// Completed runs that took the sharded path (RunStats::shard_count > 0).
+  std::uint64_t sharded_runs = 0;
 
   // Failure-model counters (the hardened paths; see ARCHITECTURE.md
-  // "Failure model"). All are degradations or typed rejections the server
-  // survived, never aborts.
-  std::uint64_t shard_corrupt_slabs = 0;  ///< slabs failing integrity
-  std::uint64_t shard_degraded = 0;       ///< shards served resident (spill down)
+  // "Failure model"): typed rejections the server survived, never aborts.
   /// Jobs answered kDeadlineExceeded because their deadline passed while
   /// they were still queued (the work never ran).
   std::uint64_t deadline_expired = 0;

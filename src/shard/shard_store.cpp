@@ -2,9 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <filesystem>
-#include <system_error>
-#include <utility>
 
 #include "core/host_exec.hpp"
 
@@ -70,80 +67,6 @@ ShardedList ShardedList::build(const LinkedList& list, unsigned shards,
   });
   s.heads = {heads, s.segments};
   return s;
-}
-
-ShardStore::~ShardStore() {
-  current_.close();
-  if (spill_) drop_spill_dir(dir_);
-}
-
-void ShardStore::prepare(const LinkedList& list, const ShardedList& sharded,
-                         bool spill, const std::string& dir,
-                         unsigned threads) {
-  list_ = &list;
-  sharded_ = &sharded;
-  spill_ = spill && sharded.n > 0;
-  dir_ = dir;
-  if (!spill_) return;
-  std::error_code ec;
-  std::filesystem::create_directories(dir_, ec);
-  // Each shard's file is independent: write them one shard per claimed
-  // block, then fold the outcomes into the counters in shard order.
-  written_.assign(sharded.shards, 0);
-  host_exec::claim_blocks(threads, sharded.shards, [&](std::size_t p) {
-    written_[p] = write_shard(static_cast<unsigned>(p));
-  });
-  for (unsigned p = 0; p < sharded.shards; ++p) {
-    if (written_[p]) {
-      const auto [b, e] = sharded.range(p);
-      stats_.spill_bytes += sizeof(ShardHeader) + shard_payload_bytes(e - b);
-      continue;
-    }
-    // ENOSPC/EIO mid-spill. The source list is resident by contract, so
-    // the shard can always be served from RAM: degrade it (counted)
-    // instead of failing the whole run.
-    ++stats_.write_errors;
-    ++stats_.degraded;
-  }
-  stats_.spilled = true;
-}
-
-bool ShardStore::write_shard(unsigned p) const {
-  const auto [b, e] = sharded_->range(p);
-  ShardHeader h;
-  h.shard_index = p;
-  h.begin = b;
-  h.end = e;
-  h.total_n = sharded_->n;
-  h.payload_bytes = shard_payload_bytes(e - b);
-  return write_shard_file(dir_ + "/" + shard_file_name(p), h,
-                          list_->next.data() + b, list_->value.data() + b);
-}
-
-ShardView ShardStore::resident_view(unsigned p) const {
-  const auto [b, e] = sharded_->range(p);
-  return ShardView{list_->next.data() + b, list_->value.data() + b, b, e};
-}
-
-ShardView ShardStore::acquire(unsigned p) {
-  // RAM mode, or a shard whose write failed (counted in prepare).
-  if (!spill_ || !written_[p]) return resident_view(p);
-  const auto [b, e] = sharded_->range(p);
-  if (!current_.open(dir_ + "/" + shard_file_name(p), p, b, e, sharded_->n)) {
-    // The file cannot be opened, mapped or verified. The source arrays
-    // are resident: serve the shard from them (counted), with no retry.
-    if (current_.error() == ShardLoadError::kCorrupt) ++stats_.corrupt_slabs;
-    ++stats_.degraded;
-    return resident_view(p);
-  }
-  ++stats_.loads;
-  return ShardView{current_.next(), current_.value(), b, e};
-}
-
-void ShardStore::release(unsigned) {
-  if (!current_) return;  // RAM mode or a degraded shard maps none
-  current_.close();
-  ++stats_.spills;
 }
 
 }  // namespace lr90::shard

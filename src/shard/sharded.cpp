@@ -1,10 +1,7 @@
 #include "shard/sharded.hpp"
 
-#include <unistd.h>
-
 #include <algorithm>
 #include <atomic>
-#include <filesystem>
 #include <new>
 #include <utility>
 
@@ -29,33 +26,35 @@ struct ReduceOutcome {
   std::atomic<bool> dangling{false};  ///< an exit heads no segment
 };
 
-/// Pass A over shard `p`: builds the shard's record slab in ws.slab()
-/// (shard-local links; a link that leaves the shard, or the global
-/// tail's self-loop, is flagged as a tail) and walks every segment headed
-/// in the shard with the cursor driver (host_exec::interleave_sublists;
-/// vertices are shard-local, heads in ws.heads). At each vertex the step
-/// leaves what pass C needs: the vertex's exclusive prefix within its
-/// segment in out[v], whose line the cursor write-prefetched a hop ahead,
-/// and its segment id in seg_of[v] (a head rewrites its own id). Each
-/// segment's finish writes its node of the reduced list in ws.reduced:
-/// its total, and its link -- the segment its exit vertex heads, whose id
-/// ShardedList::build wrote into seg_of (an exit lies in another shard,
-/// and no other shard is walked meanwhile), or itself at the global tail.
+/// Pass A over shard `p`: builds the shard's record slab in ws.slab() from
+/// its slice of list.next / list.value (shard-local links; a link that
+/// leaves the shard, or the global tail's self-loop, is flagged as a
+/// tail) and walks every segment headed in the shard with the cursor
+/// driver (host_exec::interleave_sublists; vertices are shard-local,
+/// heads in ws.heads). At each vertex the step leaves what pass C needs:
+/// the vertex's exclusive prefix within its segment in out[v], whose line
+/// the cursor write-prefetched a hop ahead, and its segment id in
+/// seg_of[v] (a head rewrites its own id). Each segment's finish writes
+/// its node of the reduced list in ws.reduced: its total, and its link --
+/// the segment its exit vertex heads, whose id ShardedList::build wrote
+/// into seg_of (an exit lies in another shard, and no other shard is
+/// walked meanwhile), or itself at the global tail.
 template <ListOp Op, bool kOnes>
-void pass_reduce(const ShardView& view, const ShardedList& sharded,
+void pass_reduce(const LinkedList& list, const ShardedList& sharded,
                  unsigned p, const ShardExec& exec, Workspace& ws, Op op,
                  value_t* out, ReduceOutcome& outcome) {
   const std::span<const index_t> heads = sharded.heads_of(p);
   const std::size_t k = heads.size();
-  const auto begin = static_cast<index_t>(view.begin);
-  const auto len = static_cast<index_t>(view.size());
+  const auto [b, e] = sharded.range(p);
+  const auto begin = static_cast<index_t>(b);
+  const auto len = static_cast<index_t>(e - b);
   const std::size_t seg_base = sharded.seg_base[p];
   index_t* seg_of = sharded.seg_of.data();
   ws.fit_uninit(ws.heads, k);
   for (std::size_t j = 0; j < k; ++j) ws.heads[j] = heads[j] - begin;
-  const index_t* next = view.next;
+  const index_t* next = list.next.data() + begin;
   const packed_t* words = host_exec::build_slab<kOnes>(
-      view.size(), view.value, exec.threads, ws, [=](std::size_t i) {
+      e - b, list.value.data() + begin, exec.threads, ws, [=](std::size_t i) {
         const index_t local = next[i] - begin;  // unsigned: wraps outside
         return std::pair{local == i || local >= len, local};
       });
@@ -93,8 +92,7 @@ template <ListOp Op, bool kOnes>
 Status run_sharded(const LinkedList& list, const ShardedList& sharded,
                    const ShardExec& exec, Op op,
                    const host_exec::HostPlan& reduced_plan, Workspace& ws,
-                   std::span<value_t> out, ShardStore& store,
-                   ShardRunStats& stats) {
+                   std::span<value_t> out, ShardRunStats& stats) {
   const std::size_t m = sharded.segments;
   LinkedList& reduced = ws.reduced;
   ws.fit_uninit(reduced.next, m);
@@ -102,16 +100,11 @@ Status run_sharded(const LinkedList& list, const ShardedList& sharded,
   ReduceOutcome outcome;
 
   // Pass A: the reduced list, plus every vertex's segment and local
-  // prefix, one resident shard at a time. Every shard is acquired in
-  // order, a headless (empty) one included, so a spilling run loads and
-  // spills each shard once.
-  for (unsigned p = 0; p < sharded.shards; ++p) {
-    const ShardView view = store.acquire(p);
+  // prefix, one shard at a time, each read from its slice of the list.
+  for (unsigned p = 0; p < sharded.shards; ++p)
     if (!sharded.heads_of(p).empty())
-      pass_reduce<Op, kOnes>(view, sharded, p, exec, ws, op, out.data(),
+      pass_reduce<Op, kOnes>(list, sharded, p, exec, ws, op, out.data(),
                              outcome);
-    store.release(p);
-  }
   if (outcome.dangling.load(std::memory_order_relaxed))
     return Status::invalid(
         "sharded scan: dangling cross-shard link (malformed list)");
@@ -131,7 +124,7 @@ Status run_sharded(const LinkedList& list, const ShardedList& sharded,
     return Status::invalid("sharded scan: the reduced list has no tail");
 
   // Pass C: one pass in array order, out[v] = op(seg_pref[seg_of[v]],
-  // out[v]). Every read and write streams and no shard is acquired; only
+  // out[v]). Every read and write streams and no slab is built; only
   // the O(m) prefixes are gathered. A vertex no segment reached keeps
   // kNoVertex and is skipped.
   const value_t* pref = ws.seg_pref.data();
@@ -152,19 +145,6 @@ Status run_sharded(const LinkedList& list, const ShardedList& sharded,
 
 }  // namespace
 
-std::string fresh_spill_dir(const std::string& root) {
-  static std::atomic<std::uint64_t> seq{0};
-  const auto pid = static_cast<unsigned long>(::getpid());
-  std::string base = root;
-  if (base.empty()) {
-    std::error_code ec;
-    base = std::filesystem::temp_directory_path(ec).string();
-    if (base.empty()) base = ".";
-  }
-  return base + "/lr90-shards-" + std::to_string(pid) + "-" +
-         std::to_string(seq.fetch_add(1, std::memory_order_relaxed));
-}
-
 Status sharded_scan(const LinkedList& list, bool rank, ScanOp op,
                     const ShardExec& exec, Workspace& ws,
                     std::span<value_t> out, ShardRunStats& stats) {
@@ -178,12 +158,6 @@ Status sharded_scan(const LinkedList& list, bool rank, ScanOp op,
     return Status::invalid("sharded scan: the list has no self-loop tail");
   ShardedList sharded =
       ShardedList::build(list, exec.shards, exec.threads, ws);
-  ShardStore store;
-  const bool spill = exec.byte_budget > 0;
-  const std::string dir = spill && exec.spill_dir.empty()
-                              ? fresh_spill_dir("")
-                              : exec.spill_dir;
-  store.prepare(list, sharded, spill, dir, exec.threads);
   // Pass B's shape: the one host planning path, sized for the reduced
   // list at the shard passes' pinned threads and W.
   const host_exec::HostPlan reduced_plan =
@@ -194,11 +168,11 @@ Status sharded_scan(const LinkedList& list, bool rank, ScanOp op,
     if (f_scratch_alloc.fire()) throw std::bad_alloc{};
     if (rank) {
       st = run_sharded<OpPlus, true>(list, sharded, exec, OpPlus{},
-                                     reduced_plan, ws, out, store, stats);
+                                     reduced_plan, ws, out, stats);
     } else {
       st = with_scan_op(op, [&](auto typed) {
         return run_sharded<decltype(typed), false>(
-            list, sharded, exec, typed, reduced_plan, ws, out, store, stats);
+            list, sharded, exec, typed, reduced_plan, ws, out, stats);
       });
     }
   } catch (const std::bad_alloc&) {
@@ -207,7 +181,6 @@ Status sharded_scan(const LinkedList& list, bool rank, ScanOp op,
     st = Status::resource_exhausted(
         "sharded scan: scratch allocation failed");
   }
-  stats.store = store.stats();
   return st;
 }
 

@@ -2,7 +2,7 @@
 //
 // A FaultSite is a file-scope object at an I/O or allocation edge:
 //
-//   namespace { lr90::fault::FaultSite f_io{"shard.write.io", "EIO"}; }
+//   namespace { lr90::fault::FaultSite f_io{"net.recv.io", "EIO"}; }
 //   ...
 //   if (f_io.fire()) { errno = EIO; return false; }   // injected failure
 //

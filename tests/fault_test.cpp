@@ -1,14 +1,11 @@
 // Chaos harness for the fault-injection framework (support/faultpoint.hpp)
-// and the end-to-end failure hardening of the spill/serve/net path:
+// and the end-to-end failure hardening of the shard/serve/net path:
 //
 //   * the registry + trigger contract: every site is enumerable, the
 //     disabled fast path observes nothing, fail-Nth / probability / budget
 //     triggers are deterministic under a fixed seed;
-//   * the spill tier's one recovery path: a shard whose write fails
-//     (ENOSPC/EIO/short write) or whose file cannot be opened, mapped or
-//     verified is served from the resident source within the run,
-//     counted, and the run stays bit-exact; a store opens only the shard
-//     files it serves; a failed unlink at teardown is never fatal;
+//   * a sharded run whose scratch cannot be allocated answers a typed
+//     kResourceExhausted, and the next run recovers;
 //   * the full sweep: every registered site armed in turn under 8-client
 //     concurrent load through a real NetServer -- no crash, every answer
 //     kOk-and-bit-exact or a typed failure status, and full recovery
@@ -24,7 +21,6 @@
 #include <chrono>
 #include <cstdint>
 #include <iterator>
-#include <filesystem>
 #include <string>
 #include <thread>
 #include <vector>
@@ -35,8 +31,6 @@
 #include "lists/ops.hpp"
 #include "net/client.hpp"
 #include "net/server.hpp"
-#include "shard/shard_file.hpp"
-#include "shard/shard_store.hpp"
 #include "shard/sharded.hpp"
 #include "support/rng.hpp"
 #include "test_util.hpp"
@@ -44,24 +38,13 @@
 namespace lr90 {
 namespace {
 
-namespace fs = std::filesystem;
 using namespace std::chrono_literals;
 
 /// Every fault site this binary is expected to register, by layer.
 const char* const kExpectedSites[] = {
-    "shard.write.open",   "shard.write.io",    "shard.write.nospc",
-    "shard.write.short",  "shard.map.open",    "shard.map.mmap",
-    "shard.map.checksum", "shard.reclaim.unlink", "shard.scratch.alloc",
-    "serve.batch.stall",  "net.recv.io",       "net.send.io",
-    "net.send.stall",
+    "shard.scratch.alloc", "serve.batch.stall", "net.recv.io",
+    "net.send.io",         "net.send.stall",
 };
-
-/// A fresh empty directory under the test temp root.
-std::string fresh_dir(const std::string& tag) {
-  const std::string dir = ::testing::TempDir() + "lr90_fault_" + tag;
-  fs::remove_all(dir);
-  return dir;
-}
 
 /// Oracle exclusive scan under a runtime operator.
 std::vector<value_t> oracle(const LinkedList& list, bool rank, ScanOp op) {
@@ -113,7 +96,7 @@ TEST(FaultRegistry, EverySiteIsRegisteredAndSilentWhenDisabled) {
 
 TEST(FaultRegistry, FailNthFiresExactlyOnTheNthHit) {
   DisarmGuard guard;
-  fault::FaultSite* site = fault::find_site("shard.write.io");
+  fault::FaultSite* site = fault::find_site("net.recv.io");
   ASSERT_NE(site, nullptr);
   fault::Trigger t;
   t.fail_nth = 3;
@@ -126,14 +109,15 @@ TEST(FaultRegistry, FailNthFiresExactlyOnTheNthHit) {
   EXPECT_EQ(site->stats().hits, 10u);
   EXPECT_EQ(site->stats().fires, 1u);
   // An unarmed sibling never fires even while the global gate is up.
-  fault::FaultSite* other = fault::find_site("shard.map.open");
+  fault::FaultSite* other = fault::find_site("net.send.io");
+  ASSERT_NE(other, nullptr);
   EXPECT_FALSE(other->fire());
   EXPECT_EQ(other->stats().fires, 0u);
 }
 
 TEST(FaultRegistry, SeededProbabilityIsDeterministicAndBudgeted) {
   DisarmGuard guard;
-  fault::FaultSite* site = fault::find_site("shard.map.checksum");
+  fault::FaultSite* site = fault::find_site("net.send.stall");
   ASSERT_NE(site, nullptr);
   fault::Trigger t;
   t.probability = 0.5;
@@ -165,229 +149,101 @@ TEST(FaultRegistry, SeededProbabilityIsDeterministicAndBudgeted) {
   EXPECT_FALSE(site->armed());
 }
 
-// -- the spill tier's degraded path -----------------------------------------
-
-/// A spill-heavy exec: every shard written to the run's own directory
-/// `dir` and reloaded on acquire (byte budget of one byte spills
-/// everything).
-shard::ShardExec spill_exec(const std::string& dir, unsigned shards = 4) {
-  shard::ShardExec exec;
-  exec.shards = shards;
-  exec.threads = 2;
-  exec.byte_budget = 1;
-  exec.spill_dir = dir;
-  return exec;
-}
-
-Status run_sharded(const LinkedList& list, const shard::ShardExec& exec,
-                   std::vector<value_t>& out, shard::ShardRunStats& stats) {
-  Workspace ws;
-  out.assign(list.size(), 0);
-  stats = shard::ShardRunStats{};
-  return shard::sharded_scan(list, /*rank=*/true, ScanOp::kPlus, exec, ws,
-                             std::span<value_t>(out), stats);
-}
-
-TEST(ShardFault, CorruptSlabDegradesWithinTheRunAndBitExact) {
-  // A slab that fails its checksum on load (ShardFile's tests show a
-  // flipped or truncated payload does) is counted and its shard is served
-  // from the resident source in the same run, with no second load: the
-  // answer stays bit-exact.
-  DisarmGuard guard;
-  const std::string dir = fresh_dir("corrupt_once");
-  Rng rng(101);
-  const LinkedList list = random_list(4000, rng, ValueInit::kSigned);
-  const std::vector<value_t> want = oracle(list, true, ScanOp::kPlus);
-
-  fault::Trigger t;
-  t.fail_nth = 1;
-  t.max_fires = 1;
-  arm("shard.map.checksum", t);
-  std::vector<value_t> out;
-  shard::ShardRunStats stats;
-  ASSERT_TRUE(run_sharded(list, spill_exec(dir), out, stats).ok());
-  EXPECT_EQ(out, want);
-  ASSERT_TRUE(stats.store.spilled);
-  EXPECT_EQ(stats.store.corrupt_slabs, 1u);
-  EXPECT_EQ(stats.store.degraded, 1u);
-  fault::disarm_all();
-
-  // Undisturbed, a run of the same list sees no corruption at all.
-  ASSERT_TRUE(run_sharded(list, spill_exec(dir), out, stats).ok());
-  EXPECT_EQ(out, want);
-  EXPECT_EQ(stats.store.corrupt_slabs, 0u);
-  EXPECT_EQ(stats.store.degraded, 0u);
-  EXPECT_FALSE(fs::exists(dir));
-}
-
-TEST(ShardFault, WriteFailureDegradesCounted) {
-  DisarmGuard guard;
-  Rng rng(103);
-  const LinkedList list = random_list(2500, rng, ValueInit::kSigned);
-  const std::vector<value_t> want = oracle(list, true, ScanOp::kPlus);
-
-  for (const char* site : {"shard.write.nospc", "shard.write.io",
-                           "shard.write.short", "shard.write.open"}) {
-    // Spill writes fail: the affected shards are served from the
-    // always-resident source arrays, the run is counted and still
-    // bit-exact.
-    fault::Trigger t;
-    t.probability = 1.0;
-    arm(site, t);
-    const std::string dir = fresh_dir(std::string("wdeg_") + site);
-    shard::ShardExec exec = spill_exec(dir);
-    std::vector<value_t> out;
-    shard::ShardRunStats stats;
-    ASSERT_TRUE(run_sharded(list, exec, out, stats).ok()) << site;
-    EXPECT_EQ(out, want) << site;
-    EXPECT_GE(stats.store.degraded, 1u) << site;
-    EXPECT_GE(stats.store.write_errors, 1u) << site;
-    fault::disarm_all();
-    shard::drop_spill_dir(dir);
-  }
-}
-
-TEST(ShardFault, UnrecoverableCorruptionDegradesCounted) {
-  DisarmGuard guard;
-  Rng rng(104);
-  const LinkedList list = random_list(2500, rng, ValueInit::kSigned);
-  const std::vector<value_t> want = oracle(list, true, ScanOp::kPlus);
-  const std::string dir = fresh_dir("corrupt_forever");
-
-  // A healthy first run.
-  shard::ShardExec exec = spill_exec(dir);
-  std::vector<value_t> out;
-  shard::ShardRunStats stats;
-  ASSERT_TRUE(run_sharded(list, exec, out, stats).ok());
-
-  // Every checksum verification fails: each shard degrades -> counted +
-  // bit-exact.
-  fault::Trigger t;
-  t.probability = 1.0;
-  arm("shard.map.checksum", t);
-  ASSERT_TRUE(run_sharded(list, exec, out, stats).ok());
-  EXPECT_EQ(out, want);
-  EXPECT_GE(stats.store.corrupt_slabs, 1u);
-  EXPECT_GE(stats.store.degraded, 1u);
-  fault::disarm_all();
-  shard::drop_spill_dir(dir);
-}
-
-TEST(ShardFault, MmapFailureDegradesCounted) {
-  // A shard that cannot be mapped is served from the resident source:
-  // counted as degraded, not as corrupt, and still bit-exact.
-  DisarmGuard guard;
-  Rng rng(105);
-  const LinkedList list = random_list(2000, rng, ValueInit::kSigned);
-  const std::vector<value_t> want = oracle(list, true, ScanOp::kPlus);
-  const std::string dir = fresh_dir("mmap_fails");
-
-  fault::Trigger t;
-  t.probability = 1.0;
-  fault::FaultSite* site = arm("shard.map.mmap", t);
-  const shard::ShardExec exec = spill_exec(dir);
-  std::vector<value_t> out;
-  shard::ShardRunStats stats;
-  ASSERT_TRUE(run_sharded(list, exec, out, stats).ok());
-  EXPECT_EQ(out, want);
-  EXPECT_GE(site->stats().fires, 1u);
-  EXPECT_EQ(stats.store.degraded, exec.shards);
-  EXPECT_EQ(stats.store.corrupt_slabs, 0u);
-  EXPECT_EQ(stats.store.loads, 0u);
-  fault::disarm_all();
-  shard::drop_spill_dir(dir);
-}
+// -- the sharded run's typed failure ----------------------------------------
 
 TEST(ShardFault, ScratchAllocationFailureIsTypedResourceExhausted) {
   DisarmGuard guard;
   Rng rng(106);
   const LinkedList list = random_list(1500, rng, ValueInit::kSigned);
+  shard::ShardExec exec;
+  exec.shards = 4;
+  exec.threads = 2;
+  const auto run = [&](std::vector<value_t>& out) {
+    Workspace ws;
+    out.assign(list.size(), 0);
+    shard::ShardRunStats stats;
+    return shard::sharded_scan(list, /*rank=*/true, ScanOp::kPlus, exec, ws,
+                               std::span<value_t>(out), stats);
+  };
   fault::Trigger t;
   t.fail_nth = 1;
   t.max_fires = 1;
   arm("shard.scratch.alloc", t);
-  const std::string dir = fresh_dir("alloc");
   std::vector<value_t> out;
-  shard::ShardRunStats stats;
-  const Status st = run_sharded(list, spill_exec(dir), out, stats);
+  const Status st = run(out);
   ASSERT_FALSE(st.ok());
   EXPECT_EQ(st.code, StatusCode::kResourceExhausted) << st.message;
   fault::disarm_all();
-  // The fault fired after prepare had written the shard files and before
-  // pass A acquired any, so no load was in flight; the store removed its
-  // directory before the run returned.
-  EXPECT_FALSE(fs::exists(dir));
-  shard::drop_spill_dir(dir);
 
   // And the very next run succeeds: the fault budget was one.
-  shard::ShardRunStats stats2;
-  ASSERT_TRUE(run_sharded(list, spill_exec(dir), out, stats2).ok());
+  ASSERT_TRUE(run(out).ok());
   EXPECT_EQ(out, oracle(list, true, ScanOp::kPlus));
-  shard::drop_spill_dir(dir);
 }
 
-TEST(ShardFault, StoreOpensOnlyTheShardsItServes) {
-  // A store maps a shard's file only when that shard is acquired: one
-  // torn down after k of its P shards has opened k files and loaded k
-  // shards, and it still removes its directory. The gate is up with no
-  // site armed, so shard.map.open counts every open and fires on none.
+TEST(ShardFault, ScratchAllocationFailureLeavesTheWorkspaceServing) {
+  // The failed run and the runs around it share one warm Workspace: the
+  // failure reports no shape, and the next run on that Workspace is
+  // bit-exact again, for a rank and a two-lane scan.
   DisarmGuard guard;
-  fault::set_enabled(true);
-  fault::FaultSite* site = fault::find_site("shard.map.open");
-  ASSERT_NE(site, nullptr);
-  Rng rng(108);
-  const LinkedList list = random_list(2000, rng, ValueInit::kSigned);
-  constexpr unsigned P = 4;
+  Rng rng(109);
+  const LinkedList list = random_list(3000, rng, ValueInit::kSigned);
+  shard::ShardExec exec;
+  exec.shards = 4;
+  exec.threads = 2;
   Workspace ws;
-  const shard::ShardedList sharded =
-      shard::ShardedList::build(list, P, 1, ws);
-  for (unsigned k = 0; k <= P; ++k) {
-    SCOPED_TRACE("k=" + std::to_string(k));
-    const std::string dir = fresh_dir("opens_" + std::to_string(k));
-    fault::reset_stats();
-    shard::StoreStats stats;
-    {
-      shard::ShardStore store;
-      store.prepare(list, sharded, /*spill=*/true, dir, /*threads=*/2);
-      for (unsigned p = 0; p < k; ++p) {
-        const shard::ShardView view = store.acquire(p);
-        EXPECT_TRUE(std::equal(view.next, view.next + view.size(),
-                               list.next.begin() + view.begin));
-        store.release(p);
-      }
-      stats = store.stats();
-    }
-    EXPECT_EQ(site->stats().hits, k);
-    EXPECT_EQ(site->stats().fires, 0u);
-    EXPECT_EQ(stats.loads, k);
-    EXPECT_FALSE(fs::exists(dir));
+  std::vector<value_t> out(list.size());
+  const std::pair<bool, ScanOp> runs[] = {{true, ScanOp::kPlus},
+                                          {false, ScanOp::kAffine}};
+  for (const auto& [rank, op] : runs) {
+    SCOPED_TRACE(rank ? "rank" : scan_op_name(op));
+    shard::ShardRunStats stats;
+    ASSERT_TRUE(
+        shard::sharded_scan(list, rank, op, exec, ws, out, stats).ok());
+    fault::Trigger t;
+    t.fail_nth = 1;
+    t.max_fires = 1;
+    arm("shard.scratch.alloc", t);
+    const Status st =
+        shard::sharded_scan(list, rank, op, exec, ws, out, stats);
+    EXPECT_EQ(st.code, StatusCode::kResourceExhausted) << st.message;
+    EXPECT_EQ(stats.shards, 0u);
+    EXPECT_EQ(stats.segments, 0u);
+    fault::disarm_all();
+
+    std::fill(out.begin(), out.end(), value_t{0});
+    ASSERT_TRUE(
+        shard::sharded_scan(list, rank, op, exec, ws, out, stats).ok());
+    EXPECT_EQ(stats.shards, 4u);
+    EXPECT_EQ(out, oracle(list, rank, op));
   }
 }
 
-TEST(ShardFault, FailedTeardownUnlinkIsNeverFatal) {
-  // A shard file that refuses to go at run teardown leaves it and its
-  // directory behind; the answer is already out and exact. The next run
-  // into that directory rewrites every shard, so another list of the
-  // same shape is still bit-exact, and it removes the directory.
+TEST(ShardFault, EngineAnswersAScratchAllocationFailureTypedAndRecovers) {
+  // Through the Engine a sharded run whose scratch cannot be allocated
+  // answers kResourceExhausted with no shard shape in its stats, and the
+  // same Engine's next run is sharded and bit-exact.
   DisarmGuard guard;
-  const std::string dir = fresh_dir("reclaim");
-  Rng rng(107);
-  const LinkedList first = random_list(2000, rng, ValueInit::kSigned);
-  const LinkedList second = random_list(2000, rng, ValueInit::kSigned);
+  EngineOptions opt;
+  opt.backend = BackendKind::kHost;
+  opt.threads = 2;
+  opt.shard.shards = 3;
+  Engine engine(opt);
+  Rng rng(110);
+  const LinkedList list = random_list(2000, rng, ValueInit::kSigned);
   fault::Trigger t;
-  t.probability = 1.0;
-  fault::FaultSite* site = arm("shard.reclaim.unlink", t);
-  std::vector<value_t> out;
-  shard::ShardRunStats stats;
-  ASSERT_TRUE(run_sharded(first, spill_exec(dir), out, stats).ok());
-  EXPECT_EQ(out, oracle(first, true, ScanOp::kPlus));
-  EXPECT_GE(site->stats().fires, 1u);
-  EXPECT_TRUE(fs::exists(dir + "/" + shard::shard_file_name(0)));
+  t.fail_nth = 1;
+  t.max_fires = 1;
+  arm("shard.scratch.alloc", t);
+  const RunResult failed = engine.scan(list, ScanOp::kMin);
+  EXPECT_EQ(failed.status.code, StatusCode::kResourceExhausted)
+      << failed.status.message;
+  EXPECT_EQ(failed.stats.shard_count, 0u);
   fault::disarm_all();
 
-  ASSERT_TRUE(run_sharded(second, spill_exec(dir), out, stats).ok());
-  EXPECT_EQ(out, oracle(second, true, ScanOp::kPlus));
-  EXPECT_FALSE(fs::exists(dir));
+  const RunResult r = engine.scan(list, ScanOp::kMin);
+  ASSERT_TRUE(r.ok()) << r.status.message;
+  EXPECT_EQ(r.stats.shard_count, 3u);
+  EXPECT_EQ(r.scan, oracle(list, false, ScanOp::kMin));
 }
 
 // -- the full chaos sweep ---------------------------------------------------
@@ -397,29 +253,24 @@ TEST(ShardFault, FailedTeardownUnlinkIsNeverFatal) {
 /// status. Transport failures (a fault tore the connection down) are
 /// recovered by reconnecting. Returns the number of wrong answers.
 struct SweepFixture {
-  /// Root of every run's spill directory; an armed shard.reclaim.unlink
-  /// leaves a run's directory behind, so the fixture removes the root.
-  std::string spill_root = fresh_dir("sweep");
   net::NetServer server;
   std::vector<LinkedList> lists;
   std::vector<std::vector<value_t>> rank_oracle;
   std::vector<std::vector<value_t>> scan_oracle;
 
-  static net::NetServerOptions options(const std::string& spill_root) {
+  static net::NetServerOptions options() {
     net::NetServerOptions opt;
     opt.port = 0;
     opt.serve.workers = 2;
     opt.serve.engine.threads = 2;
-    // Every request takes the sharded spill path: tiny byte budget,
-    // pinned shard count, a fresh spill dir per run under the root (so
-    // the reclaim site fires on every run teardown too).
+    // Every request takes the sharded path (pinned shard count, tiny byte
+    // budget), so shard.scratch.alloc fires on it.
     opt.serve.engine.shard.shards = 3;
     opt.serve.engine.shard.byte_budget = 1;
-    opt.serve.engine.shard.spill_dir = spill_root;
     return opt;
   }
 
-  SweepFixture() : server(options(spill_root)) {
+  SweepFixture() : server(options()) {
     Rng rng(20260101);
     for (int i = 0; i < 4; ++i) {
       lists.push_back(random_list(600 + 97 * i, rng, ValueInit::kSigned));
@@ -428,10 +279,7 @@ struct SweepFixture {
     }
   }
 
-  ~SweepFixture() {
-    server.stop();
-    fs::remove_all(spill_root);
-  }
+  ~SweepFixture() { server.stop(); }
 
   /// Runs `iters` requests on one connection; reconnects on transport
   /// errors. Bumps `wrong` for any kOk answer that is not bit-exact and

@@ -329,6 +329,30 @@ TEST(NetServer, PlaintextStatsAndHealthForNetcatUsers) {
   server.stop();
 }
 
+TEST(NetServer, StatsTextCountsEveryShardedRun) {
+  // Each request a sharded engine answers counts once on the STATS line
+  // `sharded_runs`, the text's only shard counter.
+  NetServerOptions opt = base_options();
+  opt.serve.engine.shard.shards = 3;
+  NetServer server(opt);
+  ASSERT_TRUE(server.start().ok());
+  NetClient client = connect_client(server);
+  Rng rng(2030);
+  for (int i = 0; i < 5; ++i) {
+    const LinkedList list = random_list(1000 + 7 * i, rng);
+    ResponseFrame resp;
+    const Status s = i % 2 == 0 ? client.rank(list, resp)
+                                : client.scan(list, ScanOp::kMin, resp);
+    ASSERT_TRUE(s.ok()) << s.message;
+    ASSERT_EQ(resp.status, WireStatus::kOk) << resp.text;
+  }
+  std::string text;
+  ASSERT_TRUE(client.stats_text(text).ok());
+  EXPECT_NE(text.find("\nsharded_runs 5\n"), std::string::npos) << text;
+  EXPECT_EQ(text.find("\nshard_"), std::string::npos) << text;
+  server.stop();
+}
+
 TEST(NetServer, HttpGetStatsAdapterAnswersCurlShapedRequests) {
   NetServer server(base_options());
   ASSERT_TRUE(server.start().ok());

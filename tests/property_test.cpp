@@ -423,57 +423,50 @@ TEST(StreamingPhase3, TinySublistsOnTheSlabMatchSerialOracle) {
 }
 
 // ---------------------------------------------------------------------
-// The sharded tier: P shards x every operator x every generator shape,
-// with the spill tier forced on and off -- bit-exact against the serial
-// oracle. The second-level Reid-Miller reduction over shard-boundary
-// segments must be invisible: any regrouping the shard plan induces has
-// to resolve through the operator, never through luck.
+// The sharded tier: P shards x every operator x every generator shape --
+// bit-exact against the serial oracle. The second-level Reid-Miller
+// reduction over shard-boundary segments must be invisible: any
+// regrouping the shard plan induces has to resolve through the operator,
+// never through luck.
 // ---------------------------------------------------------------------
 
 class ShardHarness : public ::testing::TestWithParam<unsigned> {};
 
-TEST_P(ShardHarness, AllShardCountsMatchSerialOracleSpillOnAndOff) {
+TEST_P(ShardHarness, AllShardCountsMatchSerialOracle) {
   const unsigned shards = GetParam();
-  for (const bool spill : {false, true}) {
-    for (const ScanOp op : kAllScanOps) {
-      for (const Shape shape : kAllShapes) {
-        for (const std::size_t n :
-             {std::size_t{13}, std::size_t{997}, std::size_t{4096}}) {
-          const std::uint64_t seed = case_seed(shape, n, op) ^ 0x5aa5;
-          Rng rng(seed);
-          LinkedList l = make_shape(shape, n, ValueInit::kSigned, rng);
-          for (value_t& v : l.value) v = harness_value(op, v);
+  for (const ScanOp op : kAllScanOps) {
+    for (const Shape shape : kAllShapes) {
+      for (const std::size_t n :
+           {std::size_t{13}, std::size_t{997}, std::size_t{4096}}) {
+        const std::uint64_t seed = case_seed(shape, n, op) ^ 0x5aa5;
+        Rng rng(seed);
+        LinkedList l = make_shape(shape, n, ValueInit::kSigned, rng);
+        for (value_t& v : l.value) v = harness_value(op, v);
 
-          std::ostringstream repro;
-          repro << "repro: seed=" << seed
-                << " shape=" << static_cast<int>(shape) << " n=" << n
-                << " op=" << scan_op_name(op) << " P=" << shards
-                << " spill=" << spill;
-          SCOPED_TRACE(repro.str());
+        std::ostringstream repro;
+        repro << "repro: seed=" << seed
+              << " shape=" << static_cast<int>(shape) << " n=" << n
+              << " op=" << scan_op_name(op) << " P=" << shards;
+        SCOPED_TRACE(repro.str());
 
-          shard::ShardExec exec;
-          exec.shards = shards;
-          exec.threads = 2;
-          exec.interleave = 8;
-          // Any nonzero budget turns the spill tier on: every acquire
-          // loads from the spill file and unmaps it on release.
-          if (spill) exec.byte_budget = 1;
+        shard::ShardExec exec;
+        exec.shards = shards;
+        exec.threads = 2;
+        exec.interleave = 8;
 
-          Workspace ws;
-          std::vector<value_t> out(n, 0);
-          shard::ShardRunStats st;
-          Status s = shard::sharded_scan(l, /*rank=*/false, op, exec, ws,
-                                         std::span<value_t>(out), st);
-          ASSERT_TRUE(s.ok()) << s.message;
-          testutil::expect_scan_eq(out, oracle_scan(l, op));
+        Workspace ws;
+        std::vector<value_t> out(n, 0);
+        shard::ShardRunStats st;
+        Status s = shard::sharded_scan(l, /*rank=*/false, op, exec, ws,
+                                       std::span<value_t>(out), st);
+        ASSERT_TRUE(s.ok()) << s.message;
+        testutil::expect_scan_eq(out, oracle_scan(l, op));
 
-          std::vector<value_t> ranked(n, 0);
-          s = shard::sharded_scan(l, /*rank=*/true, ScanOp::kPlus, exec, ws,
-                                  std::span<value_t>(ranked), st);
-          ASSERT_TRUE(s.ok()) << s.message;
-          testutil::expect_scan_eq(ranked, reference_rank(l));
-          if (spill) EXPECT_TRUE(st.store.spilled);
-        }
+        std::vector<value_t> ranked(n, 0);
+        s = shard::sharded_scan(l, /*rank=*/true, ScanOp::kPlus, exec, ws,
+                                std::span<value_t>(ranked), st);
+        ASSERT_TRUE(s.ok()) << s.message;
+        testutil::expect_scan_eq(ranked, reference_rank(l));
       }
     }
   }

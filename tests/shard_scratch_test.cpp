@@ -1,7 +1,7 @@
 // A sharded run keeps all of its O(n + m) scratch in the Workspace it is
 // given: the segment ids and heads, the reduced list, the segment
 // prefixes and the shard slab. A warm Workspace therefore serves sharded
-// ranks and scans, in RAM and on the spill tier, without one large heap
+// ranks and scans, with or without a byte budget, without one large heap
 // allocation. Freeing and re-allocating those arrays on every call would
 // make the run's speed depend on where the allocator's heap happens to
 // end.
@@ -104,10 +104,10 @@ TEST(ShardScratch, WarmWorkspaceRunsShardedWithoutLargeAllocations) {
   ram.shards = 8;
   ram.threads = 2;
   ram.interleave = 8;
-  shard::ShardExec spill = ram;  // each run spills into its own temp dir
-  spill.byte_budget = 2 * kN * (sizeof(index_t) + sizeof(value_t)) / 8;
+  shard::ShardExec budget = ram;
+  budget.byte_budget = 2 * kN * (sizeof(index_t) + sizeof(value_t)) / 8;
   const std::pair<const char*, const shard::ShardExec*> tiers[] = {
-      {"ram", &ram}, {"spill", &spill}};
+      {"ram", &ram}, {"budget", &budget}};
 
   Workspace ws;
   std::vector<value_t> out(kN);
@@ -119,8 +119,6 @@ TEST(ShardScratch, WarmWorkspaceRunsShardedWithoutLargeAllocations) {
         shard::sharded_scan(list, c.rank, c.op, base, ws, out, stats);
     ASSERT_TRUE(st.ok()) << st.message;
     EXPECT_EQ(stats.shards, 8u);
-    EXPECT_EQ(stats.store.spilled, base.byte_budget > 0);
-    EXPECT_EQ(stats.store.degraded, 0u);
     EXPECT_TRUE(out == c.want) << "answer differs from the serial oracle";
   };
   // Warm the Workspace on every shape once.

@@ -1,24 +1,23 @@
-// Tests for the sharded + out-of-core tier (src/shard/): the ShardFile
-// format, the ShardStore residency/spill/load machinery, the two-level
-// sharded scan's bit-exactness vs the serial oracle, the Engine/Planner
-// wiring (auto-shard on the byte budget), and
-// the spill lifecycle: every run writes its own shard files and removes
-// them when it ends.
+// Tests for the sharded tier (src/shard/): the shard split and its
+// segments, the two-level sharded scan's bit-exactness vs the serial
+// oracle, the Engine/Planner wiring (auto-shard on the byte budget), and
+// that a byte budget reads every shard from the resident list and
+// touches no file.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
-#include <cstdio>
 #include <filesystem>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "core/engine.hpp"
+#include "core/host_exec.hpp"
 #include "core/workspace.hpp"
 #include "lists/encode.hpp"
 #include "lists/generators.hpp"
 #include "lists/ops.hpp"
-#include "shard/shard_file.hpp"
 #include "shard/shard_store.hpp"
 #include "shard/sharded.hpp"
 #include "support/rng.hpp"
@@ -34,15 +33,6 @@ std::string fresh_dir(const std::string& tag) {
   const std::string dir = ::testing::TempDir() + "lr90_shard_" + tag;
   fs::remove_all(dir);
   return dir;
-}
-
-/// Shard files anywhere under `root`.
-std::size_t shard_files_under(const std::string& root) {
-  std::size_t count = 0;
-  std::error_code ec;
-  for (const auto& e : fs::recursive_directory_iterator(root, ec))
-    if (e.path().filename().string().rfind("shard_", 0) == 0) ++count;
-  return count;
 }
 
 /// Oracle exclusive scan under a runtime operator.
@@ -150,116 +140,29 @@ TEST(ShardedList, ShardCountClampsToListLength) {
   EXPECT_EQ(s.segments, static_cast<std::size_t>(s.shards));
 }
 
-// -- ShardFile format -------------------------------------------------------
-
-TEST(ShardFile, WriteReadRoundTripAndHeaderValidation) {
-  const std::string dir = fresh_dir("file_roundtrip");
-  fs::create_directories(dir);
-  const std::string path = dir + "/" + shard::shard_file_name(3);
-  std::vector<index_t> next{5, 6, 7, 8};
-  std::vector<value_t> value{-1, 2, -3, 4};
-  shard::ShardHeader h;
-  h.shard_index = 3;
-  h.begin = 4;
-  h.end = 8;
-  h.total_n = 100;
-  h.payload_bytes = shard::shard_payload_bytes(4);
-  ASSERT_TRUE(shard::write_shard_file(path, h, next.data(), value.data()));
-
-  shard::ShardHeader got;
-  ASSERT_TRUE(shard::read_shard_header(path, got));
-  EXPECT_TRUE(shard::shard_header_matches(got, 3, 4, 8, 100));
-  // Any identity mismatch is a refusal: wrong index, range, or total n.
-  EXPECT_FALSE(shard::shard_header_matches(got, 2, 4, 8, 100));
-  EXPECT_FALSE(shard::shard_header_matches(got, 3, 4, 9, 100));
-  EXPECT_FALSE(shard::shard_header_matches(got, 3, 4, 8, 99));
-
-  shard::ShardMap map;
-  ASSERT_TRUE(map.open(path, 3, 4, 8, 100));
-  ASSERT_EQ(map.size(), 4u);
-  for (std::size_t i = 0; i < 4; ++i) {
-    EXPECT_EQ(map.next()[i], next[i]);
-    EXPECT_EQ(map.value()[i], value[i]);
+TEST(ShardedList, RebuildInAWarmWorkspaceMatchesAFreshBuild) {
+  // build() reuses the Workspace's segment arrays. No mark an earlier
+  // list left there may name a head of the next one, whatever its layout
+  // or length: each build equals the same build into a fresh Workspace.
+  Rng rng(46);
+  const std::pair<std::string, LinkedList> lists[] = {
+      {"random", random_list(3000, rng)},
+      {"blocked", blocked_list(3000, 64, rng)},
+      {"sequential", sequential_list(1000)},
+      {"short random", random_list(700, rng)}};
+  Workspace warm;
+  for (const auto& [name, list] : lists) {
+    SCOPED_TRACE(name);
+    const shard::ShardedList got =
+        shard::ShardedList::build(list, 5, /*threads=*/2, warm);
+    Workspace fresh;
+    const shard::ShardedList want =
+        shard::ShardedList::build(list, 5, /*threads=*/2, fresh);
+    ASSERT_EQ(got.segments, want.segments);
+    EXPECT_EQ(got.seg_base, want.seg_base);
+    EXPECT_TRUE(std::ranges::equal(got.heads, want.heads));
+    EXPECT_TRUE(std::ranges::equal(got.seg_of, want.seg_of));
   }
-  // A loader expecting a different shard identity refuses the same file.
-  shard::ShardMap wrong;
-  EXPECT_FALSE(wrong.open(path, 3, 4, 8, 101));
-  shard::drop_spill_dir(dir);
-}
-
-TEST(ShardFile, CorruptMagicAndVersionAreRejected) {
-  const std::string dir = fresh_dir("file_corrupt");
-  fs::create_directories(dir);
-  const std::string path = dir + "/" + shard::shard_file_name(0);
-  std::vector<index_t> next{0, 1};
-  std::vector<value_t> value{1, 1};
-  shard::ShardHeader h;
-  h.begin = 0;
-  h.end = 2;
-  h.total_n = 2;
-  h.payload_bytes = shard::shard_payload_bytes(2);
-  ASSERT_TRUE(shard::write_shard_file(path, h, next.data(), value.data()));
-
-  shard::ShardHeader bad = h;
-  bad.magic ^= 1;
-  ASSERT_TRUE(shard::write_shard_file(path, bad, next.data(), value.data()));
-  shard::ShardHeader got;
-  EXPECT_FALSE(shard::read_shard_header(path, got));  // magic check fails
-
-  bad = h;
-  bad.version = shard::kShardFormatVersion + 1;
-  ASSERT_TRUE(shard::write_shard_file(path, bad, next.data(), value.data()));
-  ASSERT_TRUE(shard::read_shard_header(path, got));
-  EXPECT_FALSE(shard::shard_header_matches(got, 0, 0, 2, 2));
-  shard::ShardMap map;
-  EXPECT_FALSE(map.open(path, 0, 0, 2, 2));
-  shard::drop_spill_dir(dir);
-}
-
-TEST(ShardFile, FlippedOrTruncatedPayloadIsCorrupt) {
-  // The loader's checksum and size checks catch a slab damaged on disk
-  // under an intact header: one flipped payload byte, or a payload cut
-  // short, each answers kCorrupt.
-  const std::string dir = fresh_dir("file_damage");
-  fs::create_directories(dir);
-  const std::string path = dir + "/" + shard::shard_file_name(1);
-  std::vector<index_t> next(64);
-  std::vector<value_t> value(64);
-  for (std::size_t i = 0; i < 64; ++i) {
-    next[i] = static_cast<index_t>(65 + i);
-    value[i] = static_cast<value_t>(i) - 7;
-  }
-  shard::ShardHeader h;
-  h.shard_index = 1;
-  h.begin = 64;
-  h.end = 128;
-  h.total_n = 200;
-  h.payload_bytes = shard::shard_payload_bytes(64);
-  shard::ShardMap map;
-
-  ASSERT_TRUE(shard::write_shard_file(path, h, next.data(), value.data()));
-  ASSERT_TRUE(map.open(path, 1, 64, 128, 200));
-  map.close();
-  {
-    std::FILE* f = std::fopen(path.c_str(), "r+b");
-    ASSERT_NE(f, nullptr);
-    ASSERT_EQ(std::fseek(f, sizeof(shard::ShardHeader) + 13, SEEK_SET), 0);
-    const int c = std::fgetc(f);
-    ASSERT_NE(c, EOF);
-    ASSERT_EQ(std::fseek(f, -1, SEEK_CUR), 0);
-    std::fputc(c ^ 0x40, f);
-    std::fclose(f);
-  }
-  EXPECT_FALSE(map.open(path, 1, 64, 128, 200));
-  EXPECT_EQ(map.error(), shard::ShardLoadError::kCorrupt);
-
-  ASSERT_TRUE(shard::write_shard_file(path, h, next.data(), value.data()));
-  const auto full = fs::file_size(path);
-  fs::resize_file(path, sizeof(shard::ShardHeader) +
-                            (full - sizeof(shard::ShardHeader)) / 2);
-  EXPECT_FALSE(map.open(path, 1, 64, 128, 200));
-  EXPECT_EQ(map.error(), shard::ShardLoadError::kCorrupt);
-  shard::drop_spill_dir(dir);
 }
 
 // -- sharded_scan correctness ----------------------------------------------
@@ -274,6 +177,51 @@ TEST(ShardedScan, RankMatchesOracleAcrossShardCountsAndShapes) {
       exec.shards = p;
       run_and_check(list, /*rank=*/true, ScanOp::kPlus, exec);
     }
+  }
+}
+
+TEST(ShardedScan, ShardCountClampsToTheCapAndToTheListLength) {
+  // Asked for more shards than kMaxShards, or than the list has vertices,
+  // a run splits into the smaller of the two and stays bit-exact. At one
+  // vertex a shard, every vertex heads its own segment.
+  Rng rng(53);
+  shard::ShardExec exec;
+  exec.shards = 10 * shard::kMaxShards;
+  exec.threads = 2;
+  const LinkedList big =
+      random_list(3 * shard::kMaxShards, rng, ValueInit::kSigned);
+  EXPECT_EQ(run_and_check(big, /*rank=*/false, ScanOp::kPlus, exec).shards,
+            shard::kMaxShards);
+  const LinkedList small = random_list(300, rng, ValueInit::kSigned);
+  const shard::ShardRunStats stats =
+      run_and_check(small, /*rank=*/true, ScanOp::kPlus, exec);
+  EXPECT_EQ(stats.shards, 300u);
+  EXPECT_EQ(stats.segments, 300u);
+}
+
+TEST(ShardedScan, ListThatLeavesItsShardOnEveryLinkIsBitExact) {
+  // The order 0, h, 1, h + 1, ... (h = n / 2) crosses between the two
+  // shards on every link, so every vertex heads a segment and pass B
+  // scans a reduced list as long as the list itself.
+  const std::size_t n = 5000;
+  const std::size_t h = n / 2;
+  std::vector<index_t> order;
+  for (std::size_t i = 0; i < h; ++i) {
+    order.push_back(static_cast<index_t>(i));
+    order.push_back(static_cast<index_t>(h + i));
+  }
+  Rng rng(59);
+  const LinkedList list = list_from_order(order, ValueInit::kSigned, &rng);
+  shard::ShardExec exec;
+  exec.shards = 2;
+  exec.threads = 2;
+  const std::pair<bool, ScanOp> runs[] = {
+      {true, ScanOp::kPlus}, {false, ScanOp::kPlus}, {false, ScanOp::kXor}};
+  for (const auto& [rank, op] : runs) {
+    SCOPED_TRACE(rank ? "rank" : scan_op_name(op));
+    const shard::ShardRunStats stats = run_and_check(list, rank, op, exec);
+    EXPECT_EQ(stats.shards, 2u);
+    EXPECT_EQ(stats.segments, n);
   }
 }
 
@@ -312,6 +260,21 @@ TEST(ShardedScan, ZeroInterleaveRunsOneCursorAndMatchesOracle) {
   EXPECT_EQ(stats.interleave, 1u);
 }
 
+TEST(ShardedScan, InterleavePastTheCapClampsToTheMaximum) {
+  Rng rng(61);
+  const LinkedList list = random_list(6000, rng, ValueInit::kSigned);
+  shard::ShardExec exec;
+  exec.shards = 3;
+  exec.threads = 2;
+  exec.interleave = 4 * host_exec::kMaxInterleave;
+  for (const bool rank : {true, false}) {
+    SCOPED_TRACE(rank ? "rank" : "min");
+    const shard::ShardRunStats stats =
+        run_and_check(list, rank, ScanOp::kMin, exec);
+    EXPECT_EQ(stats.interleave, host_exec::kMaxInterleave);
+  }
+}
+
 TEST(ShardedScan, TwoLaneOperatorsWalkTheShardSlabsAtThePinnedWidth) {
   // The shard passes run the same slab and cursor driver for every
   // operator: the two-lane operators build each shard's two-word records
@@ -348,33 +311,62 @@ TEST(ShardedScan, TwoLaneOperatorsWalkTheShardSlabsAtThePinnedWidth) {
   run(/*rank=*/true, ScanOp::kPlus);
 }
 
-TEST(ShardedScan, SpillTierIsBitExactAndCountsSpillsAndLoads) {
+TEST(ShardedScan, ByteBudgetRunsReadTheResidentSource) {
+  // A byte budget of one byte and a spill path change nothing but the
+  // run's shape: every shard is read from the resident list, so the
+  // answers are bit-exact, nothing is loaded or spilled, and the path is
+  // never created.
   Rng rng(19);
   const std::size_t n = 50000;
   const unsigned P = 8;
   const LinkedList list = blocked_list(n, 512, rng, ValueInit::kSigned);
   shard::ShardExec exec;
   exec.shards = P;
-  exec.spill_dir = fresh_dir("spill_counts");
-  // Budget for two resident shards: pass A maps each shard once.
-  const std::size_t width = (n + P - 1) / P;
-  exec.byte_budget =
-      2 * (shard::shard_payload_bytes(width) + sizeof(shard::ShardHeader));
-  const shard::ShardRunStats stats =
-      run_and_check(list, /*rank=*/true, ScanOp::kPlus, exec);
-  EXPECT_EQ(stats.shards, P);
-  EXPECT_TRUE(stats.store.spilled);
-  EXPECT_EQ(stats.store.loads, static_cast<std::uint64_t>(P));
-  EXPECT_EQ(stats.store.spills, static_cast<std::uint64_t>(P));
-  EXPECT_EQ(stats.store.prefetch_hits, 0u);
-  // Ephemeral directory: removed when the run ended.
-  EXPECT_FALSE(fs::exists(exec.spill_dir));
+  exec.byte_budget = 1;
+  exec.spill_dir = fresh_dir("resident_source");
+  const std::pair<bool, ScanOp> runs[] = {
+      {true, ScanOp::kPlus}, {false, ScanOp::kPlus}, {false, ScanOp::kAffine}};
+  for (const auto& [rank, op] : runs) {
+    SCOPED_TRACE(rank ? "rank" : scan_op_name(op));
+    const shard::ShardRunStats stats = run_and_check(list, rank, op, exec);
+    EXPECT_EQ(stats.shards, P);
+    EXPECT_EQ(stats.store.loads, 0u);
+    EXPECT_EQ(stats.store.spills, 0u);
+    EXPECT_FALSE(fs::exists(exec.spill_dir));
+  }
 }
 
-TEST(ShardedScan, EmptyTrailingShardsCountEveryLoadOnceInEveryRun) {
-  // n = 9 or 17 at P = 8 leaves the last shards empty. Pass A acquires
-  // them too, so each shard is loaded and released once: the counters
-  // repeat exactly, run after run.
+TEST(ShardedScan, IgnoredExecFieldsChangeNeitherAnswerNorShape) {
+  // byte_budget, spill_dir and keep_files are accepted and otherwise
+  // ignored: a run that sets all three gives the answer and the shape
+  // (shards, segments, cursors) of one that sets none, and creates no
+  // path.
+  Rng rng(29);
+  const LinkedList list = random_list(30000, rng, ValueInit::kSigned);
+  shard::ShardExec plain;
+  plain.shards = 6;
+  plain.threads = 2;
+  shard::ShardExec knobs = plain;
+  knobs.byte_budget = 1;
+  knobs.spill_dir = fresh_dir("ignored_knobs");
+  knobs.keep_files = true;
+  const std::pair<bool, ScanOp> runs[] = {{true, ScanOp::kPlus},
+                                          {false, ScanOp::kAffine}};
+  for (const auto& [rank, op] : runs) {
+    SCOPED_TRACE(rank ? "rank" : scan_op_name(op));
+    const shard::ShardRunStats a = run_and_check(list, rank, op, plain);
+    const shard::ShardRunStats b = run_and_check(list, rank, op, knobs);
+    EXPECT_EQ(b.shards, a.shards);
+    EXPECT_EQ(b.segments, a.segments);
+    EXPECT_EQ(b.interleave, a.interleave);
+    EXPECT_EQ(b.store.prefetch_hits, 0u);
+    EXPECT_FALSE(fs::exists(knobs.spill_dir));
+  }
+}
+
+TEST(ShardedScan, EmptyTrailingShardsStayBitExactInEveryRun) {
+  // n = 9 or 17 at P = 8 leaves the last shards empty; every run, rank
+  // or scan, still splits into P shards and matches the oracle.
   for (const std::size_t n : {std::size_t{9}, std::size_t{17}}) {
     SCOPED_TRACE("n=" + std::to_string(n));
     Rng rng(n);
@@ -383,81 +375,52 @@ TEST(ShardedScan, EmptyTrailingShardsCountEveryLoadOnceInEveryRun) {
     shard::ShardExec exec;
     exec.shards = P;
     exec.threads = 2;
-    exec.byte_budget = 1;
-    exec.spill_dir = fresh_dir("empty_tail");
     for (int run = 0; run < 50; ++run) {
       const shard::ShardRunStats stats =
           run_and_check(list, /*rank=*/run % 2 == 0, ScanOp::kPlus, exec);
       ASSERT_EQ(stats.shards, P) << "run " << run;
-      EXPECT_EQ(stats.store.loads, P) << "run " << run;
-      EXPECT_EQ(stats.store.spills, P) << "run " << run;
-      EXPECT_EQ(stats.store.prefetch_hits, 0u) << "run " << run;
-      EXPECT_FALSE(fs::exists(exec.spill_dir)) << "run " << run;
     }
   }
 }
 
-TEST(ShardedScan, SpillDirFilesAreNeverReusedAcrossRuns) {
-  // A run writes every shard afresh into its spill directory and removes
-  // the files when it ends. Files another run left there with the same
-  // shard identity (index, range, n) but other values are overwritten,
-  // never served.
+TEST(ShardedScan, OneWorkspaceNeverCarriesARunIntoTheNext) {
+  // All of a run's scratch (segment ids, the reduced list, its prefixes,
+  // the shard slab) lives in the Workspace the caller passes. Through
+  // one Workspace run a list, the same links with new values, another
+  // list of that length, a shorter one and the first again: every answer
+  // is bit-exact, so nothing an earlier run left there is served.
   Rng rng(23);
-  const LinkedList stale = random_list(20000, rng, ValueInit::kSigned);
-  LinkedList list = stale;  // the same links, new values
-  for (value_t& v : list.value)
+  const LinkedList first = random_list(20000, rng, ValueInit::kSigned);
+  LinkedList revalued = first;
+  for (value_t& v : revalued.value)
     v = static_cast<value_t>(rng.next_u64() % 2001) - 1000;
+  const LinkedList other = random_list(20000, rng, ValueInit::kSigned);
+  const LinkedList shorter = blocked_list(6000, 128, rng, ValueInit::kSigned);
+  const std::pair<const char*, const LinkedList*> lists[] = {
+      {"first", &first},     {"revalued", &revalued},
+      {"other", &other},     {"shorter", &shorter},
+      {"first again", &first}};
   shard::ShardExec exec;
   exec.shards = 4;
-  exec.spill_dir = fresh_dir("spill_reuse");
-  exec.byte_budget = 1;  // tiny: every acquire loads from file
-  fs::create_directories(exec.spill_dir);
-  Workspace plan_ws;
-  const shard::ShardedList plan =
-      shard::ShardedList::build(stale, 4, 1, plan_ws);
-  std::uint64_t bytes = 0;
-  for (unsigned p = 0; p < plan.shards; ++p) {
-    const auto [b, e] = plan.range(p);
-    shard::ShardHeader h;
-    h.shard_index = p;
-    h.begin = b;
-    h.end = e;
-    h.total_n = plan.n;
-    h.payload_bytes = shard::shard_payload_bytes(e - b);
-    ASSERT_TRUE(shard::write_shard_file(
-        exec.spill_dir + "/" + shard::shard_file_name(p), h,
-        stale.next.data() + b, stale.value.data() + b));
-    bytes += sizeof(shard::ShardHeader) + h.payload_bytes;
+  exec.threads = 2;
+  Workspace ws;
+  for (const auto& [name, list] : lists) {
+    for (const bool rank : {false, true}) {
+      SCOPED_TRACE(std::string(name) + (rank ? " rank" : " max"));
+      std::vector<value_t> out(list->size());
+      shard::ShardRunStats stats;
+      const Status st = shard::sharded_scan(*list, rank, ScanOp::kMax, exec,
+                                            ws, out, stats);
+      ASSERT_TRUE(st.ok()) << st.message;
+      testutil::expect_scan_eq(out, oracle(*list, rank, ScanOp::kMax));
+    }
   }
-  const shard::ShardRunStats stats =
-      run_and_check(list, /*rank=*/false, ScanOp::kMax, exec);
-  EXPECT_EQ(stats.store.spill_bytes, bytes);  // every shard rewritten
-  EXPECT_EQ(stats.store.loads, 4u);
-  EXPECT_FALSE(fs::exists(exec.spill_dir));
-}
-
-TEST(ShardedScan, ReleasedShardsAreUnmappedUnderABudgetThatHoldsTheList) {
-  // The budget turns the spill tier on; it does not keep shards mapped.
-  // Even a budget past the whole list unmaps each shard on release.
-  Rng rng(31);
-  const std::size_t n = 20000;
-  const unsigned P = 5;
-  const LinkedList list = random_list(n, rng, ValueInit::kSigned);
-  shard::ShardExec exec;
-  exec.shards = P;
-  exec.spill_dir = fresh_dir("spill_roomy");
-  exec.byte_budget = 4 * n * (sizeof(index_t) + sizeof(value_t));
-  const shard::ShardRunStats stats =
-      run_and_check(list, /*rank=*/false, ScanOp::kPlus, exec);
-  EXPECT_TRUE(stats.store.spilled);
-  EXPECT_EQ(stats.store.loads, static_cast<std::uint64_t>(P));
-  EXPECT_EQ(stats.store.spills, static_cast<std::uint64_t>(P));
 }
 
 TEST(ShardedScan, TaillessListIsRefusedBeforeAnyShardIsBuilt) {
   // Pass A walks a segment to a shard exit or the self-loop, so a list
   // with neither would spin inside one shard. The run refuses it before
-  // it builds or spills a shard, at one shard or two.
+  // it builds a shard, at one shard or two.
   LinkedList cycle;
   cycle.next = {1, 0};
   cycle.value = {1, 1};
@@ -466,8 +429,6 @@ TEST(ShardedScan, TaillessListIsRefusedBeforeAnyShardIsBuilt) {
     SCOPED_TRACE("P=" + std::to_string(p));
     shard::ShardExec exec;
     exec.shards = p;
-    exec.byte_budget = 1;
-    exec.spill_dir = fresh_dir("tailless");
     Workspace ws;
     std::vector<value_t> out(cycle.size());
     for (const bool rank : {true, false}) {
@@ -477,8 +438,6 @@ TEST(ShardedScan, TaillessListIsRefusedBeforeAnyShardIsBuilt) {
                               stats);
       EXPECT_EQ(st.code, StatusCode::kInvalidInput) << st.message;
       EXPECT_EQ(stats.shards, 0u);
-      EXPECT_FALSE(stats.store.spilled);
-      EXPECT_FALSE(fs::exists(exec.spill_dir));
     }
   }
 }
@@ -523,6 +482,41 @@ TEST(ShardPlanner, ByteBudgetTriggersAutoShard) {
             opt.shard.byte_budget);
 }
 
+TEST(ShardPlanner, OnlyAListPastTheBudgetIsSharded) {
+  // A list whose bytes the budget holds stays unsharded, even at exactly
+  // its bytes; one byte less splits it so that two shards fit the budget,
+  // and a budget far below the list is clamped to kMaxShards.
+  const std::size_t n = 100000;
+  const std::size_t bytes = n * (sizeof(index_t) + sizeof(value_t));
+  const auto shards_at = [&](std::size_t budget) {
+    EngineOptions opt;
+    opt.backend = BackendKind::kHost;
+    opt.shard.byte_budget = budget;
+    return Planner(opt).decide(n, Method::kAuto, /*rank=*/true).shard_count;
+  };
+  EXPECT_EQ(shards_at(2 * bytes), 0u);
+  EXPECT_EQ(shards_at(bytes), 0u);
+  EXPECT_EQ(shards_at(bytes - 1), 3u);
+  EXPECT_EQ(shards_at(bytes / 2), 4u);
+  EXPECT_EQ(shards_at(1), shard::kMaxShards);
+}
+
+TEST(ShardPlanner, PinnedShardCountWinsOverTheByteBudget) {
+  // A pinned count is the count whatever the budget says; only the list
+  // length clamps it.
+  for (const std::size_t budget :
+       {std::size_t{0}, std::size_t{1}, std::size_t{1} << 40}) {
+    SCOPED_TRACE("budget=" + std::to_string(budget));
+    EngineOptions opt;
+    opt.backend = BackendKind::kHost;
+    opt.shard.shards = 3;
+    opt.shard.byte_budget = budget;
+    const Planner planner(opt);
+    EXPECT_EQ(planner.decide(100000, Method::kAuto, true).shard_count, 3u);
+    EXPECT_EQ(planner.decide(2, Method::kAuto, true).shard_count, 2u);
+  }
+}
+
 TEST(ShardEngine, PinnedShardsRunShardedAndVerify) {
   EngineOptions opt;
   opt.backend = BackendKind::kHost;
@@ -535,7 +529,6 @@ TEST(ShardEngine, PinnedShardsRunShardedAndVerify) {
   ASSERT_TRUE(r.ok()) << r.status.message;
   EXPECT_EQ(r.stats.shard_count, 4u);
   EXPECT_GT(r.stats.shard_segments, 0u);
-  EXPECT_FALSE(r.stats.shard_spilled);  // no budget: all-in-RAM sharding
   testutil::expect_scan_eq(r.scan, oracle(list, false, ScanOp::kMin));
 }
 
@@ -562,36 +555,30 @@ TEST(ShardEngine, ExtraWordsCountTheSegmentIdArray) {
             4 * a.stats.shard_segments + 5000 / 2 + 2 * (5000 / 4));
 }
 
-TEST(ShardEngine, ByteBudgetSpillsAndStaysBitExact) {
+TEST(ShardEngine, ByteBudgetShardsTheRunAndStaysBitExact) {
+  // No pinned shard count: the 240 KB list past a 40 KB budget is split
+  // so that two shards' bytes fit it, 2 * 240000 / 40000 = 12 shards.
   EngineOptions opt;
   opt.backend = BackendKind::kHost;
-  opt.shard.shards = 6;
-  opt.shard.byte_budget = 40000;  // < one 20k-vertex list: forces spills
+  opt.shard.byte_budget = 40000;
   opt.verify_output = true;
   Engine engine(opt);
   Rng rng(37);
   const LinkedList list = random_list(20000, rng, ValueInit::kOnes);
   const RunResult r = engine.rank(list);
   ASSERT_TRUE(r.ok()) << r.status.message;
-  EXPECT_EQ(r.stats.shard_count, 6u);
-  EXPECT_TRUE(r.stats.shard_spilled);
-  EXPECT_GE(r.stats.shard_spills, 4u);
-  EXPECT_GE(r.stats.shard_loads, 6u);
+  EXPECT_EQ(r.stats.shard_count, 12u);
   testutil::expect_scan_eq(r.scan, oracle(list, true, ScanOp::kPlus));
 }
 
-TEST(ShardEngine, PinnedSpillDirGivesEveryRunFreshShardFiles) {
-  // One Engine under a pinned spill_dir. List B keeps A's links with new
+TEST(ShardEngine, OneEngineAnswersEveryListOfOneShapeBitExact) {
+  // One Engine and its warm Workspace. List B keeps A's links with new
   // values and C is another list of the same length, so all three share
-  // every shard's identity (index, range, n). Each run spills into its
-  // own directory under the root and removes it, so every answer is
-  // bit-exact and no shard file is left behind.
-  const std::string root = fresh_dir("engine_root");
+  // every shard's range: each answer is bit-exact.
   EngineOptions opt;
   opt.backend = BackendKind::kHost;
   opt.shard.shards = 4;
   opt.shard.byte_budget = 1;
-  opt.shard.spill_dir = root;
   Engine engine(opt);
   Rng rng(53);
   const std::size_t n = 4000;
@@ -605,11 +592,8 @@ TEST(ShardEngine, PinnedSpillDirGivesEveryRunFreshShardFiles) {
     const RunResult r = engine.scan(*list, ScanOp::kPlus);
     ASSERT_TRUE(r.ok()) << r.status.message;
     EXPECT_EQ(r.stats.shard_count, 4u);
-    EXPECT_TRUE(r.stats.shard_spilled);
     testutil::expect_scan_eq(r.scan, oracle(*list, false, ScanOp::kPlus));
-    EXPECT_EQ(shard_files_under(root), 0u);
   }
-  fs::remove_all(root);
 }
 
 TEST(ShardEngine, ExplicitSerialRequestIsHonouredUnsharded) {
