@@ -1,5 +1,5 @@
 // Wall-clock google-benchmark of the host-path implementations: the serial
-// walk, the Engine's OpenMP host backend (workspace reused across
+// walk, the Engine's host backend (workspace reused across
 // iterations), a fresh Engine per call for comparison, and (for context)
 // the host cost of the simulator itself. Run with --benchmark_filter=...
 // to narrow.

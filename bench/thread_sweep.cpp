@@ -29,15 +29,24 @@
 // host_sublists), with the planned row's gap to the best k/T cell
 // printed.
 //
-// Gate: at n = 2^22, packed T=4/W=8 must beat its own T=1/W=8 time by
-// >= 2.5x. The gate needs hardware: fewer than 4 hardware threads (or a
-// smoke run with max_n < 2^22) degrades it to a sanity bound -- threading
-// must not lose more than half -- and THREAD_SWEEP_LENIENT=1 downgrades
-// any miss to a warning (CI runners). The JSON trajectory is written
-// either way.
+// The co-tenant rows time T=4 Engine ranks at 2^18 and 2^22 (those
+// within max_n), 101 of each, first alone, then beside one busy-spinning
+// thread that the bench starts and stops itself; no machine setting is
+// touched. Idle helpers of the worker team yield their cores, so the
+// co-tenant costs the run about one core's share rather than stalling
+// every region behind a descheduled worker.
+//
+// Gates: at n = 2^22, packed T=4/W=8 must beat its own T=1/W=8 time by
+// >= 2.5x, and each co-tenant row's median must stay within 1.5x of its
+// idle row's. The gates need hardware: fewer than 4 hardware threads (or,
+// for the first, a smoke run with max_n < 2^22) degrades the first to a
+// sanity bound -- threading must not lose more than half -- and skips the
+// second. THREAD_SWEEP_LENIENT=1 downgrades any miss to a warning (CI
+// runners). The JSON trajectory is written either way.
 //
 //   $ ./thread_sweep [max_n] [reps]
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -124,6 +133,30 @@ Cell measure(const LinkedList& list, unsigned threads, unsigned W,
 /// Per-phase parallel efficiency t1 / (T * tT); 0 when unmeasurable.
 double efficiency(double t1_ms, double tT_ms, unsigned T) {
   return tT_ms > 0.0 ? t1_ms / (static_cast<double>(T) * tT_ms) : 0.0;
+}
+
+/// Median and 90th percentile of `samples` Engine ranks of `list`, in ms.
+struct Tail {
+  double median_ms = 0.0;
+  double p90_ms = 0.0;
+};
+
+Tail time_ranks(Engine& engine, const LinkedList& list,
+                std::size_t samples) {
+  std::vector<double> ms;
+  for (std::size_t i = 0; i < samples; ++i) {
+    const auto t0 = Clock::now();
+    const RunResult r = engine.rank(list);
+    const auto t1 = Clock::now();
+    if (!r.ok()) {
+      std::fprintf(stderr, "co-tenant rank failed: %s\n",
+                   r.status.message.c_str());
+      std::exit(1);
+    }
+    ms.push_back(std::chrono::duration<double, std::milli>(t1 - t0).count());
+  }
+  std::sort(ms.begin(), ms.end());
+  return {ms[ms.size() / 2], ms[ms.size() * 9 / 10]};
 }
 
 }  // namespace
@@ -219,10 +252,9 @@ int main(int argc, char** argv) {
                    TextTable::num(serial * 1e6 / nd, 2), "-", "-", "-"});
 
     // Every cell of this n is timed before any is reported, those with
-    // more threads than the hardware last: the first calls after an
-    // oversubscribed region run several times slow while the surplus
-    // OpenMP workers settle, and each width's T=1 row is its scaling
-    // denominator. The sublist-count axis below sits between the two.
+    // more threads than the hardware last, so no T=1 denominator runs
+    // while the surplus helpers of an oversubscribed region still spin.
+    // The sublist-count axis below sits between the two.
     Cell grid[std::size(kWidths)][std::size(kThreads)];
     const auto time_grid = [&](bool oversubscribed) {
       for (std::size_t wi = 0; wi < std::size(kWidths); ++wi)
@@ -362,6 +394,57 @@ int main(int argc, char** argv) {
     std::printf("%s\n", gaps.c_str());
   }
 
+  // The co-tenant rows: one T=4 Engine, alone and then beside a thread
+  // that spins until told to stop.
+  constexpr std::size_t kCoSamples = 101;  // 10 beyond the p90
+  constexpr double kCoLimit = 1.5;
+  std::vector<std::pair<std::size_t, double>> co_ratios;
+  TextTable co_table({"n", "T", "idle median ms", "idle p90 ms",
+                      "co-tenant median ms", "co-tenant p90 ms", "ratio"});
+  for (const std::size_t n : {std::size_t{1} << 18, kGateN}) {
+    if (n > max_n) continue;
+    Rng rng(0xc0 + n);
+    const LinkedList list = random_list(n, rng);
+    EngineOptions opt;
+    opt.threads = kGateT;
+    Engine engine(opt);
+    time_ranks(engine, list, 3);  // warm the workspace and the team
+    const Tail idle = time_ranks(engine, list, kCoSamples);
+    std::atomic<bool> stop{false};
+    std::thread co_tenant([&stop] {
+      while (!stop.load(std::memory_order_relaxed)) {
+      }
+    });
+    const Tail busy = time_ranks(engine, list, kCoSamples);
+    stop.store(true, std::memory_order_relaxed);
+    co_tenant.join();
+    const double ratio = busy.median_ms / idle.median_ms;
+    co_ratios.emplace_back(n, ratio);
+    co_table.add_row({std::to_string(n), std::to_string(kGateT),
+                      TextTable::num(idle.median_ms, 2),
+                      TextTable::num(idle.p90_ms, 2),
+                      TextTable::num(busy.median_ms, 2),
+                      TextTable::num(busy.p90_ms, 2),
+                      TextTable::num(ratio, 2) + "x"});
+    for (const auto& [variant, tail] : {std::pair{"engine-idle", idle},
+                                        std::pair{"engine-co-tenant", busy}}) {
+      json.row();
+      json.field("n", static_cast<double>(n));
+      json.field("variant", variant);
+      json.field("t", static_cast<double>(kGateT));
+      json.field("samples", static_cast<double>(kCoSamples));
+      json.field("median_ms", tail.median_ms);
+      json.field("p90_ms", tail.p90_ms);
+    }
+  }
+  if (!co_ratios.empty()) {
+    std::printf("T=%u Engine ranks, %zu samples each, alone and beside one "
+                "busy-spinning thread\n",
+                kGateT, kCoSamples);
+    co_table.print();
+    std::printf("\n");
+  }
+
   const std::string path = bench_json_path("BENCH_threads.json");
   if (!json.write(path)) return 1;
   std::printf("wrote %s\n", path.c_str());
@@ -385,6 +468,14 @@ int main(int argc, char** argv) {
                 "(need >= 0.50x)\n",
                 capable ? "smoke" : "undersized hardware", last_n, ratio);
     if (ratio < 0.5) ok = false;
+  }
+  if (capable) {
+    for (const auto& [n, ratio] : co_ratios) {
+      std::printf("gate: T=4 Engine rank beside a busy thread vs alone, "
+                  "n=%zu: %.2fx (need <= %.2fx)\n",
+                  n, ratio, kCoLimit);
+      if (ratio > kCoLimit) ok = false;
+    }
   }
   if (ok) {
     std::puts("gate ok");

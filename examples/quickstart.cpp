@@ -38,7 +38,7 @@ int main(int argc, char** argv) {
               simulated.stats.sim_cycles, simulated.stats.sim_ns_per_vertex,
               simulated.stats.wall_ns / 1e6);
 
-  // 2. Rank on this machine with the OpenMP host backend.
+  // 2. Rank on this machine's cores with the host backend.
   Engine host({.backend = BackendKind::kHost});
   const RunResult real = host.rank(list);
   if (!real.ok()) {

@@ -14,8 +14,8 @@
 //
 // The tour is an ordinary lr90::LinkedList, so any backend works: every
 // helper takes an lr90::Engine and runs through its rank/scan facade --
-// the OpenMP host path, the simulated Cray C90, or the serial reference
-// all serve tree workloads (and a serving layer can submit the tour's
+// the multi-threaded host path, the simulated Cray C90, or the serial
+// reference all serve tree workloads (and a serving layer can submit the tour's
 // Rank/ScanRequests through an EngineServer). The engine-less overloads
 // build a throwaway host engine, matching the legacy one-shot behaviour.
 #pragma once

@@ -1,5 +1,5 @@
 // lr90::Engine -- the entry point of the listrank90 library: one facade
-// over the simulated Cray C90 and real (OpenMP) hardware.
+// over the simulated Cray C90 and the host's real cores.
 //
 //   Engine engine({.backend = BackendKind::kHost});
 //   RunResult r = engine.rank(list);            // scan: engine.scan(list)
@@ -7,8 +7,8 @@
 //
 // An Engine owns
 //   * an ExecutionBackend -- SimBackend (wraps vm::Machine), HostBackend
-//     (wraps the OpenMP sublist kernel), or SerialBackend (the degenerate
-//     single-walk case);
+//     (wraps the multi-threaded sublist kernel), or SerialBackend (the
+//     degenerate single-walk case);
 //   * a Planner that resolves Method::kAuto per backend by consulting the
 //     paper's cost equations and tuner (analysis/cost_eqs, analysis/tuner)
 //     instead of hard-coded crossovers;
@@ -49,7 +49,7 @@
 #include "vm/machine.hpp"
 
 /// The listrank90 library: list ranking and list scan after Reid-Miller
-/// (SPAA '94), on a simulated Cray C90 or real OpenMP hardware.
+/// (SPAA '94), on a simulated Cray C90 or the host's real cores.
 namespace lr90 {
 
 // -- methods ----------------------------------------------------------------
@@ -74,7 +74,7 @@ const char* method_name(Method m);
 enum class BackendKind {
   kSerial,  ///< single serial walk on the host (degenerate reference)
   kSim,     ///< simulated Cray C90 (vm::Machine); reports cycles and ns
-  kHost,    ///< real execution, OpenMP-parallel when available
+  kHost,    ///< real execution on the calling thread's worker team
 };
 
 /// Short stable name of `k` ("serial", "sim", "host").
@@ -267,7 +267,7 @@ struct EngineOptions {
   /// Simulated processors (sim backend; overrides machine.processors).
   unsigned processors = 1;
   /// Host worker threads; 0 = auto: one worker below 2^17 vertices, else
-  /// the OpenMP (or hardware) thread count. > 0 pins the cap explicitly.
+  /// the hardware thread count. > 0 pins the cap explicitly.
   /// Either way a run sheds threads to its width before going serial
   /// (analysis/tuner.hpp plan_host).
   unsigned threads = 0;
@@ -411,8 +411,8 @@ class ExecutionBackend {
 // -- engine -----------------------------------------------------------------
 
 /// The unified entry point: one facade over the serial / simulated-C90 /
-/// OpenMP-host execution paths. Confined to one thread at a time (the
-/// Workspace and backend scratch are unsynchronized); for concurrent
+/// multi-threaded host execution paths. Confined to one thread at a time
+/// (the Workspace and backend scratch are unsynchronized); for concurrent
 /// traffic, pool engines behind an EngineServer (serve/server.hpp).
 class Engine {
  public:

@@ -1,5 +1,5 @@
 // The host execution kernel: Reid-Miller's sublist scan on real hardware
-// (OpenMP threads when available), generic over the operator and
+// (the calling thread's worker team), generic over the operator and
 // allocation-free given a warmed-up Workspace. lr90::Engine's HostBackend
 // runs it; the shard layer (shard/sharded.cpp) reuses its slab build and
 // cursor driver.
@@ -50,16 +50,18 @@
 // successor of the i-th pick, so each link is one binary search of the
 // picks for the tail: O(k) memory that stays in cache, with no per-vertex
 // table. The plan (threads, m, W) comes from analysis/tuner.hpp
-// plan_host. Workers come from OpenMP when the build has it and plain
-// std::thread otherwise, so OpenMP-less builds (and the TSan job)
-// exercise the same parallel kernels.
+// plan_host. Workers come from one persistent team per calling thread
+// (core/worker_team.cpp), whose idle helpers yield and then park, so a
+// co-tenant process keeps its cores.
 #pragma once
 
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <memory>
 #include <span>
 #include <thread>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -70,10 +72,6 @@
 #include "lists/linked_list.hpp"
 #include "lists/ops.hpp"
 #include "support/rng.hpp"
-
-#if defined(LISTRANK90_HAVE_OPENMP)
-#include <omp.h>
-#endif
 
 namespace lr90::host_exec {
 
@@ -131,27 +129,31 @@ inline constexpr unsigned kMaxInterleave = 64;
 inline constexpr unsigned kMaxThreads = 256;
 
 /// Worker threads actually available for `requested` (0 = library default:
-/// the OpenMP thread count, or the hardware thread count on OpenMP-less
-/// builds, whose kernels fan out over std::thread instead).
+/// the hardware thread count).
 inline unsigned effective_threads(unsigned requested) {
   if (requested > 0) return std::min(requested, kMaxThreads);
-#if defined(LISTRANK90_HAVE_OPENMP)
-  const auto omp = static_cast<unsigned>(std::max(1, omp_get_max_threads()));
-  return std::min(omp, kMaxThreads);
-#else
   const unsigned hw = std::thread::hardware_concurrency();
   return hw > 0 ? std::min(hw, kMaxThreads) : 1;
-#endif
 }
 
-/// Runs fn() concurrently on `threads` workers and waits for all of them:
-/// the one worker-orchestration primitive every parallel kernel here
-/// uses. OpenMP supplies the (pooled, cheap) team when the build has it;
-/// plain std::thread otherwise -- the same code runs parallel in
-/// OpenMP-less builds, which is also what lets the TSan job see the real
-/// kernels. OpenMP may deliver a smaller team than requested, so workers
-/// must divide their work dynamically (the kernels here claim fixed
-/// blocks from an atomic counter) rather than by worker id.
+/// Runs body(ctx) on the calling thread and on up to `threads` - 1 helpers
+/// of the calling thread's worker team, and returns once every helper
+/// that entered the region has returned (core/worker_team.cpp). Called
+/// from inside a region, it runs body alone. run_workers is the typed
+/// front end.
+void run_on_team(unsigned threads, void (*body)(void*) noexcept, void* ctx);
+
+/// Runs fn() concurrently on up to `threads` workers and waits for all of
+/// them: the one worker-orchestration primitive every parallel kernel
+/// here uses. The calling thread is one worker; the others are helpers of
+/// its persistent team, started on first use and joined when the thread
+/// exits. A team may be smaller than requested: a helper that cannot be
+/// started, or that has not entered by the time the caller's fn()
+/// returns, does not run fn at all. Workers must therefore divide their
+/// work dynamically (the kernels here claim fixed blocks from an atomic
+/// counter) rather than by worker id, and the caller's fn() must return
+/// only once no work is left to claim. fn must not throw: an exception
+/// escaping it ends the program.
 template <class Fn>
 void run_workers(unsigned threads, Fn&& fn) {
   threads = std::clamp(threads, 1u, kMaxThreads);
@@ -159,16 +161,10 @@ void run_workers(unsigned threads, Fn&& fn) {
     fn();
     return;
   }
-#if defined(LISTRANK90_HAVE_OPENMP)
-#pragma omp parallel num_threads(threads)
-  fn();
-#else
-  std::vector<std::thread> pool;
-  pool.reserve(threads - 1);
-  for (unsigned t = 1; t < threads; ++t) pool.emplace_back([&fn] { fn(); });
-  fn();
-  for (std::thread& th : pool) th.join();
-#endif
+  using F = std::remove_reference_t<Fn>;
+  run_on_team(
+      threads, [](void* f) noexcept { (*static_cast<F*>(f))(); },
+      const_cast<void*>(static_cast<const void*>(std::addressof(fn))));
 }
 
 /// The b-th of `blocks` contiguous balanced ranges over `count` items

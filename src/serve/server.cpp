@@ -44,7 +44,7 @@ std::function<void(RunResult&&)> fulfil(std::future<RunResult>& future) {
 EngineServer::EngineServer(ServerOptions opt)
     : opt_([&] {
         opt.workers = resolve_workers(opt.workers);
-        // Inter-request parallelism comes from the worker pool; an OpenMP
+        // Inter-request parallelism comes from the worker pool; an
         // all-cores default per pooled engine would oversubscribe the
         // machine workers^2-fold (see ServerOptions::engine).
         if (opt.engine.backend == BackendKind::kHost &&

@@ -51,7 +51,7 @@ struct ServerOptions {
   /// Per-worker engine configuration (backend, threads, verification...).
   /// A host-backend engine left at threads = 0 is resolved to threads = 1:
   /// a server gets its parallelism from the worker pool (one engine per
-  /// worker), and the OpenMP default of all-cores-per-engine would
+  /// worker), and the default of all-cores-per-engine would
   /// oversubscribe the machine workers^2-fold under load. Set threads
   /// explicitly for intra-request parallelism on top. validate_input is
   /// applied by the server, once per list where it enters (a caller's

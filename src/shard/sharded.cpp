@@ -34,7 +34,10 @@ struct ReduceOutcome {
 /// heads in ws.heads). At each vertex the step leaves what pass C needs:
 /// the vertex's exclusive prefix within its segment in out[v], whose line
 /// the cursor write-prefetched a hop ahead, and its segment id in
-/// seg_of[v] (a head rewrites its own id). Each segment's finish writes
+/// seg_of[v] (a head rewrites its own id). It also flags the vertex's
+/// record as a tail, as the host kernel's phase 1 does, so a malformed
+/// list that leads a cursor around a cycle inside the shard stops it at
+/// the first vertex it revisits. Each segment's finish writes
 /// its node of the reduced list in ws.reduced: its total, and its link --
 /// the segment its exit vertex heads, whose id ShardedList::build wrote
 /// into seg_of (an exit lies in another shard, and no other shard is
@@ -53,7 +56,7 @@ void pass_reduce(const LinkedList& list, const ShardedList& sharded,
   ws.fit_uninit(ws.heads, k);
   for (std::size_t j = 0; j < k; ++j) ws.heads[j] = heads[j] - begin;
   const index_t* next = list.next.data() + begin;
-  const packed_t* words = host_exec::build_slab<kOnes>(
+  packed_t* words = host_exec::build_slab<kOnes>(
       e - b, list.value.data() + begin, exec.threads, ws, [=](std::size_t i) {
         const index_t local = next[i] - begin;  // unsigned: wraps outside
         return std::pair{local == i || local >= len, local};
@@ -62,8 +65,9 @@ void pass_reduce(const LinkedList& list, const ShardedList& sharded,
   index_t* sg = seg_of + begin;
   index_t* link = ws.reduced.next.data();
   value_t* total = ws.reduced.value.data();
-  const auto step = [op, o, sg, seg_base](index_t j, index_t v, value_t x,
-                                          value_t& acc) {
+  const auto step = [op, o, sg, seg_base, words](index_t j, index_t v,
+                                                 value_t x, value_t& acc) {
+    words[host_exec::kRecordWords<kOnes> * v] |= kHotTailBit;
     o[v] = acc;
     sg[v] = static_cast<index_t>(seg_base + j);
     acc = op(acc, x);

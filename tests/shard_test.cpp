@@ -6,9 +6,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
 #include <cstdint>
+#include <cstdio>
+#include <cstdlib>
 #include <filesystem>
+#include <future>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -645,6 +650,43 @@ TEST(ShardEngine, ValuesPast32BitsRunShardedOverTheSlab) {
   ASSERT_TRUE(clean.ok()) << clean.status.message;
   testutil::expect_scan_eq(clean.scan, oracle(list, false, ScanOp::kPlus));
   EXPECT_EQ(clean.stats.kernel_tier, KernelTier::kPackedCursors);
+}
+
+TEST(ShardEngine, ACycleInsideOneShardEndsTheRunWithValidationOff) {
+  // The head runs 1,000 vertices into a 500-vertex cycle, all inside
+  // shard 0, and a separate chain ends at the self-loop, so the list has
+  // a tail and passes the tail check. Pass A flags every record it
+  // visits, so the cursor lapping the cycle stops at the first vertex it
+  // revisits, as the host kernel's phase 1 does. A run that spins instead
+  // is reported here and ends the test binary, rather than hanging ctest.
+  constexpr std::size_t n = 1u << 16;
+  LinkedList list;
+  list.next.resize(n);
+  list.value.assign(n, 1);
+  for (std::size_t v = 0; v + 1 < n; ++v)
+    list.next[v] = static_cast<index_t>(v + 1);
+  list.next[1499] = 1000;
+  list.next[n - 1] = static_cast<index_t>(n - 1);
+  list.head = 0;
+  EngineOptions opt;
+  opt.backend = BackendKind::kHost;
+  opt.threads = 4;
+  opt.interleave = 8;
+  opt.shard.shards = 4;
+  ASSERT_FALSE(opt.validate_input);
+  std::promise<RunResult> result;
+  std::future<RunResult> ready = result.get_future();
+  std::thread run([&] { result.set_value(Engine(opt).rank(list)); });
+  if (ready.wait_for(std::chrono::seconds(10)) !=
+      std::future_status::ready) {
+    std::fprintf(stderr,
+                 "FAILED: a 4-shard rank of a list whose head enters a "
+                 "cycle inside shard 0 still runs after 10 s\n");
+    std::_Exit(1);
+  }
+  run.join();
+  const RunResult r = ready.get();
+  EXPECT_EQ(r.stats.shard_count, 4u);
 }
 
 }  // namespace
