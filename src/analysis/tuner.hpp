@@ -80,8 +80,9 @@ class TunedModel {
 //
 // Measured on a 4-core Xeon (2 MiB L2 per core): a whole-list rank runs
 // faster on one worker than on four up to 2^17 vertices, and on four from
-// 2^18. The auto edge sits at 2^17, the shard width sharded runs were
-// measured at with four workers.
+// 2^18. The auto edge sits at 2^17, so a list of exactly 2^17 vertices
+// still plans the machine's count; no benchmark workload runs a width
+// between the two.
 
 /// The host sublist count m for a list of length n walked by `threads`
 /// workers with `interleave` cursors each (plan_host's m). It minimizes
@@ -101,14 +102,13 @@ struct HostPins {
   unsigned threads = 0;     ///< worker-thread cap; 0 = auto
   unsigned interleave = 0;  ///< cursors per worker (W)
   /// Run the sublist kernel even where the table picks the serial walk:
-  /// an explicit Method::kReidMiller, or one shard of a sharded run.
+  /// an explicit Method::kReidMiller, or shard::sharded_scan.
   bool force_sublists = false;
 };
 
 /// The host execution shape for `width` vertices combined by `op`, read
-/// off the table above: the one planning path for the Planner (a whole
-/// list or one shard) and the shard layer's second-level pass (its
-/// reduced list). A pinned W is kept; m comes from host_sublists. The
+/// off the table above: the one host planning path, for the Planner and
+/// shard::sharded_scan. A pinned W is kept; m comes from host_sublists. The
 /// plan is the serial walk (sublists < 2) where the table says so and
 /// the caller did not force the sublist kernel. The returned
 /// host_exec::HostPlan is defined in core/host_exec.hpp.

@@ -12,7 +12,6 @@
 #include "core/host_exec.hpp"
 #include "lists/encode.hpp"
 #include "lists/validate.hpp"
-#include "shard/sharded.hpp"
 #include "support/huge_pages.hpp"
 
 namespace lr90 {
@@ -71,9 +70,6 @@ Status Status::unavailable(std::string msg) {
 Status Status::stale_generation(std::string msg) {
   return Status{StatusCode::kStaleGeneration, std::move(msg)};
 }
-Status Status::resource_exhausted(std::string msg) {
-  return Status{StatusCode::kResourceExhausted, std::move(msg)};
-}
 Status Status::deadline_exceeded(std::string msg) {
   return Status{StatusCode::kDeadlineExceeded, std::move(msg)};
 }
@@ -84,7 +80,6 @@ Planner::Planner(const EngineOptions& opt)
     : backend_(opt.backend),
       processors_(std::max(1u, opt.processors)),
       pins_{.threads = opt.threads, .interleave = opt.interleave},
-      shard_(opt.shard),
       pinned_m_(opt.reid_miller.m),
       pinned_s1_(opt.reid_miller.s1),
       sync_cycles_(opt.machine.sync_cycles),
@@ -160,27 +155,12 @@ Planner::Decision Planner::decide(std::size_t n, Method requested, bool rank,
   if (rank) op = ScanOp::kPlus;  // ranking always combines by addition
 
   if (backend_ == BackendKind::kHost) {
-    // Explicit kSerial/kWyllie requests are honoured unsharded.
+    // Explicit kSerial/kWyllie requests are honoured as asked.
     if (requested != Method::kAuto && requested != Method::kReidMiller)
       return d;
-    // Sharding first: a pinned ShardOptions::shards, or enough shards
-    // that two shards' list bytes (12 B a vertex) fit the byte budget.
-    // Each shard then runs the sublist kernel over its own slice, so the
-    // plan is made for the shard width, not n.
-    std::size_t width = n;
-    std::size_t shards = shard_.shards;
-    const std::size_t bytes = n * (sizeof(index_t) + sizeof(value_t));
-    if (shards == 0 && shard_.byte_budget > 0 && bytes > shard_.byte_budget)
-      shards = (2 * bytes + shard_.byte_budget - 1) / shard_.byte_budget;
-    if (shards > 0 && n > 0) {
-      d.shard_count = static_cast<unsigned>(
-          std::min({shards, n, std::size_t{shard::kMaxShards}}));
-      width = (n + d.shard_count - 1) / d.shard_count;
-    }
     HostPins pins = pins_;
-    pins.force_sublists =
-        requested == Method::kReidMiller || d.shard_count > 0;
-    const host_exec::HostPlan hp = plan_host(width, op, pins);
+    pins.force_sublists = requested == Method::kReidMiller;
+    const host_exec::HostPlan hp = plan_host(n, op, pins);
     if (!pins.force_sublists && hp.sublists < 2) {
       d.method = Method::kSerial;
       return d;
@@ -292,7 +272,6 @@ class HostBackend final : public ExecutionBackend {
                       "not '") +
           method_name(plan.method) + "'");
     }
-    if (plan.shard_count > 0) return execute_sharded(req, plan, ws, out);
 
     // A serial plan is a sublist count below 2: the kernel walks the
     // list once.
@@ -336,40 +315,6 @@ class HostBackend final : public ExecutionBackend {
     out.stats.host_phase3_ns = info.phase3_ns;
     out.stats.host_parallel_frac = info.parallel_frac();
     return Status::success();
-  }
-
- private:
-  /// Routes a shard-planned run through the two-level sharded executor
-  /// (shard/sharded.cpp) and folds its counters into RunStats.
-  Status execute_sharded(const Request& req, const Planner::Decision& plan,
-                         Workspace& ws, RunResult& out) {
-    shard::ShardExec exec;
-    exec.shards = plan.shard_count;
-    exec.threads = std::max(1u, plan.threads);
-    exec.interleave = plan.interleave;
-    shard::ShardRunStats ss;
-    const Status st =
-        shard::sharded_scan(*req.list, req.rank, req.op, exec, ws,
-                            std::span<value_t>(out.scan), ss);
-    if (!st.ok()) return st;
-    const std::size_t n = req.list->size();
-    out.stats.algo.rounds = n == 0 ? 0 : 3;
-    // Pass A chases every link once; pass C streams in array order.
-    out.stats.algo.link_steps = n;
-    // Per-run reduced-list arrays (~4 words per segment), the 4 B/vertex
-    // segment-id array (n/2 words), and one shard's record slab (one or
-    // two words per vertex) resident at a time.
-    const std::uint64_t width =
-        ss.shards > 0 ? (n + ss.shards - 1) / ss.shards : 0;
-    out.stats.algo.extra_words =
-        4 * ss.segments + n / 2 + (req.rank ? width : 2 * width);
-    out.stats.host_threads = exec.threads;
-    out.stats.host_interleave = ss.interleave;
-    out.stats.kernel_tier =
-        n == 0 ? KernelTier::kAuto : KernelTier::kPackedCursors;
-    out.stats.shard_count = ss.shards;
-    out.stats.shard_segments = ss.segments;
-    return st;
   }
 };
 

@@ -96,9 +96,11 @@ enum class StatusCode {
   kUnavailable,   ///< the serving layer rejected the request (shutdown/full)
   kStaleGeneration,  ///< the addressed snapshot generation was superseded
   /// Kept as a wire code (net::WireStatus::kCorruptSlab); no run answers
-  /// it: every shard is read from the resident list.
+  /// it: every run reads the resident list.
   kCorruptSlab,
-  kResourceExhausted,  ///< RAM could not hold the run (a failed alloc)
+  /// Kept as a wire code (net::WireStatus::kResourceExhausted); no run
+  /// answers it.
+  kResourceExhausted,
   kDeadlineExceeded,   ///< the request's deadline passed before it ran
 };
 
@@ -124,8 +126,6 @@ struct Status {
   static Status unavailable(std::string msg);
   /// A kStaleGeneration status carrying `msg`.
   static Status stale_generation(std::string msg);
-  /// A kResourceExhausted status carrying `msg`.
-  static Status resource_exhausted(std::string msg);
   /// A kDeadlineExceeded status carrying `msg`.
   static Status deadline_exceeded(std::string msg);
 };
@@ -197,12 +197,12 @@ struct RunStats {
   unsigned host_interleave = 0;   ///< cursors in flight per worker
   unsigned host_threads = 0;      ///< worker threads the run actually used
   /// Sublists the kernel actually walked: the plan's m, capped at n / 2
-  /// (0 on the serial walk and on sharded runs).
+  /// (0 on the serial walk).
   std::size_t host_sublists = 0;
   /// What the host kernels walked (kAuto on the other backends and on
   /// runs that never reached the host kernels): kPackedCursors over the
-  /// record slab on every sublist and sharded run, whatever the operator,
-  /// and kListArrays on the serial walk.
+  /// record slab on every sublist run, whatever the operator, and
+  /// kListArrays on the serial walk.
   KernelTier kernel_tier = KernelTier::kAuto;
 
   // Per-phase wall clock of the host sublist kernel (zero on the serial
@@ -215,10 +215,6 @@ struct RunStats {
   /// Share of the phase wall clock spent in multi-worker phases (the
   /// Amdahl fraction); 0 when no phases were timed.
   double host_parallel_frac = 0.0;
-
-  // Sharded execution (src/shard/): all zero when the run was unsharded.
-  unsigned shard_count = 0;          ///< shards the run split into
-  std::uint64_t shard_segments = 0;  ///< reduced-list length (2nd level)
 
   /// For snapshot-addressed serving requests (serve/server.hpp): the
   /// snapshot generation this result was computed against -- on a
@@ -241,22 +237,12 @@ struct RunResult {
 
 // -- options ----------------------------------------------------------------
 
-/// Sharded execution knobs (src/shard/): splitting a run into P
-/// contiguous id-range shards ranked independently, with cross-shard
-/// cursors resolved by a second-level Reid-Miller pass. The list stays
-/// resident and every shard is read from it; nothing touches disk. Lists
-/// of any length a 32-bit index holds run unsharded unless one of these
-/// asks otherwise.
+/// Accepted for source compatibility and otherwise ignored: no run is
+/// split into shards, whatever these say (perfbench/out_of_core.cpp still
+/// assigns them; shard/sharded.hpp lists every such name).
 struct ShardOptions {
-  /// Pinned shard count; 0 = auto: shard only when the list's bytes
-  /// exceed `byte_budget` (1 forces a single-shard sharded run, which
-  /// tests use to exercise the machinery on small lists).
-  unsigned shards = 0;
-  /// Shard-byte budget, which only picks the shard count: a list whose
-  /// bytes exceed it is split so that about two shards' bytes fit it
-  /// (Planner::decide); 0 = no auto-sharding. It bounds no memory: the
-  /// list stays resident.
-  std::size_t byte_budget = 0;
+  unsigned shards = 0;          ///< ignored
+  std::size_t byte_budget = 0;  ///< ignored
 };
 
 /// Everything an Engine is configured with; value-semantic and copyable
@@ -292,7 +278,7 @@ struct EngineOptions {
   /// Check every answer against the serial reference; mismatches yield
   /// StatusCode::kWrongAnswer. Costs one serial pass per run.
   bool verify_output = false;
-  /// Sharded execution knobs (host backend only).
+  /// Ignored (see ShardOptions).
   ShardOptions shard;
 };
 
@@ -307,15 +293,13 @@ struct EngineOptions {
 /// fixed size thresholds. Also reports the tuned m and S_1 so the
 /// algorithm skips re-tuning.
 ///
-/// Host backend: decides the shard split (ShardOptions), then takes the
-/// whole execution shape from analysis/tuner plan_host, the one host
-/// planning path the shard layer's second-level pass shares: threads
-/// shed to a per-thread break-even (the paper's Section 5 processor
-/// dimension), W stepped by the run's footprint (its Section 3 vector
-/// length) and m from its Section 4.4 scaling, m ~ sqrt(n ln n), unless
-/// EngineOptions pins a knob. kAuto runs the sublist kernel on two or
-/// more threads, or on one once the list outgrows L2; an explicit
-/// kReidMiller and every shard always do.
+/// Host backend: takes the whole execution shape from analysis/tuner
+/// plan_host, the one host planning path: threads shed to a per-thread
+/// break-even (the paper's Section 5 processor dimension), W stepped by
+/// the run's footprint (its Section 3 vector length) and m from its
+/// Section 4.4 scaling, m ~ sqrt(n ln n), unless EngineOptions pins a
+/// knob. kAuto runs the sublist kernel on two or more threads, or on one
+/// once the list outgrows L2; an explicit kReidMiller always does.
 class Planner {
  public:
   /// Builds a planner for the given engine configuration.
@@ -334,11 +318,8 @@ class Planner {
     /// EngineOptions::interleave; 0 on serial plans.
     unsigned interleave = 0;
     double predicted_cycles = 0.0;  ///< sim cost-model estimate; 0 if n/a
-    /// Shards the run splits into (src/shard/ two-level path); 0 = the
-    /// ordinary unsharded execution. Set from a pinned
-    /// ShardOptions::shards, or automatically when the list's bytes
-    /// exceed ShardOptions::byte_budget. threads, interleave and sublists
-    /// then describe each shard's passes.
+    /// Always 0: no run is split into shards. Kept because
+    /// perfbench/out_of_core.cpp reads it (see shard/sharded.hpp).
     unsigned shard_count = 0;
   };
 
@@ -346,10 +327,7 @@ class Planner {
   /// (the backend may still reject it as unsupported). `op` feeds the
   /// operator's combine cost (op_cost_factor) into the model, so kAuto
   /// crossovers shift for the more expensive packed operators; ranking
-  /// always plans as ScanOp::kPlus. On the host backend a list whose
-  /// bytes exceed ShardOptions::byte_budget gets enough shards that about
-  /// two shards' bytes fit the budget, and each shard is planned at its
-  /// width.
+  /// always plans as ScanOp::kPlus.
   Decision decide(std::size_t n, Method requested, bool rank,
                   ScanOp op = ScanOp::kPlus) const;
 
@@ -370,8 +348,7 @@ class Planner {
 
   BackendKind backend_;
   unsigned processors_;
-  HostPins pins_;       ///< caller-pinned host knobs (0 = auto)
-  ShardOptions shard_;  ///< sharding knobs (host backend only)
+  HostPins pins_;     ///< caller-pinned host knobs (0 = auto)
   double pinned_m_;   ///< caller-pinned reid_miller.m (<= 0 = auto)
   double pinned_s1_;  ///< caller-pinned reid_miller.s1 (<= 0 = auto)
   double contention_;

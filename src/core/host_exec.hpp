@@ -1,8 +1,7 @@
 // The host execution kernel: Reid-Miller's sublist scan on real hardware
 // (the calling thread's worker team), generic over the operator and
 // allocation-free given a warmed-up Workspace. lr90::Engine's HostBackend
-// runs it; the shard layer (shard/sharded.cpp) reuses its slab build and
-// cursor driver.
+// runs it, and it is the only way the host ranks or scans a list.
 //
 // Same structure as the paper's algorithm, non-destructively: sublist
 // boundaries live in a per-run record slab instead of planted self-loops,
@@ -24,12 +23,12 @@
 // overlapped 64 lanes of a vector gather. Cursors that finish their
 // sublist refill from their worker's claimed range, and a worker refills
 // that range from a shared counter by guided self-scheduling: each trip
-// takes max(1, remaining / (2 T W)) sublists, so a run of ~1-vertex
-// sublists (shard pass A's segments) pays a fraction of a contended claim
-// per sublist. The last claims are single sublists, and they drain with
-// shrinking parallelism, which is why the Planner sizes the sublist count
-// by the paper's Eq. 5 trade-off (analysis/tuner.hpp host_sublists)
-// rather than by the thread count.
+// takes max(1, remaining / (2 T W)) sublists, so the many short sublists
+// that random boundaries leave pay a fraction of a contended claim each.
+// The last claims are single sublists, and they drain with shrinking
+// parallelism, which is why the Planner sizes the sublist count by the
+// paper's Eq. 5 trade-off (analysis/tuner.hpp host_sublists) rather than
+// by the thread count.
 //
 // Phase 3 departs from the paper. The C90's cacheless vector gathers made
 // a second walk of every sublist cheap; here it would be a second pointer
@@ -76,7 +75,7 @@
 namespace lr90::host_exec {
 
 /// Execution shape of one run, from analysis/tuner.hpp plan_host (the
-/// Planner's and the shard layer's one host planning path).
+/// one host planning path).
 struct HostPlan {
   /// Worker threads to use (already resolved; >= 1).
   unsigned threads = 1;
@@ -168,8 +167,7 @@ void run_workers(unsigned threads, Fn&& fn) {
 }
 
 /// The b-th of `blocks` contiguous balanced ranges over `count` items
-/// (empty ranges when b >= count are fine). Workers claim block ids from
-/// a shared atomic, so coverage is exact for any actual team size.
+/// (empty ranges when b >= count are fine).
 inline std::pair<std::size_t, std::size_t> block_range(std::size_t count,
                                                        std::size_t blocks,
                                                        std::size_t b) {
@@ -177,20 +175,6 @@ inline std::pair<std::size_t, std::size_t> block_range(std::size_t count,
   const std::size_t extra = count % blocks;
   const std::size_t begin = b * base + std::min(b, extra);
   return {begin, begin + base + (b < extra ? 1 : 0)};
-}
-
-/// Fans block ids [0, count) out to `threads` workers through a shared
-/// claim counter and calls body(block) for each: the claim discipline of
-/// every fixed-block kernel here (exact coverage whatever team size
-/// run_workers actually delivers; the cursor driver claims guided ranges).
-template <class Body>
-void claim_blocks(unsigned threads, std::size_t count, Body&& body) {
-  std::atomic<std::size_t> next{0};
-  run_workers(threads, [&] {
-    for (std::size_t b = next.fetch_add(1, std::memory_order_relaxed);
-         b < count; b = next.fetch_add(1, std::memory_order_relaxed))
-      body(b);
-  });
 }
 
 /// Read-prefetch of the cache line holding `addr` into every cache level
@@ -208,27 +192,21 @@ inline void prefetch_ro(const void* addr) {
 #endif
 }
 
-/// Write-prefetch of the cache line holding `addr` (prefetchw on x86):
-/// shard pass A applies it to the output slot each cursor stores to next,
-/// so the random store finds its line owned instead of stalling the
-/// cursor on a read-for-ownership miss.
-inline void prefetch_rw(void* addr) {
-#if defined(__GNUC__) || defined(__clang__)
-  __builtin_prefetch(addr, /*rw=*/1, /*locality=*/3);
-#else
-  (void)addr;
-#endif
-}
-
 /// Calls body(begin, end) once for each of `threads` contiguous balanced
 /// ranges of [0, n), spread over `threads` workers: the array-order
-/// passes (the slab build and phase 3).
+/// passes (the slab build and phase 3). Workers claim range ids from a
+/// shared counter, so coverage is exact whatever team size run_workers
+/// actually delivers.
 template <class Body>
 void for_each_range(unsigned threads, std::size_t n, Body&& body) {
   const std::size_t blocks = std::max(1u, threads);
-  claim_blocks(threads, blocks, [&](std::size_t b) {
-    const auto [begin, end] = block_range(n, blocks, b);
-    body(begin, end);
+  std::atomic<std::size_t> next{0};
+  run_workers(threads, [&] {
+    for (std::size_t b = next.fetch_add(1, std::memory_order_relaxed);
+         b < blocks; b = next.fetch_add(1, std::memory_order_relaxed)) {
+      const auto [begin, end] = block_range(n, blocks, b);
+      body(begin, end);
+    }
   });
 }
 
@@ -258,21 +236,18 @@ template <bool kOnes>
 inline constexpr std::size_t kRecordWords = kOnes ? 1 : 2;
 
 /// Builds the record slab of vertices [0, n) in ws.slab(): word 0 =
-/// hot_pack(tail, kHotNoSublist, to) for (tail, to) = link(v), and for a
-/// scan word 1 = value[v]. One pass that writes every word, split into
-/// per-thread index ranges. The host kernel's link(v) is (false,
-/// next[v]), its boundaries flagged afterwards; shard pass A's flags a
-/// link that leaves the shard and localizes the rest.
-template <bool kOnes, class Link>
-packed_t* build_slab(std::size_t n, const value_t* value, unsigned threads,
-                     Workspace& ws, Link link) {
+/// hot_pack(false, kHotNoSublist, next[v]), and for a scan word 1 =
+/// value[v]. One pass that writes every word, split into per-thread
+/// index ranges; the run flags its boundaries afterwards.
+template <bool kOnes>
+packed_t* build_slab(std::size_t n, const index_t* next,
+                     const value_t* value, unsigned threads, Workspace& ws) {
   constexpr std::size_t kW = kRecordWords<kOnes>;
   packed_t* words = ws.slab(kW * n);
   for_each_range(threads, n, [&](std::size_t begin, std::size_t end) {
     for (std::size_t v = begin; v < end; ++v) {
-      const auto [tail, to] = link(v);
       packed_t* r = words + kW * v;
-      r[0] = hot_pack(tail, kHotNoSublist, to);
+      r[0] = hot_pack(false, kHotNoSublist, next[v]);
       if constexpr (!kOnes) r[1] = static_cast<packed_t>(value[v]);
     }
   });
@@ -304,35 +279,25 @@ struct SlabHops {
   }
 };
 
-/// The driver's default `ahead` hook: the step touches nothing beyond
-/// what the hop source prefetches.
-struct NoAhead {
-  void operator()(index_t) const {}
-};
-
 /// The sublist traversal kernel: walks all `k` sublists over `threads`
 /// workers, each keeping up to `W` cursors in flight. Per element: one
-/// hop from `hops` (see SlabHops), a prefetch of the next hop
-/// plus `ahead(next vertex)`, then `step(sublist, vertex, value, acc)`;
-/// at a sublist tail, `finish(sublist, tail_vertex, acc)` runs and the
-/// cursor refills with the worker's next claimed sublist. `init(sublist)`
-/// seeds the accumulator. The step runs after the vertex's hop is read,
-/// so it may overwrite what the hop source holds for that vertex. `ahead`
-/// lets a walk prefetch what its step will write at the vertex a cursor
-/// moves to (shard pass A's output slot).
+/// hop from `hops` (see SlabHops), a prefetch of the next hop, then
+/// `step(sublist, vertex, value, acc)`; at a sublist tail,
+/// `finish(sublist, tail_vertex, acc)` runs and the cursor refills with
+/// the worker's next claimed sublist. `init(sublist)` seeds the
+/// accumulator. The step runs after the vertex's hop is read, so it may
+/// overwrite what the hop source holds for that vertex.
 ///
 /// Claims are guided self-scheduling: a worker whose own range is empty
 /// takes max(1, remaining / (2 T W)) sublists from the shared counter in
-/// one CAS. Short sublists (shard pass A's ~1-vertex segments) then
+/// one CAS. The many short sublists that random boundaries leave then
 /// cost a fraction of a contended claim each, while the last claims are
 /// still single sublists: the final < W sublists drain with shrinking
 /// parallelism, which is why the Planner sizes k by host_sublists.
-template <class Hops, class AccInit, class Step, class Finish,
-          class Ahead = NoAhead>
+template <class Hops, class AccInit, class Step, class Finish>
 void interleave_sublists(const Hops& hops, const index_t* heads,
                          std::size_t k, unsigned threads, unsigned W,
-                         AccInit init, Step step, Finish finish,
-                         Ahead ahead = {}) {
+                         AccInit init, Step step, Finish finish) {
   W = std::clamp(W, 1u, kMaxInterleave);
   const std::size_t split =
       2 * std::size_t{std::clamp(threads, 1u, kMaxThreads)} * W;
@@ -346,10 +311,6 @@ void interleave_sublists(const Hops& hops, const index_t* heads,
     Cursor cur[kMaxInterleave];
     std::size_t active = 0;
     std::size_t own = 0, own_end = 0;  // claimed, not yet started
-    const auto fetch = [&](index_t v) {
-      hops.prefetch(v);
-      ahead(v);
-    };
     // The worker's next sublist, from its own range or else one guided
     // trip to the shared counter; k once every sublist is claimed.
     const auto claim = [&]() -> std::size_t {
@@ -367,7 +328,7 @@ void interleave_sublists(const Hops& hops, const index_t* heads,
     };
     const auto start = [&](Cursor& c, std::size_t j) {
       c = Cursor{heads[j], static_cast<index_t>(j), init(j)};
-      fetch(heads[j]);
+      hops.prefetch(heads[j]);
     };
     while (active < W) {
       const std::size_t j = claim();
@@ -378,7 +339,7 @@ void interleave_sublists(const Hops& hops, const index_t* heads,
       for (std::size_t i = 0; i < active;) {
         Cursor& c = cur[i];
         const Hop h = hops(c.v);
-        if (!h.tail) fetch(h.link);
+        if (!h.tail) hops.prefetch(h.link);
         step(c.j, c.v, h.value, c.acc);
         if (!h.tail) {
           c.v = h.link;
@@ -441,9 +402,8 @@ ExecInfo scan_into(const LinkedList& list, Op op, const HostPlan& plan,
   };
   const auto t_build = Clock::now();
   const index_t* next = list.next.data();
-  packed_t* words = build_slab<kOnes>(
-      n, list.value.data(), threads, ws,
-      [next](std::size_t v) { return std::pair{false, next[v]}; });
+  packed_t* words =
+      build_slab<kOnes>(n, next, list.value.data(), threads, ws);
   // The global tail and want - 1 picks, flagged in word 0's tail bit.
   draw_boundaries(n, want - 1, ws, global_tail, [words](index_t v) {
     packed_t& w = words[kW * v];

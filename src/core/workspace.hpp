@@ -1,12 +1,11 @@
 // Reusable per-engine scratch memory.
 //
 // The host execution path needs a handful of O(n) and O(k) scratch arrays
-// (the record slab, picks/heads/sums/tails), and a sharded run adds its
-// O(n + m) second-level arrays. Allocating them per call dominates the
-// cost of ranking short lists and fragments the heap under batched
-// traffic, so an Engine owns one Workspace and every run re-fits the same
-// buffers: capacity only ever grows, and a warmed-up workspace serves
-// steady-state traffic with zero allocations.
+// (the record slab, picks/heads/sums/tails). Allocating them per call
+// dominates the cost of ranking short lists and fragments the heap under
+// batched traffic, so an Engine owns one Workspace and every run re-fits
+// the same buffers: capacity only ever grows, and a warmed-up workspace
+// serves steady-state traffic with zero allocations.
 //
 // Two hot-path refinements live here as well:
 //
@@ -75,19 +74,8 @@ class Workspace {
   std::vector<value_t> sums;              ///< per-sublist inclusive sums
   std::vector<value_t> headscan;          ///< per-sublist exclusive scan
   std::vector<value_t> verify;            ///< serial reference (verify_output)
-  /// The record slab (see slab()); shard pass A builds each shard's in it.
-  std::vector<packed_t> packed;
+  std::vector<packed_t> packed;           ///< the record slab (see slab())
   LinkedList scratch_list;                ///< mutable copy of an input list
-
-  // -- a sharded run's second level (shard/sharded.cpp) ------------------
-  /// By vertex: the segment it heads (ShardedList::build), then the
-  /// segment pass A walked it in.
-  std::vector<index_t> seg_of;
-  std::vector<index_t> seg_heads;  ///< segment head vertices, shard by shard
-  /// One node per segment: link = the segment its exit heads, value = the
-  /// segment's total.
-  LinkedList reduced;
-  std::vector<value_t> seg_pref;   ///< per-segment exclusive prefix
 
   /// RNG used for boundary picks; reseeded per run from the engine options
   /// so results do not depend on what ran before.
@@ -105,8 +93,7 @@ class Workspace {
   std::uint64_t allocations() const { return allocations_.get(); }
   /// Fits served entirely from existing capacity.
   std::uint64_t reuse_hits() const { return reuse_hits_.get(); }
-  /// Record-slab builds: one per sublist run, and one per shard a sharded
-  /// run's pass A walks.
+  /// Record-slab builds: one per sublist run.
   std::uint64_t packed_builds() const { return packed_builds_.get(); }
 
   /// Zeroes all counters (buffers and their capacity are untouched), so a

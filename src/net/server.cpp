@@ -183,7 +183,6 @@ std::string NetServer::stats_text() const {
       << "result_evictions " << s.result_evictions << '\n'
       << "cache_resident_bytes " << s.cache_resident_bytes << '\n'
       << "cache_resident_entries " << s.cache_resident_entries << '\n'
-      << "sharded_runs " << s.sharded_runs << '\n'
       << "deadline_expired " << s.deadline_expired << '\n'
       << "net_accepted " << n.accepted << '\n'
       << "net_closed " << n.closed << '\n'

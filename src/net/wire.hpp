@@ -123,7 +123,7 @@ enum class WireStatus : std::uint8_t {
   /// body carries the current generation to retarget.
   kStaleGeneration = 8,
   kCorruptSlab = 9,         ///< kept for the pinned format; never answered
-  kResourceExhausted = 10,  ///< RAM could not hold the run
+  kResourceExhausted = 10,  ///< kept for the pinned format; never answered
   kDeadlineExceeded = 11,   ///< deadline passed before the work ran
 };
 

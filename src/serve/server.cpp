@@ -272,7 +272,6 @@ void EngineServer::worker_loop() {
         ++stats_.tier_list_arrays_runs;
       if (r.stats.kernel_tier == KernelTier::kPackedCursors)
         ++stats_.tier_packed_runs;
-      if (r.stats.shard_count > 0) ++stats_.sharded_runs;
     }
     job.done(std::move(r));
   }

@@ -136,9 +136,6 @@ struct ServerStats {
   std::uint64_t snapshot_updates = 0;   ///< update_snapshot() generations
   std::uint64_t stale_rejections = 0;   ///< kStaleGeneration rejections
 
-  /// Completed runs that took the sharded path (RunStats::shard_count > 0).
-  std::uint64_t sharded_runs = 0;
-
   // Failure-model counters (the hardened paths; see ARCHITECTURE.md
   // "Failure model"): typed rejections the server survived, never aborts.
   /// Jobs answered kDeadlineExceeded because their deadline passed while

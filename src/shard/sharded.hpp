@@ -1,38 +1,23 @@
-// The sharded list-rank/scan executor: the paper's sublist reduction
-// applied one level up (ROADMAP "Sharded + out-of-core list ranking").
+// shard::sharded_scan: an adapter that ranks or scans the whole resident
+// list with the host sublist kernel (core/host_exec.hpp rank_into /
+// scan_into), the one way the host ranks or scans a list. With the list
+// resident, a second reduction level over id-range shards only repeats
+// the kernel's own: the kernel's random sublist heads are the rulers of
+// external list ranking (Sibeyn, "From parallel to external list
+// ranking", 1997), and its array-order phase 3 is Helman and JaJa's
+// one-level SMP scheme (ALENEX 1999).
 //
-// A run splits the list into P contiguous id-range shards (ShardedList),
-// then makes three passes, the host kernel's phases one level up:
-//
-//   pass A  per shard, ascending: build the shard's record slab (the host
-//           kernel's, with shard-local links) from the shard's slice of
-//           the list's next[] and value[], and walk every segment headed
-//           in the shard with the (threads x W) cursor driver. At every
-//           vertex it leaves its exclusive prefix within its segment (in
-//           the answer) and its segment id (in ShardedList::seg_of); each
-//           segment's finish writes its node of the reduced list: its
-//           operator total, and a link to the segment its exit vertex
-//           heads, read from seg_of, where ShardedList::build wrote every
-//           head's id. Only one shard's slab exists at a time, and each
-//           shard is walked once.
-//   pass B  the second-level Reid-Miller pass: an exclusive scan of the
-//           reduced list, on the plan analysis/tuner plan_host gives its
-//           length, yields every segment's global prefix. Runs in RAM:
-//           the reduced list is O(segments), which is thousands on an
-//           id-local list but ~(P-1)/P n on a random one.
-//   pass C  one pass over the answer in array order, acquiring no shard:
-//           out[v] = op(prefix of seg_of[v], out[v]). Associativity makes
-//           this bit-exact vs the serial oracle (the same algebra the
-//           in-core phases rely on).
-//
-// All of a run's O(n + m) scratch -- the segment ids and heads, the
-// reduced list, the prefixes and the shard slab, which pass B's own slab
-// reuses -- lives in the Workspace the caller passes, so a warm one
-// serves a sharded run without a large allocation.
-//
-// The list stays resident and every pass reads it in place: no shard is
-// copied, written to disk or mapped. A byte budget only picks the shard
-// count (Planner::decide).
+// Kept only because perfbench/out_of_core.cpp names it. The benchmark
+// reads these names, each of which is ignored or always 0; a change to
+// the benchmark that drops its reads of them deletes them here:
+//   * EngineOptions::shard -- ShardOptions::shards and byte_budget are
+//     ignored: no run is split;
+//   * Planner::Decision::shard_count -- always 0;
+//   * shard::ShardExec -- shards, byte_budget, spill_dir and keep_files
+//     are ignored; threads and interleave are honoured as pins;
+//   * shard::ShardRunStats and StoreStats -- segments and every
+//     StoreStats field are always 0;
+//   * shard::sharded_scan itself.
 #pragma once
 
 #include <cstdint>
@@ -43,47 +28,48 @@
 #include "core/workspace.hpp"
 #include "lists/linked_list.hpp"
 #include "lists/ops.hpp"
-#include "shard/shard_store.hpp"
 
 namespace lr90::shard {
 
-/// The fully resolved execution shape of one sharded run (the Engine's
-/// Planner fills it from its Decision + EngineOptions::shard; tests and
-/// benches construct it directly).
-struct ShardExec {
-  unsigned shards = 1;      ///< P (clamped to [1, min(n, kMaxShards)])
-  unsigned threads = 1;     ///< worker threads inside each pass
-  /// Cursors in flight per worker in pass A's walk of each shard (clamped
-  /// to [1, host_exec::kMaxInterleave]).
-  unsigned interleave = 8;
-  /// Accepted for source compatibility and otherwise ignored: the shard
-  /// count is `shards`, and every shard is read from the resident list
-  /// (perfbench/out_of_core.cpp still assigns it).
-  std::size_t byte_budget = 0;
-  /// Accepted for source compatibility and otherwise ignored: no run
-  /// writes a file, so nothing is created here (perfbench/out_of_core.cpp
-  /// still assigns it).
-  std::string spill_dir;
-  /// Accepted for source compatibility and otherwise ignored: no run
-  /// writes a file (perfbench/out_of_core.cpp still assigns it).
-  bool keep_files = false;
+/// What perfbench/out_of_core.cpp reads of a run's shard residency: every
+/// field is always 0, since nothing is loaded, spilled or prefetched.
+struct StoreStats {
+  std::uint64_t loads = 0;          ///< always 0
+  std::uint64_t spills = 0;         ///< always 0
+  std::uint64_t prefetch_hits = 0;  ///< always 0
 };
 
-/// What one sharded run did, for RunStats and the bench.
+/// The execution pins of one sharded_scan call.
+struct ShardExec {
+  unsigned shards = 1;  ///< ignored: the kernel ranks the list whole
+  /// Worker-thread cap of the kernel's plan (analysis/tuner.hpp
+  /// plan_host; 0 = the machine's count).
+  unsigned threads = 1;
+  /// Cursors in flight per worker (W) of the kernel's plan; 0 lets
+  /// plan_host pick by the list's footprint.
+  unsigned interleave = 8;
+  std::size_t byte_budget = 0;  ///< ignored: nothing is budgeted
+  std::string spill_dir;        ///< ignored: no run writes a file
+  bool keep_files = false;      ///< ignored: no run writes a file
+};
+
+/// What one sharded_scan call ran.
 struct ShardRunStats {
-  unsigned shards = 0;         ///< P the run actually used
-  std::uint64_t segments = 0;  ///< reduced-list length (cross-shard cursors)
-  unsigned interleave = 0;     ///< cursors per worker pass A ran
-  StoreStats store;            ///< always zero (see StoreStats)
+  unsigned shards = 0;         ///< 1 after a run that answered, else 0
+  std::uint64_t segments = 0;  ///< always 0
+  /// W the kernel ran: 1 on the serial walk, 0 on an empty list.
+  unsigned interleave = 0;
+  StoreStats store;            ///< always 0
 };
 
 /// Exclusive rank (rank == true) or `op`-scan of `list` into `out`
-/// (sized n), sharded per `exec`. Deterministic and bit-exact vs the
-/// serial oracle for every registered operator. `ws` supplies all of the
-/// run's O(n + m) scratch. Returns kInvalidInput on a list with no
-/// self-loop tail (before any shard is built) or structurally broken
-/// cross-shard links, and kResourceExhausted when the scratch cannot be
-/// allocated.
+/// (sized n) by the host sublist kernel, pinned per `exec` and forced
+/// onto the sublist path wherever the list is long enough for one.
+/// Bit-exact vs the serial oracle for every registered operator, and
+/// deterministic: `ws.rng` is reseeded from kDefaultSeed, as Engine::run
+/// reseeds it. `ws` supplies all of the run's scratch. Returns
+/// kInvalidInput when the walk from the head meets no self-loop tail,
+/// and kOk on an empty list.
 Status sharded_scan(const LinkedList& list, bool rank, ScanOp op,
                     const ShardExec& exec, Workspace& ws,
                     std::span<value_t> out, ShardRunStats& stats);

@@ -506,81 +506,67 @@ TEST(Planner, BenchmarkShapesAreUnchanged) {
   // The exact plans the benchmark workloads run, with the thread count
   // pinned so the answer does not depend on the machine: bulk's 2^24
   // list on 4 threads, a snapshot's 2^18 and a served request's 2^15
-  // list on one worker, and out_of_core's 8 shards of a 2^20 list with
-  // two shards' bytes resident. Any drift in the host planner fails here.
+  // list on one worker, and out_of_core's 2^20 list on 4 threads, which
+  // sharded_scan runs unsharded. Any drift in the host planner fails here.
   struct Shape {
     Method method;
     unsigned threads, interleave;
     double sublists;
-    unsigned shards;
   };
   const auto plan = [](unsigned threads, std::size_t n, bool rank,
-                       ScanOp op, const ShardOptions& shard = {}) {
+                       ScanOp op) {
     EngineOptions eo = backend_options(BackendKind::kHost);
     eo.threads = threads;
-    eo.shard = shard;
     const Planner::Decision d =
         Planner(eo).decide(n, Method::kAuto, rank, op);
-    return Shape{d.method, d.threads, d.interleave, d.sublists,
-                 d.shard_count};
+    return Shape{d.method, d.threads, d.interleave, d.sublists};
   };
   const auto expect = [](const Shape& got, const Shape& want) {
     EXPECT_EQ(got.method, want.method);
     EXPECT_EQ(got.threads, want.threads);
     EXPECT_EQ(got.interleave, want.interleave);
     EXPECT_EQ(got.sublists, want.sublists);
-    EXPECT_EQ(got.shards, want.shards);
   };
   const std::size_t bulk = std::size_t{1} << 24;
   for (const auto& [rank, op] : {std::pair{true, ScanOp::kPlus},
                                  std::pair{false, ScanOp::kPlus},
                                  std::pair{false, ScanOp::kAffine}}) {
     SCOPED_TRACE(rank ? "rank" : scan_op_name(op));
-    expect(plan(4, bulk, rank, op), {Method::kReidMiller, 4, 16, 5282, 0});
+    expect(plan(4, bulk, rank, op), {Method::kReidMiller, 4, 16, 5282});
   }
   expect(plan(1, std::size_t{1} << 18, true, ScanOp::kPlus),
-         {Method::kReidMiller, 1, 16, 571, 0});
+         {Method::kReidMiller, 1, 16, 571});
   expect(plan(1, std::size_t{1} << 15, true, ScanOp::kPlus),
-         {Method::kSerial, 1, 0, 0, 0});
+         {Method::kSerial, 1, 0, 0});
 
   const std::size_t n = std::size_t{1} << 20;
-  ShardOptions shard;
-  shard.shards = 8;
-  shard.byte_budget = 2 * n * (sizeof(index_t) + sizeof(value_t)) / 8;
-  expect(plan(4, n, true, ScanOp::kPlus, shard),
-         {Method::kReidMiller, 4, 8, 392, 8});
+  expect(plan(4, n, true, ScanOp::kPlus),
+         {Method::kReidMiller, 4, 16, 1205});
+  // sharded_scan plans again from that W and thread count, pinned, with
+  // the sublist kernel forced: the same plan.
+  const host_exec::HostPlan hp = plan_host(
+      n, ScanOp::kPlus,
+      {.threads = 4, .interleave = 16, .force_sublists = true});
+  EXPECT_EQ(hp.threads, 4u);
+  EXPECT_EQ(hp.interleave, 16u);
+  EXPECT_EQ(hp.sublists, 1205u);
 }
 
 TEST(Planner, ForcedSublistPlansShedThreadsByOneRule) {
   // Every sublist plan sheds threads by one break-even (~2048 vertices
-  // per thread for addition): kAuto, an explicit kReidMiller and one
-  // shard of that width all run a 5000-vertex width on 2 of 8 threads,
-  // with the same W and m.
+  // per thread for addition): kAuto and an explicit kReidMiller both run
+  // a 5000-vertex width on 2 of 8 threads, with the same W and m.
   EngineOptions eo = backend_options(BackendKind::kHost);
   eo.threads = 8;
   const std::size_t n = 5000;
   const auto auto_plan = Planner(eo).decide(n, Method::kAuto, true);
   const auto explicit_plan = Planner(eo).decide(n, Method::kReidMiller, true);
-  eo.shard.shards = 2;
-  const auto shard_plan = Planner(eo).decide(2 * n, Method::kAuto, true);
   ASSERT_EQ(auto_plan.method, Method::kReidMiller);
-  ASSERT_EQ(shard_plan.shard_count, 2u);
   EXPECT_EQ(auto_plan.threads, 2u);
-  for (const Planner::Decision& d : {explicit_plan, shard_plan}) {
-    EXPECT_EQ(d.method, Method::kReidMiller);
-    EXPECT_EQ(d.threads, auto_plan.threads);
-    EXPECT_EQ(d.interleave, auto_plan.interleave);
-    EXPECT_EQ(d.sublists, auto_plan.sublists);
-  }
-
-  // Shard pass B plans its reduced list by the same function: at
-  // out_of_core's shape (917,739 segments, 4 threads, W = 8) that is
-  // 1122 sublists on all four threads.
-  const host_exec::HostPlan reduced =
-      plan_host(917739, ScanOp::kPlus, {.threads = 4, .interleave = 8});
-  EXPECT_EQ(reduced.threads, 4u);
-  EXPECT_EQ(reduced.sublists, 1122u);
-  EXPECT_EQ(reduced.interleave, 8u);
+  EXPECT_EQ(explicit_plan.method, Method::kReidMiller);
+  EXPECT_EQ(explicit_plan.threads, auto_plan.threads);
+  EXPECT_EQ(explicit_plan.interleave, auto_plan.interleave);
+  EXPECT_EQ(explicit_plan.sublists, auto_plan.sublists);
 }
 
 TEST(Engine, LargeRankRunsPackedAndReportsCursors) {
@@ -785,23 +771,6 @@ TEST(Engine, TaillessListsAreRefusedWithValidationOff) {
   EXPECT_EQ(host.rank(ring, Method::kSerial).status.code,
             StatusCode::kInvalidInput);
 
-  // A sharded run refuses both before it builds a shard, at one shard
-  // (where pass A would walk the cycle forever) and at two.
-  for (const unsigned shards : {1u, 2u}) {
-    SCOPED_TRACE("shards=" + std::to_string(shards));
-    EngineOptions opt = backend_options(BackendKind::kHost);
-    opt.shard.shards = shards;
-    Engine sharded(opt);
-    ASSERT_FALSE(sharded.options().validate_input);
-    for (const LinkedList* list : {&cycle, &ring}) {
-      for (const bool rank : {true, false}) {
-        Request req = rank ? Request(RankRequest{list})
-                           : Request(OpRequest{list, ScanOp::kAffine});
-        EXPECT_EQ(sharded.run(req).status.code, StatusCode::kInvalidInput);
-      }
-    }
-  }
-
   // The sim backend checks every input, so no method sees the cycle.
   Engine sim(backend_options(BackendKind::kSim));
   ASSERT_FALSE(sim.options().validate_input);
@@ -912,6 +881,28 @@ TEST(Planner, AutoThreadsTakeTheMachineForWideLists) {
   ASSERT_EQ(d8.method, Method::kReidMiller);
   EXPECT_EQ(d8.threads, 8u);
   EXPECT_EQ(d8.interleave, 8u);
+}
+
+TEST(Planner, EveryIndexableLengthPlansASublistRun) {
+  // A list of any length a 32-bit index holds plans a sublist run on
+  // the machine's threads, exactly as plan_host plans that length: the
+  // slab's links take all 32 bits, so no length needs another path.
+  EngineOptions eo;
+  eo.backend = BackendKind::kHost;
+  eo.threads = 0;
+  const unsigned eff = host_exec::effective_threads(0);
+  for (const std::size_t n : {(std::size_t{1} << 31) + 5,
+                              std::size_t{kNoVertex}}) {
+    SCOPED_TRACE("n=" + std::to_string(n));
+    const auto d = Planner(eo).decide(n, Method::kAuto, /*rank=*/true);
+    EXPECT_EQ(d.method, Method::kReidMiller);
+    EXPECT_EQ(d.threads, eff);
+    EXPECT_EQ(d.shard_count, 0u);
+    const host_exec::HostPlan pinned =
+        plan_host(n, ScanOp::kPlus, {.threads = eff});
+    EXPECT_EQ(d.interleave, pinned.interleave);
+    EXPECT_EQ(d.sublists, static_cast<double>(pinned.sublists));
+  }
 }
 
 TEST(Planner, AutoThreadsPlanOneWorkerBelow2To17) {

@@ -1,11 +1,9 @@
 // Chaos harness for the fault-injection framework (support/faultpoint.hpp)
-// and the end-to-end failure hardening of the shard/serve/net path:
+// and the end-to-end failure hardening of the serve/net path:
 //
 //   * the registry + trigger contract: every site is enumerable, the
 //     disabled fast path observes nothing, fail-Nth / probability / budget
 //     triggers are deterministic under a fixed seed;
-//   * a sharded run whose scratch cannot be allocated answers a typed
-//     kResourceExhausted, and the next run recovers;
 //   * the full sweep: every registered site armed in turn under 8-client
 //     concurrent load through a real NetServer -- no crash, every answer
 //     kOk-and-bit-exact or a typed failure status, and full recovery
@@ -26,12 +24,10 @@
 #include <vector>
 
 #include "core/engine.hpp"
-#include "core/workspace.hpp"
 #include "lists/generators.hpp"
 #include "lists/ops.hpp"
 #include "net/client.hpp"
 #include "net/server.hpp"
-#include "shard/sharded.hpp"
 #include "support/rng.hpp"
 #include "test_util.hpp"
 
@@ -42,8 +38,7 @@ using namespace std::chrono_literals;
 
 /// Every fault site this binary is expected to register, by layer.
 const char* const kExpectedSites[] = {
-    "shard.scratch.alloc", "serve.batch.stall", "net.recv.io",
-    "net.send.io",         "net.send.stall",
+    "serve.batch.stall", "net.recv.io", "net.send.io", "net.send.stall",
 };
 
 /// Oracle exclusive scan under a runtime operator.
@@ -149,103 +144,6 @@ TEST(FaultRegistry, SeededProbabilityIsDeterministicAndBudgeted) {
   EXPECT_FALSE(site->armed());
 }
 
-// -- the sharded run's typed failure ----------------------------------------
-
-TEST(ShardFault, ScratchAllocationFailureIsTypedResourceExhausted) {
-  DisarmGuard guard;
-  Rng rng(106);
-  const LinkedList list = random_list(1500, rng, ValueInit::kSigned);
-  shard::ShardExec exec;
-  exec.shards = 4;
-  exec.threads = 2;
-  const auto run = [&](std::vector<value_t>& out) {
-    Workspace ws;
-    out.assign(list.size(), 0);
-    shard::ShardRunStats stats;
-    return shard::sharded_scan(list, /*rank=*/true, ScanOp::kPlus, exec, ws,
-                               std::span<value_t>(out), stats);
-  };
-  fault::Trigger t;
-  t.fail_nth = 1;
-  t.max_fires = 1;
-  arm("shard.scratch.alloc", t);
-  std::vector<value_t> out;
-  const Status st = run(out);
-  ASSERT_FALSE(st.ok());
-  EXPECT_EQ(st.code, StatusCode::kResourceExhausted) << st.message;
-  fault::disarm_all();
-
-  // And the very next run succeeds: the fault budget was one.
-  ASSERT_TRUE(run(out).ok());
-  EXPECT_EQ(out, oracle(list, true, ScanOp::kPlus));
-}
-
-TEST(ShardFault, ScratchAllocationFailureLeavesTheWorkspaceServing) {
-  // The failed run and the runs around it share one warm Workspace: the
-  // failure reports no shape, and the next run on that Workspace is
-  // bit-exact again, for a rank and a two-lane scan.
-  DisarmGuard guard;
-  Rng rng(109);
-  const LinkedList list = random_list(3000, rng, ValueInit::kSigned);
-  shard::ShardExec exec;
-  exec.shards = 4;
-  exec.threads = 2;
-  Workspace ws;
-  std::vector<value_t> out(list.size());
-  const std::pair<bool, ScanOp> runs[] = {{true, ScanOp::kPlus},
-                                          {false, ScanOp::kAffine}};
-  for (const auto& [rank, op] : runs) {
-    SCOPED_TRACE(rank ? "rank" : scan_op_name(op));
-    shard::ShardRunStats stats;
-    ASSERT_TRUE(
-        shard::sharded_scan(list, rank, op, exec, ws, out, stats).ok());
-    fault::Trigger t;
-    t.fail_nth = 1;
-    t.max_fires = 1;
-    arm("shard.scratch.alloc", t);
-    const Status st =
-        shard::sharded_scan(list, rank, op, exec, ws, out, stats);
-    EXPECT_EQ(st.code, StatusCode::kResourceExhausted) << st.message;
-    EXPECT_EQ(stats.shards, 0u);
-    EXPECT_EQ(stats.segments, 0u);
-    fault::disarm_all();
-
-    std::fill(out.begin(), out.end(), value_t{0});
-    ASSERT_TRUE(
-        shard::sharded_scan(list, rank, op, exec, ws, out, stats).ok());
-    EXPECT_EQ(stats.shards, 4u);
-    EXPECT_EQ(out, oracle(list, rank, op));
-  }
-}
-
-TEST(ShardFault, EngineAnswersAScratchAllocationFailureTypedAndRecovers) {
-  // Through the Engine a sharded run whose scratch cannot be allocated
-  // answers kResourceExhausted with no shard shape in its stats, and the
-  // same Engine's next run is sharded and bit-exact.
-  DisarmGuard guard;
-  EngineOptions opt;
-  opt.backend = BackendKind::kHost;
-  opt.threads = 2;
-  opt.shard.shards = 3;
-  Engine engine(opt);
-  Rng rng(110);
-  const LinkedList list = random_list(2000, rng, ValueInit::kSigned);
-  fault::Trigger t;
-  t.fail_nth = 1;
-  t.max_fires = 1;
-  arm("shard.scratch.alloc", t);
-  const RunResult failed = engine.scan(list, ScanOp::kMin);
-  EXPECT_EQ(failed.status.code, StatusCode::kResourceExhausted)
-      << failed.status.message;
-  EXPECT_EQ(failed.stats.shard_count, 0u);
-  fault::disarm_all();
-
-  const RunResult r = engine.scan(list, ScanOp::kMin);
-  ASSERT_TRUE(r.ok()) << r.status.message;
-  EXPECT_EQ(r.stats.shard_count, 3u);
-  EXPECT_EQ(r.scan, oracle(list, false, ScanOp::kMin));
-}
-
 // -- the full chaos sweep ---------------------------------------------------
 
 /// One sweep round: every worker sends `iters` rank/scan requests and
@@ -263,10 +161,6 @@ struct SweepFixture {
     opt.port = 0;
     opt.serve.workers = 2;
     opt.serve.engine.threads = 2;
-    // Every request takes the sharded path (pinned shard count, tiny byte
-    // budget), so shard.scratch.alloc fires on it.
-    opt.serve.engine.shard.shards = 3;
-    opt.serve.engine.shard.byte_budget = 1;
     return opt;
   }
 

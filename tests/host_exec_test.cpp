@@ -1,7 +1,8 @@
 // The host kernel's pieces (core/host_exec.hpp), below the Engine: the
 // record slab must describe the list, the one cursor driver must walk
-// every vertex exactly once over it, and scan_into must report the tier,
-// width and thread count that actually ran.
+// every vertex exactly once over it, the array-order passes must cover
+// every index once, and scan_into must report the tier, width and thread
+// count that actually ran.
 #include "core/host_exec.hpp"
 
 #include <gtest/gtest.h>
@@ -31,10 +32,8 @@ using host_exec::SlabHops;
 template <bool kOnes = false>
 std::vector<index_t> sublist_heads(const LinkedList& l, std::size_t count,
                                    Workspace& ws, unsigned threads = 2) {
-  const index_t* next = l.next.data();
   packed_t* words = host_exec::build_slab<kOnes>(
-      l.size(), l.value.data(), threads, ws,
-      [next](std::size_t v) { return std::pair{false, next[v]}; });
+      l.size(), l.next.data(), l.value.data(), threads, ws);
   host_exec::draw_boundaries(l.size(), count, ws, l.find_tail(),
                              [words](index_t v) {
                                packed_t& w = words[kRecordWords<kOnes> * v];
@@ -166,35 +165,12 @@ TEST(HopSources, DriverVisitsEveryVertexOnceOverEitherRecord) {
   EXPECT_EQ(scan_tails, rank_tails);
 }
 
-TEST(HopSources, AheadSeesEveryVertexOnceBeforeItsStep) {
-  // The driver's `ahead` hook (shard pass A's write prefetch rides it) is
-  // called exactly once per vertex, always before that vertex's step.
-  Rng rng(4);
-  const LinkedList l = random_list(20000, rng);
-  Workspace ws;
-  const std::vector<index_t> heads = sublist_heads<true>(l, 96, ws, 3);
-  std::vector<std::atomic<int>> ahead(l.size());
-  std::atomic<int> early{0};
-  host_exec::interleave_sublists(
-      SlabHops<true>{ws.packed.data()}, heads.data(), heads.size(),
-      /*threads=*/3, /*W=*/4, [](std::size_t) { return value_t{0}; },
-      [&](index_t, index_t v, value_t, value_t&) {
-        if (ahead[v].load(std::memory_order_relaxed) != 1)
-          early.fetch_add(1, std::memory_order_relaxed);
-      },
-      [](index_t, index_t, value_t) {},
-      [&](index_t v) { ahead[v].fetch_add(1, std::memory_order_relaxed); });
-  EXPECT_EQ(early.load(), 0) << "a step ran before its vertex's ahead";
-  for (index_t v = 0; v < l.size(); ++v)
-    EXPECT_EQ(ahead[v].load(), 1) << "vertex " << v;
-}
-
 TEST(HopSources, GuidedClaimsCoverShortSublistsOnceAtEveryThreadCount) {
-  // The shard passes' shape: sublists of 1-2 vertices, both far more of
-  // them than cursors (k >> T x W) and fewer (k < T x W). Each claim takes
-  // max(1, remaining / (2 T W)) sublists; one that took none would make
-  // no progress and re-walk a sublist forever, so a second finish stops
-  // the run here instead of hanging it.
+  // Sublists of 1-2 vertices, the short end of what random boundaries
+  // leave: both far more of them than cursors (k >> T x W) and fewer
+  // (k < T x W). Each claim takes max(1, remaining / (2 T W)) sublists;
+  // one that took none would make no progress and re-walk a sublist
+  // forever, so a second finish stops the run here instead of hanging it.
   constexpr unsigned kW = 8;
   for (const std::size_t n : {std::size_t{30000}, std::size_t{6}}) {
     Rng rng(5);
@@ -246,6 +222,38 @@ TEST(HopSources, GuidedClaimsCoverShortSublistsOnceAtEveryThreadCount) {
         EXPECT_TRUE(tails[j] != kNoVertex && hot_tail(words[2 * tails[j]]))
             << "sublist " << j << " did not end at a boundary";
       }
+    }
+  }
+}
+
+TEST(ForEachRange, CoversEveryIndexOnceInBalancedRanges) {
+  // The array-order passes (the slab build and phase 3) split [0, n)
+  // into T contiguous ranges that workers claim from one counter: every
+  // range is handed out exactly once, its length is within one of n / T,
+  // and every index lands in exactly one range, whatever team size
+  // run_workers delivers, T past the list's length included.
+  for (const unsigned threads : {1u, 2u, 3u, 4u, 8u}) {
+    for (const std::size_t n :
+         {std::size_t{0}, std::size_t{1}, std::size_t{5}, std::size_t{1000},
+          std::size_t{100003}}) {
+      SCOPED_TRACE("T=" + std::to_string(threads) +
+                   " n=" + std::to_string(n));
+      std::vector<std::atomic<int>> visits(n);
+      std::atomic<unsigned> calls{0};
+      std::atomic<int> unbalanced{0};
+      host_exec::for_each_range(
+          threads, n, [&](std::size_t begin, std::size_t end) {
+            calls.fetch_add(1, std::memory_order_relaxed);
+            const std::size_t len = end - begin;
+            if (len < n / threads || len > n / threads + 1)
+              unbalanced.fetch_add(1, std::memory_order_relaxed);
+            for (std::size_t i = begin; i < end; ++i)
+              visits[i].fetch_add(1, std::memory_order_relaxed);
+          });
+      EXPECT_EQ(calls.load(), threads);
+      EXPECT_EQ(unbalanced.load(), 0);
+      for (std::size_t i = 0; i < n; ++i)
+        ASSERT_EQ(visits[i].load(), 1) << "index " << i;
     }
   }
 }

@@ -329,9 +329,10 @@ TEST(NetServer, PlaintextStatsAndHealthForNetcatUsers) {
   server.stop();
 }
 
-TEST(NetServer, StatsTextCountsEveryShardedRun) {
-  // Each request a sharded engine answers counts once on the STATS line
-  // `sharded_runs`, the text's only shard counter.
+TEST(NetServer, StatsTextCountsEveryRunOfAShardPinnedEngine) {
+  // An engine with a shard count pinned answers each request as any
+  // engine does: the STATS text counts every run once, by kind, and
+  // names no shard counter.
   NetServerOptions opt = base_options();
   opt.serve.engine.shard.shards = 3;
   NetServer server(opt);
@@ -348,8 +349,10 @@ TEST(NetServer, StatsTextCountsEveryShardedRun) {
   }
   std::string text;
   ASSERT_TRUE(client.stats_text(text).ok());
-  EXPECT_NE(text.find("\nsharded_runs 5\n"), std::string::npos) << text;
-  EXPECT_EQ(text.find("\nshard_"), std::string::npos) << text;
+  EXPECT_NE(text.find("\ncompleted 5\n"), std::string::npos) << text;
+  EXPECT_NE(text.find("\nrank_requests 3\n"), std::string::npos) << text;
+  EXPECT_NE(text.find("\nscan_requests 2\n"), std::string::npos) << text;
+  EXPECT_EQ(text.find("shard"), std::string::npos) << text;
   server.stop();
 }
 

@@ -423,17 +423,22 @@ TEST(StreamingPhase3, TinySublistsOnTheSlabMatchSerialOracle) {
 }
 
 // ---------------------------------------------------------------------
-// The sharded tier: P shards x every operator x every generator shape --
-// bit-exact against the serial oracle. The second-level Reid-Miller
-// reduction over shard-boundary segments must be invisible: any
-// regrouping the shard plan induces has to resolve through the operator,
-// never through luck.
+// shard::sharded_scan, the adapter perfbench's out_of_core workload runs:
+// every (T, W) pin it honours, every operator, every generator shape --
+// bit-exact against the serial oracle, with the sublist kernel forced
+// wherever the list is long enough for one. W = 0 leaves the width to
+// plan_host; the ignored shard count is pinned throughout.
 // ---------------------------------------------------------------------
 
-class ShardHarness : public ::testing::TestWithParam<unsigned> {};
+class ShardHarness : public ::testing::TestWithParam<ThreadsWidth> {};
 
-TEST_P(ShardHarness, AllShardCountsMatchSerialOracle) {
-  const unsigned shards = GetParam();
+TEST_P(ShardHarness, AdapterMatchesSerialOracleAtEveryPin) {
+  const auto [threads, width] = GetParam();
+  shard::ShardExec exec;
+  exec.shards = 7;
+  exec.threads = threads;
+  exec.interleave = width;
+  Workspace ws;
   for (const ScanOp op : kAllScanOps) {
     for (const Shape shape : kAllShapes) {
       for (const std::size_t n :
@@ -446,21 +451,19 @@ TEST_P(ShardHarness, AllShardCountsMatchSerialOracle) {
         std::ostringstream repro;
         repro << "repro: seed=" << seed
               << " shape=" << static_cast<int>(shape) << " n=" << n
-              << " op=" << scan_op_name(op) << " P=" << shards;
+              << " op=" << scan_op_name(op) << " T=" << threads
+              << " W=" << width;
         SCOPED_TRACE(repro.str());
 
-        shard::ShardExec exec;
-        exec.shards = shards;
-        exec.threads = 2;
-        exec.interleave = 8;
-
-        Workspace ws;
         std::vector<value_t> out(n, 0);
         shard::ShardRunStats st;
         Status s = shard::sharded_scan(l, /*rank=*/false, op, exec, ws,
                                        std::span<value_t>(out), st);
         ASSERT_TRUE(s.ok()) << s.message;
         testutil::expect_scan_eq(out, oracle_scan(l, op));
+        if (width > 0) {
+          EXPECT_EQ(st.interleave, width);
+        }
 
         std::vector<value_t> ranked(n, 0);
         s = shard::sharded_scan(l, /*rank=*/true, ScanOp::kPlus, exec, ws,
@@ -472,8 +475,10 @@ TEST_P(ShardHarness, AllShardCountsMatchSerialOracle) {
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(ShardCounts, ShardHarness,
-                         ::testing::Values(1u, 2u, 7u, 16u));
+INSTANTIATE_TEST_SUITE_P(
+    ThreadsTimesWidths, ShardHarness,
+    ::testing::Combine(::testing::Values(1u, 2u, 4u, 8u),
+                       ::testing::Values(0u, 1u, 8u)));
 
 // ---------------------------------------------------------------------
 // Operator algebra: the packed operators are associative with an exact

@@ -1008,10 +1008,10 @@ TEST(EngineServer, SnapshotSubmitAfterShutdownResolvesUnavailable) {
   EXPECT_EQ(after.stale_rejections, before.stale_rejections);
 }
 
-TEST(EngineServer, ConcurrentShardedWorkersAnswerExactlyAndAreCounted) {
-  // Four workers run concurrent sharded plus-scans of four distinct lists
-  // of one length, each shard read from its resident list: every answer
-  // is bit-exact, and each of the 128 runs counts in sharded_runs.
+TEST(EngineServer, ConcurrentWorkersWithPinnedShardsAnswerExactly) {
+  // Four workers run concurrent plus-scans of four distinct lists of one
+  // length on engines with a shard count and a byte budget pinned, both
+  // ignored: every answer is bit-exact, and all 128 runs complete.
   Rng rng(79);
   EngineOptions serial_opt;
   serial_opt.backend = BackendKind::kSerial;
@@ -1026,8 +1026,8 @@ TEST(EngineServer, ConcurrentShardedWorkersAnswerExactlyAndAreCounted) {
   ServerOptions opt;
   opt.engine.backend = BackendKind::kHost;
   opt.workers = 4;
-  opt.engine.shard.shards = 4;       // pin the sharded tier on
-  opt.engine.shard.byte_budget = 1;  // the budget leaves the pin alone
+  opt.engine.shard.shards = 4;
+  opt.engine.shard.byte_budget = 1;
   EngineServer server(opt);
 
   std::vector<std::future<RunResult>> futures;
@@ -1036,20 +1036,19 @@ TEST(EngineServer, ConcurrentShardedWorkersAnswerExactlyAndAreCounted) {
   for (int i = 0; i < 128; ++i) {
     const RunResult r = futures[i].get();
     ASSERT_TRUE(r.ok()) << i << ": " << r.status.message;
-    EXPECT_EQ(r.stats.shard_count, 4u);
     EXPECT_EQ(r.scan, want[i % 4]) << "request " << i;
   }
   server.shutdown();
-  EXPECT_EQ(server.stats().sharded_runs, 128u);
+  EXPECT_EQ(server.stats().completed, 128u);
 }
 
-TEST(EngineServer, ShardedSnapshotRunExportsNoSlab) {
-  // A sharded snapshot run reports the slab tier from its shard passes,
-  // but the workspace slab holds whatever its last pass left there.
-  // Here an unsharded plus-scan of another list runs first on the one
-  // engine; its slab must not reach the slab cache under the snapshot's
-  // key. Only the memoized result is cached, and a later min-scan of the
-  // snapshot finds no slab.
+TEST(EngineServer, SnapshotRunWithAByteBudgetCachesOnlyItsResult) {
+  // A snapshot run on an engine with a byte budget far below the list
+  // walks the slab like any sublist run, and the slab holds whatever
+  // the engine's last run left there. Here a plus-scan of another list
+  // runs first on the one engine; its slab must not reach the cache
+  // under the snapshot's key. Only the memoized result is cached, and a
+  // later min-scan of the snapshot finds no slab.
   Rng rng(71);
   const LinkedList snap = random_list(1u << 16, rng, ValueInit::kSigned);
   const LinkedList other = random_list(20000, rng, ValueInit::kSigned);
@@ -1057,7 +1056,7 @@ TEST(EngineServer, ShardedSnapshotRunExportsNoSlab) {
 
   ServerOptions opt;
   opt.engine.backend = BackendKind::kHost;
-  opt.engine.shard.byte_budget = std::size_t{700} << 10;  // 3 shards
+  opt.engine.shard.byte_budget = std::size_t{700} << 10;
   opt.workers = 1;
   EngineServer server(opt);
   SnapshotHandle handle;
@@ -1080,16 +1079,14 @@ TEST(EngineServer, ShardedSnapshotRunExportsNoSlab) {
   worker_held.wait();
   std::future<RunResult> plain =
       server.submit(ScanRequest{&other, ScanOp::kPlus, Method::kReidMiller});
-  std::future<RunResult> sharded = server.submit(req);
+  std::future<RunResult> snapped = server.submit(req);
   release.set_value();
 
   const RunResult p = plain.get();
   ASSERT_TRUE(p.ok()) << p.status.message;
   EXPECT_EQ(p.stats.kernel_tier, KernelTier::kPackedCursors);
-  EXPECT_EQ(p.stats.shard_count, 0u);
-  const RunResult s = sharded.get();
+  const RunResult s = snapped.get();
   ASSERT_TRUE(s.ok()) << s.status.message;
-  EXPECT_EQ(s.stats.shard_count, 3u);
   EXPECT_EQ(s.stats.kernel_tier, KernelTier::kPackedCursors);
   EXPECT_EQ(s.scan, serial.run(OpRequest{&snap, ScanOp::kPlus}).scan);
   EXPECT_EQ(server.stats().cache_resident_entries, 1u)

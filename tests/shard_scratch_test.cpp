@@ -1,10 +1,10 @@
-// A sharded run keeps all of its O(n + m) scratch in the Workspace it is
-// given: the segment ids and heads, the reduced list, the segment
-// prefixes and the shard slab. A warm Workspace therefore serves sharded
-// ranks and scans, with or without a byte budget, without one large heap
-// allocation. Freeing and re-allocating those arrays on every call would
-// make the run's speed depend on where the allocator's heap happens to
-// end.
+// shard::sharded_scan keeps all of its O(n + m) scratch in the Workspace
+// it is given: the record slab, the sublist picks, heads, tails and sums
+// the host kernel fits there. A warm Workspace therefore serves ranks
+// and scans, whatever the ignored shard count and byte budget say,
+// without one large heap allocation. Freeing and re-allocating those
+// arrays on every call would make the run's speed depend on where the
+// allocator's heap happens to end.
 //
 // This file replaces the global operator new to count allocations of 64
 // KiB or more, so it is its own test binary.
@@ -80,10 +80,9 @@ void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
 namespace lr90 {
 namespace {
 
-TEST(ShardScratch, WarmWorkspaceRunsShardedWithoutLargeAllocations) {
-  // 2^16 vertices in 8 shards: every per-vertex array (seg_of 256 KiB,
-  // the answer 512 KiB) and the reduced list of a random layout (~7/8 n
-  // nodes) are past 64 KiB, and so is each shard's two-word slab.
+TEST(ShardScratch, WarmWorkspaceRunsWithoutLargeAllocations) {
+  // 2^16 vertices: the answer (512 KiB), the rank's one-word slab (512
+  // KiB) and a scan's two-word slab (1 MiB) are all past 64 KiB.
   constexpr std::size_t kN = std::size_t{1} << 16;
   Rng rng(0x5c7a);
   const LinkedList list = random_list(kN, rng, ValueInit::kSigned);
@@ -106,33 +105,34 @@ TEST(ShardScratch, WarmWorkspaceRunsShardedWithoutLargeAllocations) {
   ram.interleave = 8;
   shard::ShardExec budget = ram;
   budget.byte_budget = 2 * kN * (sizeof(index_t) + sizeof(value_t)) / 8;
-  const std::pair<const char*, const shard::ShardExec*> tiers[] = {
+  const std::pair<const char*, const shard::ShardExec*> pins[] = {
       {"ram", &ram}, {"budget", &budget}};
 
   Workspace ws;
   std::vector<value_t> out(kN);
-  const auto run = [&](const Case& c, const char* tier,
-                       const shard::ShardExec& base) {
-    SCOPED_TRACE(std::string(c.name) + " " + tier);
+  const auto run = [&](const Case& c, const char* pin,
+                       const shard::ShardExec& exec) {
+    SCOPED_TRACE(std::string(c.name) + " " + pin);
     shard::ShardRunStats stats;
     const Status st =
-        shard::sharded_scan(list, c.rank, c.op, base, ws, out, stats);
+        shard::sharded_scan(list, c.rank, c.op, exec, ws, out, stats);
     ASSERT_TRUE(st.ok()) << st.message;
-    EXPECT_EQ(stats.shards, 8u);
+    EXPECT_EQ(stats.interleave, 8u);
     EXPECT_TRUE(out == c.want) << "answer differs from the serial oracle";
   };
-  // Warm the Workspace on every shape once.
-  for (const auto& [tier, exec] : tiers)
-    for (const Case& c : cases) run(c, tier, *exec);
+  // Warm the Workspace (and this thread's worker team) on every shape
+  // once.
+  for (const auto& [pin, exec] : pins)
+    for (const Case& c : cases) run(c, pin, *exec);
 
   g_large.store(0);
   g_counting.store(true);
   for (int round = 0; round < 3; ++round)
-    for (const auto& [tier, exec] : tiers)
-      for (const Case& c : cases) run(c, tier, *exec);
+    for (const auto& [pin, exec] : pins)
+      for (const Case& c : cases) run(c, pin, *exec);
   g_counting.store(false);
   EXPECT_EQ(g_large.load(), 0u)
-      << "allocations of 64 KiB or more in 18 warm sharded calls";
+      << "allocations of 64 KiB or more in 18 warm calls";
 }
 
 }  // namespace

@@ -1,29 +1,32 @@
-// Tests for the sharded tier (src/shard/): the shard split and its
-// segments, the two-level sharded scan's bit-exactness vs the serial
-// oracle, the Engine/Planner wiring (auto-shard on the byte budget), and
-// that a byte budget reads every shard from the resident list and
-// touches no file.
+// Tests for shard::sharded_scan (src/shard/), the adapter that runs the
+// host sublist kernel over the whole resident list: bit-exactness vs the
+// serial oracle for a rank and every operator whatever its ignored
+// ShardExec fields say, on every list shape and at the pinned width,
+// typed answers on a tailless and an empty list, a Workspace that serves
+// list after list, and the ignored shard options, through sharded_scan,
+// the Planner and the Engine. A malformed list whose head runs into a
+// cycle with validation off must end every run, not spin.
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
+#include <functional>
 #include <future>
+#include <span>
 #include <string>
 #include <thread>
 #include <utility>
 #include <vector>
 
+#include "analysis/tuner.hpp"
 #include "core/engine.hpp"
 #include "core/host_exec.hpp"
 #include "core/workspace.hpp"
-#include "lists/encode.hpp"
 #include "lists/generators.hpp"
 #include "lists/ops.hpp"
-#include "shard/shard_store.hpp"
 #include "shard/sharded.hpp"
 #include "support/rng.hpp"
 #include "test_util.hpp"
@@ -33,7 +36,7 @@ namespace {
 
 namespace fs = std::filesystem;
 
-/// A fresh empty directory under the test temp root.
+/// A fresh path under the test temp root that no run may create.
 std::string fresh_dir(const std::string& tag) {
   const std::string dir = ::testing::TempDir() + "lr90_shard_" + tag;
   fs::remove_all(dir);
@@ -64,115 +67,63 @@ shard::ShardRunStats run_and_check(const LinkedList& list, bool rank,
   return stats;
 }
 
-// -- ShardedList structure --------------------------------------------------
+/// The W the kernel runs for `n` vertices under `exec`'s pins.
+unsigned planned_width(std::size_t n, bool rank, ScanOp op,
+                       const shard::ShardExec& exec) {
+  return plan_host(n, rank ? ScanOp::kPlus : op,
+                   {.threads = exec.threads,
+                    .interleave = exec.interleave,
+                    .force_sublists = true})
+      .interleave;
+}
 
-TEST(ShardedList, SegmentsPartitionTheListAndStayInsideTheirShard) {
-  Rng rng(42);
-  const LinkedList list = random_list(1000, rng, ValueInit::kSigned);
-  Workspace ws;
-  const shard::ShardedList s = shard::ShardedList::build(list, 7, 1, ws);
-  ASSERT_EQ(s.shards, 7u);
-  // Every segment head lives in the shard whose heads_of range holds it,
-  // and walking all segments visits every vertex exactly once.
-  std::vector<int> seen(list.size(), 0);
-  std::size_t segs = 0;
-  for (unsigned p = 0; p < s.shards; ++p) {
-    const auto [b, e] = s.range(p);
-    for (const index_t h : s.heads_of(p)) {
-      ASSERT_GE(h, b);
-      ASSERT_LT(h, e);
-      ++segs;
-      index_t v = h;
-      for (;;) {
-        ++seen[v];
-        const index_t nx = list.next[v];
-        if (nx == v || s.shard_of(nx) != p) break;
-        v = nx;
-      }
+// -- sharded_scan ------------------------------------------------------------
+
+TEST(ShardedScan, EveryOperatorIsBitExactWhateverTheIgnoredFieldsSay) {
+  // shards, byte_budget, spill_dir and keep_files are accepted and
+  // otherwise ignored: a rank and every operator's scan answer bit-exact
+  // with all four unset and with all four set, at the same W, and no
+  // path is created.
+  Rng rng(29);
+  const LinkedList base = random_list(30000, rng, ValueInit::kSigned);
+  shard::ShardExec plain;
+  plain.threads = 2;
+  shard::ShardExec knobs = plain;
+  knobs.shards = 6;
+  knobs.byte_budget = 1;
+  knobs.spill_dir = fresh_dir("ignored_knobs");
+  knobs.keep_files = true;
+  const auto run = [](const LinkedList& list, bool rank, ScanOp op,
+                      const shard::ShardExec& exec) {
+    const shard::ShardRunStats stats = run_and_check(list, rank, op, exec);
+    EXPECT_EQ(stats.shards, 1u);
+    EXPECT_EQ(stats.segments, 0u);
+    EXPECT_EQ(stats.store.loads, 0u);
+    EXPECT_EQ(stats.store.spills, 0u);
+    EXPECT_EQ(stats.store.prefetch_hits, 0u);
+    return stats.interleave;
+  };
+  for (const ScanOp op : kAllScanOps) {
+    SCOPED_TRACE(scan_op_name(op));
+    // The packed operators read their value as 32-bit lanes; keep the
+    // magnitudes in-lane so every combine is exact (max-plus especially).
+    LinkedList list = base;
+    if (op == ScanOp::kSegSum || op == ScanOp::kAffine ||
+        op == ScanOp::kMaxPlus) {
+      for (value_t& v : list.value) v &= 0xffff;
     }
+    EXPECT_EQ(run(list, /*rank=*/false, op, knobs),
+              run(list, /*rank=*/false, op, plain));
   }
-  EXPECT_EQ(segs, s.segments);
-  for (std::size_t v = 0; v < list.size(); ++v)
-    EXPECT_EQ(seen[v], 1) << "vertex " << v;
+  SCOPED_TRACE("rank");
+  EXPECT_EQ(run(base, /*rank=*/true, ScanOp::kPlus, knobs),
+            run(base, /*rank=*/true, ScanOp::kPlus, plain));
+  EXPECT_FALSE(fs::exists(knobs.spill_dir));
 }
-
-TEST(ShardedList, DenseSegmentIdsNameEveryHeadAndOnlyHeads) {
-  Rng rng(44);
-  const std::pair<std::string, LinkedList> lists[] = {
-      {"random", random_list(5000, rng)},
-      {"blocked", blocked_list(5000, 64, rng)}};
-  for (const auto& [name, list] : lists) {
-    for (const unsigned shards : {1u, 3u, 8u}) {
-      SCOPED_TRACE(name + " P=" + std::to_string(shards));
-      Workspace ws;
-      const shard::ShardedList s =
-          shard::ShardedList::build(list, shards, /*threads=*/3, ws);
-      ASSERT_EQ(s.seg_of.size(), list.size());
-      std::vector<char> is_head(list.size(), 0);
-      for (unsigned p = 0; p < s.shards; ++p) {
-        for (std::size_t i = 0; i < s.heads_of(p).size(); ++i) {
-          const index_t h = s.heads_of(p)[i];
-          EXPECT_EQ(s.seg_of[h], s.seg_base[p] + i) << "head " << h;
-          is_head[h] = 1;
-        }
-      }
-      std::size_t named = 0;
-      for (std::size_t v = 0; v < list.size(); ++v) {
-        if (s.seg_of[v] != kNoVertex) ++named;
-        if (!is_head[v]) {
-          EXPECT_EQ(s.seg_of[v], kNoVertex) << "vertex " << v;
-        }
-      }
-      EXPECT_EQ(named, s.segments);
-    }
-  }
-}
-
-TEST(ShardedList, SequentialListHasOneSegmentPerNonemptyShard) {
-  const LinkedList list = sequential_list(100);
-  Workspace ws;
-  const shard::ShardedList s = shard::ShardedList::build(list, 4, 1, ws);
-  // Sequential order never re-enters a shard: exactly one segment each.
-  EXPECT_EQ(s.segments, 4u);
-  for (unsigned p = 0; p < 4; ++p) EXPECT_EQ(s.heads_of(p).size(), 1u);
-}
-
-TEST(ShardedList, ShardCountClampsToListLength) {
-  const LinkedList list = sequential_list(3);
-  Workspace ws;
-  const shard::ShardedList s = shard::ShardedList::build(list, 64, 1, ws);
-  EXPECT_LE(s.shards, 3u);
-  EXPECT_EQ(s.segments, static_cast<std::size_t>(s.shards));
-}
-
-TEST(ShardedList, RebuildInAWarmWorkspaceMatchesAFreshBuild) {
-  // build() reuses the Workspace's segment arrays. No mark an earlier
-  // list left there may name a head of the next one, whatever its layout
-  // or length: each build equals the same build into a fresh Workspace.
-  Rng rng(46);
-  const std::pair<std::string, LinkedList> lists[] = {
-      {"random", random_list(3000, rng)},
-      {"blocked", blocked_list(3000, 64, rng)},
-      {"sequential", sequential_list(1000)},
-      {"short random", random_list(700, rng)}};
-  Workspace warm;
-  for (const auto& [name, list] : lists) {
-    SCOPED_TRACE(name);
-    const shard::ShardedList got =
-        shard::ShardedList::build(list, 5, /*threads=*/2, warm);
-    Workspace fresh;
-    const shard::ShardedList want =
-        shard::ShardedList::build(list, 5, /*threads=*/2, fresh);
-    ASSERT_EQ(got.segments, want.segments);
-    EXPECT_EQ(got.seg_base, want.seg_base);
-    EXPECT_TRUE(std::ranges::equal(got.heads, want.heads));
-    EXPECT_TRUE(std::ranges::equal(got.seg_of, want.seg_of));
-  }
-}
-
-// -- sharded_scan correctness ----------------------------------------------
 
 TEST(ShardedScan, RankMatchesOracleAcrossShardCountsAndShapes) {
+  // Every pinned shard count ranks the whole list on the one kernel:
+  // from the empty list to 4096 vertices, each answer is bit-exact.
   Rng rng(7);
   for (const std::size_t n : {0ul, 1ul, 2ul, 13ul, 997ul, 4096ul}) {
     for (const unsigned p : {1u, 2u, 7u, 16u}) {
@@ -185,29 +136,30 @@ TEST(ShardedScan, RankMatchesOracleAcrossShardCountsAndShapes) {
   }
 }
 
-TEST(ShardedScan, ShardCountClampsToTheCapAndToTheListLength) {
-  // Asked for more shards than kMaxShards, or than the list has vertices,
-  // a run splits into the smaller of the two and stays bit-exact. At one
-  // vertex a shard, every vertex heads its own segment.
+TEST(ShardedScan, AnyPinnedShardCountReportsOneShard) {
+  // A count far past any list, or past this list's length, still runs
+  // the list whole: the stats report one shard and no segment.
   Rng rng(53);
   shard::ShardExec exec;
-  exec.shards = 10 * shard::kMaxShards;
+  exec.shards = 10240;
   exec.threads = 2;
-  const LinkedList big =
-      random_list(3 * shard::kMaxShards, rng, ValueInit::kSigned);
-  EXPECT_EQ(run_and_check(big, /*rank=*/false, ScanOp::kPlus, exec).shards,
-            shard::kMaxShards);
+  const LinkedList big = random_list(3 * 1024, rng, ValueInit::kSigned);
   const LinkedList small = random_list(300, rng, ValueInit::kSigned);
-  const shard::ShardRunStats stats =
-      run_and_check(small, /*rank=*/true, ScanOp::kPlus, exec);
-  EXPECT_EQ(stats.shards, 300u);
-  EXPECT_EQ(stats.segments, 300u);
+  for (const LinkedList* list : {&big, &small}) {
+    for (const bool rank : {true, false}) {
+      SCOPED_TRACE("n=" + std::to_string(list->size()) +
+                   (rank ? " rank" : " plus"));
+      const shard::ShardRunStats stats =
+          run_and_check(*list, rank, ScanOp::kPlus, exec);
+      EXPECT_EQ(stats.shards, 1u);
+      EXPECT_EQ(stats.segments, 0u);
+    }
+  }
 }
 
-TEST(ShardedScan, ListThatLeavesItsShardOnEveryLinkIsBitExact) {
-  // The order 0, h, 1, h + 1, ... (h = n / 2) crosses between the two
-  // shards on every link, so every vertex heads a segment and pass B
-  // scans a reduced list as long as the list itself.
+TEST(ShardedScan, ListThatJumpsHalfItsLengthOnEveryLinkIsBitExact) {
+  // The order 0, h, 1, h + 1, ... (h = n / 2) moves n / 2 ids on every
+  // link, so no two consecutive vertices share a cache line.
   const std::size_t n = 5000;
   const std::size_t h = n / 2;
   std::vector<index_t> order;
@@ -225,44 +177,69 @@ TEST(ShardedScan, ListThatLeavesItsShardOnEveryLinkIsBitExact) {
   for (const auto& [rank, op] : runs) {
     SCOPED_TRACE(rank ? "rank" : scan_op_name(op));
     const shard::ShardRunStats stats = run_and_check(list, rank, op, exec);
-    EXPECT_EQ(stats.shards, 2u);
-    EXPECT_EQ(stats.segments, n);
+    EXPECT_EQ(stats.shards, 1u);
+    EXPECT_EQ(stats.interleave, exec.interleave);
   }
 }
 
-TEST(ShardedScan, LaneOpsMatchOracleUnderShardedPackedKernels) {
+TEST(ShardedScan, LaneOpsMatchOracleOnEveryListShape) {
+  // The one-lane operators over random, sequential, reversed and blocked
+  // layouts, each on two workers at the default W.
   Rng rng(11);
+  const std::size_t n = 2000;
+  const std::pair<const char*, LinkedList> lists[] = {
+      {"random", random_list(n, rng, ValueInit::kSigned)},
+      {"sequential", sequential_list(n, ValueInit::kSigned, &rng)},
+      {"reversed", reversed_list(n, ValueInit::kSigned, &rng)},
+      {"blocked", blocked_list(n, 64, rng, ValueInit::kSigned)}};
+  shard::ShardExec exec;
+  exec.shards = 5;
+  exec.threads = 2;
+  for (const auto& [name, list] : lists) {
+    for (const ScanOp op :
+         {ScanOp::kPlus, ScanOp::kMin, ScanOp::kMax, ScanOp::kXor}) {
+      SCOPED_TRACE(std::string(name) + " " + scan_op_name(op));
+      run_and_check(list, /*rank=*/false, op, exec);
+    }
+  }
+}
+
+TEST(ShardedScan, ValuesPast32BitsStayExact) {
+  // Values far outside the signed 32-bit range ride whole in each
+  // record's second word: every one-lane operator stays bit-exact.
+  Rng rng(13);
+  LinkedList list = random_list(500, rng, ValueInit::kSigned);
+  list.value[123] = value_t{1} << 40;
+  list.value[400] = -(value_t{1} << 41);
+  list.value[7] = (value_t{1} << 62) + 3;
+  shard::ShardExec exec;
+  exec.shards = 4;
   for (const ScanOp op :
        {ScanOp::kPlus, ScanOp::kMin, ScanOp::kMax, ScanOp::kXor}) {
-    const LinkedList list = random_list(2000, rng, ValueInit::kSigned);
-    shard::ShardExec exec;
-    exec.shards = 5;
     SCOPED_TRACE(scan_op_name(op));
     run_and_check(list, /*rank=*/false, op, exec);
   }
 }
 
-TEST(ShardedScan, LaneOverflowFallsBackPerShardAndStaysExact) {
-  // Values missing the signed 32-bit lane poison the per-shard slab build;
-  // the shard must walk its own arrays and still be bit-exact.
-  Rng rng(13);
-  LinkedList list = random_list(500, rng, ValueInit::kSigned);
-  list.value[123] = (value_t{1} << 40);
-  list.value[400] = -(value_t{1} << 41);
-  shard::ShardExec exec;
-  exec.shards = 4;
-  run_and_check(list, /*rank=*/false, ScanOp::kPlus, exec);
-}
-
-TEST(ShardedScan, ZeroInterleaveRunsOneCursorAndMatchesOracle) {
-  Rng rng(17);
-  const LinkedList list = random_list(1500, rng, ValueInit::kSigned);
+TEST(ShardedScan, ZeroInterleaveLetsThePlanPickTheWidth) {
+  // interleave = 0 leaves W to plan_host's footprint rule: the run
+  // reports the W the plan picks for the list's length, and a list too
+  // short for two sublists runs the serial walk (W = 1).
   shard::ShardExec exec;
   exec.shards = 3;
-  exec.interleave = 0;  // clamps to one cursor per worker
-  const shard::ShardRunStats stats =
-      run_and_check(list, /*rank=*/true, ScanOp::kPlus, exec);
-  EXPECT_EQ(stats.interleave, 1u);
+  exec.threads = 2;
+  exec.interleave = 0;
+  for (const std::size_t n :
+       {std::size_t{3}, std::size_t{1500}, std::size_t{1} << 17,
+        std::size_t{1} << 18}) {
+    SCOPED_TRACE("n=" + std::to_string(n));
+    Rng rng(17 + n);
+    const LinkedList list = random_list(n, rng, ValueInit::kSigned);
+    const shard::ShardRunStats stats =
+        run_and_check(list, /*rank=*/true, ScanOp::kPlus, exec);
+    EXPECT_EQ(stats.interleave,
+              n < 4 ? 1u : planned_width(n, true, ScanOp::kPlus, exec));
+  }
 }
 
 TEST(ShardedScan, InterleavePastTheCapClampsToTheMaximum) {
@@ -280,19 +257,18 @@ TEST(ShardedScan, InterleavePastTheCapClampsToTheMaximum) {
   }
 }
 
-TEST(ShardedScan, TwoLaneOperatorsWalkTheShardSlabsAtThePinnedWidth) {
-  // The shard passes run the same slab and cursor driver for every
-  // operator: the two-lane operators build each shard's two-word records
-  // and walk them at the pinned width, and a rank of the same list its
-  // one-word records.
+TEST(ShardedScan, TwoLaneOperatorsWalkTheSlabAtThePinnedWidth) {
+  // Every operator runs the same slab and cursor driver: the two-lane
+  // operators build one two-word record per vertex and walk them at the
+  // pinned width, and a rank of the same list its one-word records.
   Rng rng(19);
-  LinkedList list = random_list(3000, rng, ValueInit::kSigned);
+  const std::size_t n = 3000;
+  LinkedList list = random_list(n, rng, ValueInit::kSigned);
   for (value_t& v : list.value) v &= 0xffff;  // keep max-plus in-lane
   shard::ShardExec exec;
   exec.shards = 4;
   exec.threads = 2;
   exec.interleave = 8;
-  const std::size_t width = 3000 / 4;
   const auto run = [&](bool rank, ScanOp op) {
     Workspace ws;
     std::vector<value_t> out(list.size());
@@ -301,11 +277,11 @@ TEST(ShardedScan, TwoLaneOperatorsWalkTheShardSlabsAtThePinnedWidth) {
         shard::sharded_scan(list, rank, op, exec, ws, out, stats);
     EXPECT_TRUE(st.ok()) << st.message;
     testutil::expect_scan_eq(out, oracle(list, rank, op));
-    EXPECT_EQ(stats.shards, 4u);
+    EXPECT_EQ(stats.shards, 1u);
     EXPECT_EQ(stats.interleave, 8u);
-    // One slab per shard, each with room for the shard's records.
-    EXPECT_GE(ws.packed_builds(), 4u);
-    EXPECT_GE(ws.packed.size(), (rank ? 1 : 2) * width);
+    // One slab for the whole list, with room for every record.
+    EXPECT_EQ(ws.packed_builds(), 1u);
+    EXPECT_GE(ws.packed.size(), (rank ? 1 : 2) * n);
   };
   for (const ScanOp op :
        {ScanOp::kSegSum, ScanOp::kAffine, ScanOp::kMaxPlus}) {
@@ -316,84 +292,123 @@ TEST(ShardedScan, TwoLaneOperatorsWalkTheShardSlabsAtThePinnedWidth) {
   run(/*rank=*/true, ScanOp::kPlus);
 }
 
-TEST(ShardedScan, ByteBudgetRunsReadTheResidentSource) {
-  // A byte budget of one byte and a spill path change nothing but the
-  // run's shape: every shard is read from the resident list, so the
-  // answers are bit-exact, nothing is loaded or spilled, and the path is
-  // never created.
+TEST(ShardedScan, ByteBudgetRunsMatchUnbudgetedRunsOnABlockedList) {
+  // A byte budget of one byte and a spill path change nothing: on a
+  // blocked layout every answer is bit-exact at the W of a run without
+  // them, nothing is loaded or spilled, and the path is never created.
   Rng rng(19);
-  const std::size_t n = 50000;
-  const unsigned P = 8;
-  const LinkedList list = blocked_list(n, 512, rng, ValueInit::kSigned);
-  shard::ShardExec exec;
-  exec.shards = P;
-  exec.byte_budget = 1;
-  exec.spill_dir = fresh_dir("resident_source");
+  const LinkedList list = blocked_list(50000, 512, rng, ValueInit::kSigned);
+  shard::ShardExec plain;
+  plain.threads = 2;
+  shard::ShardExec budget = plain;
+  budget.shards = 8;
+  budget.byte_budget = 1;
+  budget.spill_dir = fresh_dir("resident_source");
   const std::pair<bool, ScanOp> runs[] = {
       {true, ScanOp::kPlus}, {false, ScanOp::kPlus}, {false, ScanOp::kAffine}};
   for (const auto& [rank, op] : runs) {
     SCOPED_TRACE(rank ? "rank" : scan_op_name(op));
-    const shard::ShardRunStats stats = run_and_check(list, rank, op, exec);
-    EXPECT_EQ(stats.shards, P);
-    EXPECT_EQ(stats.store.loads, 0u);
-    EXPECT_EQ(stats.store.spills, 0u);
-    EXPECT_FALSE(fs::exists(exec.spill_dir));
+    const shard::ShardRunStats want = run_and_check(list, rank, op, plain);
+    const shard::ShardRunStats got = run_and_check(list, rank, op, budget);
+    EXPECT_EQ(got.shards, want.shards);
+    EXPECT_EQ(got.interleave, want.interleave);
+    EXPECT_EQ(got.store.loads, 0u);
+    EXPECT_EQ(got.store.spills, 0u);
+    EXPECT_FALSE(fs::exists(budget.spill_dir));
   }
 }
 
-TEST(ShardedScan, IgnoredExecFieldsChangeNeitherAnswerNorShape) {
-  // byte_budget, spill_dir and keep_files are accepted and otherwise
-  // ignored: a run that sets all three gives the answer and the shape
-  // (shards, segments, cursors) of one that sets none, and creates no
-  // path.
-  Rng rng(29);
-  const LinkedList list = random_list(30000, rng, ValueInit::kSigned);
-  shard::ShardExec plain;
-  plain.shards = 6;
-  plain.threads = 2;
-  shard::ShardExec knobs = plain;
-  knobs.byte_budget = 1;
-  knobs.spill_dir = fresh_dir("ignored_knobs");
-  knobs.keep_files = true;
-  const std::pair<bool, ScanOp> runs[] = {{true, ScanOp::kPlus},
-                                          {false, ScanOp::kAffine}};
-  for (const auto& [rank, op] : runs) {
-    SCOPED_TRACE(rank ? "rank" : scan_op_name(op));
-    const shard::ShardRunStats a = run_and_check(list, rank, op, plain);
-    const shard::ShardRunStats b = run_and_check(list, rank, op, knobs);
-    EXPECT_EQ(b.shards, a.shards);
-    EXPECT_EQ(b.segments, a.segments);
-    EXPECT_EQ(b.interleave, a.interleave);
-    EXPECT_EQ(b.store.prefetch_hits, 0u);
-    EXPECT_FALSE(fs::exists(knobs.spill_dir));
-  }
-}
-
-TEST(ShardedScan, EmptyTrailingShardsStayBitExactInEveryRun) {
-  // n = 9 or 17 at P = 8 leaves the last shards empty; every run, rank
-  // or scan, still splits into P shards and matches the oracle.
+TEST(ShardedScan, PinnedShardsPastTheListLengthStayBitExactInEveryRun) {
+  // n = 9 or 17 at P = 8 pins more shards than the list can fill; every
+  // run, rank or scan, answers the whole list as one.
   for (const std::size_t n : {std::size_t{9}, std::size_t{17}}) {
     SCOPED_TRACE("n=" + std::to_string(n));
     Rng rng(n);
     const LinkedList list = random_list(n, rng, ValueInit::kSigned);
-    const unsigned P = 8;
     shard::ShardExec exec;
-    exec.shards = P;
+    exec.shards = 8;
     exec.threads = 2;
     for (int run = 0; run < 50; ++run) {
       const shard::ShardRunStats stats =
           run_and_check(list, /*rank=*/run % 2 == 0, ScanOp::kPlus, exec);
-      ASSERT_EQ(stats.shards, P) << "run " << run;
+      ASSERT_EQ(stats.shards, 1u) << "run " << run;
     }
   }
 }
 
+TEST(ShardedScan, EveryRunReseedsTheWorkspaceRng) {
+  // The run draws its sublist heads from ws.rng reseeded from
+  // kDefaultSeed, as Engine::run does: a Workspace whose generator an
+  // earlier caller advanced ends the run in the state a fresh one does.
+  Rng rng(67);
+  const LinkedList list = random_list(20000, rng, ValueInit::kSigned);
+  shard::ShardExec exec;
+  exec.threads = 2;
+  const auto rng_after = [&](Workspace& ws) {
+    std::vector<value_t> out(list.size());
+    shard::ShardRunStats stats;
+    EXPECT_TRUE(shard::sharded_scan(list, /*rank=*/false, ScanOp::kPlus,
+                                    exec, ws, out, stats)
+                    .ok());
+    testutil::expect_scan_eq(out, oracle(list, false, ScanOp::kPlus));
+    return ws.rng.next_u64();
+  };
+  Workspace fresh;
+  const std::uint64_t want = rng_after(fresh);
+  Workspace advanced;
+  advanced.rng = Rng(12345);
+  for (int i = 0; i < 17; ++i) advanced.rng.next_u64();
+  EXPECT_EQ(rng_after(advanced), want);
+  EXPECT_EQ(rng_after(advanced), want);
+}
+
+TEST(ShardedScan, TaillessListIsInvalidAtAnyPinnedShardCount) {
+  // A list whose walk from the head meets no self-loop tail is refused
+  // typed, for a rank and a scan, whatever shard count is pinned, and
+  // the stats report no shard.
+  LinkedList cycle;
+  cycle.next = {1, 0};
+  cycle.value = {1, 1};
+  cycle.head = 0;
+  for (const unsigned p : {1u, 2u}) {
+    shard::ShardExec exec;
+    exec.shards = p;
+    Workspace ws;
+    for (const bool rank : {true, false}) {
+      SCOPED_TRACE("P=" + std::to_string(p) + (rank ? " rank" : " plus"));
+      std::vector<value_t> out(cycle.size());
+      shard::ShardRunStats stats;
+      const Status st = shard::sharded_scan(cycle, rank, ScanOp::kPlus, exec,
+                                            ws, out, stats);
+      EXPECT_EQ(st.code, StatusCode::kInvalidInput) << st.message;
+      EXPECT_EQ(stats.shards, 0u);
+    }
+  }
+}
+
+TEST(ShardedScan, EmptyListIsOkAndRunsNoCursor) {
+  // An empty list answers kOk for a rank and a scan, as one shard in
+  // which no cursor ran.
+  const LinkedList empty;
+  shard::ShardExec exec;
+  Workspace ws;
+  for (const bool rank : {true, false}) {
+    SCOPED_TRACE(rank ? "rank" : "plus");
+    shard::ShardRunStats stats;
+    const Status st =
+        shard::sharded_scan(empty, rank, ScanOp::kPlus, exec, ws, {}, stats);
+    EXPECT_TRUE(st.ok()) << st.message;
+    EXPECT_EQ(stats.shards, 1u);
+    EXPECT_EQ(stats.interleave, 0u);
+  }
+}
+
 TEST(ShardedScan, OneWorkspaceNeverCarriesARunIntoTheNext) {
-  // All of a run's scratch (segment ids, the reduced list, its prefixes,
-  // the shard slab) lives in the Workspace the caller passes. Through
-  // one Workspace run a list, the same links with new values, another
-  // list of that length, a shorter one and the first again: every answer
-  // is bit-exact, so nothing an earlier run left there is served.
+  // All of a run's scratch lives in the Workspace the caller passes.
+  // Through one Workspace run a list, the same links with new values,
+  // another list of that length, a shorter one and the first again:
+  // every answer is bit-exact, so nothing an earlier run left there is
+  // served.
   Rng rng(23);
   const LinkedList first = random_list(20000, rng, ValueInit::kSigned);
   LinkedList revalued = first;
@@ -406,7 +421,6 @@ TEST(ShardedScan, OneWorkspaceNeverCarriesARunIntoTheNext) {
       {"other", &other},     {"shorter", &shorter},
       {"first again", &first}};
   shard::ShardExec exec;
-  exec.shards = 4;
   exec.threads = 2;
   Workspace ws;
   for (const auto& [name, list] : lists) {
@@ -422,169 +436,151 @@ TEST(ShardedScan, OneWorkspaceNeverCarriesARunIntoTheNext) {
   }
 }
 
-TEST(ShardedScan, TaillessListIsRefusedBeforeAnyShardIsBuilt) {
-  // Pass A walks a segment to a shard exit or the self-loop, so a list
-  // with neither would spin inside one shard. The run refuses it before
-  // it builds a shard, at one shard or two.
-  LinkedList cycle;
-  cycle.next = {1, 0};
-  cycle.value = {1, 1};
-  cycle.head = 0;
-  for (const unsigned p : {1u, 2u}) {
-    SCOPED_TRACE("P=" + std::to_string(p));
-    shard::ShardExec exec;
-    exec.shards = p;
-    Workspace ws;
-    std::vector<value_t> out(cycle.size());
-    for (const bool rank : {true, false}) {
-      shard::ShardRunStats stats;
-      const Status st =
-          shard::sharded_scan(cycle, rank, ScanOp::kPlus, exec, ws, out,
-                              stats);
-      EXPECT_EQ(st.code, StatusCode::kInvalidInput) << st.message;
-      EXPECT_EQ(stats.shards, 0u);
+// -- the Planner's shard options -----------------------------------------------
+
+/// The Planner's decision on a 4-thread host engine under `shard`.
+Planner::Decision decide(const ShardOptions& shard, std::size_t n,
+                         Method method, bool rank, ScanOp op) {
+  EngineOptions opt;
+  opt.backend = BackendKind::kHost;
+  opt.threads = 4;
+  opt.shard = shard;
+  return Planner(opt).decide(n, method, rank, op);
+}
+
+/// Expects every pin in `pins` to plan exactly as no shard option does,
+/// with no shard named, across lengths, methods and operators.
+void expect_plans_unchanged(std::span<const ShardOptions> pins) {
+  for (const std::size_t n : {std::size_t{2}, std::size_t{1} << 15,
+                              std::size_t{100000}, std::size_t{1} << 20}) {
+    for (const Method method : {Method::kAuto, Method::kReidMiller}) {
+      for (const auto& [rank, op] : {std::pair{true, ScanOp::kPlus},
+                                     std::pair{false, ScanOp::kAffine}}) {
+        SCOPED_TRACE("n=" + std::to_string(n) + " " + method_name(method) +
+                     " " + (rank ? "rank" : scan_op_name(op)));
+        const Planner::Decision want = decide({}, n, method, rank, op);
+        EXPECT_EQ(want.shard_count, 0u);
+        for (const ShardOptions& shard : pins) {
+          SCOPED_TRACE("shards=" + std::to_string(shard.shards) +
+                       " budget=" + std::to_string(shard.byte_budget));
+          const Planner::Decision got = decide(shard, n, method, rank, op);
+          EXPECT_EQ(got.method, want.method);
+          EXPECT_EQ(got.threads, want.threads);
+          EXPECT_EQ(got.interleave, want.interleave);
+          EXPECT_EQ(got.sublists, want.sublists);
+          EXPECT_EQ(got.shard_count, 0u);
+        }
+      }
     }
   }
 }
 
-// -- Engine / Planner wiring ------------------------------------------------
+TEST(ShardPlanner, PinnedShardCountLeavesThePlanUnchanged) {
+  const ShardOptions pins[] = {
+      {.shards = 1}, {.shards = 3}, {.shards = 8}, {.shards = 10240}};
+  expect_plans_unchanged(pins);
+}
 
-TEST(ShardPlanner, AutoShardOffRunsEveryIndexableListUnsharded) {
-  // With no shard count and no byte budget, a list of any length a
-  // 32-bit index holds runs unsharded: the slab's links take all 32 bits,
-  // so no length forces a shard split.
+TEST(ShardPlanner, ByteBudgetLeavesThePlanUnchanged) {
+  // Budgets past, at, just under, at half of and far below the bytes of
+  // a 100,000-vertex list.
+  const std::size_t bytes = 100000 * (sizeof(index_t) + sizeof(value_t));
+  const ShardOptions pins[] = {{.byte_budget = 2 * bytes},
+                               {.byte_budget = bytes},
+                               {.byte_budget = bytes - 1},
+                               {.byte_budget = bytes / 2},
+                               {.byte_budget = 1}};
+  expect_plans_unchanged(pins);
+}
+
+TEST(ShardPlanner, PinnedShardCountAndBudgetTogetherLeaveThePlanUnchanged) {
+  const ShardOptions pins[] = {{.shards = 3, .byte_budget = 1},
+                               {.shards = 3, .byte_budget = std::size_t{1}
+                                                            << 40},
+                               {.shards = 8, .byte_budget = 64 << 10}};
+  expect_plans_unchanged(pins);
+}
+
+// -- the Engine with shard options pinned ------------------------------------
+
+/// A host engine on 2 threads with `shard` pinned (and otherwise ignored).
+EngineOptions pinned_engine(const ShardOptions& shard) {
   EngineOptions opt;
   opt.backend = BackendKind::kHost;
-  const Planner planner(opt);
-  for (const std::size_t n : {(std::size_t{1} << 31) + 5,
-                              std::size_t{kNoVertex}}) {
-    const auto d = planner.decide(n, Method::kAuto, /*rank=*/true);
-    EXPECT_EQ(d.shard_count, 0u) << n;
-    EXPECT_EQ(d.method, Method::kReidMiller) << n;
-  }
+  opt.threads = 2;
+  opt.shard = shard;
+  return opt;
 }
 
-TEST(ShardPlanner, BelowTheBoundStaysUnsharded) {
-  EngineOptions opt;
-  opt.backend = BackendKind::kHost;
-  const Planner planner(opt);
-  const auto d = planner.decide(1 << 20, Method::kAuto, /*rank=*/true);
-  EXPECT_EQ(d.shard_count, 0u);
+/// Expects two runs of one request to have taken the same execution
+/// shape.
+void expect_same_shape(const RunResult& got, const RunResult& want) {
+  EXPECT_EQ(got.method_used, want.method_used);
+  EXPECT_EQ(got.stats.kernel_tier, want.stats.kernel_tier);
+  EXPECT_EQ(got.stats.host_threads, want.stats.host_threads);
+  EXPECT_EQ(got.stats.host_interleave, want.stats.host_interleave);
+  EXPECT_EQ(got.stats.host_sublists, want.stats.host_sublists);
 }
 
-TEST(ShardPlanner, ByteBudgetTriggersAutoShard) {
-  EngineOptions opt;
-  opt.backend = BackendKind::kHost;
-  opt.shard.byte_budget = 64 * 1024;
-  const Planner planner(opt);
-  const std::size_t n = 100000;  // 1.2 MB of list > 64 KB budget
-  const auto d = planner.decide(n, Method::kAuto, /*rank=*/true);
-  ASSERT_GT(d.shard_count, 1u);
-  // Enough shards that ~two fit the budget (the mapped shard plus pass
-  // A's slab of it).
-  const std::size_t width = (n + d.shard_count - 1) / d.shard_count;
-  EXPECT_LE(width * (sizeof(index_t) + sizeof(value_t)),
-            opt.shard.byte_budget);
-}
-
-TEST(ShardPlanner, OnlyAListPastTheBudgetIsSharded) {
-  // A list whose bytes the budget holds stays unsharded, even at exactly
-  // its bytes; one byte less splits it so that two shards fit the budget,
-  // and a budget far below the list is clamped to kMaxShards.
-  const std::size_t n = 100000;
-  const std::size_t bytes = n * (sizeof(index_t) + sizeof(value_t));
-  const auto shards_at = [&](std::size_t budget) {
-    EngineOptions opt;
-    opt.backend = BackendKind::kHost;
-    opt.shard.byte_budget = budget;
-    return Planner(opt).decide(n, Method::kAuto, /*rank=*/true).shard_count;
-  };
-  EXPECT_EQ(shards_at(2 * bytes), 0u);
-  EXPECT_EQ(shards_at(bytes), 0u);
-  EXPECT_EQ(shards_at(bytes - 1), 3u);
-  EXPECT_EQ(shards_at(bytes / 2), 4u);
-  EXPECT_EQ(shards_at(1), shard::kMaxShards);
-}
-
-TEST(ShardPlanner, PinnedShardCountWinsOverTheByteBudget) {
-  // A pinned count is the count whatever the budget says; only the list
-  // length clamps it.
-  for (const std::size_t budget :
-       {std::size_t{0}, std::size_t{1}, std::size_t{1} << 40}) {
-    SCOPED_TRACE("budget=" + std::to_string(budget));
-    EngineOptions opt;
-    opt.backend = BackendKind::kHost;
-    opt.shard.shards = 3;
-    opt.shard.byte_budget = budget;
-    const Planner planner(opt);
-    EXPECT_EQ(planner.decide(100000, Method::kAuto, true).shard_count, 3u);
-    EXPECT_EQ(planner.decide(2, Method::kAuto, true).shard_count, 2u);
-  }
-}
-
-TEST(ShardEngine, PinnedShardsRunShardedAndVerify) {
-  EngineOptions opt;
-  opt.backend = BackendKind::kHost;
-  opt.shard.shards = 4;
+TEST(ShardEngine, PinnedShardsRunUnshardedAndVerify) {
+  EngineOptions opt = pinned_engine({.shards = 4});
   opt.verify_output = true;  // engine checks vs the serial reference
   Engine engine(opt);
+  Engine unpinned(pinned_engine({}));
   Rng rng(31);
   const LinkedList list = random_list(5000, rng, ValueInit::kSigned);
-  const RunResult r = engine.scan(list, ScanOp::kMin);
-  ASSERT_TRUE(r.ok()) << r.status.message;
-  EXPECT_EQ(r.stats.shard_count, 4u);
-  EXPECT_GT(r.stats.shard_segments, 0u);
-  testutil::expect_scan_eq(r.scan, oracle(list, false, ScanOp::kMin));
+  for (const Method method : {Method::kAuto, Method::kReidMiller}) {
+    SCOPED_TRACE(method_name(method));
+    const RunResult r = engine.scan(list, ScanOp::kMin, method);
+    ASSERT_TRUE(r.ok()) << r.status.message;
+    testutil::expect_scan_eq(r.scan, oracle(list, false, ScanOp::kMin));
+    expect_same_shape(r, unpinned.scan(list, ScanOp::kMin, method));
+  }
 }
 
-TEST(ShardEngine, ExtraWordsCountTheSegmentIdArray) {
-  // ~4 words per segment, the 4 B/vertex segment-id array (n/2 words),
-  // and one shard's slab resident at a time: one word per vertex for a
-  // rank, two for a scan.
-  EngineOptions opt;
-  opt.backend = BackendKind::kHost;
-  opt.shard.shards = 4;
-  Engine engine(opt);
+TEST(ShardEngine, PinnedShardsAddNoExtraWords) {
+  // The run keeps the flat kernel's footprint: the same extra words and
+  // link steps as a run with no shard option, for a rank and a two-lane
+  // scan.
+  Engine engine(pinned_engine({.shards = 4}));
+  Engine unpinned(pinned_engine({}));
   Rng rng(33);
   const LinkedList list = random_list(5000, rng);
-  const RunResult r = engine.rank(list);
+  const RunResult r = engine.rank(list, Method::kReidMiller);
   ASSERT_TRUE(r.ok()) << r.status.message;
   ASSERT_EQ(r.stats.kernel_tier, KernelTier::kPackedCursors);
-  EXPECT_EQ(r.stats.algo.extra_words,
-            4 * r.stats.shard_segments + 5000 / 2 + 5000 / 4);
-  // Pass A chases every link once; pass C streams.
-  EXPECT_EQ(r.stats.algo.link_steps, 5000u);
-  const RunResult a = engine.scan(list, ScanOp::kAffine);
+  const RunResult r0 = unpinned.rank(list, Method::kReidMiller);
+  EXPECT_EQ(r.stats.algo.extra_words, r0.stats.algo.extra_words);
+  EXPECT_EQ(r.stats.algo.link_steps, r0.stats.algo.link_steps);
+  const RunResult a =
+      engine.scan(list, ScanOp::kAffine, Method::kReidMiller);
   ASSERT_TRUE(a.ok()) << a.status.message;
-  EXPECT_EQ(a.stats.algo.extra_words,
-            4 * a.stats.shard_segments + 5000 / 2 + 2 * (5000 / 4));
+  const RunResult a0 =
+      unpinned.scan(list, ScanOp::kAffine, Method::kReidMiller);
+  EXPECT_EQ(a.stats.algo.extra_words, a0.stats.algo.extra_words);
+  EXPECT_EQ(a.stats.algo.link_steps, a0.stats.algo.link_steps);
 }
 
-TEST(ShardEngine, ByteBudgetShardsTheRunAndStaysBitExact) {
-  // No pinned shard count: the 240 KB list past a 40 KB budget is split
-  // so that two shards' bytes fit it, 2 * 240000 / 40000 = 12 shards.
-  EngineOptions opt;
-  opt.backend = BackendKind::kHost;
-  opt.shard.byte_budget = 40000;
+TEST(ShardEngine, ByteBudgetLeavesTheRunUnshardedAndBitExact) {
+  // A 40 KB budget under a 240 KB list changes nothing: the rank is
+  // bit-exact and runs as an unbudgeted one does.
+  EngineOptions opt = pinned_engine({.byte_budget = 40000});
   opt.verify_output = true;
   Engine engine(opt);
+  Engine unpinned(pinned_engine({}));
   Rng rng(37);
   const LinkedList list = random_list(20000, rng, ValueInit::kOnes);
   const RunResult r = engine.rank(list);
   ASSERT_TRUE(r.ok()) << r.status.message;
-  EXPECT_EQ(r.stats.shard_count, 12u);
   testutil::expect_scan_eq(r.scan, oracle(list, true, ScanOp::kPlus));
+  expect_same_shape(r, unpinned.rank(list));
 }
 
 TEST(ShardEngine, OneEngineAnswersEveryListOfOneShapeBitExact) {
   // One Engine and its warm Workspace. List B keeps A's links with new
-  // values and C is another list of the same length, so all three share
-  // every shard's range: each answer is bit-exact.
-  EngineOptions opt;
-  opt.backend = BackendKind::kHost;
-  opt.shard.shards = 4;
-  opt.shard.byte_budget = 1;
-  Engine engine(opt);
+  // values and C is another list of the same length: each answer is
+  // bit-exact.
+  Engine engine(pinned_engine({.shards = 4, .byte_budget = 1}));
   Rng rng(53);
   const std::size_t n = 4000;
   const LinkedList a = random_list(n, rng, ValueInit::kSigned);
@@ -594,71 +590,65 @@ TEST(ShardEngine, OneEngineAnswersEveryListOfOneShapeBitExact) {
   const LinkedList c = random_list(n, rng, ValueInit::kSigned);
   const LinkedList* const lists[] = {&a, &b, &c};
   for (const LinkedList* list : lists) {
-    const RunResult r = engine.scan(*list, ScanOp::kPlus);
+    const RunResult r = engine.scan(*list, ScanOp::kPlus, Method::kReidMiller);
     ASSERT_TRUE(r.ok()) << r.status.message;
-    EXPECT_EQ(r.stats.shard_count, 4u);
+    EXPECT_EQ(r.stats.kernel_tier, KernelTier::kPackedCursors);
     testutil::expect_scan_eq(r.scan, oracle(*list, false, ScanOp::kPlus));
   }
 }
 
 TEST(ShardEngine, ExplicitSerialRequestIsHonouredUnsharded) {
-  EngineOptions opt;
-  opt.backend = BackendKind::kHost;
-  opt.shard.shards = 4;
-  Engine engine(opt);
+  Engine engine(pinned_engine({.shards = 4}));
   Rng rng(41);
   const LinkedList list = random_list(1000, rng);
   const RunResult r = engine.rank(list, Method::kSerial);
-  ASSERT_TRUE(r.ok());
-  EXPECT_EQ(r.stats.shard_count, 0u);
+  ASSERT_TRUE(r.ok()) << r.status.message;
+  EXPECT_EQ(r.method_used, Method::kSerial);
+  testutil::expect_scan_eq(r.scan, oracle(list, true, ScanOp::kPlus));
 }
 
-TEST(ShardEngine, SixtyFourBitOperatorRunsShardedOverTheSlab) {
-  EngineOptions opt;
-  opt.backend = BackendKind::kHost;
-  opt.shard.shards = 3;
+TEST(ShardEngine, SixtyFourBitOperatorRunsOverTheSlabWithShardsPinned) {
+  EngineOptions opt = pinned_engine({.shards = 3});
   opt.verify_output = true;
   Engine engine(opt);
   Rng rng(43);
   const LinkedList list = random_list(3000, rng, ValueInit::kUniformSmall);
-  const RunResult r = engine.scan(list, ScanOp::kMaxPlus);
+  const RunResult r =
+      engine.scan(list, ScanOp::kMaxPlus, Method::kReidMiller);
   ASSERT_TRUE(r.ok()) << r.status.message;
-  EXPECT_EQ(r.stats.shard_count, 3u);
   EXPECT_EQ(r.stats.kernel_tier, KernelTier::kPackedCursors);
+  testutil::expect_scan_eq(r.scan, oracle(list, false, ScanOp::kMaxPlus));
 }
 
-TEST(ShardEngine, ValuesPast32BitsRunShardedOverTheSlab) {
-  // A plus scan with one value past 32 bits walks every shard's slab,
-  // the value riding whole in its record's second word, and stays
-  // bit-exact; so does the same shape without it.
-  EngineOptions opt;
-  opt.backend = BackendKind::kHost;
-  opt.shard.shards = 4;
-  Engine engine(opt);
+TEST(ShardEngine, ValuesPast32BitsRunOverTheSlabWithShardsPinned) {
+  // A plus scan with one value past 32 bits walks the slab, the value
+  // riding whole in its record's second word, and stays bit-exact; so
+  // does the same shape without it.
+  Engine engine(pinned_engine({.shards = 4}));
   Rng rng(47);
   LinkedList list = random_list(1u << 16, rng, ValueInit::kSigned);
   list.value[4321] = value_t{1} << 40;
-  const RunResult r = engine.scan(list, ScanOp::kPlus);
+  const RunResult r = engine.scan(list, ScanOp::kPlus, Method::kReidMiller);
   ASSERT_TRUE(r.ok()) << r.status.message;
   testutil::expect_scan_eq(r.scan, oracle(list, false, ScanOp::kPlus));
-  EXPECT_EQ(r.stats.shard_count, 4u);
   EXPECT_EQ(r.stats.kernel_tier, KernelTier::kPackedCursors);
   EXPECT_GE(r.stats.host_interleave, 1u);
 
   list.value[4321] = 7;
-  const RunResult clean = engine.scan(list, ScanOp::kPlus);
+  const RunResult clean =
+      engine.scan(list, ScanOp::kPlus, Method::kReidMiller);
   ASSERT_TRUE(clean.ok()) << clean.status.message;
   testutil::expect_scan_eq(clean.scan, oracle(list, false, ScanOp::kPlus));
   EXPECT_EQ(clean.stats.kernel_tier, KernelTier::kPackedCursors);
 }
 
-TEST(ShardEngine, ACycleInsideOneShardEndsTheRunWithValidationOff) {
-  // The head runs 1,000 vertices into a 500-vertex cycle, all inside
-  // shard 0, and a separate chain ends at the self-loop, so the list has
-  // a tail and passes the tail check. Pass A flags every record it
-  // visits, so the cursor lapping the cycle stops at the first vertex it
-  // revisits, as the host kernel's phase 1 does. A run that spins instead
-  // is reported here and ends the test binary, rather than hanging ctest.
+// -- a head that runs into a cycle, validation off -----------------------------
+
+/// The head runs 1,000 vertices into a 500-vertex cycle, and a separate
+/// chain ends at the self-loop, so the list has a tail and passes the
+/// tail check. Phase 1 flags every record it visits, so a cursor lapping
+/// the cycle stops at the first vertex it revisits.
+LinkedList head_into_cycle() {
   constexpr std::size_t n = 1u << 16;
   LinkedList list;
   list.next.resize(n);
@@ -668,25 +658,54 @@ TEST(ShardEngine, ACycleInsideOneShardEndsTheRunWithValidationOff) {
   list.next[1499] = 1000;
   list.next[n - 1] = static_cast<index_t>(n - 1);
   list.head = 0;
-  EngineOptions opt;
-  opt.backend = BackendKind::kHost;
-  opt.threads = 4;
-  opt.interleave = 8;
-  opt.shard.shards = 4;
-  ASSERT_FALSE(opt.validate_input);
-  std::promise<RunResult> result;
-  std::future<RunResult> ready = result.get_future();
-  std::thread run([&] { result.set_value(Engine(opt).rank(list)); });
-  if (ready.wait_for(std::chrono::seconds(10)) !=
-      std::future_status::ready) {
+  return list;
+}
+
+/// Expects `run` to return a typed status (today kOk with an incomplete
+/// answer) within 10 s; a run that spins instead is reported here and
+/// ends the test binary, rather than hanging ctest.
+void expect_typed_within_10s(const char* name,
+                             const std::function<StatusCode()>& run) {
+  std::promise<StatusCode> result;
+  std::future<StatusCode> ready = result.get_future();
+  std::thread worker([&] { result.set_value(run()); });
+  if (ready.wait_for(std::chrono::seconds(10)) != std::future_status::ready) {
     std::fprintf(stderr,
-                 "FAILED: a 4-shard rank of a list whose head enters a "
-                 "cycle inside shard 0 still runs after 10 s\n");
+                 "FAILED: %s of a list whose head enters a cycle still "
+                 "runs after 10 s\n",
+                 name);
     std::_Exit(1);
   }
-  run.join();
-  const RunResult r = ready.get();
-  EXPECT_EQ(r.stats.shard_count, 4u);
+  worker.join();
+  const StatusCode code = ready.get();
+  EXPECT_TRUE(code == StatusCode::kOk || code == StatusCode::kInvalidInput)
+      << status_code_name(code);
+}
+
+TEST(ShardedScan, AHeadThatEntersACycleEndsTheRunWithValidationOff) {
+  const LinkedList list = head_into_cycle();
+  shard::ShardExec exec;
+  exec.threads = 4;
+  exec.interleave = 8;
+  expect_typed_within_10s("sharded_scan", [&] {
+    Workspace ws;
+    std::vector<value_t> out(list.size());
+    shard::ShardRunStats stats;
+    return shard::sharded_scan(list, /*rank=*/true, ScanOp::kPlus, exec, ws,
+                               out, stats)
+        .code;
+  });
+}
+
+TEST(ShardEngine, AHeadThatEntersACycleEndsTheRunWithValidationOff) {
+  // Engine::rank at T = 4, W = 8, with four shards pinned.
+  const LinkedList list = head_into_cycle();
+  EngineOptions opt = pinned_engine({.shards = 4});
+  opt.threads = 4;
+  opt.interleave = 8;
+  ASSERT_FALSE(opt.validate_input);
+  expect_typed_within_10s(
+      "Engine::rank", [&] { return Engine(opt).rank(list).status.code; });
 }
 
 }  // namespace
